@@ -1,6 +1,6 @@
 """Benchmark of the two-stage FDG pipeline, driven from outside the package.
 
-    python3 fdgbench/run.py --workload cell-full --seed 0 --seconds 30 --trace 0
+    python3 fdgbench/run.py --workload cell-full --seed 0 --seconds 36 --trace 0
 
 One process, single-threaded BLAS.  The run builds the frozen encoder, the
 seeded world and every leave-one-out split (set-up), then runs whole
@@ -8,9 +8,9 @@ rounds of cells, one cell per holdout, for about ``--seconds``.  Every cell is
 checked (see ``checks``); a cell that raises or fails a check counts as
 failed.
 
-Set-up and cell times are scaled to a reference machine speed measured
-around each of them (see ``calibrate``); the result file keeps the wall
-times as well.
+Set-up and cell times are CPU times scaled to a reference machine
+speed sampled around and inside each of them (see ``calibrate``); the result file
+keeps the CPU and wall times as well.
 
 ``--trace 0`` prints the end-to-end metrics of ``BENCHMARK.json``.
 ``--trace 1`` runs half the time untraced and half with every public
@@ -62,6 +62,7 @@ class Cell:
     holdout: int
     traced: bool
     seconds: float = 0.0
+    cpu_s: float = 0.0
     scaled_s: float = 0.0
     stage_s: dict = field(default_factory=dict)
     accuracy: float | None = None
@@ -75,25 +76,23 @@ def purge_package() -> None:
         del sys.modules[name]
 
 
-def timed_setups(workload, seed: int) -> tuple[workloads.Setup, list[float], list[float]]:
+def timed_setups(workload, seed: int) -> tuple[workloads.Setup, calibrate.Timer]:
     """Set up SETUP_REPEATS times from a fresh import; keep the last.
-    Returns it with the wall and the scaled seconds of each set-up."""
-    wall, scaled = [], []
+    Returns it with the timer that holds the time of each set-up."""
+    timer = calibrate.Timer()
     for _ in range(SETUP_REPEATS):
         purge_package()
-        setup, seconds, scaled_seconds = calibrate.timed(lambda: workloads.build_setup(workload, seed))
-        wall.append(seconds)
-        scaled.append(scaled_seconds)
-    return setup, wall, scaled
+        setup = timer(lambda: workloads.build_setup(workload, seed))
+    return setup, timer
 
 
-def run_one(setup, holdout: int, cell_id: str, tracer) -> Cell:
+def run_one(setup, holdout: int, cell_id: str, tracer, timer: calibrate.Timer) -> Cell:
     cell = Cell(id=cell_id, holdout=holdout, traced=tracer is not None)
     digest = setup.encoder.parameter_digest()
     if tracer is not None:
         tracer.cell = cell_id
     try:
-        out, cell.seconds, cell.scaled_s = calibrate.timed(lambda: workloads.run_cell(setup, holdout))
+        out = timer(lambda: workloads.run_cell(setup, holdout))
     except Exception as exc:  # a cell that raises is a failed cell; the run goes on
         traceback.print_exc()
         cell.raised = True
@@ -109,20 +108,24 @@ def run_one(setup, holdout: int, cell_id: str, tracer) -> Cell:
     return cell
 
 
-def run_rounds(setup, seconds: float, first_id: int, tracer=None) -> list[Cell]:
+def run_rounds(setup, seconds: float, first_id: int, tracer=None, inside: bool = True) -> list[Cell]:
     """Whole rounds of one cell per holdout, at least one, stopping at the
     round that ends nearest to ``seconds``.  A ``cell-full`` round takes
-    about 30 s, so stopping at the first round past ``seconds`` could
-    double the run."""
+    about 33 s, so stopping at the first round past ``seconds`` could
+    double the run.  ``inside`` is passed to the timer."""
     cells = []
+    timer = calibrate.Timer(inside)
     start = time.perf_counter()
     while True:
         round_start = time.perf_counter()
         for holdout in range(len(setup.splits)):
-            cells.append(run_one(setup, holdout, f"c{first_id + len(cells)}", tracer))
+            cells.append(run_one(setup, holdout, f"c{first_id + len(cells)}", tracer, timer))
         now = time.perf_counter()
         if seconds - (now - start) < (now - round_start) / 2:
-            return cells
+            break
+    for cell, wall, cpu, scaled in zip(cells, timer.wall, timer.seconds, timer.scaled()):
+        cell.seconds, cell.cpu_s, cell.scaled_s = wall, cpu, scaled
+    return cells
 
 
 def median_scaled_s(cells: list[Cell]) -> float | None:
@@ -249,7 +252,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(SRC))
     workload = workloads.WORKLOADS[args.workload]
 
-    setup, setup_wall, setup_scaled = timed_setups(workload, args.seed)
+    setup, setup_timer = timed_setups(workload, args.seed)
     import fedstyle
 
     if Path(fedstyle.__file__).resolve().parent != SRC / "fedstyle":
@@ -259,20 +262,22 @@ def main(argv=None) -> int:
     result = {"workload": args.workload, "seed": args.seed, "trace": args.trace, "environment": environment()}
     if args.trace == 0:
         cells = run_rounds(setup, args.seconds, 0)
-        metrics = end_to_end(setup_scaled, cells)
+        metrics = end_to_end(setup_timer.scaled(), cells)
         units = {item["name"]: item["unit"] for item in spec["end_to_end"]}
         metrics = {name: {"value": value, "unit": units[name]} for name, value in metrics.items()}
-        result["setup_wall_s"] = quartiles(setup_wall)
-        result["setup_scaled_s"] = quartiles(setup_scaled)
+        result["setup_wall_s"] = quartiles(setup_timer.wall)
+        result["setup_cpu_s"] = quartiles(setup_timer.seconds)
+        result["setup_scaled_s"] = quartiles(setup_timer.scaled())
     else:
-        untraced = run_rounds(setup, args.seconds / 2, 0)
+        # no speed samples inside the cells: the spans would include them
+        untraced = run_rounds(setup, args.seconds / 2, 0, inside=False)
         tracer = tracing.Tracer()
         tracer.install()
         try:
             tracer.cell = "setup"
             workloads.build_setup(workload, args.seed)
             tracer.cell = None
-            traced = run_rounds(setup, args.seconds / 2, len(untraced), tracer)
+            traced = run_rounds(setup, args.seconds / 2, len(untraced), tracer, inside=False)
         finally:
             tracer.cell = None
             tracer.uninstall()
@@ -285,6 +290,7 @@ def main(argv=None) -> int:
         tracer.write(OUT / f"{args.workload}-seed{args.seed}-spans.jsonl.gz")
 
     result["cell_wall_s"] = quartiles([c.seconds for c in cells if not c.raised] or [0.0])
+    result["cell_cpu_s"] = quartiles([c.cpu_s for c in cells if not c.raised] or [0.0])
     result["cell_scaled_s"] = quartiles([c.scaled_s for c in cells if not c.raised] or [0.0])
     result["cells"] = [asdict(c) for c in cells]
     result["attempted"] = len(cells)

@@ -3,8 +3,10 @@ and fails on a corrupted one."""
 
 import json
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,10 +40,29 @@ def test_every_check_passes_on_a_small_world(variant):
     assert checks.check_cell(setup, holdout, out, digest) == []
 
 
-def test_calibrated_timing_returns_the_result_and_both_times():
-    result, wall, scaled = calibrate.timed(lambda: sum(range(100_000)))
-    assert result == sum(range(100_000))
-    assert wall > 0 and scaled > 0
+def test_timer_returns_the_result_and_times_every_operation():
+    timer = calibrate.Timer()
+    assert timer(lambda: sum(range(100_000))) == sum(range(100_000))
+    with pytest.raises(ZeroDivisionError):
+        timer(lambda: 1 / 0)
+    assert len(timer.seconds) == len(timer.wall) == len(timer.scaled()) == 2
+    assert len(timer.edges) == 3 and len(timer.during) == 2
+    assert timer.seconds[0] > 0 and timer.scaled()[0] > 0
+
+
+def test_timer_samples_inside_a_long_operation_and_subtracts_the_samples():
+    def spin():
+        end = time.thread_time() + 4 * calibrate.INTERVAL_S
+        while time.thread_time() < end:
+            pass
+
+    timer = calibrate.Timer()
+    timer(spin)
+    assert len(timer.during[0]) >= 2
+    # the spin ends at a fixed CPU time, which includes the passes inside it
+    assert timer.seconds[0] < 4 * calibrate.INTERVAL_S - 0.5 * sum(timer.during[0])
+    assert signal.getsignal(signal.SIGPROF) != signal.SIG_DFL
+    assert calibrate.Timer(inside=False)(spin) is None
 
 
 def test_default_ledger_size():
