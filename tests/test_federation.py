@@ -34,8 +34,8 @@ def _world(seed=0, domains=4, classes=3, per_cell=8, dim=16, noise=0.1):
     return generate_world(spec, encoder), encoder
 
 
-def _small_run(seed=0, toggles=MethodToggles(), rounds=2, holdout=3):
-    world, encoder = _world(seed=seed)
+def _small_run(seed=0, toggles=MethodToggles(), rounds=2, holdout=3, noise=0.1):
+    world, encoder = _world(seed=seed, noise=noise)
     split = leave_one_out(world, holdout)
     stage_one = run_stage_one(
         split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, toggles, seed
@@ -47,6 +47,30 @@ def _small_run(seed=0, toggles=MethodToggles(), rounds=2, holdout=3):
         toggles, seed,
     )
     return result, split, encoder
+
+
+def _reference_accuracy(result, split, encoder, length):
+    # argmax over cosines from the documented text tower,
+    # normalize(A @ tanh(sum_m s_m * token_m)), over the fixed layout
+    # [global slot, domain slot, class token]; an absent prompt is a zero
+    # slot and the domain slot holds the head-weighted blend of the stack
+    s, a = encoder.position_scale, encoder.projection
+    x = split.test_set.embeddings
+    x = x / np.linalg.norm(x, axis=1, keepdims=True)
+    pooled = np.zeros((len(x), x.shape[1]))
+    if result.global_prompt is not None:
+        pooled += s[:length] @ result.global_prompt
+    if result.domain_prompts is not None:
+        logits = x @ result.classifier.weight.T + result.classifier.bias
+        w = np.exp(logits - logits.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+        generated = np.einsum("nk,kld->nld", w, result.domain_prompts)
+        pooled += np.einsum("l,nld->nd", s[length : 2 * length], generated)
+    tokens = pooled[:, None, :] + s[2 * length] * split.class_tokens[None, :, :]
+    text = np.tanh(tokens) @ a.T
+    text /= np.linalg.norm(text, axis=2, keepdims=True)
+    cosines = np.einsum("ncd,nd->nc", text, x)
+    return float(np.mean(np.argmax(cosines, axis=1) == split.test_set.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +314,8 @@ def test_protocol_global_only_variant():
         use_domain_prompt=False, use_prompt_generator=False, use_contrastive=False,
         use_style_transfer=False,
     )
-    result, split, encoder = _small_run(toggles=toggles)
+    # noisy enough that the held-out accuracy sits between chance and one
+    result, split, encoder = _small_run(toggles=toggles, noise=1.0)
     assert result.domain_prompts is None
     assert result.classifier is None
     counts = result.ledger.counts_by_kind()
@@ -301,14 +326,14 @@ def test_protocol_global_only_variant():
     accuracy = evaluate_accuracy(
         result, split, encoder, PromptConfig(length=2, temperature=0.05), toggles
     )
-    assert 0.0 <= accuracy <= 1.0
+    assert accuracy == _reference_accuracy(result, split, encoder, 2)
 
 
 def test_protocol_domain_only_variant():
     toggles = MethodToggles(
         use_global_prompt=False, use_contrastive=False, use_style_transfer=False,
     )
-    result, split, encoder = _small_run(toggles=toggles)
+    result, split, encoder = _small_run(toggles=toggles, noise=1.0)
     assert result.global_prompt is None
     assert result.classifier is not None
     assert result.domain_prompts is not None
@@ -317,7 +342,7 @@ def test_protocol_domain_only_variant():
     accuracy = evaluate_accuracy(
         result, split, encoder, PromptConfig(length=2, temperature=0.05), toggles
     )
-    assert 0.0 <= accuracy <= 1.0
+    assert accuracy == _reference_accuracy(result, split, encoder, 2)
 
 
 def test_protocol_rejects_client_count_mismatch():
