@@ -5,9 +5,18 @@ deterministic, and differentiable with respect to prompt tokens:
 
 * both towers share one frozen projection matrix ``A`` of shape (d, d),
 * the image tower maps a raw d-vector to ``normalize(A @ raw)``,
-* the text tower sums its tokens with frozen per-position scalings ``s``,
-  squashes with tanh, projects, and normalizes:
+* the text tower reads the sequence [prompt blocks..., class token]: it
+  sums the tokens with frozen per-position scalings ``s``, squashes with
+  tanh, projects, and normalizes:
   ``normalize(A @ tanh(sum_m s_m * token_m))``.
+
+Every text embedding comes from one kernel, ``_text_tower``, which maps
+pooled token sums to embeddings; its vector-Jacobian product
+``_text_tower_vjp`` reuses the forward's intermediates.
+``encode_class_texts`` pools the sequence for all classes at once, and a
+bare description or class name is the same sequence with a one-token block
+or no block at all.  ``encode_text`` pools a single sequence.  With
+``normalize=False`` both towers skip the final normalization.
 
 For token norms well inside tanh's linear regime the text tower is nearly
 additive in its tokens, which is what makes style directions in text space
@@ -56,55 +65,6 @@ class EncoderConfig:
             raise ParameterError(f"max_tokens must be at least 2, got {self.max_tokens}")
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    """Ordered token list fed to the text tower.
-
-    ``prompt_tokens`` (p, d) come first and are the only positions gradients
-    flow into; ``fixed_tokens`` (f, d) follow.  The sequence is padded with
-    zero tokens to ``max_tokens``, and zero padding contributes nothing to
-    the position-scaled sum.
-    """
-
-    prompt_tokens: Array
-    fixed_tokens: Array
-    max_tokens: int
-
-    def __post_init__(self):
-        p = as_f64(self.prompt_tokens)
-        f = as_f64(self.fixed_tokens)
-        if p.ndim != 2 or f.ndim != 2:
-            raise ParameterError("token blocks must be 2-D (count, dim)")
-        if p.shape[0] and f.shape[0] and p.shape[1] != f.shape[1]:
-            raise ParameterError("prompt and fixed tokens disagree on dim")
-        require_finite(p, "prompt_tokens")
-        require_finite(f, "fixed_tokens")
-        if p.shape[0] + f.shape[0] > self.max_tokens:
-            raise ParameterError(
-                f"{p.shape[0]} prompt + {f.shape[0]} fixed tokens exceed max_tokens={self.max_tokens}"
-            )
-        if p.shape[0] + f.shape[0] == 0:
-            raise ParameterError("empty token sequence")
-        object.__setattr__(self, "prompt_tokens", p)
-        object.__setattr__(self, "fixed_tokens", f)
-
-    @property
-    def prompt_count(self) -> int:
-        return self.prompt_tokens.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.prompt_tokens.shape[1] if self.prompt_count else self.fixed_tokens.shape[1]
-
-    def padded(self) -> Array:
-        """(max_tokens, d) matrix: prompts, then fixed tokens, then zeros."""
-        out = np.zeros((self.max_tokens, self.dim))
-        count = self.prompt_count
-        out[:count] = self.prompt_tokens
-        out[count : count + self.fixed_tokens.shape[0]] = self.fixed_tokens
-        return out
-
-
 def _frozen(arr: Array) -> Array:
     arr.setflags(write=False)
     return arr
@@ -120,21 +80,6 @@ class FrozenEncoder:
         self.projection = _frozen(rng(seed, _PROJECTION_TAG, 0).uniform(-bound, bound, size=(d, d)))
         self.position_scale = _frozen(rng(seed, _POSITION_TAG, 0).uniform(0.5, 1.5, size=m))
 
-    @classmethod
-    def from_parts(cls, config: EncoderConfig, projection: Array, position_scale: Array) -> "FrozenEncoder":
-        """Assemble an encoder from explicit tensors (test constructor)."""
-        enc = cls.__new__(cls)
-        enc.config = config
-        projection = as_f64(projection).copy()
-        position_scale = as_f64(position_scale).copy()
-        if projection.shape != (config.dim, config.dim):
-            raise ParameterError("projection shape mismatch")
-        if position_scale.shape != (config.max_tokens,):
-            raise ParameterError("position_scale shape mismatch")
-        enc.projection = _frozen(projection)
-        enc.position_scale = _frozen(position_scale)
-        return enc
-
     # -- integrity ----------------------------------------------------------
 
     def parameter_digest(self) -> str:
@@ -143,9 +88,6 @@ class FrozenEncoder:
         h.update(self.projection.tobytes())
         h.update(self.position_scale.tobytes())
         return h.hexdigest()
-
-    def export_arrays(self) -> dict[str, Array]:
-        return {"projection": self.projection, "position_scale": self.position_scale}
 
     # -- image tower --------------------------------------------------------
 
@@ -177,51 +119,47 @@ class FrozenEncoder:
 
     # -- text tower ---------------------------------------------------------
 
-    def _text_forward(self, seq: TokenSequence):
-        if seq.max_tokens != self.config.max_tokens:
-            raise ParameterError("sequence padded length disagrees with encoder max_tokens")
-        if seq.dim != self.config.dim:
-            raise ParameterError("token dim disagrees with encoder dim")
-        tokens = seq.padded()
-        pooled = self.position_scale @ tokens          # sum_m s_m * token_m
-        squashed = np.tanh(pooled)
-        projected = self.projection @ squashed
-        return squashed, projected
+    def _pool(self, blocks: list[Array], class_tokens: Array) -> Array:
+        """Position-scaled token sums of [blocks..., class_c], one per class.
 
-    def encode_text(self, seq: TokenSequence) -> Array:
-        """normalize(A @ tanh(sum_m s_m token_m)); raises if the sum collapses to zero."""
-        _, projected = self._text_forward(seq)
-        if not self.config.normalize:
-            return projected
-        n = np.linalg.norm(projected)
-        if n == 0.0:
-            raise DomainError("text embedding collapsed to the zero vector")
-        return projected / n
-
-    def encode_text_backward(self, seq: TokenSequence, upstream: Array) -> Array:
-        """Gradients of ``upstream @ encode_text(seq)`` w.r.t. each prompt token.
-
-        Returns a (prompt_count, d) matrix.  The chain is normalize -> A ->
-        tanh -> position-scaled sum, all closed form:
-
-            d/d token_m = s_m * diag(1 - tanh^2) @ A.T @ J_norm.T @ upstream
+        Blocks take the leading positions in order, the class token the
+        next one, and the unused positions are zero padding, which adds
+        nothing.  A block may carry a leading sample axis, (n, L_i, d),
+        which the sums then carry too: (n, C, d) instead of (C, d).
         """
-        g = require_finite(as_f64(upstream), "upstream")
-        if g.shape != (self.config.dim,):
-            raise ParameterError("upstream gradient has the wrong shape")
-        squashed, projected = self._text_forward(seq)
-        if self.config.normalize:
-            n = np.linalg.norm(projected)
-            if n == 0.0:
-                raise DomainError("text embedding collapsed to the zero vector")
-            y = projected / n
-            g = (g - y * float(y @ g)) / n
-        g = self.projection.T @ g
-        g = (1.0 - squashed * squashed) * g
-        count = seq.prompt_count
-        return self.position_scale[:count, None] * g[None, :]
+        shared = np.zeros(self.config.dim)
+        offset = 0
+        for b in blocks:
+            shared = shared + self.position_scale[offset : offset + b.shape[-2]] @ b
+            offset += b.shape[-2]
+        return shared[..., None, :] + self.position_scale[offset] * class_tokens
 
-    # -- batched class-text helper -----------------------------------------
+    def _text_tower(self, pooled: Array) -> tuple[Array, tuple]:
+        """normalize(A @ tanh(pooled)) over the last axis.
+
+        Returns the embeddings and the intermediates ``_text_tower_vjp``
+        reads, so a backward pass never recomputes the forward.
+        """
+        squashed = np.tanh(pooled)
+        projected = squashed @ self.projection.T
+        if not self.config.normalize:
+            return projected, (squashed, None, None)
+        norms = np.linalg.norm(projected, axis=-1, keepdims=True)
+        if np.any(norms == 0.0):
+            raise DomainError("text embedding collapsed to the zero vector")
+        text = projected / norms
+        return text, (squashed, text, norms)
+
+    def _text_tower_vjp(self, saved: tuple, upstream: Array) -> Array:
+        """Gradient of ``sum(upstream * _text_tower(pooled))`` w.r.t. pooled:
+
+            diag(1 - tanh^2) @ A.T @ J_norm.T @ upstream
+        """
+        squashed, text, norms = saved
+        g = upstream
+        if text is not None:
+            g = (g - text * np.sum(text * g, axis=-1, keepdims=True)) / norms
+        return (1.0 - squashed * squashed) * (g @ self.projection)
 
     def encode_class_texts(self, prompt_blocks: list[Array], class_tokens: Array) -> Array:
         """Encode [prompts..., class_c] for every class c at once.
@@ -229,57 +167,35 @@ class FrozenEncoder:
         ``prompt_blocks`` is a list of (L_i, d) blocks occupying the leading
         positions in order; ``class_tokens`` is (C, d) with one row per class
         sitting at the next position.  Returns (C, d) embeddings, one row per
-        class, matching ``encode_text`` on the equivalent sequences exactly.
+        class.  With no blocks this encodes each bare class token; a block
+        with a leading sample axis gives one (C, d) set per sample.
         """
         ct = require_finite(as_f64(class_tokens), "class_tokens")
         if ct.ndim != 2 or ct.shape[1] != self.config.dim:
             raise ParameterError("class_tokens must be (C, d)")
         blocks = [require_finite(as_f64(b), "prompt block") for b in prompt_blocks]
-        count = int(sum(b.shape[0] for b in blocks))
-        if count + 1 > self.config.max_tokens:
+        if sum(b.shape[-2] for b in blocks) + 1 > self.config.max_tokens:
             raise ParameterError("prompt blocks leave no room for the class token")
-        shared = np.zeros(self.config.dim)
-        offset = 0
-        for b in blocks:
-            shared = shared + self.position_scale[offset : offset + b.shape[0]] @ b
-            offset += b.shape[0]
-        pooled = shared[None, :] + self.position_scale[count] * ct      # (C, d)
-        squashed = np.tanh(pooled)
-        projected = squashed @ self.projection.T
-        if not self.config.normalize:
-            return projected
-        norms = np.linalg.norm(projected, axis=1)
-        if np.any(norms == 0.0):
-            raise DomainError("text embedding collapsed to the zero vector")
-        return projected / norms[:, None]
+        return self._text_tower(self._pool(blocks, ct))[0]
+
+    def encode_text(self, tokens: Array) -> Array:
+        """Encode one sequence of (m, d) tokens, given in position order."""
+        t = require_finite(as_f64(tokens), "tokens")
+        if t.ndim != 2 or not 1 <= t.shape[0] <= self.config.max_tokens:
+            raise ParameterError(f"need 1 to {self.config.max_tokens} tokens as (m, d), got {t.shape}")
+        return self._text_tower(self.position_scale[: t.shape[0]] @ t)[0]
 
     def encode_class_texts_backward(
         self, prompt_blocks: list[Array], class_tokens: Array, upstream: Array
     ) -> list[Array]:
-        """VJP of ``encode_class_texts`` w.r.t. each prompt block."""
+        """VJP of ``encode_class_texts`` w.r.t. each (L_i, d) prompt block."""
         ct = as_f64(class_tokens)
         blocks = [as_f64(b) for b in prompt_blocks]
-        count = int(sum(b.shape[0] for b in blocks))
         g = require_finite(as_f64(upstream), "upstream")
         if g.shape != (ct.shape[0], self.config.dim):
             raise ParameterError("upstream gradient has the wrong shape")
-        shared = np.zeros(self.config.dim)
-        offset = 0
-        for b in blocks:
-            shared = shared + self.position_scale[offset : offset + b.shape[0]] @ b
-            offset += b.shape[0]
-        pooled = shared[None, :] + self.position_scale[count] * ct
-        squashed = np.tanh(pooled)
-        projected = squashed @ self.projection.T
-        if self.config.normalize:
-            norms = np.linalg.norm(projected, axis=1)
-            if np.any(norms == 0.0):
-                raise DomainError("text embedding collapsed to the zero vector")
-            y = projected / norms[:, None]
-            g = (g - y * np.sum(y * g, axis=1, keepdims=True)) / norms[:, None]
-        g = g @ self.projection
-        g = (1.0 - squashed * squashed) * g
-        per_shared = g.sum(axis=0)                                      # (d,)
+        _, saved = self._text_tower(self._pool(blocks, ct))
+        per_shared = self._text_tower_vjp(saved, g).sum(axis=0)        # (d,)
         grads = []
         offset = 0
         for b in blocks:

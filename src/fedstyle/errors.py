@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto process exit codes; everything else raises them
-as early as possible so a bad value never propagates into a training loop.
+Each is raised as early as possible so a bad value never propagates into
+a training loop.
 """
 
 
@@ -23,10 +23,6 @@ class DataError(ValueError):
 
 class ConfigurationError(ValueError):
     """A configuration value or combination of toggles is invalid."""
-
-
-class StageOrderError(RuntimeError):
-    """A pipeline stage ran before the stage that produces its inputs."""
 
 
 class ProtocolError(RuntimeError):

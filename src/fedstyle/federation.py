@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TARGET_KEY, EvaluationSplit, LabeledEmbeddings, description_set
-from .encoder import FrozenEncoder, TokenSequence
+from .encoder import FrozenEncoder
 from .errors import ConfigurationError, NonFiniteLossError, ProtocolError
-from .numerics import Array, SgdState, sgd_step, softmax
+from .numerics import Array, SgdState, sgd_step
 from .prompts import (
     DomainClassifier,
     PromptConfig,
@@ -383,13 +383,6 @@ def _decayed(param: Array, fed_config: FederationConfig, learning_rate: float) -
     return param * (1.0 - learning_rate * fed_config.weight_decay)
 
 
-def _description_embedding(encoder: FrozenEncoder, token: Array) -> Array:
-    seq = TokenSequence(
-        np.zeros((0, encoder.config.dim)), token[None, :], encoder.config.max_tokens
-    )
-    return encoder.encode_text(seq)
-
-
 def _require_finite_loss(value: float, what: str) -> float:
     if not np.isfinite(value):
         raise NonFiniteLossError(f"{what} diverged to {value!r}")
@@ -456,7 +449,7 @@ def run_protocol(
         for data in clients_data
     ]
     own_text = (
-        [_description_embedding(encoder, split.source_domain_tokens[i]) for i in range(k)]
+        [encoder.encode_text(token[None, :]) for token in split.source_domain_tokens]
         if toggles.use_contrastive
         else [None] * k
     )
@@ -651,22 +644,16 @@ def evaluate_accuracy(
     test = split.test_set
     if len(test) == 0:
         raise ConfigurationError("empty test set")
-    if toggles.use_domain_prompt:
-        probs = predict_unseen_batch(
-            test.embeddings,
-            result.global_prompt,
-            result.domain_prompts,
-            result.classifier,
-            split.class_tokens,
-            encoder,
-            prompt_config.temperature,
-            mode=prompt_config.generator_mode,
-        )
-    else:
-        text = encoder.encode_class_texts(
-            [result.global_prompt, np.zeros_like(result.global_prompt)], split.class_tokens
-        )
-        xn = test.embeddings / np.linalg.norm(test.embeddings, axis=1, keepdims=True)
-        probs = np.stack([softmax(text @ x, temperature=prompt_config.temperature) for x in xn])
+    domain = toggles.use_domain_prompt
+    probs = predict_unseen_batch(
+        test.embeddings,
+        result.global_prompt,
+        result.domain_prompts if domain else None,
+        result.classifier if domain else None,
+        split.class_tokens,
+        encoder,
+        prompt_config.temperature,
+        mode=prompt_config.generator_mode,
+    )
     predicted = np.argmax(probs, axis=1)
     return float(np.mean(predicted == test.labels))

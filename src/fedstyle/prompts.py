@@ -21,6 +21,12 @@ those weights (soft mode) or the argmax one (one-hot mode).  The blend is
 an exact linear combination computed in ascending domain order, so one-hot
 weights recover the matching prompt bit for bit.
 
+``predict_unseen_batch`` is the only prediction path.  It scores a batch
+under every layout: both prompts, global only (no domain prompts and no
+classifier), or domain only (no global prompt).  By the one-hot guarantee
+it scores a one-hot sample exactly as it would with a one-prompt stack
+holding the selected prompt.
+
 The contrastive term keeps a domain prompt's pooled direction close to its
 own domain description and away from the pooled global prompt: a two-way
 softmax over the two cosines with the own-description slot as the target.
@@ -38,7 +44,7 @@ import numpy as np
 from .data import LabeledEmbeddings
 from .encoder import FrozenEncoder
 from .errors import ConfigurationError, DataError, DomainError, ParameterError
-from .numerics import Array, GradTape, Node, as_f64, require_finite, softmax
+from .numerics import Array, GradTape, Node, as_f64, require_finite
 from .seeding import rng
 
 
@@ -109,123 +115,32 @@ def _unit_vector(x: Array, what: str) -> Array:
     return v / n
 
 
-def classify_domain(x: Array, classifier: DomainClassifier, mode: str = "soft") -> Array:
-    """Domain membership weights of one embedding; sums to one either way."""
-    if mode not in ("soft", "onehot"):
-        raise ParameterError(f"unknown mode {mode!r}")
-    xn = _unit_vector(x, "embedding")
-    logits = classifier.weight @ xn + classifier.bias
-    if mode == "soft":
-        return softmax(logits, temperature=1.0)
-    out = np.zeros(classifier.num_domains)
-    out[int(np.argmax(logits))] = 1.0  # ties resolve to the lowest index
-    return out
-
-
-def mix_domain_prompts(weights: Array, domain_prompts: Array) -> Array:
-    """Weighted blend sum_k w_k * prompt_k, accumulated in ascending k.
-
-    ``domain_prompts`` is (K, L, d).  The fixed accumulation order makes the
-    result reproducible to the bit, and one-hot weights return the selected
-    block exactly.
-    """
-    w = require_finite(as_f64(weights), "weights")
-    blocks = require_finite(as_f64(domain_prompts), "domain_prompts")
-    if blocks.ndim != 3 or w.shape != (blocks.shape[0],):
-        raise ConfigurationError(
-            f"need one weight per prompt block: {w.shape} vs {blocks.shape}"
-        )
-    out = np.zeros(blocks.shape[1:])
-    for k in range(blocks.shape[0]):
-        out += w[k] * blocks[k]
-    return out
-
-
 # ---------------------------------------------------------------------------
-# prediction paths
+# prediction
 # ---------------------------------------------------------------------------
-
-
-def _slot_blocks(global_prompt: Array | None, domain_prompt: Array | None) -> list[Array]:
-    """The fixed [global slot, domain slot] layout; absent blocks are zero."""
-    if global_prompt is None and domain_prompt is None:
-        raise ParameterError("at least one prompt block is required")
-    g = None if global_prompt is None else as_f64(global_prompt)
-    d = None if domain_prompt is None else as_f64(domain_prompt)
-    if g is not None and d is not None and g.shape != d.shape:
-        raise ParameterError(f"prompt blocks disagree on shape: {g.shape} vs {d.shape}")
-    if g is None:
-        g = np.zeros_like(d)
-    if d is None:
-        d = np.zeros_like(g)
-    return [g, d]
-
-
-def predict_global(
-    x: Array,
-    global_prompt: Array,
-    class_tokens: Array,
-    encoder: FrozenEncoder,
-    temperature: float,
-) -> Array:
-    """Class probabilities with the domain slot zeroed."""
-    return _predict(x, _slot_blocks(global_prompt, None), class_tokens, encoder, temperature)
-
-
-def predict_composite(
-    x: Array,
-    global_prompt: Array | None,
-    domain_prompt: Array,
-    class_tokens: Array,
-    encoder: FrozenEncoder,
-    temperature: float,
-) -> Array:
-    """Class probabilities with both slots filled (global may be zero)."""
-    return _predict(x, _slot_blocks(global_prompt, domain_prompt), class_tokens, encoder, temperature)
-
-
-def predict_unseen(
-    x: Array,
-    global_prompt: Array | None,
-    domain_prompts: Array,
-    classifier: DomainClassifier,
-    class_tokens: Array,
-    encoder: FrozenEncoder,
-    temperature: float,
-    mode: str = "soft",
-) -> Array:
-    """Class probabilities for an unseen-domain embedding.
-
-    The domain prompt is generated per sample by blending the collected
-    domain prompts with the classifier's membership weights.
-    """
-    weights = classify_domain(x, classifier, mode)
-    generated = mix_domain_prompts(weights, domain_prompts)
-    return _predict(x, _slot_blocks(global_prompt, generated), class_tokens, encoder, temperature)
-
-
-def _predict(x, blocks, class_tokens, encoder, temperature) -> Array:
-    xn = _unit_vector(x, "embedding")
-    text = encoder.encode_class_texts(blocks, class_tokens)
-    return softmax(text @ xn, temperature=temperature)
 
 
 def predict_unseen_batch(
     embeddings: Array,
     global_prompt: Array | None,
-    domain_prompts: Array,
-    classifier: DomainClassifier,
+    domain_prompts: Array | None,
+    classifier: DomainClassifier | None,
     class_tokens: Array,
     encoder: FrozenEncoder,
     temperature: float,
     mode: str = "soft",
 ) -> Array:
-    """Vectorized ``predict_unseen`` over rows; identical values, one pass.
+    """Class probabilities (n, C) of embeddings (n, d); the one prediction path.
 
-    Mirrors the text tower exactly: per sample n and class c the pooled
-    token sum is (global block + generated block + class token) with the
-    encoder's position scalings, then tanh, projection, normalization, and
-    a temperature softmax over cosines.
+    Row n is scored on [global slot, domain slot, class token].  The domain
+    slot holds a prompt generated for that row: the (K, L, d) stack of
+    ``domain_prompts`` blended with the domain head's membership weights,
+    its softmax (``mode="soft"``) or its argmax (``"onehot"``, ties to the
+    lowest index).  An absent global prompt is a zero slot; with
+    ``domain_prompts=None`` and no classifier the domain slot is zero for
+    every row, which is the global-only layout.  Probabilities are a
+    temperature softmax over the cosines between the row and each class
+    text.
     """
     x = require_finite(as_f64(embeddings), "embeddings")
     if x.ndim != 2:
@@ -235,48 +150,38 @@ def predict_unseen_batch(
         raise DomainError("embedding is the zero vector")
     xn = x / norms[:, None]
 
-    logits_w = xn @ classifier.weight.T + classifier.bias  # (n, K)
-    if mode == "soft":
-        shifted = logits_w - logits_w.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        weights = e / e.sum(axis=1, keepdims=True)
-    elif mode == "onehot":
-        weights = np.zeros_like(logits_w)
-        weights[np.arange(len(x)), np.argmax(logits_w, axis=1)] = 1.0
+    if domain_prompts is None:
+        if global_prompt is None:
+            raise ParameterError("at least one prompt block is required")
+        generated = np.zeros(np.shape(global_prompt))
     else:
-        raise ParameterError(f"unknown mode {mode!r}")
-
-    blocks = as_f64(domain_prompts)  # (K, L, d)
-    generated = np.zeros((len(x),) + blocks.shape[1:])
-    for k in range(blocks.shape[0]):  # fixed order, same accumulation as mix_domain_prompts
-        generated += weights[:, k : k + 1, None] * blocks[k][None, :, :]
-
-    scale = encoder.position_scale
-    length = blocks.shape[1]
-    g = None if global_prompt is None else as_f64(global_prompt)
-    if g is not None and g.shape != blocks.shape[1:]:
-        raise ParameterError(f"prompt blocks disagree on shape: {g.shape} vs {blocks.shape[1:]}")
-    if 2 * length + 1 > encoder.config.max_tokens:
-        raise ParameterError("prompt blocks leave no room for the class token")
-    pooled = np.zeros((len(x), encoder.config.dim))
-    if g is not None:  # a zeroed global slot adds nothing to the pooled sum
-        pooled += np.einsum("m,md->d", scale[:length], g)[None, :]
-    pooled = pooled + np.einsum("m,nmd->nd", scale[length : 2 * length], generated)
-    offset = 2 * length
-
-    ct = as_f64(class_tokens)
-    full = pooled[:, None, :] + scale[offset] * ct[None, :, :]  # (n, C, d)
-    squashed = np.tanh(full)
-    projected = squashed @ encoder.projection.T
-    if encoder.config.normalize:
-        tnorm = np.linalg.norm(projected, axis=2)
-        if np.any(tnorm == 0.0):
-            raise DomainError("text embedding collapsed to the zero vector")
-        text = projected / tnorm[:, :, None]
-    else:
-        text = projected
-    cos = np.einsum("ncd,nd->nc", text, xn)
-    z = cos / temperature
+        blocks = as_f64(domain_prompts)
+        if blocks.ndim != 3 or blocks.shape[0] != classifier.num_domains:
+            raise ParameterError(
+                f"need one (L, d) prompt per head domain: {blocks.shape} vs {classifier.num_domains}"
+            )
+        logits = xn @ classifier.weight.T + classifier.bias  # (n, K)
+        if mode == "soft":
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            weights = e / e.sum(axis=1, keepdims=True)
+        elif mode == "onehot":
+            weights = np.zeros_like(logits)
+            weights[np.arange(len(x)), np.argmax(logits, axis=1)] = 1.0
+        else:
+            raise ParameterError(f"unknown mode {mode!r}")
+        # accumulated in ascending k from zero, so one-hot weights give the
+        # selected prompt bit for bit
+        generated = np.zeros((len(x),) + blocks.shape[1:])
+        for k in range(blocks.shape[0]):
+            generated += weights[:, k : k + 1, None] * blocks[k][None, :, :]
+    if global_prompt is None:
+        global_prompt = np.zeros(generated.shape[-2:])
+    elif np.shape(global_prompt) != generated.shape[-2:]:
+        raise ParameterError(
+            f"prompt blocks disagree on shape: {np.shape(global_prompt)} vs {generated.shape[-2:]}"
+        )
+    text = encoder.encode_class_texts([global_prompt, generated], class_tokens)  # (C, d) or (n, C, d)
+    z = np.einsum("...cd,...d->...c", text, xn) / temperature
     z -= z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledEmbeddings
-from .encoder import FrozenEncoder, TokenSequence
+from .encoder import FrozenEncoder
 from .errors import ConfigurationError, DomainError, NonFiniteLossError, ParameterError
 from .numerics import AdamState, Array, GradTape, adam_step, as_f64, require_finite
 from .seeding import rng
@@ -111,30 +111,19 @@ def text_delta_directions(
     Returns (C, d) unit rows.  A difference below ``DEGENERATE_NORM``
     (identical source and target descriptions, say) is a ``DomainError``.
     """
-    zero = np.zeros((0, encoder.config.dim))
-    m = encoder.config.max_tokens
-    out = np.zeros((class_tokens.shape[0], encoder.config.dim))
-    for c in range(class_tokens.shape[0]):
-        e_src = encoder.encode_text(TokenSequence(zero, np.stack([source_token, class_tokens[c]]), m))
-        e_tgt = encoder.encode_text(TokenSequence(zero, np.stack([target_token, class_tokens[c]]), m))
-        delta = e_tgt - e_src
-        norm = np.linalg.norm(delta)
-        if norm < DEGENERATE_NORM:
-            raise DomainError(f"text style direction for class {c} is degenerate (norm {norm:.3e})")
-        out[c] = delta / norm
-    return out
+    e_src = encoder.encode_class_texts([as_f64(source_token)[None, :]], class_tokens)
+    e_tgt = encoder.encode_class_texts([as_f64(target_token)[None, :]], class_tokens)
+    delta = e_tgt - e_src
+    norms = np.linalg.norm(delta, axis=1, keepdims=True)
+    if np.any(norms < DEGENERATE_NORM):
+        c = int(np.argmin(norms))
+        raise DomainError(f"text style direction for class {c} is degenerate (norm {norms[c, 0]:.3e})")
+    return delta / norms
 
 
 def class_text_embeddings(encoder: FrozenEncoder, class_tokens: Array) -> Array:
     """(C, d) unit embeddings of each bare class description."""
-    zero = np.zeros((0, encoder.config.dim))
-    m = encoder.config.max_tokens
-    return np.stack(
-        [
-            encoder.encode_text(TokenSequence(zero, class_tokens[c : c + 1], m))
-            for c in range(class_tokens.shape[0])
-        ]
-    )
+    return encoder.encode_class_texts([], class_tokens)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from fedstyle.data import (
     generate_world,
     leave_one_out,
 )
-from fedstyle.encoder import EncoderConfig, FrozenEncoder, TokenSequence
+from fedstyle.encoder import EncoderConfig, FrozenEncoder
 from fedstyle.errors import ConfigurationError, ParameterError
 
 
@@ -128,11 +128,10 @@ def test_text_direction_tracks_shift_difference():
     # projected position-scaled shift difference at cosine > 0.9.
     world, enc = make_world(dim=32)
     y = world.class_tokens[0]
-    zero = np.zeros((0, world.spec.dim))
     deltas = []
     for i, j in [(0, 1), (1, 2), (2, 0)]:
-        ei = enc.encode_text(TokenSequence(zero, np.stack([world.domain_tokens[i], y]), 8))
-        ej = enc.encode_text(TokenSequence(zero, np.stack([world.domain_tokens[j], y]), 8))
+        ei = enc.encode_text(np.stack([world.domain_tokens[i], y]))
+        ej = enc.encode_text(np.stack([world.domain_tokens[j], y]))
         delta = ej - ei
         target = enc.projection @ (enc.position_scale[0] * (world.domain_tokens[j] - world.domain_tokens[i]))
         cos = float(delta @ target / (np.linalg.norm(delta) * np.linalg.norm(target)))

@@ -1,8 +1,9 @@
 """Contract tests for the frozen encoder.
 
 The determinism and freezing guarantees are checked bitwise; the text-tower
-backward is checked against central finite differences; the near-linearity
-of tanh at small token norms is asserted at the documented tolerance.
+backward is checked against central finite differences, normalized and
+not; the near-linearity of tanh at small token norms is asserted at the
+documented tolerance.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedstyle.encoder import EncoderConfig, FrozenEncoder, TokenSequence
+from fedstyle.encoder import EncoderConfig, FrozenEncoder
 from fedstyle.errors import DomainError, ParameterError
 
 CFG = EncoderConfig(dim=16, max_tokens=8, seed=3)
@@ -21,8 +22,23 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
-def _seq(prompts, fixed, m=CFG.max_tokens):
-    return TokenSequence(prompt_tokens=np.asarray(prompts), fixed_tokens=np.asarray(fixed), max_tokens=m)
+def _check_backward(enc, blocks, classes, upstream, step=1):
+    # central differences of sum(upstream * encode_class_texts) per block entry
+    def value(bs):
+        return float(np.sum(upstream * enc.encode_class_texts(bs, classes)))
+
+    grads = enc.encode_class_texts_backward(blocks, classes, upstream)
+    h = 1e-6
+    for b, block in enumerate(blocks):
+        assert grads[b].shape == block.shape
+        for i in range(block.shape[0]):
+            for j in range(0, block.shape[1], step):
+                plus = [x.copy() for x in blocks]
+                minus = [x.copy() for x in blocks]
+                plus[b][i, j] += h
+                minus[b][i, j] -= h
+                numeric = (value(plus) - value(minus)) / (2 * h)
+                assert abs(grads[b][i, j] - numeric) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +117,9 @@ def test_unnormalized_mode():
     enc = FrozenEncoder(EncoderConfig(dim=8, max_tokens=4, seed=5, normalize=False))
     raw = np.arange(8.0)
     assert np.allclose(enc.encode_image(raw), enc.projection @ raw, atol=1e-15)
+    tokens = np.arange(16.0).reshape(2, 8) * 0.01
+    pooled = enc.position_scale[:2] @ tokens
+    assert np.allclose(enc.encode_text(tokens), enc.projection @ np.tanh(pooled), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -109,19 +128,24 @@ def test_unnormalized_mode():
 
 
 def test_token_sequence_padding_and_order():
-    seq = _seq(np.ones((2, 4)), 2 * np.ones((1, 4)), m=5)
-    padded = seq.padded()
-    assert padded.shape == (5, 4)
-    assert np.array_equal(padded[0], np.ones(4))
-    assert np.array_equal(padded[2], 2 * np.ones(4))
-    assert np.array_equal(padded[3:], np.zeros((2, 4)))
+    # tokens take positions 0..m-1 in order; the positions after them are
+    # zero padding and add nothing
+    rng = np.random.default_rng(1)
+    tokens = rng.normal(size=(3, CFG.dim)) * 0.1
+    padded = np.zeros((CFG.max_tokens, CFG.dim))
+    padded[:3] = tokens
+    expected = _unit(ENC.projection @ np.tanh(ENC.position_scale @ padded))
+    assert np.allclose(ENC.encode_text(tokens), expected, atol=1e-14)
 
 
 def test_token_sequence_overflow_rejected():
     with pytest.raises(ParameterError):
-        _seq(np.ones((5, 4)), np.ones((4, 4)), m=8)
+        ENC.encode_text(np.ones((CFG.max_tokens + 1, CFG.dim)))
     with pytest.raises(ParameterError):
-        TokenSequence(np.zeros((0, 4)), np.zeros((0, 4)), max_tokens=4)
+        ENC.encode_text(np.zeros((0, CFG.dim)))
+    with pytest.raises(ParameterError):
+        # 4 + 4 prompt rows leave no position for the class token
+        ENC.encode_class_texts([np.ones((4, CFG.dim)), np.ones((4, CFG.dim))], np.ones((2, CFG.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +157,11 @@ def test_encode_text_matches_definition():
     rng = np.random.default_rng(2)
     prompts = rng.normal(size=(2, CFG.dim)) * 0.1
     fixed = rng.normal(size=(1, CFG.dim)) * 0.01
-    seq = _seq(prompts, fixed)
     s = ENC.position_scale
     pooled = s[0] * prompts[0] + s[1] * prompts[1] + s[2] * fixed[0]
     expected = _unit(ENC.projection @ np.tanh(pooled))
-    assert np.allclose(ENC.encode_text(seq), expected, atol=1e-14)
+    assert np.allclose(ENC.encode_text(np.vstack([prompts, fixed])), expected, atol=1e-14)
+    assert np.allclose(ENC.encode_class_texts([prompts], fixed)[0], expected, atol=1e-14)
 
 
 def test_padding_tokens_change_nothing():
@@ -145,24 +169,27 @@ def test_padding_tokens_change_nothing():
     # like the implicit padding does
     rng = np.random.default_rng(3)
     fixed = rng.normal(size=(2, CFG.dim)) * 0.01
-    bare = ENC.encode_text(_seq(np.zeros((0, CFG.dim)), fixed))
-    extended = ENC.encode_text(
-        _seq(np.zeros((0, CFG.dim)), np.vstack([fixed, np.zeros((1, CFG.dim))]))
-    )
+    bare = ENC.encode_text(fixed)
+    extended = ENC.encode_text(np.vstack([fixed, np.zeros((1, CFG.dim))]))
     assert np.array_equal(bare, extended)
 
 
 def test_token_order_matters_with_distinct_scalings():
     rng = np.random.default_rng(4)
     a, b = rng.normal(size=(2, CFG.dim)) * 0.01
-    e1 = ENC.encode_text(_seq(np.zeros((0, CFG.dim)), np.stack([a, b])))
-    e2 = ENC.encode_text(_seq(np.zeros((0, CFG.dim)), np.stack([b, a])))
+    e1 = ENC.encode_text(np.stack([a, b]))
+    e2 = ENC.encode_text(np.stack([b, a]))
     assert not np.allclose(e1, e2, atol=1e-9)
 
 
 def test_all_zero_tokens_is_domain_error():
+    zero = np.zeros((1, CFG.dim))
     with pytest.raises(DomainError):
-        ENC.encode_text(_seq(np.zeros((1, CFG.dim)), np.zeros((1, CFG.dim))))
+        ENC.encode_text(np.zeros((2, CFG.dim)))
+    with pytest.raises(DomainError):
+        ENC.encode_class_texts([zero], zero)
+    with pytest.raises(DomainError):
+        ENC.encode_class_texts_backward([zero], zero, np.ones((1, CFG.dim)))
 
 
 def test_near_linear_additivity_at_small_norms():
@@ -172,31 +199,25 @@ def test_near_linear_additivity_at_small_norms():
     rng = np.random.default_rng(5)
     a = _unit(rng.normal(size=CFG.dim)) * 0.01
     b = _unit(rng.normal(size=CFG.dim)) * 0.01
-    seq = _seq(np.zeros((0, CFG.dim)), np.stack([a, b]))
     s = ENC.position_scale
     linear = _unit(ENC.projection @ (s[0] * a + s[1] * b))
-    assert np.linalg.norm(ENC.encode_text(seq) - linear) < 1e-3
+    assert np.linalg.norm(ENC.encode_text(np.stack([a, b])) - linear) < 1e-3
 
 
-def test_encode_text_backward_matches_finite_differences():
+def test_encode_class_texts_backward_over_several_blocks_matches_finite_differences():
     rng = np.random.default_rng(6)
     prompts = rng.normal(size=(3, CFG.dim)) * 0.3
+    second = rng.normal(size=(2, CFG.dim)) * 0.3
     fixed = rng.normal(size=(1, CFG.dim)) * 0.01
-    upstream = rng.normal(size=CFG.dim)
+    _check_backward(ENC, [prompts, second], fixed, rng.normal(size=(1, CFG.dim)), step=3)
 
-    def value(p):
-        return float(upstream @ ENC.encode_text(_seq(p, fixed)))
 
-    grad = ENC.encode_text_backward(_seq(prompts, fixed), upstream)
-    h = 1e-6
-    for i in range(3):
-        for j in range(0, CFG.dim, 3):
-            plus = prompts.copy()
-            minus = prompts.copy()
-            plus[i, j] += h
-            minus[i, j] -= h
-            numeric = (value(plus) - value(minus)) / (2 * h)
-            assert abs(grad[i, j] - numeric) < 1e-7
+def test_unnormalized_text_backward_matches_finite_differences():
+    enc = FrozenEncoder(EncoderConfig(dim=CFG.dim, max_tokens=CFG.max_tokens, seed=3, normalize=False))
+    rng = np.random.default_rng(9)
+    block = rng.normal(size=(2, CFG.dim)) * 0.2
+    classes = rng.normal(size=(3, CFG.dim)) * 0.01
+    _check_backward(enc, [block], classes, rng.normal(size=(3, CFG.dim)), step=2)
 
 
 # ---------------------------------------------------------------------------
@@ -211,29 +232,27 @@ def test_encode_class_texts_equals_per_class_loop():
     classes = rng.normal(size=(5, CFG.dim)) * 0.01
     batch = ENC.encode_class_texts([block_a, block_b], classes)
     for c in range(5):
-        seq = _seq(np.vstack([block_a, block_b]), classes[c : c + 1])
-        assert np.allclose(batch[c], ENC.encode_text(seq), atol=1e-14)
+        single = ENC.encode_class_texts([block_a, block_b], classes[c : c + 1])[0]
+        assert np.allclose(batch[c], single, atol=1e-14)
+        assert np.allclose(batch[c], ENC.encode_text(np.vstack([block_a, block_b, classes[c]])), atol=1e-14)
+
+
+def test_encode_class_texts_with_a_sample_axis_equals_per_sample_calls():
+    rng = np.random.default_rng(10)
+    shared = rng.normal(size=(2, CFG.dim)) * 0.2
+    per_sample = rng.normal(size=(4, 2, CFG.dim)) * 0.2
+    classes = rng.normal(size=(3, CFG.dim)) * 0.01
+    batch = ENC.encode_class_texts([shared, per_sample], classes)
+    assert batch.shape == (4, 3, CFG.dim)
+    for n in range(4):
+        assert np.allclose(batch[n], ENC.encode_class_texts([shared, per_sample[n]], classes), atol=1e-14)
 
 
 def test_encode_class_texts_backward_matches_finite_differences():
     rng = np.random.default_rng(8)
     block = rng.normal(size=(2, CFG.dim)) * 0.2
     classes = rng.normal(size=(3, CFG.dim)) * 0.01
-    upstream = rng.normal(size=(3, CFG.dim))
-
-    def value(b):
-        return float(np.sum(upstream * ENC.encode_class_texts([b], classes)))
-
-    grad = ENC.encode_class_texts_backward([block], classes, upstream)[0]
-    h = 1e-6
-    for i in range(2):
-        for j in range(0, CFG.dim, 2):
-            plus = block.copy()
-            minus = block.copy()
-            plus[i, j] += h
-            minus[i, j] -= h
-            numeric = (value(plus) - value(minus)) / (2 * h)
-            assert abs(grad[i, j] - numeric) < 1e-7
+    _check_backward(ENC, [block], classes, rng.normal(size=(3, CFG.dim)), step=2)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32))
@@ -243,5 +262,5 @@ def test_text_embeddings_are_unit_norm(seed):
     fixed = rng.normal(size=(2, CFG.dim)) * 0.05
     if np.linalg.norm(fixed) == 0.0:
         return
-    e = ENC.encode_text(_seq(np.zeros((0, CFG.dim)), fixed))
+    e = ENC.encode_text(fixed)
     assert abs(np.linalg.norm(e) - 1.0) < 1e-12

@@ -1,6 +1,11 @@
 """Prompt tests: prediction-path oracles, loss values rebuilt from the
 public primitives, tape gradients vs finite differences, and the exactness
-guarantees of the domain-prompt blend."""
+guarantees of the domain-prompt blend.
+
+``predict_unseen_batch`` is the only prediction path, so the blend and the
+domain head are checked through it, one embedding at a time: a blend is
+pinned by comparing with a one-prompt stack holding the expected prompt
+under a one-domain head, whose only weight is exactly one."""
 
 import math
 
@@ -18,15 +23,10 @@ from fedstyle.prompts import (
     DomainClassifier,
     PromptConfig,
     classifier_loss,
-    classify_domain,
     contrastive_loss_parts,
     domain_loss,
     global_loss,
     init_prompt,
-    mix_domain_prompts,
-    predict_composite,
-    predict_global,
-    predict_unseen,
     predict_unseen_batch,
 )
 from fedstyle.seeding import rng
@@ -56,6 +56,19 @@ def _batch(n=6, classes=3, dim=DIM, seed=11, domains=2):
 
 def _class_tokens(classes=3, dim=DIM, seed=12):
     return rng(seed, "prompt-test-tokens").normal(size=(classes, dim)) * 0.05
+
+
+def _predict_one(x, gp, dps, clf, mode="soft", enc=None, ct=None):
+    # predict_unseen_batch on a single embedding
+    enc = _encoder() if enc is None else enc
+    ct = _class_tokens() if ct is None else ct
+    return predict_unseen_batch(np.asarray(x)[None, :], gp, dps, clf, ct, enc, TAU, mode=mode)[0]
+
+
+def _one_prompt(prompt):
+    # a one-prompt stack under a one-domain head: the generated prompt is
+    # exactly that prompt
+    return prompt[None], DomainClassifier.init(1, prompt.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -99,47 +112,70 @@ def test_init_prompt_shape_scale_determinism():
 
 
 def test_classifier_zero_init_gives_uniform_membership():
-    clf = DomainClassifier.init(num_domains=4, dim=DIM)
-    w = classify_domain(np.ones(DIM), clf, mode="soft")
-    assert np.allclose(w, 0.25)
+    gp = init_prompt(PromptConfig(length=2), DIM, 0, "g")
+    dps = rng(1, "dps").normal(size=(4, 2, DIM))
+    uniform = np.zeros((2, DIM))
+    for k in range(4):
+        uniform += 0.25 * dps[k]
+    x = np.ones(DIM)
+    assert np.array_equal(
+        _predict_one(x, gp, dps, DomainClassifier.init(num_domains=4, dim=DIM)),
+        _predict_one(x, gp, *_one_prompt(uniform)),
+    )
 
 
-def test_classify_domain_hand_oracle():
-    # logits on the unit input (1, 0) are exactly (weight column 0 + bias)
-    clf = DomainClassifier(weight=np.array([[1.0, 0.0], [0.0, 1.0]]), bias=np.array([0.5, 0.0]))
-    w = classify_domain(np.array([2.0, 0.0]), clf, mode="soft")
+def test_domain_head_soft_weights_hand_oracle():
+    # logits on the unit input e_0 are exactly (weight column 0 + bias)
+    weight = np.zeros((2, DIM))
+    weight[0, 0] = weight[1, 1] = 1.0
+    clf = DomainClassifier(weight=weight, bias=np.array([0.5, 0.0]))
+    x = np.zeros(DIM)
+    x[0] = 2.0
     z0, z1 = 1.0 + 0.5, 0.0
-    expected = math.exp(z0) / (math.exp(z0) + math.exp(z1))
-    assert w[0] == pytest.approx(expected, rel=1e-12)
-    assert w.sum() == pytest.approx(1.0, rel=1e-12)
+    w0 = math.exp(z0) / (math.exp(z0) + math.exp(z1))
+    dps = rng(2, "dps").normal(size=(2, 2, DIM))
+    expected = _predict_one(x, None, *_one_prompt(w0 * dps[0] + (1.0 - w0) * dps[1]))
+    assert np.allclose(_predict_one(x, None, dps, clf), expected, rtol=1e-12, atol=1e-15)
+    # the head's weights matter: either prompt alone predicts differently
+    assert not np.allclose(_predict_one(x, None, *_one_prompt(dps[0])), expected, atol=1e-6)
 
 
-def test_classify_domain_onehot_and_ties():
+def test_domain_head_onehot_ties_pick_the_lowest_index():
     clf = DomainClassifier(weight=np.zeros((3, DIM)), bias=np.array([0.0, 1.0, 1.0]))
-    w = classify_domain(np.ones(DIM), clf, mode="onehot")
+    dps = rng(3, "dps").normal(size=(3, 2, DIM))
+    x = np.ones(DIM)
+    got = _predict_one(x, None, dps, clf, mode="onehot")
     # domains 1 and 2 tie; the lowest index wins
-    assert np.array_equal(w, np.array([0.0, 1.0, 0.0]))
+    assert np.array_equal(got, _predict_one(x, None, *_one_prompt(dps[1])))
+    assert not np.array_equal(got, _predict_one(x, None, *_one_prompt(dps[2])))
 
 
-def test_classify_domain_rejects_bad_input():
+def test_domain_head_rejects_bad_input():
     clf = DomainClassifier.init(2, DIM)
+    dps = np.zeros((2, 2, DIM))
     with pytest.raises(DomainError):
-        classify_domain(np.zeros(DIM), clf)
+        _predict_one(np.zeros(DIM), None, dps, clf)
     with pytest.raises(ParameterError):
-        classify_domain(np.ones(DIM), clf, mode="argmax")
+        _predict_one(np.ones(DIM), None, dps, clf, mode="argmax")
     with pytest.raises(ParameterError):
         DomainClassifier(weight=np.zeros((2, DIM)), bias=np.zeros(3))
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
-def test_classify_domain_soft_sums_to_one(seed):
+def test_soft_membership_weights_sum_to_one(seed):
+    # K copies of one prompt blend to sum_k w_k * prompt, which is the
+    # prompt itself exactly when the weights sum to one
     g = np.random.default_rng(seed)
+    enc = _encoder(dim=5)
+    ct = _class_tokens(dim=5)
+    prompt = g.normal(size=(2, 5))
     clf = DomainClassifier(weight=g.normal(size=(3, 5)), bias=g.normal(size=3))
-    w = classify_domain(g.normal(size=5) + 1e-3, clf, mode="soft")
-    assert w.shape == (3,)
-    assert np.all(w >= 0.0)
-    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    x = g.normal(size=5) + 1e-3
+    got = _predict_one(x, None, np.stack([prompt] * 3), clf, enc=enc, ct=ct)
+    expected = _predict_one(x, None, *_one_prompt(prompt), enc=enc, ct=ct)
+    assert got.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(got, expected, rtol=1e-9, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -148,54 +184,50 @@ def test_classify_domain_soft_sums_to_one(seed):
 
 
 def test_mix_onehot_recovers_block_bitwise():
+    gp = init_prompt(PromptConfig(length=3), DIM, 0, "g")
     blocks = rng(0, "mix-blocks").normal(size=(4, 3, DIM))
+    x = np.ones(DIM)
     for k in range(4):
-        w = np.zeros(4)
-        w[k] = 1.0
-        assert np.array_equal(mix_domain_prompts(w, blocks), blocks[k])
+        clf = DomainClassifier(weight=np.zeros((4, DIM)), bias=np.eye(4)[k])
+        assert np.array_equal(
+            _predict_one(x, gp, blocks, clf, mode="onehot"), _predict_one(x, gp, *_one_prompt(blocks[k]))
+        )
 
 
 def test_mix_matches_ordered_accumulation_oracle():
     g = rng(1, "mix-oracle")
+    gp = init_prompt(PromptConfig(length=2), DIM, 0, "g")
     blocks = g.normal(size=(5, 2, DIM))
-    w = g.normal(size=5)
+    clf = DomainClassifier(weight=g.normal(size=(5, DIM)), bias=g.normal(size=5))
+    x = g.normal(size=DIM)
+    logits = clf.weight @ (x / np.linalg.norm(x)) + clf.bias
+    e = np.exp(logits - logits.max())
+    w = e / e.sum()
     expected = np.zeros((2, DIM))
     for k in range(5):
         expected = expected + w[k] * blocks[k]
-    assert np.array_equal(mix_domain_prompts(w, blocks), expected)
-
-
-def test_mix_is_linear_in_weights():
-    g = rng(2, "mix-linearity")
-    worst = 0.0
-    for _ in range(20):
-        blocks = g.normal(size=(4, 2, DIM))
-        u, v = g.normal(size=4), g.normal(size=4)
-        a, b = g.normal(), g.normal()
-        lhs = mix_domain_prompts(a * u + b * v, blocks)
-        rhs = a * mix_domain_prompts(u, blocks) + b * mix_domain_prompts(v, blocks)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    assert worst <= 1e-13
+    assert np.array_equal(_predict_one(x, gp, blocks, clf), _predict_one(x, gp, *_one_prompt(expected)))
 
 
 def test_mix_rejects_shape_mismatch():
-    with pytest.raises(ConfigurationError):
-        mix_domain_prompts(np.ones(3), np.zeros((4, 2, DIM)))
-    with pytest.raises(ConfigurationError):
-        mix_domain_prompts(np.ones(2), np.zeros((2, DIM)))
+    x = np.ones(DIM)
+    with pytest.raises(ParameterError):
+        _predict_one(x, None, np.zeros((4, 2, DIM)), DomainClassifier.init(3, DIM))
+    with pytest.raises(ParameterError):
+        _predict_one(x, None, np.zeros((2, DIM)), DomainClassifier.init(2, DIM))
 
 
 # ---------------------------------------------------------------------------
-# prediction paths
+# prediction layouts
 # ---------------------------------------------------------------------------
 
 
-def test_predict_global_matches_manual_tower():
+def test_global_only_layout_matches_manual_tower():
     enc = _encoder()
     ct = _class_tokens()
     gp = init_prompt(PromptConfig(length=2), DIM, 0, "g")
     x = rng(5, "x").normal(size=DIM)
-    probs = predict_global(x, gp, ct, enc, TAU)
+    probs = _predict_one(x, gp, None, None)
     # the domain slot is zeroed but still occupies its token positions
     text = enc.encode_class_texts([gp, np.zeros_like(gp)], ct)
     expected = softmax(text @ (x / np.linalg.norm(x)), temperature=TAU)
@@ -204,60 +236,59 @@ def test_predict_global_matches_manual_tower():
     assert np.allclose(probs, expected, rtol=1e-12, atol=0.0)
 
 
-def test_predict_composite_with_and_without_global():
+def test_one_prompt_stack_with_and_without_global():
     enc = _encoder()
     ct = _class_tokens()
     gp = init_prompt(PromptConfig(length=2), DIM, 0, "g")
     dp = init_prompt(PromptConfig(length=2), DIM, 0, "d")
     x = rng(6, "x").normal(size=DIM)
     xn = x / np.linalg.norm(x)
-    both = predict_composite(x, gp, dp, ct, enc, TAU)
+    both = _predict_one(x, gp, *_one_prompt(dp))
     assert np.allclose(both, softmax(enc.encode_class_texts([gp, dp], ct) @ xn, temperature=TAU))
-    alone = predict_composite(x, None, dp, ct, enc, TAU)
+    alone = _predict_one(x, None, *_one_prompt(dp))
     assert np.allclose(
         alone, softmax(enc.encode_class_texts([np.zeros_like(dp), dp], ct) @ xn, temperature=TAU)
     )
 
 
 def test_class_token_position_is_stable_across_slot_usage():
-    # zeroing a slot must reproduce the other path exactly: the class token
-    # never moves, so global-only scores are the composite scores at D = 0
-    enc = _encoder()
-    ct = _class_tokens()
+    # zeroing a slot must reproduce the other layout exactly: the class
+    # token never moves, so global-only scores are the two-slot scores at D = 0
     gp = init_prompt(PromptConfig(length=2), DIM, 0, "g")
     x = rng(55, "x").normal(size=DIM)
     assert np.array_equal(
-        predict_global(x, gp, ct, enc, TAU),
-        predict_composite(x, gp, np.zeros_like(gp), ct, enc, TAU),
+        _predict_one(x, gp, None, None),
+        _predict_one(x, gp, *_one_prompt(np.zeros_like(gp))),
     )
 
 
 def test_predict_unseen_onehot_equals_selected_composite():
-    enc = _encoder()
-    ct = _class_tokens()
     gp = init_prompt(PromptConfig(length=2), DIM, 0, "g")
     dps = rng(7, "dps").normal(size=(3, 2, DIM)) * 1e-2
     x = rng(8, "x").normal(size=DIM)
     xn = x / np.linalg.norm(x)
     # weights aligned with x make domain 1 the argmax by a wide margin
     clf = DomainClassifier(weight=np.stack([np.zeros(DIM), 5.0 * xn, np.zeros(DIM)]), bias=np.zeros(3))
-    probs = predict_unseen(x, gp, dps, clf, ct, enc, TAU, mode="onehot")
-    assert np.array_equal(probs, predict_composite(x, gp, dps[1], ct, enc, TAU))
+    probs = _predict_one(x, gp, dps, clf, mode="onehot")
+    assert np.array_equal(probs, _predict_one(x, gp, dps[1:2], DomainClassifier.init(1, DIM), mode="onehot"))
 
 
 def test_predict_unseen_soft_blends_prompts():
-    enc = _encoder()
-    ct = _class_tokens()
-    gp = init_prompt(PromptConfig(length=2), DIM, 0, "g")
-    dps = rng(9, "dps").normal(size=(3, 2, DIM)) * 1e-2
+    # domain-only layout: the soft prediction is that of the blended
+    # prompt, and differs from that of any one prompt in the stack
+    dps = rng(9, "dps").normal(size=(3, 2, DIM))
     clf = DomainClassifier(weight=rng(9, "clf").normal(size=(3, DIM)), bias=np.zeros(3))
     x = rng(9, "x").normal(size=DIM)
-    weights = classify_domain(x, clf, mode="soft")
-    blended = mix_domain_prompts(weights, dps)
-    assert np.array_equal(
-        predict_unseen(x, gp, dps, clf, ct, enc, TAU, mode="soft"),
-        predict_composite(x, gp, blended, ct, enc, TAU),
-    )
+    logits = clf.weight @ (x / np.linalg.norm(x)) + clf.bias
+    e = np.exp(logits - logits.max())
+    w = e / e.sum()
+    blended = np.zeros((2, DIM))
+    for k in range(3):
+        blended += w[k] * dps[k]
+    probs = _predict_one(x, None, dps, clf)
+    assert np.array_equal(probs, _predict_one(x, None, *_one_prompt(blended)))
+    for k in range(3):
+        assert not np.allclose(probs, _predict_one(x, None, *_one_prompt(dps[k])), atol=1e-6)
 
 
 @pytest.mark.parametrize("mode", ["soft", "onehot"])
@@ -272,8 +303,12 @@ def test_predict_unseen_batch_matches_per_sample(mode, with_global):
     batch = predict_unseen_batch(xs, gp, dps, clf, ct, enc, TAU, mode=mode)
     assert batch.shape == (7, 3)
     for i in range(7):
-        single = predict_unseen(xs[i], gp, dps, clf, ct, enc, TAU, mode=mode)
+        single = _predict_one(xs[i], gp, dps, clf, mode=mode)
         assert np.allclose(batch[i], single, rtol=1e-12, atol=1e-14)
+    if with_global:
+        batch = predict_unseen_batch(xs, gp, None, None, ct, enc, TAU)
+        for i in range(7):
+            assert np.allclose(batch[i], _predict_one(xs[i], gp, None, None), rtol=1e-12, atol=1e-14)
 
 
 def test_predict_rejects_degenerate_and_overfull():
@@ -281,16 +316,20 @@ def test_predict_rejects_degenerate_and_overfull():
     ct = _class_tokens()
     gp = np.zeros((2, DIM))
     with pytest.raises(DomainError):
-        predict_global(np.zeros(DIM), np.ones((2, DIM)) * 1e-3, ct, enc, TAU)
+        _predict_one(np.zeros(DIM), np.ones((2, DIM)) * 1e-3, None, None)
     with pytest.raises(ParameterError):
         # 2 + 2 prompt rows + 1 class token exceed 4 positions
-        predict_composite(np.ones(DIM), gp, np.zeros((2, DIM)), ct, enc, TAU)
+        _predict_one(np.ones(DIM), gp, *_one_prompt(np.zeros((2, DIM))), enc=enc)
     with pytest.raises(ParameterError):
         predict_unseen_batch(
             np.ones((2, DIM)), gp, np.zeros((3, 2, DIM)), DomainClassifier.init(3, DIM), ct, enc, TAU
         )
     with pytest.raises(ParameterError):
         predict_unseen_batch(np.ones(DIM), None, np.zeros((3, 1, DIM)), DomainClassifier.init(3, DIM), ct, enc, TAU)
+    with pytest.raises(ParameterError):
+        _predict_one(np.ones(DIM), None, None, None)
+    with pytest.raises(ParameterError):
+        _predict_one(np.ones(DIM), np.zeros((3, DIM)), *_one_prompt(np.zeros((2, DIM))))
 
 
 # ---------------------------------------------------------------------------
