@@ -2,15 +2,15 @@
 
 Three groups of things live here:
 
-* stable scalar/vector primitives (temperature softmax, cosine similarity,
-  clamped cross-entropy) with explicit domain checks,
-* ``GradTape``: an ordered record of the primitive operations of a forward
-  pass.  Each operation pushes a hand-derived vector-Jacobian rule; replaying
-  the record in reverse accumulates exact gradients of a scalar loss into the
-  designated leaf arrays.  This is not a general autodiff engine; the op set
-  is exactly what the losses in this package need, nothing more,
-* plain SGD and Adam with decoupled weight decay, plus a central
-  finite-difference gradient checker used by the test suite.
+* stable primitives with explicit domain checks: temperature softmax,
+  clamped cross-entropy, and ``softmax_ce_rows``, the row softmax
+  cross-entropy that returns its logit gradient alongside the loss.  Every
+  training loss in the package ends in it and writes the rest of its
+  backward pass in closed form next to its forward pass,
+* plain SGD and Adam with decoupled weight decay, which reject non-finite
+  gradients,
+* a central finite-difference gradient checker, the test suite's oracle
+  for every closed-form gradient.
 
 Everything is float64.  Inputs are validated once at the boundary; a
 non-finite value raises ``DomainError`` instead of propagating.
@@ -66,19 +66,6 @@ def softmax(logits, temperature: float = 1.0) -> Array:
     return e / e.sum()
 
 
-def cosine_sim(a, b) -> float:
-    """Cosine similarity of two vectors; a zero vector is a domain error."""
-    va = require_finite(as_f64(a), "a")
-    vb = require_finite(as_f64(b), "b")
-    if va.shape != vb.shape or va.ndim != 1:
-        raise ParameterError(f"shape mismatch: {va.shape} vs {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise DomainError("cosine similarity of a zero vector is undefined")
-    return float(np.clip(float(va @ vb) / (na * nb), -1.0, 1.0))
-
-
 def cross_entropy(probs, label: int) -> float:
     """Negative log-probability of ``label`` under a distribution.
 
@@ -95,291 +82,28 @@ def cross_entropy(probs, label: int) -> float:
     return float(-np.log(max(float(p[int(label)]), PROB_FLOOR)))
 
 
-def _softmax_rows(logits: Array) -> Array:
+def softmax_ce_rows(logits: Array, labels: Array) -> tuple[Array, Array]:
+    """Per-row cross-entropy of the row softmax of (B, C) logits.
+
+    Returns ``(loss, dlogits)``: the (B,) losses, each picked probability
+    clamped at ``PROB_FLOOR`` before the log, and the (B, C) gradient of
+    each row's loss with respect to its own logits, ``softmax - onehot``.
+    Every loss in the package scales ``dlogits`` by its upstream weight.
+    """
+    if logits.ndim != 2:
+        raise ParameterError("softmax_ce_rows: expected a logit matrix")
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (logits.shape[0],):
+        raise ParameterError("softmax_ce_rows: one label per row required")
+    if labels.min() < 0 or labels.max() >= logits.shape[1]:
+        raise ParameterError("softmax_ce_rows: label out of range")
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-# ---------------------------------------------------------------------------
-# gradient tape
-# ---------------------------------------------------------------------------
-
-
-class Node:
-    """A value produced on a ``GradTape``; ``grad`` accumulates in backward."""
-
-    __slots__ = ("value", "grad")
-
-    def __init__(self, value: Array, tracked: bool):
-        self.value = value
-        self.grad: Array | None = np.zeros_like(value) if tracked else None
-
-    @property
-    def tracked(self) -> bool:
-        return self.grad is not None
-
-
-class GradTape:
-    """Ordered record of primitive operations for one scalar loss.
-
-    The forward pass is executed eagerly through the op methods below; each
-    op appends a closure implementing its hand-derived backward rule.
-    ``backward(loss)`` seeds ``d loss / d loss = 1`` and replays the record
-    in reverse, accumulating into every tracked node's ``grad`` buffer.
-    Leaves are tracked, constants are not; an op output is tracked iff at
-    least one input is, so untracked subgraphs cost nothing in reverse.
-    """
-
-    def __init__(self):
-        self._ops: list[Callable[[], None]] = []
-
-    # -- node creation ------------------------------------------------------
-
-    def leaf(self, value: Array) -> Node:
-        return Node(require_finite(as_f64(value), "leaf"), tracked=True)
-
-    def const(self, value: Array) -> Node:
-        return Node(require_finite(as_f64(value), "const"), tracked=False)
-
-    def custom(
-        self,
-        value: Array,
-        inputs: list[Node],
-        vjp: Callable[[Array], list[Array]],
-    ) -> Node:
-        """Record an externally computed op with a caller-supplied VJP.
-
-        ``vjp(out.grad)`` must return one gradient array per input, in
-        order; each is accumulated into the inputs that are tracked.
-        """
-        out = self._out(require_finite(as_f64(value), "custom"), *inputs)
-        if out.tracked:
-            def backward():
-                grads = vjp(out.grad)
-                if len(grads) != len(inputs):
-                    raise ParameterError("custom: vjp arity mismatch")
-                for node, grad in zip(inputs, grads):
-                    if node.tracked:
-                        node.grad += grad
-            self._ops.append(backward)
-        return out
-
-    def _out(self, value: Array, *inputs: Node) -> Node:
-        return Node(value, tracked=any(n.tracked for n in inputs))
-
-    # -- primitive ops ------------------------------------------------------
-
-    def add(self, a: Node, b: Node) -> Node:
-        if a.value.shape != b.value.shape:
-            raise ParameterError("add: shape mismatch")
-        out = self._out(a.value + b.value, a, b)
-        if out.tracked:
-            def backward():
-                if a.tracked:
-                    a.grad += out.grad
-                if b.tracked:
-                    b.grad += out.grad
-            self._ops.append(backward)
-        return out
-
-    def affine_scalar(self, x: Node, scale: float, shift: float = 0.0) -> Node:
-        """Elementwise scale * x + shift with float constants."""
-        out = self._out(scale * x.value + shift, x)
-        if out.tracked:
-            def backward():
-                x.grad += scale * out.grad
-            self._ops.append(backward)
-        return out
-
-    def tanh(self, x: Node) -> Node:
-        y = np.tanh(x.value)
-        out = self._out(y, x)
-        if out.tracked:
-            def backward():
-                x.grad += (1.0 - y * y) * out.grad
-            self._ops.append(backward)
-        return out
-
-    def affine(self, x: Node, weight: Node, bias: Node) -> Node:
-        """Row-batched affine map: (B, n) x (m, n) weight + (m,) bias -> (B, m)."""
-        if x.value.ndim != 2 or weight.value.ndim != 2 or bias.value.ndim != 1:
-            raise ParameterError("affine: expected 2-D input, 2-D weight, 1-D bias")
-        if x.value.shape[1] != weight.value.shape[1] or weight.value.shape[0] != bias.value.shape[0]:
-            raise ParameterError("affine: incompatible shapes")
-        out = self._out(x.value @ weight.value.T + bias.value, x, weight, bias)
-        if out.tracked:
-            def backward():
-                if weight.tracked:
-                    weight.grad += out.grad.T @ x.value
-                if bias.tracked:
-                    bias.grad += out.grad.sum(axis=0)
-                if x.tracked:
-                    x.grad += out.grad @ weight.value
-            self._ops.append(backward)
-        return out
-
-    def matmul_nt(self, a: Node, b: Node) -> Node:
-        """a @ b.T for (p, n) and (q, n) operands."""
-        if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[1]:
-            raise ParameterError("matmul_nt: incompatible shapes")
-        out = self._out(a.value @ b.value.T, a, b)
-        if out.tracked:
-            def backward():
-                if a.tracked:
-                    a.grad += out.grad @ b.value
-                if b.tracked:
-                    b.grad += out.grad.T @ a.value
-            self._ops.append(backward)
-        return out
-
-    def unit(self, x: Node, min_norm: float = 0.0) -> Node:
-        """L2-normalize a vector, or each row of a matrix.
-
-        A norm of zero, or below ``min_norm`` when one is given, is a
-        degenerate direction and raises ``DomainError``.
-        """
-        if x.value.ndim == 1:
-            n = float(np.linalg.norm(x.value))
-            if n == 0.0 or n < min_norm:
-                raise DomainError(f"degenerate direction: norm {n:.3e}")
-            y = x.value / n
-            out = self._out(y, x)
-            if out.tracked:
-                def backward():
-                    g = out.grad
-                    x.grad += (g - y * float(y @ g)) / n
-                self._ops.append(backward)
-            return out
-        norms = np.linalg.norm(x.value, axis=1)
-        if np.any(norms == 0.0) or (min_norm > 0.0 and np.any(norms < min_norm)):
-            raise DomainError(f"degenerate direction: min row norm {norms.min():.3e}")
-        y = x.value / norms[:, None]
-        out = self._out(y, x)
-        if out.tracked:
-            def backward():
-                g = out.grad
-                x.grad += (g - y * np.sum(y * g, axis=1, keepdims=True)) / norms[:, None]
-            self._ops.append(backward)
-        return out
-
-    def dot(self, a: Node, b: Node) -> Node:
-        if a.value.shape != b.value.shape or a.value.ndim != 1:
-            raise ParameterError("dot: expected two equal-length vectors")
-        out = self._out(np.asarray(a.value @ b.value), a, b)
-        if out.tracked:
-            def backward():
-                if a.tracked:
-                    a.grad += out.grad * b.value
-                if b.tracked:
-                    b.grad += out.grad * a.value
-            self._ops.append(backward)
-        return out
-
-    def rowwise_dot(self, a: Node, b: Node) -> Node:
-        if a.value.shape != b.value.shape or a.value.ndim != 2:
-            raise ParameterError("rowwise_dot: expected two equal-shape matrices")
-        out = self._out(np.sum(a.value * b.value, axis=1), a, b)
-        if out.tracked:
-            def backward():
-                g = out.grad[:, None]
-                if a.tracked:
-                    a.grad += g * b.value
-                if b.tracked:
-                    b.grad += g * a.value
-            self._ops.append(backward)
-        return out
-
-    def row_mean(self, x: Node) -> Node:
-        if x.value.ndim != 2:
-            raise ParameterError("row_mean: expected a matrix")
-        rows = x.value.shape[0]
-        out = self._out(x.value.mean(axis=0), x)
-        if out.tracked:
-            def backward():
-                x.grad += out.grad[None, :] / rows
-            self._ops.append(backward)
-        return out
-
-    def mean(self, x: Node) -> Node:
-        count = x.value.size
-        out = self._out(np.asarray(x.value.mean()), x)
-        if out.tracked:
-            def backward():
-                x.grad += out.grad / count
-            self._ops.append(backward)
-        return out
-
-    def sum(self, x: Node) -> Node:
-        out = self._out(np.asarray(x.value.sum()), x)
-        if out.tracked:
-            def backward():
-                x.grad += out.grad
-            self._ops.append(backward)
-        return out
-
-    def stack_scalars(self, parts: list[Node]) -> Node:
-        out = self._out(np.array([float(p.value) for p in parts]), *parts)
-        if out.tracked:
-            def backward():
-                for i, p in enumerate(parts):
-                    if p.tracked:
-                        p.grad += out.grad[i]
-            self._ops.append(backward)
-        return out
-
-    def softmax_ce(self, logits: Node, label: int) -> Node:
-        """Cross-entropy of softmax(logits) against an integer label."""
-        if logits.value.ndim != 1:
-            raise ParameterError("softmax_ce: expected a logit vector")
-        if not 0 <= label < logits.value.size:
-            raise ParameterError(f"label {label} out of range")
-        z = logits.value - logits.value.max()
-        e = np.exp(z)
-        p = e / e.sum()
-        loss = -np.log(max(float(p[label]), PROB_FLOOR))
-        out = self._out(np.asarray(loss), logits)
-        if out.tracked:
-            def backward():
-                g = p.copy()
-                g[label] -= 1.0
-                logits.grad += out.grad * g
-            self._ops.append(backward)
-        return out
-
-    def softmax_ce_rows(self, logits: Node, labels: Array) -> Node:
-        """Per-row cross-entropy of row softmax against integer labels."""
-        if logits.value.ndim != 2:
-            raise ParameterError("softmax_ce_rows: expected a logit matrix")
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (logits.value.shape[0],):
-            raise ParameterError("softmax_ce_rows: one label per row required")
-        if labels.min() < 0 or labels.max() >= logits.value.shape[1]:
-            raise ParameterError("softmax_ce_rows: label out of range")
-        p = _softmax_rows(logits.value)
-        rows = np.arange(labels.size)
-        picked = np.maximum(p[rows, labels], PROB_FLOOR)
-        out = self._out(-np.log(picked), logits)
-        if out.tracked:
-            def backward():
-                g = p.copy()
-                g[rows, labels] -= 1.0
-                logits.grad += out.grad[:, None] * g
-            self._ops.append(backward)
-        return out
-
-    # -- replay -------------------------------------------------------------
-
-    def backward(self, loss: Node) -> None:
-        """Seed d loss/d loss = 1 and replay the record in reverse."""
-        if loss.value.ndim != 0:
-            raise ParameterError("backward: loss must be a scalar node")
-        if not loss.tracked:
-            raise ParameterError("backward: loss does not depend on any leaf")
-        require_finite(loss.value, "loss")
-        loss.grad += 1.0
-        for op in reversed(self._ops):
-            op()
+    p = e / e.sum(axis=1, keepdims=True)
+    rows = np.arange(labels.size)
+    loss = -np.log(np.maximum(p[rows, labels], PROB_FLOOR))
+    p[rows, labels] -= 1.0
+    return loss, p
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,10 @@ The contrastive term keeps a domain prompt's pooled direction close to its
 own domain description and away from the pooled global prompt: a two-way
 softmax over the two cosines with the own-description slot as the target.
 
-All losses return means over their batch; gradients are exact tape
-gradients and are checked against finite differences in the tests.
+All losses return means over their batch.  Each writes its gradient in
+closed form next to its forward pass: the cross-entropy kernel supplies
+the logit gradient, the encoder's VJP carries it back to the prompt
+blocks, and the tests check every gradient against finite differences.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 from .data import LabeledEmbeddings
 from .encoder import FrozenEncoder
 from .errors import ConfigurationError, DataError, DomainError, ParameterError
-from .numerics import Array, GradTape, Node, as_f64, require_finite
+from .numerics import Array, as_f64, require_finite, softmax_ce_rows
 from .seeding import rng
 
 
@@ -188,27 +190,6 @@ def predict_unseen_batch(
 
 
 # ---------------------------------------------------------------------------
-# tape plumbing for the encoder
-# ---------------------------------------------------------------------------
-
-
-def _class_text_node(
-    tape: GradTape, encoder: FrozenEncoder, blocks: list[Node], class_tokens: Array
-) -> Node:
-    """Encode [blocks..., class_c] for all classes as one tape op.
-
-    The encoder supplies its own closed-form VJP; the tape scatters it into
-    whichever blocks are tracked.
-    """
-    values = [b.value for b in blocks]
-    return tape.custom(
-        encoder.encode_class_texts(values, class_tokens),
-        blocks,
-        lambda upstream: encoder.encode_class_texts_backward(values, class_tokens, upstream),
-    )
-
-
-# ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
 
@@ -218,6 +199,32 @@ def _normalized_rows(batch: LabeledEmbeddings) -> Array:
     if np.any(norms == 0.0):
         raise DomainError("batch contains a zero embedding")
     return batch.embeddings / norms[:, None]
+
+
+def _classification(
+    batch: LabeledEmbeddings,
+    blocks: list[Array],
+    slot: int,
+    encoder: FrozenEncoder,
+    class_tokens: Array,
+    temperature: float,
+    want_grad: bool,
+) -> tuple[float, Array | None]:
+    """Mean cross-entropy of the batch under the text tower over ``blocks``.
+
+    Logits are the cosines between each row and each class text, divided
+    by ``temperature``.  Returns the loss and its gradient with respect to
+    ``blocks[slot]`` (None without ``want_grad``); the text gradient goes
+    through the encoder's own VJP.
+    """
+    text = encoder.encode_class_texts(blocks, class_tokens)
+    xn = _normalized_rows(batch)
+    per_row, dlogits = softmax_ce_rows((1.0 / temperature) * (xn @ text.T), batch.labels)
+    loss = float(per_row.mean())
+    if not want_grad:
+        return loss, None
+    dtext = ((1.0 / temperature) * ((1.0 / len(batch)) * dlogits)).T @ xn
+    return loss, encoder.encode_class_texts_backward(blocks, class_tokens, dtext)[slot]
 
 
 def global_loss(
@@ -233,16 +240,8 @@ def global_loss(
         raise ParameterError("empty batch")
     if np.any(batch.labels < 0) or np.any(batch.labels >= class_tokens.shape[0]):
         raise DataError("class label out of range")
-    tape = GradTape()
-    prompt = tape.leaf(global_prompt) if want_grad else tape.const(global_prompt)
-    empty_slot = tape.const(np.zeros_like(prompt.value))
-    text = _class_text_node(tape, encoder, [prompt, empty_slot], class_tokens)
-    logits = tape.affine_scalar(tape.matmul_nt(tape.const(_normalized_rows(batch)), text), 1.0 / temperature)
-    loss = tape.mean(tape.softmax_ce_rows(logits, batch.labels))
-    if not want_grad:
-        return float(loss.value), None
-    tape.backward(loss)
-    return float(loss.value), prompt.grad
+    blocks = [global_prompt, np.zeros(np.shape(global_prompt))]
+    return _classification(batch, blocks, 0, encoder, class_tokens, temperature, want_grad)
 
 
 # Below this pooled-prompt norm the contrastive term reads the direction
@@ -254,19 +253,30 @@ def global_loss(
 CONTRAST_NORM_FLOOR = 0.1
 
 
-def _direction_scale(pooled_norm: float) -> float:
-    return 1.0 / max(pooled_norm, CONTRAST_NORM_FLOOR)
+def _contrast_forward(
+    domain_prompt: Array, global_prompt: Array, own_description: Array
+) -> tuple[Array, tuple]:
+    """Similarities of the pooled domain-prompt direction to its own
+    description and to the pooled global prompt, plus what the backward
+    pass reads."""
+    pooled = as_f64(domain_prompt).mean(axis=0)
+    norm = float(np.linalg.norm(pooled))
+    if norm >= CONTRAST_NORM_FLOOR:
+        direction = pooled / norm
+    else:
+        direction = (1.0 / CONTRAST_NORM_FLOOR) * pooled
+    own = _unit_vector(own_description, "own description embedding")
+    anchor = _unit_vector(as_f64(global_prompt).mean(axis=0), "pooled global prompt")
+    sims = np.array([direction @ own, direction @ anchor])
+    return sims, (direction, norm, own, anchor)
 
 
 def contrastive_loss_parts(
     domain_prompt: Array, global_prompt: Array, own_description: Array
 ) -> tuple[float, float]:
     """The two similarities entering the contrastive term (diagnostic helper)."""
-    pooled = as_f64(domain_prompt).mean(axis=0)
-    pooled = pooled * _direction_scale(float(np.linalg.norm(pooled)))
-    own = _unit_vector(own_description, "own description embedding")
-    anchor = _unit_vector(as_f64(global_prompt).mean(axis=0), "pooled global prompt")
-    return float(pooled @ own), float(pooled @ anchor)
+    sims, _ = _contrast_forward(domain_prompt, global_prompt, own_description)
+    return float(sims[0]), float(sims[1])
 
 
 def domain_loss(
@@ -290,37 +300,29 @@ def domain_loss(
         raise ParameterError("empty batch")
     if use_contrastive and (global_prompt is None or own_description is None):
         raise ConfigurationError("contrastive term needs the global prompt and the own-domain description")
-    tape = GradTape()
-    prompt = tape.leaf(domain_prompt) if want_grad else tape.const(domain_prompt)
-    global_slot = tape.const(
-        np.zeros_like(prompt.value) if global_prompt is None else global_prompt
-    )
-    if global_slot.value.shape != prompt.value.shape:
+    global_slot = np.zeros(np.shape(domain_prompt)) if global_prompt is None else global_prompt
+    if np.shape(global_slot) != np.shape(domain_prompt):
         raise ParameterError(
-            f"prompt blocks disagree on shape: {global_slot.value.shape} vs {prompt.value.shape}"
+            f"prompt blocks disagree on shape: {np.shape(global_slot)} vs {np.shape(domain_prompt)}"
         )
-    text = _class_text_node(tape, encoder, [global_slot, prompt], class_tokens)
-    logits = tape.affine_scalar(tape.matmul_nt(tape.const(_normalized_rows(batch)), text), 1.0 / temperature)
-    cla = tape.mean(tape.softmax_ce_rows(logits, batch.labels))
-    parts = {"classification": float(cla.value)}
-    total = cla
+    total, grad = _classification(
+        batch, [global_slot, domain_prompt], 1, encoder, class_tokens, temperature, want_grad
+    )
+    parts = {"classification": total}
     if use_contrastive:
-        pooled_raw = tape.row_mean(prompt)
-        pooled_norm = float(np.linalg.norm(pooled_raw.value))
-        if pooled_norm >= CONTRAST_NORM_FLOOR:
-            pooled = tape.unit(pooled_raw)
-        else:
-            pooled = tape.affine_scalar(pooled_raw, _direction_scale(pooled_norm))
-        own = _unit_vector(own_description, "own description embedding")
-        anchor = _unit_vector(as_f64(global_prompt).mean(axis=0), "pooled global prompt")
-        sims = tape.stack_scalars([tape.dot(pooled, tape.const(own)), tape.dot(pooled, tape.const(anchor))])
-        con = tape.softmax_ce(sims, 0)
-        parts["contrastive"] = float(con.value)
-        total = tape.add(cla, con)
-    if not want_grad:
-        return float(total.value), None, parts
-    tape.backward(total)
-    return float(total.value), prompt.grad, parts
+        # two-way softmax cross-entropy with the own description as target
+        sims, (direction, norm, own, anchor) = _contrast_forward(domain_prompt, global_prompt, own_description)
+        con, dsims = softmax_ce_rows(sims[None, :], np.zeros(1, dtype=np.int64))
+        parts["contrastive"] = float(con[0])
+        total = total + con[0]
+        if want_grad:
+            ddirection = dsims[0, 0] * own + dsims[0, 1] * anchor
+            if norm >= CONTRAST_NORM_FLOOR:
+                dpooled = (ddirection - direction * float(direction @ ddirection)) / norm
+            else:
+                dpooled = (1.0 / CONTRAST_NORM_FLOOR) * ddirection
+            grad = dpooled[None, :] / np.shape(domain_prompt)[0] + grad
+    return float(total), grad, parts
 
 
 def classifier_loss(
@@ -338,12 +340,10 @@ def classifier_loss(
     k = classifier.num_domains
     if np.any(batch.domains < 0) or np.any(batch.domains >= k):
         raise DataError(f"domain index outside [0, {k}) in classifier batch")
-    tape = GradTape()
-    weight = tape.leaf(classifier.weight) if want_grad else tape.const(classifier.weight)
-    bias = tape.leaf(classifier.bias) if want_grad else tape.const(classifier.bias)
-    logits = tape.affine(tape.const(_normalized_rows(batch)), weight, bias)
-    loss = tape.mean(tape.softmax_ce_rows(logits, batch.domains))
+    xn = _normalized_rows(batch)
+    per_row, dlogits = softmax_ce_rows(xn @ classifier.weight.T + classifier.bias, batch.domains)
+    loss = float(per_row.mean())
     if not want_grad:
-        return float(loss.value), None
-    tape.backward(loss)
-    return float(loss.value), {"weight": weight.grad, "bias": bias.grad}
+        return loss, None
+    dlogits = (1.0 / len(batch)) * dlogits
+    return loss, {"weight": dlogits.T @ xn, "bias": dlogits.sum(axis=0)}

@@ -17,9 +17,11 @@ direction degenerate on the very first step, which the loss treats as an
 error by contract.
 
 Directions with norm below ``DEGENERATE_NORM`` raise ``DomainError``.
-Alignment follows its per-sample definition as a sum over the batch; the
-training loop optimizes batch means so gradient scale does not depend on
-batch size, and reported losses are means as well.
+Both terms are batch means, so gradient scale does not depend on batch
+size.  ``_objective`` computes the forward pass through the same
+``_transform_forward`` as ``TransformNetwork.correction`` and writes the
+backward pass in closed form beside it; a finite-difference check in the
+tests pins it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from .data import LabeledEmbeddings
 from .encoder import FrozenEncoder
 from .errors import ConfigurationError, DomainError, NonFiniteLossError, ParameterError
-from .numerics import AdamState, Array, GradTape, adam_step, as_f64, require_finite
+from .numerics import AdamState, Array, adam_step, as_f64, require_finite, softmax_ce_rows
 from .seeding import rng
 
 log = logging.getLogger(__name__)
@@ -86,9 +88,7 @@ class TransformNetwork:
 
     def correction(self, z: Array) -> Array:
         """The learned shift, rows of (n, d) in, rows out."""
-        z = require_finite(as_f64(z), "z")
-        h = np.tanh(z @ self.params["w1"].T + self.params["b1"])
-        return h @ self.params["w2"].T + self.params["b2"]
+        return _transform_forward(self.params, require_finite(as_f64(z), "z"))[1]
 
     def apply(self, z: Array) -> Array:
         """Q(z) = z + correction(z)."""
@@ -131,6 +131,12 @@ def class_text_embeddings(encoder: FrozenEncoder, class_tokens: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 
+def _transform_forward(params: dict[str, Array], z: Array) -> tuple[Array, Array]:
+    """Hidden layer and correction of the transform for rows z: (hidden, delta)."""
+    hidden = np.tanh(z @ params["w1"].T + params["b1"])
+    return hidden, hidden @ params["w2"].T + params["b2"]
+
+
 def _objective(
     params: dict[str, Array],
     batch: LabeledEmbeddings,
@@ -138,98 +144,53 @@ def _objective(
     class_text: Array | None,
     temperature: float,
     alignment_weight: float,
-    reduction: str,
 ):
-    """Forward + backward for the transfer objective on one batch.
+    """Forward and closed-form backward of the transfer objective on one batch.
 
-    Returns (total, alignment part, consistency part, grads).  Disabled
-    parts (weight 0 or missing constants) are skipped entirely; reductions
-    apply to the alignment part only where noted by the caller.
+    Returns (total, alignment mean, consistency mean, grads).  A part with
+    zero weight is skipped and reads 0.0, so its constants may be None.
     """
     if len(batch) == 0:
         raise ParameterError("empty batch")
-    if reduction not in ("mean", "sum"):
-        raise ParameterError(f"unknown reduction {reduction!r}")
-    tape = GradTape()
-    leaves = {name: tape.leaf(value) for name, value in params.items()}
-    z = tape.const(batch.embeddings)
-    hidden = tape.tanh(tape.affine(z, leaves["w1"], leaves["b1"]))
-    delta = tape.affine(hidden, leaves["w2"], leaves["b2"])
+    params = {name: require_finite(as_f64(value), name) for name, value in params.items()}
+    z = batch.embeddings
+    rows = len(batch)
+    hidden, delta = _transform_forward(params, z)
+    ddelta = 0.0
+    align = cons = 0.0
 
-    align_node = None
     if alignment_weight > 0.0:
-        assert directions is not None
-        per_class = directions[batch.labels]  # (B, d), unit rows
-        aligned = tape.rowwise_dot(tape.unit(delta, min_norm=DEGENERATE_NORM), tape.const(per_class))
-        per_sample = tape.affine_scalar(aligned, -1.0, 1.0)
-        align_node = tape.mean(per_sample) if reduction == "mean" else tape.sum(per_sample)
+        # mean over rows of 1 - <delta / |delta|, direction of the row's class>
+        norms = np.linalg.norm(delta, axis=1)
+        if np.any(norms < DEGENERATE_NORM):
+            raise DomainError(f"degenerate direction: min row norm {norms.min():.3e}")
+        unit = delta / norms[:, None]
+        per_class = directions[batch.labels]
+        align = (1.0 - np.sum(unit * per_class, axis=1)).mean()
+        dunit = -(alignment_weight / rows) * per_class
+        ddelta = ddelta + (dunit - unit * np.sum(unit * dunit, axis=1, keepdims=True)) / norms[:, None]
 
-    cons_node = None
     if alignment_weight < 1.0:
-        assert class_text is not None
-        moved = tape.unit(tape.add(z, delta))
-        logits = tape.affine_scalar(tape.matmul_nt(moved, tape.const(class_text)), 1.0 / temperature)
-        cons_node = tape.mean(tape.softmax_ce_rows(logits, batch.labels))
+        # mean cross-entropy of the moved row's cosines to the class texts
+        moved = z + delta
+        norms = np.linalg.norm(moved, axis=1)
+        if np.any(norms == 0.0):
+            raise DomainError("a moved embedding is the zero vector")
+        moved = moved / norms[:, None]
+        per_row, dlogits = softmax_ce_rows((1.0 / temperature) * (moved @ class_text.T), batch.labels)
+        cons = per_row.mean()
+        dmoved = ((1.0 / temperature) * (((1.0 - alignment_weight) / rows) * dlogits)) @ class_text
+        ddelta = ddelta + (dmoved - moved * np.sum(moved * dmoved, axis=1, keepdims=True)) / norms[:, None]
 
-    if align_node is not None and cons_node is not None:
-        total = tape.add(
-            tape.affine_scalar(align_node, alignment_weight),
-            tape.affine_scalar(cons_node, 1.0 - alignment_weight),
-        )
-    elif align_node is not None:
-        total = tape.affine_scalar(align_node, alignment_weight)
-    else:
-        total = tape.affine_scalar(cons_node, 1.0 - alignment_weight)
-
-    tape.backward(total)
-    grads = {name: leaf.grad for name, leaf in leaves.items()}
-    align = float(align_node.value) if align_node is not None else 0.0
-    cons = float(cons_node.value) if cons_node is not None else 0.0
-    return float(total.value), align, cons, grads
-
-
-def alignment_loss_from_directions(
-    net: TransformNetwork,
-    batch: LabeledEmbeddings,
-    directions: Array,
-    reduction: str = "sum",
-) -> float:
-    """``alignment_loss`` with precomputed per-class unit directions (C, d)."""
-    _, value, _, _ = _objective(net.params, batch, as_f64(directions), None, 1.0, 1.0, reduction)
-    return value
-
-
-def alignment_loss(
-    net: TransformNetwork,
-    batch: LabeledEmbeddings,
-    encoder: FrozenEncoder,
-    source_token: Array,
-    target_token: Array,
-    class_tokens: Array,
-    reduction: str = "sum",
-) -> float:
-    """Directional alignment of the learned shift with the text style shift.
-
-    Per sample this is ``1 - cos(Q(z) - z, text delta of the sample's
-    class)``, in [0, 2]; the default reduction is the batch sum, matching
-    the per-sample definition (training uses means, see module docstring).
-    """
-    directions = text_delta_directions(encoder, source_token, target_token, class_tokens)
-    _, value, _, _ = _objective(net.params, batch, directions, None, 1.0, 1.0, reduction)
-    return value
-
-
-def consistency_loss(
-    net: TransformNetwork,
-    batch: LabeledEmbeddings,
-    encoder: FrozenEncoder,
-    class_tokens: Array,
-    temperature: float,
-) -> float:
-    """Mean cross-entropy of the moved embedding against its own class."""
-    class_text = class_text_embeddings(encoder, class_tokens)
-    _, _, value, _ = _objective(net.params, batch, None, class_text, temperature, 0.0, "mean")
-    return value
+    total = alignment_weight * align + (1.0 - alignment_weight) * cons
+    dpre = (1.0 - hidden * hidden) * (ddelta @ params["w2"])
+    grads = {
+        "w1": dpre.T @ z,
+        "b1": dpre.sum(axis=0),
+        "w2": ddelta.T @ hidden,
+        "b2": ddelta.sum(axis=0),
+    }
+    return float(total), float(align), float(cons), grads
 
 
 def transfer_loss(
@@ -245,9 +206,7 @@ def transfer_loss(
     """alignment_weight * mean alignment + (1 - alignment_weight) * consistency."""
     directions = text_delta_directions(encoder, source_token, target_token, class_tokens)
     class_text = class_text_embeddings(encoder, class_tokens)
-    value, _, _, _ = _objective(
-        net.params, batch, directions, class_text, temperature, alignment_weight, "mean"
-    )
+    value, _, _, _ = _objective(net.params, batch, directions, class_text, temperature, alignment_weight)
     return value
 
 
@@ -294,7 +253,7 @@ def train_transform(
         for start in range(0, len(dataset), config.batch_size):
             batch = dataset.subset(order[start : start + config.batch_size])
             loss, _, _, grads = _objective(
-                params, batch, directions, class_text, temperature, config.alignment_weight, "mean"
+                params, batch, directions, class_text, temperature, config.alignment_weight
             )
             if not np.isfinite(loss):
                 raise NonFiniteLossError(f"transfer loss diverged at epoch {epoch}")

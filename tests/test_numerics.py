@@ -1,8 +1,9 @@
 """Oracle and property tests for the numeric kernels.
 
 Expected values are either computed in-test with plain ``math`` (independent
-of the implementation) or pinned by elementary identities.  Every tape op is
-additionally exercised through ``grad_check`` on random composites.
+of the implementation) or pinned by elementary identities.  The closed-form
+gradients of the training losses are checked through ``grad_check`` next to
+each loss's own tests.
 """
 
 import math
@@ -15,14 +16,13 @@ from hypothesis import strategies as st
 from fedstyle.errors import DomainError, ParameterError
 from fedstyle.numerics import (
     AdamState,
-    GradTape,
     SgdState,
     adam_step,
-    cosine_sim,
     cross_entropy,
     grad_check,
     sgd_step,
     softmax,
+    softmax_ce_rows,
 )
 
 finite_floats = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
@@ -82,41 +82,6 @@ def test_softmax_rejects_bad_inputs():
 
 
 # ---------------------------------------------------------------------------
-# cosine similarity
-# ---------------------------------------------------------------------------
-
-
-def test_cosine_orthogonal_and_parallel():
-    assert cosine_sim(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    assert cosine_sim(np.array([2.0, 0.0]), np.array([5.0, 0.0])) == 1.0
-    assert cosine_sim(np.array([1.0, 0.0]), np.array([-3.0, 0.0])) == -1.0
-
-
-@given(
-    vec=st.lists(finite_floats, min_size=2, max_size=6),
-    scale_a=st.floats(min_value=1e-3, max_value=1e3),
-    scale_b=st.floats(min_value=1e-3, max_value=1e3),
-)
-@settings(max_examples=100)
-def test_cosine_scale_invariance_and_range(vec, scale_a, scale_b):
-    a = np.array(vec)
-    b = np.array(vec[::-1])
-    if np.linalg.norm(a) == 0.0 or np.linalg.norm(b) == 0.0:
-        return
-    base = cosine_sim(a, b)
-    scaled = cosine_sim(scale_a * a, scale_b * b)
-    assert -1.0 <= base <= 1.0
-    assert abs(base - scaled) <= 1e-9
-
-
-def test_cosine_zero_vector_is_domain_error():
-    with pytest.raises(DomainError):
-        cosine_sim(np.zeros(3), np.ones(3))
-    with pytest.raises(DomainError):
-        cosine_sim(np.ones(3), np.zeros(3))
-
-
-# ---------------------------------------------------------------------------
 # cross-entropy
 # ---------------------------------------------------------------------------
 
@@ -141,81 +106,28 @@ def test_cross_entropy_validates():
         cross_entropy(np.array([1.2, -0.2]), 0)
 
 
-# ---------------------------------------------------------------------------
-# gradient tape
-# ---------------------------------------------------------------------------
+def test_softmax_ce_rows_matches_scalar_primitives():
+    # oracle: each row through softmax and cross_entropy, gradient p - onehot
+    logits = np.array([[0.2, -1.0, 3.0], [1e3, 0.0, -1e3]])
+    labels = np.array([2, 2])
+    loss, dlogits = softmax_ce_rows(logits, labels)
+    for i in range(2):
+        p = softmax(logits[i])
+        assert loss[i] == pytest.approx(cross_entropy(p, int(labels[i])), rel=1e-15)
+        assert np.allclose(dlogits[i], p - np.eye(3)[labels[i]], rtol=0, atol=1e-15)
+    # the second row's label mass underflows to zero: clamped, no inf
+    assert loss[1] == pytest.approx(-math.log(1e-12))
 
 
-def test_tape_chain_matches_hand_derivative():
-    # f(w) = tanh(2 w) summed; f'(w) = 2 (1 - tanh(2w)^2), verified by hand
-    w = np.array([0.3, -0.7])
-    tape = GradTape()
-    leaf = tape.leaf(w)
-    out = tape.sum(tape.tanh(tape.affine_scalar(leaf, 2.0)))
-    tape.backward(out)
-    expected = 2.0 * (1.0 - np.tanh(2.0 * w) ** 2)
-    assert np.allclose(leaf.grad, expected, atol=1e-12)
-
-
-def test_tape_untracked_subgraph_stays_untracked():
-    tape = GradTape()
-    c = tape.const(np.ones(3))
-    out = tape.sum(tape.tanh(c))
-    assert not out.tracked
+def test_softmax_ce_rows_validates():
     with pytest.raises(ParameterError):
-        tape.backward(out)
-
-
-def test_tape_backward_requires_scalar():
-    tape = GradTape()
-    leaf = tape.leaf(np.ones(3))
+        softmax_ce_rows(np.zeros(3), np.array([0]))
     with pytest.raises(ParameterError):
-        tape.backward(tape.tanh(leaf))
-
-
-def _composite_loss(params):
-    """Touches every tape op once; returns (loss, grads)."""
-    tape = GradTape()
-    w = tape.leaf(params["w"])          # (3, 4)
-    b = tape.leaf(params["b"])          # (3,)
-    m = tape.leaf(params["m"])          # (2, 4)
-    x = tape.const(np.array([[0.3, -1.2, 0.5, 0.9], [1.1, 0.2, -0.4, 0.6]]))
-    h = tape.tanh(tape.affine(x, w, b))             # (2, 3)
-    hn = tape.unit(h)
-    ref = tape.const(np.array([[0.5, -0.5, 0.7], [0.1, 0.9, -0.2]]))
-    d1 = tape.rowwise_dot(hn, ref)                  # (2,)
-    mm = tape.matmul_nt(x, tape.unit(m))            # (2, 2)
-    ce = tape.softmax_ce_rows(tape.affine_scalar(mm, 3.0, 0.1), np.array([0, 1]))
-    pooled = tape.row_mean(m)                       # (4,)
-    pn = tape.unit(pooled)
-    anchor = tape.const(np.array([0.2, -0.4, 0.8, 0.1]))
-    s1 = tape.dot(pn, anchor)
-    s2 = tape.mean(d1)
-    pair = tape.stack_scalars([s1, s2])
-    con = tape.softmax_ce(pair, 0)
-    total = tape.add(tape.add(tape.mean(ce), con), tape.affine_scalar(tape.sum(d1), 0.25))
-    tape.backward(total)
-    grads = {"w": w.grad, "b": b.grad, "m": m.grad}
-    return float(total.value), grads
-
-
-def test_tape_composite_against_finite_differences():
-    rng = np.random.default_rng(7)
-    params = {
-        "w": rng.normal(size=(3, 4)) * 0.5,
-        "b": rng.normal(size=3) * 0.1,
-        "m": rng.normal(size=(2, 4)) * 0.5 + 0.3,
-    }
-    report = grad_check(_composite_loss, params, step=1e-5, tolerance=1e-4)
-    assert report.passed, report.format()
-
-
-def test_unit_degenerate_direction_raises():
-    tape = GradTape()
-    with pytest.raises(DomainError):
-        tape.unit(tape.leaf(np.zeros(3)))
-    with pytest.raises(DomainError):
-        tape.unit(tape.leaf(np.array([1e-12, 0.0])), min_norm=1e-9)
+        softmax_ce_rows(np.zeros((2, 3)), np.array([0]))
+    with pytest.raises(ParameterError):
+        softmax_ce_rows(np.zeros((2, 3)), np.array([0, 3]))
+    with pytest.raises(ParameterError):
+        softmax_ce_rows(np.zeros((2, 3)), np.array([-1, 0]))
 
 
 # ---------------------------------------------------------------------------

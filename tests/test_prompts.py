@@ -1,5 +1,5 @@
 """Prompt tests: prediction-path oracles, loss values rebuilt from the
-public primitives, tape gradients vs finite differences, and the exactness
+public primitives, closed-form gradients vs finite differences, and the exactness
 guarantees of the domain-prompt blend.
 
 ``predict_unseen_batch`` is the only prediction path, so the blend and the
@@ -453,6 +453,26 @@ def test_domain_loss_gradient_matches_finite_differences(use_contrastive, with_g
         return value, {"prompt": grad}
 
     report = grad_check(loss_fn, {"prompt": init_prompt(PromptConfig(length=2), DIM, 5, "d")})
+    assert report.passed, report.format()
+
+
+def test_domain_loss_gradient_matches_finite_differences_above_the_norm_floor():
+    # the contrastive term normalizes the pooled prompt exactly once its
+    # norm reaches CONTRAST_NORM_FLOOR; the test above stays on the ramp
+    enc = _encoder()
+    ct = _class_tokens()
+    batch = _batch()
+    gp = init_prompt(PromptConfig(length=2), DIM, 5, "g")
+    own = rng(5, "own").normal(size=DIM)
+    dp = init_prompt(PromptConfig(length=2), DIM, 5, "d")
+    dp = dp * (1.4 / np.linalg.norm(dp.mean(axis=0)))
+    assert np.linalg.norm(dp.mean(axis=0)) > 10 * CONTRAST_NORM_FLOOR
+
+    def loss_fn(params):
+        value, grad, _ = domain_loss(batch, params["prompt"], gp, enc, ct, own, TAU)
+        return value, {"prompt": grad}
+
+    report = grad_check(loss_fn, {"prompt": dp})
     assert report.passed, report.format()
 
 

@@ -15,12 +15,9 @@ from fedstyle.style_transfer import (
     TransferConfig,
     TransformNetwork,
     _objective,
-    alignment_loss,
-    alignment_loss_from_directions,
     audit_bank_entry,
     build_augmentation_bank,
     class_text_embeddings,
-    consistency_loss,
     nearest_neighbor_audit,
     text_delta_directions,
     train_transform,
@@ -43,6 +40,16 @@ def _batch(embeddings, labels):
     return LabeledEmbeddings(np.asarray(embeddings, float), labels, np.zeros(n), np.zeros(n, bool))
 
 
+def _alignment(net, batch, directions):
+    """Mean alignment term alone: the objective at alignment weight 1."""
+    return _objective(net.params, batch, np.asarray(directions, float), None, 1.0, 1.0)[1]
+
+
+def _consistency(net, batch, class_text, temperature):
+    """Mean consistency term alone: the objective at alignment weight 0."""
+    return _objective(net.params, batch, None, class_text, temperature, 0.0)[2]
+
+
 # ---------------------------------------------------------------------------
 # alignment loss
 # ---------------------------------------------------------------------------
@@ -53,33 +60,21 @@ def test_alignment_toy_orthogonal_directions():
     # direction (1, 0), so the per-sample loss is exactly 1.
     net = _net_with([0.0, 1.0], dim=2, hidden=2)
     batch = _batch([[1.0, 0.0]], [0])
-    dirs = np.array([[1.0, 0.0]])
-    assert alignment_loss_from_directions(net, batch, dirs, reduction="sum") == pytest.approx(1.0)
+    assert _alignment(net, batch, [[1.0, 0.0]]) == pytest.approx(1.0)
 
 
 def test_alignment_range_and_extremes():
     net = _net_with([0.0, 0.5], dim=2, hidden=2)
     batch = _batch([[1.0, 0.0]], [0])
-    assert alignment_loss_from_directions(net, batch, np.array([[0.0, 1.0]])) == pytest.approx(0.0)
-    assert alignment_loss_from_directions(net, batch, np.array([[0.0, -1.0]])) == pytest.approx(2.0)
-
-
-def test_alignment_sum_vs_mean_reduction():
-    net = _net_with(np.full(DIM, 0.3))
-    rng = np.random.default_rng(0)
-    batch = _batch(rng.normal(size=(6, DIM)), rng.integers(0, 2, size=6))
-    dirs = rng.normal(size=(2, DIM))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    total = alignment_loss_from_directions(net, batch, dirs, reduction="sum")
-    mean = alignment_loss_from_directions(net, batch, dirs, reduction="mean")
-    assert total == pytest.approx(6 * mean)
+    assert _alignment(net, batch, [[0.0, 1.0]]) == pytest.approx(0.0)
+    assert _alignment(net, batch, [[0.0, -1.0]]) == pytest.approx(2.0)
 
 
 def test_alignment_degenerate_shift_is_error():
     net = _net_with(np.zeros(2), dim=2, hidden=2)  # exactly zero correction
     batch = _batch([[1.0, 0.0]], [0])
     with pytest.raises(DomainError):
-        alignment_loss_from_directions(net, batch, np.array([[1.0, 0.0]]))
+        _alignment(net, batch, [[1.0, 0.0]])
 
 
 def test_text_delta_directions_unit_and_degenerate():
@@ -109,9 +104,9 @@ def test_consistency_matches_hand_chain():
     net = _net_with(rng.normal(size=DIM) * 0.1)
     batch = _batch(rng.normal(size=(4, DIM)), [0, 1, 2, 1])
     tau = 0.5
-    got = consistency_loss(net, batch, enc, class_tokens, tau)
-
     text = class_text_embeddings(enc, class_tokens)
+    got = _consistency(net, batch, text, tau)
+
     moved = net.apply(batch.embeddings)
     expected = 0.0
     for i in range(4):
@@ -122,7 +117,8 @@ def test_consistency_matches_hand_chain():
     assert got == pytest.approx(expected / 4, rel=1e-10)
 
 
-def test_transfer_loss_mixes_means():
+@pytest.mark.parametrize("w", [0.3, 0.5])
+def test_transfer_loss_mixes_means(w):
     enc = FrozenEncoder(EncoderConfig(dim=DIM, max_tokens=6, seed=4))
     rng = np.random.default_rng(3)
     class_tokens = rng.normal(size=(2, DIM)) * 0.01
@@ -130,16 +126,11 @@ def test_transfer_loss_mixes_means():
     tgt = rng.normal(size=DIM) * 0.01
     net = _net_with(rng.normal(size=DIM) * 0.2)
     batch = _batch(rng.normal(size=(5, DIM)), [0, 1, 0, 1, 0])
-    tau, w = 0.5, 0.3
+    tau = 0.5
     combined = transfer_loss(net, batch, enc, src, tgt, class_tokens, tau, alignment_weight=w)
-    align = alignment_loss(net, batch, enc, src, tgt, class_tokens, reduction="mean")
-    cons = consistency_loss(net, batch, enc, class_tokens, tau)
+    align = _alignment(net, batch, text_delta_directions(enc, src, tgt, class_tokens))
+    cons = _consistency(net, batch, class_text_embeddings(enc, class_tokens), tau)
     assert combined == pytest.approx(w * align + (1 - w) * cons, rel=1e-12)
-
-
-def test_transfer_loss_weight_half_arithmetic():
-    # with equal parts 1.2 and 0.8 the mix is exactly 1.0
-    assert 0.5 * 1.2 + 0.5 * 0.8 == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +161,7 @@ def test_objective_gradients_match_finite_differences(weight):
     params, batch, dirs, text = _random_setup(11)
 
     def loss_fn(p):
-        total, _, _, grads = _objective(p, batch, dirs, text, 0.5, weight, "mean")
+        total, _, _, grads = _objective(p, batch, dirs, text, 0.5, weight)
         return total, grads
 
     report = grad_check(loss_fn, params, step=1e-5, tolerance=1e-4)
@@ -222,8 +213,8 @@ def test_train_transform_deterministic_and_improves_alignment():
     dirs = text_delta_directions(
         enc, split.source_domain_tokens[0], split.source_domain_tokens[1], split.class_tokens
     )
-    before = alignment_loss_from_directions(init_net, split.clients[0], dirs, "mean")
-    after = alignment_loss_from_directions(a.network, split.clients[0], dirs, "mean")
+    before = _alignment(init_net, split.clients[0], dirs)
+    after = _alignment(a.network, split.clients[0], dirs)
     assert after < before
 
 
