@@ -44,7 +44,13 @@ from .prompts import (
     predict_unseen_batch,
 )
 from .seeding import rng
-from .style_transfer import TransferConfig, TransformNetwork, build_augmentation_bank, train_transform
+from .style_transfer import (
+    TransferConfig,
+    TransformJob,
+    TransformNetwork,
+    build_augmentation_bank,
+    train_transform,
+)
 from .wire import (
     KIND_DOMAIN_BROADCAST,
     KIND_DOMAIN_UPLOAD,
@@ -288,6 +294,18 @@ class StageOneResult:
     transforms: dict[int, dict[int, TransformNetwork]] = field(default_factory=dict)
 
 
+def transform_jobs(split: EvaluationSplit, include_target_description: bool) -> list[TransformJob]:
+    """Every (client, other description) transform of stage one, by client
+    and then description order."""
+    tokens, keys = description_set(split, include_target_description)
+    return [
+        TransformJob(local, i, key, split.source_domain_tokens[i], tokens[row])
+        for i, local in enumerate(split.clients)
+        for row, key in enumerate(keys)
+        if key != i
+    ]
+
+
 def run_stage_one(
     split: EvaluationSplit,
     encoder: FrozenEncoder,
@@ -309,27 +327,19 @@ def run_stage_one(
         ]
         return StageOneResult(clients=clients)
 
-    tokens, keys = description_set(split, toggles.include_target_description)
-    token_by_key = {key: tokens[row] for row, key in enumerate(keys)}
+    jobs = transform_jobs(split, toggles.include_target_description)
+    trained: dict[tuple[int, int], TransformNetwork] = {}
+    # train_transform steps its jobs together, so they must share a length
+    for length in sorted({len(job.dataset) for job in jobs}):
+        group = [job for job in jobs if len(job.dataset) == length]
+        result = train_transform(group, encoder, split.class_tokens, transfer_config, temperature, seed)
+        for net in result.networks():
+            trained[net.source, net.target] = net
     clients = []
     transforms: dict[int, dict[int, TransformNetwork]] = {}
     for i, local in enumerate(split.clients):
-        targets = [key for key in keys if key != i]
-        nets: dict[int, TransformNetwork] = {}
-        for target in targets:
-            result = train_transform(
-                local,
-                source=i,
-                target=target,
-                encoder=encoder,
-                source_token=split.source_domain_tokens[i],
-                target_token=token_by_key[target],
-                class_tokens=split.class_tokens,
-                config=transfer_config,
-                temperature=temperature,
-                seed=seed,
-            )
-            nets[target] = result.network
+        nets = {job.target: trained[i, job.target] for job in jobs if job.source == i}
+        targets = list(nets)
         bank = build_augmentation_bank(local, i, nets, targets)
         train_pool = LabeledEmbeddings.concat([local, bank.combined()])
         head_pool = train_pool.subset(np.flatnonzero(train_pool.domains != TARGET_KEY))

@@ -8,7 +8,8 @@ Three groups of things live here:
   training loss in the package ends in it and writes the rest of its
   backward pass in closed form next to its forward pass,
 * plain SGD and Adam with decoupled weight decay, which reject non-finite
-  gradients,
+  gradients; Adam updates its moments and the parameters in place, so one
+  call steps a whole stack of parameter sets,
 * a central finite-difference gradient checker, the test suite's oracle
   for every closed-form gradient.
 
@@ -137,6 +138,8 @@ class AdamState:
 
     The decay is applied multiplicatively to the parameter before the
     bias-corrected moment step, so it never enters the moment estimates.
+    ``adam_step`` allocates the moments on the first step and from then on
+    updates them in place.
     """
 
     learning_rate: float
@@ -149,35 +152,39 @@ class AdamState:
     second_moment: dict[str, Array] = field(default_factory=dict)
 
 
-def adam_step(
-    state: AdamState, params: dict[str, Array], grads: dict[str, Array]
-) -> tuple[AdamState, dict[str, Array]]:
-    """One Adam step; returns (updated state, fresh parameter dict)."""
+def adam_step(state: AdamState, params: dict[str, Array], grads: dict[str, Array]) -> None:
+    """One Adam step, in place: advances ``state`` and overwrites every
+    array of ``params``.
+
+    Every operation is elementwise, so a parameter that stacks T parameter
+    sets along a leading axis steps each slice exactly as T separate
+    optimizers would.  Gradients are checked before anything is written.
+    """
     _check_param_grads(params, grads)
-    t = state.step + 1
+    state.step += 1
     lr, b1, b2 = state.learning_rate, state.beta1, state.beta2
-    m = dict(state.first_moment)
-    v = dict(state.second_moment)
-    out: dict[str, Array] = {}
-    for name in sorted(params):
-        g = grads[name]
-        p = params[name] * (1.0 - lr * state.weight_decay)
-        m[name] = b1 * m.get(name, np.zeros_like(g)) + (1.0 - b1) * g
-        v[name] = b2 * v.get(name, np.zeros_like(g)) + (1.0 - b2) * g * g
-        m_hat = m[name] / (1.0 - b1**t)
-        v_hat = v[name] / (1.0 - b2**t)
-        out[name] = p - lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    new_state = AdamState(
-        learning_rate=lr,
-        beta1=b1,
-        beta2=b2,
-        epsilon=state.epsilon,
-        weight_decay=state.weight_decay,
-        step=t,
-        first_moment=m,
-        second_moment=v,
-    )
-    return new_state, out
+    first_correction = 1.0 - b1**state.step
+    second_correction = 1.0 - b2**state.step
+    decay = 1.0 - lr * state.weight_decay
+    for name, g in grads.items():
+        if name not in state.first_moment:
+            state.first_moment[name] = np.zeros_like(g)
+            state.second_moment[name] = np.zeros_like(g)
+        m = state.first_moment[name]
+        v = state.second_moment[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        update = m / first_correction
+        update *= lr
+        denominator = v / second_correction
+        np.sqrt(denominator, out=denominator)
+        denominator += state.epsilon
+        update /= denominator
+        param = params[name]
+        param *= decay
+        param -= update
 
 
 # ---------------------------------------------------------------------------

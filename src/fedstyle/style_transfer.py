@@ -18,10 +18,18 @@ error by contract.
 
 Directions with norm below ``DEGENERATE_NORM`` raise ``DomainError``.
 Both terms are batch means, so gradient scale does not depend on batch
-size.  ``_objective`` computes the forward pass through the same
-``_transform_forward`` as ``TransformNetwork.correction`` and writes the
-backward pass in closed form beside it; a finite-difference check in the
-tests pins it.
+size.
+
+``train_transform`` trains every transform of a job list in lockstep.
+The T parameter sets are stacked along a leading axis, (T, h, d) for
+``w1``, and each step runs one stacked forward and closed-form backward,
+``_stacked_objective``, and one in-place Adam step.  Transform t draws
+the same seeded batches in the same order as it would alone, and every
+stacked operation acts on each slice as the one-transform operation would,
+so its parameters and losses do not depend on the other transforms.
+``_objective`` is the same kernel for one transform; the forward is
+``_transform_forward``, shared with ``TransformNetwork.correction``, and a
+finite-difference check in the tests pins the backward.
 """
 
 from __future__ import annotations
@@ -132,65 +140,118 @@ def class_text_embeddings(encoder: FrozenEncoder, class_tokens: Array) -> Array:
 
 
 def _transform_forward(params: dict[str, Array], z: Array) -> tuple[Array, Array]:
-    """Hidden layer and correction of the transform for rows z: (hidden, delta)."""
-    hidden = np.tanh(z @ params["w1"].T + params["b1"])
-    return hidden, hidden @ params["w2"].T + params["b2"]
+    """Hidden layer and correction for rows z: (hidden, delta).
+
+    One transform maps rows (n, d); a stack of T maps rows (T, n, d).
+    """
+    hidden = np.tanh(z @ np.swapaxes(params["w1"], -1, -2) + params["b1"][..., None, :])
+    return hidden, hidden @ np.swapaxes(params["w2"], -1, -2) + params["b2"][..., None, :]
+
+
+def _failure(error: type[Exception], pairs: list[str], bad: Array, message: str) -> Exception:
+    """``error`` naming the first transform flagged in the (T,) mask ``bad``."""
+    return error(f"transform {pairs[int(np.argmax(bad))]}: {message}")
+
+
+def _non_finite(stacked: Array) -> Array:
+    """(T,) mask of the transforms whose slice of ``stacked`` is not all finite."""
+    return ~np.isfinite(stacked).reshape(len(stacked), -1).all(axis=1)
+
+
+def _stacked_objective(
+    params: dict[str, Array],
+    z: Array,
+    labels: Array,
+    directions: Array | None,
+    class_text: Array | None,
+    temperature: float,
+    alignment_weight: float,
+    pairs: list[str],
+):
+    """Forward and closed-form backward of the transfer objective for T
+    stacked transforms, each on its own batch.
+
+    Transform t sees rows ``z[t]`` of (T, B, d) with classes ``labels[t]``
+    of (T, B) and its unit text direction per class ``directions[t]`` of
+    (T, C, d).  Returns (total, alignment mean, consistency mean) as (T,)
+    arrays and the stacked grads.  A part with zero weight is skipped and
+    reads 0, so its constants may be None.  A failed check names the
+    transform by its entry in ``pairs``.
+    """
+    rows = z.shape[1]
+    if rows == 0:
+        raise ParameterError("empty batch")
+    for name, value in params.items():
+        if not np.isfinite(value).all():
+            raise _failure(DomainError, pairs, _non_finite(value), f"{name} contains a non-finite entry")
+    hidden, delta = _transform_forward(params, z)
+    ddelta = 0.0
+    align = cons = np.zeros(len(pairs))
+
+    if alignment_weight > 0.0:
+        # mean over rows of 1 - <delta / |delta|, direction of the row's class>
+        norms = np.linalg.norm(delta, axis=2)
+        degenerate = (norms < DEGENERATE_NORM).any(axis=1)
+        if degenerate.any():
+            smallest = norms[int(np.argmax(degenerate))].min()
+            raise _failure(DomainError, pairs, degenerate, f"degenerate direction: min row norm {smallest:.3e}")
+        unit = delta / norms[..., None]
+        per_class = directions[np.arange(len(pairs))[:, None], labels]
+        align = (1.0 - np.sum(unit * per_class, axis=2)).mean(axis=1)
+        dunit = -(alignment_weight / rows) * per_class
+        ddelta = ddelta + (dunit - unit * np.sum(unit * dunit, axis=2, keepdims=True)) / norms[..., None]
+
+    if alignment_weight < 1.0:
+        # mean cross-entropy of the moved row's cosines to the class texts
+        moved = z + delta
+        norms = np.linalg.norm(moved, axis=2)
+        zero = (norms == 0.0).any(axis=1)
+        if zero.any():
+            raise _failure(DomainError, pairs, zero, "a moved embedding is the zero vector")
+        moved = moved / norms[..., None]
+        logits = (1.0 / temperature) * (moved @ class_text.T)
+        classes = logits.shape[2]
+        try:
+            per_row, dlogits = softmax_ce_rows(logits.reshape(-1, classes), labels.reshape(-1))
+        except ParameterError as exc:
+            out_of_range = ((labels < 0) | (labels >= classes)).any(axis=1)
+            raise _failure(ParameterError, pairs, out_of_range, str(exc)) from exc
+        cons = per_row.reshape(labels.shape).mean(axis=1)
+        dlogits = dlogits.reshape(logits.shape)
+        dmoved = ((1.0 / temperature) * (((1.0 - alignment_weight) / rows) * dlogits)) @ class_text
+        ddelta = ddelta + (dmoved - moved * np.sum(moved * dmoved, axis=2, keepdims=True)) / norms[..., None]
+
+    total = alignment_weight * align + (1.0 - alignment_weight) * cons
+    dpre = (1.0 - hidden * hidden) * (ddelta @ params["w2"])
+    grads = {
+        "w1": np.swapaxes(dpre, 1, 2) @ z,
+        "b1": dpre.sum(axis=1),
+        "w2": np.swapaxes(ddelta, 1, 2) @ hidden,
+        "b2": ddelta.sum(axis=1),
+    }
+    return total, align, cons, grads
 
 
 def _objective(
-    params: dict[str, Array],
+    net: TransformNetwork,
     batch: LabeledEmbeddings,
     directions: Array | None,
     class_text: Array | None,
     temperature: float,
     alignment_weight: float,
 ):
-    """Forward and closed-form backward of the transfer objective on one batch.
+    """``_stacked_objective`` for one transform on one batch.
 
-    Returns (total, alignment mean, consistency mean, grads).  A part with
-    zero weight is skipped and reads 0.0, so its constants may be None.
+    Returns (total, alignment mean, consistency mean, grads) as floats and
+    unstacked grads.
     """
-    if len(batch) == 0:
-        raise ParameterError("empty batch")
-    params = {name: require_finite(as_f64(value), name) for name, value in params.items()}
-    z = batch.embeddings
-    rows = len(batch)
-    hidden, delta = _transform_forward(params, z)
-    ddelta = 0.0
-    align = cons = 0.0
-
-    if alignment_weight > 0.0:
-        # mean over rows of 1 - <delta / |delta|, direction of the row's class>
-        norms = np.linalg.norm(delta, axis=1)
-        if np.any(norms < DEGENERATE_NORM):
-            raise DomainError(f"degenerate direction: min row norm {norms.min():.3e}")
-        unit = delta / norms[:, None]
-        per_class = directions[batch.labels]
-        align = (1.0 - np.sum(unit * per_class, axis=1)).mean()
-        dunit = -(alignment_weight / rows) * per_class
-        ddelta = ddelta + (dunit - unit * np.sum(unit * dunit, axis=1, keepdims=True)) / norms[:, None]
-
-    if alignment_weight < 1.0:
-        # mean cross-entropy of the moved row's cosines to the class texts
-        moved = z + delta
-        norms = np.linalg.norm(moved, axis=1)
-        if np.any(norms == 0.0):
-            raise DomainError("a moved embedding is the zero vector")
-        moved = moved / norms[:, None]
-        per_row, dlogits = softmax_ce_rows((1.0 / temperature) * (moved @ class_text.T), batch.labels)
-        cons = per_row.mean()
-        dmoved = ((1.0 / temperature) * (((1.0 - alignment_weight) / rows) * dlogits)) @ class_text
-        ddelta = ddelta + (dmoved - moved * np.sum(moved * dmoved, axis=1, keepdims=True)) / norms[:, None]
-
-    total = alignment_weight * align + (1.0 - alignment_weight) * cons
-    dpre = (1.0 - hidden * hidden) * (ddelta @ params["w2"])
-    grads = {
-        "w1": dpre.T @ z,
-        "b1": dpre.sum(axis=0),
-        "w2": ddelta.T @ hidden,
-        "b2": ddelta.sum(axis=0),
-    }
-    return float(total), float(align), float(cons), grads
+    params = {name: as_f64(value)[None] for name, value in net.params.items()}
+    total, align, cons, grads = _stacked_objective(
+        params, batch.embeddings[None], batch.labels[None],
+        None if directions is None else directions[None], class_text,
+        temperature, alignment_weight, [f"{net.source}->{net.target}"],
+    )
+    return float(total[0]), float(align[0]), float(cons[0]), {name: g[0] for name, g in grads.items()}
 
 
 def transfer_loss(
@@ -206,8 +267,7 @@ def transfer_loss(
     """alignment_weight * mean alignment + (1 - alignment_weight) * consistency."""
     directions = text_delta_directions(encoder, source_token, target_token, class_tokens)
     class_text = class_text_embeddings(encoder, class_tokens)
-    value, _, _, _ = _objective(net.params, batch, directions, class_text, temperature, alignment_weight)
-    return value
+    return _objective(net, batch, directions, class_text, temperature, alignment_weight)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -215,55 +275,108 @@ def transfer_loss(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class TransformJob:
+    """One transform to train: from ``source`` toward ``target`` on the
+    source's local set, steered by the two domain description tokens."""
+
+    dataset: LabeledEmbeddings
+    source: int
+    target: int
+    source_token: Array
+    target_token: Array
+
+    @property
+    def pair(self) -> str:
+        return f"{self.source}->{self.target}"
+
+
 @dataclass
 class TransformTrainingResult:
-    network: TransformNetwork
-    epoch_losses: list[float]
+    """Transforms trained in lockstep, stacked along a leading axis in job
+    order."""
+
+    jobs: list[TransformJob]
+    params: dict[str, Array]  # (T, ...) per parameter
+    epoch_losses: Array       # (T, epochs): each transform's mean loss per epoch
+
+    def networks(self) -> list[TransformNetwork]:
+        """The stack split back into one network per job."""
+        return [
+            TransformNetwork(job.source, job.target, {name: p[t].copy() for name, p in self.params.items()})
+            for t, job in enumerate(self.jobs)
+        ]
 
 
 def train_transform(
-    dataset: LabeledEmbeddings,
-    source: int,
-    target: int,
+    jobs: list[TransformJob],
     encoder: FrozenEncoder,
-    source_token: Array,
-    target_token: Array,
     class_tokens: Array,
     config: TransferConfig,
     temperature: float,
     seed: int,
 ) -> TransformTrainingResult:
-    """Train one transform with Adam and a seeded shuffling schedule.
+    """Train the transforms of ``jobs`` in lockstep with Adam and seeded
+    shuffles.
 
-    Zero epochs returns the freshly initialized network untouched.  A
-    non-finite loss aborts with ``NonFiniteLossError``.
+    The jobs' local sets must share one non-empty length, so that every
+    transform takes the same batch sizes (``ConfigurationError``
+    otherwise).  Per epoch, each transform's seeded permutation of its local
+    set is gathered once; each step then takes the next batch of every
+    transform, runs one stacked forward and backward and one Adam step.
+    Zero epochs returns the initialized networks untouched.  A failed check
+    names the offending source->target pair; a non-finite loss raises
+    ``NonFiniteLossError``.
     """
-    if len(dataset) == 0:
+    if not jobs:
+        raise ConfigurationError("no transforms to train")
+    lengths = sorted({len(job.dataset) for job in jobs})
+    if len(lengths) > 1:
+        raise ConfigurationError(f"transform jobs mix local-set lengths {lengths}")
+    n = lengths[0]
+    if n == 0:
         raise ConfigurationError("cannot train a transform on an empty dataset")
     dim = encoder.config.dim
-    net = TransformNetwork.init(dim, config.hidden_dim(dim), source, target, seed)
-    directions = text_delta_directions(encoder, source_token, target_token, class_tokens)
+    pairs = [job.pair for job in jobs]
+    inits = [
+        TransformNetwork.init(dim, config.hidden_dim(dim), job.source, job.target, seed).params for job in jobs
+    ]
+    params = {name: np.stack([init[name] for init in inits]) for name in inits[0]}
+    directions = np.stack(
+        [text_delta_directions(encoder, job.source_token, job.target_token, class_tokens) for job in jobs]
+    )
     class_text = class_text_embeddings(encoder, class_tokens)
     state = AdamState(learning_rate=config.learning_rate, weight_decay=config.weight_decay)
-    params = net.params
-    history = []
+    z = np.empty((len(jobs), n, dim))
+    labels = np.empty((len(jobs), n), dtype=np.int64)
+    history = np.empty((len(jobs), config.epochs))
     for epoch in range(config.epochs):
-        order = rng(seed, "transform-shuffle", source, target, epoch).permutation(len(dataset))
-        total, seen = 0.0, 0
-        for start in range(0, len(dataset), config.batch_size):
-            batch = dataset.subset(order[start : start + config.batch_size])
-            loss, _, _, grads = _objective(
-                params, batch, directions, class_text, temperature, config.alignment_weight
+        for t, job in enumerate(jobs):
+            order = rng(seed, "transform-shuffle", job.source, job.target, epoch).permutation(n)
+            shuffled = job.dataset.subset(order)
+            z[t] = shuffled.embeddings
+            labels[t] = shuffled.labels
+        total = np.zeros(len(jobs))
+        for start in range(0, n, config.batch_size):
+            batch = slice(start, start + config.batch_size)
+            rows = z[:, batch]
+            loss, _, _, grads = _stacked_objective(
+                params, rows, labels[:, batch], directions, class_text,
+                temperature, config.alignment_weight, pairs,
             )
-            if not np.isfinite(loss):
-                raise NonFiniteLossError(f"transfer loss diverged at epoch {epoch}")
-            state, params = adam_step(state, params, grads)
-            total += loss * len(batch)
-            seen += len(batch)
-        history.append(total / seen)
-        log.info("transform %d->%d epoch %d: loss %.6f", source, target, epoch, history[-1])
-    net.params = params
-    return TransformTrainingResult(network=net, epoch_losses=history)
+            if not np.isfinite(loss).all():
+                message = f"transfer loss diverged at epoch {epoch}"
+                raise _failure(NonFiniteLossError, pairs, _non_finite(loss), message)
+            try:
+                adam_step(state, params, grads)
+            except DomainError as exc:
+                bad = np.any([_non_finite(g) for g in grads.values()], axis=0)
+                raise _failure(DomainError, pairs, bad, str(exc)) from exc
+            total += loss * rows.shape[1]
+        history[:, epoch] = total / n
+        for pair, loss in zip(pairs, history[:, epoch]):
+            log.info("transform %s epoch %d: loss %.6f", pair, epoch, loss)
+    return TransformTrainingResult(jobs=list(jobs), params=params, epoch_losses=history)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@
 brute-force weighted mean, wire-level fixed points, message accounting,
 post-broadcast bit-identity, and whole-run determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+
+from fedstyle import federation
 
 from fedstyle.data import TARGET_KEY, WorldSpec, generate_world, leave_one_out
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
@@ -19,9 +23,10 @@ from fedstyle.federation import (
     evaluate_accuracy,
     run_protocol,
     run_stage_one,
+    transform_jobs,
 )
 from fedstyle.prompts import PromptConfig
-from fedstyle.style_transfer import TransferConfig
+from fedstyle.style_transfer import TransferConfig, train_transform
 from fedstyle.wire import KIND_GLOBAL_UPLOAD, decode_message, encode_message, protocol_message
 
 
@@ -255,6 +260,30 @@ def test_stage_one_pool_sizes_and_targets(include_target):
         )
         augmented = client.train_pool.augmented
         assert augmented.sum() == n * per_client_targets
+
+
+def test_stage_one_trains_each_local_set_length_together(monkeypatch):
+    # One train_transform call per distinct local-set length; every pair of
+    # the shortened client still trains exactly as it does alone.
+    world, encoder = _world()
+    split = leave_one_out(world, 3)
+    split = dataclasses.replace(split, clients=[split.clients[0].subset(np.arange(19)), *split.clients[1:]])
+    cfg = TransferConfig(epochs=2, batch_size=8)
+    toggles = MethodToggles(include_target_description=True)
+    calls = []
+
+    def counted(jobs, *args):
+        calls.append(sorted({len(job.dataset) for job in jobs}))
+        return train_transform(jobs, *args)
+
+    monkeypatch.setattr(federation, "train_transform", counted)
+    stage_one = run_stage_one(split, encoder, cfg, 0.05, toggles, 4)
+    assert calls == [[19], [len(split.clients[1])]]
+    for job in transform_jobs(split, include_target_description=True):
+        alone = train_transform([job], encoder, split.class_tokens, cfg, 0.05, 4).networks()[0]
+        net = stage_one.transforms[job.source][job.target]
+        for key in alone.params:
+            assert net.params[key].tobytes() == alone.params[key].tobytes()
 
 
 # ---------------------------------------------------------------------------

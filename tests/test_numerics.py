@@ -151,9 +151,29 @@ def test_adam_first_step_matches_scalar_oracle():
     lr, wd, eps = 1e-3, 0.05, 1e-8
     p0, g0 = 0.7, -0.3
     state = AdamState(learning_rate=lr, weight_decay=wd, epsilon=eps)
-    _, out = adam_step(state, {"p": np.array([p0])}, {"p": np.array([g0])})
+    params = {"p": np.array([p0])}
+    adam_step(state, params, {"p": np.array([g0])})
     expected = p0 * (1.0 - lr * wd) - lr * g0 / (abs(g0) + eps)
-    assert abs(float(out["p"][0]) - expected) < 1e-15
+    assert abs(float(params["p"][0]) - expected) < 1e-15
+    assert state.step == 1
+
+
+def test_adam_second_step_reads_the_stored_moments():
+    # Two steps derived by hand with bias corrections 1 - beta^t, t = 1, 2;
+    # a moment that is not carried over in place changes the second step.
+    lr, wd, eps, b1, b2 = 1e-3, 0.05, 1e-8, 0.9, 0.999
+    p, grads = 0.7, (-0.3, 0.2)
+    m = v = 0.0
+    for t, g in enumerate(grads, start=1):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        p = p * (1.0 - lr * wd) - lr * (m / (1.0 - b1**t)) / (math.sqrt(v / (1.0 - b2**t)) + eps)
+    state = AdamState(learning_rate=lr, weight_decay=wd, epsilon=eps)
+    params = {"p": np.array([0.7])}
+    for g in grads:
+        adam_step(state, params, {"p": np.array([g])})
+    assert state.step == 2
+    assert abs(float(params["p"][0]) - p) < 1e-15
 
 
 def test_adam_is_deterministic_bitwise():
@@ -162,11 +182,39 @@ def test_adam_is_deterministic_bitwise():
         params = {"p": np.linspace(-1, 1, 8)}
         for i in range(5):
             grads = {"p": np.sin(params["p"] + i)}
-            state, params = adam_step(state, params, grads)
+            adam_step(state, params, grads)
         return params["p"]
 
     a, b = run(), run()
     assert a.tobytes() == b.tobytes()
+
+
+def test_adam_on_a_stack_equals_separate_runs_per_slice():
+    # One optimizer over (T, ...) stacked parameters must step each slice
+    # exactly as T optimizers over the slices alone, moments included.
+    rng = np.random.default_rng(3)
+    stack = {"w": rng.normal(size=(4, 3, 5)), "b": rng.normal(size=(4, 5))}
+    slices = [{name: value[t].copy() for name, value in stack.items()} for t in range(4)]
+    stack_state = AdamState(learning_rate=1e-2, weight_decay=0.05)
+    slice_states = [AdamState(learning_rate=1e-2, weight_decay=0.05) for _ in range(4)]
+    for step in range(5):
+        adam_step(stack_state, stack, {name: np.sin((step + 1) * value) for name, value in stack.items()})
+        for state, params in zip(slice_states, slices):
+            adam_step(state, params, {name: np.sin((step + 1) * value) for name, value in params.items()})
+    for t, (state, params) in enumerate(zip(slice_states, slices)):
+        for name in stack:
+            assert stack[name][t].tobytes() == params[name].tobytes()
+            assert stack_state.first_moment[name][t].tobytes() == state.first_moment[name].tobytes()
+            assert stack_state.second_moment[name][t].tobytes() == state.second_moment[name].tobytes()
+
+
+def test_adam_rejects_a_non_finite_gradient_before_writing():
+    state = AdamState(learning_rate=1e-2)
+    params = {"a": np.ones(3), "b": np.ones(2)}
+    with pytest.raises(DomainError):
+        adam_step(state, params, {"a": np.ones(3), "b": np.array([1.0, np.nan])})
+    assert state.step == 0 and state.first_moment == {}
+    assert np.array_equal(params["a"], np.ones(3)) and np.array_equal(params["b"], np.ones(2))
 
 
 def test_optimizer_shape_mismatch_rejected():

@@ -1,18 +1,24 @@
 """Style-transfer tests: loss oracles, gradients vs finite differences,
-training determinism, bank construction, and the nearest-neighbor audit."""
+training determinism, lockstep training against one-pair calls, bank
+construction, and the nearest-neighbor audit."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from fedstyle.data import LabeledEmbeddings, WorldSpec, generate_world, leave_one_out
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
-from fedstyle.errors import ConfigurationError, DomainError, ParameterError
+from fedstyle import style_transfer
+from fedstyle.data import TARGET_KEY
+from fedstyle.errors import ConfigurationError, DomainError, NonFiniteLossError, ParameterError
+from fedstyle.federation import transform_jobs
 from fedstyle.numerics import grad_check, softmax
 from fedstyle.style_transfer import (
     AugmentationBank,
     TransferConfig,
+    TransformJob,
     TransformNetwork,
     _objective,
     audit_bank_entry,
@@ -42,12 +48,12 @@ def _batch(embeddings, labels):
 
 def _alignment(net, batch, directions):
     """Mean alignment term alone: the objective at alignment weight 1."""
-    return _objective(net.params, batch, np.asarray(directions, float), None, 1.0, 1.0)[1]
+    return _objective(net, batch, np.asarray(directions, float), None, 1.0, 1.0)[1]
 
 
 def _consistency(net, batch, class_text, temperature):
     """Mean consistency term alone: the objective at alignment weight 0."""
-    return _objective(net.params, batch, None, class_text, temperature, 0.0)[2]
+    return _objective(net, batch, None, class_text, temperature, 0.0)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +167,7 @@ def test_objective_gradients_match_finite_differences(weight):
     params, batch, dirs, text = _random_setup(11)
 
     def loss_fn(p):
-        total, _, _, grads = _objective(p, batch, dirs, text, 0.5, weight)
+        total, _, _, grads = _objective(TransformNetwork(0, 1, p), batch, dirs, text, 0.5, weight)
         return total, grads
 
     report = grad_check(loss_fn, params, step=1e-5, tolerance=1e-4)
@@ -179,53 +185,103 @@ def _tiny_world(seed=0):
     return generate_world(spec, enc), enc
 
 
+def _job(split, source, target):
+    return TransformJob(
+        split.clients[source], source, target,
+        split.source_domain_tokens[source], split.source_domain_tokens[target],
+    )
+
+
 def test_train_transform_zero_epochs_returns_init():
     world, enc = _tiny_world()
     split = leave_one_out(world, 2)
     cfg = TransferConfig(epochs=0)
-    result = train_transform(
-        split.clients[0], 0, 1, enc,
-        split.source_domain_tokens[0], split.source_domain_tokens[1],
-        split.class_tokens, cfg, temperature=0.5, seed=5,
-    )
-    fresh = TransformNetwork.init(12, cfg.hidden_dim(12), 0, 1, seed=5)
-    for key in fresh.params:
-        assert np.array_equal(result.network.params[key], fresh.params[key])
-    assert result.epoch_losses == []
+    jobs = [_job(split, 0, 1), _job(split, 1, 0)]
+    result = train_transform(jobs, enc, split.class_tokens, cfg, temperature=0.5, seed=5)
+    for job, net in zip(jobs, result.networks()):
+        assert (net.source, net.target) == (job.source, job.target)
+        fresh = TransformNetwork.init(12, cfg.hidden_dim(12), job.source, job.target, seed=5)
+        assert sorted(net.params) == sorted(fresh.params)
+        for key in fresh.params:
+            assert net.params[key].tobytes() == fresh.params[key].tobytes()
+    assert result.epoch_losses.shape == (2, 0)
 
 
 def test_train_transform_deterministic_and_improves_alignment():
     world, enc = _tiny_world()
     split = leave_one_out(world, 2)
     cfg = TransferConfig(epochs=3, batch_size=8)
-    args = (
-        split.clients[0], 0, 1, enc,
-        split.source_domain_tokens[0], split.source_domain_tokens[1],
-        split.class_tokens, cfg, 0.05, 7,
-    )
+    jobs = [_job(split, 0, 1), _job(split, 1, 0)]
+    args = (jobs, enc, split.class_tokens, cfg, 0.05, 7)
     a = train_transform(*args)
     b = train_transform(*args)
-    for key in a.network.params:
-        assert a.network.params[key].tobytes() == b.network.params[key].tobytes()
-    # loss after training is below the starting loss
-    assert a.epoch_losses[-1] < a.epoch_losses[0]
-    init_net = TransformNetwork.init(12, cfg.hidden_dim(12), 0, 1, seed=7)
-    dirs = text_delta_directions(
-        enc, split.source_domain_tokens[0], split.source_domain_tokens[1], split.class_tokens
-    )
-    before = _alignment(init_net, split.clients[0], dirs)
-    after = _alignment(a.network, split.clients[0], dirs)
-    assert after < before
+    for key in a.params:
+        assert a.params[key].tobytes() == b.params[key].tobytes()
+    assert a.epoch_losses.tobytes() == b.epoch_losses.tobytes()
+    # each transform's loss after training is below its starting loss
+    assert np.all(a.epoch_losses[:, -1] < a.epoch_losses[:, 0])
+    for job, net in zip(jobs, a.networks()):
+        init_net = TransformNetwork.init(12, cfg.hidden_dim(12), job.source, job.target, seed=7)
+        dirs = text_delta_directions(enc, job.source_token, job.target_token, split.class_tokens)
+        before = _alignment(init_net, job.dataset, dirs)
+        after = _alignment(net, job.dataset, dirs)
+        assert after < before
 
 
 def test_train_transform_empty_dataset_rejected():
     _, enc = _tiny_world()
+    job = TransformJob(LabeledEmbeddings.empty(12), 0, 1, np.ones(12) * 0.01, np.ones(12) * 0.02)
     with pytest.raises(ConfigurationError):
-        train_transform(
-            LabeledEmbeddings.empty(12), 0, 1, enc,
-            np.ones(12) * 0.01, np.ones(12) * 0.02, np.eye(12)[:2] * 0.01,
-            TransferConfig(), 0.5, 0,
-        )
+        train_transform([job], enc, np.eye(12)[:2] * 0.01, TransferConfig(), 0.5, 0)
+    with pytest.raises(ConfigurationError):
+        train_transform([], enc, np.eye(12)[:2] * 0.01, TransferConfig(), 0.5, 0)
+
+
+def test_train_transform_stack_equals_one_pair_calls():
+    # No cross-talk: each transform of a stacked call, the held-out
+    # description's pair included, trains exactly as it does alone.  A batch
+    # size that does not divide the 36-row local sets leaves a 1-row batch.
+    world, enc = _tiny_world()
+    split = leave_one_out(world, 2)
+    jobs = transform_jobs(split, include_target_description=True)
+    assert len(jobs) == 4 and any(job.target == TARGET_KEY for job in jobs)
+    cfg = TransferConfig(epochs=2, batch_size=5)
+    stacked = train_transform(jobs, enc, split.class_tokens, cfg, 0.05, 3)
+    assert stacked.epoch_losses.shape == (4, 2)
+    for t, job in enumerate(jobs):
+        alone = train_transform([job], enc, split.class_tokens, cfg, 0.05, 3)
+        for key in alone.params:
+            assert stacked.params[key][t].tobytes() == alone.params[key][0].tobytes()
+        assert stacked.epoch_losses[t].tobytes() == alone.epoch_losses[0].tobytes()
+
+
+def test_train_transform_rejects_mixed_local_set_lengths():
+    world, enc = _tiny_world()
+    split = leave_one_out(world, 2)
+    short = _job(split, 1, 0)
+    short = TransformJob(
+        short.dataset.subset(np.arange(30)), short.source, short.target, short.source_token, short.target_token
+    )
+    with pytest.raises(ConfigurationError, match="lengths"):
+        train_transform([_job(split, 0, 1), short], enc, split.class_tokens, TransferConfig(epochs=1), 0.05, 0)
+
+
+def test_stacked_step_names_the_pair_whose_loss_diverges(monkeypatch):
+    world, enc = _tiny_world()
+    split = leave_one_out(world, 2)
+    jobs = transform_jobs(split, include_target_description=True)
+    bad = jobs[2]
+    original = style_transfer.text_delta_directions
+
+    def poisoned(encoder, source_token, target_token, class_tokens):
+        dirs = original(encoder, source_token, target_token, class_tokens)
+        if np.array_equal(source_token, bad.source_token) and np.array_equal(target_token, bad.target_token):
+            return np.full_like(dirs, np.nan)
+        return dirs
+
+    monkeypatch.setattr(style_transfer, "text_delta_directions", poisoned)
+    with pytest.raises(NonFiniteLossError, match=rf"transform {re.escape(bad.pair)}: .*epoch 0"):
+        train_transform(jobs, enc, split.class_tokens, TransferConfig(epochs=1), 0.05, 0)
 
 
 # ---------------------------------------------------------------------------
