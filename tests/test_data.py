@@ -23,7 +23,8 @@ from fedstyle.errors import ConfigurationError, ParameterError
 
 
 def make_world(seed=0, **overrides):
-    defaults = dict(classes=4, domains=3, samples_per_cell=20, noise=0.05, dim=16, seed=seed)
+    defaults = dict(classes=4, domains=3, samples_per_cell=20, noise=0.05, dim=16, seed=seed,
+                    shift_scale=1.0)
     defaults.update(overrides)
     spec = WorldSpec(**defaults)
     enc = FrozenEncoder(EncoderConfig(dim=spec.dim, max_tokens=8, seed=seed))
@@ -60,7 +61,7 @@ def test_shifts_share_a_plane_at_spread_angles():
 
 
 def test_dimension_too_small_is_rejected():
-    spec = WorldSpec(classes=10, domains=4, samples_per_cell=5, noise=0.1, dim=13, seed=0)
+    spec = WorldSpec(classes=10, domains=4, samples_per_cell=5, noise=0.1, dim=13, seed=0, shift_scale=1.0)
     enc = FrozenEncoder(EncoderConfig(dim=13, max_tokens=8, seed=0))
     with pytest.raises(ConfigurationError):
         generate_world(spec, enc)

@@ -77,7 +77,7 @@ def test_parameters_are_read_only():
 
 def test_config_validation():
     with pytest.raises(ParameterError):
-        EncoderConfig(dim=1)
+        EncoderConfig(dim=1, max_tokens=12)
     with pytest.raises(ParameterError):
         EncoderConfig(dim=8, max_tokens=1)
 

@@ -29,11 +29,17 @@ from fedstyle.prompts import PromptConfig
 from fedstyle.style_transfer import TransferConfig, train_transform
 from fedstyle.wire import KIND_GLOBAL_UPLOAD, decode_message, encode_message, protocol_message
 
+# the round settings these tests were written for, pinned by keyword
+_ROUNDS = dict(
+    rounds=5, global_epochs=1, global_lr=1e-4, domain_lr=2e-5,
+    weight_decay=0.0, lr_decay=1.0, batch_size=32,
+)
+
 
 def _world(seed=0, domains=4, classes=3, per_cell=8, dim=16, noise=0.1):
     spec = WorldSpec(
         classes=classes, domains=domains, samples_per_cell=per_cell,
-        noise=noise, dim=dim, seed=seed,
+        noise=noise, dim=dim, seed=seed, shift_scale=1.0,
     )
     encoder = FrozenEncoder(EncoderConfig(dim=dim, max_tokens=12, seed=seed))
     return generate_world(spec, encoder), encoder
@@ -47,8 +53,8 @@ def _small_run(seed=0, toggles=MethodToggles(), rounds=2, holdout=3, noise=0.1):
     )
     result = run_protocol(
         stage_one, split, encoder,
-        PromptConfig(length=2, temperature=0.05),
-        FederationConfig(rounds=rounds, batch_size=16),
+        PromptConfig(length=2, temperature=0.05, init_scale=1e-3),
+        FederationConfig(**dict(_ROUNDS, rounds=rounds, batch_size=16)),
         toggles, seed,
     )
     return result, split, encoder
@@ -207,11 +213,11 @@ def test_toggle_validation():
 
 def test_federation_config_validation():
     with pytest.raises(ConfigurationError):
-        FederationConfig(rounds=0)
+        FederationConfig(**dict(_ROUNDS, rounds=0))
     with pytest.raises(ConfigurationError):
-        FederationConfig(global_lr=0.0)
+        FederationConfig(**dict(_ROUNDS, global_lr=0.0))
     with pytest.raises(ConfigurationError):
-        FederationConfig(weighting="median")
+        FederationConfig(**dict(_ROUNDS, weighting="median"))
 
 
 def test_finite_loss_guard():
@@ -231,7 +237,7 @@ def test_stage_one_pools_without_style_transfer():
     world, encoder = _world()
     split = leave_one_out(world, 3)
     toggles = MethodToggles(use_style_transfer=False)
-    stage_one = run_stage_one(split, encoder, TransferConfig(), 0.05, toggles, 0)
+    stage_one = run_stage_one(split, encoder, TransferConfig(epochs=5, batch_size=16), 0.05, toggles, 0)
     assert len(stage_one.clients) == 3
     assert stage_one.transforms == {}
     for i, client in enumerate(stage_one.clients):
@@ -353,7 +359,7 @@ def test_protocol_global_only_variant():
     assert all(r.parameter_count == 2 * 16 for r in uploads)
     assert set(result.round_metrics[0]) == {"round", "global_loss"}
     accuracy = evaluate_accuracy(
-        result, split, encoder, PromptConfig(length=2, temperature=0.05), toggles
+        result, split, encoder, PromptConfig(length=2, temperature=0.05, init_scale=1e-3), toggles
     )
     assert accuracy == _reference_accuracy(result, split, encoder, 2)
 
@@ -369,7 +375,7 @@ def test_protocol_domain_only_variant():
     uploads = [r for r in result.ledger.records if r.kind_name == "global_upload"]
     assert all(r.parameter_count == 16 * 3 + 3 for r in uploads)
     accuracy = evaluate_accuracy(
-        result, split, encoder, PromptConfig(length=2, temperature=0.05), toggles
+        result, split, encoder, PromptConfig(length=2, temperature=0.05, init_scale=1e-3), toggles
     )
     assert accuracy == _reference_accuracy(result, split, encoder, 2)
 
@@ -378,12 +384,12 @@ def test_protocol_rejects_client_count_mismatch():
     world, encoder = _world()
     split = leave_one_out(world, 3)
     toggles = MethodToggles(use_style_transfer=False)
-    stage_one = run_stage_one(split, encoder, TransferConfig(), 0.05, toggles, 0)
+    stage_one = run_stage_one(split, encoder, TransferConfig(epochs=5, batch_size=16), 0.05, toggles, 0)
     stage_one.clients.pop()
     with pytest.raises(ConfigurationError):
         run_protocol(
-            stage_one, split, encoder, PromptConfig(length=2),
-            FederationConfig(rounds=1), toggles, 0,
+            stage_one, split, encoder, PromptConfig(length=2, temperature=0.01, init_scale=1e-3),
+            FederationConfig(**dict(_ROUNDS, rounds=1)), toggles, 0,
         )
 
 
@@ -395,11 +401,11 @@ def test_training_beats_chance_and_lowers_global_loss():
     world, encoder = _world(noise=0.0, per_cell=12, dim=24)
     split = leave_one_out(world, 3)
     toggles = MethodToggles(use_style_transfer=False)
-    stage_one = run_stage_one(split, encoder, TransferConfig(), 0.05, toggles, 0)
-    config = PromptConfig(length=2, temperature=0.05)
+    stage_one = run_stage_one(split, encoder, TransferConfig(epochs=5, batch_size=16), 0.05, toggles, 0)
+    config = PromptConfig(length=2, temperature=0.05, init_scale=1e-3)
     result = run_protocol(
         stage_one, split, encoder, config,
-        FederationConfig(rounds=3, batch_size=16), toggles, 0,
+        FederationConfig(**dict(_ROUNDS, rounds=3, batch_size=16)), toggles, 0,
     )
     accuracy = evaluate_accuracy(result, split, encoder, config, toggles)
     assert accuracy > 1.0 / 3.0

@@ -33,6 +33,8 @@ from fedstyle.seeding import rng
 
 DIM = 8
 TAU = 0.05
+# a small seeded prompt start, pinned by keyword
+_INIT = dict(temperature=0.01, init_scale=1e-3)
 
 
 def _encoder(dim=DIM, max_tokens=12, seed=3):
@@ -78,23 +80,23 @@ def _one_prompt(prompt):
 
 def test_prompt_config_validation():
     with pytest.raises(ConfigurationError):
-        PromptConfig(length=0)
+        PromptConfig(length=0, **_INIT)
     with pytest.raises(ConfigurationError):
-        PromptConfig(temperature=0.0)
+        PromptConfig(temperature=0.0, init_scale=1e-3)
     with pytest.raises(ConfigurationError):
-        PromptConfig(generator_mode="hard")
+        PromptConfig(generator_mode="hard", **_INIT)
     with pytest.raises(ConfigurationError):
-        PromptConfig(init_scale=-1e-3)
+        PromptConfig(temperature=0.01, init_scale=-1e-3)
 
 
 def test_zero_init_scale_gives_exact_zero_block():
-    block = init_prompt(PromptConfig(length=3, init_scale=0.0), DIM, 7, "global-prompt")
+    block = init_prompt(PromptConfig(length=3, temperature=0.01, init_scale=0.0), DIM, 7, "global-prompt")
     assert block.shape == (3, DIM)
     assert np.all(block == 0.0)
 
 
 def test_init_prompt_shape_scale_determinism():
-    cfg = PromptConfig(length=4, init_scale=1e-3)
+    cfg = PromptConfig(length=4, temperature=0.01, init_scale=1e-3)
     a = init_prompt(cfg, DIM, 7, "global-prompt")
     b = init_prompt(cfg, DIM, 7, "global-prompt")
     c = init_prompt(cfg, DIM, 8, "global-prompt")
@@ -112,7 +114,7 @@ def test_init_prompt_shape_scale_determinism():
 
 
 def test_classifier_zero_init_gives_uniform_membership():
-    gp = init_prompt(PromptConfig(length=2), DIM, 0, "g")
+    gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 0, "g")
     dps = rng(1, "dps").normal(size=(4, 2, DIM))
     uniform = np.zeros((2, DIM))
     for k in range(4):
@@ -184,7 +186,7 @@ def test_soft_membership_weights_sum_to_one(seed):
 
 
 def test_mix_onehot_recovers_block_bitwise():
-    gp = init_prompt(PromptConfig(length=3), DIM, 0, "g")
+    gp = init_prompt(PromptConfig(length=3, **_INIT), DIM, 0, "g")
     blocks = rng(0, "mix-blocks").normal(size=(4, 3, DIM))
     x = np.ones(DIM)
     for k in range(4):
@@ -196,7 +198,7 @@ def test_mix_onehot_recovers_block_bitwise():
 
 def test_mix_matches_ordered_accumulation_oracle():
     g = rng(1, "mix-oracle")
-    gp = init_prompt(PromptConfig(length=2), DIM, 0, "g")
+    gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 0, "g")
     blocks = g.normal(size=(5, 2, DIM))
     clf = DomainClassifier(weight=g.normal(size=(5, DIM)), bias=g.normal(size=5))
     x = g.normal(size=DIM)
@@ -225,7 +227,7 @@ def test_mix_rejects_shape_mismatch():
 def test_global_only_layout_matches_manual_tower():
     enc = _encoder()
     ct = _class_tokens()
-    gp = init_prompt(PromptConfig(length=2), DIM, 0, "g")
+    gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 0, "g")
     x = rng(5, "x").normal(size=DIM)
     probs = _predict_one(x, gp, None, None)
     # the domain slot is zeroed but still occupies its token positions
@@ -239,8 +241,8 @@ def test_global_only_layout_matches_manual_tower():
 def test_one_prompt_stack_with_and_without_global():
     enc = _encoder()
     ct = _class_tokens()
-    gp = init_prompt(PromptConfig(length=2), DIM, 0, "g")
-    dp = init_prompt(PromptConfig(length=2), DIM, 0, "d")
+    gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 0, "g")
+    dp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 0, "d")
     x = rng(6, "x").normal(size=DIM)
     xn = x / np.linalg.norm(x)
     both = _predict_one(x, gp, *_one_prompt(dp))
@@ -254,7 +256,7 @@ def test_one_prompt_stack_with_and_without_global():
 def test_class_token_position_is_stable_across_slot_usage():
     # zeroing a slot must reproduce the other layout exactly: the class
     # token never moves, so global-only scores are the two-slot scores at D = 0
-    gp = init_prompt(PromptConfig(length=2), DIM, 0, "g")
+    gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 0, "g")
     x = rng(55, "x").normal(size=DIM)
     assert np.array_equal(
         _predict_one(x, gp, None, None),
@@ -263,7 +265,7 @@ def test_class_token_position_is_stable_across_slot_usage():
 
 
 def test_predict_unseen_onehot_equals_selected_composite():
-    gp = init_prompt(PromptConfig(length=2), DIM, 0, "g")
+    gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 0, "g")
     dps = rng(7, "dps").normal(size=(3, 2, DIM)) * 1e-2
     x = rng(8, "x").normal(size=DIM)
     xn = x / np.linalg.norm(x)
@@ -296,7 +298,7 @@ def test_predict_unseen_soft_blends_prompts():
 def test_predict_unseen_batch_matches_per_sample(mode, with_global):
     enc = _encoder()
     ct = _class_tokens()
-    gp = init_prompt(PromptConfig(length=2), DIM, 0, "g") if with_global else None
+    gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 0, "g") if with_global else None
     dps = rng(10, "dps").normal(size=(3, 2, DIM)) * 1e-2
     clf = DomainClassifier(weight=rng(10, "clf").normal(size=(3, DIM)), bias=rng(10, "b").normal(size=3))
     xs = rng(10, "xs").normal(size=(7, DIM))
@@ -351,7 +353,7 @@ def test_global_loss_matches_primitive_oracle():
     enc = _encoder()
     ct = _class_tokens()
     batch = _batch()
-    prompt = init_prompt(PromptConfig(length=2), DIM, 1, "g")
+    prompt = init_prompt(PromptConfig(length=2, **_INIT), DIM, 1, "g")
     value, grad = global_loss(batch, prompt, enc, ct, TAU)
     assert value == pytest.approx(_global_oracle(batch, prompt, enc, ct, TAU), rel=1e-12)
     assert grad.shape == prompt.shape
@@ -361,7 +363,7 @@ def test_global_loss_gradient_matches_finite_differences():
     enc = _encoder()
     ct = _class_tokens()
     batch = _batch()
-    prompt = init_prompt(PromptConfig(length=2), DIM, 2, "g")
+    prompt = init_prompt(PromptConfig(length=2, **_INIT), DIM, 2, "g")
 
     def loss_fn(params):
         value, grad = global_loss(batch, params["prompt"], enc, ct, TAU)
@@ -411,8 +413,8 @@ def test_domain_loss_matches_primitive_oracle(use_contrastive):
     enc = _encoder()
     ct = _class_tokens()
     batch = _batch()
-    gp = init_prompt(PromptConfig(length=2), DIM, 3, "g")
-    dp = init_prompt(PromptConfig(length=2), DIM, 3, "d")
+    gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 3, "g")
+    dp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 3, "d")
     own = rng(3, "own").normal(size=DIM)
     value, grad, parts = domain_loss(
         batch, dp, gp, enc, ct, own, TAU, use_contrastive=use_contrastive
@@ -429,7 +431,7 @@ def test_domain_loss_without_global_prompt():
     enc = _encoder()
     ct = _class_tokens()
     batch = _batch()
-    dp = init_prompt(PromptConfig(length=2), DIM, 4, "d")
+    dp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 4, "d")
     value, grad, parts = domain_loss(
         batch, dp, None, enc, ct, None, TAU, use_contrastive=False
     )
@@ -442,7 +444,7 @@ def test_domain_loss_gradient_matches_finite_differences(use_contrastive, with_g
     enc = _encoder()
     ct = _class_tokens()
     batch = _batch()
-    gp = init_prompt(PromptConfig(length=2), DIM, 5, "g") if with_global else None
+    gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 5, "g") if with_global else None
     own = rng(5, "own").normal(size=DIM)
 
     def loss_fn(params):
@@ -452,7 +454,7 @@ def test_domain_loss_gradient_matches_finite_differences(use_contrastive, with_g
         )
         return value, {"prompt": grad}
 
-    report = grad_check(loss_fn, {"prompt": init_prompt(PromptConfig(length=2), DIM, 5, "d")})
+    report = grad_check(loss_fn, {"prompt": init_prompt(PromptConfig(length=2, **_INIT), DIM, 5, "d")})
     assert report.passed, report.format()
 
 
@@ -462,9 +464,9 @@ def test_domain_loss_gradient_matches_finite_differences_above_the_norm_floor():
     enc = _encoder()
     ct = _class_tokens()
     batch = _batch()
-    gp = init_prompt(PromptConfig(length=2), DIM, 5, "g")
+    gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 5, "g")
     own = rng(5, "own").normal(size=DIM)
-    dp = init_prompt(PromptConfig(length=2), DIM, 5, "d")
+    dp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 5, "d")
     dp = dp * (1.4 / np.linalg.norm(dp.mean(axis=0)))
     assert np.linalg.norm(dp.mean(axis=0)) > 10 * CONTRAST_NORM_FLOOR
 
@@ -480,7 +482,7 @@ def test_domain_loss_contrastive_needs_anchor_and_description():
     enc = _encoder()
     ct = _class_tokens()
     batch = _batch()
-    dp = init_prompt(PromptConfig(length=2), DIM, 6, "d")
+    dp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 6, "d")
     with pytest.raises(ConfigurationError):
         domain_loss(batch, dp, None, enc, ct, np.ones(DIM), TAU, use_contrastive=True)
     with pytest.raises(ConfigurationError):
@@ -501,7 +503,7 @@ def test_contrastive_direction_continuous_at_floor():
     enc = _encoder()
     ct = _class_tokens()
     batch = _batch()
-    gp = init_prompt(PromptConfig(length=2), DIM, 9, "g")
+    gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 9, "g")
     own = rng(9, "own").normal(size=DIM)
     base = rng(9, "dir").normal(size=(2, DIM))
     base = base / np.linalg.norm(base.mean(axis=0))
@@ -518,7 +520,7 @@ def test_contrastive_at_zero_prompt_gives_indifference_and_finite_pull():
     enc = _encoder()
     ct = _class_tokens()
     batch = _batch()
-    gp = init_prompt(PromptConfig(length=2), DIM, 10, "g")
+    gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 10, "g")
     own = rng(10, "own").normal(size=DIM)
     value, grad, parts = domain_loss(batch, np.zeros((2, DIM)), gp, enc, ct, own, TAU)
     assert parts["contrastive"] == pytest.approx(math.log(2.0))
@@ -532,7 +534,7 @@ def test_domain_prompt_norm_stays_bounded_from_zero_start():
     enc = _encoder()
     ct = _class_tokens()
     batch = _batch()
-    gp = init_prompt(PromptConfig(length=2), DIM, 11, "g")
+    gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 11, "g")
     own = rng(11, "own").normal(size=DIM)
     dp = np.zeros((2, DIM))
     rate = 1e-3

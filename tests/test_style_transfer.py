@@ -180,7 +180,7 @@ def test_objective_gradients_match_finite_differences(weight):
 
 
 def _tiny_world(seed=0):
-    spec = WorldSpec(classes=3, domains=3, samples_per_cell=12, noise=0.05, dim=12, seed=seed)
+    spec = WorldSpec(classes=3, domains=3, samples_per_cell=12, noise=0.05, dim=12, seed=seed, shift_scale=1.0)
     enc = FrozenEncoder(EncoderConfig(dim=12, max_tokens=6, seed=seed))
     return generate_world(spec, enc), enc
 
@@ -195,7 +195,7 @@ def _job(split, source, target):
 def test_train_transform_zero_epochs_returns_init():
     world, enc = _tiny_world()
     split = leave_one_out(world, 2)
-    cfg = TransferConfig(epochs=0)
+    cfg = TransferConfig(epochs=0, batch_size=16)
     jobs = [_job(split, 0, 1), _job(split, 1, 0)]
     result = train_transform(jobs, enc, split.class_tokens, cfg, temperature=0.5, seed=5)
     for job, net in zip(jobs, result.networks()):
@@ -232,9 +232,9 @@ def test_train_transform_empty_dataset_rejected():
     _, enc = _tiny_world()
     job = TransformJob(LabeledEmbeddings.empty(12), 0, 1, np.ones(12) * 0.01, np.ones(12) * 0.02)
     with pytest.raises(ConfigurationError):
-        train_transform([job], enc, np.eye(12)[:2] * 0.01, TransferConfig(), 0.5, 0)
+        train_transform([job], enc, np.eye(12)[:2] * 0.01, TransferConfig(epochs=5, batch_size=16), 0.5, 0)
     with pytest.raises(ConfigurationError):
-        train_transform([], enc, np.eye(12)[:2] * 0.01, TransferConfig(), 0.5, 0)
+        train_transform([], enc, np.eye(12)[:2] * 0.01, TransferConfig(epochs=5, batch_size=16), 0.5, 0)
 
 
 def test_train_transform_stack_equals_one_pair_calls():
@@ -263,7 +263,7 @@ def test_train_transform_rejects_mixed_local_set_lengths():
         short.dataset.subset(np.arange(30)), short.source, short.target, short.source_token, short.target_token
     )
     with pytest.raises(ConfigurationError, match="lengths"):
-        train_transform([_job(split, 0, 1), short], enc, split.class_tokens, TransferConfig(epochs=1), 0.05, 0)
+        train_transform([_job(split, 0, 1), short], enc, split.class_tokens, TransferConfig(epochs=1, batch_size=16), 0.05, 0)
 
 
 def test_stacked_step_names_the_pair_whose_loss_diverges(monkeypatch):
@@ -281,7 +281,7 @@ def test_stacked_step_names_the_pair_whose_loss_diverges(monkeypatch):
 
     monkeypatch.setattr(style_transfer, "text_delta_directions", poisoned)
     with pytest.raises(NonFiniteLossError, match=rf"transform {re.escape(bad.pair)}: .*epoch 0"):
-        train_transform(jobs, enc, split.class_tokens, TransferConfig(epochs=1), 0.05, 0)
+        train_transform(jobs, enc, split.class_tokens, TransferConfig(epochs=1, batch_size=16), 0.05, 0)
 
 
 # ---------------------------------------------------------------------------
