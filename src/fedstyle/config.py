@@ -6,42 +6,22 @@ by module.  Every key has a default, so an empty string parses to the
 default experiment; unknown keys are rejected rather than ignored, which
 catches typos that would otherwise silently run the wrong experiment.
 
-Sections and keys (defaults in parentheses):
+The keys and their defaults are not written down here: they are the fields
+of the config dataclasses, named ``section.field``, and each default is the
+field's dataclass default.
 
-    world.classes (10)            class count
-    world.domains (4)             domain count including the held-out one
-    world.samples_per_cell (200)  samples per (class, domain) cell
-    world.noise (0.1)             embedding noise scale
-    world.dim (64)                embedding dimension
-    world.shift_scale (2.0)      norm of each domain's style shift
-    world.token_scale (0.01)      norm scale of text description tokens
-    world.shots (0)               per-class cap on client data; 0 = all
-    encoder.max_tokens (16)       text-tower sequence capacity
-    transfer.alignment_weight (0.5)  direction term weight; rest is class keeping
-    transfer.learning_rate (1e-3)
-    transfer.weight_decay (0.05)
-    transfer.epochs (20)
-    transfer.batch_size (32)
-    transfer.hidden (0)           transform hidden width; 0 = dim // 2
-    prompt.length (4)             tokens per prompt block
-    prompt.temperature (0.15)     shared softmax temperature
-    prompt.generator_mode (soft)  unseen-sample prompt blending: soft | onehot
-    prompt.init_scale (0.0)       prompt init draw scale; 0 = exact zero start
-    rounds.count (10)             federated rounds
-    rounds.global_epochs (10)     local epochs on the shared prompt per round
-    rounds.domain_epochs (1)      local epochs on the domain prompt per round
-    rounds.global_lr (3e-3)
-    rounds.head_lr (0.01)
-    rounds.domain_lr (1e-3)
-    rounds.weight_decay (0.5)
-    rounds.lr_decay (0.7)         per-round multiplier on all three rates
-    rounds.batch_size (2000)
-    rounds.weighting (uniform)    upload averaging: uniform | samples
-    run.out ()                    output directory; empty = resolve at runtime
-    run.seeds (0,1,2)             comma-separated seed list
-    run.variant (full)            method variant for single runs
-    run.variants (all)            comma-separated variant list for ablation
-    run.holdout (-1)              held-out domain for single runs; -1 = all
+    world.*      ``data.WorldSpec``, except ``seed`` and ``shots``
+    encoder.*    ``encoder.EncoderConfig.max_tokens`` only; the world sets
+                 the dimension and the runner the seed
+    transfer.*   ``style_transfer.TransferConfig``
+    prompt.*     ``prompts.PromptConfig``
+    rounds.*     ``federation.FederationConfig``; its ``rounds`` field is
+                 ``rounds.count``
+    run.*        the run fields of ``ExperimentConfig``: ``out``, ``seeds``,
+                 ``variant``, ``variants``, ``holdout``
+
+A value is parsed by the type of its default; a float must be finite.
+``serialize_config(build_config())`` lists every key with its default.
 
 Seeds enter per run: the stored world spec carries seed 0 and the runner
 substitutes each requested seed, so one config describes the whole sweep.
@@ -49,7 +29,8 @@ substitutes each requested seed, so one config describes the whole sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .data import WorldSpec
 from .encoder import EncoderConfig
@@ -96,16 +77,16 @@ def variant_toggles(name: str) -> MethodToggles:
 class ExperimentConfig:
     """Every tunable of a full experiment, one value per config key."""
 
-    world: WorldSpec
-    max_tokens: int
-    transfer: TransferConfig
-    prompt: PromptConfig
-    rounds: FederationConfig
-    out_dir: str
-    seeds: tuple[int, ...]
-    variant: str
-    variants: tuple[str, ...]
-    holdout: int
+    world: WorldSpec = WorldSpec()
+    max_tokens: int = EncoderConfig.max_tokens
+    transfer: TransferConfig = TransferConfig()
+    prompt: PromptConfig = PromptConfig()
+    rounds: FederationConfig = FederationConfig()
+    out_dir: str = ""  # empty: resolve at runtime
+    seeds: tuple[int, ...] = (0, 1, 2)
+    variant: str = "full"  # for single runs
+    variants: tuple[str, ...] = VARIANT_ORDER  # for the ablation
+    holdout: int = -1  # -1: every domain in turn
 
     def __post_init__(self):
         if not self.seeds:
@@ -143,12 +124,11 @@ class ExperimentConfig:
         return tuple(range(self.world.domains))
 
 
-def _parse_bool(raw: str) -> bool:
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ConfigurationError(f"expected true or false, got {raw!r}")
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_seeds(raw: str) -> tuple[int, ...]:
@@ -167,44 +147,35 @@ def _parse_variants(raw: str) -> tuple[str, ...]:
     return names
 
 
-# key -> (converter, default-as-string).  The serialized form of every
-# default round-trips through its converter; a test asserts this.
-_KEYS: dict[str, tuple] = {
-    "world.classes": (int, "10"),
-    "world.domains": (int, "4"),
-    "world.samples_per_cell": (int, "200"),
-    "world.noise": (float, "0.1"),
-    "world.dim": (int, "64"),
-    "world.shift_scale": (float, "2.0"),
-    "world.token_scale": (float, "0.01"),
-    "world.shots": (int, "0"),
-    "encoder.max_tokens": (int, "16"),
-    "transfer.alignment_weight": (float, "0.5"),
-    "transfer.learning_rate": (float, "0.001"),
-    "transfer.weight_decay": (float, "0.05"),
-    "transfer.epochs": (int, "20"),
-    "transfer.batch_size": (int, "32"),
-    "transfer.hidden": (int, "0"),
-    "prompt.length": (int, "4"),
-    "prompt.temperature": (float, "0.15"),
-    "prompt.generator_mode": (str, "soft"),
-    "prompt.init_scale": (float, "0.0"),
-    "rounds.count": (int, "10"),
-    "rounds.global_epochs": (int, "10"),
-    "rounds.domain_epochs": (int, "1"),
-    "rounds.global_lr": (float, "0.003"),
-    "rounds.head_lr": (float, "0.01"),
-    "rounds.domain_lr": (float, "0.001"),
-    "rounds.weight_decay": (float, "0.5"),
-    "rounds.lr_decay": (float, "0.7"),
-    "rounds.batch_size": (int, "2000"),
-    "rounds.weighting": (str, "uniform"),
-    "run.out": (str, ""),
-    "run.seeds": (_parse_seeds, "0,1,2"),
-    "run.variant": (str, "full"),
-    "run.variants": (_parse_variants, "all"),
-    "run.holdout": (int, "-1"),
+# Keys whose name is not ``section.field``, fields that no key sets, and
+# parsers that are not the type of the default.
+_RENAMED = {
+    "rounds.rounds": "rounds.count",
+    "run.max_tokens": "encoder.max_tokens",
+    "run.out_dir": "run.out",
 }
+_NOT_KEYS = ("world.seed", "world.shots")
+_PARSERS = {"run.seeds": _parse_seeds, "run.variants": _parse_variants}
+
+
+def _derive_keys() -> dict[str, tuple]:
+    """key -> (parser, ExperimentConfig attribute, section field or None)."""
+    keys = {}
+    for top in fields(ExperimentConfig):
+        if is_dataclass(top.default):
+            leaves = [(f"{top.name}.{f.name}", f.name, f.default) for f in fields(top.default)]
+        else:
+            leaves = [(f"run.{top.name}", None, top.default)]
+        for path, name, default in leaves:
+            if path in _NOT_KEYS:
+                continue
+            key = _RENAMED.get(path, path)
+            parser = _PARSERS.get(key) or (_finite_float if type(default) is float else type(default))
+            keys[key] = (parser, top.name, name)
+    return keys
+
+
+_KEYS = _derive_keys()
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -229,69 +200,24 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def build_config(values: dict[str, str] | None = None) -> ExperimentConfig:
     """Assemble an ExperimentConfig from value strings over the defaults."""
-    values = dict(values or {})
-    for key in values:
+    default = ExperimentConfig()
+    top: dict[str, object] = {}
+    sections: dict[str, dict[str, object]] = {}
+    for key, raw in (values or {}).items():
         if key not in _KEYS:
             raise ConfigurationError(f"unknown key {key!r}")
-    resolved = {}
-    for key, (conv, default) in _KEYS.items():
-        raw = values.get(key, default)
+        parse, attr, name = _KEYS[key]
         try:
-            resolved[key] = conv(raw)
-        except ConfigurationError:
-            raise
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"bad value for {key}: {raw!r}") from None
-
-    world = WorldSpec(
-        classes=resolved["world.classes"],
-        domains=resolved["world.domains"],
-        samples_per_cell=resolved["world.samples_per_cell"],
-        noise=resolved["world.noise"],
-        dim=resolved["world.dim"],
-        seed=0,
-        shift_scale=resolved["world.shift_scale"],
-        token_scale=resolved["world.token_scale"],
-        shots=resolved["world.shots"],
-    )
-    transfer = TransferConfig(
-        alignment_weight=resolved["transfer.alignment_weight"],
-        learning_rate=resolved["transfer.learning_rate"],
-        weight_decay=resolved["transfer.weight_decay"],
-        epochs=resolved["transfer.epochs"],
-        batch_size=resolved["transfer.batch_size"],
-        hidden=resolved["transfer.hidden"],
-    )
-    prompt = PromptConfig(
-        length=resolved["prompt.length"],
-        temperature=resolved["prompt.temperature"],
-        generator_mode=resolved["prompt.generator_mode"],
-        init_scale=resolved["prompt.init_scale"],
-    )
-    rounds = FederationConfig(
-        rounds=resolved["rounds.count"],
-        global_epochs=resolved["rounds.global_epochs"],
-        domain_epochs=resolved["rounds.domain_epochs"],
-        global_lr=resolved["rounds.global_lr"],
-        head_lr=resolved["rounds.head_lr"],
-        domain_lr=resolved["rounds.domain_lr"],
-        weight_decay=resolved["rounds.weight_decay"],
-        lr_decay=resolved["rounds.lr_decay"],
-        batch_size=resolved["rounds.batch_size"],
-        weighting=resolved["rounds.weighting"],
-    )
-    return ExperimentConfig(
-        world=world,
-        max_tokens=resolved["encoder.max_tokens"],
-        transfer=transfer,
-        prompt=prompt,
-        rounds=rounds,
-        out_dir=resolved["run.out"],
-        seeds=resolved["run.seeds"],
-        variant=resolved["run.variant"],
-        variants=resolved["run.variants"],
-        holdout=resolved["run.holdout"],
-    )
+            value = parse(raw)
+        except (ConfigurationError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"bad value for {key}: {raw!r} ({exc})") from None
+        if name is None:
+            top[attr] = value
+        else:
+            sections.setdefault(attr, {})[name] = value
+    for attr, changes in sections.items():
+        top[attr] = replace(getattr(default, attr), **changes)
+    return replace(default, **top)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -300,9 +226,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _format_value(key: str, config: ExperimentConfig) -> str:
-    value = _config_value(key, config)
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    _, attr, name = _KEYS[key]
+    value = getattr(config, attr)
+    if name is not None:
+        value = getattr(value, name)
     if isinstance(value, tuple):
         if key == "run.variants" and value == VARIANT_ORDER:
             return "all"
@@ -310,28 +237,6 @@ def _format_value(key: str, config: ExperimentConfig) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _config_value(key: str, config: ExperimentConfig):
-    section, _, field = key.partition(".")
-    if section == "world":
-        return getattr(config.world, field)
-    if section == "encoder":
-        return config.max_tokens
-    if section == "transfer":
-        return getattr(config.transfer, field)
-    if section == "prompt":
-        return getattr(config.prompt, field)
-    if section == "rounds":
-        return getattr(config.rounds, "rounds" if field == "count" else field)
-    mapping = {
-        "out": config.out_dir,
-        "seeds": config.seeds,
-        "variant": config.variant,
-        "variants": config.variants,
-        "holdout": config.holdout,
-    }
-    return mapping[field]
 
 
 def serialize_config(config: ExperimentConfig) -> str:

@@ -27,7 +27,7 @@ contiguous client indices 0..K-1 and keeps the held-out data as a test set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,9 +52,9 @@ class WorldSpec:
     noise: float = 0.1
     dim: int = 64
     seed: int = 0
-    shift_scale: float = 1.0
+    shift_scale: float = 2.0
     token_scale: float = 0.01
-    shots: int = 0  # 0 means use every sample; >0 caps per-class client data
+    shots: int = 0  # unused; kept while the benchmark still passes it
 
     def __post_init__(self):
         if self.classes < 2:
@@ -67,8 +67,6 @@ class WorldSpec:
             raise ConfigurationError("noise must be non-negative")
         if self.shift_scale <= 0 or self.token_scale <= 0:
             raise ConfigurationError("shift_scale and token_scale must be positive")
-        if self.shots < 0:
-            raise ConfigurationError("shots must be non-negative")
 
 
 @dataclass
@@ -254,31 +252,6 @@ def leave_one_out(world: SyntheticWorld, holdout: int) -> EvaluationSplit:
         source_domain_tokens=world.domain_tokens[source_ids],
         target_domain_token=world.domain_tokens[holdout],
     )
-
-
-def few_shot_subsample(
-    dataset: LabeledEmbeddings, shots: int, seed: int
-) -> tuple[LabeledEmbeddings, dict[int, int]]:
-    """Keep at most ``shots`` samples per class, drawn without replacement.
-
-    Classes holding fewer than ``shots`` samples keep everything; the
-    returned metadata maps each such class to its actual count.  Selected
-    indices are re-sorted so the subset preserves the original sample order.
-    """
-    if shots < 1:
-        raise ParameterError("shots must be at least 1")
-    capped: dict[int, int] = {}
-    keep: list[np.ndarray] = []
-    for label in np.unique(dataset.labels):
-        indices = np.flatnonzero(dataset.labels == label)
-        if indices.size <= shots:
-            capped[int(label)] = int(indices.size)
-            keep.append(indices)
-        else:
-            draw = rng(seed, "few-shot", int(label)).choice(indices, size=shots, replace=False)
-            keep.append(np.sort(draw))
-    order = np.sort(np.concatenate(keep)) if keep else np.zeros(0, dtype=np.int64)
-    return dataset.subset(order), capped
 
 
 def description_set(split: EvaluationSplit, include_target: bool) -> tuple[Array, list[int]]:

@@ -54,7 +54,7 @@ class EncoderConfig:
     """Dimensions and seeding of the frozen encoder."""
 
     dim: int = 64
-    max_tokens: int = 12
+    max_tokens: int = 16
     seed: int = 0
     normalize: bool = True
 

@@ -107,28 +107,23 @@ class MethodToggles:
 class FederationConfig:
     """Round counts, learning rates, and upload weighting."""
 
-    rounds: int = 5
-    global_epochs: int = 1
+    rounds: int = 10
+    global_epochs: int = 10
     domain_epochs: int = 1
-    # prompt gradients scale with 1/temperature, so these rates are tuned
-    # for the default temperature and err on the stable side; the domain rate
-    # sits lower still because domain prompts fit local idiosyncrasies, and
-    # larger steps both overshoot locally and bloat the blended prompt that
-    # unseen-domain inference consumes
-    global_lr: float = 1e-4
+    global_lr: float = 3e-3
     head_lr: float = 0.01
-    domain_lr: float = 2e-5
+    domain_lr: float = 1e-3
     # decoupled decay applied to every locally trained parameter; without it
     # the prompt norm ratchets upward long after the fit has saturated and the
     # final state depends heavily on where training happens to stop, whereas a
     # small pull toward zero gives the dynamics a stationary point
-    weight_decay: float = 0.0
+    weight_decay: float = 0.5
     # per-round multiplier on all three learning rates; at sharp softmax
     # temperatures a fixed step size oscillates around minima instead of
     # entering them, so later rounds need smaller steps for the run to end
     # at a reproducible point rather than a random phase of the oscillation
-    lr_decay: float = 1.0
-    batch_size: int = 32
+    lr_decay: float = 0.7
+    batch_size: int = 2000
     weighting: str = "uniform"  # or "samples"
 
     def __post_init__(self):

@@ -2,9 +2,9 @@
 
 Three groups of things live here:
 
-* stable primitives with explicit domain checks: temperature softmax,
-  clamped cross-entropy, and ``softmax_ce_rows``, the row softmax
-  cross-entropy that returns its logit gradient alongside the loss.  Every
+* stable primitives with explicit domain checks: temperature softmax and
+  ``softmax_ce_rows``, the row softmax cross-entropy, clamped before the
+  log, that returns its logit gradient alongside the loss.  Every
   training loss in the package ends in it and writes the rest of its
   backward pass in closed form next to its forward pass,
 * plain SGD and Adam with decoupled weight decay, which reject non-finite
@@ -65,22 +65,6 @@ def softmax(logits, temperature: float = 1.0) -> Array:
     z = z / temperature
     e = np.exp(z - z.max())
     return e / e.sum()
-
-
-def cross_entropy(probs, label: int) -> float:
-    """Negative log-probability of ``label`` under a distribution.
-
-    ``probs`` must be non-negative and sum to one within 1e-6; the selected
-    probability is clamped at ``PROB_FLOOR`` before the log.
-    """
-    p = require_finite(as_f64(probs), "probs")
-    if p.ndim != 1 or p.size == 0:
-        raise ParameterError("probs must be a non-empty 1-D vector")
-    if not 0 <= int(label) < p.size:
-        raise ParameterError(f"label {label} out of range for {p.size} classes")
-    if p.min() < -1e-12 or abs(float(p.sum()) - 1.0) > 1e-6:
-        raise ParameterError("probs is not a probability distribution")
-    return float(-np.log(max(float(p[int(label)]), PROB_FLOOR)))
 
 
 def softmax_ce_rows(logits: Array, labels: Array) -> tuple[Array, Array]:

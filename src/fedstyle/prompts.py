@@ -55,9 +55,9 @@ class PromptConfig:
     """Prompt shapes and the shared softmax temperature."""
 
     length: int = 4
-    temperature: float = 0.01
+    temperature: float = 0.15
     generator_mode: str = "soft"  # "soft" or "onehot" blending of domain prompts
-    init_scale: float = 1e-3
+    init_scale: float = 0.0
 
     def __post_init__(self):
         if self.length < 1:
@@ -269,14 +269,6 @@ def _contrast_forward(
     anchor = _unit_vector(as_f64(global_prompt).mean(axis=0), "pooled global prompt")
     sims = np.array([direction @ own, direction @ anchor])
     return sims, (direction, norm, own, anchor)
-
-
-def contrastive_loss_parts(
-    domain_prompt: Array, global_prompt: Array, own_description: Array
-) -> tuple[float, float]:
-    """The two similarities entering the contrastive term (diagnostic helper)."""
-    sims, _ = _contrast_forward(domain_prompt, global_prompt, own_description)
-    return float(sims[0]), float(sims[1])
 
 
 def domain_loss(

@@ -11,7 +11,7 @@ generator keyed by a SHA-256 hash of a (master seed, tag...) tuple, so
 The canonical encoding of a key tuple is the UTF-8 bytes of its parts
 joined by an ASCII unit separator (0x1f), each part rendered with str().
 Keys are the first 16 bytes of the digest interpreted as a little-endian
-integer; derived integer seeds are the first 8 bytes masked to 63 bits.
+integer.  No integer seed is derived: every consumer takes a generator.
 """
 
 from __future__ import annotations
@@ -23,19 +23,10 @@ import numpy as np
 _SEP = b"\x1f"
 
 
-def _digest(parts: tuple) -> bytes:
-    payload = _SEP.join(str(p).encode("utf-8") for p in parts)
-    return hashlib.sha256(payload).digest()
-
-
 def philox_key(*parts) -> int:
     """128-bit Philox key for the given tag tuple."""
-    return int.from_bytes(_digest(parts)[:16], "little")
-
-
-def child_seed(*parts) -> int:
-    """63-bit integer seed derived from the given tag tuple."""
-    return int.from_bytes(_digest(parts)[:8], "little") & (2**63 - 1)
+    payload = _SEP.join(str(p).encode("utf-8") for p in parts)
+    return int.from_bytes(hashlib.sha256(payload).digest()[:16], "little")
 
 
 def rng(*parts) -> np.random.Generator:

@@ -58,8 +58,8 @@ class TransferConfig:
     alignment_weight: float = 0.5  # weight on the alignment term; 1 - w on consistency
     learning_rate: float = 1e-3
     weight_decay: float = 0.05
-    epochs: int = 5
-    batch_size: int = 16
+    epochs: int = 20
+    batch_size: int = 32
     hidden: int = 0  # 0 picks dim // 2
 
     def __post_init__(self):
@@ -428,37 +428,3 @@ def build_augmentation_bank(
         )
     return AugmentationBank(source=source, entries=entries)
 
-
-# ---------------------------------------------------------------------------
-# auditing
-# ---------------------------------------------------------------------------
-
-
-def nearest_neighbor_audit(augmented: Array, reference: LabeledEmbeddings) -> tuple[int, float]:
-    """Nearest reference sample by cosine; ties resolve to the lowest index."""
-    if len(reference) == 0:
-        raise ParameterError("empty reference set")
-    v = require_finite(as_f64(augmented), "augmented")
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise DomainError("augmented embedding is the zero vector")
-    ref_norms = np.linalg.norm(reference.embeddings, axis=1)
-    if np.any(ref_norms == 0.0):
-        raise DomainError("reference set contains a zero vector")
-    sims = (reference.embeddings @ v) / (ref_norms * norm)
-    index = int(np.argmax(sims))
-    return index, float(sims[index])
-
-
-def audit_bank_entry(entry: LabeledEmbeddings, reference: LabeledEmbeddings) -> dict[str, float]:
-    """Class-consistency rate and mean similarity of bank entries vs a reference pool."""
-    matches, sims = 0, []
-    for i in range(len(entry)):
-        idx, sim = nearest_neighbor_audit(entry.embeddings[i], reference)
-        sims.append(sim)
-        if reference.labels[idx] == entry.labels[i]:
-            matches += 1
-    return {
-        "class_match_rate": matches / len(entry) if len(entry) else 0.0,
-        "mean_similarity": float(np.mean(sims)) if sims else 0.0,
-    }

@@ -1,6 +1,6 @@
 """Binary message format for everything that crosses the client/server line.
 
-Every upload, broadcast, and checkpoint entry is one framed message:
+Every upload and broadcast is one framed message:
 
     magic      4 bytes  b"FSPT"
     version    u16      format version, currently 1
@@ -27,10 +27,9 @@ are derived from the array dims and checked against expectations by the
 caller.
 
 Protocol traffic (prompt uploads and broadcasts) is float32, matching the
-costs the communication report counts.  Checkpoints reuse the same frame
-with float64 payloads so a run can resume bit-exactly.  A checkpoint file
-is a sequence of frames followed by a footer that locates each entry by
-name; see ``write_checkpoint`` / ``read_checkpoint``.
+costs the communication report counts; ``protocol_message`` casts to it.
+The format also carries float64 arrays.  Frames are only sent, never
+stored: there is no checkpoint file.
 """
 
 from __future__ import annotations
@@ -52,14 +51,12 @@ KIND_GLOBAL_UPLOAD = 1
 KIND_GLOBAL_BROADCAST = 2
 KIND_DOMAIN_UPLOAD = 3
 KIND_DOMAIN_BROADCAST = 4
-KIND_CHECKPOINT = 5
 
 KIND_NAMES = {
     KIND_GLOBAL_UPLOAD: "global_upload",
     KIND_GLOBAL_BROADCAST: "global_broadcast",
     KIND_DOMAIN_UPLOAD: "domain_upload",
     KIND_DOMAIN_BROADCAST: "domain_broadcast",
-    KIND_CHECKPOINT: "checkpoint",
 }
 
 _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
@@ -127,13 +124,7 @@ def encode_message(message: FederatedMessage) -> bytes:
 
 def decode_message(data: bytes) -> FederatedMessage:
     """Parse one frame; every structural defect is a ``ProtocolError``."""
-    message, consumed = _decode_at(data, 0)
-    if consumed != len(data):
-        raise ProtocolError(f"{len(data) - consumed} trailing bytes after the frame")
-    return message
 
-
-def _decode_at(data: bytes, start: int) -> tuple[FederatedMessage, int]:
     def take(count: int) -> bytes:
         nonlocal pos
         if pos + count > len(data):
@@ -142,7 +133,7 @@ def _decode_at(data: bytes, start: int) -> tuple[FederatedMessage, int]:
         pos += count
         return chunk
 
-    pos = start
+    pos = 0
     magic, version, kind, round_index, client, samples, array_count = _HEADER.unpack(
         take(_HEADER.size)
     )
@@ -170,105 +161,15 @@ def _decode_at(data: bytes, start: int) -> tuple[FederatedMessage, int]:
             raise ProtocolError(f"duplicate array name {name!r}")
         arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
     stored_crc = struct.unpack("<I", take(4))[0]
-    actual_crc = zlib.crc32(data[start : pos - 4])
+    actual_crc = zlib.crc32(data[: pos - 4])
     if stored_crc != actual_crc:
         raise ProtocolError(f"CRC mismatch: stored {stored_crc:#x}, computed {actual_crc:#x}")
-    return (
-        FederatedMessage(
-            kind=kind,
-            round_index=round_index,
-            client=client,
-            sample_count=samples,
-            arrays=arrays,
-        ),
-        pos,
+    if pos != len(data):
+        raise ProtocolError(f"{len(data) - pos} trailing bytes after the frame")
+    return FederatedMessage(
+        kind=kind, round_index=round_index, client=client, sample_count=samples, arrays=arrays
     )
 
-
-# ---------------------------------------------------------------------------
-# checkpoint container
-# ---------------------------------------------------------------------------
-
-_FOOTER_MAGIC = b"FSPX"
-_FOOTER_TAIL = struct.Struct("<QI4s")  # footer offset, entry count, magic
-
-
-def write_checkpoint(path, entries: dict[str, FederatedMessage]) -> None:
-    """Write named checkpoint frames plus a locating footer.
-
-    Entries are written in sorted name order so the same state always
-    produces the same bytes.  The footer records (name, offset, length)
-    for each frame and is itself CRC-protected; the file tail locates it,
-    so readers seek instead of scanning.
-    """
-    blobs = []
-    offset = 0
-    index = []
-    for name in sorted(entries):
-        message = entries[name]
-        if message.kind != KIND_CHECKPOINT:
-            raise ProtocolError(f"checkpoint entry {name!r} has kind {message.kind_name}")
-        blob = encode_message(message)
-        index.append((name, offset, len(blob)))
-        blobs.append(blob)
-        offset += len(blob)
-    footer_parts = []
-    for name, off, length in index:
-        encoded = name.encode("utf-8")
-        footer_parts.append(struct.pack("<H", len(encoded)))
-        footer_parts.append(encoded)
-        footer_parts.append(struct.pack("<QQ", off, length))
-    footer = b"".join(footer_parts)
-    footer += struct.pack("<I", zlib.crc32(footer))
-    tail = _FOOTER_TAIL.pack(offset, len(index), _FOOTER_MAGIC)
-    with open(path, "wb") as handle:
-        for blob in blobs:
-            handle.write(blob)
-        handle.write(footer)
-        handle.write(tail)
-
-
-def read_checkpoint(path) -> dict[str, FederatedMessage]:
-    """Read a checkpoint container back into named frames."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if len(data) < _FOOTER_TAIL.size:
-        raise ProtocolError("checkpoint file too small")
-    footer_offset, count, magic = _FOOTER_TAIL.unpack(data[-_FOOTER_TAIL.size :])
-    if magic != _FOOTER_MAGIC:
-        raise ProtocolError(f"bad checkpoint magic {magic!r}")
-    footer = data[footer_offset : -_FOOTER_TAIL.size]
-    if len(footer) < 4:
-        raise ProtocolError("checkpoint footer truncated")
-    stored_crc = struct.unpack("<I", footer[-4:])[0]
-    if stored_crc != zlib.crc32(footer[:-4]):
-        raise ProtocolError("checkpoint footer CRC mismatch")
-    pos = 0
-    entries: dict[str, FederatedMessage] = {}
-    body = footer[:-4]
-    for _ in range(count):
-        if pos + 2 > len(body):
-            raise ProtocolError("checkpoint footer truncated")
-        (name_len,) = struct.unpack("<H", body[pos : pos + 2])
-        pos += 2
-        name = body[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        off, length = struct.unpack("<QQ", body[pos : pos + 16])
-        pos += 16
-        if off + length > footer_offset:
-            raise ProtocolError(f"checkpoint entry {name!r} overruns the data region")
-        message, consumed = _decode_at(data, off)
-        if consumed != off + length:
-            raise ProtocolError(f"checkpoint entry {name!r} has a bad length")
-        entries[name] = message
-    if pos != len(body):
-        raise ProtocolError("checkpoint footer has trailing bytes")
-    return entries
-
-
-# ---------------------------------------------------------------------------
-# payload helpers
-# ---------------------------------------------------------------------------
 
 
 def protocol_message(
@@ -283,13 +184,3 @@ def protocol_message(
         arrays={k: np.ascontiguousarray(v, dtype=np.float32) for k, v in arrays.items()},
     )
 
-
-def checkpoint_message(arrays: dict[str, Array]) -> FederatedMessage:
-    """Build a checkpoint frame; payloads are kept at float64."""
-    return FederatedMessage(
-        kind=KIND_CHECKPOINT,
-        round_index=0,
-        client=SERVER_ID,
-        sample_count=0,
-        arrays={k: np.ascontiguousarray(v, dtype=np.float64) for k, v in arrays.items()},
-    )

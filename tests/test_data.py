@@ -1,4 +1,4 @@
-"""World generation tests: geometry, determinism, splits, few-shot capping.
+"""World generation tests: geometry, determinism, splits, target descriptions.
 
 The sample-mean oracle is Monte-Carlo: at small noise the per-cell mean
 embedding approaches the noiseless embedding at the usual 3 sigma / sqrt(n)
@@ -14,7 +14,6 @@ from fedstyle.data import (
     LabeledEmbeddings,
     WorldSpec,
     description_set,
-    few_shot_subsample,
     generate_world,
     leave_one_out,
 )
@@ -168,45 +167,6 @@ def test_leave_one_out_rejects_bad_holdout():
         leave_one_out(world, holdout=3)
     with pytest.raises(ParameterError):
         leave_one_out(world, holdout=-1)
-
-
-# ---------------------------------------------------------------------------
-# few-shot
-# ---------------------------------------------------------------------------
-
-
-def test_few_shot_histogram_and_determinism():
-    world, _ = make_world()
-    split = leave_one_out(world, holdout=0)
-    ds = split.clients[0]
-    sub, capped = few_shot_subsample(ds, shots=5, seed=3)
-    assert capped == {}
-    for label in range(world.spec.classes):
-        assert (sub.labels == label).sum() == 5
-    again, _ = few_shot_subsample(ds, shots=5, seed=3)
-    assert sub.embeddings.tobytes() == again.embeddings.tobytes()
-    other, _ = few_shot_subsample(ds, shots=5, seed=4)
-    assert sub.embeddings.tobytes() != other.embeddings.tobytes()
-
-
-def test_few_shot_caps_at_cell_size():
-    world, _ = make_world()
-    split = leave_one_out(world, holdout=0)
-    ds = split.clients[0]
-    sub, capped = few_shot_subsample(ds, shots=10**6, seed=0)
-    assert len(sub) == len(ds)
-    assert set(capped) == set(range(world.spec.classes))
-    with pytest.raises(ParameterError):
-        few_shot_subsample(ds, shots=0, seed=0)
-
-
-def test_few_shot_subset_is_a_subset():
-    world, _ = make_world()
-    split = leave_one_out(world, holdout=2)
-    ds = split.clients[1]
-    sub, _ = few_shot_subsample(ds, shots=3, seed=7)
-    pool = {row.tobytes() for row in ds.embeddings}
-    assert all(row.tobytes() in pool for row in sub.embeddings)
 
 
 # ---------------------------------------------------------------------------

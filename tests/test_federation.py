@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from fedstyle import federation
-
+from fedstyle.config import build_config, variant_toggles
 from fedstyle.data import TARGET_KEY, WorldSpec, generate_world, leave_one_out
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
 from fedstyle.errors import ConfigurationError, NonFiniteLossError, ProtocolError
 from fedstyle.federation import (
-    CommunicationLedger,
     FederationConfig,
     MethodToggles,
     _require_finite_loss,
@@ -25,7 +24,7 @@ from fedstyle.federation import (
     run_stage_one,
     transform_jobs,
 )
-from fedstyle.prompts import PromptConfig
+from fedstyle.prompts import PromptConfig, global_loss
 from fedstyle.style_transfer import TransferConfig, train_transform
 from fedstyle.wire import KIND_GLOBAL_UPLOAD, decode_message, encode_message, protocol_message
 
@@ -410,3 +409,25 @@ def test_training_beats_chance_and_lowers_global_loss():
     accuracy = evaluate_accuracy(result, split, encoder, config, toggles)
     assert accuracy > 1.0 / 3.0
     assert result.round_metrics[-1]["global_loss"] < result.round_metrics[0]["global_loss"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP open item 2: at the default global_lr the global prompt "
+    "collapses on its first step and ends worse than the zero prompt",
+)
+def test_trained_global_prompt_is_no_worse_than_zero_on_the_default_config():
+    config = build_config()
+    encoder = FrozenEncoder(config.encoder_config(0))
+    split = leave_one_out(generate_world(config.world_spec(0), encoder), 0)
+    toggles = variant_toggles("global-only")
+    tau = config.prompt.temperature
+    stage_one = run_stage_one(split, encoder, config.transfer, tau, toggles, 0)
+    result = run_protocol(stage_one, split, encoder, config.prompt, config.rounds, toggles, 0)
+    zero = np.zeros_like(result.global_prompt)
+    for client in stage_one.clients:
+        pool = client.train_pool
+        trained, _ = global_loss(pool, result.global_prompt, encoder, split.class_tokens, tau, want_grad=False)
+        untrained, _ = global_loss(pool, zero, encoder, split.class_tokens, tau, want_grad=False)
+        assert trained <= untrained

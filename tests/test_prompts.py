@@ -17,13 +17,12 @@ from hypothesis import strategies as st
 from fedstyle.data import LabeledEmbeddings
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
 from fedstyle.errors import ConfigurationError, DataError, DomainError, ParameterError
-from fedstyle.numerics import cross_entropy, grad_check, softmax
+from fedstyle.numerics import PROB_FLOOR, grad_check, softmax
 from fedstyle.prompts import (
     CONTRAST_NORM_FLOOR,
     DomainClassifier,
     PromptConfig,
     classifier_loss,
-    contrastive_loss_parts,
     domain_loss,
     global_loss,
     init_prompt,
@@ -345,7 +344,7 @@ def _global_oracle(batch, prompt, enc, ct, temperature):
     for x, y in zip(batch.embeddings, batch.labels):
         text = enc.encode_class_texts([prompt, np.zeros_like(prompt)], ct)
         probs = softmax(text @ (x / np.linalg.norm(x)), temperature=temperature)
-        total += cross_entropy(probs, int(y))
+        total += -math.log(max(probs[y], PROB_FLOOR))
     return total / len(batch)
 
 
@@ -395,7 +394,7 @@ def _domain_oracle(batch, dp, gp, enc, ct, own, temperature, use_contrastive):
     for x, y in zip(batch.embeddings, batch.labels):
         text = enc.encode_class_texts(blocks, ct)
         probs = softmax(text @ (x / np.linalg.norm(x)), temperature=temperature)
-        total += cross_entropy(probs, int(y))
+        total += -math.log(max(probs[y], PROB_FLOOR))
     cla = total / len(batch)
     if not use_contrastive:
         return cla
@@ -405,7 +404,7 @@ def _domain_oracle(batch, dp, gp, enc, ct, own, temperature, use_contrastive):
     anchor = gp.mean(axis=0)
     anchor = anchor / np.linalg.norm(anchor)
     sims = np.array([pooled @ own_u, pooled @ anchor])
-    return cla + cross_entropy(softmax(sims, temperature=1.0), 0)
+    return cla - math.log(max(softmax(sims, temperature=1.0)[0], PROB_FLOOR))
 
 
 @pytest.mark.parametrize("use_contrastive", [True, False])
@@ -489,13 +488,13 @@ def test_domain_loss_contrastive_needs_anchor_and_description():
         domain_loss(batch, dp, np.ones((2, DIM)), enc, ct, None, TAU, use_contrastive=True)
 
 
-def test_contrastive_parts_helper():
-    dp = np.tile(np.array([1.0, 0.0] + [0.0] * (DIM - 2)), (2, 1))
-    gp = np.tile(np.array([0.0, 1.0] + [0.0] * (DIM - 2)), (2, 1))
-    own = np.array([1.0, 0.0] + [0.0] * (DIM - 2))
-    s_own, s_anchor = contrastive_loss_parts(dp, gp, own)
-    assert s_own == pytest.approx(1.0)
-    assert s_anchor == pytest.approx(0.0)
+def test_contrastive_term_of_a_prompt_on_its_own_description():
+    # the pooled domain prompt is the own description and orthogonal to the
+    # pooled global prompt: cosines (1, 0), so the term is log(1 + e^-1)
+    dp = np.tile(np.eye(DIM)[0], (2, 1))
+    gp = np.tile(np.eye(DIM)[1], (2, 1))
+    _, _, parts = domain_loss(_batch(), dp, gp, _encoder(), _class_tokens(), np.eye(DIM)[0], TAU)
+    assert parts["contrastive"] == pytest.approx(math.log(1.0 + math.exp(-1.0)), rel=1e-12)
 
 
 def test_contrastive_direction_continuous_at_floor():

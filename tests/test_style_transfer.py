@@ -1,6 +1,6 @@
 """Style-transfer tests: loss oracles, gradients vs finite differences,
-training determinism, lockstep training against one-pair calls, bank
-construction, and the nearest-neighbor audit."""
+training determinism, lockstep training against one-pair calls, and bank
+construction."""
 
 import math
 import re
@@ -21,10 +21,8 @@ from fedstyle.style_transfer import (
     TransformJob,
     TransformNetwork,
     _objective,
-    audit_bank_entry,
     build_augmentation_bank,
     class_text_embeddings,
-    nearest_neighbor_audit,
     text_delta_directions,
     train_transform,
     transfer_loss,
@@ -323,52 +321,3 @@ def test_bank_combined_sizes():
     with pytest.raises(ParameterError):
         AugmentationBank(source=0, entries={}).combined()
 
-
-# ---------------------------------------------------------------------------
-# nearest-neighbor audit
-# ---------------------------------------------------------------------------
-
-
-def test_nearest_neighbor_matches_brute_force():
-    rng = np.random.default_rng(4)
-    ref = LabeledEmbeddings(
-        rng.normal(size=(20, DIM)), rng.integers(0, 3, 20), np.zeros(20), np.zeros(20, bool)
-    )
-    query = rng.normal(size=DIM)
-    idx, sim = nearest_neighbor_audit(query, ref)
-    best_i, best_s = -1, -2.0
-    for i in range(20):
-        v = ref.embeddings[i]
-        s = float(v @ query / (np.linalg.norm(v) * np.linalg.norm(query)))
-        if s > best_s:
-            best_i, best_s = i, s
-    assert idx == best_i
-    assert sim == pytest.approx(best_s, abs=1e-12)
-
-
-def test_nearest_neighbor_tie_takes_lowest_index():
-    ref = LabeledEmbeddings(
-        np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]), [0, 1, 2], [0, 0, 0], [False] * 3
-    )
-    idx, sim = nearest_neighbor_audit(np.array([3.0, 0.0]), ref)
-    assert idx == 0
-    assert sim == pytest.approx(1.0)
-
-
-def test_nearest_neighbor_empty_reference_rejected():
-    with pytest.raises(ParameterError):
-        nearest_neighbor_audit(np.ones(2), LabeledEmbeddings.empty(2))
-
-
-def test_audit_bank_entry_perfect_match_for_identity():
-    world, _ = _tiny_world()
-    split = leave_one_out(world, 2)
-    ds = split.clients[0]
-    identity = _net_with(np.zeros(12), dim=12, hidden=6)
-    identity.target = 1
-    bank = build_augmentation_bank(ds, 0, {1: identity}, [1])
-    # the reference pool contains the originals themselves: every nearest
-    # neighbour is the sample itself at similarity 1
-    report = audit_bank_entry(bank.entries[1], ds)
-    assert report["class_match_rate"] == 1.0
-    assert report["mean_similarity"] == pytest.approx(1.0, abs=1e-9)

@@ -1,5 +1,5 @@
 """Wire-format tests: byte-level layout oracles, round trips under
-hypothesis, corruption detection, and the checkpoint container."""
+hypothesis, and corruption detection."""
 
 import struct
 import zlib
@@ -11,18 +11,15 @@ from hypothesis import strategies as st
 
 from fedstyle.errors import ProtocolError
 from fedstyle.wire import (
-    KIND_CHECKPOINT,
     KIND_DOMAIN_BROADCAST,
     KIND_GLOBAL_BROADCAST,
     KIND_GLOBAL_UPLOAD,
+    KIND_NAMES,
     SERVER_ID,
     FederatedMessage,
-    checkpoint_message,
     decode_message,
     encode_message,
     protocol_message,
-    read_checkpoint,
-    write_checkpoint,
 )
 
 
@@ -63,10 +60,13 @@ def test_array_block_bytes_match_layout_oracle():
 
 
 def test_float64_dtype_code():
-    blob = encode_message(checkpoint_message({"x": np.ones(2)}))
+    message = _message(client=SERVER_ID, arrays={"x": np.ones(2)})
+    blob = encode_message(message)
+    # dtype code 2 follows the header, the name length and the one-byte name
+    assert blob[struct.calcsize("<4sHBIIQH") + 2 + 1] == 2
     decoded = decode_message(blob)
     assert decoded.arrays["x"].dtype == np.float64
-    assert decoded.kind == KIND_CHECKPOINT
+    assert decoded.arrays["x"].tobytes() == message.arrays["x"].tobytes()
     assert decoded.client == SERVER_ID
 
 
@@ -112,7 +112,7 @@ def _array_strategy(draw):
 
 
 @given(
-    kind=st.sampled_from([1, 2, 3, 4, 5]),
+    kind=st.sampled_from(sorted(KIND_NAMES)),
     round_index=st.integers(0, 2**32 - 1),
     client=st.integers(0, 2**32 - 1),
     samples=st.integers(0, 2**48),
@@ -181,66 +181,6 @@ def test_version_bump_is_rejected():
     blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
     with pytest.raises(ProtocolError):
         decode_message(bytes(blob))
-
-
-# ---------------------------------------------------------------------------
-# checkpoint container
-# ---------------------------------------------------------------------------
-
-
-def _checkpoint_entries():
-    return {
-        "global_prompt": checkpoint_message({"prompt": np.arange(8.0).reshape(2, 4)}),
-        "domain_prompt_0": checkpoint_message({"prompt": np.full((2, 4), 0.5)}),
-        "head": checkpoint_message({"weight": np.eye(3), "bias": np.zeros(3)}),
-    }
-
-
-def test_checkpoint_round_trip(tmp_path):
-    path = tmp_path / "state.ckpt"
-    entries = _checkpoint_entries()
-    write_checkpoint(path, entries)
-    loaded = read_checkpoint(path)
-    assert set(loaded) == set(entries)
-    for name, message in entries.items():
-        assert loaded[name].kind == KIND_CHECKPOINT
-        for key in message.arrays:
-            assert np.array_equal(loaded[name].arrays[key], message.arrays[key])
-
-
-def test_checkpoint_bytes_do_not_depend_on_insertion_order(tmp_path):
-    entries = _checkpoint_entries()
-    reordered = {k: entries[k] for k in reversed(list(entries))}
-    a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    write_checkpoint(a, entries)
-    write_checkpoint(b, reordered)
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_checkpoint_rejects_protocol_frames(tmp_path):
-    upload = protocol_message(KIND_GLOBAL_UPLOAD, 0, 0, 1, {"p": np.ones(2)})
-    with pytest.raises(ProtocolError):
-        write_checkpoint(tmp_path / "bad.ckpt", {"x": upload})
-
-
-def test_checkpoint_corruption_is_detected(tmp_path):
-    path = tmp_path / "state.ckpt"
-    write_checkpoint(path, _checkpoint_entries())
-    blob = bytearray(path.read_bytes())
-    blob[len(blob) // 2] ^= 0x01
-    path.write_bytes(bytes(blob))
-    with pytest.raises(ProtocolError):
-        read_checkpoint(path)
-
-
-def test_checkpoint_empty_and_missing_footer(tmp_path):
-    path = tmp_path / "empty.ckpt"
-    write_checkpoint(path, {})
-    assert read_checkpoint(path) == {}
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(b"\x00" * 8)
-    with pytest.raises(ProtocolError):
-        read_checkpoint(bad)
 
 
 def test_broadcast_kinds_round_trip():
