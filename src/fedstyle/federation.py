@@ -37,6 +37,7 @@ from .numerics import Array, SgdState, sgd_step
 from .prompts import (
     DomainClassifier,
     PromptConfig,
+    UnitRows,
     classifier_loss,
     domain_loss,
     global_loss,
@@ -269,18 +270,21 @@ def _upload_weights(messages: dict[int, FederatedMessage], mode: str) -> dict[in
 
 @dataclass
 class ClientData:
-    """One client's pools after stage one.
+    """One client's pools after stage one, as prepared unit rows.
 
-    ``local_set`` holds the original embeddings only and trains the domain
-    prompt.  ``train_pool`` adds every style-transferred copy and trains
-    the global prompt.  ``head_pool`` drops entries styled toward the
-    held-out domain, which have no valid source-domain label.
+    ``train_pool`` is the local set followed by every style-transferred
+    copy, normalized and validated once; it trains the global prompt.
+    ``local_set`` is a view of its leading rows, the original embeddings,
+    and trains the domain prompt.  ``head_pool`` trains the domain head: it
+    is the train pool itself unless some entries are styled toward the
+    held-out domain, which have no valid source-domain label; then it holds
+    the other rows, gathered once.
     """
 
     client_id: int
-    local_set: LabeledEmbeddings
-    train_pool: LabeledEmbeddings
-    head_pool: LabeledEmbeddings
+    local_set: UnitRows
+    train_pool: UnitRows
+    head_pool: UnitRows
 
 
 @dataclass
@@ -313,13 +317,15 @@ def run_stage_one(
 
     With style transfer disabled every pool is just the local set and no
     transform is trained.  No message is produced either way; stage one is
-    upload-free by construction.
+    upload-free by construction.  Each pool is normalized and validated
+    here, once, against the split's class and client counts.
     """
+    classes, k = split.class_tokens.shape[0], split.num_clients
     if not toggles.use_style_transfer:
-        clients = [
-            ClientData(client_id=i, local_set=ds, train_pool=ds, head_pool=ds)
-            for i, ds in enumerate(split.clients)
-        ]
+        clients = []
+        for i, ds in enumerate(split.clients):
+            pool = UnitRows.prepare(ds, classes, k)
+            clients.append(ClientData(client_id=i, local_set=pool, train_pool=pool, head_pool=pool))
         return StageOneResult(clients=clients)
 
     jobs = transform_jobs(split, toggles.include_target_description)
@@ -336,10 +342,20 @@ def run_stage_one(
         nets = {job.target: trained[i, job.target] for job in jobs if job.source == i}
         targets = list(nets)
         bank = build_augmentation_bank(local, i, nets, targets)
-        train_pool = LabeledEmbeddings.concat([local, bank.combined()])
-        head_pool = train_pool.subset(np.flatnonzero(train_pool.domains != TARGET_KEY))
+        pool = LabeledEmbeddings.concat([local, bank.combined()])
+        head = np.flatnonzero(pool.domains != TARGET_KEY)
+        if len(head) == len(pool):
+            train_pool = head_pool = UnitRows.prepare(pool, classes, k)
+        else:
+            train_pool = UnitRows.prepare(pool, classes)
+            head_pool = UnitRows.prepare(pool.subset(head), classes, k)
         clients.append(
-            ClientData(client_id=i, local_set=local, train_pool=train_pool, head_pool=head_pool)
+            ClientData(
+                client_id=i,
+                local_set=train_pool.select(slice(0, len(local))),
+                train_pool=train_pool,
+                head_pool=head_pool,
+            )
         )
         transforms[i] = nets
         log.info(
@@ -377,9 +393,10 @@ class ProtocolResult:
     round_metrics: list[dict[str, float]]
 
 
-def _batches(dataset: LabeledEmbeddings, order: Array, batch_size: int):
+def _batches(pool: UnitRows, order: Array, batch_size: int):
+    drawn = pool.select(order)
     for start in range(0, len(order), batch_size):
-        yield dataset.subset(order[start : start + batch_size])
+        yield drawn.select(slice(start, start + batch_size))
 
 
 def _decayed(param: Array, fed_config: FederationConfig, learning_rate: float) -> Array:

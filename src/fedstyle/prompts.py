@@ -194,15 +194,60 @@ def predict_unseen_batch(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class UnitRows:
+    """Unit-norm embedding rows with their class and domain labels.
+
+    The losses' batch type.  ``prepare`` normalizes and validates a pool
+    once; the losses then read its rows as they are, and batches are
+    selections of a prepared pool.
+    """
+
+    rows: Array     # (n, d) unit rows
+    labels: Array   # (n,) class ids
+    domains: Array  # (n,) domain ids
+
+    def __len__(self) -> int:
+        return self.labels.size
+
+    @classmethod
+    def prepare(
+        cls, pool: LabeledEmbeddings, num_classes: int | None, num_domains: int | None = None
+    ) -> "UnitRows":
+        """Normalize ``pool`` once and validate it: every row finite and
+        nonzero (``DomainError``), class labels in [0, num_classes) and
+        domain labels in [0, num_domains) (``DataError``).  A count of None
+        skips its range check."""
+        checks = ((pool.labels, num_classes, "class label"), (pool.domains, num_domains, "domain index"))
+        for values, count, what in checks:
+            if count is not None and (np.any(values < 0) or np.any(values >= count)):
+                raise DataError(f"{what} outside [0, {count})")
+        return cls(_normalized_rows(pool), pool.labels, pool.domains)
+
+    def select(self, index) -> "UnitRows":
+        """The rows at ``index``: a view for a slice, a gathered copy for
+        an index array."""
+        return UnitRows(self.rows[index], self.labels[index], self.domains[index])
+
+
 def _normalized_rows(batch: LabeledEmbeddings) -> Array:
     norms = np.linalg.norm(batch.embeddings, axis=1)
-    if np.any(norms == 0.0):
-        raise DomainError("batch contains a zero embedding")
+    if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
+        raise DomainError("batch contains a zero or non-finite embedding")
     return batch.embeddings / norms[:, None]
 
 
+def _unit_rows(
+    batch: UnitRows | LabeledEmbeddings, num_classes: int | None, num_domains: int | None = None
+) -> UnitRows:
+    """A prepared batch as it is; a raw one prepared on entry."""
+    if isinstance(batch, UnitRows):
+        return batch
+    return UnitRows.prepare(batch, num_classes, num_domains)
+
+
 def _classification(
-    batch: LabeledEmbeddings,
+    batch: UnitRows,
     blocks: list[Array],
     slot: int,
     encoder: FrozenEncoder,
@@ -218,7 +263,7 @@ def _classification(
     through the encoder's own VJP.
     """
     text = encoder.encode_class_texts(blocks, class_tokens)
-    xn = _normalized_rows(batch)
+    xn = batch.rows
     per_row, dlogits = softmax_ce_rows((1.0 / temperature) * (xn @ text.T), batch.labels)
     loss = float(per_row.mean())
     if not want_grad:
@@ -228,7 +273,7 @@ def _classification(
 
 
 def global_loss(
-    batch: LabeledEmbeddings,
+    batch: UnitRows | LabeledEmbeddings,
     global_prompt: Array,
     encoder: FrozenEncoder,
     class_tokens: Array,
@@ -236,10 +281,9 @@ def global_loss(
     want_grad: bool = True,
 ) -> tuple[float, Array | None]:
     """Mean cross-entropy of the global prediction path over a batch."""
+    batch = _unit_rows(batch, class_tokens.shape[0])
     if len(batch) == 0:
         raise ParameterError("empty batch")
-    if np.any(batch.labels < 0) or np.any(batch.labels >= class_tokens.shape[0]):
-        raise DataError("class label out of range")
     blocks = [global_prompt, np.zeros(np.shape(global_prompt))]
     return _classification(batch, blocks, 0, encoder, class_tokens, temperature, want_grad)
 
@@ -272,7 +316,7 @@ def _contrast_forward(
 
 
 def domain_loss(
-    batch: LabeledEmbeddings,
+    batch: UnitRows | LabeledEmbeddings,
     domain_prompt: Array,
     global_prompt: Array | None,
     encoder: FrozenEncoder,
@@ -288,6 +332,7 @@ def domain_loss(
     the domain prompt.  Returns (total, grad, parts) where parts reports
     the classification and contrastive means separately.
     """
+    batch = _unit_rows(batch, class_tokens.shape[0])
     if len(batch) == 0:
         raise ParameterError("empty batch")
     if use_contrastive and (global_prompt is None or own_description is None):
@@ -318,7 +363,7 @@ def domain_loss(
 
 
 def classifier_loss(
-    batch: LabeledEmbeddings,
+    batch: UnitRows | LabeledEmbeddings,
     classifier: DomainClassifier,
     want_grad: bool = True,
 ) -> tuple[float, dict[str, Array] | None]:
@@ -327,12 +372,10 @@ def classifier_loss(
     Batch domains are the labels; every entry must carry a valid source
     domain index (augmented entries carry their style target's index).
     """
+    batch = _unit_rows(batch, None, classifier.num_domains)
     if len(batch) == 0:
         raise ParameterError("empty batch")
-    k = classifier.num_domains
-    if np.any(batch.domains < 0) or np.any(batch.domains >= k):
-        raise DataError(f"domain index outside [0, {k}) in classifier batch")
-    xn = _normalized_rows(batch)
+    xn = batch.rows
     per_row, dlogits = softmax_ce_rows(xn @ classifier.weight.T + classifier.bias, batch.domains)
     loss = float(per_row.mean())
     if not want_grad:

@@ -263,8 +263,10 @@ def test_stage_one_pool_sizes_and_targets(include_target):
         assert sorted(stage_one.transforms[i]) == sorted(
             [j for j in range(3) if j != i] + ([TARGET_KEY] if include_target else [])
         )
-        augmented = client.train_pool.augmented
-        assert augmented.sum() == n * per_client_targets
+        # the local set leads the pool, then one styled copy per target
+        assert np.array_equal(client.local_set.labels, split.clients[i].labels)
+        assert np.all(client.local_set.domains == i)
+        assert np.sum(client.train_pool.domains != i) == n * per_client_targets
 
 
 def test_stage_one_trains_each_local_set_length_together(monkeypatch):

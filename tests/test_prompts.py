@@ -383,6 +383,25 @@ def test_global_loss_input_validation():
         global_loss(bad, np.ones((2, DIM)), enc, ct, TAU)
 
 
+_OUT_OF_RANGE = {
+    # class label 3 of 3 classes for the prompt losses, domain 2 of 2 for the head
+    "global": lambda b: global_loss(b, np.ones((2, DIM)), _encoder(), _class_tokens(), TAU),
+    "domain": lambda b: domain_loss(b, np.ones((2, DIM)), None, _encoder(), _class_tokens(), None, TAU, False),
+    "classifier": lambda b: classifier_loss(b, DomainClassifier.init(2, DIM)),
+}
+
+
+@pytest.mark.parametrize("loss", sorted(_OUT_OF_RANGE))
+def test_every_loss_rejects_an_out_of_range_label_as_bad_data(loss):
+    bad = _batch(classes=3, domains=2)
+    if loss == "classifier":
+        bad.domains[0] = 2
+    else:
+        bad.labels[0] = 3
+    with pytest.raises(DataError):
+        _OUT_OF_RANGE[loss](bad)
+
+
 # ---------------------------------------------------------------------------
 # domain-prompt loss
 # ---------------------------------------------------------------------------
