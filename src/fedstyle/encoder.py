@@ -13,9 +13,11 @@ deterministic, and differentiable with respect to prompt tokens:
 Every text embedding comes from one kernel, ``_text_tower``, which maps
 pooled token sums to embeddings; its vector-Jacobian product
 ``_text_tower_vjp`` reuses the forward's intermediates.
-``encode_class_texts`` pools the sequence for all classes at once, and a
-bare description or class name is the same sequence with a one-token block
-or no block at all.  ``encode_text`` pools a single sequence.  With
+``encode_class_texts`` pools the sequence for all classes at once and
+returns its saved state next to the embeddings, so
+``encode_class_texts_backward`` runs on that state without pooling or
+running the tower again.  A bare description or class name is the same
+sequence with a one-token block or no block at all.  ``encode_text`` pools a single sequence.  With
 ``normalize=False`` both towers skip the final normalization.
 
 For token norms well inside tanh's linear regime the text tower is nearly
@@ -161,22 +163,26 @@ class FrozenEncoder:
             g = (g - text * np.sum(text * g, axis=-1, keepdims=True)) / norms
         return (1.0 - squashed * squashed) * (g @ self.projection)
 
-    def encode_class_texts(self, prompt_blocks: list[Array], class_tokens: Array) -> Array:
+    def encode_class_texts(self, prompt_blocks: list[Array], class_tokens: Array) -> tuple[Array, tuple]:
         """Encode [prompts..., class_c] for every class c at once.
 
         ``prompt_blocks`` is a list of (L_i, d) blocks occupying the leading
         positions in order; ``class_tokens`` is (C, d) with one row per class
-        sitting at the next position.  Returns (C, d) embeddings, one row per
-        class.  With no blocks this encodes each bare class token; a block
-        with a leading sample axis gives one (C, d) set per sample.
+        sitting at the next position.  Returns the (C, d) embeddings, one row
+        per class, and the forward's saved state, which
+        ``encode_class_texts_backward`` reads.  With no blocks this encodes
+        each bare class token; a block with a leading sample axis gives one
+        (C, d) set per sample.
         """
         ct = require_finite(as_f64(class_tokens), "class_tokens")
         if ct.ndim != 2 or ct.shape[1] != self.config.dim:
             raise ParameterError("class_tokens must be (C, d)")
         blocks = [require_finite(as_f64(b), "prompt block") for b in prompt_blocks]
-        if sum(b.shape[-2] for b in blocks) + 1 > self.config.max_tokens:
+        lengths = tuple(b.shape[-2] for b in blocks)
+        if sum(lengths) + 1 > self.config.max_tokens:
             raise ParameterError("prompt blocks leave no room for the class token")
-        return self._text_tower(self._pool(blocks, ct))[0]
+        text, saved = self._text_tower(self._pool(blocks, ct))
+        return text, (saved, lengths)
 
     def encode_text(self, tokens: Array) -> Array:
         """Encode one sequence of (m, d) tokens, given in position order."""
@@ -185,21 +191,21 @@ class FrozenEncoder:
             raise ParameterError(f"need 1 to {self.config.max_tokens} tokens as (m, d), got {t.shape}")
         return self._text_tower(self.position_scale[: t.shape[0]] @ t)[0]
 
-    def encode_class_texts_backward(
-        self, prompt_blocks: list[Array], class_tokens: Array, upstream: Array
-    ) -> list[Array]:
-        """VJP of ``encode_class_texts`` w.r.t. each (L_i, d) prompt block."""
-        ct = as_f64(class_tokens)
-        blocks = [as_f64(b) for b in prompt_blocks]
+    def encode_class_texts_backward(self, state: tuple, upstream: Array) -> list[Array]:
+        """VJP of ``encode_class_texts`` w.r.t. each prompt block.
+
+        ``state`` is the saved state that forward returned; the backward
+        reads its intermediates and recomputes nothing.  ``upstream`` has
+        the embeddings' shape, and each gradient has its block's shape.
+        """
+        saved, lengths = state
         g = require_finite(as_f64(upstream), "upstream")
-        if g.shape != (ct.shape[0], self.config.dim):
+        if g.shape != saved[0].shape:
             raise ParameterError("upstream gradient has the wrong shape")
-        _, saved = self._text_tower(self._pool(blocks, ct))
-        per_shared = self._text_tower_vjp(saved, g).sum(axis=0)        # (d,)
+        per_shared = self._text_tower_vjp(saved, g).sum(axis=-2)        # (..., d)
         grads = []
         offset = 0
-        for b in blocks:
-            rows = b.shape[0]
-            grads.append(self.position_scale[offset : offset + rows, None] * per_shared[None, :])
+        for rows in lengths:
+            grads.append(self.position_scale[offset : offset + rows, None] * per_shared[..., None, :])
             offset += rows
         return grads

@@ -182,7 +182,7 @@ def predict_unseen_batch(
         raise ParameterError(
             f"prompt blocks disagree on shape: {np.shape(global_prompt)} vs {generated.shape[-2:]}"
         )
-    text = encoder.encode_class_texts([global_prompt, generated], class_tokens)  # (C, d) or (n, C, d)
+    text, _ = encoder.encode_class_texts([global_prompt, generated], class_tokens)  # (C, d) or (n, C, d)
     z = np.einsum("...cd,...d->...c", text, xn) / temperature
     z -= z.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -260,16 +260,16 @@ def _classification(
     Logits are the cosines between each row and each class text, divided
     by ``temperature``.  Returns the loss and its gradient with respect to
     ``blocks[slot]`` (None without ``want_grad``); the text gradient goes
-    through the encoder's own VJP.
+    through the encoder's own VJP, which reads the forward's saved state.
     """
-    text = encoder.encode_class_texts(blocks, class_tokens)
+    text, state = encoder.encode_class_texts(blocks, class_tokens)
     xn = batch.rows
     per_row, dlogits = softmax_ce_rows((1.0 / temperature) * (xn @ text.T), batch.labels)
     loss = float(per_row.mean())
     if not want_grad:
         return loss, None
     dtext = ((1.0 / temperature) * ((1.0 / len(batch)) * dlogits)).T @ xn
-    return loss, encoder.encode_class_texts_backward(blocks, class_tokens, dtext)[slot]
+    return loss, encoder.encode_class_texts_backward(state, dtext)[slot]
 
 
 def global_loss(

@@ -119,8 +119,8 @@ def text_delta_directions(
     Returns (C, d) unit rows.  A difference below ``DEGENERATE_NORM``
     (identical source and target descriptions, say) is a ``DomainError``.
     """
-    e_src = encoder.encode_class_texts([as_f64(source_token)[None, :]], class_tokens)
-    e_tgt = encoder.encode_class_texts([as_f64(target_token)[None, :]], class_tokens)
+    e_src, _ = encoder.encode_class_texts([as_f64(source_token)[None, :]], class_tokens)
+    e_tgt, _ = encoder.encode_class_texts([as_f64(target_token)[None, :]], class_tokens)
     delta = e_tgt - e_src
     norms = np.linalg.norm(delta, axis=1, keepdims=True)
     if np.any(norms < DEGENERATE_NORM):
@@ -131,7 +131,7 @@ def text_delta_directions(
 
 def class_text_embeddings(encoder: FrozenEncoder, class_tokens: Array) -> Array:
     """(C, d) unit embeddings of each bare class description."""
-    return encoder.encode_class_texts([], class_tokens)
+    return encoder.encode_class_texts([], class_tokens)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ def _unit(v):
 def _check_backward(enc, blocks, classes, upstream, step=1):
     # central differences of sum(upstream * encode_class_texts) per block entry
     def value(bs):
-        return float(np.sum(upstream * enc.encode_class_texts(bs, classes)))
+        return float(np.sum(upstream * enc.encode_class_texts(bs, classes)[0]))
 
-    grads = enc.encode_class_texts_backward(blocks, classes, upstream)
+    grads = enc.encode_class_texts_backward(enc.encode_class_texts(blocks, classes)[1], upstream)
     h = 1e-6
     for b, block in enumerate(blocks):
         assert grads[b].shape == block.shape
@@ -161,7 +161,7 @@ def test_encode_text_matches_definition():
     pooled = s[0] * prompts[0] + s[1] * prompts[1] + s[2] * fixed[0]
     expected = _unit(ENC.projection @ np.tanh(pooled))
     assert np.allclose(ENC.encode_text(np.vstack([prompts, fixed])), expected, atol=1e-14)
-    assert np.allclose(ENC.encode_class_texts([prompts], fixed)[0], expected, atol=1e-14)
+    assert np.allclose(ENC.encode_class_texts([prompts], fixed)[0][0], expected, atol=1e-14)
 
 
 def test_padding_tokens_change_nothing():
@@ -188,8 +188,13 @@ def test_all_zero_tokens_is_domain_error():
         ENC.encode_text(np.zeros((2, CFG.dim)))
     with pytest.raises(DomainError):
         ENC.encode_class_texts([zero], zero)
-    with pytest.raises(DomainError):
-        ENC.encode_class_texts_backward([zero], zero, np.ones((1, CFG.dim)))
+
+
+def test_backward_rejects_an_upstream_of_the_wrong_shape():
+    classes = np.full((2, CFG.dim), 0.01)
+    _, state = ENC.encode_class_texts([np.full((1, CFG.dim), 0.1)], classes)
+    with pytest.raises(ParameterError):
+        ENC.encode_class_texts_backward(state, np.ones((3, CFG.dim)))
 
 
 def test_near_linear_additivity_at_small_norms():
@@ -230,9 +235,9 @@ def test_encode_class_texts_equals_per_class_loop():
     block_a = rng.normal(size=(2, CFG.dim)) * 0.2
     block_b = rng.normal(size=(2, CFG.dim)) * 0.2
     classes = rng.normal(size=(5, CFG.dim)) * 0.01
-    batch = ENC.encode_class_texts([block_a, block_b], classes)
+    batch, _ = ENC.encode_class_texts([block_a, block_b], classes)
     for c in range(5):
-        single = ENC.encode_class_texts([block_a, block_b], classes[c : c + 1])[0]
+        single = ENC.encode_class_texts([block_a, block_b], classes[c : c + 1])[0][0]
         assert np.allclose(batch[c], single, atol=1e-14)
         assert np.allclose(batch[c], ENC.encode_text(np.vstack([block_a, block_b, classes[c]])), atol=1e-14)
 
@@ -242,10 +247,10 @@ def test_encode_class_texts_with_a_sample_axis_equals_per_sample_calls():
     shared = rng.normal(size=(2, CFG.dim)) * 0.2
     per_sample = rng.normal(size=(4, 2, CFG.dim)) * 0.2
     classes = rng.normal(size=(3, CFG.dim)) * 0.01
-    batch = ENC.encode_class_texts([shared, per_sample], classes)
+    batch, _ = ENC.encode_class_texts([shared, per_sample], classes)
     assert batch.shape == (4, 3, CFG.dim)
     for n in range(4):
-        assert np.allclose(batch[n], ENC.encode_class_texts([shared, per_sample[n]], classes), atol=1e-14)
+        assert np.allclose(batch[n], ENC.encode_class_texts([shared, per_sample[n]], classes)[0], atol=1e-14)
 
 
 def test_encode_class_texts_backward_matches_finite_differences():

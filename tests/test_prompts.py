@@ -230,7 +230,7 @@ def test_global_only_layout_matches_manual_tower():
     x = rng(5, "x").normal(size=DIM)
     probs = _predict_one(x, gp, None, None)
     # the domain slot is zeroed but still occupies its token positions
-    text = enc.encode_class_texts([gp, np.zeros_like(gp)], ct)
+    text = enc.encode_class_texts([gp, np.zeros_like(gp)], ct)[0]
     expected = softmax(text @ (x / np.linalg.norm(x)), temperature=TAU)
     assert probs.shape == (3,)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -245,10 +245,10 @@ def test_one_prompt_stack_with_and_without_global():
     x = rng(6, "x").normal(size=DIM)
     xn = x / np.linalg.norm(x)
     both = _predict_one(x, gp, *_one_prompt(dp))
-    assert np.allclose(both, softmax(enc.encode_class_texts([gp, dp], ct) @ xn, temperature=TAU))
+    assert np.allclose(both, softmax(enc.encode_class_texts([gp, dp], ct)[0] @ xn, temperature=TAU))
     alone = _predict_one(x, None, *_one_prompt(dp))
     assert np.allclose(
-        alone, softmax(enc.encode_class_texts([np.zeros_like(dp), dp], ct) @ xn, temperature=TAU)
+        alone, softmax(enc.encode_class_texts([np.zeros_like(dp), dp], ct)[0] @ xn, temperature=TAU)
     )
 
 
@@ -342,7 +342,7 @@ def _global_oracle(batch, prompt, enc, ct, temperature):
     # same quantity rebuilt from the public scalar primitives
     total = 0.0
     for x, y in zip(batch.embeddings, batch.labels):
-        text = enc.encode_class_texts([prompt, np.zeros_like(prompt)], ct)
+        text = enc.encode_class_texts([prompt, np.zeros_like(prompt)], ct)[0]
         probs = softmax(text @ (x / np.linalg.norm(x)), temperature=temperature)
         total += -math.log(max(probs[y], PROB_FLOOR))
     return total / len(batch)
@@ -411,7 +411,7 @@ def _domain_oracle(batch, dp, gp, enc, ct, own, temperature, use_contrastive):
     blocks = [gp if gp is not None else np.zeros_like(dp), dp]
     total = 0.0
     for x, y in zip(batch.embeddings, batch.labels):
-        text = enc.encode_class_texts(blocks, ct)
+        text = enc.encode_class_texts(blocks, ct)[0]
         probs = softmax(text @ (x / np.linalg.norm(x)), temperature=temperature)
         total += -math.log(max(probs[y], PROB_FLOOR))
     cla = total / len(batch)
