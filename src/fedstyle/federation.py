@@ -18,9 +18,13 @@ Wire traffic is float32; per round and client the upload totals
 parameters, which ``comm_cost`` reports.  Every message is framed,
 CRC-checked, and recorded in a ``CommunicationLedger``.
 
-Everything is serial and seeded: client loops run in ascending client
-order and shuffles come from the per-(round, client, epoch) stream, so a
-run is a pure function of its inputs.
+Everything is seeded and runs in one thread.  Clients whose local sets
+share a length form a lockstep group: their local passes run as one
+stacked step per batch, each client's shuffle still drawn from its own
+per-(round, client, epoch) stream, and a stacked step gives every client
+the bits it would get alone.  Uploads, ledger records and each round's
+loss means follow ascending client order, so a run is a pure function of
+its inputs.
 """
 
 from __future__ import annotations
@@ -393,10 +397,40 @@ class ProtocolResult:
     round_metrics: list[dict[str, float]]
 
 
-def _batches(pool: UnitRows, order: Array, batch_size: int):
-    drawn = pool.select(order)
-    for start in range(0, len(order), batch_size):
-        yield drawn.select(slice(start, start + batch_size))
+def _length_groups(clients: list[ClientRuntime]) -> list[list[ClientRuntime]]:
+    """Clients by local-set length, ascending, each group in client order.
+
+    Every stage-two draw of a client is as long as its local set, so the
+    clients of a group take equal batches and step in lockstep, the way
+    ``run_stage_one`` groups its transform jobs.
+    """
+    lengths = sorted({len(client.data.local_set) for client in clients})
+    return [[client for client in clients if len(client.data.local_set) == n] for n in lengths]
+
+
+def _gather_buffer(group: list[ClientRuntime], dim: int) -> UnitRows:
+    """Room for one (K, n, ...) draw of a group, reused by every pass: a
+    fresh array of this size per pass costs more in page faults than the
+    gather itself."""
+    shape = (len(group), len(group[0].data.local_set))
+    return UnitRows(np.empty(shape + (dim,)), np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64))
+
+
+def _drawn_batches(
+    group: list[ClientRuntime], pools: list[UnitRows], drawn: UnitRows, tag: str, seed: int,
+    round_index: int, epoch: int, batch_size: int,
+):
+    """Each client's seeded draw of a local-set-sized sample of its pool,
+    gathered into the group's buffer ``drawn`` and cut into stacked
+    (K, batch, ...) batches, views that the next pass overwrites."""
+    n = drawn.labels.shape[-1]
+    for j, (client, pool) in enumerate(zip(group, pools)):
+        order = rng(seed, tag, round_index, client.data.client_id, epoch).permutation(len(pool))[:n]
+        for name in ("rows", "labels", "domains"):
+            # every index is in range, so "clip" only spares take a buffered copy
+            np.take(getattr(pool, name), order, axis=0, out=getattr(drawn, name)[j], mode="clip")
+    for start in range(0, n, batch_size):
+        yield drawn.select(np.s_[:, start : start + batch_size])
 
 
 def _decayed(param: Array, fed_config: FederationConfig, learning_rate: float) -> Array:
@@ -405,23 +439,42 @@ def _decayed(param: Array, fed_config: FederationConfig, learning_rate: float) -
     return param * (1.0 - learning_rate * fed_config.weight_decay)
 
 
-def _require_finite_loss(value: float, what: str) -> float:
-    if not np.isfinite(value):
-        raise NonFiniteLossError(f"{what} diverged to {value!r}")
-    return value
+def _require_finite_losses(values: Array, what: str, round_index: int, client_ids: list[int]) -> None:
+    """Raise ``NonFiniteLossError`` naming the round and the first client
+    of a stacked step whose loss diverged."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        j = bad[0]
+        raise NonFiniteLossError(
+            f"{what} (round {round_index}, client {client_ids[j]}) diverged to {float(values[j])!r}"
+        )
 
 
-class _MeanTracker:
+class _RoundLosses:
+    """Each client's batch losses of one round, by kind."""
+
+    KINDS = ("global_loss", "head_loss", "domain_loss")
+
     def __init__(self):
-        self.total = 0.0
-        self.count = 0
+        self.entries: dict[tuple[str, int], list[tuple[float, int]]] = {}
 
-    def add(self, value: float, weight: int) -> None:
-        self.total += value * weight
-        self.count += weight
+    def add(self, kind: str, client_ids: list[int], values: Array, rows: int) -> None:
+        for i, value in zip(client_ids, values):
+            self.entries.setdefault((kind, i), []).append((float(value), rows))
 
-    def mean(self) -> float | None:
-        return self.total / self.count if self.count else None
+    def means(self, client_ids: list[int]) -> dict[str, float]:
+        """Row-weighted mean of each kind that ran, summed client by client
+        in ascending order and each client's batches in step order."""
+        out = {}
+        for kind in self.KINDS:
+            total, count = 0.0, 0
+            for i in client_ids:
+                for value, rows in self.entries.get((kind, i), ()):
+                    total += value * rows
+                    count += rows
+            if count:
+                out[kind] = total / count
+        return out
 
 
 def run_protocol(
@@ -476,20 +529,26 @@ def run_protocol(
         else [None] * k
     )
 
+    all_ids = [client.data.client_id for client in clients]
+    groups = _length_groups(clients)
+    buffers = [_gather_buffer(group, dim) for group in groups]
     round_metrics: list[dict[str, float]] = []
     for round_index in range(fed_config.rounds):
         scale = fed_config.lr_decay**round_index
         global_rate = fed_config.global_lr * scale
         head_rate = fed_config.head_lr * scale
         domain_rate = fed_config.domain_lr * scale
-        global_mean = _MeanTracker()
-        head_mean = _MeanTracker()
-        domain_mean = _MeanTracker()
+        losses = _RoundLosses()
 
-        # local refinement of the shared state, then upload
-        messages: dict[int, FederatedMessage] = {}
-        for client in clients:
-            i = client.data.client_id
+        # local refinement of the shared state, one length group at a time
+        for group, drawn in zip(groups, buffers):
+            ids = [client.data.client_id for client in group]
+            prompts = np.stack([c.global_prompt for c in group]) if toggles.use_global_prompt else None
+            heads = None
+            if toggles.use_prompt_generator:
+                heads = DomainClassifier(
+                    np.stack([c.classifier.weight for c in group]), np.stack([c.classifier.bias for c in group])
+                )
             for epoch in range(fed_config.global_epochs):
                 if toggles.use_global_prompt:
                     # an epoch is one pass over a local-set-sized draw from the
@@ -497,36 +556,43 @@ def run_protocol(
                     # cap a bank-holding client would take three times as many
                     # steps per epoch, so variant comparisons would mix the
                     # effect of the banks with the effect of extra optimization
-                    order = rng(seed, "global-shuffle", round_index, i, epoch).permutation(
-                        len(client.data.train_pool)
-                    )[: len(client.data.local_set)]
-                    for batch in _batches(client.data.train_pool, order, fed_config.batch_size):
-                        value, grad = global_loss(
-                            batch, client.global_prompt, encoder, class_tokens, temperature
-                        )
-                        _require_finite_loss(value, f"global loss (round {round_index}, client {i})")
-                        global_mean.add(value, len(batch))
-                        client.global_prompt = sgd_step(
+                    pools = [c.data.train_pool for c in group]
+                    for batch in _drawn_batches(
+                        group, pools, drawn, "global-shuffle", seed, round_index, epoch, fed_config.batch_size
+                    ):
+                        values, grad = global_loss(batch, prompts, encoder, class_tokens, temperature)
+                        _require_finite_losses(values, "global loss", round_index, ids)
+                        losses.add("global_loss", ids, values, batch.labels.shape[-1])
+                        prompts = sgd_step(
                             SgdState(global_rate),
-                            {"prompt": _decayed(client.global_prompt, fed_config, global_rate)},
+                            {"prompt": _decayed(prompts, fed_config, global_rate)},
                             {"prompt": grad},
                         )["prompt"]
                 if toggles.use_prompt_generator:
                     # same local-set-sized draw as the global pass, and for the
                     # same reason
-                    order = rng(seed, "head-shuffle", round_index, i, epoch).permutation(
-                        len(client.data.head_pool)
-                    )[: len(client.data.local_set)]
-                    for batch in _batches(client.data.head_pool, order, fed_config.batch_size):
-                        value, grads = classifier_loss(batch, client.classifier)
-                        _require_finite_loss(value, f"head loss (round {round_index}, client {i})")
-                        head_mean.add(value, len(batch))
+                    pools = [c.data.head_pool for c in group]
+                    for batch in _drawn_batches(
+                        group, pools, drawn, "head-shuffle", seed, round_index, epoch, fed_config.batch_size
+                    ):
+                        values, grads = classifier_loss(batch, heads)
+                        _require_finite_losses(values, "head loss", round_index, ids)
+                        losses.add("head_loss", ids, values, batch.labels.shape[-1])
                         decayed = {
-                            name: _decayed(param, fed_config, head_rate)
-                            for name, param in client.classifier.params().items()
+                            name: _decayed(param, fed_config, head_rate) for name, param in heads.params().items()
                         }
                         new = sgd_step(SgdState(head_rate), decayed, grads)
-                        client.classifier = DomainClassifier(new["weight"], new["bias"])
+                        heads = DomainClassifier(new["weight"], new["bias"])
+            for j, client in enumerate(group):
+                if prompts is not None:
+                    client.global_prompt = prompts[j]
+                if heads is not None:
+                    client.classifier = DomainClassifier(heads.weight[j], heads.bias[j])
+
+        # upload, in client order
+        messages: dict[int, FederatedMessage] = {}
+        for client in clients:
+            i = client.data.client_id
             arrays: dict[str, Array] = {}
             if toggles.use_global_prompt:
                 arrays["global_prompt"] = client.global_prompt
@@ -567,40 +633,37 @@ def run_protocol(
 
         # local domain-prompt epochs against the frozen adopted state
         if toggles.use_domain_prompt:
-            for client in clients:
-                i = client.data.client_id
+            for group, drawn in zip(groups, buffers):
+                ids = [client.data.client_id for client in group]
+                prompts = np.stack([c.domain_prompt for c in group])
+                anchors = np.stack([c.global_prompt for c in group]) if toggles.use_global_prompt else None
+                own = np.stack([own_text[i] for i in ids]) if toggles.use_contrastive else None
+                pools = [c.data.local_set for c in group]
                 for epoch in range(fed_config.domain_epochs):
-                    order = rng(seed, "domain-shuffle", round_index, i, epoch).permutation(
-                        len(client.data.local_set)
-                    )
-                    for batch in _batches(client.data.local_set, order, fed_config.batch_size):
-                        value, grad, _ = domain_loss(
+                    for batch in _drawn_batches(
+                        group, pools, drawn, "domain-shuffle", seed, round_index, epoch, fed_config.batch_size
+                    ):
+                        values, grad, _ = domain_loss(
                             batch,
-                            client.domain_prompt,
-                            client.global_prompt,
+                            prompts,
+                            anchors,
                             encoder,
                             class_tokens,
-                            own_text[i],
+                            own,
                             temperature,
                             use_contrastive=toggles.use_contrastive,
                         )
-                        _require_finite_loss(value, f"domain loss (round {round_index}, client {i})")
-                        domain_mean.add(value, len(batch))
-                        client.domain_prompt = sgd_step(
+                        _require_finite_losses(values, "domain loss", round_index, ids)
+                        losses.add("domain_loss", ids, values, batch.labels.shape[-1])
+                        prompts = sgd_step(
                             SgdState(domain_rate),
-                            {"prompt": _decayed(client.domain_prompt, fed_config, domain_rate)},
+                            {"prompt": _decayed(prompts, fed_config, domain_rate)},
                             {"prompt": grad},
                         )["prompt"]
+                for j, client in enumerate(group):
+                    client.domain_prompt = prompts[j]
 
-        metrics = {"round": float(round_index)}
-        for name, tracker in (
-            ("global_loss", global_mean),
-            ("head_loss", head_mean),
-            ("domain_loss", domain_mean),
-        ):
-            mean = tracker.mean()
-            if mean is not None:
-                metrics[name] = mean
+        metrics = {"round": float(round_index), **losses.means(all_ids)}
         round_metrics.append(metrics)
         log.info("round %d: %s", round_index, metrics)
 

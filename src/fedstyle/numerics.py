@@ -41,7 +41,7 @@ def as_f64(value) -> Array:
 
 
 def require_finite(value: Array, name: str = "value") -> Array:
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise DomainError(f"{name} contains a non-finite entry")
     return value
 
@@ -68,27 +68,31 @@ def softmax(logits, temperature: float = 1.0) -> Array:
 
 
 def softmax_ce_rows(logits: Array, labels: Array) -> tuple[Array, Array]:
-    """Per-row cross-entropy of the row softmax of (B, C) logits.
+    """Per-row cross-entropy of the row softmax of (..., B, C) logits.
 
-    Returns ``(loss, dlogits)``: the (B,) losses, each picked probability
-    clamped at ``PROB_FLOOR`` before the log, and the (B, C) gradient of
-    each row's loss with respect to its own logits, ``softmax - onehot``.
-    Every loss in the package scales ``dlogits`` by its upstream weight.
+    Returns ``(loss, dlogits)``: the (..., B) losses, each picked
+    probability clamped at ``PROB_FLOOR`` before the log, and the gradient
+    of each row's loss with respect to its own logits, ``softmax - onehot``,
+    shaped like ``logits``.  Leading axes stack independent batches; each
+    row is computed exactly as it would be alone.  Every loss in the
+    package scales ``dlogits`` by its upstream weight.
     """
-    if logits.ndim != 2:
+    if logits.ndim < 2:
         raise ParameterError("softmax_ce_rows: expected a logit matrix")
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (logits.shape[0],):
+    if labels.shape != logits.shape[:-1]:
         raise ParameterError("softmax_ce_rows: one label per row required")
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
+    if labels.min() < 0 or labels.max() >= logits.shape[-1]:
         raise ParameterError("softmax_ce_rows: label out of range")
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits.reshape(-1, logits.shape[-1])
+    z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
-    rows = np.arange(labels.size)
-    loss = -np.log(np.maximum(p[rows, labels], PROB_FLOOR))
-    p[rows, labels] -= 1.0
-    return loss, p
+    rows = np.arange(p.shape[0])
+    picked = labels.reshape(-1)
+    loss = -np.log(np.maximum(p[rows, picked], PROB_FLOOR))
+    p[rows, picked] -= 1.0
+    return loss.reshape(labels.shape), p.reshape(logits.shape)
 
 
 # ---------------------------------------------------------------------------

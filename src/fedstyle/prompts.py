@@ -34,7 +34,15 @@ softmax over the two cosines with the own-description slot as the target.
 All losses return means over their batch.  Each writes its gradient in
 closed form next to its forward pass: the cross-entropy kernel supplies
 the logit gradient, the encoder's VJP carries it back to the prompt
-blocks, and the tests check every gradient against finite differences.
+blocks from the forward's saved state, and the tests check every gradient
+against finite differences.
+
+Batches arrive as ``UnitRows``: each pool is normalized and validated
+once, and a batch is a selection of its rows; a raw ``LabeledEmbeddings``
+is prepared on entry.  Every loss also takes a leading client axis on the
+batch and on its parameters, written once with ``...`` broadcasting: one
+call then steps a stack of clients, returns one loss per client, and gives
+each client the bits of a call of its own.
 """
 
 from __future__ import annotations
@@ -85,15 +93,19 @@ def init_prompt(config: PromptConfig, dim: int, *tags) -> Array:
 
 @dataclass
 class DomainClassifier:
-    """Frozen-input linear head over normalized embeddings."""
+    """Frozen-input linear head over normalized embeddings.
 
-    weight: Array  # (K, d)
-    bias: Array    # (K,)
+    A stack of heads, one per client, carries a leading client axis on
+    both arrays; ``classifier_loss`` trains such a stack in one call.
+    """
+
+    weight: Array  # (K, d), or (clients, K, d)
+    bias: Array    # (K,), or (clients, K)
 
     def __post_init__(self):
         self.weight = require_finite(as_f64(self.weight), "weight")
         self.bias = require_finite(as_f64(self.bias), "bias")
-        if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
+        if self.weight.ndim not in (2, 3) or self.bias.shape != self.weight.shape[:-1]:
             raise ParameterError("classifier shapes disagree")
 
     @classmethod
@@ -103,16 +115,26 @@ class DomainClassifier:
 
     @property
     def num_domains(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
 
     def params(self) -> dict[str, Array]:
         return {"weight": self.weight, "bias": self.bias}
 
 
+def _dot(a: Array, b: Array) -> Array:
+    """Dot products over the last axis, one per leading index.
+
+    Each is a vector-vector matmul, the same BLAS dot that ``a @ b`` and
+    ``np.linalg.norm`` use on 1-D vectors, so a stacked call gives every
+    client the bits it would get alone.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _unit_vector(x: Array, what: str) -> Array:
     v = require_finite(as_f64(x), what)
-    n = np.linalg.norm(v)
-    if n == 0.0:
+    n = np.sqrt(_dot(v, v))[..., None]
+    if np.any(n == 0.0):
         raise DomainError(f"{what} is the zero vector")
     return v / n
 
@@ -200,14 +222,16 @@ class UnitRows:
 
     The losses' batch type.  ``prepare`` normalizes and validates a pool
     once; the losses then read its rows as they are, and batches are
-    selections of a prepared pool.
+    selections of a prepared pool.  A stack of equal-sized batches, one
+    per client, carries a leading client axis on every array.
     """
 
-    rows: Array     # (n, d) unit rows
-    labels: Array   # (n,) class ids
-    domains: Array  # (n,) domain ids
+    rows: Array     # (n, d) unit rows, or (clients, n, d)
+    labels: Array   # (n,) class ids, or (clients, n)
+    domains: Array  # (n,) domain ids, or (clients, n)
 
     def __len__(self) -> int:
+        """Row count, summed over the client axis of a stack."""
         return self.labels.size
 
     @classmethod
@@ -246,6 +270,16 @@ def _unit_rows(
     return UnitRows.prepare(batch, num_classes, num_domains)
 
 
+def _per_client(values: Array) -> float | Array:
+    """A loss without a client axis as a float; a stacked one as its array."""
+    return float(values) if values.ndim == 0 else values
+
+
+def _require_client_axis(batch: UnitRows, leading: tuple) -> None:
+    if batch.rows.shape[:-2] != leading:
+        raise ParameterError(f"batch client axis {batch.rows.shape[:-2]} disagrees with the parameters' {leading}")
+
+
 def _classification(
     batch: UnitRows,
     blocks: list[Array],
@@ -254,21 +288,23 @@ def _classification(
     class_tokens: Array,
     temperature: float,
     want_grad: bool,
-) -> tuple[float, Array | None]:
+) -> tuple[Array, Array | None]:
     """Mean cross-entropy of the batch under the text tower over ``blocks``.
 
     Logits are the cosines between each row and each class text, divided
-    by ``temperature``.  Returns the loss and its gradient with respect to
-    ``blocks[slot]`` (None without ``want_grad``); the text gradient goes
-    through the encoder's own VJP, which reads the forward's saved state.
+    by ``temperature``.  Returns the loss, one per client of a stack, and
+    its gradient with respect to ``blocks[slot]`` (None without
+    ``want_grad``); the text gradient goes through the encoder's own VJP,
+    which reads the forward's saved state.
     """
-    text, state = encoder.encode_class_texts(blocks, class_tokens)
-    xn = batch.rows
-    per_row, dlogits = softmax_ce_rows((1.0 / temperature) * (xn @ text.T), batch.labels)
-    loss = float(per_row.mean())
+    text, state = encoder.encode_class_texts(blocks, class_tokens)  # (..., C, d)
+    xn = batch.rows                                                  # (..., B, d)
+    _require_client_axis(batch, text.shape[:-2])
+    per_row, dlogits = softmax_ce_rows((1.0 / temperature) * (xn @ np.swapaxes(text, -1, -2)), batch.labels)
+    loss = per_row.mean(axis=-1)
     if not want_grad:
         return loss, None
-    dtext = ((1.0 / temperature) * ((1.0 / len(batch)) * dlogits)).T @ xn
+    dtext = np.swapaxes((1.0 / temperature) * ((1.0 / xn.shape[-2]) * dlogits), -1, -2) @ xn
     return loss, encoder.encode_class_texts_backward(state, dtext)[slot]
 
 
@@ -279,13 +315,18 @@ def global_loss(
     class_tokens: Array,
     temperature: float,
     want_grad: bool = True,
-) -> tuple[float, Array | None]:
-    """Mean cross-entropy of the global prediction path over a batch."""
+) -> tuple[float | Array, Array | None]:
+    """Mean cross-entropy of the global prediction path over a batch.
+
+    With a leading client axis on the batch and on the (K, L, d) prompts,
+    returns the (K,) losses and the (K, L, d) gradients.
+    """
     batch = _unit_rows(batch, class_tokens.shape[0])
     if len(batch) == 0:
         raise ParameterError("empty batch")
     blocks = [global_prompt, np.zeros(np.shape(global_prompt))]
-    return _classification(batch, blocks, 0, encoder, class_tokens, temperature, want_grad)
+    loss, grad = _classification(batch, blocks, 0, encoder, class_tokens, temperature, want_grad)
+    return _per_client(loss), grad
 
 
 # Below this pooled-prompt norm the contrastive term reads the direction
@@ -300,19 +341,17 @@ CONTRAST_NORM_FLOOR = 0.1
 def _contrast_forward(
     domain_prompt: Array, global_prompt: Array, own_description: Array
 ) -> tuple[Array, tuple]:
-    """Similarities of the pooled domain-prompt direction to its own
+    """Similarities (..., 2) of the pooled domain-prompt direction to its own
     description and to the pooled global prompt, plus what the backward
     pass reads."""
-    pooled = as_f64(domain_prompt).mean(axis=0)
-    norm = float(np.linalg.norm(pooled))
-    if norm >= CONTRAST_NORM_FLOOR:
-        direction = pooled / norm
-    else:
-        direction = (1.0 / CONTRAST_NORM_FLOOR) * pooled
+    pooled = as_f64(domain_prompt).mean(axis=-2)
+    norm = np.sqrt(_dot(pooled, pooled))[..., None]
+    exact = norm >= CONTRAST_NORM_FLOOR
+    direction = np.where(exact, pooled / np.where(exact, norm, 1.0), (1.0 / CONTRAST_NORM_FLOOR) * pooled)
     own = _unit_vector(own_description, "own description embedding")
-    anchor = _unit_vector(as_f64(global_prompt).mean(axis=0), "pooled global prompt")
-    sims = np.array([direction @ own, direction @ anchor])
-    return sims, (direction, norm, own, anchor)
+    anchor = _unit_vector(as_f64(global_prompt).mean(axis=-2), "pooled global prompt")
+    sims = np.stack([_dot(direction, own), _dot(direction, anchor)], axis=-1)
+    return sims, (direction, norm, exact, own, anchor)
 
 
 def domain_loss(
@@ -325,12 +364,15 @@ def domain_loss(
     temperature: float,
     use_contrastive: bool = True,
     want_grad: bool = True,
-) -> tuple[float, Array | None, dict[str, float]]:
+) -> tuple[float | Array, Array | None, dict[str, float | Array]]:
     """Local domain-prompt objective: classification plus optional contrast.
 
     The global prompt is a frozen constant here; gradients flow only into
     the domain prompt.  Returns (total, grad, parts) where parts reports
-    the classification and contrastive means separately.
+    the classification and contrastive means separately.  With a leading
+    client axis on the batch, on both (K, L, d) prompts and on the (K, d)
+    descriptions, every value is per client: (K,) losses and (K, L, d)
+    gradients.
     """
     batch = _unit_rows(batch, class_tokens.shape[0])
     if len(batch) == 0:
@@ -345,40 +387,46 @@ def domain_loss(
     total, grad = _classification(
         batch, [global_slot, domain_prompt], 1, encoder, class_tokens, temperature, want_grad
     )
-    parts = {"classification": total}
+    parts = {"classification": _per_client(total)}
     if use_contrastive:
         # two-way softmax cross-entropy with the own description as target
-        sims, (direction, norm, own, anchor) = _contrast_forward(domain_prompt, global_prompt, own_description)
-        con, dsims = softmax_ce_rows(sims[None, :], np.zeros(1, dtype=np.int64))
-        parts["contrastive"] = float(con[0])
-        total = total + con[0]
+        sims, (direction, norm, exact, own, anchor) = _contrast_forward(domain_prompt, global_prompt, own_description)
+        con, dsims = softmax_ce_rows(sims[..., None, :], np.zeros(sims.shape[:-1] + (1,), dtype=np.int64))
+        parts["contrastive"] = _per_client(con[..., 0])
+        total = total + con[..., 0]
         if want_grad:
-            ddirection = dsims[0, 0] * own + dsims[0, 1] * anchor
-            if norm >= CONTRAST_NORM_FLOOR:
-                dpooled = (ddirection - direction * float(direction @ ddirection)) / norm
-            else:
-                dpooled = (1.0 / CONTRAST_NORM_FLOOR) * ddirection
-            grad = dpooled[None, :] / np.shape(domain_prompt)[0] + grad
-    return float(total), grad, parts
+            ddirection = dsims[..., 0, 0:1] * own + dsims[..., 0, 1:2] * anchor
+            along = direction * _dot(direction, ddirection)[..., None]
+            dpooled = np.where(
+                exact,
+                (ddirection - along) / np.where(exact, norm, 1.0),
+                (1.0 / CONTRAST_NORM_FLOOR) * ddirection,
+            )
+            grad = dpooled[..., None, :] / np.shape(domain_prompt)[-2] + grad
+    return _per_client(total), grad, parts
 
 
 def classifier_loss(
     batch: UnitRows | LabeledEmbeddings,
     classifier: DomainClassifier,
     want_grad: bool = True,
-) -> tuple[float, dict[str, Array] | None]:
+) -> tuple[float | Array, dict[str, Array] | None]:
     """Mean cross-entropy of the linear domain head on normalized embeddings.
 
     Batch domains are the labels; every entry must carry a valid source
     domain index (augmented entries carry their style target's index).
+    With a leading client axis on the batch and on a stack of heads,
+    returns the (K,) losses and stacked gradients.
     """
     batch = _unit_rows(batch, None, classifier.num_domains)
     if len(batch) == 0:
         raise ParameterError("empty batch")
     xn = batch.rows
-    per_row, dlogits = softmax_ce_rows(xn @ classifier.weight.T + classifier.bias, batch.domains)
-    loss = float(per_row.mean())
+    _require_client_axis(batch, classifier.bias.shape[:-1])
+    logits = xn @ np.swapaxes(classifier.weight, -1, -2) + classifier.bias[..., None, :]
+    per_row, dlogits = softmax_ce_rows(logits, batch.domains)
+    loss = _per_client(per_row.mean(axis=-1))
     if not want_grad:
         return loss, None
-    dlogits = (1.0 / len(batch)) * dlogits
-    return loss, {"weight": dlogits.T @ xn, "bias": dlogits.sum(axis=0)}
+    dlogits = (1.0 / xn.shape[-2]) * dlogits
+    return loss, {"weight": np.swapaxes(dlogits, -1, -2) @ xn, "bias": dlogits.sum(axis=-2)}

@@ -15,7 +15,7 @@ from fedstyle.errors import ConfigurationError, NonFiniteLossError, ProtocolErro
 from fedstyle.federation import (
     FederationConfig,
     MethodToggles,
-    _require_finite_loss,
+    _require_finite_losses,
     _upload_weights,
     aggregate_anchored,
     comm_cost,
@@ -24,7 +24,15 @@ from fedstyle.federation import (
     run_stage_one,
     transform_jobs,
 )
-from fedstyle.prompts import PromptConfig, global_loss
+from fedstyle.prompts import (
+    DomainClassifier,
+    PromptConfig,
+    classifier_loss,
+    domain_loss,
+    global_loss,
+    init_prompt,
+)
+from fedstyle.seeding import rng
 from fedstyle.style_transfer import TransferConfig, train_transform
 from fedstyle.wire import KIND_GLOBAL_UPLOAD, decode_message, encode_message, protocol_message
 
@@ -220,11 +228,11 @@ def test_federation_config_validation():
 
 
 def test_finite_loss_guard():
-    assert _require_finite_loss(1.5, "x") == 1.5
-    with pytest.raises(NonFiniteLossError):
-        _require_finite_loss(float("nan"), "x")
-    with pytest.raises(NonFiniteLossError):
-        _require_finite_loss(float("inf"), "x")
+    _require_finite_losses(np.array([1.5, 0.2]), "x", 0, [0, 1])
+    with pytest.raises(NonFiniteLossError, match=r"x \(round 3, client 2\)"):
+        _require_finite_losses(np.array([1.5, np.nan]), "x", 3, [1, 2])
+    with pytest.raises(NonFiniteLossError, match=r"client 1\)"):
+        _require_finite_losses(np.array([np.inf, np.nan]), "x", 0, [1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -433,3 +441,109 @@ def test_trained_global_prompt_is_no_worse_than_zero_on_the_default_config():
         trained, _ = global_loss(pool, result.global_prompt, encoder, split.class_tokens, tau, want_grad=False)
         untrained, _ = global_loss(pool, zero, encoder, split.class_tokens, tau, want_grad=False)
         assert trained <= untrained
+
+
+# ---------------------------------------------------------------------------
+# lockstep clients
+# ---------------------------------------------------------------------------
+
+
+def _on_the_wire(array):
+    return np.asarray(array, dtype=np.float32).astype(np.float64)
+
+
+def _reference_protocol(stage_one, split, encoder, prompt_config, fed, seed):
+    """Stage two of the full method, one client at a time with the
+    single-client losses, uniform weights and float32 wire rounding."""
+    k, dim = split.num_clients, encoder.config.dim
+    ct, tau, wd = split.class_tokens, prompt_config.temperature, fed.weight_decay
+    shared = {"global_prompt": init_prompt(prompt_config, dim, seed, "global-prompt-init"),
+              "head_weight": np.zeros((k, dim)), "head_bias": np.zeros(k)}
+    domain = [init_prompt(prompt_config, dim, seed, "domain-prompt-init", i) for i in range(k)]
+    own = [encoder.encode_text(token[None, :]) for token in split.source_domain_tokens]
+    metrics = []
+
+    def draws(tag, pool, r, i, epoch, n):
+        order = rng(seed, tag, r, i, epoch).permutation(len(pool))[:n]
+        return [pool.select(order[start : start + fed.batch_size]) for start in range(0, n, fed.batch_size)]
+
+    for r in range(fed.rounds):
+        rates = [rate * fed.lr_decay**r for rate in (fed.global_lr, fed.head_lr, fed.domain_lr)]
+        sums = {"global_loss": [0.0, 0], "head_loss": [0.0, 0], "domain_loss": [0.0, 0]}
+
+        def add(kind, value, rows):
+            sums[kind][0] += value * rows
+            sums[kind][1] += rows
+
+        uploads = {}
+        for i, client in enumerate(stage_one.clients):
+            n = len(client.local_set)
+            prompt, w, b = (shared[name].copy() for name in ("global_prompt", "head_weight", "head_bias"))
+            global_adds, head_adds = [], []
+            for epoch in range(fed.global_epochs):
+                for batch in draws("global-shuffle", client.train_pool, r, i, epoch, n):
+                    value, grad = global_loss(batch, prompt, encoder, ct, tau)
+                    global_adds.append((value, len(batch)))
+                    prompt = prompt * (1.0 - rates[0] * wd) - rates[0] * grad
+                for batch in draws("head-shuffle", client.head_pool, r, i, epoch, n):
+                    value, grads = classifier_loss(batch, DomainClassifier(w, b))
+                    head_adds.append((value, len(batch)))
+                    w = w * (1.0 - rates[1] * wd) - rates[1] * grads["weight"]
+                    b = b * (1.0 - rates[1] * wd) - rates[1] * grads["bias"]
+            for value, rows in global_adds:
+                add("global_loss", value, rows)
+            for value, rows in head_adds:
+                add("head_loss", value, rows)
+            uploads[i] = {"global_prompt": _on_the_wire(prompt), "head_weight": _on_the_wire(w),
+                          "head_bias": _on_the_wire(b)}
+        shared = {name: _on_the_wire(a) for name, a in aggregate_anchored(uploads, {i: 1.0 / k for i in uploads}).items()}
+        for i, client in enumerate(stage_one.clients):
+            for epoch in range(fed.domain_epochs):
+                for batch in draws("domain-shuffle", client.local_set, r, i, epoch, len(client.local_set)):
+                    value, grad, _ = domain_loss(batch, domain[i], shared["global_prompt"], encoder, ct, own[i], tau)
+                    add("domain_loss", value, len(batch))
+                    domain[i] = domain[i] * (1.0 - rates[2] * wd) - rates[2] * grad
+        metrics.append({"round": float(r), **{kind: total / count for kind, (total, count) in sums.items()}})
+    return shared, _on_the_wire(np.stack(domain)), metrics
+
+
+@pytest.mark.parametrize("cut", [0, 1])
+def test_lockstep_protocol_equals_a_per_client_reference_loop(cut):
+    # one client cut to 19 rows: two length groups, and a short last batch;
+    # cutting client 1 leaves clients 0 and 2 stepping together
+    world, encoder = _world()
+    split = leave_one_out(world, 3)
+    clients = list(split.clients)
+    clients[cut] = clients[cut].subset(np.arange(19))
+    split = dataclasses.replace(split, clients=clients)
+    toggles = MethodToggles(include_target_description=True)
+    stage_one = run_stage_one(split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, toggles, 2)
+    assert len(stage_one.clients[0].head_pool) < len(stage_one.clients[0].train_pool)
+    prompt_config = PromptConfig(length=2, temperature=0.05, init_scale=1e-3)
+    fed = FederationConfig(**dict(_ROUNDS, rounds=2, global_epochs=2, batch_size=8, weight_decay=0.5, lr_decay=0.7))
+    result = run_protocol(stage_one, split, encoder, prompt_config, fed, toggles, 2)
+    shared, stack, metrics = _reference_protocol(stage_one, split, encoder, prompt_config, fed, 2)
+    assert result.global_prompt.tobytes() == shared["global_prompt"].tobytes()
+    assert result.classifier.weight.tobytes() == shared["head_weight"].tobytes()
+    assert result.classifier.bias.tobytes() == shared["head_bias"].tobytes()
+    assert result.domain_prompts.tobytes() == stack.tobytes()
+    assert result.round_metrics == metrics
+
+
+def test_stacked_step_names_the_client_whose_loss_diverges(monkeypatch):
+    world, encoder = _world()
+    split = leave_one_out(world, 3)
+    toggles = MethodToggles(use_style_transfer=False)
+    stage_one = run_stage_one(split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, toggles, 0)
+    assert len({len(client.local_set) for client in stage_one.clients}) == 1  # one lockstep group
+
+    def poisoned(batch, prompts, *args, **kwargs):
+        values, grad = global_loss(batch, prompts, *args, **kwargs)
+        return np.where(np.arange(len(values)) == 1, np.nan, values), grad
+
+    monkeypatch.setattr(federation, "global_loss", poisoned)
+    with pytest.raises(NonFiniteLossError, match=r"global loss \(round 0, client 1\)"):
+        run_protocol(
+            stage_one, split, encoder, PromptConfig(length=2, temperature=0.05, init_scale=1e-3),
+            FederationConfig(**dict(_ROUNDS, rounds=1)), toggles, 0,
+        )

@@ -22,6 +22,7 @@ from fedstyle.prompts import (
     CONTRAST_NORM_FLOOR,
     DomainClassifier,
     PromptConfig,
+    UnitRows,
     classifier_loss,
     domain_loss,
     global_loss,
@@ -595,3 +596,51 @@ def test_classifier_loss_rejects_out_of_range_domains():
     batch.domains[0] = -1  # style-target entries must be filtered out upstream
     with pytest.raises(DataError):
         classifier_loss(batch, DomainClassifier.init(2, DIM))
+
+
+# ---------------------------------------------------------------------------
+# a leading client axis
+# ---------------------------------------------------------------------------
+
+
+def _stacked(pools, index):
+    return UnitRows(*(np.stack([getattr(p, name)[index] for p in pools]) for name in ("rows", "labels", "domains")))
+
+
+@pytest.mark.parametrize("loss", ["global", "domain", "classifier"])
+def test_a_stacked_call_equals_one_call_per_client_bit_for_bit(loss):
+    k = 3
+    pools = [UnitRows.prepare(_batch(n=48, seed=20 + j, domains=k), 3, k) for j in range(k)]
+    enc, ct = _encoder(), _class_tokens()
+    g = rng(21, "stacked-losses")
+    gp = g.normal(size=(k, 2, DIM)) * 0.05
+    # pooled norms of about 0.06, 1.7 and 5.6: client 0 sits on the
+    # contrastive ramp, the others are normalized exactly
+    dp = g.normal(size=(k, 2, DIM)) * np.array([0.01, 0.3, 1.0])[:, None, None]
+    own = g.normal(size=(k, DIM))
+    heads = DomainClassifier(g.normal(size=(k, k, DIM)) * 0.1, g.normal(size=(k, k)) * 0.1)
+
+    def call(batch, j):
+        # j=None takes every client at once
+        pick = (lambda a: a) if j is None else (lambda a: a[j])
+        if loss == "global":
+            return global_loss(batch, pick(gp), enc, ct, TAU)
+        if loss == "domain":
+            return domain_loss(batch, pick(dp), pick(gp), enc, ct, pick(own), TAU)[:2]
+        return classifier_loss(batch, DomainClassifier(pick(heads.weight), pick(heads.bias)))
+
+    for rows in (slice(0, 32), slice(32, 48)):
+        values, grads = call(_stacked(pools, rows), None)
+        assert values.shape == (k,)
+        for j in range(k):
+            value, grad = call(pools[j].select(rows), j)
+            assert isinstance(value, float) and values[j] == value
+            if loss == "classifier":
+                assert all(grads[name][j].tobytes() == grad[name].tobytes() for name in grad)
+            else:
+                assert grads[j].tobytes() == grad.tobytes()
+
+
+def test_stacked_batch_length_counts_every_row():
+    pools = [UnitRows.prepare(_batch(n=10, seed=30 + j), 3) for j in range(3)]
+    assert len(_stacked(pools, slice(0, 8))) == 24
