@@ -12,7 +12,7 @@ The world is a controlled geometry in raw space:
   source domains carries over to a held-out one instead of meeting a
   direction no training signal ever visited,
 * a sample of class c in domain k is
-  ``encode_image(normalize(prototype_c + shift_scale * shift_k + noise * N(0, I)))``,
+  ``encode_image_batch`` of ``normalize(prototype_c + shift_scale * shift_k + noise * N(0, I))``,
 * the text tokens are literally the same directions at a small scale:
   class token c is ``token_scale * prototype_c`` and domain token k is
   ``token_scale * shift_k``, placing them inside the encoder's near-linear

@@ -93,21 +93,9 @@ class FrozenEncoder:
 
     # -- image tower --------------------------------------------------------
 
-    def encode_image(self, raw: Array) -> Array:
-        """normalize(A @ raw); raises on a zero image."""
-        v = require_finite(as_f64(raw), "raw")
-        if v.shape != (self.config.dim,):
-            raise ParameterError(f"raw vector must have shape ({self.config.dim},), got {v.shape}")
-        y = self.projection @ v
-        if not self.config.normalize:
-            return y
-        n = np.linalg.norm(y)
-        if n == 0.0:
-            raise DomainError("projected image is the zero vector")
-        return y / n
-
     def encode_image_batch(self, raws: Array) -> Array:
-        """Row-wise ``encode_image``; identical values, one matmul."""
+        """normalize(A @ raw) for each row of (n, d) raws, in one matmul;
+        raises on a zero image."""
         v = require_finite(as_f64(raws), "raws")
         if v.ndim != 2 or v.shape[1] != self.config.dim:
             raise ParameterError(f"raw batch must be (n, {self.config.dim}), got {v.shape}")

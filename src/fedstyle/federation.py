@@ -579,7 +579,8 @@ def run_protocol(
                         _require_finite_losses(values, "head loss", round_index, ids)
                         losses.add("head_loss", ids, values, batch.labels.shape[-1])
                         decayed = {
-                            name: _decayed(param, fed_config, head_rate) for name, param in heads.params().items()
+                            name: _decayed(param, fed_config, head_rate)
+                            for name, param in heads.params().items()
                         }
                         new = sgd_step(SgdState(head_rate), decayed, grads)
                         heads = DomainClassifier(new["weight"], new["bias"])

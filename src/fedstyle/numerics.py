@@ -2,8 +2,7 @@
 
 Three groups of things live here:
 
-* stable primitives with explicit domain checks: temperature softmax and
-  ``softmax_ce_rows``, the row softmax cross-entropy, clamped before the
+* ``softmax_ce_rows``, the row softmax cross-entropy, clamped before the
   log, that returns its logit gradient alongside the loss.  Every
   training loss in the package ends in it and writes the rest of its
   backward pass in closed form next to its forward pass,
@@ -51,22 +50,6 @@ def require_finite(value: Array, name: str = "value") -> Array:
 # ---------------------------------------------------------------------------
 
 
-def softmax(logits, temperature: float = 1.0) -> Array:
-    """Temperature softmax of a 1-D logit vector.
-
-    The maximum is subtracted before exponentiation, so any finite logit
-    spread is safe.  ``temperature`` divides the logits and must be positive.
-    """
-    z = require_finite(as_f64(logits), "logits")
-    if z.ndim != 1 or z.size == 0:
-        raise ParameterError("logits must be a non-empty 1-D vector")
-    if not temperature > 0.0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
-    z = z / temperature
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
 def softmax_ce_rows(logits: Array, labels: Array) -> tuple[Array, Array]:
     """Per-row cross-entropy of the row softmax of (..., B, C) logits.
 
@@ -82,6 +65,8 @@ def softmax_ce_rows(logits: Array, labels: Array) -> tuple[Array, Array]:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != logits.shape[:-1]:
         raise ParameterError("softmax_ce_rows: one label per row required")
+    if labels.size == 0:
+        raise ParameterError("softmax_ce_rows: no rows")
     if labels.min() < 0 or labels.max() >= logits.shape[-1]:
         raise ParameterError("softmax_ce_rows: label out of range")
     z = logits.reshape(-1, logits.shape[-1])

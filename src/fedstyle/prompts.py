@@ -277,7 +277,9 @@ def _per_client(values: Array) -> float | Array:
 
 def _require_client_axis(batch: UnitRows, leading: tuple) -> None:
     if batch.rows.shape[:-2] != leading:
-        raise ParameterError(f"batch client axis {batch.rows.shape[:-2]} disagrees with the parameters' {leading}")
+        raise ParameterError(
+            f"batch client axis {batch.rows.shape[:-2]} disagrees with the parameters' {leading}"
+        )
 
 
 def _classification(
@@ -390,7 +392,8 @@ def domain_loss(
     parts = {"classification": _per_client(total)}
     if use_contrastive:
         # two-way softmax cross-entropy with the own description as target
-        sims, (direction, norm, exact, own, anchor) = _contrast_forward(domain_prompt, global_prompt, own_description)
+        sims, saved = _contrast_forward(domain_prompt, global_prompt, own_description)
+        direction, norm, exact, own, anchor = saved
         con, dsims = softmax_ce_rows(sims[..., None, :], np.zeros(sims.shape[:-1] + (1,), dtype=np.int64))
         parts["contrastive"] = _per_client(con[..., 0])
         total = total + con[..., 0]

@@ -104,7 +104,7 @@ def test_zero_noise_repeats_the_cell_prototype():
         np.flatnonzero((world.samples.domains == 1) & (world.samples.labels == 2))
     )
     raw = world.prototypes[2] + world.shifts[1]
-    expected = enc.encode_image(raw / np.linalg.norm(raw))
+    expected = enc.encode_image_batch((raw / np.linalg.norm(raw))[None, :])[0]
     assert np.allclose(cell.embeddings, expected[None, :], atol=1e-12)
 
 
@@ -118,7 +118,7 @@ def test_cell_mean_approaches_noiseless_embedding():
         np.flatnonzero((world.samples.domains == 0) & (world.samples.labels == 0))
     )
     raw = world.prototypes[0] + world.shifts[0]
-    noiseless = enc.encode_image(raw / np.linalg.norm(raw))
+    noiseless = enc.encode_image_batch((raw / np.linalg.norm(raw))[None, :])[0]
     deviation = np.linalg.norm(cell.embeddings.mean(axis=0) - noiseless)
     assert deviation < 3.0 * sigma * np.sqrt(d / n) + sigma**2 * d
 

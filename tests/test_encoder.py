@@ -90,7 +90,7 @@ def test_config_validation():
 def test_encode_image_matches_definition():
     rng = np.random.default_rng(0)
     raw = rng.normal(size=CFG.dim)
-    got = ENC.encode_image(raw)
+    got = ENC.encode_image_batch(raw[None, :])[0]
     expected = _unit(ENC.projection @ raw)
     assert np.allclose(got, expected, atol=1e-15)
     assert abs(np.linalg.norm(got) - 1.0) < 1e-12
@@ -101,22 +101,24 @@ def test_encode_image_batch_equals_loop():
     raws = rng.normal(size=(5, CFG.dim))
     batch = ENC.encode_image_batch(raws)
     for i in range(5):
-        assert np.allclose(batch[i], ENC.encode_image(raws[i]), atol=1e-14)
+        assert np.allclose(batch[i], ENC.encode_image_batch(raws[i : i + 1])[0], atol=1e-14)
 
 
 def test_encode_image_rejects_bad_input():
     with pytest.raises(ParameterError):
-        ENC.encode_image(np.zeros(CFG.dim + 1))
+        ENC.encode_image_batch(np.zeros((1, CFG.dim + 1)))
+    with pytest.raises(ParameterError):
+        ENC.encode_image_batch(np.zeros(CFG.dim))
     with pytest.raises(DomainError):
-        ENC.encode_image(np.full(CFG.dim, np.nan))
+        ENC.encode_image_batch(np.full((1, CFG.dim), np.nan))
     with pytest.raises(DomainError):
-        ENC.encode_image(np.zeros(CFG.dim))
+        ENC.encode_image_batch(np.zeros((1, CFG.dim)))
 
 
 def test_unnormalized_mode():
     enc = FrozenEncoder(EncoderConfig(dim=8, max_tokens=4, seed=5, normalize=False))
     raw = np.arange(8.0)
-    assert np.allclose(enc.encode_image(raw), enc.projection @ raw, atol=1e-15)
+    assert np.allclose(enc.encode_image_batch(raw[None, :])[0], enc.projection @ raw, atol=1e-15)
     tokens = np.arange(16.0).reshape(2, 8) * 0.01
     pooled = enc.position_scale[:2] @ tokens
     assert np.allclose(enc.encode_text(tokens), enc.projection @ np.tanh(pooled), atol=1e-15)

@@ -496,11 +496,13 @@ def _reference_protocol(stage_one, split, encoder, prompt_config, fed, seed):
                 add("head_loss", value, rows)
             uploads[i] = {"global_prompt": _on_the_wire(prompt), "head_weight": _on_the_wire(w),
                           "head_bias": _on_the_wire(b)}
-        shared = {name: _on_the_wire(a) for name, a in aggregate_anchored(uploads, {i: 1.0 / k for i in uploads}).items()}
+        aggregated = aggregate_anchored(uploads, {i: 1.0 / k for i in uploads})
+        shared = {name: _on_the_wire(a) for name, a in aggregated.items()}
         for i, client in enumerate(stage_one.clients):
             for epoch in range(fed.domain_epochs):
                 for batch in draws("domain-shuffle", client.local_set, r, i, epoch, len(client.local_set)):
-                    value, grad, _ = domain_loss(batch, domain[i], shared["global_prompt"], encoder, ct, own[i], tau)
+                    anchor = shared["global_prompt"]
+                    value, grad, _ = domain_loss(batch, domain[i], anchor, encoder, ct, own[i], tau)
                     add("domain_loss", value, len(batch))
                     domain[i] = domain[i] * (1.0 - rates[2] * wd) - rates[2] * grad
         metrics.append({"round": float(r), **{kind: total / count for kind, (total, count) in sums.items()}})
@@ -520,7 +522,9 @@ def test_lockstep_protocol_equals_a_per_client_reference_loop(cut):
     stage_one = run_stage_one(split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, toggles, 2)
     assert len(stage_one.clients[0].head_pool) < len(stage_one.clients[0].train_pool)
     prompt_config = PromptConfig(length=2, temperature=0.05, init_scale=1e-3)
-    fed = FederationConfig(**dict(_ROUNDS, rounds=2, global_epochs=2, batch_size=8, weight_decay=0.5, lr_decay=0.7))
+    fed = FederationConfig(
+        **dict(_ROUNDS, rounds=2, global_epochs=2, batch_size=8, weight_decay=0.5, lr_decay=0.7)
+    )
     result = run_protocol(stage_one, split, encoder, prompt_config, fed, toggles, 2)
     shared, stack, metrics = _reference_protocol(stage_one, split, encoder, prompt_config, fed, 2)
     assert result.global_prompt.tobytes() == shared["global_prompt"].tobytes()

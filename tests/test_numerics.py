@@ -21,7 +21,6 @@ from fedstyle.numerics import (
     adam_step,
     grad_check,
     sgd_step,
-    softmax,
     softmax_ce_rows,
 )
 
@@ -33,18 +32,31 @@ finite_floats = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
 # ---------------------------------------------------------------------------
 
 
-def test_softmax_two_logits_matches_hand_computation():
+def _math_softmax(z, temperature=1.0):
     # oracle: p_i = exp(z_i / t) / sum, computed with math.exp directly
+    top = max(z)
+    e = [math.exp((v - top) / temperature) for v in z]
+    return np.array([v / sum(e) for v in e])
+
+
+def _row_softmax(z, temperature=1.0):
+    # the softmax inside softmax_ce_rows, read back from the logit gradient
+    # p - onehot of one row of logits z / t with label 0
+    z = np.asarray(z, dtype=float)[None, :] / temperature
+    _, dlogits = softmax_ce_rows(z, np.array([0]))
+    return dlogits[0] + np.eye(z.shape[1])[0]
+
+
+def test_softmax_two_logits_matches_hand_computation():
     t = 0.5
     z = [1.0, 2.0]
     e = [math.exp(v / t) for v in z]
     expected = [v / sum(e) for v in e]
-    got = softmax(np.array(z), temperature=t)
-    assert np.allclose(got, expected, rtol=0, atol=1e-15)
+    assert np.allclose(_row_softmax(z, temperature=t), expected, rtol=0, atol=1e-15)
 
 
 def test_softmax_equal_logits_is_uniform():
-    assert np.allclose(softmax(np.zeros(4), temperature=0.01), 0.25)
+    assert np.allclose(_row_softmax(np.zeros(4), temperature=0.01), 0.25)
 
 
 @given(
@@ -55,8 +67,8 @@ def test_softmax_equal_logits_is_uniform():
 @settings(max_examples=100)
 def test_softmax_shift_invariance_and_normalization(logits, shift, temperature):
     z = np.array(logits)
-    p = softmax(z, temperature)
-    q = softmax(z + shift, temperature)
+    p = _row_softmax(z, temperature)
+    q = _row_softmax(z + shift, temperature)
     assert abs(p.sum() - 1.0) <= 1e-12
     assert np.all(p >= 0.0)
     assert np.allclose(p, q, atol=1e-9)
@@ -64,35 +76,47 @@ def test_softmax_shift_invariance_and_normalization(logits, shift, temperature):
 
 def test_softmax_temperature_extremes():
     z = np.array([0.0, 1.0])
-    sharp = softmax(z, temperature=1e-3)
-    flat = softmax(z, temperature=1e3)
+    sharp = _row_softmax(z, temperature=1e-3)
+    flat = _row_softmax(z, temperature=1e3)
     assert sharp[1] > 1.0 - 1e-12
     assert np.allclose(flat, 0.5, atol=1e-3)
 
 
 def test_softmax_rejects_bad_inputs():
+    # no rows, labels that do not match a stack of logit matrices, and a
+    # label outside a stacked row
     with pytest.raises(ParameterError):
-        softmax(np.array([1.0, 2.0]), temperature=0.0)
+        softmax_ce_rows(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
     with pytest.raises(ParameterError):
-        softmax(np.array([1.0, 2.0]), temperature=-1.0)
-    with pytest.raises(DomainError):
-        softmax(np.array([1.0, np.nan]))
+        softmax_ce_rows(np.zeros((2, 4, 3)), np.zeros((4, 2), dtype=np.int64))
     with pytest.raises(ParameterError):
-        softmax(np.array([]))
+        softmax_ce_rows(np.zeros((2, 4, 3)), np.full((2, 4), 3))
 
 
 def test_softmax_ce_rows_matches_scalar_primitives():
-    # oracle: each row through softmax, -log of the clamped label mass,
-    # gradient p - onehot
+    # oracle: each row through a plain-math softmax, -log of the clamped
+    # label mass, gradient p - onehot
     logits = np.array([[0.2, -1.0, 3.0], [1e3, 0.0, -1e3]])
     labels = np.array([2, 2])
     loss, dlogits = softmax_ce_rows(logits, labels)
     for i in range(2):
-        p = softmax(logits[i])
+        p = _math_softmax(logits[i])
         assert loss[i] == pytest.approx(-math.log(max(p[labels[i]], PROB_FLOOR)), rel=1e-15)
         assert np.allclose(dlogits[i], p - np.eye(3)[labels[i]], rtol=0, atol=1e-15)
     # the second row's label mass underflows to zero: clamped, no inf
     assert loss[1] == pytest.approx(-math.log(1e-12))
+
+
+def test_softmax_ce_rows_on_a_stack_equals_each_matrix_alone():
+    rng = np.random.default_rng(4)
+    logits = rng.normal(size=(3, 5, 4)) * 3.0
+    labels = rng.integers(0, 4, size=(3, 5))
+    loss, dlogits = softmax_ce_rows(logits, labels)
+    assert loss.shape == (3, 5) and dlogits.shape == logits.shape
+    for k in range(3):
+        alone, dalone = softmax_ce_rows(logits[k], labels[k])
+        assert loss[k].tobytes() == alone.tobytes()
+        assert dlogits[k].tobytes() == dalone.tobytes()
 
 
 def test_softmax_ce_rows_validates():

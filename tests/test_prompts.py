@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from fedstyle.data import LabeledEmbeddings
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
 from fedstyle.errors import ConfigurationError, DataError, DomainError, ParameterError
-from fedstyle.numerics import PROB_FLOOR, grad_check, softmax
+from fedstyle.numerics import PROB_FLOOR, grad_check
 from fedstyle.prompts import (
     CONTRAST_NORM_FLOOR,
     DomainClassifier,
@@ -35,6 +35,12 @@ DIM = 8
 TAU = 0.05
 # a small seeded prompt start, pinned by keyword
 _INIT = dict(temperature=0.01, init_scale=1e-3)
+
+
+def _softmax(z, temperature):
+    # test oracle: temperature softmax of one logit vector
+    e = np.exp((z - np.max(z)) / temperature)
+    return e / e.sum()
 
 
 def _encoder(dim=DIM, max_tokens=12, seed=3):
@@ -232,7 +238,7 @@ def test_global_only_layout_matches_manual_tower():
     probs = _predict_one(x, gp, None, None)
     # the domain slot is zeroed but still occupies its token positions
     text = enc.encode_class_texts([gp, np.zeros_like(gp)], ct)[0]
-    expected = softmax(text @ (x / np.linalg.norm(x)), temperature=TAU)
+    expected = _softmax(text @ (x / np.linalg.norm(x)), TAU)
     assert probs.shape == (3,)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(probs, expected, rtol=1e-12, atol=0.0)
@@ -246,10 +252,10 @@ def test_one_prompt_stack_with_and_without_global():
     x = rng(6, "x").normal(size=DIM)
     xn = x / np.linalg.norm(x)
     both = _predict_one(x, gp, *_one_prompt(dp))
-    assert np.allclose(both, softmax(enc.encode_class_texts([gp, dp], ct)[0] @ xn, temperature=TAU))
+    assert np.allclose(both, _softmax(enc.encode_class_texts([gp, dp], ct)[0] @ xn, TAU))
     alone = _predict_one(x, None, *_one_prompt(dp))
     assert np.allclose(
-        alone, softmax(enc.encode_class_texts([np.zeros_like(dp), dp], ct)[0] @ xn, temperature=TAU)
+        alone, _softmax(enc.encode_class_texts([np.zeros_like(dp), dp], ct)[0] @ xn, TAU)
     )
 
 
@@ -344,7 +350,7 @@ def _global_oracle(batch, prompt, enc, ct, temperature):
     total = 0.0
     for x, y in zip(batch.embeddings, batch.labels):
         text = enc.encode_class_texts([prompt, np.zeros_like(prompt)], ct)[0]
-        probs = softmax(text @ (x / np.linalg.norm(x)), temperature=temperature)
+        probs = _softmax(text @ (x / np.linalg.norm(x)), temperature)
         total += -math.log(max(probs[y], PROB_FLOOR))
     return total / len(batch)
 
@@ -413,7 +419,7 @@ def _domain_oracle(batch, dp, gp, enc, ct, own, temperature, use_contrastive):
     total = 0.0
     for x, y in zip(batch.embeddings, batch.labels):
         text = enc.encode_class_texts(blocks, ct)[0]
-        probs = softmax(text @ (x / np.linalg.norm(x)), temperature=temperature)
+        probs = _softmax(text @ (x / np.linalg.norm(x)), temperature)
         total += -math.log(max(probs[y], PROB_FLOOR))
     cla = total / len(batch)
     if not use_contrastive:
@@ -424,7 +430,7 @@ def _domain_oracle(batch, dp, gp, enc, ct, own, temperature, use_contrastive):
     anchor = gp.mean(axis=0)
     anchor = anchor / np.linalg.norm(anchor)
     sims = np.array([pooled @ own_u, pooled @ anchor])
-    return cla - math.log(max(softmax(sims, temperature=1.0)[0], PROB_FLOOR))
+    return cla - math.log(max(_softmax(sims, 1.0)[0], PROB_FLOOR))
 
 
 @pytest.mark.parametrize("use_contrastive", [True, False])
@@ -604,7 +610,8 @@ def test_classifier_loss_rejects_out_of_range_domains():
 
 
 def _stacked(pools, index):
-    return UnitRows(*(np.stack([getattr(p, name)[index] for p in pools]) for name in ("rows", "labels", "domains")))
+    names = ("rows", "labels", "domains")
+    return UnitRows(*(np.stack([getattr(p, name)[index] for p in pools]) for name in names))
 
 
 @pytest.mark.parametrize("loss", ["global", "domain", "classifier"])
