@@ -70,9 +70,10 @@ def softmax_ce_rows(logits: Array, labels: Array) -> tuple[Array, Array]:
     if labels.min() < 0 or labels.max() >= logits.shape[-1]:
         raise ParameterError("softmax_ce_rows: label out of range")
     z = logits.reshape(-1, logits.shape[-1])
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
+    # one fresh array, then every step in place
+    p = z - z.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
     rows = np.arange(p.shape[0])
     picked = labels.reshape(-1)
     loss = -np.log(np.maximum(p[rows, picked], PROB_FLOOR))

@@ -302,11 +302,15 @@ def _classification(
     text, state = encoder.encode_class_texts(blocks, class_tokens)  # (..., C, d)
     xn = batch.rows                                                  # (..., B, d)
     _require_client_axis(batch, text.shape[:-2])
-    per_row, dlogits = softmax_ce_rows((1.0 / temperature) * (xn @ np.swapaxes(text, -1, -2)), batch.labels)
+    logits = xn @ np.swapaxes(text, -1, -2)
+    logits *= 1.0 / temperature
+    per_row, dlogits = softmax_ce_rows(logits, batch.labels)
     loss = per_row.mean(axis=-1)
     if not want_grad:
         return loss, None
-    dtext = np.swapaxes((1.0 / temperature) * ((1.0 / xn.shape[-2]) * dlogits), -1, -2) @ xn
+    dlogits *= 1.0 / xn.shape[-2]
+    dlogits *= 1.0 / temperature
+    dtext = np.swapaxes(dlogits, -1, -2) @ xn
     return loss, encoder.encode_class_texts_backward(state, dtext)[slot]
 
 
@@ -426,10 +430,11 @@ def classifier_loss(
         raise ParameterError("empty batch")
     xn = batch.rows
     _require_client_axis(batch, classifier.bias.shape[:-1])
-    logits = xn @ np.swapaxes(classifier.weight, -1, -2) + classifier.bias[..., None, :]
+    logits = xn @ np.swapaxes(classifier.weight, -1, -2)
+    logits += classifier.bias[..., None, :]
     per_row, dlogits = softmax_ce_rows(logits, batch.domains)
     loss = _per_client(per_row.mean(axis=-1))
     if not want_grad:
         return loss, None
-    dlogits = (1.0 / xn.shape[-2]) * dlogits
+    dlogits *= 1.0 / xn.shape[-2]
     return loss, {"weight": np.swapaxes(dlogits, -1, -2) @ xn, "bias": dlogits.sum(axis=-2)}
