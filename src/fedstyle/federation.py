@@ -326,11 +326,8 @@ def run_stage_one(
     """
     classes, k = split.class_tokens.shape[0], split.num_clients
     if not toggles.use_style_transfer:
-        clients = []
-        for i, ds in enumerate(split.clients):
-            pool = UnitRows.prepare(ds, classes, k)
-            clients.append(ClientData(client_id=i, local_set=pool, train_pool=pool, head_pool=pool))
-        return StageOneResult(clients=clients)
+        pools = [UnitRows.prepare(ds, classes, k) for ds in split.clients]
+        return StageOneResult(clients=[ClientData(i, pool, pool, pool) for i, pool in enumerate(pools)])
 
     jobs = transform_jobs(split, toggles.include_target_description)
     trained: dict[tuple[int, int], TransformNetwork] = {}
@@ -353,14 +350,7 @@ def run_stage_one(
         else:
             train_pool = UnitRows.prepare(pool, classes)
             head_pool = UnitRows.prepare(pool.subset(head), classes, k)
-        clients.append(
-            ClientData(
-                client_id=i,
-                local_set=train_pool.select(slice(0, len(local))),
-                train_pool=train_pool,
-                head_pool=head_pool,
-            )
-        )
+        clients.append(ClientData(i, train_pool.select(slice(0, len(local))), train_pool, head_pool))
         transforms[i] = nets
         log.info(
             "client %d: %d local, %d augmented toward %s",
@@ -410,8 +400,7 @@ def _length_groups(clients: list[ClientRuntime]) -> list[list[ClientRuntime]]:
 
 def _gather_buffer(group: list[ClientRuntime], dim: int) -> UnitRows:
     """Room for one (K, n, ...) draw of a group, reused by every pass: a
-    fresh array of this size per pass costs more in page faults than the
-    gather itself."""
+    fresh one per pass costs more in page faults than the gather."""
     shape = (len(group), len(group[0].data.local_set))
     return UnitRows(np.empty(shape + (dim,)), np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64))
 
@@ -439,28 +428,24 @@ def _decayed(param: Array, fed_config: FederationConfig, learning_rate: float) -
     return param * (1.0 - learning_rate * fed_config.weight_decay)
 
 
-def _require_finite_losses(values: Array, what: str, round_index: int, client_ids: list[int]) -> None:
-    """Raise ``NonFiniteLossError`` naming the round and the first client
-    of a stacked step whose loss diverged."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        j = bad[0]
-        raise NonFiniteLossError(
-            f"{what} (round {round_index}, client {client_ids[j]}) diverged to {float(values[j])!r}"
-        )
-
-
 class _RoundLosses:
     """Each client's batch losses of one round, by kind."""
 
     KINDS = ("global_loss", "head_loss", "domain_loss")
 
-    def __init__(self):
+    def __init__(self, round_index: int):
+        self.round_index = round_index
         self.entries: dict[tuple[str, int], list[tuple[float, int]]] = {}
 
     def add(self, kind: str, client_ids: list[int], values: Array, rows: int) -> None:
-        for i, value in zip(client_ids, values):
-            self.entries.setdefault((kind, i), []).append((float(value), rows))
+        """Record one stacked step of ``rows`` rows per client; a diverged
+        loss raises ``NonFiniteLossError`` naming the round and the client."""
+        for i, value in zip(client_ids, values.tolist()):
+            if not np.isfinite(value):
+                what = kind.replace("_", " ")
+                raise NonFiniteLossError(f"{what} (round {self.round_index}, client {i}) diverged to {value!r}")
+        for i, value in zip(client_ids, values.tolist()):
+            self.entries.setdefault((kind, i), []).append((value, rows))
 
     def means(self, client_ids: list[int]) -> dict[str, float]:
         """Row-weighted mean of each kind that ran, summed client by client
@@ -538,7 +523,7 @@ def run_protocol(
         global_rate = fed_config.global_lr * scale
         head_rate = fed_config.head_lr * scale
         domain_rate = fed_config.domain_lr * scale
-        losses = _RoundLosses()
+        losses = _RoundLosses(round_index)
 
         # local refinement of the shared state, one length group at a time
         for group, drawn in zip(groups, buffers):
@@ -561,7 +546,6 @@ def run_protocol(
                         group, pools, drawn, "global-shuffle", seed, round_index, epoch, fed_config.batch_size
                     ):
                         values, grad = global_loss(batch, prompts, encoder, class_tokens, temperature)
-                        _require_finite_losses(values, "global loss", round_index, ids)
                         losses.add("global_loss", ids, values, batch.labels.shape[-1])
                         prompts = sgd_step(
                             SgdState(global_rate),
@@ -576,7 +560,6 @@ def run_protocol(
                         group, pools, drawn, "head-shuffle", seed, round_index, epoch, fed_config.batch_size
                     ):
                         values, grads = classifier_loss(batch, heads)
-                        _require_finite_losses(values, "head loss", round_index, ids)
                         losses.add("head_loss", ids, values, batch.labels.shape[-1])
                         decayed = {
                             name: _decayed(param, fed_config, head_rate)
@@ -645,16 +628,9 @@ def run_protocol(
                         group, pools, drawn, "domain-shuffle", seed, round_index, epoch, fed_config.batch_size
                     ):
                         values, grad, _ = domain_loss(
-                            batch,
-                            prompts,
-                            anchors,
-                            encoder,
-                            class_tokens,
-                            own,
-                            temperature,
+                            batch, prompts, anchors, encoder, class_tokens, own, temperature,
                             use_contrastive=toggles.use_contrastive,
                         )
-                        _require_finite_losses(values, "domain loss", round_index, ids)
                         losses.add("domain_loss", ids, values, batch.labels.shape[-1])
                         prompts = sgd_step(
                             SgdState(domain_rate),

@@ -15,7 +15,7 @@ from fedstyle.errors import ConfigurationError, NonFiniteLossError, ProtocolErro
 from fedstyle.federation import (
     FederationConfig,
     MethodToggles,
-    _require_finite_losses,
+    _RoundLosses,
     _upload_weights,
     aggregate_anchored,
     comm_cost,
@@ -228,11 +228,14 @@ def test_federation_config_validation():
 
 
 def test_finite_loss_guard():
-    _require_finite_losses(np.array([1.5, 0.2]), "x", 0, [0, 1])
-    with pytest.raises(NonFiniteLossError, match=r"x \(round 3, client 2\)"):
-        _require_finite_losses(np.array([1.5, np.nan]), "x", 3, [1, 2])
+    losses = _RoundLosses(3)
+    losses.add("head_loss", [0, 1], np.array([1.5, 0.5]), 8)
+    with pytest.raises(NonFiniteLossError, match=r"global loss \(round 3, client 2\)"):
+        losses.add("global_loss", [1, 2], np.array([1.5, np.nan]), 8)
     with pytest.raises(NonFiniteLossError, match=r"client 1\)"):
-        _require_finite_losses(np.array([np.inf, np.nan]), "x", 0, [1, 2])
+        losses.add("global_loss", [1, 2], np.array([np.inf, np.nan]), 8)
+    # a step that raised records nothing
+    assert losses.means([0, 1, 2]) == {"head_loss": 1.0}
 
 
 # ---------------------------------------------------------------------------
