@@ -17,8 +17,9 @@ pooled token sums to embeddings; its vector-Jacobian product
 returns its saved state next to the embeddings, so
 ``encode_class_texts_backward`` runs on that state without pooling or
 running the tower again.  A bare description or class name is the same
-sequence with a one-token block or no block at all.  ``encode_text`` pools a single sequence.  With
-``normalize=False`` both towers skip the final normalization.
+sequence with a one-token block or no block at all.  ``encode_text``
+pools a single sequence.  With ``normalize=False`` both towers skip the
+final normalization.
 
 For token norms well inside tanh's linear regime the text tower is nearly
 additive in its tokens, which is what makes style directions in text space
@@ -128,17 +129,19 @@ class FrozenEncoder:
         """normalize(A @ tanh(pooled)) over the last axis.
 
         Returns the embeddings and the intermediates ``_text_tower_vjp``
-        reads, so a backward pass never recomputes the forward.
+        reads, so a backward pass never recomputes the forward.  ``pooled``
+        must be a fresh array: tanh and the normalization run in place,
+        since on a prediction batch each array here is (n, C, d).
         """
-        squashed = np.tanh(pooled)
+        squashed = np.tanh(pooled, out=pooled)
         projected = squashed @ self.projection.T
         if not self.config.normalize:
             return projected, (squashed, None, None)
         norms = np.linalg.norm(projected, axis=-1, keepdims=True)
         if np.any(norms == 0.0):
             raise DomainError("text embedding collapsed to the zero vector")
-        text = projected / norms
-        return text, (squashed, text, norms)
+        projected /= norms
+        return projected, (squashed, projected, norms)
 
     def _text_tower_vjp(self, saved: tuple, upstream: Array) -> Array:
         """Gradient of ``sum(upstream * _text_tower(pooled))`` w.r.t. pooled:
@@ -151,7 +154,9 @@ class FrozenEncoder:
             g = (g - text * np.sum(text * g, axis=-1, keepdims=True)) / norms
         return (1.0 - squashed * squashed) * (g @ self.projection)
 
-    def encode_class_texts(self, prompt_blocks: list[Array], class_tokens: Array) -> tuple[Array, tuple]:
+    def encode_class_texts(
+        self, prompt_blocks: list[Array], class_tokens: Array
+    ) -> tuple[Array, tuple]:
         """Encode [prompts..., class_c] for every class c at once.
 
         ``prompt_blocks`` is a list of (L_i, d) blocks occupying the leading
