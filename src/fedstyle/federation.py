@@ -440,11 +440,12 @@ class _RoundLosses:
     def add(self, kind: str, client_ids: list[int], values: Array, rows: int) -> None:
         """Record one stacked step of ``rows`` rows per client; a diverged
         loss raises ``NonFiniteLossError`` naming the round and the client."""
-        for i, value in zip(client_ids, values.tolist()):
+        step = list(zip(client_ids, values.tolist()))
+        for i, value in step:
             if not np.isfinite(value):
                 what = kind.replace("_", " ")
                 raise NonFiniteLossError(f"{what} (round {self.round_index}, client {i}) diverged to {value!r}")
-        for i, value in zip(client_ids, values.tolist()):
+        for i, value in step:
             self.entries.setdefault((kind, i), []).append((value, rows))
 
     def means(self, client_ids: list[int]) -> dict[str, float]:
