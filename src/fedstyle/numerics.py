@@ -70,7 +70,6 @@ def softmax_ce_rows(logits: Array, labels: Array) -> tuple[Array, Array]:
     if labels.min() < 0 or labels.max() >= logits.shape[-1]:
         raise ParameterError("softmax_ce_rows: label out of range")
     z = logits.reshape(-1, logits.shape[-1])
-    # one fresh array, then every step in place
     p = z - z.max(axis=1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
