@@ -20,8 +20,9 @@ The world is a controlled geometry in raw space:
   style directions.
 
 A ``LabeledEmbeddings`` is a struct-of-arrays batch: embeddings with class
-labels, domain indices, and an augmented flag.  World samples carry their
-original domain index; ``leave_one_out`` renumbers the surviving domains to
+labels and domain indices.  A style-transferred copy is told apart only by
+its domain key, the target's.  World samples carry their original domain
+index; ``leave_one_out`` renumbers the surviving domains to
 contiguous client indices 0..K-1 and keeps the held-out data as a test set.
 """
 
@@ -71,31 +72,25 @@ class WorldSpec:
 
 @dataclass
 class LabeledEmbeddings:
-    """Batch of embeddings with class, domain, and provenance labels."""
+    """Batch of embeddings with class and domain labels."""
 
     embeddings: Array  # (n, d)
     labels: Array      # (n,) int64 class ids
     domains: Array     # (n,) int64 domain ids
-    augmented: Array   # (n,) bool, True for style-transferred entries
 
     def __post_init__(self):
         self.embeddings = require_finite(as_f64(self.embeddings), "embeddings")
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.domains = np.asarray(self.domains, dtype=np.int64)
-        self.augmented = np.asarray(self.augmented, dtype=bool)
         n = self.embeddings.shape[0]
         if self.embeddings.ndim != 2:
             raise ParameterError("embeddings must be 2-D")
-        for name, arr in (("labels", self.labels), ("domains", self.domains), ("augmented", self.augmented)):
+        for name, arr in (("labels", self.labels), ("domains", self.domains)):
             if arr.shape != (n,):
                 raise ParameterError(f"{name} must have shape ({n},)")
 
     def __len__(self) -> int:
         return self.embeddings.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.embeddings.shape[1]
 
     def subset(self, indices) -> "LabeledEmbeddings":
         idx = np.asarray(indices)
@@ -103,7 +98,6 @@ class LabeledEmbeddings:
             embeddings=self.embeddings[idx],
             labels=self.labels[idx],
             domains=self.domains[idx],
-            augmented=self.augmented[idx],
         )
 
     @staticmethod
@@ -114,16 +108,6 @@ class LabeledEmbeddings:
             embeddings=np.concatenate([p.embeddings for p in parts]),
             labels=np.concatenate([p.labels for p in parts]),
             domains=np.concatenate([p.domains for p in parts]),
-            augmented=np.concatenate([p.augmented for p in parts]),
-        )
-
-    @staticmethod
-    def empty(dim: int) -> "LabeledEmbeddings":
-        return LabeledEmbeddings(
-            embeddings=np.zeros((0, dim)),
-            labels=np.zeros(0, dtype=np.int64),
-            domains=np.zeros(0, dtype=np.int64),
-            augmented=np.zeros(0, dtype=bool),
         )
 
 
@@ -197,7 +181,6 @@ def generate_world(spec: WorldSpec, encoder: FrozenEncoder) -> SyntheticWorld:
                     embeddings=encoder.encode_image_batch(raw / norms[:, None]),
                     labels=np.full(spec.samples_per_cell, label, dtype=np.int64),
                     domains=np.full(spec.samples_per_cell, domain, dtype=np.int64),
-                    augmented=np.zeros(spec.samples_per_cell, dtype=bool),
                 )
             )
     return SyntheticWorld(

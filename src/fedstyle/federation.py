@@ -5,13 +5,22 @@ other available domain description and pushes its own embeddings through
 them, producing an augmentation pool.  Nothing crosses the wire.
 
 Stage two runs ``rounds`` federated rounds.  In each round every client
-refines the shared state locally (the global prompt on its augmented pool,
-the domain head on the pool without target-styled entries), uploads it,
-and the server broadcasts the anchored weighted mean back.  The broadcast
-bytes are canonical: server and clients all adopt the value that crossed
-the wire, so their states match bit for bit.  After the final round each
-client uploads its locally trained domain prompt once and the server
-broadcasts the full stack, which is what unseen-domain inference blends.
+starts from the adopted broadcast, refines it locally (the global prompt on
+its augmented pool, the domain head on the pool without target-styled
+entries), uploads it, and the server broadcasts the anchored weighted mean
+back.  The broadcast bytes are canonical: server and clients all adopt the
+value that crossed the wire, so their states match bit for bit.  After the
+final round each client uploads its locally trained domain prompt once and
+the server broadcasts the full stack, which is what unseen-domain
+inference blends.
+
+No per-client object outlives a round; client state is held as stacks.
+The run keeps ``shared``, the adopted broadcast keyed by wire name
+(``global_prompt``, ``head_weight``, ``head_bias``), and the domain
+prompts, the only state a client keeps across rounds, as one (K, L, d)
+stack in client order.  A lockstep group's working copy of the shared
+state stacks it once per client, and the group reads and writes its own
+rows of the domain stack.
 
 Wire traffic is float32; per round and client the upload totals
 ``prompt_length * dim`` prompt parameters plus ``dim * K + K`` head
@@ -34,10 +43,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TARGET_KEY, EvaluationSplit, LabeledEmbeddings, description_set
+from .data import TARGET_KEY, EvaluationSplit, description_set
 from .encoder import FrozenEncoder
 from .errors import ConfigurationError, NonFiniteLossError, ProtocolError
-from .numerics import Array, SgdState, sgd_step
+from .numerics import Array, sgd_step
 from .prompts import (
     DomainClassifier,
     PromptConfig,
@@ -341,9 +350,7 @@ def run_stage_one(
     transforms: dict[int, dict[int, TransformNetwork]] = {}
     for i, local in enumerate(split.clients):
         nets = {job.target: trained[i, job.target] for job in jobs if job.source == i}
-        targets = list(nets)
-        bank = build_augmentation_bank(local, i, nets, targets)
-        pool = LabeledEmbeddings.concat([local, bank.combined()])
+        pool = build_augmentation_bank(local, i, nets)
         head = np.flatnonzero(pool.domains != TARGET_KEY)
         if len(head) == len(pool):
             train_pool = head_pool = UnitRows.prepare(pool, classes, k)
@@ -354,7 +361,7 @@ def run_stage_one(
         transforms[i] = nets
         log.info(
             "client %d: %d local, %d augmented toward %s",
-            i, len(local), len(train_pool) - len(local), targets,
+            i, len(local), len(train_pool) - len(local), list(nets),
         )
     return StageOneResult(clients=clients, transforms=transforms)
 
@@ -365,67 +372,25 @@ def run_stage_one(
 
 
 @dataclass
-class ClientRuntime:
-    """Mutable per-client training state during stage two."""
-
-    data: ClientData
-    global_prompt: Array | None
-    classifier: DomainClassifier | None
-    domain_prompt: Array | None
-    domain_stack: Array | None = None  # adopted final broadcast, (K, L, d)
-
-
-@dataclass
 class ProtocolResult:
     """Canonical post-run state plus everything needed to audit the run."""
 
     global_prompt: Array | None
     classifier: DomainClassifier | None
     domain_prompts: Array | None  # (K, L, d) in client order
-    clients: list[ClientRuntime]
     ledger: CommunicationLedger
     round_metrics: list[dict[str, float]]
 
 
-def _length_groups(clients: list[ClientRuntime]) -> list[list[ClientRuntime]]:
-    """Clients by local-set length, ascending, each group in client order.
+def _length_groups(clients: list[ClientData]) -> list[list[int]]:
+    """Client ids by local-set length, ascending, each group in client order.
 
     Every stage-two draw of a client is as long as its local set, so the
     clients of a group take equal batches and step in lockstep, the way
     ``run_stage_one`` groups its transform jobs.
     """
-    lengths = sorted({len(client.data.local_set) for client in clients})
-    return [[client for client in clients if len(client.data.local_set) == n] for n in lengths]
-
-
-def _gather_buffer(group: list[ClientRuntime], dim: int) -> UnitRows:
-    """Room for one (K, n, ...) draw of a group, reused by every pass: a
-    fresh one per pass costs more in page faults than the gather."""
-    shape = (len(group), len(group[0].data.local_set))
-    return UnitRows(np.empty(shape + (dim,)), np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64))
-
-
-def _drawn_batches(
-    group: list[ClientRuntime], pools: list[UnitRows], drawn: UnitRows, tag: str, seed: int,
-    round_index: int, epoch: int, batch_size: int,
-):
-    """Each client's seeded draw of a local-set-sized sample of its pool,
-    gathered into the group's buffer ``drawn`` and cut into stacked
-    (K, batch, ...) batches, views that the next pass overwrites."""
-    n = drawn.labels.shape[-1]
-    for j, (client, pool) in enumerate(zip(group, pools)):
-        order = rng(seed, tag, round_index, client.data.client_id, epoch).permutation(len(pool))[:n]
-        for name in ("rows", "labels", "domains"):
-            # every index is in range, so "clip" only spares take a buffered copy
-            np.take(getattr(pool, name), order, axis=0, out=getattr(drawn, name)[j], mode="clip")
-    for start in range(0, n, batch_size):
-        yield drawn.select(np.s_[:, start : start + batch_size])
-
-
-def _decayed(param: Array, fed_config: FederationConfig, learning_rate: float) -> Array:
-    if fed_config.weight_decay == 0.0:
-        return param
-    return param * (1.0 - learning_rate * fed_config.weight_decay)
+    lengths = sorted({len(client.local_set) for client in clients})
+    return [[client.client_id for client in clients if len(client.local_set) == n] for n in lengths]
 
 
 class _RoundLosses:
@@ -463,6 +428,15 @@ class _RoundLosses:
         return out
 
 
+def _exchange(ledger: CommunicationLedger, message: FederatedMessage, endpoints) -> FederatedMessage:
+    """Send ``message`` once: encode it, decode the frame and record the
+    received copy on the link of every endpoint, in the given order."""
+    received = decode_message(encode_message(message))
+    for endpoint in endpoints:
+        ledger.record(received, endpoint)
+    return received
+
+
 def run_protocol(
     stage_one: StageOneResult,
     split: EvaluationSplit,
@@ -479,210 +453,139 @@ def run_protocol(
     bytes.  Per round the wire carries exactly one upload and one broadcast
     per client, and the final domain-prompt exchange adds one more pair.
     """
-    clients_data = stage_one.clients
+    clients = stage_one.clients
     k = split.num_clients
-    if len(clients_data) != k:
-        raise ConfigurationError(f"stage one covered {len(clients_data)} of {k} clients")
+    if len(clients) != k:
+        raise ConfigurationError(f"stage one covered {len(clients)} of {k} clients")
     dim = encoder.config.dim
-    class_tokens = split.class_tokens
-    temperature = prompt_config.temperature
+    class_tokens, temperature = split.class_tokens, prompt_config.temperature
     ledger = CommunicationLedger()
 
-    shared_global = (
-        init_prompt(prompt_config, dim, seed, "global-prompt-init")
-        if toggles.use_global_prompt
-        else None
-    )
-    shared_head = DomainClassifier.init(k, dim) if toggles.use_prompt_generator else None
-    clients = [
-        ClientRuntime(
-            data=data,
-            global_prompt=None if shared_global is None else shared_global.copy(),
-            classifier=None
-            if shared_head is None
-            else DomainClassifier(shared_head.weight.copy(), shared_head.bias.copy()),
-            domain_prompt=(
-                init_prompt(prompt_config, dim, seed, "domain-prompt-init", data.client_id)
-                if toggles.use_domain_prompt
-                else None
-            ),
-        )
-        for data in clients_data
-    ]
-    own_text = (
-        [encoder.encode_text(token[None, :]) for token in split.source_domain_tokens]
-        if toggles.use_contrastive
-        else [None] * k
-    )
+    # the adopted broadcast by wire name; a group's working copy stacks it
+    shared: dict[str, Array] = {}
+    if toggles.use_global_prompt:
+        shared["global_prompt"] = init_prompt(prompt_config, dim, seed, "global-prompt-init")
+    if toggles.use_prompt_generator:
+        head = DomainClassifier.init(k, dim)
+        shared["head_weight"], shared["head_bias"] = head.weight, head.bias
+    domain = None  # (K, L, d) in client order, sent only after the last round
+    if toggles.use_domain_prompt:
+        domain = np.stack([init_prompt(prompt_config, dim, seed, "domain-prompt-init", i) for i in range(k)])
+    own_text = None
+    if toggles.use_contrastive:
+        own_text = np.stack([encoder.encode_text(token[None, :]) for token in split.source_domain_tokens])
 
-    all_ids = [client.data.client_id for client in clients]
-    groups = _length_groups(clients)
-    buffers = [_gather_buffer(group, dim) for group in groups]
+    # each loss as (batch, params) -> (values, grads of the arrays it trains)
+    def global_step(batch, params):
+        values, grad = global_loss(batch, params["global_prompt"], encoder, class_tokens, temperature)
+        return values, {"global_prompt": grad}
+
+    def head_step(batch, params):
+        values, grads = classifier_loss(batch, DomainClassifier(params["head_weight"], params["head_bias"]))
+        return values, {"head_weight": grads["weight"], "head_bias": grads["bias"]}
+
+    def domain_step(batch, params):
+        values, grad, _ = domain_loss(
+            batch, params["domain_prompt"], params.get("global_prompt"), encoder, class_tokens,
+            params.get("own_text"), temperature, use_contrastive=toggles.use_contrastive,
+        )
+        return values, {"domain_prompt": grad}
+
+    def local_pass(name, step, params, ids, drawn, pool, epoch, losses):
+        """One epoch of the ``name`` pass ("global", "head" or "domain") of
+        a lockstep group.  Each client draws a local-set-sized sample of its
+        ``pool`` from its own ``<name>-shuffle`` stream into the group's
+        buffer ``drawn``; each stacked batch then takes one ``step``,
+        records its losses as ``<name>_loss`` and updates, in ``params``,
+        the arrays the step returned gradients for, at ``<name>_lr``
+        decayed by the round."""
+        rate = getattr(fed_config, f"{name}_lr") * fed_config.lr_decay**losses.round_index
+        n = drawn.labels.shape[-1]
+        for j, i in enumerate(ids):
+            rows = getattr(clients[i], pool)
+            order = rng(seed, f"{name}-shuffle", losses.round_index, i, epoch).permutation(len(rows))[:n]
+            for part in ("rows", "labels", "domains"):
+                # every index is in range, so "clip" only spares take a buffered copy
+                np.take(getattr(rows, part), order, axis=0, out=getattr(drawn, part)[j], mode="clip")
+        for start in range(0, n, fed_config.batch_size):
+            batch = drawn.select(np.s_[:, start : start + fed_config.batch_size])
+            values, grads = step(batch, params)
+            losses.add(f"{name}_loss", ids, values, batch.labels.shape[-1])
+            trained = {key: params[key] for key in grads}
+            params.update(sgd_step(trained, grads, rate, fed_config.weight_decay))
+
+    groups = []
+    for ids in _length_groups(clients):
+        # room for one (K, n, ...) draw of the group, reused by every pass:
+        # a fresh one per pass costs more in page faults than the gather
+        shape = (len(ids), len(clients[ids[0]].local_set))
+        labels = np.empty(shape, dtype=np.int64)
+        groups.append((ids, UnitRows(np.empty(shape + (dim,)), labels, np.empty_like(labels))))
     round_metrics: list[dict[str, float]] = []
     for round_index in range(fed_config.rounds):
-        scale = fed_config.lr_decay**round_index
-        global_rate = fed_config.global_lr * scale
-        head_rate = fed_config.head_lr * scale
-        domain_rate = fed_config.domain_lr * scale
         losses = _RoundLosses(round_index)
 
         # local refinement of the shared state, one length group at a time
-        for group, drawn in zip(groups, buffers):
-            ids = [client.data.client_id for client in group]
-            prompts = np.stack([c.global_prompt for c in group]) if toggles.use_global_prompt else None
-            heads = None
-            if toggles.use_prompt_generator:
-                heads = DomainClassifier(
-                    np.stack([c.classifier.weight for c in group]), np.stack([c.classifier.bias for c in group])
-                )
+        refined: dict[int, dict[str, Array]] = {}
+        for ids, drawn in groups:
+            params = {name: np.stack([value] * len(ids)) for name, value in shared.items()}
             for epoch in range(fed_config.global_epochs):
+                # an epoch is one pass over a local-set-sized draw from the
+                # pool: augmentation banks triple the pool, and without the
+                # cap a bank-holding client would take three times as many
+                # steps per epoch, so variant comparisons would mix the
+                # effect of the banks with the effect of extra optimization;
+                # the head pass draws the same way for the same reason
                 if toggles.use_global_prompt:
-                    # an epoch is one pass over a local-set-sized draw from the
-                    # pool: augmentation banks triple the pool, and without the
-                    # cap a bank-holding client would take three times as many
-                    # steps per epoch, so variant comparisons would mix the
-                    # effect of the banks with the effect of extra optimization
-                    pools = [c.data.train_pool for c in group]
-                    for batch in _drawn_batches(
-                        group, pools, drawn, "global-shuffle", seed, round_index, epoch, fed_config.batch_size
-                    ):
-                        values, grad = global_loss(batch, prompts, encoder, class_tokens, temperature)
-                        losses.add("global_loss", ids, values, batch.labels.shape[-1])
-                        prompts = sgd_step(
-                            SgdState(global_rate),
-                            {"prompt": _decayed(prompts, fed_config, global_rate)},
-                            {"prompt": grad},
-                        )["prompt"]
+                    local_pass("global", global_step, params, ids, drawn, "train_pool", epoch, losses)
                 if toggles.use_prompt_generator:
-                    # same local-set-sized draw as the global pass, and for the
-                    # same reason
-                    pools = [c.data.head_pool for c in group]
-                    for batch in _drawn_batches(
-                        group, pools, drawn, "head-shuffle", seed, round_index, epoch, fed_config.batch_size
-                    ):
-                        values, grads = classifier_loss(batch, heads)
-                        losses.add("head_loss", ids, values, batch.labels.shape[-1])
-                        decayed = {
-                            name: _decayed(param, fed_config, head_rate)
-                            for name, param in heads.params().items()
-                        }
-                        new = sgd_step(SgdState(head_rate), decayed, grads)
-                        heads = DomainClassifier(new["weight"], new["bias"])
-            for j, client in enumerate(group):
-                if prompts is not None:
-                    client.global_prompt = prompts[j]
-                if heads is not None:
-                    client.classifier = DomainClassifier(heads.weight[j], heads.bias[j])
+                    local_pass("head", head_step, params, ids, drawn, "head_pool", epoch, losses)
+            for j, i in enumerate(ids):
+                refined[i] = {name: stack[j] for name, stack in params.items()}
 
-        # upload, in client order
-        messages: dict[int, FederatedMessage] = {}
-        for client in clients:
-            i = client.data.client_id
-            arrays: dict[str, Array] = {}
-            if toggles.use_global_prompt:
-                arrays["global_prompt"] = client.global_prompt
-            if toggles.use_prompt_generator:
-                arrays["head_weight"] = client.classifier.weight
-                arrays["head_bias"] = client.classifier.bias
-            blob = encode_message(
-                protocol_message(
-                    KIND_GLOBAL_UPLOAD, round_index, i, len(client.data.train_pool), arrays
-                )
-            )
-            received = decode_message(blob)
-            ledger.record(received, endpoint=i)
-            messages[i] = received
-
-        # aggregate and broadcast; everyone adopts the broadcast bytes
+        # upload in client order, aggregate, and adopt the broadcast bytes
+        messages = {}
+        for i in range(k):
+            samples = len(clients[i].train_pool)
+            upload = protocol_message(KIND_GLOBAL_UPLOAD, round_index, i, samples, refined[i])
+            messages[i] = _exchange(ledger, upload, [i])
         weights = _upload_weights(messages, fed_config.weighting)
-        aggregated = aggregate_anchored(
-            {i: {n: a for n, a in m.arrays.items()} for i, m in messages.items()}, weights
-        )
-        blob = encode_message(
-            protocol_message(KIND_GLOBAL_BROADCAST, round_index, SERVER_ID, 0, aggregated)
-        )
-        adopted = decode_message(blob)
-        canonical = {name: arr.astype(np.float64) for name, arr in adopted.arrays.items()}
-        if toggles.use_global_prompt:
-            shared_global = canonical["global_prompt"]
-        if toggles.use_prompt_generator:
-            shared_head = DomainClassifier(canonical["head_weight"], canonical["head_bias"])
-        for client in clients:
-            ledger.record(adopted, endpoint=client.data.client_id)
-            if toggles.use_global_prompt:
-                client.global_prompt = canonical["global_prompt"].copy()
-            if toggles.use_prompt_generator:
-                client.classifier = DomainClassifier(
-                    canonical["head_weight"].copy(), canonical["head_bias"].copy()
-                )
+        aggregated = aggregate_anchored({i: m.arrays for i, m in messages.items()}, weights)
+        broadcast = protocol_message(KIND_GLOBAL_BROADCAST, round_index, SERVER_ID, 0, aggregated)
+        adopted = _exchange(ledger, broadcast, range(k))
+        shared = {name: array.astype(np.float64) for name, array in adopted.arrays.items()}
 
         # local domain-prompt epochs against the frozen adopted state
-        if toggles.use_domain_prompt:
-            for group, drawn in zip(groups, buffers):
-                ids = [client.data.client_id for client in group]
-                prompts = np.stack([c.domain_prompt for c in group])
-                anchors = np.stack([c.global_prompt for c in group]) if toggles.use_global_prompt else None
-                own = np.stack([own_text[i] for i in ids]) if toggles.use_contrastive else None
-                pools = [c.data.local_set for c in group]
+        if domain is not None:
+            for ids, drawn in groups:
+                params = {"domain_prompt": domain[ids]}
+                if toggles.use_global_prompt:
+                    params["global_prompt"] = np.stack([shared["global_prompt"]] * len(ids))
+                if own_text is not None:
+                    params["own_text"] = own_text[ids]
                 for epoch in range(fed_config.domain_epochs):
-                    for batch in _drawn_batches(
-                        group, pools, drawn, "domain-shuffle", seed, round_index, epoch, fed_config.batch_size
-                    ):
-                        values, grad, _ = domain_loss(
-                            batch, prompts, anchors, encoder, class_tokens, own, temperature,
-                            use_contrastive=toggles.use_contrastive,
-                        )
-                        losses.add("domain_loss", ids, values, batch.labels.shape[-1])
-                        prompts = sgd_step(
-                            SgdState(domain_rate),
-                            {"prompt": _decayed(prompts, fed_config, domain_rate)},
-                            {"prompt": grad},
-                        )["prompt"]
-                for j, client in enumerate(group):
-                    client.domain_prompt = prompts[j]
+                    local_pass("domain", domain_step, params, ids, drawn, "local_set", epoch, losses)
+                domain[ids] = params["domain_prompt"]
 
-        metrics = {"round": float(round_index), **losses.means(all_ids)}
+        metrics = {"round": float(round_index), **losses.means(list(range(k)))}
         round_metrics.append(metrics)
         log.info("round %d: %s", round_index, metrics)
 
     # final domain-prompt collection and broadcast
-    shared_stack = None
-    if toggles.use_domain_prompt:
-        collected: dict[int, Array] = {}
-        for client in clients:
-            i = client.data.client_id
-            blob = encode_message(
-                protocol_message(
-                    KIND_DOMAIN_UPLOAD,
-                    fed_config.rounds,
-                    i,
-                    len(client.data.local_set),
-                    {"domain_prompt": client.domain_prompt},
-                )
-            )
-            received = decode_message(blob)
-            ledger.record(received, endpoint=i)
-            collected[i] = received.arrays["domain_prompt"]
-        stack = np.stack([collected[i] for i in sorted(collected)])
-        blob = encode_message(
-            protocol_message(
-                KIND_DOMAIN_BROADCAST, fed_config.rounds, SERVER_ID, 0, {"domain_prompts": stack}
-            )
-        )
-        adopted = decode_message(blob)
-        shared_stack = adopted.arrays["domain_prompts"].astype(np.float64)
-        for client in clients:
-            ledger.record(adopted, endpoint=client.data.client_id)
-            client.domain_stack = shared_stack.copy()
+    if domain is not None:
+        collected = []
+        for i in range(k):
+            prompt, samples = {"domain_prompt": domain[i]}, len(clients[i].local_set)
+            upload = protocol_message(KIND_DOMAIN_UPLOAD, fed_config.rounds, i, samples, prompt)
+            collected.append(_exchange(ledger, upload, [i]).arrays["domain_prompt"])
+        stack = {"domain_prompts": np.stack(collected)}
+        broadcast = protocol_message(KIND_DOMAIN_BROADCAST, fed_config.rounds, SERVER_ID, 0, stack)
+        domain = _exchange(ledger, broadcast, range(k)).arrays["domain_prompts"].astype(np.float64)
 
-    return ProtocolResult(
-        global_prompt=shared_global,
-        classifier=shared_head,
-        domain_prompts=shared_stack,
-        clients=clients,
-        ledger=ledger,
-        round_metrics=round_metrics,
-    )
+    head = None
+    if toggles.use_prompt_generator:
+        head = DomainClassifier(shared["head_weight"], shared["head_bias"])
+    return ProtocolResult(shared.get("global_prompt"), head, domain, ledger, round_metrics)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ Three groups of things live here:
   log, that returns its logit gradient alongside the loss.  Every
   training loss in the package ends in it and writes the rest of its
   backward pass in closed form next to its forward pass,
-* plain SGD and Adam with decoupled weight decay, which reject non-finite
-  gradients; Adam updates its moments and the parameters in place, so one
-  call steps a whole stack of parameter sets,
+* SGD and Adam, both with decoupled weight decay (the parameter shrinks
+  by ``1 - lr * decay`` outside the gradient term), which reject
+  non-finite gradients.  SGD returns fresh arrays; Adam updates its
+  moments and the parameters in place.  Both are elementwise, so one call
+  steps a whole stack of parameter sets,
 * a central finite-difference gradient checker, the test suite's oracle
   for every closed-form gradient.
 
@@ -94,15 +96,16 @@ def _check_param_grads(params: dict[str, Array], grads: dict[str, Array]) -> Non
         require_finite(grads[name], f"grad[{name}]")
 
 
-@dataclass
-class SgdState:
-    learning_rate: float
-
-
-def sgd_step(state: SgdState, params: dict[str, Array], grads: dict[str, Array]) -> dict[str, Array]:
-    """One plain gradient step; returns a fresh parameter dict."""
+def sgd_step(
+    params: dict[str, Array], grads: dict[str, Array], learning_rate: float, weight_decay: float
+) -> dict[str, Array]:
+    """One gradient step with decoupled weight decay,
+    ``p * (1 - learning_rate * weight_decay) - learning_rate * g``; returns
+    a fresh parameter dict.  Zero decay multiplies by exactly 1.0, so it
+    leaves the plain step's bits."""
     _check_param_grads(params, grads)
-    return {name: params[name] - state.learning_rate * grads[name] for name in params}
+    decay = 1.0 - learning_rate * weight_decay
+    return {name: params[name] * decay - learning_rate * grads[name] for name in params}
 
 
 @dataclass

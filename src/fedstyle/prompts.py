@@ -162,9 +162,10 @@ def predict_unseen_batch(
     its softmax (``mode="soft"``) or its argmax (``"onehot"``, ties to the
     lowest index).  An absent global prompt is a zero slot; with
     ``domain_prompts=None`` and no classifier the domain slot is zero for
-    every row, which is the global-only layout.  Probabilities are a
-    temperature softmax over the cosines between the row and each class
-    text.
+    every row, which is the global-only layout.  Domain prompts without a
+    head, or a head without domain prompts, is half a blend
+    (``ParameterError``).  Probabilities are a temperature softmax over the
+    cosines between the row and each class text.
     """
     x = require_finite(as_f64(embeddings), "embeddings")
     if x.ndim != 2:
@@ -174,6 +175,8 @@ def predict_unseen_batch(
         raise DomainError("embedding is the zero vector")
     xn = x / norms[:, None]
 
+    if (domain_prompts is None) != (classifier is None):
+        raise ParameterError("domain prompts and the domain head are blended together; got only one")
     if domain_prompts is None:
         if global_prompt is None:
             raise ParameterError("at least one prompt block is required")
@@ -421,7 +424,7 @@ def classifier_loss(
     """Mean cross-entropy of the linear domain head on normalized embeddings.
 
     Batch domains are the labels; every entry must carry a valid source
-    domain index (augmented entries carry their style target's index).
+    domain index (a style-transferred copy carries its target's index).
     With a leading client axis on the batch and on a stack of heads,
     returns the (K,) losses and stacked gradients.
     """

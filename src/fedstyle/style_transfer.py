@@ -30,6 +30,12 @@ so its parameters and losses do not depend on the other transforms.
 ``_objective`` is the same kernel for one transform; the forward is
 ``_transform_forward``, shared with ``TransformNetwork.correction``, and a
 finite-difference check in the tests pins the backward.
+
+``build_augmentation_bank`` pushes a client's local set through its
+trained transforms and returns one ``LabeledEmbeddings``: the local set
+followed by each target's copy, which carries the target's domain key.
+That is the client's whole stage-one pool, and the domain key is the only
+mark of a copy.
 """
 
 from __future__ import annotations
@@ -69,6 +75,8 @@ class TransferConfig:
             raise ConfigurationError("bad optimizer settings")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigurationError("bad schedule settings")
+        if self.hidden < 0:
+            raise ConfigurationError("hidden must be non-negative (0 picks dim // 2)")
 
     def hidden_dim(self, dim: int) -> int:
         return self.hidden if self.hidden > 0 else max(dim // 2, 1)
@@ -380,51 +388,28 @@ def train_transform(
 
 
 # ---------------------------------------------------------------------------
-# augmentation banks
+# augmented pools
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class AugmentationBank:
-    """Locally generated style-transferred embeddings, keyed by target domain."""
-
-    source: int
-    entries: dict[int, LabeledEmbeddings]
-
-    def combined(self) -> LabeledEmbeddings:
-        keys = sorted(self.entries)
-        if not keys:
-            raise ParameterError("empty augmentation bank")
-        return LabeledEmbeddings.concat([self.entries[k] for k in keys])
 
 
 def build_augmentation_bank(
     dataset: LabeledEmbeddings,
     source: int,
     transforms: dict[int, TransformNetwork],
-    expected_targets: list[int],
-) -> AugmentationBank:
-    """Push every local embedding through each target's transform.
+) -> LabeledEmbeddings:
+    """The local set followed by its copy through each target's transform,
+    in ascending target order.
 
-    ``transforms`` must provide exactly one network per expected target;
-    entries keep the class label, take the target's domain key, and are
-    flagged augmented.  Nothing here touches the network or the ledger;
-    banks are a purely local product.
+    A copy keeps the class labels and takes the target's domain key; every
+    network must start at ``source`` (``ConfigurationError``).  Nothing
+    here touches the network or the ledger; the pool is a purely local
+    product.
     """
-    if sorted(transforms) != sorted(expected_targets):
-        raise ConfigurationError(
-            f"transforms cover {sorted(transforms)} but targets are {sorted(expected_targets)}"
-        )
-    entries = {}
+    parts = [dataset]
     for key in sorted(transforms):
         net = transforms[key]
         if net.source != source:
             raise ConfigurationError(f"transform {net.source}->{net.target} does not start at {source}")
-        entries[key] = LabeledEmbeddings(
-            embeddings=net.apply(dataset.embeddings),
-            labels=dataset.labels.copy(),
-            domains=np.full(len(dataset), key, dtype=np.int64),
-            augmented=np.ones(len(dataset), dtype=bool),
-        )
-    return AugmentationBank(source=source, entries=entries)
-
+        keys = np.full(len(dataset), key, dtype=np.int64)
+        parts.append(LabeledEmbeddings(net.apply(dataset.embeddings), dataset.labels, keys))
+    return LabeledEmbeddings.concat(parts)

@@ -97,6 +97,7 @@ def test_later_assignments_win():
         "run.seeds = 1, 2, 1",     # duplicate seeds
         "run.variants = full, mystery",  # unknown variant
         "run.variant = mystery",   # unknown variant
+        "transfer.hidden = -3",    # negative hidden width
     ],
 )
 def test_bad_input_is_a_configuration_error(text):

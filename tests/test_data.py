@@ -87,7 +87,6 @@ def test_sample_counts_labels_and_unit_norms():
         for label in range(spec.classes):
             mask = (world.samples.domains == domain) & (world.samples.labels == label)
             assert mask.sum() == spec.samples_per_cell
-    assert not world.samples.augmented.any()
 
 
 def test_generation_is_deterministic_bitwise():
@@ -193,9 +192,9 @@ def test_description_set_counts():
 
 def test_labeled_embeddings_validation_and_concat():
     with pytest.raises(ParameterError):
-        LabeledEmbeddings(np.zeros((3, 2)), np.zeros(2), np.zeros(3), np.zeros(3, dtype=bool))
-    a = LabeledEmbeddings(np.ones((2, 2)), [0, 1], [0, 0], [False, False])
-    b = LabeledEmbeddings(2 * np.ones((1, 2)), [1], [1], [True])
+        LabeledEmbeddings(np.zeros((3, 2)), np.zeros(2), np.zeros(3))
+    a = LabeledEmbeddings(np.ones((2, 2)), [0, 1], [0, 0])
+    b = LabeledEmbeddings(2 * np.ones((1, 2)), [1], [1])
     merged = LabeledEmbeddings.concat([a, b])
     assert len(merged) == 3
-    assert merged.augmented.tolist() == [False, False, True]
+    assert merged.domains.tolist() == [0, 0, 1]

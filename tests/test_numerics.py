@@ -17,7 +17,6 @@ from fedstyle.errors import DomainError, ParameterError
 from fedstyle.numerics import (
     PROB_FLOOR,
     AdamState,
-    SgdState,
     adam_step,
     grad_check,
     sgd_step,
@@ -136,11 +135,13 @@ def test_softmax_ce_rows_validates():
 
 
 def test_sgd_step_oracle():
-    state = SgdState(learning_rate=0.1)
     params = {"p": np.array([1.0, -2.0])}
     grads = {"p": np.array([0.5, 0.5])}
-    out = sgd_step(state, params, grads)
+    out = sgd_step(params, grads, 0.1, 0.0)
     assert np.array_equal(out["p"], np.array([0.95, -2.05]))
+    # decoupled decay, by hand: p * (1 - lr * wd) - lr * g with lr 0.1, wd 0.5
+    decayed = sgd_step(params, grads, 0.1, 0.5)
+    assert decayed["p"] == pytest.approx([1.0 * 0.95 - 0.05, -2.0 * 0.95 - 0.05], rel=1e-15)
     # inputs untouched
     assert np.array_equal(params["p"], np.array([1.0, -2.0]))
 
@@ -219,9 +220,9 @@ def test_adam_rejects_a_non_finite_gradient_before_writing():
 
 def test_optimizer_shape_mismatch_rejected():
     with pytest.raises(ParameterError):
-        sgd_step(SgdState(0.1), {"p": np.zeros(3)}, {"p": np.zeros(4)})
+        sgd_step({"p": np.zeros(3)}, {"p": np.zeros(4)}, 0.1, 0.0)
     with pytest.raises(ParameterError):
-        sgd_step(SgdState(0.1), {"p": np.zeros(3)}, {"q": np.zeros(3)})
+        sgd_step({"p": np.zeros(3)}, {"q": np.zeros(3)}, 0.1, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,6 @@ def _batch(n=6, classes=3, dim=DIM, seed=11, domains=2):
         embeddings=_unit_rows(g, n, dim),
         labels=g.integers(0, classes, size=n),
         domains=g.integers(0, domains, size=n),
-        augmented=np.zeros(n, dtype=bool),
     )
 
 
@@ -340,6 +339,17 @@ def test_predict_rejects_degenerate_and_overfull():
         _predict_one(np.ones(DIM), np.zeros((3, DIM)), *_one_prompt(np.zeros((2, DIM))))
 
 
+@pytest.mark.parametrize("half", ["prompts", "head"])
+def test_predict_rejects_half_a_blend(half):
+    # the domain slot blends prompts by the head's weights; either alone is bad input
+    enc = _encoder()
+    gp = np.zeros((2, DIM))
+    dps = np.zeros((3, 2, DIM)) if half == "prompts" else None
+    clf = DomainClassifier.init(3, DIM) if half == "head" else None
+    with pytest.raises(ParameterError, match="domain head"):
+        predict_unseen_batch(np.ones((2, DIM)), gp, dps, clf, _class_tokens(), enc, TAU)
+
+
 # ---------------------------------------------------------------------------
 # global-prompt loss
 # ---------------------------------------------------------------------------
@@ -383,7 +393,7 @@ def test_global_loss_input_validation():
     enc = _encoder()
     ct = _class_tokens()
     with pytest.raises(ParameterError):
-        global_loss(LabeledEmbeddings.empty(DIM), np.ones((2, DIM)), enc, ct, TAU)
+        global_loss(_batch().subset(np.arange(0)), np.ones((2, DIM)), enc, ct, TAU)
     bad = _batch()
     bad.labels[0] = 7
     with pytest.raises(DataError):

@@ -12,11 +12,10 @@ from fedstyle.data import LabeledEmbeddings, WorldSpec, generate_world, leave_on
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
 from fedstyle import style_transfer
 from fedstyle.data import TARGET_KEY
-from fedstyle.errors import ConfigurationError, DomainError, NonFiniteLossError, ParameterError
+from fedstyle.errors import ConfigurationError, DomainError, NonFiniteLossError
 from fedstyle.federation import transform_jobs
 from fedstyle.numerics import grad_check
 from fedstyle.style_transfer import (
-    AugmentationBank,
     TransferConfig,
     TransformJob,
     TransformNetwork,
@@ -47,7 +46,7 @@ def _net_with(delta_bias, dim=DIM, hidden=4):
 
 def _batch(embeddings, labels):
     n = len(labels)
-    return LabeledEmbeddings(np.asarray(embeddings, float), labels, np.zeros(n), np.zeros(n, bool))
+    return LabeledEmbeddings(np.asarray(embeddings, float), labels, np.zeros(n))
 
 
 def _alignment(net, batch, directions):
@@ -233,8 +232,9 @@ def test_train_transform_deterministic_and_improves_alignment():
 
 
 def test_train_transform_empty_dataset_rejected():
-    _, enc = _tiny_world()
-    job = TransformJob(LabeledEmbeddings.empty(12), 0, 1, np.ones(12) * 0.01, np.ones(12) * 0.02)
+    world, enc = _tiny_world()
+    empty = world.samples.subset(np.arange(0))
+    job = TransformJob(empty, 0, 1, np.ones(12) * 0.01, np.ones(12) * 0.02)
     with pytest.raises(ConfigurationError):
         train_transform([job], enc, np.eye(12)[:2] * 0.01, TransferConfig(epochs=5, batch_size=16), 0.5, 0)
     with pytest.raises(ConfigurationError):
@@ -298,23 +298,29 @@ def test_identity_transform_bank_equals_originals():
     split = leave_one_out(world, 2)
     identity = _net_with(np.zeros(12), dim=12, hidden=6)
     identity.target = 1
-    bank = build_augmentation_bank(split.clients[0], 0, {1: identity}, [1])
-    entry = bank.entries[1]
-    assert np.array_equal(entry.embeddings, split.clients[0].embeddings)
-    assert np.array_equal(entry.labels, split.clients[0].labels)
-    assert np.all(entry.domains == 1)
-    assert np.all(entry.augmented)
+    local = split.clients[0]
+    pool = build_augmentation_bank(local, 0, {1: identity})
+    for part in (pool.subset(np.arange(len(local))), pool.subset(np.arange(len(local), len(pool)))):
+        assert np.array_equal(part.embeddings, local.embeddings)
+        assert np.array_equal(part.labels, local.labels)
+    assert np.all(pool.domains[: len(local)] == 0)
+    assert np.all(pool.domains[len(local) :] == 1)
 
 
 def test_bank_covers_every_target_or_rejects():
     world, _ = _tiny_world()
     split = leave_one_out(world, 0)
-    nets = {t: TransformNetwork.init(12, 6, 0, t, seed=t) for t in (1,)}
-    with pytest.raises(ConfigurationError):
-        build_augmentation_bank(split.clients[0], 0, nets, [1, 2])
+    local = split.clients[0]
+    # handed in out of order, the copies still follow ascending target keys
+    nets = {t: TransformNetwork.init(12, 6, 0, t, seed=t + 2) for t in (2, TARGET_KEY, 1)}
+    pool = build_augmentation_bank(local, 0, nets)
+    assert pool.domains.tolist() == [key for key in (0, TARGET_KEY, 1, 2) for _ in range(len(local))]
+    for slot, key in enumerate(sorted(nets), start=1):
+        rows = slice(slot * len(local), (slot + 1) * len(local))
+        assert np.array_equal(pool.embeddings[rows], nets[key].apply(local.embeddings))
     wrong = TransformNetwork.init(12, 6, 5, 2, seed=0)
     with pytest.raises(ConfigurationError):
-        build_augmentation_bank(split.clients[0], 0, {2: wrong}, [2])
+        build_augmentation_bank(local, 0, {2: wrong})
 
 
 def test_bank_combined_sizes():
@@ -322,8 +328,5 @@ def test_bank_combined_sizes():
     split = leave_one_out(world, 2)
     nets = {t: TransformNetwork.init(12, 6, 0, t, seed=t) for t in (1,)}
     nets[1].source = 0
-    bank = build_augmentation_bank(split.clients[0], 0, nets, [1])
-    assert len(bank.combined()) == len(split.clients[0])
-    with pytest.raises(ParameterError):
-        AugmentationBank(source=0, entries={}).combined()
+    assert len(build_augmentation_bank(split.clients[0], 0, nets)) == 2 * len(split.clients[0])
 
