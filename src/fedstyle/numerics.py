@@ -2,10 +2,11 @@
 
 Three groups of things live here:
 
-* ``softmax_ce_rows``, the row softmax cross-entropy, clamped before the
-  log, that returns its logit gradient alongside the loss.  Every
-  training loss in the package ends in it and writes the rest of its
-  backward pass in closed form next to its forward pass,
+* ``softmax_ce_cols``, the softmax cross-entropy over class-major
+  (..., C, B) logits, clamped before the log, that returns its logit
+  gradient alongside the loss.  Every training loss in the package ends
+  in it and writes the rest of its backward pass in closed form next to
+  its forward pass,
 * SGD and Adam, both with decoupled weight decay (the parameter shrinks
   by ``1 - lr * decay`` outside the gradient term), which reject
   non-finite gradients.  SGD returns fresh arrays; Adam updates its
@@ -52,34 +53,44 @@ def require_finite(value: Array, name: str = "value") -> Array:
 # ---------------------------------------------------------------------------
 
 
-def softmax_ce_rows(logits: Array, labels: Array) -> tuple[Array, Array]:
-    """Per-row cross-entropy of the row softmax of (..., B, C) logits.
+def softmax_ce_cols(logits: Array, labels: Array) -> tuple[Array, Array]:
+    """Cross-entropy of the column softmax of class-major (..., C, B) logits.
 
-    Returns ``(loss, dlogits)``: the (..., B) losses, each picked
-    probability clamped at ``PROB_FLOOR`` before the log, and the gradient
-    of each row's loss with respect to its own logits, ``softmax - onehot``,
-    shaped like ``logits``.  Leading axes stack independent batches; each
-    row is computed exactly as it would be alone.  Every loss in the
-    package scales ``dlogits`` by its upstream weight.
+    Column b of a (C, B) matrix holds the C class logits of row b of a
+    batch, and ``labels`` of shape (..., B) gives its class.  Returns
+    ``(loss, dlogits)``: the (..., B) losses, each picked probability
+    clamped at ``PROB_FLOOR`` before the log, and the gradient of each
+    column's loss with respect to its own logits, ``softmax - onehot``,
+    shaped like ``logits``.  Leading axes stack independent batches.  Every
+    loss in the package scales ``dlogits`` by its upstream weight.
+
+    The class axis is second to last so that the max and the sum over
+    classes are vector operations across all B rows at once; a trailing
+    class axis would be reduced one short row at a time.  The sum over
+    classes therefore accumulates sequentially in class order.
     """
     if logits.ndim < 2:
-        raise ParameterError("softmax_ce_rows: expected a logit matrix")
+        raise ParameterError("softmax_ce_cols: expected a logit matrix")
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != logits.shape[:-1]:
-        raise ParameterError("softmax_ce_rows: one label per row required")
+    classes, rows = logits.shape[-2:]
+    if labels.shape != logits.shape[:-2] + (rows,):
+        raise ParameterError("softmax_ce_cols: one label per column required")
     if labels.size == 0:
-        raise ParameterError("softmax_ce_rows: no rows")
-    if labels.min() < 0 or labels.max() >= logits.shape[-1]:
-        raise ParameterError("softmax_ce_rows: label out of range")
-    z = logits.reshape(-1, logits.shape[-1])
-    p = z - z.max(axis=1, keepdims=True)
+        raise ParameterError("softmax_ce_cols: no rows")
+    if labels.min() < 0 or labels.max() >= classes:
+        raise ParameterError("softmax_ce_cols: label out of range")
+    logits = np.ascontiguousarray(logits)  # so that p's flat view below writes into p
+    p = logits - logits.max(axis=-2, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
-    rows = np.arange(p.shape[0])
-    picked = labels.reshape(-1)
-    loss = -np.log(np.maximum(p[rows, picked], PROB_FLOOR))
-    p[rows, picked] -= 1.0
-    return loss.reshape(labels.shape), p.reshape(logits.shape)
+    p /= p.sum(axis=-2, keepdims=True)
+    # flat index of entry (..., label, b) of the contiguous p
+    stacked = labels.reshape(-1, rows)
+    picked = stacked * rows + np.arange(rows)
+    picked += np.arange(0, p.size, classes * rows)[:, None]
+    flat = p.reshape(-1)
+    loss = -np.log(np.maximum(flat[picked], PROB_FLOOR))
+    flat[picked] -= 1.0
+    return loss.reshape(labels.shape), p
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ weights recover the matching prompt bit for bit.
 under every layout: both prompts, global only (no domain prompts and no
 classifier), or domain only (no global prompt).  By the one-hot guarantee
 it scores a one-hot sample exactly as it would with a one-prompt stack
-holding the selected prompt.
+holding the selected prompt.  It scores rows in fixed blocks, so its
+memory does not grow with the test set, and it rejects an unknown mode or
+a temperature that is not finite and positive.
 
 The contrastive term keeps a domain prompt's pooled direction close to its
 own domain description and away from the pooled global prompt: a two-way
@@ -35,7 +37,9 @@ All losses return means over their batch.  Each writes its gradient in
 closed form next to its forward pass: the cross-entropy kernel supplies
 the logit gradient, the encoder's VJP carries it back to the prompt
 blocks from the forward's saved state, and the tests check every gradient
-against finite differences.
+against finite differences.  Logits are class-major, (..., C, B) with
+one column per row of the batch (``text @ rows.T``, ``weight @ rows.T``),
+so the kernel's max and sum over classes run across all rows at once.
 
 Batches arrive as ``UnitRows``: each pool is normalized and validated
 once, and a batch is a selection of its rows; a raw ``LabeledEmbeddings``
@@ -54,7 +58,7 @@ import numpy as np
 from .data import LabeledEmbeddings
 from .encoder import FrozenEncoder
 from .errors import ConfigurationError, DataError, DomainError, ParameterError
-from .numerics import Array, as_f64, require_finite, softmax_ce_rows
+from .numerics import Array, as_f64, require_finite, softmax_ce_cols
 from .seeding import rng
 
 
@@ -144,6 +148,11 @@ def _unit_vector(x: Array, what: str) -> Array:
 # ---------------------------------------------------------------------------
 
 
+# Rows scored per block: evaluation encodes one (C, d) class-text set per
+# row, so a block bounds those (rows, C, d) arrays instead of the test set.
+PREDICT_BLOCK_ROWS = 256
+
+
 def predict_unseen_batch(
     embeddings: Array,
     global_prompt: Array | None,
@@ -164,8 +173,11 @@ def predict_unseen_batch(
     ``domain_prompts=None`` and no classifier the domain slot is zero for
     every row, which is the global-only layout.  Domain prompts without a
     head, or a head without domain prompts, is half a blend
-    (``ParameterError``).  Probabilities are a temperature softmax over the
-    cosines between the row and each class text.
+    (``ParameterError``), and so are an unknown mode and a temperature
+    that is not finite and positive.  Probabilities are a temperature
+    softmax over the cosines between the row and each class text.  Rows
+    are scored in blocks of ``PREDICT_BLOCK_ROWS``, so memory does not
+    grow with n.
     """
     x = require_finite(as_f64(embeddings), "embeddings")
     if x.ndim != 2:
@@ -174,41 +186,67 @@ def predict_unseen_batch(
     if np.any(norms == 0.0):
         raise DomainError("embedding is the zero vector")
     xn = x / norms[:, None]
+    if mode not in ("soft", "onehot"):
+        raise ParameterError(f"unknown mode {mode!r}")
+    if not 0.0 < temperature < np.inf:
+        raise ParameterError(f"temperature must be finite and positive, got {temperature!r}")
 
     if (domain_prompts is None) != (classifier is None):
         raise ParameterError("domain prompts and the domain head are blended together; got only one")
     if domain_prompts is None:
         if global_prompt is None:
             raise ParameterError("at least one prompt block is required")
+        slot_shape = np.shape(global_prompt)
+    else:
+        domain_prompts = as_f64(domain_prompts)
+        if domain_prompts.ndim != 3 or len(domain_prompts) != classifier.num_domains:
+            raise ParameterError(
+                f"need one (L, d) prompt per head domain: {domain_prompts.shape} vs {classifier.num_domains}"
+            )
+        slot_shape = domain_prompts.shape[1:]
+    if global_prompt is None:
+        global_prompt = np.zeros(slot_shape)
+    elif np.shape(global_prompt) != slot_shape:
+        raise ParameterError(f"prompt blocks disagree on shape: {np.shape(global_prompt)} vs {slot_shape}")
+
+    probs = np.empty((len(x), class_tokens.shape[0]))
+    for start in range(0, len(x), PREDICT_BLOCK_ROWS):
+        rows = xn[start : start + PREDICT_BLOCK_ROWS]
+        probs[start : start + len(rows)] = _block_probabilities(
+            rows, global_prompt, domain_prompts, classifier, class_tokens, encoder, temperature, mode
+        )
+    return probs
+
+
+def _block_probabilities(
+    rows: Array,
+    global_prompt: Array,
+    blocks: Array | None,
+    classifier: DomainClassifier | None,
+    class_tokens: Array,
+    encoder: FrozenEncoder,
+    temperature: float,
+    mode: str,
+) -> Array:
+    """``predict_unseen_batch`` on one block of validated unit rows; its
+    (rows, C, d) arrays are freed on return."""
+    if blocks is None:
         generated = np.zeros(np.shape(global_prompt))
     else:
-        blocks = as_f64(domain_prompts)
-        if blocks.ndim != 3 or blocks.shape[0] != classifier.num_domains:
-            raise ParameterError(
-                f"need one (L, d) prompt per head domain: {blocks.shape} vs {classifier.num_domains}"
-            )
-        logits = xn @ classifier.weight.T + classifier.bias  # (n, K)
+        logits = rows @ classifier.weight.T + classifier.bias  # (n, K)
         if mode == "soft":
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
             weights = e / e.sum(axis=1, keepdims=True)
-        elif mode == "onehot":
-            weights = np.zeros_like(logits)
-            weights[np.arange(len(x)), np.argmax(logits, axis=1)] = 1.0
         else:
-            raise ParameterError(f"unknown mode {mode!r}")
+            weights = np.zeros_like(logits)
+            weights[np.arange(len(rows)), np.argmax(logits, axis=1)] = 1.0
         # accumulated in ascending k from zero, so one-hot weights give the
         # selected prompt bit for bit
-        generated = np.zeros((len(x),) + blocks.shape[1:])
+        generated = np.zeros((len(rows),) + blocks.shape[1:])
         for k in range(blocks.shape[0]):
             generated += weights[:, k : k + 1, None] * blocks[k][None, :, :]
-    if global_prompt is None:
-        global_prompt = np.zeros(generated.shape[-2:])
-    elif np.shape(global_prompt) != generated.shape[-2:]:
-        raise ParameterError(
-            f"prompt blocks disagree on shape: {np.shape(global_prompt)} vs {generated.shape[-2:]}"
-        )
     text, _ = encoder.encode_class_texts([global_prompt, generated], class_tokens)  # (C, d) or (n, C, d)
-    z = np.einsum("...cd,...d->...c", text, xn) / temperature
+    z = np.einsum("...cd,...d->...c", text, rows) / temperature
     z -= z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
@@ -305,15 +343,15 @@ def _classification(
     text, state = encoder.encode_class_texts(blocks, class_tokens)  # (..., C, d)
     xn = batch.rows                                                  # (..., B, d)
     _require_client_axis(batch, text.shape[:-2])
-    logits = xn @ np.swapaxes(text, -1, -2)
+    logits = text @ np.swapaxes(xn, -1, -2)                          # (..., C, B)
     logits *= 1.0 / temperature
-    per_row, dlogits = softmax_ce_rows(logits, batch.labels)
+    per_row, dlogits = softmax_ce_cols(logits, batch.labels)
     loss = per_row.mean(axis=-1)
     if not want_grad:
         return loss, None
     dlogits *= 1.0 / xn.shape[-2]
     dlogits *= 1.0 / temperature
-    dtext = np.swapaxes(dlogits, -1, -2) @ xn
+    dtext = dlogits @ xn
     return loss, encoder.encode_class_texts_backward(state, dtext)[slot]
 
 
@@ -401,11 +439,11 @@ def domain_loss(
         # two-way softmax cross-entropy with the own description as target
         sims, saved = _contrast_forward(domain_prompt, global_prompt, own_description)
         direction, norm, exact, own, anchor = saved
-        con, dsims = softmax_ce_rows(sims[..., None, :], np.zeros(sims.shape[:-1] + (1,), dtype=np.int64))
+        con, dsims = softmax_ce_cols(sims[..., :, None], np.zeros(sims.shape[:-1] + (1,), dtype=np.int64))
         parts["contrastive"] = _per_client(con[..., 0])
         total = total + con[..., 0]
         if want_grad:
-            ddirection = dsims[..., 0, 0:1] * own + dsims[..., 0, 1:2] * anchor
+            ddirection = dsims[..., 0:1, 0] * own + dsims[..., 1:2, 0] * anchor
             along = direction * _dot(direction, ddirection)[..., None]
             dpooled = np.where(
                 exact,
@@ -433,11 +471,11 @@ def classifier_loss(
         raise ParameterError("empty batch")
     xn = batch.rows
     _require_client_axis(batch, classifier.bias.shape[:-1])
-    logits = xn @ np.swapaxes(classifier.weight, -1, -2)
-    logits += classifier.bias[..., None, :]
-    per_row, dlogits = softmax_ce_rows(logits, batch.domains)
+    logits = classifier.weight @ np.swapaxes(xn, -1, -2)  # (..., K, B)
+    logits += classifier.bias[..., :, None]
+    per_row, dlogits = softmax_ce_cols(logits, batch.domains)
     loss = _per_client(per_row.mean(axis=-1))
     if not want_grad:
         return loss, None
     dlogits *= 1.0 / xn.shape[-2]
-    return loss, {"weight": np.swapaxes(dlogits, -1, -2) @ xn, "bias": dlogits.sum(axis=-2)}
+    return loss, {"weight": dlogits @ xn, "bias": dlogits.sum(axis=-1)}

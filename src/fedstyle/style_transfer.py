@@ -27,9 +27,12 @@ The T parameter sets are stacked along a leading axis, (T, h, d) for
 the same seeded batches in the same order as it would alone, and every
 stacked operation acts on each slice as the one-transform operation would,
 so its parameters and losses do not depend on the other transforms.
-``_objective`` is the same kernel for one transform; the forward is
-``_transform_forward``, shared with ``TransformNetwork.correction``, and a
-finite-difference check in the tests pins the backward.
+The consistency logits are class-major, (T, C, B), for the shared
+cross-entropy kernel, and row norms and dot products over d are ``einsum``
+reductions, one per row.  ``_objective`` is the same kernel for one
+transform; the forward is ``_transform_forward``, shared with
+``TransformNetwork.correction``, and a finite-difference check in the
+tests pins the backward.
 
 ``build_augmentation_bank`` pushes a client's local set through its
 trained transforms and returns one ``LabeledEmbeddings``: the local set
@@ -48,7 +51,7 @@ import numpy as np
 from .data import LabeledEmbeddings
 from .encoder import FrozenEncoder
 from .errors import ConfigurationError, DomainError, NonFiniteLossError, ParameterError
-from .numerics import AdamState, Array, adam_step, as_f64, require_finite, softmax_ce_rows
+from .numerics import AdamState, Array, adam_step, as_f64, require_finite, softmax_ce_cols
 from .seeding import rng
 
 log = logging.getLogger(__name__)
@@ -166,6 +169,11 @@ def _non_finite(stacked: Array) -> Array:
     return ~np.isfinite(stacked).reshape(len(stacked), -1).all(axis=1)
 
 
+def _row_dots(a: Array, b: Array) -> Array:
+    """(T, B) dot products of matching rows of two (T, B, d) stacks."""
+    return np.einsum("tbd,tbd->tb", a, b)
+
+
 def _stacked_objective(
     params: dict[str, Array],
     z: Array,
@@ -198,36 +206,35 @@ def _stacked_objective(
 
     if alignment_weight > 0.0:
         # mean over rows of 1 - <delta / |delta|, direction of the row's class>
-        norms = np.linalg.norm(delta, axis=2)
+        norms = np.sqrt(_row_dots(delta, delta))
         degenerate = (norms < DEGENERATE_NORM).any(axis=1)
         if degenerate.any():
             smallest = norms[int(np.argmax(degenerate))].min()
             raise _failure(DomainError, pairs, degenerate, f"degenerate direction: min row norm {smallest:.3e}")
         unit = delta / norms[..., None]
         per_class = directions[np.arange(len(pairs))[:, None], labels]
-        align = (1.0 - np.sum(unit * per_class, axis=2)).mean(axis=1)
+        align = (1.0 - _row_dots(unit, per_class)).mean(axis=1)
         dunit = -(alignment_weight / rows) * per_class
-        ddelta = ddelta + (dunit - unit * np.sum(unit * dunit, axis=2, keepdims=True)) / norms[..., None]
+        ddelta = ddelta + (dunit - unit * _row_dots(unit, dunit)[..., None]) / norms[..., None]
 
     if alignment_weight < 1.0:
         # mean cross-entropy of the moved row's cosines to the class texts
         moved = z + delta
-        norms = np.linalg.norm(moved, axis=2)
+        norms = np.sqrt(_row_dots(moved, moved))
         zero = (norms == 0.0).any(axis=1)
         if zero.any():
             raise _failure(DomainError, pairs, zero, "a moved embedding is the zero vector")
         moved = moved / norms[..., None]
-        logits = (1.0 / temperature) * (moved @ class_text.T)
-        classes = logits.shape[2]
+        logits = (1.0 / temperature) * (class_text @ np.swapaxes(moved, 1, 2))  # (T, C, B)
         try:
-            per_row, dlogits = softmax_ce_rows(logits.reshape(-1, classes), labels.reshape(-1))
+            per_row, dlogits = softmax_ce_cols(logits, labels)
         except ParameterError as exc:
-            out_of_range = ((labels < 0) | (labels >= classes)).any(axis=1)
+            out_of_range = ((labels < 0) | (labels >= len(class_text))).any(axis=1)
             raise _failure(ParameterError, pairs, out_of_range, str(exc)) from exc
-        cons = per_row.reshape(labels.shape).mean(axis=1)
-        dlogits = dlogits.reshape(logits.shape)
-        dmoved = ((1.0 / temperature) * (((1.0 - alignment_weight) / rows) * dlogits)) @ class_text
-        ddelta = ddelta + (dmoved - moved * np.sum(moved * dmoved, axis=2, keepdims=True)) / norms[..., None]
+        cons = per_row.mean(axis=1)
+        dlogits = (1.0 / temperature) * (((1.0 - alignment_weight) / rows) * dlogits)
+        dmoved = np.swapaxes(dlogits, 1, 2) @ class_text
+        ddelta = ddelta + (dmoved - moved * _row_dots(moved, dmoved)[..., None]) / norms[..., None]
 
     total = alignment_weight * align + (1.0 - alignment_weight) * cons
     dpre = (1.0 - hidden * hidden) * (ddelta @ params["w2"])

@@ -20,7 +20,7 @@ from fedstyle.numerics import (
     adam_step,
     grad_check,
     sgd_step,
-    softmax_ce_rows,
+    softmax_ce_cols,
 )
 
 finite_floats = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
@@ -39,11 +39,11 @@ def _math_softmax(z, temperature=1.0):
 
 
 def _row_softmax(z, temperature=1.0):
-    # the softmax inside softmax_ce_rows, read back from the logit gradient
-    # p - onehot of one row of logits z / t with label 0
-    z = np.asarray(z, dtype=float)[None, :] / temperature
-    _, dlogits = softmax_ce_rows(z, np.array([0]))
-    return dlogits[0] + np.eye(z.shape[1])[0]
+    # the softmax inside softmax_ce_cols, read back from the logit gradient
+    # p - onehot of one column of logits z / t with label 0
+    z = np.asarray(z, dtype=float)[:, None] / temperature
+    _, dlogits = softmax_ce_cols(z, np.array([0]))
+    return dlogits[:, 0] + np.eye(z.shape[0])[0]
 
 
 def test_softmax_two_logits_matches_hand_computation():
@@ -83,50 +83,58 @@ def test_softmax_temperature_extremes():
 
 def test_softmax_rejects_bad_inputs():
     # no rows, labels that do not match a stack of logit matrices, and a
-    # label outside a stacked row
+    # label outside a stacked column
     with pytest.raises(ParameterError):
-        softmax_ce_rows(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+        softmax_ce_cols(np.zeros((3, 0)), np.zeros(0, dtype=np.int64))
     with pytest.raises(ParameterError):
-        softmax_ce_rows(np.zeros((2, 4, 3)), np.zeros((4, 2), dtype=np.int64))
+        softmax_ce_cols(np.zeros((2, 3, 4)), np.zeros((4, 2), dtype=np.int64))
     with pytest.raises(ParameterError):
-        softmax_ce_rows(np.zeros((2, 4, 3)), np.full((2, 4), 3))
+        softmax_ce_cols(np.zeros((2, 3, 4)), np.full((2, 4), 3))
 
 
-def test_softmax_ce_rows_matches_scalar_primitives():
-    # oracle: each row through a plain-math softmax, -log of the clamped
-    # label mass, gradient p - onehot
-    logits = np.array([[0.2, -1.0, 3.0], [1e3, 0.0, -1e3]])
+def test_softmax_ce_cols_matches_scalar_primitives():
+    # oracle: each column through a plain-math softmax, -log of the clamped
+    # label mass, gradient p - onehot; the logits are a transposed view, so
+    # the kernel's label writes must reach a contiguous copy
+    logits = np.array([[0.2, -1.0, 3.0], [1e3, 0.0, -1e3]]).T
     labels = np.array([2, 2])
-    loss, dlogits = softmax_ce_rows(logits, labels)
+    loss, dlogits = softmax_ce_cols(logits, labels)
     for i in range(2):
-        p = _math_softmax(logits[i])
+        p = _math_softmax(logits[:, i])
         assert loss[i] == pytest.approx(-math.log(max(p[labels[i]], PROB_FLOOR)), rel=1e-15)
-        assert np.allclose(dlogits[i], p - np.eye(3)[labels[i]], rtol=0, atol=1e-15)
-    # the second row's label mass underflows to zero: clamped, no inf
+        assert np.allclose(dlogits[:, i], p - np.eye(3)[labels[i]], rtol=0, atol=1e-15)
+    # the second column's label mass underflows to zero: clamped, no inf
     assert loss[1] == pytest.approx(-math.log(1e-12))
 
 
-def test_softmax_ce_rows_on_a_stack_equals_each_matrix_alone():
+@pytest.mark.parametrize("rows", [1, 32, 2000])
+@pytest.mark.parametrize("classes", [2, 3, 10])
+def test_softmax_ce_cols_on_a_stack_equals_each_matrix_alone(classes, rows):
     rng = np.random.default_rng(4)
-    logits = rng.normal(size=(3, 5, 4)) * 3.0
-    labels = rng.integers(0, 4, size=(3, 5))
-    loss, dlogits = softmax_ce_rows(logits, labels)
-    assert loss.shape == (3, 5) and dlogits.shape == logits.shape
+    logits = rng.normal(size=(3, classes, rows)) * 3.0
+    labels = rng.integers(0, classes, size=(3, rows))
+    loss, dlogits = softmax_ce_cols(logits, labels)
+    assert loss.shape == (3, rows) and dlogits.shape == logits.shape
     for k in range(3):
-        alone, dalone = softmax_ce_rows(logits[k], labels[k])
+        alone, dalone = softmax_ce_cols(logits[k], labels[k])
         assert loss[k].tobytes() == alone.tobytes()
         assert dlogits[k].tobytes() == dalone.tobytes()
+    # and every column against the plain-math oracle
+    for k, b in np.ndindex(3, rows):
+        p = _math_softmax(logits[k, :, b])
+        assert loss[k, b] == pytest.approx(-math.log(p[labels[k, b]]), rel=1e-13)
+        assert np.allclose(dlogits[k, :, b], p - np.eye(classes)[labels[k, b]], rtol=0, atol=1e-15)
 
 
-def test_softmax_ce_rows_validates():
+def test_softmax_ce_cols_validates():
     with pytest.raises(ParameterError):
-        softmax_ce_rows(np.zeros(3), np.array([0]))
+        softmax_ce_cols(np.zeros(3), np.array([0]))
     with pytest.raises(ParameterError):
-        softmax_ce_rows(np.zeros((2, 3)), np.array([0]))
+        softmax_ce_cols(np.zeros((3, 2)), np.array([0]))
     with pytest.raises(ParameterError):
-        softmax_ce_rows(np.zeros((2, 3)), np.array([0, 3]))
+        softmax_ce_cols(np.zeros((3, 2)), np.array([0, 3]))
     with pytest.raises(ParameterError):
-        softmax_ce_rows(np.zeros((2, 3)), np.array([-1, 0]))
+        softmax_ce_cols(np.zeros((3, 2)), np.array([-1, 0]))
 
 
 # ---------------------------------------------------------------------------

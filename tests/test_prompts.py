@@ -8,6 +8,7 @@ pinned by comparing with a one-prompt stack holding the expected prompt
 under a one-domain head, whose only weight is exactly one."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from fedstyle.data import LabeledEmbeddings
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
 from fedstyle.errors import ConfigurationError, DataError, DomainError, ParameterError
+from fedstyle import prompts
 from fedstyle.numerics import PROB_FLOOR, grad_check
 from fedstyle.prompts import (
     CONTRAST_NORM_FLOOR,
@@ -300,7 +302,9 @@ def test_predict_unseen_soft_blends_prompts():
 
 @pytest.mark.parametrize("mode", ["soft", "onehot"])
 @pytest.mark.parametrize("with_global", [True, False])
-def test_predict_unseen_batch_matches_per_sample(mode, with_global):
+def test_predict_unseen_batch_matches_per_sample(mode, with_global, monkeypatch):
+    # blocks of 3 rows: the 7 rows span two full blocks and a partial one
+    monkeypatch.setattr(prompts, "PREDICT_BLOCK_ROWS", 3)
     enc = _encoder()
     ct = _class_tokens()
     gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 0, "g") if with_global else None
@@ -337,6 +341,38 @@ def test_predict_rejects_degenerate_and_overfull():
         _predict_one(np.ones(DIM), None, None, None)
     with pytest.raises(ParameterError):
         _predict_one(np.ones(DIM), np.zeros((3, DIM)), *_one_prompt(np.zeros((2, DIM))))
+
+
+@pytest.mark.parametrize(
+    "mode, temperature",
+    [("bogus", TAU), ("soft", -1.0), ("soft", 0.0), ("soft", math.nan), ("soft", math.inf)],
+)
+def test_predict_rejects_a_bad_mode_or_temperature(mode, temperature):
+    # with no domain prompts the mode is unused, and it is still checked; a
+    # negative temperature would invert the ranking, zero gives NaN
+    with pytest.raises(ParameterError):
+        predict_unseen_batch(
+            np.ones((2, DIM)), np.zeros((2, DIM)), None, None, _class_tokens(), _encoder(), temperature, mode=mode
+        )
+
+
+def test_prediction_memory_does_not_grow_with_the_rows():
+    # the (rows, C, d) class-text arrays are built one block at a time
+    enc = _encoder(dim=64, max_tokens=8)
+    ct = rng(12, "ct").normal(size=(10, 64)) * 1e-2
+    dps = rng(12, "dps").normal(size=(3, 2, 64)) * 1e-2
+    clf = DomainClassifier(weight=rng(12, "clf").normal(size=(3, 64)), bias=np.zeros(3))
+    xs = rng(12, "xs").normal(size=(4 * prompts.PREDICT_BLOCK_ROWS, 64))
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            predict_unseen_batch(xs[:n], None, dps, clf, ct, enc, TAU)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(len(xs)) < 1.5 * peak(prompts.PREDICT_BLOCK_ROWS)
 
 
 @pytest.mark.parametrize("half", ["prompts", "head"])
@@ -661,3 +697,57 @@ def test_a_stacked_call_equals_one_call_per_client_bit_for_bit(loss):
 def test_stacked_batch_length_counts_every_row():
     pools = [UnitRows.prepare(_batch(n=10, seed=30 + j), 3) for j in range(3)]
     assert len(_stacked(pools, slice(0, 8))) == 24
+
+
+def _softmax_ce_rows(logits, labels):
+    # test oracle: the row-major formula, softmax and cross-entropy of each
+    # row of (..., B, C) logits, reducing over the trailing class axis
+    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    picked = np.take_along_axis(p, labels[..., None], axis=-1)[..., 0]
+    loss = -np.log(np.maximum(picked, PROB_FLOOR))
+    np.put_along_axis(p, labels[..., None], picked[..., None] - 1.0, axis=-1)
+    return loss, p
+
+
+def _row_major_loss(loss, batch, params, enc, ct):
+    # each loss rebuilt on (..., B, C) logits with the row-major oracle
+    xn, rows = batch.rows, batch.rows.shape[-2]
+    if loss == "classifier":
+        logits = xn @ np.swapaxes(params.weight, -1, -2) + params.bias[..., None, :]
+        per_row, dlogits = _softmax_ce_rows(logits, batch.domains)
+        dlogits /= rows
+        return per_row.mean(axis=-1), {"weight": np.swapaxes(dlogits, -1, -2) @ xn, "bias": dlogits.sum(axis=-2)}
+    gp, dp = params
+    blocks, slot = ([gp, np.zeros_like(gp)], 0) if loss == "global" else ([gp, dp], 1)
+    text, state = enc.encode_class_texts(blocks, ct)
+    per_row, dlogits = _softmax_ce_rows((xn @ np.swapaxes(text, -1, -2)) / TAU, batch.labels)
+    dtext = np.swapaxes(dlogits / (rows * TAU), -1, -2) @ xn
+    return per_row.mean(axis=-1), enc.encode_class_texts_backward(state, dtext)[slot]
+
+
+@pytest.mark.parametrize("loss", ["global", "domain", "classifier"])
+def test_each_loss_matches_the_row_major_formula_on_a_default_size_batch(loss):
+    # 3 clients of 2000 rows, d = 64, 10 classes, 3 head domains; the kernel
+    # sums over classes in another order than the formula, so the two agree
+    # to 1e-12 relative
+    k, n, dim = 3, 2000, 64
+    enc = FrozenEncoder(EncoderConfig(dim=dim, max_tokens=16, seed=3))
+    g = rng(40, "row-major")
+    ct = g.normal(size=(10, dim)) * 0.01
+    rows = _unit_rows(g, k * n, dim).reshape(k, n, dim)
+    batch = UnitRows(rows, g.integers(0, 10, (k, n)), g.integers(0, k, (k, n)))
+    gp, dp = g.normal(size=(2, k, 4, dim)) * 0.01
+    params = (gp, dp)
+    if loss == "global":
+        value, grad = global_loss(batch, gp, enc, ct, TAU)
+    elif loss == "domain":
+        value, grad, _ = domain_loss(batch, dp, gp, enc, ct, None, TAU, use_contrastive=False)
+    else:
+        params = DomainClassifier(g.normal(size=(k, k, dim)), g.normal(size=(k, k)) * 0.1)
+        value, grad = classifier_loss(batch, params)
+    want, want_grad = _row_major_loss(loss, batch, params, enc, ct)
+    assert np.allclose(value, want, rtol=1e-12, atol=0)
+    pairs = [(grad[name], want_grad[name]) for name in grad] if loss == "classifier" else [(grad, want_grad)]
+    for got, expected in pairs:
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
