@@ -26,8 +26,9 @@ under every layout: both prompts, global only (no domain prompts and no
 classifier), or domain only (no global prompt).  By the one-hot guarantee
 it scores a one-hot sample exactly as it would with a one-prompt stack
 holding the selected prompt.  It scores rows in fixed blocks, so its
-memory does not grow with the test set, and it rejects an unknown mode or
-a temperature that is not finite and positive.
+per-row class-text arrays stay one block in size however large the test
+set, and it rejects an unknown mode or a temperature that is not finite
+and positive.
 
 The contrastive term keeps a domain prompt's pooled direction close to its
 own domain description and away from the pooled global prompt: a two-way
@@ -176,8 +177,8 @@ def predict_unseen_batch(
     (``ParameterError``), and so are an unknown mode and a temperature
     that is not finite and positive.  Probabilities are a temperature
     softmax over the cosines between the row and each class text.  Rows
-    are scored in blocks of ``PREDICT_BLOCK_ROWS``, so memory does not
-    grow with n.
+    are scored in blocks of ``PREDICT_BLOCK_ROWS``, so the (rows, C, d)
+    class-text arrays do not grow with n.
     """
     x = require_finite(as_f64(embeddings), "embeddings")
     if x.ndim != 2:
