@@ -20,7 +20,8 @@ field's dataclass default.
     run.*        the run fields of ``ExperimentConfig``: ``out``, ``seeds``,
                  ``variant``, ``variants``, ``holdout``
 
-A value is parsed by the type of its default; a float must be finite.
+A value is parsed by the type of its default; the section's dataclass
+rejects a non-finite float.
 ``serialize_config(build_config())`` lists every key with its default.
 
 Seeds enter per run: the stored world spec carries seed 0 and the runner
@@ -29,7 +30,6 @@ substitutes each requested seed, so one config describes the whole sweep.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .data import WorldSpec
@@ -124,13 +124,6 @@ class ExperimentConfig:
         return tuple(range(self.world.domains))
 
 
-def _finite_float(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ConfigurationError(f"expected a finite number, got {raw!r}")
-    return value
-
-
 def _parse_seeds(raw: str) -> tuple[int, ...]:
     try:
         return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
@@ -170,7 +163,7 @@ def _derive_keys() -> dict[str, tuple]:
             if path in _NOT_KEYS:
                 continue
             key = _RENAMED.get(path, path)
-            parser = _PARSERS.get(key) or (_finite_float if type(default) is float else type(default))
+            parser = _PARSERS.get(key) or type(default)
             keys[key] = (parser, top.name, name)
     return keys
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .encoder import FrozenEncoder
 from .errors import ConfigurationError, DataError, ParameterError
-from .numerics import Array, as_f64, require_finite
+from .numerics import Array, as_f64, require_finite, require_finite_fields
 from .seeding import rng
 
 
@@ -58,6 +58,7 @@ class WorldSpec:
     shots: int = 0  # unused; kept while the benchmark still passes it
 
     def __post_init__(self):
+        require_finite_fields(self)
         if self.classes < 2:
             raise ConfigurationError("need at least 2 classes")
         if self.domains < 3:

@@ -18,22 +18,23 @@ No per-client object outlives a round; client state is held as stacks.
 The run keeps ``shared``, the adopted broadcast keyed by wire name
 (``global_prompt``, ``head_weight``, ``head_bias``), and the domain
 prompts, the only state a client keeps across rounds, as one (K, L, d)
-stack in client order.  A lockstep group's working copy of the shared
-state stacks it once per client, and the group reads and writes its own
-rows of the domain stack.
+stack in client order.  A round's working copy of the shared state stacks
+it once per client.
 
 Wire traffic is float32; per round and client the upload totals
 ``prompt_length * dim`` prompt parameters plus ``dim * K + K`` head
 parameters, which ``comm_cost`` reports.  Every message is framed,
 CRC-checked, and recorded in a ``CommunicationLedger``.
 
-Everything is seeded and runs in one thread.  Clients whose local sets
-share a length form a lockstep group: their local passes run as one
-stacked step per batch, each client's shuffle still drawn from its own
-per-(round, client, epoch) stream, and a stacked step gives every client
-the bits it would get alone.  Uploads, ledger records and each round's
-loss means follow ascending client order, so a run is a pure function of
-its inputs.
+Everything is seeded and runs in one thread.  The local sets of a split
+must all have the same length (``ConfigurationError`` otherwise), so the
+K clients of a split step as one stack in both stages: stage one trains
+every transform in one ``train_transform`` call, and each stage-two pass
+takes one stacked step per batch for all clients, each client's shuffle
+still drawn from its own per-(round, client, epoch) stream.  A stacked step
+gives every client the bits it would get alone.  Uploads, ledger records
+and each round's loss means follow ascending client order, so a run is a
+pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 from .data import TARGET_KEY, EvaluationSplit, description_set
 from .encoder import FrozenEncoder
 from .errors import ConfigurationError, NonFiniteLossError, ProtocolError
-from .numerics import Array, sgd_step
+from .numerics import Array, require_finite_fields, sgd_step
 from .prompts import (
     DomainClassifier,
     PromptConfig,
@@ -141,6 +142,7 @@ class FederationConfig:
     weighting: str = "uniform"  # or "samples"
 
     def __post_init__(self):
+        require_finite_fields(self)
         if self.rounds < 1:
             raise ConfigurationError("at least one round is required")
         if self.global_epochs < 1 or self.domain_epochs < 1:
@@ -213,15 +215,6 @@ class CommunicationLedger:
 
     def total_payload_bytes(self) -> int:
         return sum(record.payload_bytes for record in self.records)
-
-    def to_rows(self) -> list[str]:
-        rows = ["round,client,kind,parameters,payload_bytes,samples"]
-        for r in self.records:
-            rows.append(
-                f"{r.round_index},{r.client},{r.kind_name},{r.parameter_count},"
-                f"{r.payload_bytes},{r.sample_count}"
-            )
-        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +324,9 @@ def run_stage_one(
     With style transfer disabled every pool is just the local set and no
     transform is trained.  No message is produced either way; stage one is
     upload-free by construction.  Each pool is normalized and validated
-    here, once, against the split's class and client counts.
+    here, once, against the split's class and client counts.  All
+    transforms train in one stacked ``train_transform`` call, which rejects
+    local sets of different lengths.
     """
     classes, k = split.class_tokens.shape[0], split.num_clients
     if not toggles.use_style_transfer:
@@ -339,13 +334,8 @@ def run_stage_one(
         return StageOneResult(clients=[ClientData(i, pool, pool, pool) for i, pool in enumerate(pools)])
 
     jobs = transform_jobs(split, toggles.include_target_description)
-    trained: dict[tuple[int, int], TransformNetwork] = {}
-    # train_transform steps its jobs together, so they must share a length
-    for length in sorted({len(job.dataset) for job in jobs}):
-        group = [job for job in jobs if len(job.dataset) == length]
-        result = train_transform(group, encoder, split.class_tokens, transfer_config, temperature, seed)
-        for net in result.networks():
-            trained[net.source, net.target] = net
+    result = train_transform(jobs, encoder, split.class_tokens, transfer_config, temperature, seed)
+    trained = {(net.source, net.target): net for net in result.networks()}
     clients = []
     transforms: dict[int, dict[int, TransformNetwork]] = {}
     for i, local in enumerate(split.clients):
@@ -382,49 +372,34 @@ class ProtocolResult:
     round_metrics: list[dict[str, float]]
 
 
-def _length_groups(clients: list[ClientData]) -> list[list[int]]:
-    """Client ids by local-set length, ascending, each group in client order.
-
-    Every stage-two draw of a client is as long as its local set, so the
-    clients of a group take equal batches and step in lockstep, the way
-    ``run_stage_one`` groups its transform jobs.
-    """
-    lengths = sorted({len(client.local_set) for client in clients})
-    return [[client.client_id for client in clients if len(client.local_set) == n] for n in lengths]
-
-
 class _RoundLosses:
-    """Each client's batch losses of one round, by kind."""
-
-    KINDS = ("global_loss", "head_loss", "domain_loss")
+    """The stacked steps' batch losses of one round, by kind."""
 
     def __init__(self, round_index: int):
         self.round_index = round_index
-        self.entries: dict[tuple[str, int], list[tuple[float, int]]] = {}
+        self.entries: dict[str, list[tuple[list[float], int]]] = {}
 
-    def add(self, kind: str, client_ids: list[int], values: Array, rows: int) -> None:
-        """Record one stacked step of ``rows`` rows per client; a diverged
-        loss raises ``NonFiniteLossError`` naming the round and the client."""
-        step = list(zip(client_ids, values.tolist()))
-        for i, value in step:
+    def add(self, kind: str, values: Array, rows: int) -> None:
+        """Record one stacked step of ``rows`` rows per client, ``values``
+        in client order; a diverged loss raises ``NonFiniteLossError``
+        naming the round and the client."""
+        step = values.tolist()
+        for i, value in enumerate(step):
             if not np.isfinite(value):
                 what = kind.replace("_", " ")
                 raise NonFiniteLossError(f"{what} (round {self.round_index}, client {i}) diverged to {value!r}")
-        for i, value in step:
-            self.entries.setdefault((kind, i), []).append((value, rows))
+        self.entries.setdefault(kind, []).append((step, rows))
 
-    def means(self, client_ids: list[int]) -> dict[str, float]:
+    def means(self) -> dict[str, float]:
         """Row-weighted mean of each kind that ran, summed client by client
         in ascending order and each client's batches in step order."""
         out = {}
-        for kind in self.KINDS:
-            total, count = 0.0, 0
-            for i in client_ids:
-                for value, rows in self.entries.get((kind, i), ()):
-                    total += value * rows
-                    count += rows
-            if count:
-                out[kind] = total / count
+        for kind, steps in self.entries.items():
+            total, clients = 0.0, len(steps[0][0])
+            for i in range(clients):
+                for values, rows in steps:
+                    total += values[i] * rows
+            out[kind] = total / (clients * sum(rows for _, rows in steps))
         return out
 
 
@@ -452,16 +427,21 @@ def run_protocol(
     initial broadcast is needed; every later adoption goes through encoded
     bytes.  Per round the wire carries exactly one upload and one broadcast
     per client, and the final domain-prompt exchange adds one more pair.
+    Local sets of different lengths raise ``ConfigurationError`` before any
+    message is sent.
     """
     clients = stage_one.clients
     k = split.num_clients
     if len(clients) != k:
         raise ConfigurationError(f"stage one covered {len(clients)} of {k} clients")
+    lengths = sorted({len(client.local_set) for client in clients})
+    if len(lengths) > 1:
+        raise ConfigurationError(f"client local sets mix lengths {lengths}")
     dim = encoder.config.dim
     class_tokens, temperature = split.class_tokens, prompt_config.temperature
     ledger = CommunicationLedger()
 
-    # the adopted broadcast by wire name; a group's working copy stacks it
+    # the adopted broadcast by wire name; a round's working copy stacks it
     shared: dict[str, Array] = {}
     if toggles.use_global_prompt:
         shared["global_prompt"] = init_prompt(prompt_config, dim, seed, "global-prompt-init")
@@ -491,63 +471,57 @@ def run_protocol(
         )
         return values, {"domain_prompt": grad}
 
-    def local_pass(name, step, params, ids, drawn, pool, epoch, losses):
-        """One epoch of the ``name`` pass ("global", "head" or "domain") of
-        a lockstep group.  Each client draws a local-set-sized sample of its
-        ``pool`` from its own ``<name>-shuffle`` stream into the group's
-        buffer ``drawn``; each stacked batch then takes one ``step``,
-        records its losses as ``<name>_loss`` and updates, in ``params``,
-        the arrays the step returned gradients for, at ``<name>_lr``
-        decayed by the round."""
+    # room for one (K, n, ...) draw, reused by every pass: a fresh one per
+    # pass costs more in page faults than the gather
+    n = lengths[0]
+    labels = np.empty((k, n), dtype=np.int64)
+    drawn = UnitRows(np.empty((k, n, dim)), labels, np.empty_like(labels))
+
+    def local_pass(name, step, params, pool, epoch, losses):
+        """One epoch of the ``name`` pass ("global", "head" or "domain").
+        Each client draws a local-set-sized sample of its ``pool`` from its
+        own ``<name>-shuffle`` stream into its row of ``drawn``; each
+        stacked batch then takes one ``step``, records its losses as
+        ``<name>_loss`` and updates, in ``params``, the arrays the step
+        returned gradients for, at ``<name>_lr`` decayed by the round."""
         rate = getattr(fed_config, f"{name}_lr") * fed_config.lr_decay**losses.round_index
-        n = drawn.labels.shape[-1]
-        for j, i in enumerate(ids):
-            rows = getattr(clients[i], pool)
+        for i, client in enumerate(clients):
+            rows = getattr(client, pool)
             order = rng(seed, f"{name}-shuffle", losses.round_index, i, epoch).permutation(len(rows))[:n]
             for part in ("rows", "labels", "domains"):
                 # every index is in range, so "clip" only spares take a buffered copy
-                np.take(getattr(rows, part), order, axis=0, out=getattr(drawn, part)[j], mode="clip")
+                np.take(getattr(rows, part), order, axis=0, out=getattr(drawn, part)[i], mode="clip")
         for start in range(0, n, fed_config.batch_size):
             batch = drawn.select(np.s_[:, start : start + fed_config.batch_size])
             values, grads = step(batch, params)
-            losses.add(f"{name}_loss", ids, values, batch.labels.shape[-1])
+            losses.add(f"{name}_loss", values, batch.labels.shape[-1])
             trained = {key: params[key] for key in grads}
             params.update(sgd_step(trained, grads, rate, fed_config.weight_decay))
 
-    groups = []
-    for ids in _length_groups(clients):
-        # room for one (K, n, ...) draw of the group, reused by every pass:
-        # a fresh one per pass costs more in page faults than the gather
-        shape = (len(ids), len(clients[ids[0]].local_set))
-        labels = np.empty(shape, dtype=np.int64)
-        groups.append((ids, UnitRows(np.empty(shape + (dim,)), labels, np.empty_like(labels))))
     round_metrics: list[dict[str, float]] = []
     for round_index in range(fed_config.rounds):
         losses = _RoundLosses(round_index)
 
-        # local refinement of the shared state, one length group at a time
-        refined: dict[int, dict[str, Array]] = {}
-        for ids, drawn in groups:
-            params = {name: np.stack([value] * len(ids)) for name, value in shared.items()}
-            for epoch in range(fed_config.global_epochs):
-                # an epoch is one pass over a local-set-sized draw from the
-                # pool: augmentation banks triple the pool, and without the
-                # cap a bank-holding client would take three times as many
-                # steps per epoch, so variant comparisons would mix the
-                # effect of the banks with the effect of extra optimization;
-                # the head pass draws the same way for the same reason
-                if toggles.use_global_prompt:
-                    local_pass("global", global_step, params, ids, drawn, "train_pool", epoch, losses)
-                if toggles.use_prompt_generator:
-                    local_pass("head", head_step, params, ids, drawn, "head_pool", epoch, losses)
-            for j, i in enumerate(ids):
-                refined[i] = {name: stack[j] for name, stack in params.items()}
+        # local refinement of the shared state, all clients in one stack
+        params = {name: np.stack([value] * k) for name, value in shared.items()}
+        for epoch in range(fed_config.global_epochs):
+            # an epoch is one pass over a local-set-sized draw from the
+            # pool: augmentation banks triple the pool, and without the
+            # cap a bank-holding client would take three times as many
+            # steps per epoch, so variant comparisons would mix the
+            # effect of the banks with the effect of extra optimization;
+            # the head pass draws the same way for the same reason
+            if toggles.use_global_prompt:
+                local_pass("global", global_step, params, "train_pool", epoch, losses)
+            if toggles.use_prompt_generator:
+                local_pass("head", head_step, params, "head_pool", epoch, losses)
 
         # upload in client order, aggregate, and adopt the broadcast bytes
         messages = {}
         for i in range(k):
             samples = len(clients[i].train_pool)
-            upload = protocol_message(KIND_GLOBAL_UPLOAD, round_index, i, samples, refined[i])
+            refined = {name: stack[i] for name, stack in params.items()}
+            upload = protocol_message(KIND_GLOBAL_UPLOAD, round_index, i, samples, refined)
             messages[i] = _exchange(ledger, upload, [i])
         weights = _upload_weights(messages, fed_config.weighting)
         aggregated = aggregate_anchored({i: m.arrays for i, m in messages.items()}, weights)
@@ -557,17 +531,16 @@ def run_protocol(
 
         # local domain-prompt epochs against the frozen adopted state
         if domain is not None:
-            for ids, drawn in groups:
-                params = {"domain_prompt": domain[ids]}
-                if toggles.use_global_prompt:
-                    params["global_prompt"] = np.stack([shared["global_prompt"]] * len(ids))
-                if own_text is not None:
-                    params["own_text"] = own_text[ids]
-                for epoch in range(fed_config.domain_epochs):
-                    local_pass("domain", domain_step, params, ids, drawn, "local_set", epoch, losses)
-                domain[ids] = params["domain_prompt"]
+            params = {"domain_prompt": domain}
+            if toggles.use_global_prompt:
+                params["global_prompt"] = np.stack([shared["global_prompt"]] * k)
+            if own_text is not None:
+                params["own_text"] = own_text
+            for epoch in range(fed_config.domain_epochs):
+                local_pass("domain", domain_step, params, "local_set", epoch, losses)
+            domain = params["domain_prompt"]
 
-        metrics = {"round": float(round_index), **losses.means(list(range(k)))}
+        metrics = {"round": float(round_index), **losses.means()}
         round_metrics.append(metrics)
         log.info("round %d: %s", round_index, metrics)
 

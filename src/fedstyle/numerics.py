@@ -21,12 +21,14 @@ non-finite value raises ``DomainError`` instead of propagating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
+from numbers import Real
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ConfigurationError, DomainError, ParameterError
 
 Array = np.ndarray
 
@@ -46,6 +48,15 @@ def require_finite(value: Array, name: str = "value") -> Array:
     if not np.isfinite(value).all():
         raise DomainError(f"{name} contains a non-finite entry")
     return value
+
+
+def require_finite_fields(config) -> None:
+    """Reject a config dataclass with a NaN or infinite number in any
+    field, with ``ConfigurationError`` naming the field."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, Real) and not math.isfinite(value):
+            raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +130,10 @@ def sgd_step(
     return {name: params[name] * decay - learning_rate * grads[name] for name in params}
 
 
+# Adam's moment decay rates and denominator offset
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam with decoupled weight decay.
@@ -130,9 +145,6 @@ class AdamState:
     """
 
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     weight_decay: float = 0.0
     step: int = 0
     first_moment: dict[str, Array] = field(default_factory=dict)
@@ -149,7 +161,7 @@ def adam_step(state: AdamState, params: dict[str, Array], grads: dict[str, Array
     """
     _check_param_grads(params, grads)
     state.step += 1
-    lr, b1, b2 = state.learning_rate, state.beta1, state.beta2
+    lr, b1, b2 = state.learning_rate, ADAM_BETA1, ADAM_BETA2
     first_correction = 1.0 - b1**state.step
     second_correction = 1.0 - b2**state.step
     decay = 1.0 - lr * state.weight_decay
@@ -167,7 +179,7 @@ def adam_step(state: AdamState, params: dict[str, Array], grads: dict[str, Array
         update *= lr
         denominator = v / second_correction
         np.sqrt(denominator, out=denominator)
-        denominator += state.epsilon
+        denominator += ADAM_EPSILON
         update /= denominator
         param = params[name]
         param *= decay

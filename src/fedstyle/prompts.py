@@ -59,7 +59,7 @@ import numpy as np
 from .data import LabeledEmbeddings
 from .encoder import FrozenEncoder
 from .errors import ConfigurationError, DataError, DomainError, ParameterError
-from .numerics import Array, as_f64, require_finite, softmax_ce_cols
+from .numerics import Array, as_f64, require_finite, require_finite_fields, softmax_ce_cols
 from .seeding import rng
 
 
@@ -73,6 +73,7 @@ class PromptConfig:
     init_scale: float = 0.0
 
     def __post_init__(self):
+        require_finite_fields(self)
         if self.length < 1:
             raise ConfigurationError("prompt length must be at least 1")
         if self.temperature <= 0:
@@ -121,9 +122,6 @@ class DomainClassifier:
     @property
     def num_domains(self) -> int:
         return self.weight.shape[-2]
-
-    def params(self) -> dict[str, Array]:
-        return {"weight": self.weight, "bias": self.bias}
 
 
 def _dot(a: Array, b: Array) -> Array:

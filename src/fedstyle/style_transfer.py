@@ -51,7 +51,7 @@ import numpy as np
 from .data import LabeledEmbeddings
 from .encoder import FrozenEncoder
 from .errors import ConfigurationError, DomainError, NonFiniteLossError, ParameterError
-from .numerics import AdamState, Array, adam_step, as_f64, require_finite, softmax_ce_cols
+from .numerics import AdamState, Array, adam_step, as_f64, require_finite, require_finite_fields, softmax_ce_cols
 from .seeding import rng
 
 log = logging.getLogger(__name__)
@@ -72,6 +72,7 @@ class TransferConfig:
     hidden: int = 0  # 0 picks dim // 2
 
     def __post_init__(self):
+        require_finite_fields(self)
         if not 0.0 <= self.alignment_weight <= 1.0:
             raise ConfigurationError("alignment_weight must lie in [0, 1]")
         if self.learning_rate <= 0 or self.weight_decay < 0:

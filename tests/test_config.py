@@ -3,6 +3,9 @@ text form round-trips to an equal config and to identical bytes, bad input
 fails with ``ConfigurationError``, and the benchmark's pinned
 hyperparameters are the package defaults."""
 
+import dataclasses
+import math
+
 import pytest
 
 from fdgbench import workloads
@@ -110,6 +113,21 @@ def test_bad_input_is_a_configuration_error(text):
 def test_non_finite_float_is_a_configuration_error(key, raw):
     with pytest.raises(ConfigurationError):
         build_config({key: raw})
+
+
+FLOAT_FIELDS = [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in (WorldSpec, TransferConfig, PromptConfig, FederationConfig)
+    for f in dataclasses.fields(cls)
+    if isinstance(f.default, float)
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS)
+def test_config_dataclass_rejects_a_non_finite_float(cls, name, value):
+    with pytest.raises(ConfigurationError, match=name):
+        cls(**{name: value})
 
 
 def test_unknown_key_in_values_is_a_configuration_error():

@@ -22,7 +22,6 @@ from fedstyle.federation import (
     evaluate_accuracy,
     run_protocol,
     run_stage_one,
-    transform_jobs,
 )
 from fedstyle.prompts import (
     DomainClassifier,
@@ -33,7 +32,7 @@ from fedstyle.prompts import (
     init_prompt,
 )
 from fedstyle.seeding import rng
-from fedstyle.style_transfer import TransferConfig, train_transform
+from fedstyle.style_transfer import TransferConfig
 from fedstyle.wire import KIND_GLOBAL_UPLOAD, decode_message, encode_message, protocol_message
 
 # the round settings these tests were written for, pinned by keyword
@@ -229,13 +228,13 @@ def test_federation_config_validation():
 
 def test_finite_loss_guard():
     losses = _RoundLosses(3)
-    losses.add("head_loss", [0, 1], np.array([1.5, 0.5]), 8)
+    losses.add("head_loss", np.array([1.5, 0.5, 1.0]), 8)
     with pytest.raises(NonFiniteLossError, match=r"global loss \(round 3, client 2\)"):
-        losses.add("global_loss", [1, 2], np.array([1.5, np.nan]), 8)
+        losses.add("global_loss", np.array([1.5, 1.0, np.nan]), 8)
     with pytest.raises(NonFiniteLossError, match=r"client 1\)"):
-        losses.add("global_loss", [1, 2], np.array([np.inf, np.nan]), 8)
+        losses.add("global_loss", np.array([1.5, np.inf, np.nan]), 8)
     # a step that raised records nothing
-    assert losses.means([0, 1, 2]) == {"head_loss": 1.0}
+    assert losses.means() == {"head_loss": 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -280,28 +279,26 @@ def test_stage_one_pool_sizes_and_targets(include_target):
         assert np.sum(client.train_pool.domains != i) == n * per_client_targets
 
 
-def test_stage_one_trains_each_local_set_length_together(monkeypatch):
-    # One train_transform call per distinct local-set length; every pair of
-    # the shortened client still trains exactly as it does alone.
+def test_mixed_local_set_lengths_are_rejected_in_both_stages(monkeypatch):
+    # Every client of a split steps in one stack, so one client cut to 19
+    # rows fails stage one when it trains transforms, and stage two before
+    # any message crosses the wire.
     world, encoder = _world()
     split = leave_one_out(world, 3)
     split = dataclasses.replace(split, clients=[split.clients[0].subset(np.arange(19)), *split.clients[1:]])
-    cfg = TransferConfig(epochs=2, batch_size=8)
-    toggles = MethodToggles(include_target_description=True)
-    calls = []
-
-    def counted(jobs, *args):
-        calls.append(sorted({len(job.dataset) for job in jobs}))
-        return train_transform(jobs, *args)
-
-    monkeypatch.setattr(federation, "train_transform", counted)
-    stage_one = run_stage_one(split, encoder, cfg, 0.05, toggles, 4)
-    assert calls == [[19], [len(split.clients[1])]]
-    for job in transform_jobs(split, include_target_description=True):
-        alone = train_transform([job], encoder, split.class_tokens, cfg, 0.05, 4).networks()[0]
-        net = stage_one.transforms[job.source][job.target]
-        for key in alone.params:
-            assert net.params[key].tobytes() == alone.params[key].tobytes()
+    cfg = TransferConfig(epochs=1, batch_size=8)
+    with pytest.raises(ConfigurationError, match="lengths"):
+        run_stage_one(split, encoder, cfg, 0.05, MethodToggles(), 0)
+    toggles = MethodToggles(use_style_transfer=False)
+    stage_one = run_stage_one(split, encoder, cfg, 0.05, toggles, 0)
+    sent = []
+    monkeypatch.setattr(federation, "encode_message", lambda message: sent.append(message) or encode_message(message))
+    with pytest.raises(ConfigurationError, match="lengths"):
+        run_protocol(
+            stage_one, split, encoder, PromptConfig(length=2, temperature=0.05, init_scale=1e-3),
+            FederationConfig(**dict(_ROUNDS, rounds=1)), toggles, 0,
+        )
+    assert sent == []
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +345,7 @@ def test_protocol_is_deterministic_and_seed_sensitive():
     c, _, _ = _small_run(seed=6)
     assert np.array_equal(a.global_prompt, b.global_prompt)
     assert np.array_equal(a.domain_prompts, b.domain_prompts)
-    assert a.ledger.to_rows() == b.ledger.to_rows()
+    assert a.ledger.records == b.ledger.records
     assert a.round_metrics == b.round_metrics
     assert not np.array_equal(a.global_prompt, c.global_prompt)
 
@@ -518,15 +515,11 @@ def _reference_protocol(stage_one, split, encoder, prompt_config, fed, seed):
     return shared, _on_the_wire(np.stack(domain)), metrics
 
 
-@pytest.mark.parametrize("cut", [0, 1])
-def test_lockstep_protocol_equals_a_per_client_reference_loop(cut):
-    # one client cut to 19 rows: two length groups, and a short last batch;
-    # cutting client 1 leaves clients 0 and 2 stepping together
+def test_lockstep_protocol_equals_a_per_client_reference_loop():
+    # every client cut to 19 rows, so that batches of 8 end in a short one
     world, encoder = _world()
     split = leave_one_out(world, 3)
-    clients = list(split.clients)
-    clients[cut] = clients[cut].subset(np.arange(19))
-    split = dataclasses.replace(split, clients=clients)
+    split = dataclasses.replace(split, clients=[client.subset(np.arange(19)) for client in split.clients])
     toggles = MethodToggles(include_target_description=True)
     stage_one = run_stage_one(split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, toggles, 2)
     assert len(stage_one.clients[0].head_pool) < len(stage_one.clients[0].train_pool)
@@ -548,7 +541,6 @@ def test_stacked_step_names_the_client_whose_loss_diverges(monkeypatch):
     split = leave_one_out(world, 3)
     toggles = MethodToggles(use_style_transfer=False)
     stage_one = run_stage_one(split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, toggles, 0)
-    assert len({len(client.local_set) for client in stage_one.clients}) == 1  # one lockstep group
 
     def poisoned(batch, prompts, *args, **kwargs):
         values, grad = global_loss(batch, prompts, *args, **kwargs)

@@ -159,7 +159,7 @@ def test_adam_first_step_matches_scalar_oracle():
     # p * (1 - lr*wd) - lr * g / (|g| + eps), derived by hand.
     lr, wd, eps = 1e-3, 0.05, 1e-8
     p0, g0 = 0.7, -0.3
-    state = AdamState(learning_rate=lr, weight_decay=wd, epsilon=eps)
+    state = AdamState(learning_rate=lr, weight_decay=wd)
     params = {"p": np.array([p0])}
     adam_step(state, params, {"p": np.array([g0])})
     expected = p0 * (1.0 - lr * wd) - lr * g0 / (abs(g0) + eps)
@@ -177,7 +177,7 @@ def test_adam_second_step_reads_the_stored_moments():
         m = b1 * m + (1.0 - b1) * g
         v = b2 * v + (1.0 - b2) * g * g
         p = p * (1.0 - lr * wd) - lr * (m / (1.0 - b1**t)) / (math.sqrt(v / (1.0 - b2**t)) + eps)
-    state = AdamState(learning_rate=lr, weight_decay=wd, epsilon=eps)
+    state = AdamState(learning_rate=lr, weight_decay=wd)
     params = {"p": np.array([0.7])}
     for g in grads:
         adam_step(state, params, {"p": np.array([g])})
