@@ -292,7 +292,12 @@ def test_mixed_local_set_lengths_are_rejected_in_both_stages(monkeypatch):
     toggles = MethodToggles(use_style_transfer=False)
     stage_one = run_stage_one(split, encoder, cfg, 0.05, toggles, 0)
     sent = []
-    monkeypatch.setattr(federation, "encode_message", lambda message: sent.append(message) or encode_message(message))
+
+    def counted(message):
+        sent.append(message)
+        return encode_message(message)
+
+    monkeypatch.setattr(federation, "encode_message", counted)
     with pytest.raises(ConfigurationError, match="lengths"):
         run_protocol(
             stage_one, split, encoder, PromptConfig(length=2, temperature=0.05, init_scale=1e-3),
