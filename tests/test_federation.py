@@ -520,20 +520,22 @@ def _reference_protocol(stage_one, split, encoder, prompt_config, fed, seed):
     return shared, _on_the_wire(np.stack(domain)), metrics
 
 
-def test_lockstep_protocol_equals_a_per_client_reference_loop():
-    # every client cut to 19 rows, so that batches of 8 end in a short one
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lockstep_protocol_equals_a_per_client_reference_loop(seed):
+    # every client cut to 19 rows, so that batches of 8 end in a short one;
+    # two seeds draw different inits, transforms and shuffles
     world, encoder = _world()
     split = leave_one_out(world, 3)
     split = dataclasses.replace(split, clients=[client.subset(np.arange(19)) for client in split.clients])
     toggles = MethodToggles(include_target_description=True)
-    stage_one = run_stage_one(split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, toggles, 2)
+    stage_one = run_stage_one(split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, toggles, seed)
     assert len(stage_one.clients[0].head_pool) < len(stage_one.clients[0].train_pool)
     prompt_config = PromptConfig(length=2, temperature=0.05, init_scale=1e-3)
     fed = FederationConfig(
         **dict(_ROUNDS, rounds=2, global_epochs=2, batch_size=8, weight_decay=0.5, lr_decay=0.7)
     )
-    result = run_protocol(stage_one, split, encoder, prompt_config, fed, toggles, 2)
-    shared, stack, metrics = _reference_protocol(stage_one, split, encoder, prompt_config, fed, 2)
+    result = run_protocol(stage_one, split, encoder, prompt_config, fed, toggles, seed)
+    shared, stack, metrics = _reference_protocol(stage_one, split, encoder, prompt_config, fed, seed)
     assert result.global_prompt.tobytes() == shared["global_prompt"].tobytes()
     assert result.classifier.weight.tobytes() == shared["head_weight"].tobytes()
     assert result.classifier.bias.tobytes() == shared["head_bias"].tobytes()
