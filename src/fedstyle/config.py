@@ -14,9 +14,9 @@ field's dataclass default.
     encoder.*    ``encoder.EncoderConfig.max_tokens`` only; the world sets
                  the dimension and the runner the seed
     transfer.*   ``style_transfer.TransferConfig``
-    prompt.*     ``prompts.PromptConfig``
-    rounds.*     ``federation.FederationConfig``; its ``rounds`` field is
-                 ``rounds.count``
+    prompt.*     ``prompts.PromptConfig``, except ``generator_mode``
+    rounds.*     ``federation.FederationConfig``, except ``weighting``; its
+                 ``rounds`` field is ``rounds.count``
     run.*        the run fields of ``ExperimentConfig``: ``out``, ``seeds``,
                  ``variant``, ``variants``, ``holdout``
 
@@ -147,7 +147,7 @@ _RENAMED = {
     "run.max_tokens": "encoder.max_tokens",
     "run.out_dir": "run.out",
 }
-_NOT_KEYS = ("world.seed", "world.shots")
+_NOT_KEYS = ("world.seed", "world.shots", "prompt.generator_mode", "rounds.weighting")
 _PARSERS = {"run.seeds": _parse_seeds, "run.variants": _parse_variants}
 
 

@@ -18,8 +18,7 @@ returns its saved state next to the embeddings, so
 ``encode_class_texts_backward`` runs on that state without pooling or
 running the tower again.  A bare description or class name is the same
 sequence with a one-token block or no block at all.  ``encode_text``
-pools a single sequence.  With ``normalize=False`` both towers skip the
-final normalization.
+pools a single sequence.
 
 For token norms well inside tanh's linear regime the text tower is nearly
 additive in its tokens, which is what makes style directions in text space
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ConfigurationError, DomainError, ParameterError
 from .numerics import Array, as_f64, require_finite
 from .seeding import rng
 
@@ -59,13 +58,15 @@ class EncoderConfig:
     dim: int = 64
     max_tokens: int = 16
     seed: int = 0
-    normalize: bool = True
+    normalize: bool = True  # the only value; fdgbench's workloads still pass it
 
     def __post_init__(self):
         if self.dim < 2:
-            raise ParameterError(f"dim must be at least 2, got {self.dim}")
+            raise ConfigurationError(f"dim must be at least 2, got {self.dim}")
         if self.max_tokens < 2:
-            raise ParameterError(f"max_tokens must be at least 2, got {self.max_tokens}")
+            raise ConfigurationError(f"max_tokens must be at least 2, got {self.max_tokens}")
+        if self.normalize is not True:
+            raise ConfigurationError(f"normalize must be True, got {self.normalize!r}")
 
 
 def _frozen(arr: Array) -> Array:
@@ -101,8 +102,6 @@ class FrozenEncoder:
         if v.ndim != 2 or v.shape[1] != self.config.dim:
             raise ParameterError(f"raw batch must be (n, {self.config.dim}), got {v.shape}")
         y = v @ self.projection.T
-        if not self.config.normalize:
-            return y
         norms = np.linalg.norm(y, axis=1)
         if np.any(norms == 0.0):
             raise DomainError("projected image is the zero vector")
@@ -135,8 +134,6 @@ class FrozenEncoder:
         """
         squashed = np.tanh(pooled, out=pooled)
         projected = squashed @ self.projection.T
-        if not self.config.normalize:
-            return projected, (squashed, None, None)
         norms = np.linalg.norm(projected, axis=-1, keepdims=True)
         if np.any(norms == 0.0):
             raise DomainError("text embedding collapsed to the zero vector")
@@ -149,9 +146,7 @@ class FrozenEncoder:
             diag(1 - tanh^2) @ A.T @ J_norm.T @ upstream
         """
         squashed, text, norms = saved
-        g = upstream
-        if text is not None:
-            g = (g - text * np.sum(text * g, axis=-1, keepdims=True)) / norms
+        g = (upstream - text * np.sum(text * upstream, axis=-1, keepdims=True)) / norms
         return (1.0 - squashed * squashed) * (g @ self.projection)
 
     def encode_class_texts(

@@ -7,9 +7,11 @@ them, producing an augmentation pool.  Nothing crosses the wire.
 Stage two runs ``rounds`` federated rounds.  In each round every client
 starts from the adopted broadcast, refines it locally (the global prompt on
 its augmented pool, the domain head on the pool without target-styled
-entries), uploads it, and the server broadcasts the anchored weighted mean
-back.  The broadcast bytes are canonical: server and clients all adopt the
-value that crossed the wire, so their states match bit for bit.  After the
+entries), uploads it, and the server broadcasts the anchored mean back,
+each upload weighted 1/K: the clients of a split hold local sets of one
+length, so these are FedAvg's sample-count weights.  The broadcast bytes
+are canonical: server and clients all adopt the value that crossed the
+wire, so their states match bit for bit.  After the
 final round each client uploads its locally trained domain prompt once and
 the server broadcasts the full stack, which is what unseen-domain
 inference blends.
@@ -23,8 +25,8 @@ it once per client.
 
 Wire traffic is float32; per round and client the upload totals
 ``prompt_length * dim`` prompt parameters plus ``dim * K + K`` head
-parameters, which ``comm_cost`` reports.  Every message is framed,
-CRC-checked, and recorded in a ``CommunicationLedger``.
+parameters.  Every message is framed, CRC-checked, and recorded in a
+``CommunicationLedger``.
 
 Everything is seeded and runs in one thread.  The local sets of a split
 must all have the same length (``ConfigurationError`` otherwise), so the
@@ -120,7 +122,7 @@ class MethodToggles:
 
 @dataclass(frozen=True)
 class FederationConfig:
-    """Round counts, learning rates, and upload weighting."""
+    """Round counts and learning rates; every upload is weighted 1/K."""
 
     rounds: int = 10
     global_epochs: int = 10
@@ -139,7 +141,7 @@ class FederationConfig:
     # at a reproducible point rather than a random phase of the oscillation
     lr_decay: float = 0.7
     batch_size: int = 2000
-    weighting: str = "uniform"  # or "samples"
+    weighting: str = "uniform"  # the only value; fdgbench's workloads still pass it
 
     def __post_init__(self):
         require_finite_fields(self)
@@ -156,20 +158,8 @@ class FederationConfig:
             raise ConfigurationError("lr_decay must be in (0, 1]")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be at least 1")
-        if self.weighting not in ("uniform", "samples"):
-            raise ConfigurationError(f"unknown weighting {self.weighting!r}")
-
-
-def comm_cost(prompt_length: int, dim: int, num_domains: int) -> int:
-    """Per-client, per-round upload size in parameters.
-
-    One (prompt_length, dim) prompt block plus a (num_domains, dim) domain
-    head with its bias.  Domain prompts do not recur per round; their single
-    final exchange is the same prompt_length * dim on top of this.
-    """
-    if prompt_length < 1 or dim < 1 or num_domains < 1:
-        raise ConfigurationError("comm_cost arguments must be positive")
-    return prompt_length * dim + dim * num_domains + num_domains
+        if self.weighting != "uniform":
+            raise ConfigurationError(f"weighting must be 'uniform', got {self.weighting!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +246,6 @@ def aggregate_anchored(
             acc += weights[i] * contribution
         out[name] = anchor + acc
     return out
-
-
-def _upload_weights(messages: dict[int, FederatedMessage], mode: str) -> dict[int, float]:
-    ids = sorted(messages)
-    if mode == "uniform":
-        return {i: 1.0 / len(ids) for i in ids}
-    counts = {i: messages[i].sample_count for i in ids}
-    total = sum(counts.values())
-    if total == 0:
-        raise ProtocolError("sample-count weighting with zero reported samples")
-    return {i: counts[i] / total for i in ids}
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +477,7 @@ def run_protocol(
             trained = {key: params[key] for key in grads}
             params.update(sgd_step(trained, grads, rate, fed_config.weight_decay))
 
+    uniform = {i: 1.0 / k for i in range(k)}
     round_metrics: list[dict[str, float]] = []
     for round_index in range(fed_config.rounds):
         losses = _RoundLosses(round_index)
@@ -517,14 +497,13 @@ def run_protocol(
                 local_pass("head", head_step, params, "head_pool", epoch, losses)
 
         # upload in client order, aggregate, and adopt the broadcast bytes
-        messages = {}
+        uploads = {}
         for i in range(k):
             samples = len(clients[i].train_pool)
             refined = {name: stack[i] for name, stack in params.items()}
             upload = protocol_message(KIND_GLOBAL_UPLOAD, round_index, i, samples, refined)
-            messages[i] = _exchange(ledger, upload, [i])
-        weights = _upload_weights(messages, fed_config.weighting)
-        aggregated = aggregate_anchored({i: m.arrays for i, m in messages.items()}, weights)
+            uploads[i] = _exchange(ledger, upload, [i]).arrays
+        aggregated = aggregate_anchored(uploads, uniform)
         broadcast = protocol_message(KIND_GLOBAL_BROADCAST, round_index, SERVER_ID, 0, aggregated)
         adopted = _exchange(ledger, broadcast, range(k))
         shared = {name: array.astype(np.float64) for name, array in adopted.arrays.items()}
@@ -592,7 +571,6 @@ def evaluate_accuracy(
         split.class_tokens,
         encoder,
         prompt_config.temperature,
-        mode=prompt_config.generator_mode,
     )
     predicted = np.argmax(probs, axis=1)
     return float(np.mean(predicted == test.labels))

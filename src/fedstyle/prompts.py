@@ -15,20 +15,20 @@ active, the class token always sits at the same position, so a prompt is
 consumed in exactly the geometry it was trained in.
 
 For a sample from an unseen domain there is no matching domain prompt, so
-one is generated: a frozen linear domain classifier produces membership
-weights over the source domains and the domain prompts are blended with
-those weights (soft mode) or the argmax one (one-hot mode).  The blend is
-an exact linear combination computed in ascending domain order, so one-hot
-weights recover the matching prompt bit for bit.
+one is generated: the softmax of a frozen linear domain classifier gives
+membership weights over the source domains, and the domain prompts are
+blended with those weights.  The blend is an exact linear combination
+computed in ascending domain order, so weights that are exactly one-hot
+(a saturated head) recover the matching prompt bit for bit.
 
 ``predict_unseen_batch`` is the only prediction path.  It scores a batch
 under every layout: both prompts, global only (no domain prompts and no
 classifier), or domain only (no global prompt).  By the one-hot guarantee
-it scores a one-hot sample exactly as it would with a one-prompt stack
-holding the selected prompt.  It scores rows in fixed blocks, so its
-per-row class-text arrays stay one block in size however large the test
-set, and it rejects an unknown mode or a temperature that is not finite
-and positive.
+it scores a sample with one-hot weights exactly as it would with a
+one-prompt stack holding the selected prompt.  It scores rows in fixed
+blocks, so its per-row class-text arrays stay one block in size however
+large the test set, and it rejects a temperature that is not finite and
+positive.
 
 The contrastive term keeps a domain prompt's pooled direction close to its
 own domain description and away from the pooled global prompt: a two-way
@@ -69,7 +69,7 @@ class PromptConfig:
 
     length: int = 4
     temperature: float = 0.15
-    generator_mode: str = "soft"  # "soft" or "onehot" blending of domain prompts
+    generator_mode: str = "soft"  # the only value; fdgbench's workloads still pass it
     init_scale: float = 0.0
 
     def __post_init__(self):
@@ -78,8 +78,8 @@ class PromptConfig:
             raise ConfigurationError("prompt length must be at least 1")
         if self.temperature <= 0:
             raise ConfigurationError("temperature must be positive")
-        if self.generator_mode not in ("soft", "onehot"):
-            raise ConfigurationError(f"unknown generator mode {self.generator_mode!r}")
+        if self.generator_mode != "soft":
+            raise ConfigurationError(f"generator_mode must be 'soft', got {self.generator_mode!r}")
         if self.init_scale < 0:
             raise ConfigurationError("init_scale must be non-negative")
 
@@ -160,23 +160,21 @@ def predict_unseen_batch(
     class_tokens: Array,
     encoder: FrozenEncoder,
     temperature: float,
-    mode: str = "soft",
 ) -> Array:
     """Class probabilities (n, C) of embeddings (n, d); the one prediction path.
 
     Row n is scored on [global slot, domain slot, class token].  The domain
     slot holds a prompt generated for that row: the (K, L, d) stack of
-    ``domain_prompts`` blended with the domain head's membership weights,
-    its softmax (``mode="soft"``) or its argmax (``"onehot"``, ties to the
-    lowest index).  An absent global prompt is a zero slot; with
+    ``domain_prompts`` blended with the softmax of the domain head's
+    logits.  An absent global prompt is a zero slot; with
     ``domain_prompts=None`` and no classifier the domain slot is zero for
     every row, which is the global-only layout.  Domain prompts without a
     head, or a head without domain prompts, is half a blend
-    (``ParameterError``), and so are an unknown mode and a temperature
-    that is not finite and positive.  Probabilities are a temperature
-    softmax over the cosines between the row and each class text.  Rows
-    are scored in blocks of ``PREDICT_BLOCK_ROWS``, so the (rows, C, d)
-    class-text arrays do not grow with n.
+    (``ParameterError``), and so is a temperature that is not finite and
+    positive.  Probabilities are a temperature softmax over the cosines
+    between the row and each class text.  Rows are scored in blocks of
+    ``PREDICT_BLOCK_ROWS``, so the (rows, C, d) class-text arrays do not
+    grow with n.
     """
     x = require_finite(as_f64(embeddings), "embeddings")
     if x.ndim != 2:
@@ -185,8 +183,6 @@ def predict_unseen_batch(
     if np.any(norms == 0.0):
         raise DomainError("embedding is the zero vector")
     xn = x / norms[:, None]
-    if mode not in ("soft", "onehot"):
-        raise ParameterError(f"unknown mode {mode!r}")
     if not 0.0 < temperature < np.inf:
         raise ParameterError(f"temperature must be finite and positive, got {temperature!r}")
 
@@ -212,7 +208,7 @@ def predict_unseen_batch(
     for start in range(0, len(x), PREDICT_BLOCK_ROWS):
         rows = xn[start : start + PREDICT_BLOCK_ROWS]
         probs[start : start + len(rows)] = _block_probabilities(
-            rows, global_prompt, domain_prompts, classifier, class_tokens, encoder, temperature, mode
+            rows, global_prompt, domain_prompts, classifier, class_tokens, encoder, temperature
         )
     return probs
 
@@ -225,7 +221,6 @@ def _block_probabilities(
     class_tokens: Array,
     encoder: FrozenEncoder,
     temperature: float,
-    mode: str,
 ) -> Array:
     """``predict_unseen_batch`` on one block of validated unit rows; its
     (rows, C, d) arrays are freed on return."""
@@ -233,12 +228,8 @@ def _block_probabilities(
         generated = np.zeros(np.shape(global_prompt))
     else:
         logits = rows @ classifier.weight.T + classifier.bias  # (n, K)
-        if mode == "soft":
-            e = np.exp(logits - logits.max(axis=1, keepdims=True))
-            weights = e / e.sum(axis=1, keepdims=True)
-        else:
-            weights = np.zeros_like(logits)
-            weights[np.arange(len(rows)), np.argmax(logits, axis=1)] = 1.0
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        weights = e / e.sum(axis=1, keepdims=True)
         # accumulated in ascending k from zero, so one-hot weights give the
         # selected prompt bit for bit
         generated = np.zeros((len(rows),) + blocks.shape[1:])

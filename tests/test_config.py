@@ -26,8 +26,8 @@ from fedstyle.style_transfer import TransferConfig
 NON_DEFAULT = """
 # a comment, then one assignment per line
 world.noise = 0.30000000000000004
-prompt.generator_mode = onehot
-rounds.weighting = samples
+prompt.init_scale = 0.001
+rounds.batch_size = 64
 rounds.count = 3
 run.seeds = 3, 1, 4
 run.variants = full, global-only
@@ -78,8 +78,8 @@ def test_serialization_round_trips_to_an_equal_config_and_identical_bytes(text):
 def test_non_default_values_survive_the_round_trip():
     config = build_config(parse_config_text(serialize_config(build_config(parse_config_text(NON_DEFAULT)))))
     assert config.world.noise == 0.30000000000000004
-    assert config.prompt.generator_mode == "onehot"
-    assert config.rounds.weighting == "samples"
+    assert config.prompt.init_scale == 0.001
+    assert config.rounds.batch_size == 64
     assert config.rounds.rounds == 3
     assert config.seeds == (3, 1, 4)
     assert config.variants == ("full", "global-only")
@@ -133,3 +133,26 @@ def test_config_dataclass_rejects_a_non_finite_float(cls, name, value):
 def test_unknown_key_in_values_is_a_configuration_error():
     with pytest.raises(ConfigurationError):
         build_config({"world.colour": "3"})
+
+
+@pytest.mark.parametrize("key, value", [("prompt.generator_mode", "soft"), ("rounds.weighting", "uniform")])
+def test_a_single_valued_field_is_not_a_key(key, value):
+    assert key not in serialize_config(build_config())
+    with pytest.raises(ConfigurationError, match="unknown key"):
+        build_config({key: value})
+    with pytest.raises(ConfigurationError, match="unknown key"):
+        parse_config_text(f"{key} = {value}")
+
+
+@pytest.mark.parametrize(
+    "cls, name, value",
+    [
+        (EncoderConfig, "normalize", False),
+        (PromptConfig, "generator_mode", "onehot"),
+        (FederationConfig, "weighting", "samples"),
+    ],
+)
+def test_a_single_valued_field_rejects_any_other_value(cls, name, value):
+    cls(**{name: getattr(cls(), name)})
+    with pytest.raises(ConfigurationError, match=name):
+        cls(**{name: value})

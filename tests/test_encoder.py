@@ -1,9 +1,8 @@
 """Contract tests for the frozen encoder.
 
 The determinism and freezing guarantees are checked bitwise; the text-tower
-backward is checked against central finite differences, normalized and
-not; the near-linearity of tanh at small token norms is asserted at the
-documented tolerance.
+backward is checked against central finite differences; the near-linearity
+of tanh at small token norms is asserted at the documented tolerance.
 """
 
 import numpy as np
@@ -12,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
-from fedstyle.errors import DomainError, ParameterError
+from fedstyle.errors import ConfigurationError, DomainError, ParameterError
 
 CFG = EncoderConfig(dim=16, max_tokens=8, seed=3)
 ENC = FrozenEncoder(CFG)
@@ -76,9 +75,9 @@ def test_parameters_are_read_only():
 
 
 def test_config_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigurationError):
         EncoderConfig(dim=1, max_tokens=12)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigurationError):
         EncoderConfig(dim=8, max_tokens=1)
 
 
@@ -113,15 +112,6 @@ def test_encode_image_rejects_bad_input():
         ENC.encode_image_batch(np.full((1, CFG.dim), np.nan))
     with pytest.raises(DomainError):
         ENC.encode_image_batch(np.zeros((1, CFG.dim)))
-
-
-def test_unnormalized_mode():
-    enc = FrozenEncoder(EncoderConfig(dim=8, max_tokens=4, seed=5, normalize=False))
-    raw = np.arange(8.0)
-    assert np.allclose(enc.encode_image_batch(raw[None, :])[0], enc.projection @ raw, atol=1e-15)
-    tokens = np.arange(16.0).reshape(2, 8) * 0.01
-    pooled = enc.position_scale[:2] @ tokens
-    assert np.allclose(enc.encode_text(tokens), enc.projection @ np.tanh(pooled), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +207,6 @@ def test_encode_class_texts_backward_over_several_blocks_matches_finite_differen
     second = rng.normal(size=(2, CFG.dim)) * 0.3
     fixed = rng.normal(size=(1, CFG.dim)) * 0.01
     _check_backward(ENC, [prompts, second], fixed, rng.normal(size=(1, CFG.dim)), step=3)
-
-
-def test_unnormalized_text_backward_matches_finite_differences():
-    enc = FrozenEncoder(EncoderConfig(dim=CFG.dim, max_tokens=CFG.max_tokens, seed=3, normalize=False))
-    rng = np.random.default_rng(9)
-    block = rng.normal(size=(2, CFG.dim)) * 0.2
-    classes = rng.normal(size=(3, CFG.dim)) * 0.01
-    _check_backward(enc, [block], classes, rng.normal(size=(3, CFG.dim)), step=2)
 
 
 # ---------------------------------------------------------------------------

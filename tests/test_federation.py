@@ -1,4 +1,4 @@
-"""Federation tests: cost-model oracles, anchored aggregation against a
+"""Federation tests: upload sizes, anchored aggregation against a
 brute-force weighted mean, wire-level fixed points, message accounting,
 post-broadcast bit-identity, and whole-run determinism."""
 
@@ -16,9 +16,7 @@ from fedstyle.federation import (
     FederationConfig,
     MethodToggles,
     _RoundLosses,
-    _upload_weights,
     aggregate_anchored,
-    comm_cost,
     evaluate_accuracy,
     run_protocol,
     run_stage_one,
@@ -95,22 +93,6 @@ def _reference_accuracy(result, split, encoder, length):
 # ---------------------------------------------------------------------------
 
 
-def test_comm_cost_reference_scales():
-    # 4 * 768 + 768 * 3 + 3, frozen independently
-    assert comm_cost(4, 768, 3) == 5379
-    # the desk-scale shapes used throughout the tests
-    assert comm_cost(4, 64, 3) == 451
-    assert comm_cost(4, 64, 4) == 516
-    assert comm_cost(1, 1, 1) == 3
-
-
-def test_comm_cost_rejects_nonpositive():
-    with pytest.raises(ConfigurationError):
-        comm_cost(0, 64, 3)
-    with pytest.raises(ConfigurationError):
-        comm_cost(4, 64, 0)
-
-
 def test_upload_bytes_are_four_per_parameter():
     message = protocol_message(
         KIND_GLOBAL_UPLOAD, 0, 0, 1,
@@ -120,8 +102,9 @@ def test_upload_bytes_are_four_per_parameter():
             "head_bias": np.zeros(3),
         },
     )
-    assert message.parameter_count == comm_cost(4, 64, 3)
-    assert message.payload_bytes == 4 * comm_cost(4, 64, 3)
+    # a (4, 64) prompt plus a 3-domain head with its bias
+    assert message.parameter_count == 4 * 64 + 64 * 3 + 3 == 451
+    assert message.payload_bytes == 4 * 451
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +167,6 @@ def test_wire_level_fixed_point_round_trip():
     )
     rebroadcast = protocol_message(KIND_GLOBAL_UPLOAD, 0, 0, 5, out)
     assert np.array_equal(rebroadcast.arrays["p"], decoded[0].arrays["p"])
-
-
-def test_upload_weights_modes():
-    messages = {
-        i: protocol_message(KIND_GLOBAL_UPLOAD, 0, i, count, {"p": np.zeros(2)})
-        for i, count in ((0, 10), (1, 30))
-    }
-    assert _upload_weights(messages, "uniform") == {0: 0.5, 1: 0.5}
-    assert _upload_weights(messages, "samples") == {0: 0.25, 1: 0.75}
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +295,11 @@ def test_protocol_message_counts_and_kinds():
         "domain_upload": k,
         "domain_broadcast": k,
     }
-    # per-round upload size matches the cost model at float32 width
+    # per round and client: a (2, 16) prompt plus a k-domain head with its
+    # bias, at float32 width
     uploads = [r for r in result.ledger.records if r.kind_name == "global_upload"]
     for record in uploads:
-        assert record.parameter_count == comm_cost(2, 16, k)
+        assert record.parameter_count == 2 * 16 + 16 * k + k
         assert record.payload_bytes == 4 * record.parameter_count
 
 

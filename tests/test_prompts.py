@@ -67,11 +67,11 @@ def _class_tokens(classes=3, dim=DIM, seed=12):
     return rng(seed, "prompt-test-tokens").normal(size=(classes, dim)) * 0.05
 
 
-def _predict_one(x, gp, dps, clf, mode="soft", enc=None, ct=None):
+def _predict_one(x, gp, dps, clf, enc=None, ct=None):
     # predict_unseen_batch on a single embedding
     enc = _encoder() if enc is None else enc
     ct = _class_tokens() if ct is None else ct
-    return predict_unseen_batch(np.asarray(x)[None, :], gp, dps, clf, ct, enc, TAU, mode=mode)[0]
+    return predict_unseen_batch(np.asarray(x)[None, :], gp, dps, clf, ct, enc, TAU)[0]
 
 
 def _one_prompt(prompt):
@@ -149,23 +149,11 @@ def test_domain_head_soft_weights_hand_oracle():
     assert not np.allclose(_predict_one(x, None, *_one_prompt(dps[0])), expected, atol=1e-6)
 
 
-def test_domain_head_onehot_ties_pick_the_lowest_index():
-    clf = DomainClassifier(weight=np.zeros((3, DIM)), bias=np.array([0.0, 1.0, 1.0]))
-    dps = rng(3, "dps").normal(size=(3, 2, DIM))
-    x = np.ones(DIM)
-    got = _predict_one(x, None, dps, clf, mode="onehot")
-    # domains 1 and 2 tie; the lowest index wins
-    assert np.array_equal(got, _predict_one(x, None, *_one_prompt(dps[1])))
-    assert not np.array_equal(got, _predict_one(x, None, *_one_prompt(dps[2])))
-
-
 def test_domain_head_rejects_bad_input():
     clf = DomainClassifier.init(2, DIM)
     dps = np.zeros((2, 2, DIM))
     with pytest.raises(DomainError):
         _predict_one(np.zeros(DIM), None, dps, clf)
-    with pytest.raises(ParameterError):
-        _predict_one(np.ones(DIM), None, dps, clf, mode="argmax")
     with pytest.raises(ParameterError):
         DomainClassifier(weight=np.zeros((2, DIM)), bias=np.zeros(3))
 
@@ -197,9 +185,11 @@ def test_mix_onehot_recovers_block_bitwise():
     blocks = rng(0, "mix-blocks").normal(size=(4, 3, DIM))
     x = np.ones(DIM)
     for k in range(4):
-        clf = DomainClassifier(weight=np.zeros((4, DIM)), bias=np.eye(4)[k])
+        # bias 0 on domain k and -1e4 on the others saturate the head:
+        # exp(-1e4) is exactly 0, so the softmax weights are exactly one-hot
+        clf = DomainClassifier(weight=np.zeros((4, DIM)), bias=-1e4 * (1.0 - np.eye(4)[k]))
         assert np.array_equal(
-            _predict_one(x, gp, blocks, clf, mode="onehot"), _predict_one(x, gp, *_one_prompt(blocks[k]))
+            _predict_one(x, gp, blocks, clf), _predict_one(x, gp, *_one_prompt(blocks[k]))
         )
 
 
@@ -276,10 +266,11 @@ def test_predict_unseen_onehot_equals_selected_composite():
     dps = rng(7, "dps").normal(size=(3, 2, DIM)) * 1e-2
     x = rng(8, "x").normal(size=DIM)
     xn = x / np.linalg.norm(x)
-    # weights aligned with x make domain 1 the argmax by a wide margin
-    clf = DomainClassifier(weight=np.stack([np.zeros(DIM), 5.0 * xn, np.zeros(DIM)]), bias=np.zeros(3))
-    probs = _predict_one(x, gp, dps, clf, mode="onehot")
-    assert np.array_equal(probs, _predict_one(x, gp, dps[1:2], DomainClassifier.init(1, DIM), mode="onehot"))
+    # weights aligned with x saturate the head on domain 1: its logit leads
+    # the others by about 1e4, so the softmax weights are exactly one-hot
+    clf = DomainClassifier(weight=np.stack([np.zeros(DIM), 1e4 * xn, np.zeros(DIM)]), bias=np.zeros(3))
+    probs = _predict_one(x, gp, dps, clf)
+    assert np.array_equal(probs, _predict_one(x, gp, dps[1:2], DomainClassifier.init(1, DIM)))
 
 
 def test_predict_unseen_soft_blends_prompts():
@@ -300,9 +291,8 @@ def test_predict_unseen_soft_blends_prompts():
         assert not np.allclose(probs, _predict_one(x, None, *_one_prompt(dps[k])), atol=1e-6)
 
 
-@pytest.mark.parametrize("mode", ["soft", "onehot"])
 @pytest.mark.parametrize("with_global", [True, False])
-def test_predict_unseen_batch_matches_per_sample(mode, with_global, monkeypatch):
+def test_predict_unseen_batch_matches_per_sample(with_global, monkeypatch):
     # blocks of 3 rows: the 7 rows span two full blocks and a partial one
     monkeypatch.setattr(prompts, "PREDICT_BLOCK_ROWS", 3)
     enc = _encoder()
@@ -311,10 +301,10 @@ def test_predict_unseen_batch_matches_per_sample(mode, with_global, monkeypatch)
     dps = rng(10, "dps").normal(size=(3, 2, DIM)) * 1e-2
     clf = DomainClassifier(weight=rng(10, "clf").normal(size=(3, DIM)), bias=rng(10, "b").normal(size=3))
     xs = rng(10, "xs").normal(size=(7, DIM))
-    batch = predict_unseen_batch(xs, gp, dps, clf, ct, enc, TAU, mode=mode)
+    batch = predict_unseen_batch(xs, gp, dps, clf, ct, enc, TAU)
     assert batch.shape == (7, 3)
     for i in range(7):
-        single = _predict_one(xs[i], gp, dps, clf, mode=mode)
+        single = _predict_one(xs[i], gp, dps, clf)
         assert np.allclose(batch[i], single, rtol=1e-12, atol=1e-14)
     if with_global:
         batch = predict_unseen_batch(xs, gp, None, None, ct, enc, TAU)
@@ -343,16 +333,12 @@ def test_predict_rejects_degenerate_and_overfull():
         _predict_one(np.ones(DIM), np.zeros((3, DIM)), *_one_prompt(np.zeros((2, DIM))))
 
 
-@pytest.mark.parametrize(
-    "mode, temperature",
-    [("bogus", TAU), ("soft", -1.0), ("soft", 0.0), ("soft", math.nan), ("soft", math.inf)],
-)
-def test_predict_rejects_a_bad_mode_or_temperature(mode, temperature):
-    # with no domain prompts the mode is unused, and it is still checked; a
-    # negative temperature would invert the ranking, zero gives NaN
+@pytest.mark.parametrize("temperature", [-1.0, 0.0, math.nan, math.inf])
+def test_predict_rejects_a_bad_temperature(temperature):
+    # a negative temperature would invert the ranking, zero gives NaN
     with pytest.raises(ParameterError):
         predict_unseen_batch(
-            np.ones((2, DIM)), np.zeros((2, DIM)), None, None, _class_tokens(), _encoder(), temperature, mode=mode
+            np.ones((2, DIM)), np.zeros((2, DIM)), None, None, _class_tokens(), _encoder(), temperature
         )
 
 
