@@ -9,7 +9,8 @@ starts from the adopted broadcast, refines it locally (the global prompt on
 its augmented pool, the domain head on the pool without target-styled
 entries), uploads it, and the server broadcasts the anchored mean back,
 each upload weighted 1/K: the clients of a split hold local sets of one
-length, so these are FedAvg's sample-count weights.  The broadcast bytes
+length, so this is FedAvg's sample-count-weighted mean, and no sample count
+crosses the wire.  The broadcast bytes
 are canonical: server and clients all adopt the value that crossed the
 wire, so their states match bit for bit.  After the
 final round each client uploads its locally trained domain prompt once and
@@ -103,7 +104,7 @@ class MethodToggles:
     use_global_prompt: bool = True
     use_domain_prompt: bool = True
     use_contrastive: bool = True
-    use_prompt_generator: bool = True
+    use_prompt_generator: bool = True  # unread, equals use_domain_prompt; the benchmark still passes it
     use_style_transfer: bool = True
     include_target_description: bool = False
 
@@ -176,7 +177,6 @@ class LedgerRecord:
     kind_name: str
     parameter_count: int
     payload_bytes: int
-    sample_count: int
 
 
 class CommunicationLedger:
@@ -193,7 +193,6 @@ class CommunicationLedger:
                 kind_name=message.kind_name,
                 parameter_count=message.parameter_count,
                 payload_bytes=message.payload_bytes,
-                sample_count=message.sample_count,
             )
         )
 
@@ -212,38 +211,32 @@ class CommunicationLedger:
 # ---------------------------------------------------------------------------
 
 
-def aggregate_anchored(
-    uploads: dict[int, dict[str, Array]], weights: dict[int, float]
-) -> dict[str, Array]:
-    """Weighted mean written as anchor + sum_i w_i * (x_i - anchor).
+def aggregate_anchored(uploads: dict[int, dict[str, Array]]) -> dict[str, Array]:
+    """Mean of the uploads written as anchor + sum_i (x_i - anchor) / K.
 
     The anchor is the lowest client id's upload and accumulation runs in
-    ascending id order, so the result is reproducible to the bit.  With
-    weights summing to one this equals the plain weighted mean; uploads
-    that are all bit-equal short-circuit to that shared value exactly.
+    ascending id order, so the result is reproducible to the bit.  Every
+    client must upload the anchor's array names and shapes
+    (``ProtocolError`` otherwise).  Uploads that are all bit-equal give that
+    shared value back exactly, except that a -0.0 entry comes back as +0.0.
     """
     if not uploads:
         raise ProtocolError("nothing to aggregate")
-    if set(weights) != set(uploads):
-        raise ProtocolError("weights do not cover the uploads")
-    total = sum(weights.values())
-    if abs(total - 1.0) > 1e-9:
-        raise ProtocolError(f"weights sum to {total!r}, expected 1")
     ids = sorted(uploads)
     names = list(uploads[ids[0]])
     for i in ids:
         if list(uploads[i]) != names:
             raise ProtocolError(f"client {i} uploaded arrays {list(uploads[i])}, expected {names}")
+    weight = 1.0 / len(ids)
     out: dict[str, Array] = {}
     for name in names:
         anchor = np.asarray(uploads[ids[0]][name], dtype=np.float64)
-        if all(np.array_equal(uploads[i][name], anchor) for i in ids):
-            out[name] = anchor.copy()
-            continue
         acc = np.zeros_like(anchor)
         for i in ids:
-            contribution = np.asarray(uploads[i][name], dtype=np.float64) - anchor
-            acc += weights[i] * contribution
+            upload = np.asarray(uploads[i][name], dtype=np.float64)
+            if upload.shape != anchor.shape:
+                raise ProtocolError(f"client {i} uploaded {name!r} of shape {upload.shape}, not {anchor.shape}")
+            acc += weight * (upload - anchor)
         out[name] = anchor + acc
     return out
 
@@ -424,7 +417,7 @@ def run_protocol(
     shared: dict[str, Array] = {}
     if toggles.use_global_prompt:
         shared["global_prompt"] = init_prompt(prompt_config, dim, seed, "global-prompt-init")
-    if toggles.use_prompt_generator:
+    if toggles.use_domain_prompt:
         head = DomainClassifier.init(k, dim)
         shared["head_weight"], shared["head_bias"] = head.weight, head.bias
     domain = None  # (K, L, d) in client order, sent only after the last round
@@ -477,7 +470,6 @@ def run_protocol(
             trained = {key: params[key] for key in grads}
             params.update(sgd_step(trained, grads, rate, fed_config.weight_decay))
 
-    uniform = {i: 1.0 / k for i in range(k)}
     round_metrics: list[dict[str, float]] = []
     for round_index in range(fed_config.rounds):
         losses = _RoundLosses(round_index)
@@ -493,18 +485,17 @@ def run_protocol(
             # the head pass draws the same way for the same reason
             if toggles.use_global_prompt:
                 local_pass("global", global_step, params, "train_pool", epoch, losses)
-            if toggles.use_prompt_generator:
+            if toggles.use_domain_prompt:
                 local_pass("head", head_step, params, "head_pool", epoch, losses)
 
         # upload in client order, aggregate, and adopt the broadcast bytes
         uploads = {}
         for i in range(k):
-            samples = len(clients[i].train_pool)
             refined = {name: stack[i] for name, stack in params.items()}
-            upload = protocol_message(KIND_GLOBAL_UPLOAD, round_index, i, samples, refined)
+            upload = protocol_message(KIND_GLOBAL_UPLOAD, round_index, i, refined)
             uploads[i] = _exchange(ledger, upload, [i]).arrays
-        aggregated = aggregate_anchored(uploads, uniform)
-        broadcast = protocol_message(KIND_GLOBAL_BROADCAST, round_index, SERVER_ID, 0, aggregated)
+        aggregated = aggregate_anchored(uploads)
+        broadcast = protocol_message(KIND_GLOBAL_BROADCAST, round_index, SERVER_ID, aggregated)
         adopted = _exchange(ledger, broadcast, range(k))
         shared = {name: array.astype(np.float64) for name, array in adopted.arrays.items()}
 
@@ -527,15 +518,14 @@ def run_protocol(
     if domain is not None:
         collected = []
         for i in range(k):
-            prompt, samples = {"domain_prompt": domain[i]}, len(clients[i].local_set)
-            upload = protocol_message(KIND_DOMAIN_UPLOAD, fed_config.rounds, i, samples, prompt)
+            upload = protocol_message(KIND_DOMAIN_UPLOAD, fed_config.rounds, i, {"domain_prompt": domain[i]})
             collected.append(_exchange(ledger, upload, [i]).arrays["domain_prompt"])
         stack = {"domain_prompts": np.stack(collected)}
-        broadcast = protocol_message(KIND_DOMAIN_BROADCAST, fed_config.rounds, SERVER_ID, 0, stack)
+        broadcast = protocol_message(KIND_DOMAIN_BROADCAST, fed_config.rounds, SERVER_ID, stack)
         domain = _exchange(ledger, broadcast, range(k)).arrays["domain_prompts"].astype(np.float64)
 
     head = None
-    if toggles.use_prompt_generator:
+    if toggles.use_domain_prompt:
         head = DomainClassifier(shared["head_weight"], shared["head_bias"])
     return ProtocolResult(shared.get("global_prompt"), head, domain, ledger, round_metrics)
 

@@ -1,5 +1,5 @@
 """Federation tests: upload sizes, anchored aggregation against a
-brute-force weighted mean, wire-level fixed points, message accounting,
+brute-force mean, wire-level fixed points, message accounting,
 post-broadcast bit-identity, and whole-run determinism."""
 
 import dataclasses
@@ -95,7 +95,7 @@ def _reference_accuracy(result, split, encoder, length):
 
 def test_upload_bytes_are_four_per_parameter():
     message = protocol_message(
-        KIND_GLOBAL_UPLOAD, 0, 0, 1,
+        KIND_GLOBAL_UPLOAD, 0, 0,
         {
             "global_prompt": np.zeros((4, 64)),
             "head_weight": np.zeros((3, 64)),
@@ -112,13 +112,12 @@ def test_upload_bytes_are_four_per_parameter():
 # ---------------------------------------------------------------------------
 
 
-def test_aggregate_matches_weighted_mean_oracle():
+def test_aggregate_matches_mean_oracle():
     g = np.random.default_rng(0)
     uploads = {i: {"p": g.normal(size=(3, 4)), "b": g.normal(size=2)} for i in range(4)}
-    weights = {0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4}
-    out = aggregate_anchored(uploads, weights)
+    out = aggregate_anchored(uploads)
     for name in ("p", "b"):
-        expected = sum(weights[i] * uploads[i][name] for i in range(4))
+        expected = sum(uploads[i][name] for i in range(4)) / 4
         assert np.allclose(out[name], expected, rtol=1e-12, atol=1e-12)
 
 
@@ -126,46 +125,45 @@ def test_aggregate_matches_weighted_mean_oracle():
 def test_aggregate_identical_uploads_is_bitwise_fixed_point(k):
     block = np.random.default_rng(1).normal(size=(2, 5)).astype(np.float32)
     uploads = {i: {"p": block.copy()} for i in range(k)}
-    out = aggregate_anchored(uploads, {i: 1.0 / k for i in range(k)})
-    assert np.array_equal(out["p"], block.astype(np.float64))
+    out = aggregate_anchored(uploads)
+    assert out["p"].tobytes() == block.astype(np.float64).tobytes()
 
 
 def test_aggregate_ignores_dict_insertion_order():
     g = np.random.default_rng(2)
     uploads = {i: {"p": g.normal(size=3)} for i in range(3)}
-    weights = {i: 1.0 / 3 for i in range(3)}
-    forward = aggregate_anchored(uploads, weights)
-    shuffled = aggregate_anchored(
-        {2: uploads[2], 0: uploads[0], 1: uploads[1]},
-        {1: weights[1], 2: weights[2], 0: weights[0]},
-    )
+    forward = aggregate_anchored(uploads)
+    shuffled = aggregate_anchored({2: uploads[2], 0: uploads[0], 1: uploads[1]})
     assert np.array_equal(forward["p"], shuffled["p"])
 
 
 def test_aggregate_rejects_bad_inputs():
     with pytest.raises(ProtocolError):
-        aggregate_anchored({}, {})
-    uploads = {0: {"p": np.ones(2)}, 1: {"p": np.ones(2)}}
+        aggregate_anchored({})
     with pytest.raises(ProtocolError):
-        aggregate_anchored(uploads, {0: 1.0})
-    with pytest.raises(ProtocolError):
-        aggregate_anchored(uploads, {0: 0.7, 1: 0.7})
-    with pytest.raises(ProtocolError):
-        aggregate_anchored({0: {"p": np.ones(2)}, 1: {"q": np.ones(2)}}, {0: 0.5, 1: 0.5})
+        aggregate_anchored({0: {"p": np.ones(2)}, 1: {"q": np.ones(2)}})
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_aggregate_rejects_an_upload_shaped_unlike_the_anchor(order):
+    # (3,) broadcasts against (4, 3): unchecked, one order averages to a
+    # (4, 3) mean and the other fails inside numpy
+    shapes = dict(zip(order, [(4, 3), (3,)]))
+    uploads = {i: {"p": np.ones(shapes[i])} for i in (0, 1)}
+    with pytest.raises(ProtocolError, match=r"client 1 uploaded 'p'"):
+        aggregate_anchored(uploads)
 
 
 def test_wire_level_fixed_point_round_trip():
     # identical float32 uploads aggregate and re-encode to identical bytes
     block = np.random.default_rng(3).normal(size=(2, 4))
     blobs = [
-        encode_message(protocol_message(KIND_GLOBAL_UPLOAD, 0, i, 5, {"p": block}))
+        encode_message(protocol_message(KIND_GLOBAL_UPLOAD, 0, i, {"p": block}))
         for i in range(3)
     ]
     decoded = {i: decode_message(blob) for i, blob in enumerate(blobs)}
-    out = aggregate_anchored(
-        {i: dict(m.arrays) for i, m in decoded.items()}, {i: 1.0 / 3 for i in range(3)}
-    )
-    rebroadcast = protocol_message(KIND_GLOBAL_UPLOAD, 0, 0, 5, out)
+    out = aggregate_anchored({i: dict(m.arrays) for i, m in decoded.items()})
+    rebroadcast = protocol_message(KIND_GLOBAL_UPLOAD, 0, 0, out)
     assert np.array_equal(rebroadcast.arrays["p"], decoded[0].arrays["p"])
 
 
@@ -482,7 +480,7 @@ def _reference_protocol(stage_one, split, encoder, prompt_config, fed, seed):
                 add("head_loss", value, rows)
             uploads[i] = {"global_prompt": _on_the_wire(prompt), "head_weight": _on_the_wire(w),
                           "head_bias": _on_the_wire(b)}
-        aggregated = aggregate_anchored(uploads, {i: 1.0 / k for i in uploads})
+        aggregated = aggregate_anchored(uploads)
         shared = {name: _on_the_wire(a) for name, a in aggregated.items()}
         for i, client in enumerate(stage_one.clients):
             for epoch in range(fed.domain_epochs):
