@@ -121,7 +121,7 @@ class SyntheticWorld:
     shifts: Array         # (K, d) unit domain directions in a shared plane
     class_tokens: Array   # (C, d) = token_scale * prototypes
     domain_tokens: Array  # (K, d) = token_scale * shifts
-    samples: LabeledEmbeddings  # domains hold original world indices
+    samples: LabeledEmbeddings  # domain by domain; domains hold original world indices
 
 
 def _orthonormal_rows(count: int, dim: int, generator: np.random.Generator) -> Array:
@@ -216,17 +216,29 @@ class EvaluationSplit:
         return len(self.clients)
 
 
+def _domain_rows(world: SyntheticWorld, domain: int) -> LabeledEmbeddings:
+    """Read-only views of one domain's samples.  ``generate_world`` stores
+    them domain by domain, ``classes * samples_per_cell`` rows each, so
+    every split shares the world's arrays instead of copying them."""
+    rows = world.spec.classes * world.spec.samples_per_cell
+    block = slice(domain * rows, (domain + 1) * rows)
+    samples = world.samples
+    parts = [samples.embeddings[block], samples.labels[block], samples.domains[block]]
+    for part in parts:
+        part.setflags(write=False)
+    return LabeledEmbeddings(*parts)
+
+
 def leave_one_out(world: SyntheticWorld, holdout: int) -> EvaluationSplit:
     if not 0 <= holdout < world.spec.domains:
         raise ParameterError(f"holdout {holdout} out of range for {world.spec.domains} domains")
     source_ids = [k for k in range(world.spec.domains) if k != holdout]
     clients = []
     for client_index, domain_id in enumerate(source_ids):
-        mask = world.samples.domains == domain_id
-        ds = world.samples.subset(np.flatnonzero(mask))
+        ds = _domain_rows(world, domain_id)
         ds.domains = np.full(len(ds), client_index, dtype=np.int64)
         clients.append(ds)
-    test_set = world.samples.subset(np.flatnonzero(world.samples.domains == holdout))
+    test_set = _domain_rows(world, holdout)
     return EvaluationSplit(
         holdout=holdout,
         source_domain_ids=source_ids,

@@ -160,6 +160,21 @@ def test_leave_one_out_partitions_and_renumbers():
     assert np.allclose(split.target_domain_token, world.domain_tokens[1])
 
 
+def test_leave_one_out_shares_each_domains_rows_read_only():
+    world, _ = make_world()
+    split = leave_one_out(world, holdout=1)
+    for domain, ds in zip([0, 2, 1], split.clients + [split.test_set]):
+        rows = np.flatnonzero(world.samples.domains == domain)
+        assert ds.embeddings.tobytes() == world.samples.embeddings[rows].tobytes()
+        assert np.array_equal(ds.labels, world.samples.labels[rows])
+        assert np.shares_memory(ds.embeddings, world.samples.embeddings)
+        with pytest.raises(ValueError):
+            ds.embeddings[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            ds.labels[0] = 0
+    assert np.all(world.samples.embeddings.flags.writeable)
+
+
 def test_leave_one_out_rejects_bad_holdout():
     world, _ = make_world()
     with pytest.raises(ParameterError):
