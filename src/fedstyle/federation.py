@@ -30,11 +30,15 @@ parameters.  Every message is framed, CRC-checked, and recorded in a
 ``CommunicationLedger``.
 
 Everything is seeded and runs in one thread.  The local sets of a split
-must all have the same length (``ConfigurationError`` otherwise), so the
-K clients of a split step as one stack in both stages: stage one trains
-every transform in one ``train_transform`` call, and each stage-two pass
-takes one stacked step per batch for all clients, each client's shuffle
-still drawn from its own per-(round, client, epoch) stream.  A stacked step
+must all have the same length and hold rows (``ConfigurationError``
+otherwise), so the K clients of a split step as one stack in both stages:
+stage one trains every transform in one ``train_transform`` call and holds
+the pools as read-only (K, N, d) stacks, and each stage-two pass takes one
+stacked step per batch for all clients.  A pass whose one batch is a whole
+local-set-sized pool reads the stack as it is: its losses are batch means,
+which a shuffle would only sum in another order.  Every other pass draws
+each client's shuffle from its own per-(round, client, epoch) stream and
+gathers all clients' rows with one ``take`` per array.  A stacked step
 gives every client the bits it would get alone.  Uploads, ledger records
 and each round's loss means follow ascending client order, so a run is a
 pure function of its inputs.
@@ -248,16 +252,7 @@ def aggregate_anchored(uploads: dict[int, dict[str, Array]]) -> dict[str, Array]
 
 @dataclass
 class ClientData:
-    """One client's pools after stage one, as prepared unit rows.
-
-    ``train_pool`` is the local set followed by every style-transferred
-    copy, normalized and validated once; it trains the global prompt.
-    ``local_set`` is a view of its leading rows, the original embeddings,
-    and trains the domain prompt.  ``head_pool`` trains the domain head: it
-    is the train pool itself unless some entries are styled toward the
-    held-out domain, which have no valid source-domain label; then it holds
-    the other rows, gathered once.
-    """
+    """One client's views of the three ``StageOneResult`` stacks."""
 
     client_id: int
     local_set: UnitRows
@@ -267,8 +262,44 @@ class ClientData:
 
 @dataclass
 class StageOneResult:
+    """Every client's pools as read-only stacks: (K, N, d) unit rows with
+    (K, N) labels and domains, normalized and validated once.
+
+    ``train_pool`` is each local set followed by its style-transferred
+    copies; it trains the global prompt.  ``local_set``, the original
+    embeddings, is a view of its leading n rows and trains the domain
+    prompt.  ``head_pool`` trains the domain head: it is the train stack
+    itself unless some rows are styled toward the held-out domain, which
+    have no valid source-domain label; then it holds the other rows.  The
+    stacks are None only when local sets mix lengths, which stage two
+    rejects.
+    """
+
     clients: list[ClientData]
+    train_pool: UnitRows | None = None
+    head_pool: UnitRows | None = None
+    local_set: UnitRows | None = None
     transforms: dict[int, dict[int, TransformNetwork]] = field(default_factory=dict)
+
+
+def _empty_stack(k: int, n: int, dim: int) -> UnitRows:
+    labels = np.empty((k, n), dtype=np.int64)
+    return UnitRows(np.empty((k, n, dim)), labels, np.empty_like(labels))
+
+
+def _from_stacks(train: UnitRows, head: UnitRows, n: int, transforms: dict) -> StageOneResult:
+    """Mark the filled stacks read-only and hand each client its views."""
+    for stack in (train, head):
+        for array in (stack.rows, stack.labels, stack.domains):
+            array.flags.writeable = False
+    local = train if train.labels.shape[1] == n else train.select(np.s_[:, :n])
+    clients = []
+    for i in range(train.labels.shape[0]):
+        train_i = train.select(i)
+        head_i = train_i if head is train else head.select(i)
+        local_i = train_i if local is train else local.select(i)
+        clients.append(ClientData(i, local_i, train_i, head_i))
+    return StageOneResult(clients, train, head, local, transforms)
 
 
 def transform_jobs(split: EvaluationSplit, include_target_description: bool) -> list[TransformJob]:
@@ -295,37 +326,43 @@ def run_stage_one(
 
     With style transfer disabled every pool is just the local set and no
     transform is trained.  No message is produced either way; stage one is
-    upload-free by construction.  Each pool is normalized and validated
-    here, once, against the split's class and client counts.  All
-    transforms train in one stacked ``train_transform`` call, which rejects
-    local sets of different lengths.
+    upload-free by construction.  Each client's pool is normalized and
+    validated here, once, against the split's class and client counts,
+    straight into its slice of the stack.  All transforms train in one
+    stacked ``train_transform`` call, which rejects local sets of
+    different lengths.
     """
     classes, k = split.class_tokens.shape[0], split.num_clients
+    n, dim = len(split.clients[0]), encoder.config.dim
     if not toggles.use_style_transfer:
-        pools = [UnitRows.prepare(ds, classes, k) for ds in split.clients]
-        return StageOneResult(clients=[ClientData(i, pool, pool, pool) for i, pool in enumerate(pools)])
+        if any(len(local) != n for local in split.clients):
+            pools = [UnitRows.prepare(local, classes, k) for local in split.clients]
+            return StageOneResult([ClientData(i, pool, pool, pool) for i, pool in enumerate(pools)])
+        stack = _empty_stack(k, n, dim)
+        for i, local in enumerate(split.clients):
+            UnitRows.prepare(local, classes, k, out=stack.select(i))
+        return _from_stacks(stack, stack, n, {})
 
     jobs = transform_jobs(split, toggles.include_target_description)
     result = train_transform(jobs, encoder, split.class_tokens, transfer_config, temperature, seed)
     trained = {(net.source, net.target): net for net in result.networks()}
-    clients = []
-    transforms: dict[int, dict[int, TransformNetwork]] = {}
+    transforms = {i: {job.target: trained[i, job.target] for job in jobs if job.source == i} for i in range(k)}
+    # every client holds n rows and one styled copy per target
+    styled = len(transforms[0])
+    train = _empty_stack(k, n * (1 + styled), dim)
+    head = train
+    if toggles.include_target_description:
+        head = _empty_stack(k, n * styled, dim)
     for i, local in enumerate(split.clients):
-        nets = {job.target: trained[i, job.target] for job in jobs if job.source == i}
-        pool = build_augmentation_bank(local, i, nets)
-        head = np.flatnonzero(pool.domains != TARGET_KEY)
-        if len(head) == len(pool):
-            train_pool = head_pool = UnitRows.prepare(pool, classes, k)
-        else:
-            train_pool = UnitRows.prepare(pool, classes)
-            head_pool = UnitRows.prepare(pool.subset(head), classes, k)
-        clients.append(ClientData(i, train_pool.select(slice(0, len(local))), train_pool, head_pool))
-        transforms[i] = nets
-        log.info(
-            "client %d: %d local, %d augmented toward %s",
-            i, len(local), len(train_pool) - len(local), list(nets),
-        )
-    return StageOneResult(clients=clients, transforms=transforms)
+        pool = build_augmentation_bank(local, i, transforms[i])
+        # target-styled rows carry TARGET_KEY, outside the domain range
+        UnitRows.prepare(pool, classes, k if head is train else None, out=train.select(i))
+        if head is not train:
+            kept = np.flatnonzero(pool.domains != TARGET_KEY)
+            UnitRows.prepare(pool.subset(kept), classes, k, out=head.select(i))
+        log.info("client %d: %d local, %d augmented toward %s", i, n, len(pool) - n, list(transforms[i]))
+        del pool  # one unnormalized pool at a time: free it before the next is built
+    return _from_stacks(train, head, n, transforms)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +446,9 @@ def run_protocol(
     lengths = sorted({len(client.local_set) for client in clients})
     if len(lengths) > 1:
         raise ConfigurationError(f"client local sets mix lengths {lengths}")
+    n = lengths[0]
+    if n == 0:
+        raise ConfigurationError("client local sets are empty")
     dim = encoder.config.dim
     class_tokens, temperature = split.class_tokens, prompt_config.temperature
     ledger = CommunicationLedger()
@@ -443,28 +483,48 @@ def run_protocol(
         )
         return values, {"domain_prompt": grad}
 
-    # room for one (K, n, ...) draw, reused by every pass: a fresh one per
-    # pass costs more in page faults than the gather
-    n = lengths[0]
-    labels = np.empty((k, n), dtype=np.int64)
-    drawn = UnitRows(np.empty((k, n, dim)), labels, np.empty_like(labels))
+    # room for one (K, n, ...) draw, reused by every pass that draws: a
+    # fresh one per pass costs more in page faults than the gather; it is
+    # made on the first draw, so a cell whose passes all read their whole
+    # pool makes none
+    drawn = None
 
-    def local_pass(name, step, params, pool, epoch, losses):
+    def local_pass(name, step, params, stack, epoch, losses, length=None):
         """One epoch of the ``name`` pass ("global", "head" or "domain").
-        Each client draws a local-set-sized sample of its ``pool`` from its
-        own ``<name>-shuffle`` stream into its row of ``drawn``; each
-        stacked batch then takes one ``step``, records its losses as
-        ``<name>_loss`` and updates, in ``params``, the arrays the step
-        returned gradients for, at ``<name>_lr`` decayed by the round."""
+        Each client's pool is the leading ``length`` rows (all by default)
+        of its slice of ``stack``.  A pool of exactly n rows with
+        ``batch_size`` at least n makes one batch of every row: each loss
+        is a batch mean, so a shuffle would only reorder its sum, and the
+        pass reads the stack itself.  Otherwise each client draws a
+        local-set-sized sample of its pool from its own ``<name>-shuffle``
+        stream into its row of ``drawn``.  Each stacked batch then takes
+        one ``step``, records its losses as ``<name>_loss`` and updates, in
+        ``params``, the arrays the step returned gradients for, at
+        ``<name>_lr`` decayed by the round."""
+        nonlocal drawn
         rate = getattr(fed_config, f"{name}_lr") * fed_config.lr_decay**losses.round_index
-        for i, client in enumerate(clients):
-            rows = getattr(client, pool)
-            order = rng(seed, f"{name}-shuffle", losses.round_index, i, epoch).permutation(len(rows))[:n]
+        width = stack.labels.shape[1]
+        length = width if length is None else length
+        if length == n and fed_config.batch_size >= n:
+            source = stack.select(np.s_[:, :n])
+        else:
+            if drawn is None:
+                drawn = _empty_stack(k, n, dim)
+            order = np.stack([
+                rng(seed, f"{name}-shuffle", losses.round_index, i, epoch).permutation(length)[:n]
+                for i in range(k)
+            ])
+            # one gather per array from the contiguous stack seen as K * N
+            # rows; every index is in range, so "clip" only spares take a
+            # buffered copy
+            order += np.arange(0, k * width, width)[:, None]
             for part in ("rows", "labels", "domains"):
-                # every index is in range, so "clip" only spares take a buffered copy
-                np.take(getattr(rows, part), order, axis=0, out=getattr(drawn, part)[i], mode="clip")
+                whole = getattr(stack, part)
+                flat = whole.reshape(k * width, *whole.shape[2:])
+                np.take(flat, order, axis=0, out=getattr(drawn, part), mode="clip")
+            source = drawn
         for start in range(0, n, fed_config.batch_size):
-            batch = drawn.select(np.s_[:, start : start + fed_config.batch_size])
+            batch = source.select(np.s_[:, start : start + fed_config.batch_size])
             values, grads = step(batch, params)
             losses.add(f"{name}_loss", values, batch.labels.shape[-1])
             trained = {key: params[key] for key in grads}
@@ -484,9 +544,9 @@ def run_protocol(
             # effect of the banks with the effect of extra optimization;
             # the head pass draws the same way for the same reason
             if toggles.use_global_prompt:
-                local_pass("global", global_step, params, "train_pool", epoch, losses)
+                local_pass("global", global_step, params, stage_one.train_pool, epoch, losses)
             if toggles.use_domain_prompt:
-                local_pass("head", head_step, params, "head_pool", epoch, losses)
+                local_pass("head", head_step, params, stage_one.head_pool, epoch, losses)
 
         # upload in client order, aggregate, and adopt the broadcast bytes
         uploads = {}
@@ -506,8 +566,11 @@ def run_protocol(
                 params["global_prompt"] = np.stack([shared["global_prompt"]] * k)
             if own_text is not None:
                 params["own_text"] = own_text
+            # the local set is the train stack's leading n rows; a draw
+            # indexes that contiguous parent, since flattening the strided
+            # local-set view would copy it
             for epoch in range(fed_config.domain_epochs):
-                local_pass("domain", domain_step, params, "local_set", epoch, losses)
+                local_pass("domain", domain_step, params, stage_one.train_pool, epoch, losses, n)
             domain = params["domain_prompt"]
 
         metrics = {"round": float(round_index), **losses.means()}

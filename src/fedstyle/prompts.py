@@ -267,17 +267,24 @@ class UnitRows:
 
     @classmethod
     def prepare(
-        cls, pool: LabeledEmbeddings, num_classes: int | None, num_domains: int | None = None
+        cls, pool: LabeledEmbeddings, num_classes: int | None, num_domains: int | None = None, out=None
     ) -> "UnitRows":
         """Normalize ``pool`` once and validate it: every row finite and
         nonzero (``DomainError``), class labels in [0, num_classes) and
         domain labels in [0, num_domains) (``DataError``).  A count of None
-        skips its range check."""
+        skips its range check.  With ``out``, a writeable UnitRows of the
+        pool's shapes such as a client's slice of a stack, the result is
+        written into it."""
         checks = ((pool.labels, num_classes, "class label"), (pool.domains, num_domains, "domain index"))
         for values, count, what in checks:
             if count is not None and (np.any(values < 0) or np.any(values >= count)):
                 raise DataError(f"{what} outside [0, {count})")
-        return cls(_normalized_rows(pool), pool.labels, pool.domains)
+        if out is None:
+            return cls(_normalized_rows(pool), pool.labels, pool.domains)
+        _normalized_rows(pool, out.rows)
+        np.copyto(out.labels, pool.labels)
+        np.copyto(out.domains, pool.domains)
+        return out
 
     def select(self, index) -> "UnitRows":
         """The rows at ``index``: a view for a slice, a gathered copy for
@@ -285,11 +292,11 @@ class UnitRows:
         return UnitRows(self.rows[index], self.labels[index], self.domains[index])
 
 
-def _normalized_rows(batch: LabeledEmbeddings) -> Array:
+def _normalized_rows(batch: LabeledEmbeddings, out: Array | None = None) -> Array:
     norms = np.linalg.norm(batch.embeddings, axis=1)
     if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
         raise DomainError("batch contains a zero or non-finite embedding")
-    return batch.embeddings / norms[:, None]
+    return np.divide(batch.embeddings, norms[:, None], out=out)
 
 
 def _unit_rows(

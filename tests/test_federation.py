@@ -278,6 +278,81 @@ def test_mixed_local_set_lengths_are_rejected_in_both_stages(monkeypatch):
     assert sent == []
 
 
+def test_empty_local_sets_are_rejected_before_any_message(monkeypatch):
+    world, encoder = _world()
+    split = leave_one_out(world, 3)
+    split = dataclasses.replace(split, clients=[client.subset(np.arange(0)) for client in split.clients])
+    toggles = MethodToggles(use_style_transfer=False)
+    stage_one = run_stage_one(split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, toggles, 0)
+    sent = []
+
+    def counted(message):
+        sent.append(message)
+        return encode_message(message)
+
+    monkeypatch.setattr(federation, "encode_message", counted)
+    with pytest.raises(ConfigurationError, match="empty"):
+        run_protocol(
+            stage_one, split, encoder, PromptConfig(length=2, temperature=0.05, init_scale=1e-3),
+            FederationConfig(**dict(_ROUNDS, rounds=2)), toggles, 0,
+        )
+    assert sent == []
+
+
+@pytest.mark.parametrize("use_style_transfer", [False, True])
+def test_stage_one_pools_are_read_only_views_of_stacks(use_style_transfer):
+    world, encoder = _world()
+    split = leave_one_out(world, 3)
+    toggles = MethodToggles(use_style_transfer=use_style_transfer, include_target_description=use_style_transfer)
+    stage_one = run_stage_one(split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, toggles, 0)
+    n = len(split.clients[0])
+    assert stage_one.local_set.rows.shape == (3, n, 16)
+    assert np.array_equal(stage_one.local_set.rows, stage_one.train_pool.rows[:, :n])
+    assert np.array_equal(stage_one.local_set.labels, stage_one.train_pool.labels[:, :n])
+    for i, client in enumerate(stage_one.clients):
+        for name in ("train_pool", "head_pool", "local_set"):
+            view, stack = getattr(client, name), getattr(stage_one, name)
+            for part in ("rows", "labels", "domains"):
+                array = getattr(view, part)
+                assert np.shares_memory(array, getattr(stack, part)), (name, part)
+                assert np.array_equal(array, getattr(stack, part)[i]), (name, part)
+                with pytest.raises(ValueError):
+                    array[0] = 0
+        assert np.shares_memory(client.local_set.rows, stage_one.train_pool.rows)
+        assert np.array_equal(client.local_set.labels, split.clients[i].labels)
+
+
+def _counted_rng_calls(monkeypatch, fed):
+    world, encoder = _world()
+    split = leave_one_out(world, 3)
+    toggles = MethodToggles(use_style_transfer=False)
+    stage_one = run_stage_one(split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, toggles, 0)
+    calls = []
+
+    def counted(*parts):
+        calls.append(parts)
+        return rng(*parts)
+
+    monkeypatch.setattr(federation, "rng", counted)
+    run_protocol(stage_one, split, encoder, PromptConfig(length=2, temperature=0.05, init_scale=0.0), fed, toggles, 0)
+    return calls, split
+
+
+def test_whole_set_passes_draw_nothing(monkeypatch):
+    # 24 rows per client in one batch of up to 32: every pass reads its
+    # client's whole local set, so no pass draws
+    calls, split = _counted_rng_calls(monkeypatch, FederationConfig(**dict(_ROUNDS, rounds=2, batch_size=32)))
+    assert len(split.clients[0]) == 24
+    assert calls == []
+
+
+def test_minibatch_passes_draw_once_per_client_and_epoch(monkeypatch):
+    fed = FederationConfig(**dict(_ROUNDS, rounds=2, global_epochs=3, domain_epochs=2, batch_size=8))
+    calls, split = _counted_rng_calls(monkeypatch, fed)
+    k = split.num_clients
+    assert len(calls) == fed.rounds * (2 * fed.global_epochs + fed.domain_epochs) * k
+
+
 # ---------------------------------------------------------------------------
 # protocol runs
 # ---------------------------------------------------------------------------
@@ -514,6 +589,33 @@ def test_lockstep_protocol_equals_a_per_client_reference_loop(seed):
     assert result.classifier.bias.tobytes() == shared["head_bias"].tobytes()
     assert result.domain_prompts.tobytes() == stack.tobytes()
     assert result.round_metrics == metrics
+
+
+def _within_one_float32_ulp(a, b):
+    a, b = np.asarray(a, dtype=np.float32), np.asarray(b, dtype=np.float32)
+    return bool(np.all(np.abs(a - b) <= np.spacing(np.maximum(np.abs(a), np.abs(b)))))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_whole_set_passes_match_the_per_client_reference_loop(seed):
+    # 24 rows per client in batches of 32: the lockstep run reads every
+    # pool unshuffled, the reference loop permutes it, so only the order of
+    # each loss's sum differs
+    world, encoder = _world()
+    split = leave_one_out(world, 3)
+    toggles = MethodToggles(use_style_transfer=False)
+    stage_one = run_stage_one(split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, toggles, seed)
+    prompt_config = PromptConfig(length=2, temperature=0.05, init_scale=1e-3)
+    fed = FederationConfig(
+        **dict(_ROUNDS, rounds=3, global_epochs=2, batch_size=32, weight_decay=0.5, lr_decay=0.7)
+    )
+    result = run_protocol(stage_one, split, encoder, prompt_config, fed, toggles, seed)
+    shared, stack, metrics = _reference_protocol(stage_one, split, encoder, prompt_config, fed, seed)
+    assert result.round_metrics == [pytest.approx(m, rel=1e-12, abs=0.0) for m in metrics]
+    assert _within_one_float32_ulp(result.global_prompt, shared["global_prompt"])
+    assert _within_one_float32_ulp(result.classifier.weight, shared["head_weight"])
+    assert _within_one_float32_ulp(result.classifier.bias, shared["head_bias"])
+    assert _within_one_float32_ulp(result.domain_prompts, stack)
 
 
 def test_stacked_step_names_the_client_whose_loss_diverges(monkeypatch):
