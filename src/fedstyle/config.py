@@ -53,15 +53,7 @@ VARIANTS: dict[str, MethodToggles] = {
 }
 
 # Canonical ordering for "variants = all" and for ablation output files.
-VARIANT_ORDER = (
-    "global-only",
-    "domain-only",
-    "global-style",
-    "dual-prompt",
-    "no-contrast",
-    "target-text",
-    "full",
-)
+VARIANT_ORDER = tuple(VARIANTS)
 
 
 def variant_toggles(name: str) -> MethodToggles:

@@ -29,16 +29,17 @@ Wire traffic is float32; per round and client the upload totals
 parameters.  Every message is framed, CRC-checked, and recorded in a
 ``CommunicationLedger``.
 
-Everything is seeded and runs in one thread.  The local sets of a split
-must all have the same length and hold rows (``ConfigurationError``
-otherwise), so the K clients of a split step as one stack in both stages:
-stage one trains every transform in one ``train_transform`` call and holds
-the pools as read-only (K, N, d) stacks, and each stage-two pass takes one
-stacked step per batch for all clients.  A pass whose one batch is a whole
-local-set-sized pool reads the stack as it is: its losses are batch means,
-which a shuffle would only sum in another order.  Every other pass draws
-each client's shuffle from its own per-(round, client, epoch) stream and
-gathers all clients' rows with one ``take`` per array.  A stacked step
+Everything is seeded and runs in one thread.  Stage one checks on entry
+that the local sets of a split all have the same length and hold rows
+(``ConfigurationError`` otherwise), so the K clients of a split step as one
+stack in both stages: stage one trains every transform in one
+``train_transform`` call and always hands stage two its pools as read-only
+(K, N, d) stacks, and each stage-two pass takes one stacked step per batch
+for all clients.  A pass whose one batch is a whole local-set-sized pool
+reads the stack as it is: its losses are batch means, which a shuffle
+would only sum in another order.  Every other pass draws each client's
+shuffle from its own per-(round, client, epoch) stream and gathers all
+clients' rows with one ``take`` per array.  A stacked step
 gives every client the bits it would get alone.  Uploads, ledger records
 and each round's loss means follow ascending client order, so a run is a
 pure function of its inputs.
@@ -47,7 +48,7 @@ pure function of its inputs.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -270,36 +271,32 @@ class StageOneResult:
     embeddings, is a view of its leading n rows and trains the domain
     prompt.  ``head_pool`` trains the domain head: it is the train stack
     itself unless some rows are styled toward the held-out domain, which
-    have no valid source-domain label; then it holds the other rows.  The
-    stacks are None only when local sets mix lengths, which stage two
-    rejects.
+    have no valid source-domain label; then it holds the other rows.
+    ``clients[i]`` holds client i's views of the three stacks.
     """
 
-    clients: list[ClientData]
-    train_pool: UnitRows | None = None
-    head_pool: UnitRows | None = None
-    local_set: UnitRows | None = None
-    transforms: dict[int, dict[int, TransformNetwork]] = field(default_factory=dict)
+    train_pool: UnitRows
+    head_pool: UnitRows
+    n: InitVar[int]
+    transforms: dict[int, dict[int, TransformNetwork]]
+    local_set: UnitRows = field(init=False)
+    clients: list[ClientData] = field(init=False)
+
+    def __post_init__(self, n: int):
+        for stack in (self.train_pool, self.head_pool):
+            for array in (stack.rows, stack.labels, stack.domains):
+                array.flags.writeable = False
+        # after the flags: a view taken earlier would stay writeable
+        self.local_set = self.train_pool.select(np.s_[:, :n])
+        self.clients = [
+            ClientData(i, self.local_set.select(i), self.train_pool.select(i), self.head_pool.select(i))
+            for i in range(self.train_pool.labels.shape[0])
+        ]
 
 
 def _empty_stack(k: int, n: int, dim: int) -> UnitRows:
     labels = np.empty((k, n), dtype=np.int64)
     return UnitRows(np.empty((k, n, dim)), labels, np.empty_like(labels))
-
-
-def _from_stacks(train: UnitRows, head: UnitRows, n: int, transforms: dict) -> StageOneResult:
-    """Mark the filled stacks read-only and hand each client its views."""
-    for stack in (train, head):
-        for array in (stack.rows, stack.labels, stack.domains):
-            array.flags.writeable = False
-    local = train if train.labels.shape[1] == n else train.select(np.s_[:, :n])
-    clients = []
-    for i in range(train.labels.shape[0]):
-        train_i = train.select(i)
-        head_i = train_i if head is train else head.select(i)
-        local_i = train_i if local is train else local.select(i)
-        clients.append(ClientData(i, local_i, train_i, head_i))
-    return StageOneResult(clients, train, head, local, transforms)
 
 
 def transform_jobs(split: EvaluationSplit, include_target_description: bool) -> list[TransformJob]:
@@ -324,29 +321,27 @@ def run_stage_one(
 ) -> StageOneResult:
     """Train per-target transforms locally and assemble the client pools.
 
-    With style transfer disabled every pool is just the local set and no
-    transform is trained.  No message is produced either way; stage one is
-    upload-free by construction.  Each client's pool is normalized and
-    validated here, once, against the split's class and client counts,
-    straight into its slice of the stack.  All transforms train in one
-    stacked ``train_transform`` call, which rejects local sets of
-    different lengths.
+    The local sets must share one non-empty length (``ConfigurationError``
+    before anything trains).  All transforms train in one stacked
+    ``train_transform`` call; with style transfer disabled there are none,
+    and every pool is just the local set.  No message is produced either
+    way; stage one is upload-free by construction.  Each client's pool is
+    normalized and validated here, once, against the split's class and
+    client counts, straight into its slice of the stack.
     """
-    classes, k = split.class_tokens.shape[0], split.num_clients
-    n, dim = len(split.clients[0]), encoder.config.dim
-    if not toggles.use_style_transfer:
-        if any(len(local) != n for local in split.clients):
-            pools = [UnitRows.prepare(local, classes, k) for local in split.clients]
-            return StageOneResult([ClientData(i, pool, pool, pool) for i, pool in enumerate(pools)])
-        stack = _empty_stack(k, n, dim)
-        for i, local in enumerate(split.clients):
-            UnitRows.prepare(local, classes, k, out=stack.select(i))
-        return _from_stacks(stack, stack, n, {})
-
-    jobs = transform_jobs(split, toggles.include_target_description)
-    result = train_transform(jobs, encoder, split.class_tokens, transfer_config, temperature, seed)
-    trained = {(net.source, net.target): net for net in result.networks()}
-    transforms = {i: {job.target: trained[i, job.target] for job in jobs if job.source == i} for i in range(k)}
+    lengths = sorted({len(local) for local in split.clients})
+    if len(lengths) > 1:
+        raise ConfigurationError(f"client local sets mix lengths {lengths}")
+    n, k, dim = lengths[0], split.num_clients, encoder.config.dim
+    if n == 0:
+        raise ConfigurationError("client local sets are empty")
+    classes = split.class_tokens.shape[0]
+    transforms: dict[int, dict[int, TransformNetwork]] = {i: {} for i in range(k)}
+    if toggles.use_style_transfer:
+        jobs = transform_jobs(split, toggles.include_target_description)
+        result = train_transform(jobs, encoder, split.class_tokens, transfer_config, temperature, seed)
+        for net in result.networks():
+            transforms[net.source][net.target] = net
     # every client holds n rows and one styled copy per target
     styled = len(transforms[0])
     train = _empty_stack(k, n * (1 + styled), dim)
@@ -362,7 +357,7 @@ def run_stage_one(
             UnitRows.prepare(pool.subset(kept), classes, k, out=head.select(i))
         log.info("client %d: %d local, %d augmented toward %s", i, n, len(pool) - n, list(transforms[i]))
         del pool  # one unnormalized pool at a time: free it before the next is built
-    return _from_stacks(train, head, n, transforms)
+    return StageOneResult(train, head, n, transforms)
 
 
 # ---------------------------------------------------------------------------
@@ -436,19 +431,12 @@ def run_protocol(
     initial broadcast is needed; every later adoption goes through encoded
     bytes.  Per round the wire carries exactly one upload and one broadcast
     per client, and the final domain-prompt exchange adds one more pair.
-    Local sets of different lengths raise ``ConfigurationError`` before any
-    message is sent.
+    A stage-one result for other than the split's K clients raises
+    ``ConfigurationError`` before any message is sent.
     """
-    clients = stage_one.clients
-    k = split.num_clients
-    if len(clients) != k:
-        raise ConfigurationError(f"stage one covered {len(clients)} of {k} clients")
-    lengths = sorted({len(client.local_set) for client in clients})
-    if len(lengths) > 1:
-        raise ConfigurationError(f"client local sets mix lengths {lengths}")
-    n = lengths[0]
-    if n == 0:
-        raise ConfigurationError("client local sets are empty")
+    k, n = stage_one.local_set.labels.shape
+    if k != split.num_clients:
+        raise ConfigurationError(f"stage one covered {k} of {split.num_clients} clients")
     dim = encoder.config.dim
     class_tokens, temperature = split.class_tokens, prompt_config.temperature
     ledger = CommunicationLedger()

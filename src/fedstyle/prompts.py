@@ -42,12 +42,12 @@ against finite differences.  Logits are class-major, (..., C, B) with
 one column per row of the batch (``text @ rows.T``, ``weight @ rows.T``),
 so the kernel's max and sum over classes run across all rows at once.
 
-Batches arrive as ``UnitRows``: each pool is normalized and validated
-once, and a batch is a selection of its rows; a raw ``LabeledEmbeddings``
-is prepared on entry.  Every loss also takes a leading client axis on the
-batch and on its parameters, written once with ``...`` broadcasting: one
-call then steps a stack of clients, returns one loss per client, and gives
-each client the bits of a call of its own.
+Every loss takes its batch as ``UnitRows``: each pool is normalized and
+validated once by ``UnitRows.prepare``, and a batch is a selection of its
+rows.  Every loss also takes a leading client axis on the batch and on its
+parameters, written once with ``...`` broadcasting: one call then steps a
+stack of clients, returns one loss per client, and gives each client the
+bits of a call of its own.
 """
 
 from __future__ import annotations
@@ -123,6 +123,12 @@ class DomainClassifier:
     def num_domains(self) -> int:
         return self.weight.shape[-2]
 
+    def logits(self, rows: Array) -> Array:
+        """Class-major logits (..., K, B) of unit rows (..., B, d)."""
+        logits = self.weight @ np.swapaxes(rows, -1, -2)
+        logits += self.bias[..., :, None]
+        return logits
+
 
 def _dot(a: Array, b: Array) -> Array:
     """Dot products over the last axis, one per leading index.
@@ -171,18 +177,17 @@ def predict_unseen_batch(
     every row, which is the global-only layout.  Domain prompts without a
     head, or a head without domain prompts, is half a blend
     (``ParameterError``), and so is a temperature that is not finite and
-    positive.  Probabilities are a temperature softmax over the cosines
-    between the row and each class text.  Rows are scored in blocks of
+    positive, and so is a stack of heads with a client axis.  Rows are
+    normalized by ``_normalized_rows`` and the head's logits come from
+    ``DomainClassifier.logits``, as in the losses.  Probabilities are a temperature softmax over the cosines between the
+    row and each class text.  Rows are scored in blocks of
     ``PREDICT_BLOCK_ROWS``, so the (rows, C, d) class-text arrays do not
     grow with n.
     """
-    x = require_finite(as_f64(embeddings), "embeddings")
+    x = as_f64(embeddings)
     if x.ndim != 2:
         raise ParameterError("embeddings must be (n, d)")
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(norms == 0.0):
-        raise DomainError("embedding is the zero vector")
-    xn = x / norms[:, None]
+    xn = _normalized_rows(x)
     if not 0.0 < temperature < np.inf:
         raise ParameterError(f"temperature must be finite and positive, got {temperature!r}")
 
@@ -193,6 +198,8 @@ def predict_unseen_batch(
             raise ParameterError("at least one prompt block is required")
         slot_shape = np.shape(global_prompt)
     else:
+        if classifier.weight.ndim != 2:
+            raise ParameterError(f"prediction takes one (K, d) head, not weight {classifier.weight.shape}")
         domain_prompts = as_f64(domain_prompts)
         if domain_prompts.ndim != 3 or len(domain_prompts) != classifier.num_domains:
             raise ParameterError(
@@ -227,14 +234,14 @@ def _block_probabilities(
     if blocks is None:
         generated = np.zeros(np.shape(global_prompt))
     else:
-        logits = rows @ classifier.weight.T + classifier.bias  # (n, K)
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        weights = e / e.sum(axis=1, keepdims=True)
+        logits = classifier.logits(rows)  # (K, n)
+        e = np.exp(logits - logits.max(axis=0))
+        weights = e / e.sum(axis=0)
         # accumulated in ascending k from zero, so one-hot weights give the
         # selected prompt bit for bit
         generated = np.zeros((len(rows),) + blocks.shape[1:])
         for k in range(blocks.shape[0]):
-            generated += weights[:, k : k + 1, None] * blocks[k][None, :, :]
+            generated += weights[k][:, None, None] * blocks[k][None, :, :]
     text, _ = encoder.encode_class_texts([global_prompt, generated], class_tokens)  # (C, d) or (n, C, d)
     z = np.einsum("...cd,...d->...c", text, rows) / temperature
     z -= z.max(axis=1, keepdims=True)
@@ -280,8 +287,8 @@ class UnitRows:
             if count is not None and (np.any(values < 0) or np.any(values >= count)):
                 raise DataError(f"{what} outside [0, {count})")
         if out is None:
-            return cls(_normalized_rows(pool), pool.labels, pool.domains)
-        _normalized_rows(pool, out.rows)
+            return cls(_normalized_rows(pool.embeddings), pool.labels, pool.domains)
+        _normalized_rows(pool.embeddings, out.rows)
         np.copyto(out.labels, pool.labels)
         np.copyto(out.domains, pool.domains)
         return out
@@ -292,20 +299,13 @@ class UnitRows:
         return UnitRows(self.rows[index], self.labels[index], self.domains[index])
 
 
-def _normalized_rows(batch: LabeledEmbeddings, out: Array | None = None) -> Array:
-    norms = np.linalg.norm(batch.embeddings, axis=1)
+def _normalized_rows(embeddings: Array, out: Array | None = None) -> Array:
+    """Rows (n, d) scaled to unit norm; a zero or non-finite row raises
+    ``DomainError``."""
+    norms = np.linalg.norm(embeddings, axis=1)
     if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
         raise DomainError("batch contains a zero or non-finite embedding")
-    return np.divide(batch.embeddings, norms[:, None], out=out)
-
-
-def _unit_rows(
-    batch: UnitRows | LabeledEmbeddings, num_classes: int | None, num_domains: int | None = None
-) -> UnitRows:
-    """A prepared batch as it is; a raw one prepared on entry."""
-    if isinstance(batch, UnitRows):
-        return batch
-    return UnitRows.prepare(batch, num_classes, num_domains)
+    return np.divide(embeddings, norms[:, None], out=out)
 
 
 def _per_client(values: Array) -> float | Array:
@@ -353,7 +353,7 @@ def _classification(
 
 
 def global_loss(
-    batch: UnitRows | LabeledEmbeddings,
+    batch: UnitRows,
     global_prompt: Array,
     encoder: FrozenEncoder,
     class_tokens: Array,
@@ -365,7 +365,6 @@ def global_loss(
     With a leading client axis on the batch and on the (K, L, d) prompts,
     returns the (K,) losses and the (K, L, d) gradients.
     """
-    batch = _unit_rows(batch, class_tokens.shape[0])
     if len(batch) == 0:
         raise ParameterError("empty batch")
     blocks = [global_prompt, np.zeros(np.shape(global_prompt))]
@@ -399,7 +398,7 @@ def _contrast_forward(
 
 
 def domain_loss(
-    batch: UnitRows | LabeledEmbeddings,
+    batch: UnitRows,
     domain_prompt: Array,
     global_prompt: Array | None,
     encoder: FrozenEncoder,
@@ -418,7 +417,6 @@ def domain_loss(
     descriptions, every value is per client: (K,) losses and (K, L, d)
     gradients.
     """
-    batch = _unit_rows(batch, class_tokens.shape[0])
     if len(batch) == 0:
         raise ParameterError("empty batch")
     if use_contrastive and (global_prompt is None or own_description is None):
@@ -452,7 +450,7 @@ def domain_loss(
 
 
 def classifier_loss(
-    batch: UnitRows | LabeledEmbeddings,
+    batch: UnitRows,
     classifier: DomainClassifier,
     want_grad: bool = True,
 ) -> tuple[float | Array, dict[str, Array] | None]:
@@ -463,14 +461,11 @@ def classifier_loss(
     With a leading client axis on the batch and on a stack of heads,
     returns the (K,) losses and stacked gradients.
     """
-    batch = _unit_rows(batch, None, classifier.num_domains)
     if len(batch) == 0:
         raise ParameterError("empty batch")
     xn = batch.rows
     _require_client_axis(batch, classifier.bias.shape[:-1])
-    logits = classifier.weight @ np.swapaxes(xn, -1, -2)  # (..., K, B)
-    logits += classifier.bias[..., :, None]
-    per_row, dlogits = softmax_ce_cols(logits, batch.domains)
+    per_row, dlogits = softmax_ce_cols(classifier.logits(xn), batch.domains)
     loss = _per_client(per_row.mean(axis=-1))
     if not want_grad:
         return loss, None

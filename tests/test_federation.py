@@ -30,7 +30,7 @@ from fedstyle.prompts import (
     init_prompt,
 )
 from fedstyle.seeding import rng
-from fedstyle.style_transfer import TransferConfig
+from fedstyle.style_transfer import TransferConfig, train_transform
 from fedstyle.wire import KIND_GLOBAL_UPLOAD, decode_message, encode_message, protocol_message
 
 # the round settings these tests were written for, pinned by keyword
@@ -215,16 +215,20 @@ def test_finite_loss_guard():
 
 
 def test_stage_one_pools_without_style_transfer():
+    # with no transforms every pool is the local set itself
     world, encoder = _world()
     split = leave_one_out(world, 3)
     toggles = MethodToggles(use_style_transfer=False)
     stage_one = run_stage_one(split, encoder, TransferConfig(epochs=5, batch_size=16), 0.05, toggles, 0)
     assert len(stage_one.clients) == 3
-    assert stage_one.transforms == {}
+    assert stage_one.transforms == {0: {}, 1: {}, 2: {}}
     for i, client in enumerate(stage_one.clients):
         assert client.client_id == i
-        assert client.train_pool is client.local_set
-        assert client.head_pool is client.local_set
+        for pool in (client.train_pool, client.head_pool):
+            for part in ("rows", "labels", "domains"):
+                array, local = getattr(pool, part), getattr(client.local_set, part)
+                assert np.array_equal(array, local), part
+                assert np.shares_memory(array, local), part
 
 
 @pytest.mark.parametrize("include_target", [False, True])
@@ -251,52 +255,38 @@ def test_stage_one_pool_sizes_and_targets(include_target):
         assert np.sum(client.train_pool.domains != i) == n * per_client_targets
 
 
-def test_mixed_local_set_lengths_are_rejected_in_both_stages(monkeypatch):
-    # Every client of a split steps in one stack, so one client cut to 19
-    # rows fails stage one when it trains transforms, and stage two before
-    # any message crosses the wire.
+def _rejected_by_stage_one(split, encoder, match, monkeypatch):
+    # stage one rejects the split on entry, with or without style transfer,
+    # before it trains any transform
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return train_transform(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "train_transform", counted)
+    for use_style_transfer in (False, True):
+        toggles = MethodToggles(use_style_transfer=use_style_transfer)
+        with pytest.raises(ConfigurationError, match=match):
+            run_stage_one(split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, toggles, 0)
+    assert calls == []
+
+
+def test_mixed_local_set_lengths_are_rejected_before_stage_one_trains(monkeypatch):
+    # every client of a split steps in one stack, so one client cut to 19
+    # rows is a bad split
     world, encoder = _world()
     split = leave_one_out(world, 3)
     split = dataclasses.replace(split, clients=[split.clients[0].subset(np.arange(19)), *split.clients[1:]])
-    cfg = TransferConfig(epochs=1, batch_size=8)
-    with pytest.raises(ConfigurationError, match="lengths"):
-        run_stage_one(split, encoder, cfg, 0.05, MethodToggles(), 0)
-    toggles = MethodToggles(use_style_transfer=False)
-    stage_one = run_stage_one(split, encoder, cfg, 0.05, toggles, 0)
-    sent = []
-
-    def counted(message):
-        sent.append(message)
-        return encode_message(message)
-
-    monkeypatch.setattr(federation, "encode_message", counted)
-    with pytest.raises(ConfigurationError, match="lengths"):
-        run_protocol(
-            stage_one, split, encoder, PromptConfig(length=2, temperature=0.05, init_scale=1e-3),
-            FederationConfig(**dict(_ROUNDS, rounds=1)), toggles, 0,
-        )
-    assert sent == []
+    _rejected_by_stage_one(split, encoder, "lengths", monkeypatch)
 
 
 def test_empty_local_sets_are_rejected_before_any_message(monkeypatch):
+    # stage one sends nothing, and stage two never starts
     world, encoder = _world()
     split = leave_one_out(world, 3)
     split = dataclasses.replace(split, clients=[client.subset(np.arange(0)) for client in split.clients])
-    toggles = MethodToggles(use_style_transfer=False)
-    stage_one = run_stage_one(split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, toggles, 0)
-    sent = []
-
-    def counted(message):
-        sent.append(message)
-        return encode_message(message)
-
-    monkeypatch.setattr(federation, "encode_message", counted)
-    with pytest.raises(ConfigurationError, match="empty"):
-        run_protocol(
-            stage_one, split, encoder, PromptConfig(length=2, temperature=0.05, init_scale=1e-3),
-            FederationConfig(**dict(_ROUNDS, rounds=2)), toggles, 0,
-        )
-    assert sent == []
+    _rejected_by_stage_one(split, encoder, "empty", monkeypatch)
 
 
 @pytest.mark.parametrize("use_style_transfer", [False, True])
@@ -452,9 +442,9 @@ def test_protocol_rejects_client_count_mismatch():
     world, encoder = _world()
     split = leave_one_out(world, 3)
     toggles = MethodToggles(use_style_transfer=False)
-    stage_one = run_stage_one(split, encoder, TransferConfig(epochs=5, batch_size=16), 0.05, toggles, 0)
-    stage_one.clients.pop()
-    with pytest.raises(ConfigurationError):
+    two = dataclasses.replace(split, clients=split.clients[:2])
+    stage_one = run_stage_one(two, encoder, TransferConfig(epochs=5, batch_size=16), 0.05, toggles, 0)
+    with pytest.raises(ConfigurationError, match="2 of 3 clients"):
         run_protocol(
             stage_one, split, encoder, PromptConfig(length=2, temperature=0.01, init_scale=1e-3),
             FederationConfig(**dict(_ROUNDS, rounds=1)), toggles, 0,

@@ -54,13 +54,18 @@ def _unit_rows(generator, n, dim):
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def _batch(n=6, classes=3, dim=DIM, seed=11, domains=2):
+def _raw_batch(n=6, classes=3, dim=DIM, seed=11, domains=2):
     g = rng(seed, "prompt-test-batch")
     return LabeledEmbeddings(
         embeddings=_unit_rows(g, n, dim),
         labels=g.integers(0, classes, size=n),
         domains=g.integers(0, domains, size=n),
     )
+
+
+def _batch(n=6, classes=3, dim=DIM, seed=11, domains=2):
+    # the losses' batch type, prepared as stage one prepares its pools
+    return UnitRows.prepare(_raw_batch(n, classes, dim, seed, domains), classes, domains)
 
 
 def _class_tokens(classes=3, dim=DIM, seed=12):
@@ -214,6 +219,15 @@ def test_mix_rejects_shape_mismatch():
         _predict_one(x, None, np.zeros((4, 2, DIM)), DomainClassifier.init(3, DIM))
     with pytest.raises(ParameterError):
         _predict_one(x, None, np.zeros((2, DIM)), DomainClassifier.init(2, DIM))
+
+
+@pytest.mark.parametrize("domains", [3, DIM])
+def test_predict_rejects_a_stacked_head(domains):
+    # a (clients, K, d) head from stage two's stacked training; unchecked, it
+    # fails inside matmul when d != K and in a broadcast when d == K
+    clf = DomainClassifier(np.zeros((2, domains, DIM)), np.zeros((2, domains)))
+    with pytest.raises(ParameterError, match=rf"\(2, {domains}, {DIM}\)"):
+        _predict_one(np.ones(DIM), None, np.zeros((domains, 2, DIM)), clf)
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +394,9 @@ def test_predict_rejects_half_a_blend(half):
 def _global_oracle(batch, prompt, enc, ct, temperature):
     # same quantity rebuilt from the public scalar primitives
     total = 0.0
-    for x, y in zip(batch.embeddings, batch.labels):
+    for x, y in zip(batch.rows, batch.labels):
         text = enc.encode_class_texts([prompt, np.zeros_like(prompt)], ct)[0]
-        probs = _softmax(text @ (x / np.linalg.norm(x)), temperature)
+        probs = _softmax(text @ x, temperature)
         total += -math.log(max(probs[y], PROB_FLOOR))
     return total / len(batch)
 
@@ -415,11 +429,13 @@ def test_global_loss_input_validation():
     enc = _encoder()
     ct = _class_tokens()
     with pytest.raises(ParameterError):
-        global_loss(_batch().subset(np.arange(0)), np.ones((2, DIM)), enc, ct, TAU)
-    bad = _batch()
+        global_loss(_batch().select(np.s_[:0]), np.ones((2, DIM)), enc, ct, TAU)
+    bad = _raw_batch()
     bad.labels[0] = 7
     with pytest.raises(DataError):
-        global_loss(bad, np.ones((2, DIM)), enc, ct, TAU)
+        UnitRows.prepare(bad, 3)
+    with pytest.raises(ParameterError):
+        global_loss(UnitRows(bad.embeddings, bad.labels, bad.domains), np.ones((2, DIM)), enc, ct, TAU)
 
 
 _OUT_OF_RANGE = {
@@ -432,13 +448,17 @@ _OUT_OF_RANGE = {
 
 @pytest.mark.parametrize("loss", sorted(_OUT_OF_RANGE))
 def test_every_loss_rejects_an_out_of_range_label_as_bad_data(loss):
-    bad = _batch(classes=3, domains=2)
+    # preparing the pool rejects the label as bad data; a batch that skipped
+    # preparation still fails in the cross-entropy kernel
+    bad = _raw_batch(classes=3, domains=2)
     if loss == "classifier":
         bad.domains[0] = 2
     else:
         bad.labels[0] = 3
     with pytest.raises(DataError):
-        _OUT_OF_RANGE[loss](bad)
+        UnitRows.prepare(bad, 3, 2)
+    with pytest.raises(ParameterError, match="label out of range"):
+        _OUT_OF_RANGE[loss](UnitRows(bad.embeddings, bad.labels, bad.domains))
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +469,9 @@ def test_every_loss_rejects_an_out_of_range_label_as_bad_data(loss):
 def _domain_oracle(batch, dp, gp, enc, ct, own, temperature, use_contrastive):
     blocks = [gp if gp is not None else np.zeros_like(dp), dp]
     total = 0.0
-    for x, y in zip(batch.embeddings, batch.labels):
+    for x, y in zip(batch.rows, batch.labels):
         text = enc.encode_class_texts(blocks, ct)[0]
-        probs = _softmax(text @ (x / np.linalg.norm(x)), temperature)
+        probs = _softmax(text @ x, temperature)
         total += -math.log(max(probs[y], PROB_FLOOR))
     cla = total / len(batch)
     if not use_contrastive:
@@ -630,10 +650,12 @@ def test_classifier_loss_gradient_matches_finite_differences():
 
 
 def test_classifier_loss_rejects_out_of_range_domains():
-    batch = _batch(domains=2)
+    batch = _raw_batch(domains=2)
     batch.domains[0] = -1  # style-target entries must be filtered out upstream
     with pytest.raises(DataError):
-        classifier_loss(batch, DomainClassifier.init(2, DIM))
+        UnitRows.prepare(batch, None, 2)
+    with pytest.raises(ParameterError):
+        classifier_loss(UnitRows(batch.embeddings, batch.labels, batch.domains), DomainClassifier.init(2, DIM))
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +671,7 @@ def _stacked(pools, index):
 @pytest.mark.parametrize("loss", ["global", "domain", "classifier"])
 def test_a_stacked_call_equals_one_call_per_client_bit_for_bit(loss):
     k = 3
-    pools = [UnitRows.prepare(_batch(n=48, seed=20 + j, domains=k), 3, k) for j in range(k)]
+    pools = [_batch(n=48, seed=20 + j, domains=k) for j in range(k)]
     enc, ct = _encoder(), _class_tokens()
     g = rng(21, "stacked-losses")
     gp = g.normal(size=(k, 2, DIM)) * 0.05
@@ -681,7 +703,7 @@ def test_a_stacked_call_equals_one_call_per_client_bit_for_bit(loss):
 
 
 def test_stacked_batch_length_counts_every_row():
-    pools = [UnitRows.prepare(_batch(n=10, seed=30 + j), 3) for j in range(3)]
+    pools = [_batch(n=10, seed=30 + j) for j in range(3)]
     assert len(_stacked(pools, slice(0, 8))) == 24
 
 
