@@ -349,7 +349,8 @@ def run_stage_one(
     if toggles.include_target_description:
         head = _empty_stack(k, n * styled, dim)
     for i, local in enumerate(split.clients):
-        pool = build_augmentation_bank(local, i, transforms[i])
+        # with no transforms the pool is the local set itself, not a copy
+        pool = build_augmentation_bank(local, i, transforms[i]) if styled else local
         # target-styled rows carry TARGET_KEY, outside the domain range
         UnitRows.prepare(pool, classes, k if head is train else None, out=train.select(i))
         if head is not train:

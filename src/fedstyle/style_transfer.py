@@ -27,7 +27,10 @@ The T parameter sets are stacked along a leading axis, (T, h, d) for
 the same seeded batches in the same order as it would alone, and every
 stacked operation acts on each slice as the one-transform operation would,
 so its parameters and losses do not depend on the other transforms.
-The consistency logits are class-major, (T, C, B), for the shared
+Both terms are cosines, and the kernel computes them on the unnormalized
+rows ``Q(z) - z`` and ``Q(z)``: each row's norm divides its dot products
+and scales its gradient coefficients, so no unit copy of a row stack is
+formed.  The consistency logits are class-major, (T, C, B), for the shared
 cross-entropy kernel, and row norms and dot products over d are ``einsum``
 reductions, one per row.  ``_objective`` is the same kernel for one
 transform; the forward is ``_transform_forward``, shared with
@@ -184,16 +187,18 @@ def _stacked_objective(
     temperature: float,
     alignment_weight: float,
     pairs: list[str],
+    stack: Array,
 ):
     """Forward and closed-form backward of the transfer objective for T
     stacked transforms, each on its own batch.
 
     Transform t sees rows ``z[t]`` of (T, B, d) with classes ``labels[t]``
     of (T, B) and its unit text direction per class ``directions[t]`` of
-    (T, C, d).  Returns (total, alignment mean, consistency mean) as (T,)
-    arrays and the stacked grads.  A part with zero weight is skipped and
-    reads 0, so its constants may be None.  A failed check names the
-    transform by its entry in ``pairs``.
+    (T, C, d); ``stack`` is ``np.arange(T)[:, None]``, which picks each
+    row's direction from its own transform's slice.  Returns (total,
+    alignment mean, consistency mean) as (T,) arrays and the stacked grads.
+    A part with zero weight is skipped and reads 0, so its constants may be
+    None.  A failed check names the transform by its entry in ``pairs``.
     """
     rows = z.shape[1]
     if rows == 0:
@@ -202,40 +207,48 @@ def _stacked_objective(
         if not np.isfinite(value).all():
             raise _failure(DomainError, pairs, _non_finite(value), f"{name} contains a non-finite entry")
     hidden, delta = _transform_forward(params, z)
-    ddelta = 0.0
     align = cons = np.zeros(len(pairs))
 
     if alignment_weight > 0.0:
-        # mean over rows of 1 - <delta / |delta|, direction of the row's class>
+        # mean over rows of 1 - cos(delta, direction of the row's class); the
+        # gradient of -cos is -(per_class - cos * delta / |delta|) / |delta|
         norms = np.sqrt(_row_dots(delta, delta))
         degenerate = (norms < DEGENERATE_NORM).any(axis=1)
         if degenerate.any():
             smallest = norms[int(np.argmax(degenerate))].min()
             raise _failure(DomainError, pairs, degenerate, f"degenerate direction: min row norm {smallest:.3e}")
-        unit = delta / norms[..., None]
-        per_class = directions[np.arange(len(pairs))[:, None], labels]
-        align = (1.0 - _row_dots(unit, per_class)).mean(axis=1)
-        dunit = -(alignment_weight / rows) * per_class
-        ddelta = ddelta + (dunit - unit * _row_dots(unit, dunit)[..., None]) / norms[..., None]
+        per_class = directions[stack, labels]
+        cos = _row_dots(delta, per_class) / norms
+        align = (1.0 - cos).mean(axis=1)
+        scale = -(alignment_weight / rows) / norms
+        per_class *= scale[..., None]
+        ddelta = per_class
+        ddelta -= delta * ((scale * cos) / norms)[..., None]
 
     if alignment_weight < 1.0:
-        # mean cross-entropy of the moved row's cosines to the class texts
+        # mean cross-entropy of the moved row's cosines to the class texts;
+        # dividing by |moved| adds -moved * sum_c dlogits * cos / |moved|^2
         moved = z + delta
         norms = np.sqrt(_row_dots(moved, moved))
         zero = (norms == 0.0).any(axis=1)
         if zero.any():
             raise _failure(DomainError, pairs, zero, "a moved embedding is the zero vector")
-        moved = moved / norms[..., None]
-        logits = (1.0 / temperature) * (class_text @ np.swapaxes(moved, 1, 2))  # (T, C, B)
+        cosines = class_text @ np.swapaxes(moved, 1, 2)  # (T, C, B)
+        cosines /= norms[:, None, :]
         try:
-            per_row, dlogits = softmax_ce_cols(logits, labels)
+            per_row, dlogits = softmax_ce_cols((1.0 / temperature) * cosines, labels)
         except ParameterError as exc:
             out_of_range = ((labels < 0) | (labels >= len(class_text))).any(axis=1)
             raise _failure(ParameterError, pairs, out_of_range, str(exc)) from exc
         cons = per_row.mean(axis=1)
-        dlogits = (1.0 / temperature) * (((1.0 - alignment_weight) / rows) * dlogits)
+        dlogits *= (1.0 / temperature) * ((1.0 - alignment_weight) / rows)
+        radial = np.einsum("tcb,tcb->tb", dlogits, cosines) / (norms * norms)
+        dlogits /= norms[:, None, :]
         dmoved = np.swapaxes(dlogits, 1, 2) @ class_text
-        ddelta = ddelta + (dmoved - moved * _row_dots(moved, dmoved)[..., None]) / norms[..., None]
+        dmoved -= moved * radial[..., None]
+        if alignment_weight > 0.0:
+            dmoved += ddelta
+        ddelta = dmoved
 
     total = alignment_weight * align + (1.0 - alignment_weight) * cons
     dpre = (1.0 - hidden * hidden) * (ddelta @ params["w2"])
@@ -265,7 +278,7 @@ def _objective(
     total, align, cons, grads = _stacked_objective(
         params, batch.embeddings[None], batch.labels[None],
         None if directions is None else directions[None], class_text,
-        temperature, alignment_weight, [f"{net.source}->{net.target}"],
+        temperature, alignment_weight, [f"{net.source}->{net.target}"], np.zeros((1, 1), dtype=np.int64),
     )
     return float(total[0]), float(align[0]), float(cons[0]), {name: g[0] for name, g in grads.items()}
 
@@ -365,6 +378,7 @@ def train_transform(
     state = AdamState(learning_rate=config.learning_rate, weight_decay=config.weight_decay)
     z = np.empty((len(jobs), n, dim))
     labels = np.empty((len(jobs), n), dtype=np.int64)
+    stack = np.arange(len(jobs))[:, None]
     history = np.empty((len(jobs), config.epochs))
     for epoch in range(config.epochs):
         for t, job in enumerate(jobs):
@@ -378,7 +392,7 @@ def train_transform(
             rows = z[:, batch]
             loss, _, _, grads = _stacked_objective(
                 params, rows, labels[:, batch], directions, class_text,
-                temperature, config.alignment_weight, pairs,
+                temperature, config.alignment_weight, pairs, stack,
             )
             if not np.isfinite(loss).all():
                 message = f"transfer loss diverged at epoch {epoch}"

@@ -18,10 +18,11 @@ from fedstyle.numerics import (
     PROB_FLOOR,
     AdamState,
     adam_step,
-    grad_check,
     sgd_step,
     softmax_ce_cols,
 )
+from gradcheck import grad_check
+from references import textbook_adam_step
 
 finite_floats = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
 
@@ -215,6 +216,29 @@ def test_adam_on_a_stack_equals_separate_runs_per_slice():
             assert stack[name][t].tobytes() == params[name].tobytes()
             assert stack_state.first_moment[name][t].tobytes() == state.first_moment[name].tobytes()
             assert stack_state.second_moment[name][t].tobytes() == state.second_moment[name].tobytes()
+
+
+def test_adam_matches_the_textbook_formula_over_200_steps():
+    # The bias corrections are folded into the step size and epsilon; the
+    # reference forms m_hat and v_hat.  Gradient scales from 1e-10 to 1
+    # put some entries where epsilon dominates the denominator.
+    rng = np.random.default_rng(31)
+    params = {"w": rng.normal(size=(6, 32, 64)), "b": rng.normal(size=(6, 64))}
+    expected = {name: value.copy() for name, value in params.items()}
+    state = AdamState(learning_rate=1e-3, weight_decay=0.05)
+    reference = AdamState(learning_rate=1e-3, weight_decay=0.05)
+    for _ in range(200):
+        grads = {
+            name: rng.normal(size=value.shape) * 10.0 ** rng.uniform(-10, 0, size=value.shape)
+            for name, value in params.items()
+        }
+        adam_step(state, params, grads)
+        textbook_adam_step(reference, expected, grads)
+    assert state.step == reference.step == 200
+    moments = [(state.first_moment, reference.first_moment), (state.second_moment, reference.second_moment)]
+    for got, want in [(params, expected), *moments]:
+        for name in want:
+            assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * np.max(np.abs(want[name])), name
 
 
 def test_adam_rejects_a_non_finite_gradient_before_writing():

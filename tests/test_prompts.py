@@ -19,7 +19,7 @@ from fedstyle.data import LabeledEmbeddings
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
 from fedstyle.errors import ConfigurationError, DataError, DomainError, ParameterError
 from fedstyle import prompts
-from fedstyle.numerics import PROB_FLOOR, grad_check
+from fedstyle.numerics import PROB_FLOOR
 from fedstyle.prompts import (
     CONTRAST_NORM_FLOOR,
     DomainClassifier,
@@ -31,6 +31,7 @@ from fedstyle.prompts import (
     init_prompt,
     predict_unseen_batch,
 )
+from gradcheck import grad_check
 from fedstyle.seeding import rng
 
 DIM = 8

@@ -8,13 +8,13 @@ import re
 import numpy as np
 import pytest
 
+from fedstyle.config import build_config, variant_toggles
 from fedstyle.data import LabeledEmbeddings, WorldSpec, generate_world, leave_one_out
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
 from fedstyle import style_transfer
 from fedstyle.data import TARGET_KEY
 from fedstyle.errors import ConfigurationError, DomainError, NonFiniteLossError
-from fedstyle.federation import transform_jobs
-from fedstyle.numerics import grad_check
+from fedstyle.federation import run_stage_one, transform_jobs
 from fedstyle.style_transfer import (
     TransferConfig,
     TransformJob,
@@ -26,6 +26,8 @@ from fedstyle.style_transfer import (
     train_transform,
     transfer_loss,
 )
+from gradcheck import grad_check
+from references import normalized_objective, textbook_adam_step
 
 DIM = 8
 
@@ -177,6 +179,42 @@ def test_objective_gradients_match_finite_differences(weight):
     assert report.passed, report.format()
 
 
+def _close(got, want):
+    """Within 1e-12 of the reference, relative to its largest entry."""
+    return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.5, 1.0])
+def test_stacked_objective_matches_the_normalized_formulation(weight):
+    # The kernel works on unnormalized rows; the reference forms the unit
+    # rows and backpropagates through each normalization.  Three transforms
+    # at the default sizes (32 rows, d = 64, hidden 32, 10 classes).
+    t, rows, dim, hidden, classes = 3, 32, 64, 32, 10
+    rng = np.random.default_rng(23)
+
+    def unit(*shape):
+        x = rng.normal(size=shape)
+        return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+    params = {
+        "w1": rng.normal(size=(t, hidden, dim)) * 0.2,
+        "b1": rng.normal(size=(t, hidden)) * 0.1,
+        "w2": rng.normal(size=(t, dim, hidden)) * 0.2,
+        "b2": rng.normal(size=(t, dim)) * 0.1,
+    }
+    args = (
+        params, unit(t, rows, dim), rng.integers(0, classes, (t, rows)), unit(t, classes, dim),
+        unit(classes, dim), 0.15, weight, ["0->1", "1->0", "2->0"], np.arange(t)[:, None],
+    )
+    got = style_transfer._stacked_objective(*args)
+    want = normalized_objective(*args)
+    for part, expected in zip(got[:3], want[:3]):
+        assert np.allclose(part, expected, rtol=1e-12, atol=0)
+    assert sorted(got[3]) == sorted(want[3])
+    for name, grad in want[3].items():
+        assert _close(got[3][name], grad), name
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -257,6 +295,24 @@ def test_train_transform_stack_equals_one_pair_calls():
         for key in alone.params:
             assert stacked.params[key][t].tobytes() == alone.params[key][0].tobytes()
         assert stacked.epoch_losses[t].tobytes() == alone.epoch_losses[0].tobytes()
+
+
+def test_stage_one_pools_match_the_reference_formulas_on_the_default_config(monkeypatch):
+    # Seed 0, holdout 1, variant full, at the package defaults: 6 transforms
+    # x 20 epochs x 63 steps.  The reference run trains with the normalized
+    # objective and textbook Adam; every pool row stays within 1e-12.
+    config = build_config()
+    encoder = FrozenEncoder(config.encoder_config(0))
+    split = leave_one_out(generate_world(config.world_spec(0), encoder), 1)
+    args = (split, encoder, config.transfer, config.prompt.temperature, variant_toggles("full"), 0)
+    got = run_stage_one(*args)
+    monkeypatch.setattr(style_transfer, "_stacked_objective", normalized_objective)
+    monkeypatch.setattr(style_transfer, "adam_step", textbook_adam_step)
+    want = run_stage_one(*args)
+    for pool in ("train_pool", "head_pool"):
+        a, b = getattr(got, pool), getattr(want, pool)
+        assert _close(a.rows, b.rows), pool
+        assert np.array_equal(a.labels, b.labels) and np.array_equal(a.domains, b.domains)
 
 
 def test_train_transform_rejects_mixed_local_set_lengths():
