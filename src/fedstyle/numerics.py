@@ -12,7 +12,10 @@ Two groups of things live here:
   non-finite gradients.  SGD returns fresh arrays; Adam updates its
   moments and the parameters in place, with its bias corrections folded
   into two scalars per step.  Both are elementwise, so one call steps a
-  whole stack of parameter sets.
+  whole stack of parameter sets, and a caller that holds its parameters
+  as views of one flat vector steps them all as the single entry
+  ``{"params": vector}``, with one pass per operation and one finiteness
+  check, to the same bits as stepping each view.
 
 The finite-difference gradient checker that pins every closed-form
 gradient lives with the tests.

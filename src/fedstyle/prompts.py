@@ -179,10 +179,10 @@ def predict_unseen_batch(
     (``ParameterError``), and so is a temperature that is not finite and
     positive, and so is a stack of heads with a client axis.  Rows are
     normalized by ``_normalized_rows`` and the head's logits come from
-    ``DomainClassifier.logits``, as in the losses.  Probabilities are a temperature softmax over the cosines between the
-    row and each class text.  Rows are scored in blocks of
-    ``PREDICT_BLOCK_ROWS``, so the (rows, C, d) class-text arrays do not
-    grow with n.
+    ``DomainClassifier.logits``, as in the losses.  Probabilities are a
+    temperature softmax over the cosines between the row and each class
+    text.  Rows are scored in blocks of ``PREDICT_BLOCK_ROWS``, so the
+    (rows, C, d) class-text arrays do not grow with n.
     """
     x = as_f64(embeddings)
     if x.ndim != 2:

@@ -22,11 +22,18 @@ size.
 
 ``train_transform`` trains every transform of a job list in lockstep.
 The T parameter sets are stacked along a leading axis, (T, h, d) for
-``w1``, and each step runs one stacked forward and closed-form backward,
-``_stacked_objective``, and one in-place Adam step.  Transform t draws
-the same seeded batches in the same order as it would alone, and every
-stacked operation acts on each slice as the one-transform operation would,
-so its parameters and losses do not depend on the other transforms.
+``w1``, and all four stacks are named views of one flat float64 vector.
+Each step checks that vector once for a non-finite entry, runs one
+stacked forward and closed-form backward, ``_stacked_objective``, and
+takes one in-place Adam step on the whole vector.  The backward writes
+the gradients into views of a second flat vector and its (T, B, .)
+intermediates into workspaces allocated once per call, so no gradient is
+copied.  A failed check is traced back through the views to the
+parameter and the source->target pair it names.  Transform t draws the
+same seeded batches in the same order as it would alone, and every
+stacked operation acts on each slice as the one-transform operation
+would, so its parameters and losses do not depend on the other
+transforms.
 Both terms are cosines, and the kernel computes them on the unnormalized
 rows ``Q(z) - z`` and ``Q(z)``: each row's norm divides its dot products
 and scales its gradient coefficients, so no unit copy of a row stack is
@@ -47,6 +54,7 @@ mark of a copy.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,13 +162,18 @@ def class_text_embeddings(encoder: FrozenEncoder, class_tokens: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def _transform_forward(params: dict[str, Array], z: Array) -> tuple[Array, Array]:
+def _transform_forward(params: dict[str, Array], z: Array, out=(None, None)) -> tuple[Array, Array]:
     """Hidden layer and correction for rows z: (hidden, delta).
 
-    One transform maps rows (n, d); a stack of T maps rows (T, n, d).
+    One transform maps rows (n, d); a stack of T maps rows (T, n, d).  The
+    two results are written into the arrays of ``out`` when given.
     """
-    hidden = np.tanh(z @ np.swapaxes(params["w1"], -1, -2) + params["b1"][..., None, :])
-    return hidden, hidden @ np.swapaxes(params["w2"], -1, -2) + params["b2"][..., None, :]
+    hidden = np.matmul(z, np.swapaxes(params["w1"], -1, -2), out=out[0])
+    hidden += params["b1"][..., None, :]
+    np.tanh(hidden, out=hidden)
+    delta = np.matmul(hidden, np.swapaxes(params["w2"], -1, -2), out=out[1])
+    delta += params["b2"][..., None, :]
+    return hidden, delta
 
 
 def _failure(error: type[Exception], pairs: list[str], bad: Array, message: str) -> Exception:
@@ -171,6 +184,40 @@ def _failure(error: type[Exception], pairs: list[str], bad: Array, message: str)
 def _non_finite(stacked: Array) -> Array:
     """(T,) mask of the transforms whose slice of ``stacked`` is not all finite."""
     return ~np.isfinite(stacked).reshape(len(stacked), -1).all(axis=1)
+
+
+def _require_finite_stacks(stacks: dict[str, Array], pairs: list[str], label: str = "{}") -> None:
+    """``DomainError`` naming the first array of ``stacks`` with a non-finite
+    entry, as ``label`` formats its name, and the first transform in it."""
+    for name, value in stacks.items():
+        if not np.isfinite(value).all():
+            message = f"{label.format(name)} contains a non-finite entry"
+            raise _failure(DomainError, pairs, _non_finite(value), message)
+
+
+def _flat_views(vector: Array, count: int, shapes: dict[str, tuple[int, ...]]) -> dict[str, Array]:
+    """Named (count, *shape) views that tile the flat ``vector`` in order."""
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        size = count * math.prod(shape)
+        views[name] = vector[start : start + size].reshape(count, *shape)
+        start += size
+    return views
+
+
+def _workspaces(count: int, rows: int, hidden: int, dim: int) -> dict[str, Array]:
+    """Flat buffers for the (T, B, .) intermediates of ``_stacked_objective``
+    on batches of up to ``rows`` rows."""
+    widths = {"hidden": hidden, "delta": dim, "moved": dim, "dmoved": dim, "dpre": hidden, "scaled": dim}
+    return {name: np.empty(count * rows * width) for name, width in widths.items()}
+
+
+def _buffer(work: dict[str, Array] | None, name: str, shape: tuple[int, int, int]) -> Array:
+    """A contiguous array of ``shape`` at the front of ``work[name]``, or a
+    fresh one without workspaces."""
+    if work is None:
+        return np.empty(shape)
+    return work[name][: math.prod(shape)].reshape(shape)
 
 
 def _row_dots(a: Array, b: Array) -> Array:
@@ -188,6 +235,8 @@ def _stacked_objective(
     alignment_weight: float,
     pairs: list[str],
     stack: Array,
+    out: dict[str, Array] | None = None,
+    work: dict[str, Array] | None = None,
 ):
     """Forward and closed-form backward of the transfer objective for T
     stacked transforms, each on its own batch.
@@ -196,42 +245,44 @@ def _stacked_objective(
     of (T, B) and its unit text direction per class ``directions[t]`` of
     (T, C, d); ``stack`` is ``np.arange(T)[:, None]``, which picks each
     row's direction from its own transform's slice.  Returns (total,
-    alignment mean, consistency mean) as (T,) arrays and the stacked grads.
-    A part with zero weight is skipped and reads 0, so its constants may be
-    None.  A failed check names the transform by its entry in ``pairs``.
+    alignment mean, consistency mean) as (T,) arrays and the stacked grads,
+    written into ``out`` (arrays shaped like ``params``) when given.  The
+    (T, B, .) intermediates go to the buffers of ``work`` (``_workspaces``)
+    when given.  A part with zero weight is skipped and reads 0, so its
+    constants may be None.  The parameters are the caller's to check; a
+    failed check here names the transform by its entry in ``pairs``.
     """
-    rows = z.shape[1]
+    count, rows, dim = z.shape
     if rows == 0:
         raise ParameterError("empty batch")
-    for name, value in params.items():
-        if not np.isfinite(value).all():
-            raise _failure(DomainError, pairs, _non_finite(value), f"{name} contains a non-finite entry")
-    hidden, delta = _transform_forward(params, z)
+    wide, narrow = (count, rows, dim), (count, rows, params["w1"].shape[1])
+    out_forward = (_buffer(work, "hidden", narrow), _buffer(work, "delta", wide))
+    hidden, delta = _transform_forward(params, z, out=out_forward)
     align = cons = np.zeros(len(pairs))
 
     if alignment_weight > 0.0:
         # mean over rows of 1 - cos(delta, direction of the row's class); the
         # gradient of -cos is -(per_class - cos * delta / |delta|) / |delta|
         norms = np.sqrt(_row_dots(delta, delta))
-        degenerate = (norms < DEGENERATE_NORM).any(axis=1)
-        if degenerate.any():
+        if (norms < DEGENERATE_NORM).any():
+            degenerate = (norms < DEGENERATE_NORM).any(axis=1)
             smallest = norms[int(np.argmax(degenerate))].min()
             raise _failure(DomainError, pairs, degenerate, f"degenerate direction: min row norm {smallest:.3e}")
         per_class = directions[stack, labels]
         cos = _row_dots(delta, per_class) / norms
-        align = (1.0 - cos).mean(axis=1)
+        align = (1.0 - cos).sum(axis=1) / rows
         scale = -(alignment_weight / rows) / norms
         per_class *= scale[..., None]
         ddelta = per_class
-        ddelta -= delta * ((scale * cos) / norms)[..., None]
+        ddelta -= np.multiply(delta, ((scale * cos) / norms)[..., None], out=_buffer(work, "scaled", wide))
 
     if alignment_weight < 1.0:
         # mean cross-entropy of the moved row's cosines to the class texts;
         # dividing by |moved| adds -moved * sum_c dlogits * cos / |moved|^2
-        moved = z + delta
+        moved = np.add(z, delta, out=_buffer(work, "moved", wide))
         norms = np.sqrt(_row_dots(moved, moved))
-        zero = (norms == 0.0).any(axis=1)
-        if zero.any():
+        if (norms == 0.0).any():
+            zero = (norms == 0.0).any(axis=1)
             raise _failure(DomainError, pairs, zero, "a moved embedding is the zero vector")
         cosines = class_text @ np.swapaxes(moved, 1, 2)  # (T, C, B)
         cosines /= norms[:, None, :]
@@ -240,24 +291,27 @@ def _stacked_objective(
         except ParameterError as exc:
             out_of_range = ((labels < 0) | (labels >= len(class_text))).any(axis=1)
             raise _failure(ParameterError, pairs, out_of_range, str(exc)) from exc
-        cons = per_row.mean(axis=1)
+        cons = per_row.sum(axis=1) / rows
         dlogits *= (1.0 / temperature) * ((1.0 - alignment_weight) / rows)
         radial = np.einsum("tcb,tcb->tb", dlogits, cosines) / (norms * norms)
         dlogits /= norms[:, None, :]
-        dmoved = np.swapaxes(dlogits, 1, 2) @ class_text
-        dmoved -= moved * radial[..., None]
+        dmoved = np.matmul(np.swapaxes(dlogits, 1, 2), class_text, out=_buffer(work, "dmoved", wide))
+        dmoved -= np.multiply(moved, radial[..., None], out=_buffer(work, "scaled", wide))
         if alignment_weight > 0.0:
             dmoved += ddelta
         ddelta = dmoved
 
     total = alignment_weight * align + (1.0 - alignment_weight) * cons
-    dpre = (1.0 - hidden * hidden) * (ddelta @ params["w2"])
-    grads = {
-        "w1": np.swapaxes(dpre, 1, 2) @ z,
-        "b1": dpre.sum(axis=1),
-        "w2": np.swapaxes(ddelta, 1, 2) @ hidden,
-        "b2": ddelta.sum(axis=1),
-    }
+    grads = {name: np.empty_like(value) for name, value in params.items()} if out is None else out
+    np.matmul(np.swapaxes(ddelta, 1, 2), hidden, out=grads["w2"])
+    np.sum(ddelta, axis=1, out=grads["b2"])
+    # dpre = (1 - hidden^2) * (ddelta @ w2), with 1 - hidden^2 formed in hidden
+    dpre = np.matmul(ddelta, params["w2"], out=_buffer(work, "dpre", narrow))
+    np.multiply(hidden, hidden, out=hidden)
+    np.subtract(1.0, hidden, out=hidden)
+    dpre *= hidden
+    np.matmul(np.swapaxes(dpre, 1, 2), z, out=grads["w1"])
+    np.sum(dpre, axis=1, out=grads["b1"])
     return total, align, cons, grads
 
 
@@ -275,10 +329,12 @@ def _objective(
     unstacked grads.
     """
     params = {name: as_f64(value)[None] for name, value in net.params.items()}
+    pairs = [f"{net.source}->{net.target}"]
+    _require_finite_stacks(params, pairs)
     total, align, cons, grads = _stacked_objective(
         params, batch.embeddings[None], batch.labels[None],
         None if directions is None else directions[None], class_text,
-        temperature, alignment_weight, [f"{net.source}->{net.target}"], np.zeros((1, 1), dtype=np.int64),
+        temperature, alignment_weight, pairs, np.zeros((1, 1), dtype=np.int64),
     )
     return float(total[0]), float(align[0]), float(cons[0]), {name: g[0] for name, g in grads.items()}
 
@@ -366,42 +422,54 @@ def train_transform(
     if n == 0:
         raise ConfigurationError("cannot train a transform on an empty dataset")
     dim = encoder.config.dim
+    count = len(jobs)
     pairs = [job.pair for job in jobs]
     inits = [
         TransformNetwork.init(dim, config.hidden_dim(dim), job.source, job.target, seed).params for job in jobs
     ]
-    params = {name: np.stack([init[name] for init in inits]) for name in inits[0]}
+    # parameters and gradients are views of two flat vectors, so one check
+    # and one Adam call per step cover all of them
+    shapes = {name: value.shape for name, value in inits[0].items()}
+    theta = np.empty(count * sum(value.size for value in inits[0].values()))
+    gradient = np.empty_like(theta)
+    params, grads = _flat_views(theta, count, shapes), _flat_views(gradient, count, shapes)
+    for name, view in params.items():
+        np.stack([init[name] for init in inits], out=view)
+    flat_params, flat_grads = {"params": theta}, {"params": gradient}
+    work = _workspaces(count, min(config.batch_size, n), config.hidden_dim(dim), dim)
     directions = np.stack(
         [text_delta_directions(encoder, job.source_token, job.target_token, class_tokens) for job in jobs]
     )
     class_text = class_text_embeddings(encoder, class_tokens)
     state = AdamState(learning_rate=config.learning_rate, weight_decay=config.weight_decay)
-    z = np.empty((len(jobs), n, dim))
-    labels = np.empty((len(jobs), n), dtype=np.int64)
-    stack = np.arange(len(jobs))[:, None]
-    history = np.empty((len(jobs), config.epochs))
+    z = np.empty((count, n, dim))
+    labels = np.empty((count, n), dtype=np.int64)
+    stack = np.arange(count)[:, None]
+    history = np.empty((count, config.epochs))
     for epoch in range(config.epochs):
         for t, job in enumerate(jobs):
             order = rng(seed, "transform-shuffle", job.source, job.target, epoch).permutation(n)
             shuffled = job.dataset.subset(order)
             z[t] = shuffled.embeddings
             labels[t] = shuffled.labels
-        total = np.zeros(len(jobs))
+        total = np.zeros(count)
         for start in range(0, n, config.batch_size):
             batch = slice(start, start + config.batch_size)
             rows = z[:, batch]
-            loss, _, _, grads = _stacked_objective(
+            if not np.isfinite(theta).all():
+                _require_finite_stacks(params, pairs)
+            loss = _stacked_objective(
                 params, rows, labels[:, batch], directions, class_text,
-                temperature, config.alignment_weight, pairs, stack,
-            )
+                temperature, config.alignment_weight, pairs, stack, out=grads, work=work,
+            )[0]
             if not np.isfinite(loss).all():
                 message = f"transfer loss diverged at epoch {epoch}"
                 raise _failure(NonFiniteLossError, pairs, _non_finite(loss), message)
             try:
-                adam_step(state, params, grads)
-            except DomainError as exc:
-                bad = np.any([_non_finite(g) for g in grads.values()], axis=0)
-                raise _failure(DomainError, pairs, bad, str(exc)) from exc
+                adam_step(state, flat_params, flat_grads)
+            except DomainError:
+                _require_finite_stacks(grads, pairs, "grad[{}]")
+                raise
             total += loss * rows.shape[1]
         history[:, epoch] = total / n
         for pair, loss in zip(pairs, history[:, epoch]):

@@ -19,9 +19,12 @@ from fedstyle.numerics import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, softmax_ce_c
 from fedstyle.style_transfer import _row_dots, _transform_forward
 
 
-def normalized_objective(params, z, labels, directions, class_text, temperature, alignment_weight, pairs, stack):
+def normalized_objective(
+    params, z, labels, directions, class_text, temperature, alignment_weight, pairs, stack, out=None, work=None
+):
     """(total, alignment mean, consistency mean, grads) of T stacked
-    transforms; no input checks."""
+    transforms; no input checks.  The grads are copied into ``out`` when
+    given; ``work`` is accepted and unused."""
     rows = z.shape[1]
     hidden, delta = _transform_forward(params, z)
     ddelta = 0.0
@@ -51,6 +54,10 @@ def normalized_objective(params, z, labels, directions, class_text, temperature,
         "w2": np.swapaxes(ddelta, 1, 2) @ hidden,
         "b2": ddelta.sum(axis=1),
     }
+    if out is not None:
+        for name, grad in grads.items():
+            out[name][...] = grad
+        grads = out
     return total, align, cons, grads
 
 

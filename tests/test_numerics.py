@@ -218,6 +218,23 @@ def test_adam_on_a_stack_equals_separate_runs_per_slice():
             assert stack_state.second_moment[name][t].tobytes() == state.second_moment[name].tobytes()
 
 
+def test_adam_on_one_flat_vector_equals_stepping_its_views():
+    # Parameters held as views of one vector step as a single entry to the
+    # same bits as the views stepped as separate entries.
+    rng = np.random.default_rng(5)
+    flat = rng.normal(size=4 * 15 + 4 * 5)
+    views = {"w": flat[:60].reshape(4, 3, 5), "b": flat[60:].reshape(4, 5)}
+    separate = {name: value.copy() for name, value in views.items()}
+    flat_state = AdamState(learning_rate=1e-2, weight_decay=0.05)
+    separate_state = AdamState(learning_rate=1e-2, weight_decay=0.05)
+    for step in range(5):
+        gradient = np.sin((step + 1) * flat)
+        adam_step(flat_state, {"params": flat}, {"params": gradient})
+        adam_step(separate_state, separate, {"w": gradient[:60].reshape(4, 3, 5), "b": gradient[60:].reshape(4, 5)})
+    for name, value in separate.items():
+        assert views[name].tobytes() == value.tobytes()
+
+
 def test_adam_matches_the_textbook_formula_over_200_steps():
     # The bias corrections are folded into the step size and epsilon; the
     # reference forms m_hat and v_hat.  Gradient scales from 1e-10 to 1

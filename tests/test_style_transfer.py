@@ -300,15 +300,28 @@ def test_train_transform_stack_equals_one_pair_calls():
 def test_stage_one_pools_match_the_reference_formulas_on_the_default_config(monkeypatch):
     # Seed 0, holdout 1, variant full, at the package defaults: 6 transforms
     # x 20 epochs x 63 steps.  The reference run trains with the normalized
-    # objective and textbook Adam; every pool row stays within 1e-12.
+    # objective and textbook Adam; every pool row stays within 1e-12.  Each
+    # substitute counts its calls, so the reference run cannot bypass them.
     config = build_config()
     encoder = FrozenEncoder(config.encoder_config(0))
     split = leave_one_out(generate_world(config.world_spec(0), encoder), 1)
     args = (split, encoder, config.transfer, config.prompt.temperature, variant_toggles("full"), 0)
     got = run_stage_one(*args)
-    monkeypatch.setattr(style_transfer, "_stacked_objective", normalized_objective)
-    monkeypatch.setattr(style_transfer, "adam_step", textbook_adam_step)
+    calls = {"objective": 0, "adam_step": 0}
+
+    def objective(*a, **kw):
+        calls["objective"] += 1
+        return normalized_objective(*a, **kw)
+
+    def adam(*a, **kw):
+        calls["adam_step"] += 1
+        return textbook_adam_step(*a, **kw)
+
+    monkeypatch.setattr(style_transfer, "_stacked_objective", objective)
+    monkeypatch.setattr(style_transfer, "adam_step", adam)
     want = run_stage_one(*args)
+    steps = config.transfer.epochs * math.ceil(len(split.clients[0]) / config.transfer.batch_size)
+    assert steps == 1260 and calls == {"objective": steps, "adam_step": steps}
     for pool in ("train_pool", "head_pool"):
         a, b = getattr(got, pool), getattr(want, pool)
         assert _close(a.rows, b.rows), pool
@@ -342,6 +355,78 @@ def test_stacked_step_names_the_pair_whose_loss_diverges(monkeypatch):
     monkeypatch.setattr(style_transfer, "text_delta_directions", poisoned)
     with pytest.raises(NonFiniteLossError, match=rf"transform {re.escape(bad.pair)}: .*epoch 0"):
         train_transform(jobs, enc, split.class_tokens, TransferConfig(epochs=1, batch_size=16), 0.05, 0)
+
+
+def test_stacked_step_names_the_pair_whose_parameter_is_not_finite(monkeypatch):
+    world, enc = _tiny_world()
+    split = leave_one_out(world, 2)
+    jobs = transform_jobs(split, include_target_description=True)
+    bad = jobs[1]
+    original = TransformNetwork.init
+
+    def poisoned(dim, hidden, source, target, seed):
+        net = original(dim, hidden, source, target, seed)
+        if (source, target) == (bad.source, bad.target):
+            net.params["w1"][1, 2] = np.inf
+        return net
+
+    monkeypatch.setattr(TransformNetwork, "init", staticmethod(poisoned))
+    with pytest.raises(DomainError, match=rf"transform {re.escape(bad.pair)}: w1 contains a non-finite entry"):
+        train_transform(jobs, enc, split.class_tokens, TransferConfig(epochs=1, batch_size=16), 0.05, 0)
+
+
+def test_stacked_step_names_the_pair_whose_gradient_is_not_finite_and_writes_nothing(monkeypatch):
+    # The third step's gradient of one transform is poisoned after the real
+    # backward: the step raises naming that pair and leaves every parameter
+    # as the objective saw it.
+    world, enc = _tiny_world()
+    split = leave_one_out(world, 2)
+    jobs = transform_jobs(split, include_target_description=True)
+    original = style_transfer._stacked_objective
+    seen = []
+
+    def poisoned(params, *args, **kwargs):
+        seen.append((params, {name: value.copy() for name, value in params.items()}))
+        total, align, cons, grads = original(params, *args, **kwargs)
+        if len(seen) == 3:
+            grads["w2"][2, 0, 1] = np.nan
+        return total, align, cons, grads
+
+    monkeypatch.setattr(style_transfer, "_stacked_objective", poisoned)
+    with pytest.raises(DomainError, match=rf"transform {re.escape(jobs[2].pair)}: grad\[w2\] contains a non-finite"):
+        train_transform(jobs, enc, split.class_tokens, TransferConfig(epochs=1, batch_size=8), 0.05, 0)
+    assert len(seen) == 3
+    params, before = seen[-1]
+    assert not np.array_equal(before["w2"], seen[0][1]["w2"])  # the earlier steps did write
+    for name, value in before.items():
+        assert params[name].tobytes() == value.tobytes(), name
+
+
+def test_train_transform_takes_one_adam_step_and_one_gather_per_batch_and_epoch(monkeypatch):
+    # 36-row local sets in batches of 5 end in a 1-row batch: 8 steps per
+    # epoch.  Each step is one Adam call for all transforms, and each epoch
+    # gathers each transform's shuffled local set once.
+    world, enc = _tiny_world()
+    split = leave_one_out(world, 2)
+    jobs = transform_jobs(split, include_target_description=True)
+    epochs, batch_size = 3, 5
+    n = len(jobs[0].dataset)
+    assert n % batch_size != 0
+    counts = {"adam_step": 0, "subset": 0}
+    adam, subset = style_transfer.adam_step, LabeledEmbeddings.subset
+
+    def counted_adam(*args, **kwargs):
+        counts["adam_step"] += 1
+        return adam(*args, **kwargs)
+
+    def counted_subset(self, indices):
+        counts["subset"] += 1
+        return subset(self, indices)
+
+    monkeypatch.setattr(style_transfer, "adam_step", counted_adam)
+    monkeypatch.setattr(LabeledEmbeddings, "subset", counted_subset)
+    train_transform(jobs, enc, split.class_tokens, TransferConfig(epochs=epochs, batch_size=batch_size), 0.05, 0)
+    assert counts == {"adam_step": epochs * math.ceil(n / batch_size), "subset": epochs * len(jobs)}
 
 
 # ---------------------------------------------------------------------------
