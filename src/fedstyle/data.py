@@ -249,15 +249,3 @@ def leave_one_out(world: SyntheticWorld, holdout: int) -> EvaluationSplit:
         target_domain_token=world.domain_tokens[holdout],
     )
 
-
-def description_set(split: EvaluationSplit, include_target: bool) -> tuple[Array, list[int]]:
-    """Domain description tokens available as style-transfer targets.
-
-    Returns (tokens, keys): row t of ``tokens`` describes target key
-    ``keys[t]``.  Keys are client indices; when ``include_target`` is set
-    the held-out domain's token is appended under the sentinel key -1.
-    """
-    if not include_target:
-        return split.source_domain_tokens.copy(), list(range(split.num_clients))
-    tokens = np.vstack([split.source_domain_tokens, split.target_domain_token[None, :]])
-    return tokens, list(range(split.num_clients)) + [TARGET_KEY]

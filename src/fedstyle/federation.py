@@ -2,7 +2,8 @@
 
 Stage one is entirely local: every client trains one style transform per
 other available domain description and pushes its own embeddings through
-them, producing an augmentation pool.  Nothing crosses the wire.
+them, producing an augmentation pool laid out as ``transform_jobs``
+states.  Nothing crosses the wire.
 
 Stage two runs ``rounds`` federated rounds.  In each round every client
 starts from the adopted broadcast, refines it locally (the global prompt on
@@ -52,7 +53,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .data import TARGET_KEY, EvaluationSplit, description_set
+from .data import TARGET_KEY, EvaluationSplit, LabeledEmbeddings
 from .encoder import FrozenEncoder
 from .errors import ConfigurationError, NonFiniteLossError, ProtocolError
 from .numerics import Array, require_finite_fields, sgd_step
@@ -201,12 +202,6 @@ class CommunicationLedger:
             )
         )
 
-    def counts_by_kind(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for record in self.records:
-            out[record.kind_name] = out.get(record.kind_name, 0) + 1
-        return out
-
     def total_payload_bytes(self) -> int:
         return sum(record.payload_bytes for record in self.records)
 
@@ -267,9 +262,9 @@ class StageOneResult:
     (K, N) labels and domains, normalized and validated once.
 
     ``train_pool`` is each local set followed by its style-transferred
-    copies; it trains the global prompt.  ``local_set``, the original
-    embeddings, is a view of its leading n rows and trains the domain
-    prompt.  ``head_pool`` trains the domain head: it is the train stack
+    copies, laid out as ``transform_jobs`` states; it trains the global
+    prompt.  ``local_set``, the original embeddings, is a view of its
+    leading n rows and trains the domain prompt.  ``head_pool`` trains the domain head: it is the train stack
     itself unless some rows are styled toward the held-out domain, which
     have no valid source-domain label; then it holds the other rows.
     ``clients[i]`` holds client i's views of the three stacks.
@@ -300,13 +295,19 @@ def _empty_stack(k: int, n: int, dim: int) -> UnitRows:
 
 
 def transform_jobs(split: EvaluationSplit, include_target_description: bool) -> list[TransformJob]:
-    """Every (client, other description) transform of stage one, by client
-    and then description order."""
-    tokens, keys = description_set(split, include_target_description)
+    """Every (client, target) transform of stage one, in the order that lays
+    out the pools: client by client, each client's targets in ascending key
+    order, so ``TARGET_KEY`` (-1, the held-out description, when included)
+    leads.  Client i's train pool is its n local rows, then one n-row copy
+    per target in this order, with the local labels and the target's key as
+    domain; its head pool is the same without the ``TARGET_KEY`` block."""
+    targets = list(enumerate(split.source_domain_tokens))
+    if include_target_description:
+        targets.insert(0, (TARGET_KEY, split.target_domain_token))
     return [
-        TransformJob(local, i, key, split.source_domain_tokens[i], tokens[row])
+        TransformJob(local, i, key, split.source_domain_tokens[i], token)
         for i, local in enumerate(split.clients)
-        for row, key in enumerate(keys)
+        for key, token in targets
         if key != i
     ]
 
@@ -323,11 +324,12 @@ def run_stage_one(
 
     The local sets must share one non-empty length (``ConfigurationError``
     before anything trains).  All transforms train in one stacked
-    ``train_transform`` call; with style transfer disabled there are none,
-    and every pool is just the local set.  No message is produced either
-    way; stage one is upload-free by construction.  Each client's pool is
-    normalized and validated here, once, against the split's class and
-    client counts, straight into its slice of the stack.
+    ``train_transform`` call and move the local sets in one stacked forward;
+    with style transfer disabled there are none, and every pool is just the
+    local set.  No message is produced either way; stage one is upload-free
+    by construction.  Each local set and block of copies is normalized and
+    validated here, once, against the split's class and client counts,
+    straight into the stack, laid out as ``transform_jobs`` states.
     """
     lengths = sorted({len(local) for local in split.clients})
     if len(lengths) > 1:
@@ -337,27 +339,28 @@ def run_stage_one(
         raise ConfigurationError("client local sets are empty")
     classes = split.class_tokens.shape[0]
     transforms: dict[int, dict[int, TransformNetwork]] = {i: {} for i in range(k)}
+    jobs, copies = [], np.empty((0, n, dim))
     if toggles.use_style_transfer:
         jobs = transform_jobs(split, toggles.include_target_description)
         result = train_transform(jobs, encoder, split.class_tokens, transfer_config, temperature, seed)
         for net in result.networks():
             transforms[net.source][net.target] = net
-    # every client holds n rows and one styled copy per target
-    styled = len(transforms[0])
+        copies = build_augmentation_bank(result)
+    styled = len(jobs) // k
     train = _empty_stack(k, n * (1 + styled), dim)
+    # target-styled copies carry TARGET_KEY, outside the domain range
+    copy_domains = None if toggles.include_target_description else k
+    for i, local in enumerate(split.clients):
+        own = slice(i * styled, (i + 1) * styled)
+        keys = np.repeat([job.target for job in jobs[own]], n)
+        block = LabeledEmbeddings(copies[own].reshape(-1, dim), np.tile(local.labels, styled), keys)
+        UnitRows.prepare(local, classes, k, out=train.select(np.s_[i, :n]))
+        UnitRows.prepare(block, classes, copy_domains, out=train.select(np.s_[i, n:]))
+        log.info("client %d: %d local, %d augmented toward %s", i, n, len(block), list(transforms[i]))
     head = train
     if toggles.include_target_description:
-        head = _empty_stack(k, n * styled, dim)
-    for i, local in enumerate(split.clients):
-        # with no transforms the pool is the local set itself, not a copy
-        pool = build_augmentation_bank(local, i, transforms[i]) if styled else local
-        # target-styled rows carry TARGET_KEY, outside the domain range
-        UnitRows.prepare(pool, classes, k if head is train else None, out=train.select(i))
-        if head is not train:
-            kept = np.flatnonzero(pool.domains != TARGET_KEY)
-            UnitRows.prepare(pool.subset(kept), classes, k, out=head.select(i))
-        log.info("client %d: %d local, %d augmented toward %s", i, n, len(pool) - n, list(transforms[i]))
-        del pool  # one unnormalized pool at a time: free it before the next is built
+        # every client's TARGET_KEY block sits at the same rows
+        head = train.select(np.s_[:, np.flatnonzero(train.domains[0] != TARGET_KEY)])
     return StageOneResult(train, head, n, transforms)
 
 

@@ -40,15 +40,12 @@ and scales its gradient coefficients, so no unit copy of a row stack is
 formed.  The consistency logits are class-major, (T, C, B), for the shared
 cross-entropy kernel, and row norms and dot products over d are ``einsum``
 reductions, one per row.  ``_objective`` is the same kernel for one
-transform; the forward is ``_transform_forward``, shared with
-``TransformNetwork.correction``, and a finite-difference check in the
-tests pins the backward.
+transform; the forward is ``_transform_forward``, and a finite-difference
+check in the tests pins the backward.
 
-``build_augmentation_bank`` pushes a client's local set through its
-trained transforms and returns one ``LabeledEmbeddings``: the local set
-followed by each target's copy, which carries the target's domain key.
-That is the client's whole stage-one pool, and the domain key is the only
-mark of a copy.
+``build_augmentation_bank`` runs that forward once over every job's local
+set and returns the (T, n, d) copies in job order, which lays out the
+pools as ``federation.transform_jobs`` states.
 """
 
 from __future__ import annotations
@@ -62,7 +59,7 @@ import numpy as np
 from .data import LabeledEmbeddings
 from .encoder import FrozenEncoder
 from .errors import ConfigurationError, DomainError, NonFiniteLossError, ParameterError
-from .numerics import AdamState, Array, adam_step, as_f64, require_finite, require_finite_fields, softmax_ce_cols
+from .numerics import AdamState, Array, adam_step, as_f64, require_finite_fields, softmax_ce_cols
 from .seeding import rng
 
 log = logging.getLogger(__name__)
@@ -116,14 +113,6 @@ class TransformNetwork:
             "b2": gen.uniform(-_OUTPUT_BIAS_INIT, _OUTPUT_BIAS_INIT, size=dim),
         }
         return cls(source=source, target=target, params=params)
-
-    def correction(self, z: Array) -> Array:
-        """The learned shift, rows of (n, d) in, rows out."""
-        return _transform_forward(self.params, require_finite(as_f64(z), "z"))[1]
-
-    def apply(self, z: Array) -> Array:
-        """Q(z) = z + correction(z)."""
-        return as_f64(z) + self.correction(z)
 
 
 # ---------------------------------------------------------------------------
@@ -482,24 +471,13 @@ def train_transform(
 # ---------------------------------------------------------------------------
 
 
-def build_augmentation_bank(
-    dataset: LabeledEmbeddings,
-    source: int,
-    transforms: dict[int, TransformNetwork],
-) -> LabeledEmbeddings:
-    """The local set followed by its copy through each target's transform,
-    in ascending target order.
-
-    A copy keeps the class labels and takes the target's domain key; every
-    network must start at ``source`` (``ConfigurationError``).  Nothing
-    here touches the network or the ledger; the pool is a purely local
-    product.
-    """
-    parts = [dataset]
-    for key in sorted(transforms):
-        net = transforms[key]
-        if net.source != source:
-            raise ConfigurationError(f"transform {net.source}->{net.target} does not start at {source}")
-        keys = np.full(len(dataset), key, dtype=np.int64)
-        parts.append(LabeledEmbeddings(net.apply(dataset.embeddings), dataset.labels, keys))
-    return LabeledEmbeddings.concat(parts)
+def build_augmentation_bank(result: TransformTrainingResult) -> Array:
+    """Every job's local set moved by its trained transform, Q(z), as
+    (T, n, d) rows in job order, from one stacked forward.  Copy t keeps its
+    local set's labels and takes ``jobs[t].target`` as domain key
+    (``federation.transform_jobs`` fixes the layout).  Nothing here touches
+    the network or the ledger; the pool is a purely local product."""
+    z = np.stack([job.dataset.embeddings for job in result.jobs])
+    moved = _transform_forward(result.params, z)[1]
+    moved += z
+    return moved

@@ -1,4 +1,4 @@
-"""World generation tests: geometry, determinism, splits, target descriptions.
+"""World generation tests: geometry, determinism, splits.
 
 The sample-mean oracle is Monte-Carlo: at small noise the per-cell mean
 embedding approaches the noiseless embedding at the usual 3 sigma / sqrt(n)
@@ -10,10 +10,8 @@ import numpy as np
 import pytest
 
 from fedstyle.data import (
-    TARGET_KEY,
     LabeledEmbeddings,
     WorldSpec,
-    description_set,
     generate_world,
     leave_one_out,
 )
@@ -181,23 +179,6 @@ def test_leave_one_out_rejects_bad_holdout():
         leave_one_out(world, holdout=3)
     with pytest.raises(ParameterError):
         leave_one_out(world, holdout=-1)
-
-
-# ---------------------------------------------------------------------------
-# target descriptions
-# ---------------------------------------------------------------------------
-
-
-def test_description_set_counts():
-    world, _ = make_world()
-    split = leave_one_out(world, holdout=1)
-    tokens, keys = description_set(split, include_target=False)
-    assert tokens.shape[0] == split.num_clients
-    assert keys == [0, 1]
-    tokens_t, keys_t = description_set(split, include_target=True)
-    assert tokens_t.shape[0] == split.num_clients + 1
-    assert keys_t == [0, 1, TARGET_KEY]
-    assert np.allclose(tokens_t[-1], split.target_domain_token)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ brute-force mean, wire-level fixed points, message accounting,
 post-broadcast bit-identity, and whole-run determinism."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fedstyle.federation import (
     evaluate_accuracy,
     run_protocol,
     run_stage_one,
+    transform_jobs,
 )
 from fedstyle.prompts import (
     DomainClassifier,
@@ -232,6 +234,25 @@ def test_stage_one_pools_without_style_transfer():
 
 
 @pytest.mark.parametrize("include_target", [False, True])
+def test_transform_jobs_keys_and_tokens(include_target):
+    world, _ = _world()
+    split = leave_one_out(world, 1)
+    jobs = transform_jobs(split, include_target)
+    k = split.num_clients
+    assert [job.source for job in jobs] == sorted(job.source for job in jobs)
+    for i in range(k):
+        own = [job for job in jobs if job.source == i]
+        # ascending keys, so the held-out description leads
+        expected = ([TARGET_KEY] if include_target else []) + [key for key in range(k) if key != i]
+        assert [job.target for job in own] == expected
+        tokens = {TARGET_KEY: split.target_domain_token, **dict(enumerate(split.source_domain_tokens))}
+        for job in own:
+            assert job.dataset is split.clients[i]
+            assert np.array_equal(job.source_token, split.source_domain_tokens[i])
+            assert np.array_equal(job.target_token, tokens[job.target])
+
+
+@pytest.mark.parametrize("include_target", [False, True])
 def test_stage_one_pool_sizes_and_targets(include_target):
     world, encoder = _world()
     split = leave_one_out(world, 3)
@@ -249,10 +270,18 @@ def test_stage_one_pool_sizes_and_targets(include_target):
         assert sorted(stage_one.transforms[i]) == sorted(
             [j for j in range(3) if j != i] + ([TARGET_KEY] if include_target else [])
         )
-        # the local set leads the pool, then one styled copy per target
+        # the local set leads the pool, then one styled copy per target in
+        # ascending key order, so a target-styled copy comes first
+        targets = sorted(stage_one.transforms[i])
+        train, head = client.train_pool, client.head_pool
+        assert train.domains.tolist() == [key for key in [i, *targets] for _ in range(n)]
+        assert np.array_equal(train.labels, np.tile(split.clients[i].labels, 1 + per_client_targets))
         assert np.array_equal(client.local_set.labels, split.clients[i].labels)
         assert np.all(client.local_set.domains == i)
-        assert np.sum(client.train_pool.domains != i) == n * per_client_targets
+        # the head pool is the train pool without its target-styled block
+        kept = train.domains != TARGET_KEY
+        for part in ("rows", "labels", "domains"):
+            assert np.array_equal(getattr(head, part), getattr(train, part)[kept]), part
 
 
 def _rejected_by_stage_one(split, encoder, match, monkeypatch):
@@ -350,7 +379,7 @@ def test_minibatch_passes_draw_once_per_client_and_epoch(monkeypatch):
 
 def test_protocol_message_counts_and_kinds():
     result, split, _ = _small_run(rounds=2)
-    counts = result.ledger.counts_by_kind()
+    counts = Counter(record.kind_name for record in result.ledger.records)
     k = split.num_clients
     assert counts == {
         "global_upload": 2 * k,
@@ -411,7 +440,7 @@ def test_protocol_global_only_variant():
     result, split, encoder = _small_run(toggles=toggles, noise=1.0)
     assert result.domain_prompts is None
     assert result.classifier is None
-    counts = result.ledger.counts_by_kind()
+    counts = Counter(record.kind_name for record in result.ledger.records)
     assert set(counts) == {"global_upload", "global_broadcast"}
     uploads = [r for r in result.ledger.records if r.kind_name == "global_upload"]
     assert all(r.parameter_count == 2 * 16 for r in uploads)

@@ -118,7 +118,7 @@ def test_consistency_matches_hand_chain():
     text = class_text_embeddings(enc, class_tokens)
     got = _consistency(net, batch, text, tau)
 
-    moved = net.apply(batch.embeddings)
+    moved = batch.embeddings + net.params["b2"]  # the constant correction
     expected = 0.0
     for i in range(4):
         q = moved[i] / np.linalg.norm(moved[i])
@@ -434,40 +434,30 @@ def test_train_transform_takes_one_adam_step_and_one_gather_per_batch_and_epoch(
 # ---------------------------------------------------------------------------
 
 
+def _bank_result(epochs):
+    # every transform of a target-text split, trained in lockstep
+    world, enc = _tiny_world()
+    split = leave_one_out(world, 2)
+    jobs = transform_jobs(split, include_target_description=True)
+    return train_transform(jobs, enc, split.class_tokens, TransferConfig(epochs=epochs, batch_size=8), 0.05, 0)
+
+
 def test_identity_transform_bank_equals_originals():
-    world, _ = _tiny_world()
-    split = leave_one_out(world, 2)
-    identity = _net_with(np.zeros(12), dim=12, hidden=6)
-    identity.target = 1
-    local = split.clients[0]
-    pool = build_augmentation_bank(local, 0, {1: identity})
-    for part in (pool.subset(np.arange(len(local))), pool.subset(np.arange(len(local), len(pool)))):
-        assert np.array_equal(part.embeddings, local.embeddings)
-        assert np.array_equal(part.labels, local.labels)
-    assert np.all(pool.domains[: len(local)] == 0)
-    assert np.all(pool.domains[len(local) :] == 1)
+    result = _bank_result(epochs=0)
+    result.params["w2"][...] = 0.0
+    result.params["b2"][...] = 0.0
+    bank = build_augmentation_bank(result)
+    for copy, job in zip(bank, result.jobs, strict=True):
+        assert copy.tobytes() == job.dataset.embeddings.tobytes()
 
 
-def test_bank_covers_every_target_or_rejects():
-    world, _ = _tiny_world()
-    split = leave_one_out(world, 0)
-    local = split.clients[0]
-    # handed in out of order, the copies still follow ascending target keys
-    nets = {t: TransformNetwork.init(12, 6, 0, t, seed=t + 2) for t in (2, TARGET_KEY, 1)}
-    pool = build_augmentation_bank(local, 0, nets)
-    assert pool.domains.tolist() == [key for key in (0, TARGET_KEY, 1, 2) for _ in range(len(local))]
-    for slot, key in enumerate(sorted(nets), start=1):
-        rows = slice(slot * len(local), (slot + 1) * len(local))
-        assert np.array_equal(pool.embeddings[rows], nets[key].apply(local.embeddings))
-    wrong = TransformNetwork.init(12, 6, 5, 2, seed=0)
-    with pytest.raises(ConfigurationError):
-        build_augmentation_bank(local, 0, {2: wrong})
-
-
-def test_bank_combined_sizes():
-    world, _ = _tiny_world()
-    split = leave_one_out(world, 2)
-    nets = {t: TransformNetwork.init(12, 6, 0, t, seed=t) for t in (1,)}
-    nets[1].source = 0
-    assert len(build_augmentation_bank(split.clients[0], 0, nets)) == 2 * len(split.clients[0])
-
+def test_bank_moves_each_local_set_like_its_network():
+    result = _bank_result(epochs=1)
+    bank = build_augmentation_bank(result)
+    n = len(result.jobs[0].dataset)
+    assert bank.shape == (len(result.jobs), n, 12)
+    assert any(job.target == TARGET_KEY for job in result.jobs)
+    for copy, job, net in zip(bank, result.jobs, result.networks(), strict=True):
+        assert (net.source, net.target) == (job.source, job.target)
+        z = job.dataset.embeddings
+        assert copy.tobytes() == (z + style_transfer._transform_forward(net.params, z)[1]).tobytes()
