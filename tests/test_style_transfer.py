@@ -451,13 +451,40 @@ def test_identity_transform_bank_equals_originals():
         assert copy.tobytes() == job.dataset.embeddings.tobytes()
 
 
-def test_bank_moves_each_local_set_like_its_network():
+def test_bank_covers_every_target_or_rejects():
     result = _bank_result(epochs=1)
     bank = build_augmentation_bank(result)
-    n = len(result.jobs[0].dataset)
-    assert bank.shape == (len(result.jobs), n, 12)
-    assert any(job.target == TARGET_KEY for job in result.jobs)
+    # each client gets one copy per other source and the held-out text, in
+    # ascending key order, so TARGET_KEY leads
+    by_client = {}
+    for job in result.jobs:
+        by_client.setdefault(job.source, []).append(job.target)
+    assert by_client == {i: [TARGET_KEY] + [j for j in (0, 1) if j != i] for i in (0, 1)}
     for copy, job, net in zip(bank, result.jobs, result.networks(), strict=True):
         assert (net.source, net.target) == (job.source, job.target)
         z = job.dataset.embeddings
         assert copy.tobytes() == (z + style_transfer._transform_forward(net.params, z)[1]).tobytes()
+    # a network cannot be handed in apart from its job, so the one job list
+    # that could not form a bank, local sets that do not stack, is refused
+    world, enc = _tiny_world()
+    split = leave_one_out(world, 2)
+    short = _job(split, 1, 0)
+    short = TransformJob(
+        short.dataset.subset(np.arange(5)), short.source, short.target, short.source_token, short.target_token
+    )
+    with pytest.raises(ConfigurationError):
+        train_transform([_job(split, 0, 1), short], enc, split.class_tokens, TransferConfig(epochs=0, batch_size=8), 0.05, 0)
+
+
+def test_bank_combined_sizes():
+    world, enc = _tiny_world()
+    split = leave_one_out(world, 2)
+    jobs = transform_jobs(split, include_target_description=False)
+    result = train_transform(jobs, enc, split.class_tokens, TransferConfig(epochs=0, batch_size=8), 0.05, 0)
+    n = len(split.clients[0])
+    bank = build_augmentation_bank(result)
+    assert bank.shape == (len(jobs), n, 12)
+    # without target text, two clients each move to the other alone, so a
+    # client's train pool (local set, then its copies) is twice its local set
+    own = bank[[t for t, job in enumerate(jobs) if job.source == 0]]
+    assert len(split.clients[0]) + own.shape[0] * own.shape[1] == 2 * n
