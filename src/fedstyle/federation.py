@@ -37,10 +37,16 @@ stack in both stages: stage one trains every transform in one
 ``train_transform`` call and always hands stage two its pools as read-only
 (K, N, d) stacks, and each stage-two pass takes one stacked step per batch
 for all clients.  A pass whose one batch is a whole local-set-sized pool
-reads the stack as it is: its losses are batch means, which a shuffle
-would only sum in another order.  Every other pass draws each client's
-shuffle from its own per-(round, client, epoch) stream and gathers all
-clients' rows with one ``take`` per array.  A stacked step
+reads the local set as it is: its losses are batch means, which a shuffle
+would only sum in another order.  Every pool leads with the local set, so
+such a pass reads the (K, n, d) local-set stack, which ``run_protocol``
+gives, once per run, a column copy (``UnitRows.with_column_copy``) that
+the class-major score products read faster; the copy is made only when
+``batch_size`` is at least n, the one case in which a pass reads the local
+set whole.  Every other pass draws each client's shuffle from its own
+per-(round, client, epoch) stream and gathers all clients' rows with one
+``take`` per array; a drawn batch carries no copy, since a transposed
+gather costs more than the products save.  A stacked step
 gives every client the bits it would get alone.  Uploads, ledger records
 and each round's loss means follow ascending client order, so a run is a
 pure function of its inputs.
@@ -480,6 +486,8 @@ def run_protocol(
     # made on the first draw, so a cell whose passes all read their whole
     # pool makes none
     drawn = None
+    # the local set with its column copy, read by every whole-set pass
+    local_set = stage_one.local_set.with_column_copy() if fed_config.batch_size >= n else None
 
     def local_pass(name, step, params, stack, epoch, losses, length=None):
         """One epoch of the ``name`` pass ("global", "head" or "domain").
@@ -487,9 +495,12 @@ def run_protocol(
         of its slice of ``stack``.  A pool of exactly n rows with
         ``batch_size`` at least n makes one batch of every row: each loss
         is a batch mean, so a shuffle would only reorder its sum, and the
-        pass reads the stack itself.  Otherwise each client draws a
-        local-set-sized sample of its pool from its own ``<name>-shuffle``
-        stream into its row of ``drawn``.  Each stacked batch then takes
+        pass reads ``local_set``, the local set that leads every pool, with
+        the column copy made for it once per run.  Otherwise each client draws
+        a local-set-sized sample of its pool from its own ``<name>-shuffle``
+        stream into its row of ``drawn``, which carries no column copy:
+        transposing the gather would cost more than the scores save.  Each
+        stacked batch then takes
         one ``step``, records its losses as ``<name>_loss`` and updates, in
         ``params``, the arrays the step returned gradients for, at
         ``<name>_lr`` decayed by the round."""
@@ -497,8 +508,8 @@ def run_protocol(
         rate = getattr(fed_config, f"{name}_lr") * fed_config.lr_decay**losses.round_index
         width = stack.labels.shape[1]
         length = width if length is None else length
-        if length == n and fed_config.batch_size >= n:
-            source = stack.select(np.s_[:, :n])
+        if length == n and local_set is not None:
+            source = local_set
         else:
             if drawn is None:
                 drawn = _empty_stack(k, n, dim)

@@ -39,8 +39,13 @@ closed form next to its forward pass: the cross-entropy kernel supplies
 the logit gradient, the encoder's VJP carries it back to the prompt
 blocks from the forward's saved state, and the tests check every gradient
 against finite differences.  Logits are class-major, (..., C, B) with
-one column per row of the batch (``text @ rows.T``, ``weight @ rows.T``),
-so the kernel's max and sum over classes run across all rows at once.
+one column per row of the batch (``text @ batch.columns()``,
+``weight @ batch.columns()``), so the kernel's max and sum over classes
+run across all rows at once.  ``UnitRows.columns`` is the one right-hand
+operand of those products: the batch's C-contiguous (..., d, B) column
+copy when it carries one, which BLAS reads faster and to the same bits
+as the transposed rows it falls back to.  Gradients take the row-major
+rows, ``dlogits @ rows``, already the fast layout for that product.
 
 Every loss takes its batch as ``UnitRows``: each pool is normalized and
 validated once by ``UnitRows.prepare``, and a batch is a selection of its
@@ -123,9 +128,10 @@ class DomainClassifier:
     def num_domains(self) -> int:
         return self.weight.shape[-2]
 
-    def logits(self, rows: Array) -> Array:
-        """Class-major logits (..., K, B) of unit rows (..., B, d)."""
-        logits = self.weight @ np.swapaxes(rows, -1, -2)
+    def logits(self, columns: Array) -> Array:
+        """Class-major logits (..., K, B) of unit rows given as columns
+        (..., d, B): ``UnitRows.columns`` of a batch, or ``rows.T``."""
+        logits = self.weight @ columns
         logits += self.bias[..., :, None]
         return logits
 
@@ -234,7 +240,7 @@ def _block_probabilities(
     if blocks is None:
         generated = np.zeros(np.shape(global_prompt))
     else:
-        logits = classifier.logits(rows)  # (K, n)
+        logits = classifier.logits(rows.T)  # (K, n)
         e = np.exp(logits - logits.max(axis=0))
         weights = e / e.sum(axis=0)
         # accumulated in ascending k from zero, so one-hot weights give the
@@ -262,11 +268,17 @@ class UnitRows:
     once; the losses then read its rows as they are, and batches are
     selections of a prepared pool.  A stack of equal-sized batches, one
     per client, carries a leading client axis on every array.
+
+    ``column_copy``, when present, is a read-only C-contiguous (..., d, n)
+    copy of the rows, made once by ``with_column_copy`` for a set that is
+    scored whole many times; ``columns`` hands it to the class-major score
+    products.
     """
 
     rows: Array     # (n, d) unit rows, or (clients, n, d)
     labels: Array   # (n,) class ids, or (clients, n)
     domains: Array  # (n,) domain ids, or (clients, n)
+    column_copy: Array | None = None  # (d, n), or (clients, d, n)
 
     def __len__(self) -> int:
         """Row count, summed over the client axis of a stack."""
@@ -295,8 +307,27 @@ class UnitRows:
 
     def select(self, index) -> "UnitRows":
         """The rows at ``index``: a view for a slice, a gathered copy for
-        an index array."""
-        return UnitRows(self.rows[index], self.labels[index], self.domains[index])
+        an index array.  An index of slices and integers keeps the matching
+        view of the column copy; an index array drops the copy."""
+        columns = None
+        parts = index if isinstance(index, tuple) else (index,)
+        if self.column_copy is not None and all(isinstance(p, (slice, int, np.integer)) for p in parts):
+            if len(parts) == self.labels.ndim:
+                # the row axis of the copy is its last; d sits before it
+                parts = parts[:-1] + (slice(None),) + parts[-1:]
+            columns = self.column_copy[parts]
+        return UnitRows(self.rows[index], self.labels[index], self.domains[index], columns)
+
+    def with_column_copy(self) -> "UnitRows":
+        """These rows with a read-only C-contiguous (..., d, n) copy of them."""
+        columns = np.ascontiguousarray(np.swapaxes(self.rows, -1, -2))
+        columns.flags.writeable = False
+        return UnitRows(self.rows, self.labels, self.domains, columns)
+
+    def columns(self) -> Array:
+        """The rows as the (..., d, B) right-hand operand of a class-major
+        score product: the column copy, or else a transposed view."""
+        return np.swapaxes(self.rows, -1, -2) if self.column_copy is None else self.column_copy
 
 
 def _normalized_rows(embeddings: Array, out: Array | None = None) -> Array:
@@ -340,7 +371,7 @@ def _classification(
     text, state = encoder.encode_class_texts(blocks, class_tokens)  # (..., C, d)
     xn = batch.rows                                                  # (..., B, d)
     _require_client_axis(batch, text.shape[:-2])
-    logits = text @ np.swapaxes(xn, -1, -2)                          # (..., C, B)
+    logits = text @ batch.columns()                                  # (..., C, B)
     logits *= 1.0 / temperature
     per_row, dlogits = softmax_ce_cols(logits, batch.labels)
     loss = per_row.mean(axis=-1)
@@ -465,7 +496,7 @@ def classifier_loss(
         raise ParameterError("empty batch")
     xn = batch.rows
     _require_client_axis(batch, classifier.bias.shape[:-1])
-    per_row, dlogits = softmax_ce_cols(classifier.logits(xn), batch.domains)
+    per_row, dlogits = softmax_ce_cols(classifier.logits(batch.columns()), batch.domains)
     loss = _per_client(per_row.mean(axis=-1))
     if not want_grad:
         return loss, None

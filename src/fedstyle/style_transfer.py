@@ -43,13 +43,15 @@ reductions, one per row.  ``_objective`` is the same kernel for one
 transform; the forward is ``_transform_forward``, and a finite-difference
 check in the tests pins the backward.
 
-``build_augmentation_bank`` runs that forward once over every job's local
-set and returns the (T, n, d) copies in job order, which lays out the
-pools as ``federation.transform_jobs`` states.
+``build_augmentation_bank`` runs that forward once per client, broadcasting
+its local set against its block of transforms, and returns the (T, n, d)
+copies in job order, which lays out the pools as
+``federation.transform_jobs`` states.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -473,11 +475,19 @@ def train_transform(
 
 def build_augmentation_bank(result: TransformTrainingResult) -> Array:
     """Every job's local set moved by its trained transform, Q(z), as
-    (T, n, d) rows in job order, from one stacked forward.  Copy t keeps its
-    local set's labels and takes ``jobs[t].target`` as domain key
-    (``federation.transform_jobs`` fixes the layout).  Nothing here touches
-    the network or the ledger; the pool is a purely local product."""
-    z = np.stack([job.dataset.embeddings for job in result.jobs])
-    moved = _transform_forward(result.params, z)[1]
-    moved += z
+    (T, n, d) rows in job order.  Each run of consecutive jobs on one local
+    set, a client's block of targets, takes one forward that broadcasts the
+    (n, d) set against the block's stacked parameters, so no job gets a
+    copy of its set.  Copy t keeps its local set's labels and takes
+    ``jobs[t].target`` as domain key (``federation.transform_jobs`` fixes
+    the layout).  Nothing here touches the network or the ledger; the pool
+    is a purely local product."""
+    moved = np.empty((len(result.jobs),) + result.jobs[0].dataset.embeddings.shape)
+    stop = 0
+    for _, run in itertools.groupby(result.jobs, key=lambda job: id(job.dataset)):
+        start, stop = stop, stop + len(list(run))
+        z = result.jobs[start].dataset.embeddings
+        block = {name: p[start:stop] for name, p in result.params.items()}
+        _transform_forward(block, z, out=(None, moved[start:stop]))
+        moved[start:stop] += z
     return moved

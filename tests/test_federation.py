@@ -26,6 +26,7 @@ from fedstyle.federation import (
 from fedstyle.prompts import (
     DomainClassifier,
     PromptConfig,
+    UnitRows,
     classifier_loss,
     domain_loss,
     global_loss,
@@ -370,6 +371,38 @@ def test_minibatch_passes_draw_once_per_client_and_epoch(monkeypatch):
     calls, split = _counted_rng_calls(monkeypatch, fed)
     k = split.num_clients
     assert len(calls) == fed.rounds * (2 * fed.global_epochs + fed.domain_epochs) * k
+
+
+@pytest.mark.parametrize("batch_size", [32, 8])
+def test_whole_set_passes_score_from_one_column_copy(monkeypatch, batch_size):
+    # 24 rows per client: in batches of 32 every global, head and domain
+    # step reads the local set whole, from the one column copy made per
+    # run; batches of 8 are drawn, and no copy is made
+    copies, seen = [], []
+    make_copy = UnitRows.with_column_copy
+
+    def counted_copy(rows):
+        copies.append(make_copy(rows))
+        return copies[-1]
+
+    monkeypatch.setattr(UnitRows, "with_column_copy", counted_copy)
+    for name in ("global_loss", "classifier_loss", "domain_loss"):
+        def spy(batch, *args, _loss=getattr(federation, name), _name=name, **kwargs):
+            seen.append((_name, batch.column_copy))
+            return _loss(batch, *args, **kwargs)
+
+        monkeypatch.setattr(federation, name, spy)
+    fed = FederationConfig(**dict(_ROUNDS, rounds=2, batch_size=batch_size))
+    _, split = _counted_rng_calls(monkeypatch, fed)
+    steps = fed.rounds * -(-len(split.clients[0]) // batch_size)
+    assert Counter(name for name, _ in seen) == {"global_loss": steps, "classifier_loss": steps, "domain_loss": steps}
+    if batch_size >= len(split.clients[0]):
+        assert len(copies) == 1
+        whole = copies[0].column_copy
+        assert all(np.shares_memory(columns, whole) and columns.shape == whole.shape for _, columns in seen)
+    else:
+        assert copies == []
+        assert all(columns is None for _, columns in seen)
 
 
 # ---------------------------------------------------------------------------

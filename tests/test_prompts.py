@@ -703,6 +703,26 @@ def test_a_stacked_call_equals_one_call_per_client_bit_for_bit(loss):
                 assert grads[j].tobytes() == grad.tobytes()
 
 
+def test_column_copy_is_read_only_and_follows_slices_only():
+    pools = [_batch(n=10, seed=30 + j) for j in range(3)]
+    stack = _stacked(pools, slice(None))
+    assert stack.column_copy is None
+    assert stack.columns().tobytes() == np.swapaxes(stack.rows, -1, -2).tobytes()
+    copied = stack.with_column_copy()
+    columns = copied.column_copy
+    assert columns.flags.c_contiguous and not columns.flags.writeable
+    assert np.array_equal(columns, np.swapaxes(stack.rows, -1, -2))
+    assert copied.columns() is columns
+    # a row slice, of the stack or of one client, keeps the matching columns
+    for index in (np.s_[:, 2:7], 1, np.s_[1, 2:7], np.s_[:2]):
+        part = copied.select(index)
+        assert np.shares_memory(part.column_copy, columns)
+        assert np.array_equal(part.column_copy, np.swapaxes(stack.rows[index], -1, -2))
+    # an index array gathers the rows and carries no copy
+    for index in (np.s_[:, [0, 3, 5]], np.array([2, 0])):
+        assert copied.select(index).column_copy is None
+
+
 def test_stacked_batch_length_counts_every_row():
     pools = [_batch(n=10, seed=30 + j) for j in range(3)]
     assert len(_stacked(pools, slice(0, 8))) == 24
@@ -739,7 +759,8 @@ def _row_major_loss(loss, batch, params, enc, ct):
 def test_each_loss_matches_the_row_major_formula_on_a_default_size_batch(loss):
     # 3 clients of 2000 rows, d = 64, 10 classes, 3 head domains; the kernel
     # sums over classes in another order than the formula, so the two agree
-    # to 1e-12 relative
+    # to 1e-12 relative.  With the batch's column copy the scores read
+    # another layout of the same values, and every bit must stay the same.
     k, n, dim = 3, 2000, 64
     enc = FrozenEncoder(EncoderConfig(dim=dim, max_tokens=16, seed=3))
     g = rng(40, "row-major")
@@ -747,14 +768,21 @@ def test_each_loss_matches_the_row_major_formula_on_a_default_size_batch(loss):
     rows = _unit_rows(g, k * n, dim).reshape(k, n, dim)
     batch = UnitRows(rows, g.integers(0, 10, (k, n)), g.integers(0, k, (k, n)))
     gp, dp = g.normal(size=(2, k, 4, dim)) * 0.01
-    params = (gp, dp)
-    if loss == "global":
-        value, grad = global_loss(batch, gp, enc, ct, TAU)
-    elif loss == "domain":
-        value, grad, _ = domain_loss(batch, dp, gp, enc, ct, None, TAU, use_contrastive=False)
-    else:
-        params = DomainClassifier(g.normal(size=(k, k, dim)), g.normal(size=(k, k)) * 0.1)
-        value, grad = classifier_loss(batch, params)
+    head = DomainClassifier(g.normal(size=(k, k, dim)), g.normal(size=(k, k)) * 0.1)
+    params = head if loss == "classifier" else (gp, dp)
+
+    def call(batch):
+        if loss == "global":
+            return global_loss(batch, gp, enc, ct, TAU)
+        if loss == "domain":
+            return domain_loss(batch, dp, gp, enc, ct, None, TAU, use_contrastive=False)[:2]
+        return classifier_loss(batch, head)
+
+    value, grad = call(batch)
+    copied_value, copied_grad = call(batch.with_column_copy())
+    assert copied_value.tobytes() == value.tobytes()
+    grads = [(grad[name], copied_grad[name]) for name in grad] if loss == "classifier" else [(grad, copied_grad)]
+    assert all(a.tobytes() == b.tobytes() for a, b in grads)
     want, want_grad = _row_major_loss(loss, batch, params, enc, ct)
     assert np.allclose(value, want, rtol=1e-12, atol=0)
     pairs = [(grad[name], want_grad[name]) for name in grad] if loss == "classifier" else [(grad, want_grad)]
