@@ -20,6 +20,13 @@ running the tower again.  A bare description or class name is the same
 sequence with a one-token block or no block at all.  ``encode_text``
 pools a single sequence.
 
+Constants are prepared once, read-only: ``class_term`` validates and
+scales the class tokens for their position, and ``pool_prefix`` pools a
+frozen leading part of the sequence, which ``encode_class_texts`` adds
+as its ``prefix`` without differentiating it.  A zero slot before the
+class token adds nothing, so it is neither pooled nor differentiated;
+no bit of the result changes.
+
 For token norms well inside tanh's linear regime the text tower is nearly
 additive in its tokens, which is what makes style directions in text space
 meaningful; the tolerance for that approximation is asserted in the tests.
@@ -74,6 +81,16 @@ def _frozen(arr: Array) -> Array:
     return arr
 
 
+@dataclass(frozen=True)
+class ClassTerm:
+    """The class tokens' share of every pooled sum, made once by
+    ``FrozenEncoder.class_term``: ``position_scale[position] * class_tokens``,
+    validated, one read-only (C, d) row per class."""
+
+    position: int
+    scaled: Array
+
+
 class FrozenEncoder:
     """Deterministic two-tower encoder; see module docstring for the contract."""
 
@@ -109,20 +126,17 @@ class FrozenEncoder:
 
     # -- text tower ---------------------------------------------------------
 
-    def _pool(self, blocks: list[Array], class_tokens: Array) -> Array:
-        """Position-scaled token sums of [blocks..., class_c], one per class.
-
-        Blocks take the leading positions in order, the class token the
-        next one, and the unused positions are zero padding, which adds
-        nothing.  A block may carry a leading sample axis, (n, L_i, d),
-        which the sums then carry too: (n, C, d) instead of (C, d).
+    def _pool(self, blocks: list[Array], start: int = 0, prefix: Array | None = None) -> Array:
+        """``prefix`` (zero by default) plus the position-scaled token sum
+        of ``blocks`` placed in order from position ``start``.  A block may
+        carry a leading sample axis, (n, L_i, d), and the sum then does too.
         """
-        shared = np.zeros(self.config.dim)
-        offset = 0
+        shared = np.zeros(self.config.dim) if prefix is None else prefix
+        offset = start
         for b in blocks:
             shared = shared + self.position_scale[offset : offset + b.shape[-2]] @ b
             offset += b.shape[-2]
-        return shared[..., None, :] + self.position_scale[offset] * class_tokens
+        return shared
 
     def _text_tower(self, pooled: Array) -> tuple[Array, tuple]:
         """normalize(A @ tanh(pooled)) over the last axis.
@@ -149,28 +163,45 @@ class FrozenEncoder:
         g = (upstream - text * np.sum(text * upstream, axis=-1, keepdims=True)) / norms
         return (1.0 - squashed * squashed) * (g @ self.projection)
 
-    def encode_class_texts(
-        self, prompt_blocks: list[Array], class_tokens: Array
-    ) -> tuple[Array, tuple]:
-        """Encode [prompts..., class_c] for every class c at once.
+    def class_term(self, class_tokens: Array, position: int) -> ClassTerm:
+        """Validate (C, d) class tokens once and scale them for ``position``.
 
-        ``prompt_blocks`` is a list of (L_i, d) blocks occupying the leading
-        positions in order; ``class_tokens`` is (C, d) with one row per class
-        sitting at the next position.  Returns the (C, d) embeddings, one row
-        per class, and the forward's saved state, which
-        ``encode_class_texts_backward`` reads.  With no blocks this encodes
-        each bare class token; a block with a leading sample axis gives one
-        (C, d) set per sample.
+        Non-finite tokens raise ``DomainError``; a wrong shape, or a
+        position past the last, raises ``ParameterError``.
         """
         ct = require_finite(as_f64(class_tokens), "class_tokens")
         if ct.ndim != 2 or ct.shape[1] != self.config.dim:
             raise ParameterError("class_tokens must be (C, d)")
+        if not 0 <= position < self.config.max_tokens:
+            raise ParameterError(f"no token position {position} for the class token")
+        return ClassTerm(position, _frozen(self.position_scale[position] * ct))
+
+    def pool_prefix(self, prompt_blocks: list[Array]) -> Array:
+        """The validated, read-only position-scaled sum of blocks at the
+        leading positions: the ``prefix`` of ``encode_class_texts``."""
+        return _frozen(self._pool([require_finite(as_f64(b), "prompt block") for b in prompt_blocks]))
+
+    def encode_class_texts(
+        self, prompt_blocks: list[Array], classes: ClassTerm, start: int = 0, prefix: Array | None = None
+    ) -> tuple[Array, tuple]:
+        """Encode [prefix, prompts..., class_c] for every class c at once.
+
+        ``prompt_blocks`` is a list of (L_i, d) blocks placed in order from
+        position ``start``; ``prefix``, from ``pool_prefix``, is the pooled
+        sum of the positions before it (zero without one); ``classes``,
+        from ``class_term``, holds one token per class at its position,
+        and the positions between the last block and it are a zero slot.
+        Returns the (C, d) embeddings and the forward's saved state, which
+        ``encode_class_texts_backward`` reads.  With no blocks this encodes
+        each bare class token; a block or prefix with a leading sample
+        axis gives one (C, d) set per sample.
+        """
         blocks = [require_finite(as_f64(b), "prompt block") for b in prompt_blocks]
         lengths = tuple(b.shape[-2] for b in blocks)
-        if sum(lengths) + 1 > self.config.max_tokens:
+        if start + sum(lengths) > classes.position:
             raise ParameterError("prompt blocks leave no room for the class token")
-        text, saved = self._text_tower(self._pool(blocks, ct))
-        return text, (saved, lengths)
+        text, saved = self._text_tower(self._pool(blocks, start, prefix)[..., None, :] + classes.scaled)
+        return text, (saved, start, lengths)
 
     def encode_text(self, tokens: Array) -> Array:
         """Encode one sequence of (m, d) tokens, given in position order."""
@@ -180,19 +211,19 @@ class FrozenEncoder:
         return self._text_tower(self.position_scale[: t.shape[0]] @ t)[0]
 
     def encode_class_texts_backward(self, state: tuple, upstream: Array) -> list[Array]:
-        """VJP of ``encode_class_texts`` w.r.t. each prompt block.
+        """VJP of ``encode_class_texts`` w.r.t. each of its prompt blocks;
+        a prefix or a zero slot is not differentiated.
 
         ``state`` is the saved state that forward returned; the backward
         reads its intermediates and recomputes nothing.  ``upstream`` has
         the embeddings' shape, and each gradient has its block's shape.
         """
-        saved, lengths = state
+        saved, offset, lengths = state
         g = require_finite(as_f64(upstream), "upstream")
         if g.shape != saved[0].shape:
             raise ParameterError("upstream gradient has the wrong shape")
         per_shared = self._text_tower_vjp(saved, g).sum(axis=-2)        # (..., d)
         grads = []
-        offset = 0
         for rows in lengths:
             grads.append(self.position_scale[offset : offset + rows, None] * per_shared[..., None, :])
             offset += rows

@@ -47,7 +47,13 @@ set whole.  Every other pass draws each client's shuffle from its own
 per-(round, client, epoch) stream and gathers all clients' rows with one
 ``take`` per array; a drawn batch carries no copy, since a transposed
 gather costs more than the products save.  A stacked step
-gives every client the bits it would get alone.  Uploads, ledger records
+gives every client the bits it would get alone.  It makes exactly one
+``global_loss``, ``domain_loss`` or ``classifier_loss`` call, with the
+batch first: the benchmark counts train samples by summing the length of
+that argument.  The losses' constants are prepared read-only where they
+become fixed, so a bad one fails before the first step: once per run the
+class term and the unit own-description rows, once per domain pass the
+pooled global slot and its unit contrast anchor.  Uploads, ledger records
 and each round's loss means follow ascending client order, so a run is a
 pure function of its inputs.
 """
@@ -55,6 +61,7 @@ pure function of its inputs.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -68,6 +75,7 @@ from .prompts import (
     PromptConfig,
     UnitRows,
     classifier_loss,
+    contrast_anchor,
     domain_loss,
     global_loss,
     init_prompt,
@@ -399,7 +407,7 @@ class _RoundLosses:
         naming the round and the client."""
         step = values.tolist()
         for i, value in enumerate(step):
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 what = kind.replace("_", " ")
                 raise NonFiniteLossError(f"{what} (round {self.round_index}, client {i}) diverged to {value!r}")
         self.entries.setdefault(kind, []).append((step, rows))
@@ -447,9 +455,17 @@ def run_protocol(
     k, n = stage_one.local_set.labels.shape
     if k != split.num_clients:
         raise ConfigurationError(f"stage one covered {k} of {split.num_clients} clients")
-    dim = encoder.config.dim
-    class_tokens, temperature = split.class_tokens, prompt_config.temperature
+    dim, temperature = encoder.config.dim, prompt_config.temperature
     ledger = CommunicationLedger()
+    # the run's constants, validated once: the class tokens' term after
+    # both prompt slots, and the unit own-description rows
+    classes = encoder.class_term(split.class_tokens, 2 * prompt_config.length)
+    own = None
+    if toggles.use_contrastive:
+        own = contrast_anchor(
+            np.stack([encoder.encode_text(token[None, :]) for token in split.source_domain_tokens]),
+            "own description embedding",
+        )
 
     # the adopted broadcast by wire name; a round's working copy stacks it
     shared: dict[str, Array] = {}
@@ -461,13 +477,15 @@ def run_protocol(
     domain = None  # (K, L, d) in client order, sent only after the last round
     if toggles.use_domain_prompt:
         domain = np.stack([init_prompt(prompt_config, dim, seed, "domain-prompt-init", i) for i in range(k)])
-    own_text = None
-    if toggles.use_contrastive:
-        own_text = np.stack([encoder.encode_text(token[None, :]) for token in split.source_domain_tokens])
+    # the domain pass's constants, set once per round from the adopted
+    # global prompt: its slot pooled and the contrast's anchor pair
+    global_slot = anchors = None
 
-    # each loss as (batch, params) -> (values, grads of the arrays it trains)
+    # each loss as (batch, params) -> (values, grads of the arrays it
+    # trains); a step calls its loss once, with the batch first, since the
+    # benchmark counts train samples from the length of that argument
     def global_step(batch, params):
-        values, grad = global_loss(batch, params["global_prompt"], encoder, class_tokens, temperature)
+        values, grad = global_loss(batch, params["global_prompt"], encoder, classes, temperature)
         return values, {"global_prompt": grad}
 
     def head_step(batch, params):
@@ -476,8 +494,7 @@ def run_protocol(
 
     def domain_step(batch, params):
         values, grad, _ = domain_loss(
-            batch, params["domain_prompt"], params.get("global_prompt"), encoder, class_tokens,
-            params.get("own_text"), temperature, use_contrastive=toggles.use_contrastive,
+            batch, params["domain_prompt"], global_slot, encoder, classes, anchors, temperature
         )
         return values, {"domain_prompt": grad}
 
@@ -566,9 +583,10 @@ def run_protocol(
         if domain is not None:
             params = {"domain_prompt": domain}
             if toggles.use_global_prompt:
-                params["global_prompt"] = np.stack([shared["global_prompt"]] * k)
-            if own_text is not None:
-                params["own_text"] = own_text
+                frozen = np.stack([shared["global_prompt"]] * k)
+                global_slot = encoder.pool_prefix([frozen])
+                if own is not None:
+                    anchors = (own, contrast_anchor(frozen.mean(axis=-2), "pooled global prompt"))
             # the local set is the train stack's leading n rows; a draw
             # indexes that contiguous parent, since flattening the strided
             # local-set view would copy it

@@ -34,6 +34,14 @@ The contrastive term keeps a domain prompt's pooled direction close to its
 own domain description and away from the pooled global prompt: a two-way
 softmax over the two cosines with the own-description slot as the target.
 
+The losses take their constants prepared once and read-only, and check
+per step only what a step changes: the class term
+(``FrozenEncoder.class_term`` at position 2L, after both slots), the
+frozen global slot pooled (``FrozenEncoder.pool_prefix``) and the
+contrast's unit anchors (``contrast_anchor``).  A zero slot, the domain
+slot of ``global_loss`` and the global slot of the domain-only layout, is
+neither pooled nor differentiated.
+
 All losses return means over their batch.  Each writes its gradient in
 closed form next to its forward pass: the cross-entropy kernel supplies
 the logit gradient, the encoder's VJP carries it back to the prompt
@@ -62,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledEmbeddings
-from .encoder import FrozenEncoder
+from .encoder import ClassTerm, FrozenEncoder
 from .errors import ConfigurationError, DataError, DomainError, ParameterError
 from .numerics import Array, as_f64, require_finite, require_finite_fields, softmax_ce_cols
 from .seeding import rng
@@ -146,12 +154,18 @@ def _dot(a: Array, b: Array) -> Array:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _unit_vector(x: Array, what: str) -> Array:
+def contrast_anchor(x: Array, what: str) -> Array:
+    """``x`` scaled to unit length over its last axis and made read-only:
+    an anchor of the contrastive term, normalized once where it becomes
+    fixed.  A zero or non-finite vector raises ``DomainError`` naming
+    ``what``."""
     v = require_finite(as_f64(x), what)
     n = np.sqrt(_dot(v, v))[..., None]
     if np.any(n == 0.0):
         raise DomainError(f"{what} is the zero vector")
-    return v / n
+    unit = v / n
+    unit.flags.writeable = False
+    return unit
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +231,12 @@ def predict_unseen_batch(
     elif np.shape(global_prompt) != slot_shape:
         raise ParameterError(f"prompt blocks disagree on shape: {np.shape(global_prompt)} vs {slot_shape}")
 
-    probs = np.empty((len(x), class_tokens.shape[0]))
+    classes = encoder.class_term(class_tokens, 2 * slot_shape[-2])
+    probs = np.empty((len(x), classes.scaled.shape[0]))
     for start in range(0, len(x), PREDICT_BLOCK_ROWS):
         rows = xn[start : start + PREDICT_BLOCK_ROWS]
         probs[start : start + len(rows)] = _block_probabilities(
-            rows, global_prompt, domain_prompts, classifier, class_tokens, encoder, temperature
+            rows, global_prompt, domain_prompts, classifier, classes, encoder, temperature
         )
     return probs
 
@@ -231,7 +246,7 @@ def _block_probabilities(
     global_prompt: Array,
     blocks: Array | None,
     classifier: DomainClassifier | None,
-    class_tokens: Array,
+    classes: ClassTerm,
     encoder: FrozenEncoder,
     temperature: float,
 ) -> Array:
@@ -248,7 +263,7 @@ def _block_probabilities(
         generated = np.zeros((len(rows),) + blocks.shape[1:])
         for k in range(blocks.shape[0]):
             generated += weights[k][:, None, None] * blocks[k][None, :, :]
-    text, _ = encoder.encode_class_texts([global_prompt, generated], class_tokens)  # (C, d) or (n, C, d)
+    text, _ = encoder.encode_class_texts([global_prompt, generated], classes)  # (C, d) or (n, C, d)
     z = np.einsum("...cd,...d->...c", text, rows) / temperature
     z -= z.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -353,22 +368,27 @@ def _require_client_axis(batch: UnitRows, leading: tuple) -> None:
 
 def _classification(
     batch: UnitRows,
-    blocks: list[Array],
-    slot: int,
+    block: Array,
+    start: int,
+    prefix: Array | None,
     encoder: FrozenEncoder,
-    class_tokens: Array,
+    classes: ClassTerm,
     temperature: float,
     want_grad: bool,
 ) -> tuple[Array, Array | None]:
-    """Mean cross-entropy of the batch under the text tower over ``blocks``.
+    """Mean cross-entropy of the batch under the text tower, with ``block``
+    the one prompt block at position ``start`` after the pooled ``prefix``.
 
     Logits are the cosines between each row and each class text, divided
     by ``temperature``.  Returns the loss, one per client of a stack, and
-    its gradient with respect to ``blocks[slot]`` (None without
-    ``want_grad``); the text gradient goes through the encoder's own VJP,
-    which reads the forward's saved state.
+    its gradient with respect to ``block`` (None without ``want_grad``);
+    the text gradient goes through the encoder's own VJP, which reads the
+    forward's saved state.  The class token must sit after both slots.
     """
-    text, state = encoder.encode_class_texts(blocks, class_tokens)  # (..., C, d)
+    after_slots = 2 * np.shape(block)[-2]
+    if classes.position != after_slots:
+        raise ParameterError(f"class tokens prepared for position {classes.position}, not {after_slots}")
+    text, state = encoder.encode_class_texts([block], classes, start, prefix)  # (..., C, d)
     xn = batch.rows                                                  # (..., B, d)
     _require_client_axis(batch, text.shape[:-2])
     logits = text @ batch.columns()                                  # (..., C, B)
@@ -380,26 +400,28 @@ def _classification(
     dlogits *= 1.0 / xn.shape[-2]
     dlogits *= 1.0 / temperature
     dtext = dlogits @ xn
-    return loss, encoder.encode_class_texts_backward(state, dtext)[slot]
+    return loss, encoder.encode_class_texts_backward(state, dtext)[0]
 
 
 def global_loss(
     batch: UnitRows,
     global_prompt: Array,
     encoder: FrozenEncoder,
-    class_tokens: Array,
+    classes: ClassTerm,
     temperature: float,
     want_grad: bool = True,
 ) -> tuple[float | Array, Array | None]:
     """Mean cross-entropy of the global prediction path over a batch.
 
-    With a leading client axis on the batch and on the (K, L, d) prompts,
-    returns the (K,) losses and the (K, L, d) gradients.
+    ``classes`` is the class term prepared once for the slot layout
+    (``encoder.class_term(class_tokens, 2 * L)``); the domain slot is zero
+    and is neither pooled nor differentiated.  With a leading client axis
+    on the batch and on the (K, L, d) prompts, returns the (K,) losses and
+    the (K, L, d) gradients.
     """
     if len(batch) == 0:
         raise ParameterError("empty batch")
-    blocks = [global_prompt, np.zeros(np.shape(global_prompt))]
-    loss, grad = _classification(batch, blocks, 0, encoder, class_tokens, temperature, want_grad)
+    loss, grad = _classification(batch, global_prompt, 0, None, encoder, classes, temperature, want_grad)
     return _per_client(loss), grad
 
 
@@ -412,59 +434,57 @@ def global_loss(
 CONTRAST_NORM_FLOOR = 0.1
 
 
-def _contrast_forward(
-    domain_prompt: Array, global_prompt: Array, own_description: Array
-) -> tuple[Array, tuple]:
-    """Similarities (..., 2) of the pooled domain-prompt direction to its own
-    description and to the pooled global prompt, plus what the backward
-    pass reads."""
+def _contrast_forward(domain_prompt: Array, own: Array, anchor: Array) -> tuple[Array, tuple]:
+    """Similarities (..., 2) of the pooled domain-prompt direction to the
+    unit ``own`` description and to the unit pooled-global ``anchor``,
+    plus what the backward pass reads."""
     pooled = as_f64(domain_prompt).mean(axis=-2)
     norm = np.sqrt(_dot(pooled, pooled))[..., None]
     exact = norm >= CONTRAST_NORM_FLOOR
     direction = np.where(exact, pooled / np.where(exact, norm, 1.0), (1.0 / CONTRAST_NORM_FLOOR) * pooled)
-    own = _unit_vector(own_description, "own description embedding")
-    anchor = _unit_vector(as_f64(global_prompt).mean(axis=-2), "pooled global prompt")
     sims = np.stack([_dot(direction, own), _dot(direction, anchor)], axis=-1)
-    return sims, (direction, norm, exact, own, anchor)
+    return sims, (direction, norm, exact)
 
 
 def domain_loss(
     batch: UnitRows,
     domain_prompt: Array,
-    global_prompt: Array | None,
+    global_slot: Array | None,
     encoder: FrozenEncoder,
-    class_tokens: Array,
-    own_description: Array | None,
+    classes: ClassTerm,
+    anchors: tuple[Array, Array] | None,
     temperature: float,
-    use_contrastive: bool = True,
     want_grad: bool = True,
 ) -> tuple[float | Array, Array | None, dict[str, float | Array]]:
     """Local domain-prompt objective: classification plus optional contrast.
 
-    The global prompt is a frozen constant here; gradients flow only into
-    the domain prompt.  Returns (total, grad, parts) where parts reports
-    the classification and contrastive means separately.  With a leading
-    client axis on the batch, on both (K, L, d) prompts and on the (K, d)
-    descriptions, every value is per client: (K,) losses and (K, L, d)
-    gradients.
+    The global prompt is a frozen constant here, prepared once per pass:
+    ``global_slot`` is its slot pooled by ``encoder.pool_prefix`` (None in
+    the domain-only layout, whose zero global slot is not pooled), and
+    ``anchors``, the contrastive term's (own description, pooled global
+    prompt) pair of ``contrast_anchor`` vectors, or None to leave the term
+    out.  ``classes`` is the class term of ``global_loss``.  Gradients flow
+    only into the domain prompt.  Returns (total, grad, parts) where parts
+    reports the classification and contrastive means separately.  With a
+    leading client axis on the batch, on the (K, L, d) prompt, on the
+    (K, d) slot and on the (K, d) anchors, every value is per client: (K,)
+    losses and (K, L, d) gradients.
     """
     if len(batch) == 0:
         raise ParameterError("empty batch")
-    if use_contrastive and (global_prompt is None or own_description is None):
-        raise ConfigurationError("contrastive term needs the global prompt and the own-domain description")
-    global_slot = np.zeros(np.shape(domain_prompt)) if global_prompt is None else global_prompt
-    if np.shape(global_slot) != np.shape(domain_prompt):
-        raise ParameterError(
-            f"prompt blocks disagree on shape: {np.shape(global_slot)} vs {np.shape(domain_prompt)}"
-        )
+    if anchors is not None and global_slot is None:
+        raise ConfigurationError("the contrastive term needs the global prompt")
+    shape = np.shape(domain_prompt)
+    if global_slot is not None and global_slot.shape != shape[:-2] + shape[-1:]:
+        raise ParameterError(f"pooled global slot {global_slot.shape} disagrees with the domain prompt {shape}")
     total, grad = _classification(
-        batch, [global_slot, domain_prompt], 1, encoder, class_tokens, temperature, want_grad
+        batch, domain_prompt, shape[-2], global_slot, encoder, classes, temperature, want_grad
     )
     parts = {"classification": _per_client(total)}
-    if use_contrastive:
+    if anchors is not None:
         # two-way softmax cross-entropy with the own description as target
-        sims, saved = _contrast_forward(domain_prompt, global_prompt, own_description)
-        direction, norm, exact, own, anchor = saved
+        own, anchor = anchors
+        sims, (direction, norm, exact) = _contrast_forward(domain_prompt, own, anchor)
         con, dsims = softmax_ce_cols(sims[..., :, None], np.zeros(sims.shape[:-1] + (1,), dtype=np.int64))
         parts["contrastive"] = _per_client(con[..., 0])
         total = total + con[..., 0]
@@ -476,7 +496,7 @@ def domain_loss(
                 (ddirection - along) / np.where(exact, norm, 1.0),
                 (1.0 / CONTRAST_NORM_FLOOR) * ddirection,
             )
-            grad = dpooled[..., None, :] / np.shape(domain_prompt)[-2] + grad
+            grad = dpooled[..., None, :] / shape[-2] + grad
     return _per_client(total), grad, parts
 
 

@@ -133,8 +133,9 @@ def text_delta_directions(
     Returns (C, d) unit rows.  A difference below ``DEGENERATE_NORM``
     (identical source and target descriptions, say) is a ``DomainError``.
     """
-    e_src, _ = encoder.encode_class_texts([as_f64(source_token)[None, :]], class_tokens)
-    e_tgt, _ = encoder.encode_class_texts([as_f64(target_token)[None, :]], class_tokens)
+    classes = encoder.class_term(class_tokens, 1)
+    e_src, _ = encoder.encode_class_texts([as_f64(source_token)[None, :]], classes)
+    e_tgt, _ = encoder.encode_class_texts([as_f64(target_token)[None, :]], classes)
     delta = e_tgt - e_src
     norms = np.linalg.norm(delta, axis=1, keepdims=True)
     if np.any(norms < DEGENERATE_NORM):
@@ -145,7 +146,7 @@ def text_delta_directions(
 
 def class_text_embeddings(encoder: FrozenEncoder, class_tokens: Array) -> Array:
     """(C, d) unit embeddings of each bare class description."""
-    return encoder.encode_class_texts([], class_tokens)[0]
+    return encoder.encode_class_texts([], encoder.class_term(class_tokens, 0))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from fedstyle import federation
 from fedstyle.config import build_config, variant_toggles
 from fedstyle.data import TARGET_KEY, WorldSpec, generate_world, leave_one_out
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
-from fedstyle.errors import ConfigurationError, NonFiniteLossError, ProtocolError
+from fedstyle.errors import ConfigurationError, DomainError, NonFiniteLossError, ProtocolError
 from fedstyle.federation import (
     FederationConfig,
     MethodToggles,
@@ -28,6 +28,7 @@ from fedstyle.prompts import (
     PromptConfig,
     UnitRows,
     classifier_loss,
+    contrast_anchor,
     domain_loss,
     global_loss,
     init_prompt,
@@ -210,6 +211,14 @@ def test_finite_loss_guard():
         losses.add("global_loss", np.array([1.5, np.inf, np.nan]), 8)
     # a step that raised records nothing
     assert losses.means() == {"head_loss": 1.0}
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_finite_loss_guard_names_a_nan_or_an_infinite_loss(value):
+    losses = _RoundLosses(0)
+    with pytest.raises(NonFiniteLossError, match=rf"domain loss \(round 0, client 0\) diverged to {value!r}"):
+        losses.add("domain_loss", np.array([value, 1.0]), 4)
+    assert losses.means() == {}
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +556,11 @@ def test_trained_global_prompt_is_no_worse_than_zero_on_the_default_config():
     stage_one = run_stage_one(split, encoder, config.transfer, tau, toggles, 0)
     result = run_protocol(stage_one, split, encoder, config.prompt, config.rounds, toggles, 0)
     zero = np.zeros_like(result.global_prompt)
+    classes = encoder.class_term(split.class_tokens, 2 * config.prompt.length)
     for client in stage_one.clients:
         pool = client.train_pool
-        trained, _ = global_loss(pool, result.global_prompt, encoder, split.class_tokens, tau, want_grad=False)
-        untrained, _ = global_loss(pool, zero, encoder, split.class_tokens, tau, want_grad=False)
+        trained, _ = global_loss(pool, result.global_prompt, encoder, classes, tau, want_grad=False)
+        untrained, _ = global_loss(pool, zero, encoder, classes, tau, want_grad=False)
         assert trained <= untrained
 
 
@@ -567,7 +577,8 @@ def _reference_protocol(stage_one, split, encoder, prompt_config, fed, seed):
     """Stage two of the full method, one client at a time with the
     single-client losses, uniform weights and float32 wire rounding."""
     k, dim = split.num_clients, encoder.config.dim
-    ct, tau, wd = split.class_tokens, prompt_config.temperature, fed.weight_decay
+    ct = encoder.class_term(split.class_tokens, 2 * prompt_config.length)
+    tau, wd = prompt_config.temperature, fed.weight_decay
     shared = {"global_prompt": init_prompt(prompt_config, dim, seed, "global-prompt-init"),
               "head_weight": np.zeros((k, dim)), "head_bias": np.zeros(k)}
     domain = [init_prompt(prompt_config, dim, seed, "domain-prompt-init", i) for i in range(k)]
@@ -612,8 +623,11 @@ def _reference_protocol(stage_one, split, encoder, prompt_config, fed, seed):
         for i, client in enumerate(stage_one.clients):
             for epoch in range(fed.domain_epochs):
                 for batch in draws("domain-shuffle", client.local_set, r, i, epoch, len(client.local_set)):
-                    anchor = shared["global_prompt"]
-                    value, grad, _ = domain_loss(batch, domain[i], anchor, encoder, ct, own[i], tau)
+                    frozen = shared["global_prompt"]
+                    anchors = (contrast_anchor(own[i], "own"), contrast_anchor(frozen.mean(axis=0), "global"))
+                    value, grad, _ = domain_loss(
+                        batch, domain[i], encoder.pool_prefix([frozen]), encoder, ct, anchors, tau
+                    )
                     add("domain_loss", value, len(batch))
                     domain[i] = domain[i] * (1.0 - rates[2] * wd) - rates[2] * grad
         metrics.append({"round": float(r), **{kind: total / count for kind, (total, count) in sums.items()}})
@@ -686,3 +700,69 @@ def test_stacked_step_names_the_client_whose_loss_diverges(monkeypatch):
             stage_one, split, encoder, PromptConfig(length=2, temperature=0.05, init_scale=1e-3),
             FederationConfig(**dict(_ROUNDS, rounds=1)), toggles, 0,
         )
+
+
+# ---------------------------------------------------------------------------
+# constants prepared once
+# ---------------------------------------------------------------------------
+
+
+def _protocol_inputs():
+    world, encoder = _world()
+    split = leave_one_out(world, 3)
+    toggles = MethodToggles(use_style_transfer=False)
+    stage_one = run_stage_one(split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, toggles, 0)
+    prompt_config = PromptConfig(length=2, temperature=0.05, init_scale=1e-3)
+    return stage_one, split, encoder, prompt_config, FederationConfig(**dict(_ROUNDS, rounds=2)), toggles
+
+
+@pytest.mark.parametrize("bad", ["class token", "own description"])
+def test_a_bad_run_constant_fails_before_the_first_step(monkeypatch, bad):
+    stage_one, split, encoder, prompt_config, fed, toggles = _protocol_inputs()
+    if bad == "class token":
+        tokens = split.class_tokens.copy()
+        tokens[1, 2] = np.nan
+        split = dataclasses.replace(split, class_tokens=tokens)
+        match = "class_tokens contains a non-finite entry"
+    else:
+        # the second client's description embeds to the zero vector
+        encode, seen = encoder.encode_text, []
+
+        def zero_second(tokens):
+            seen.append(tokens)
+            return encode(tokens) * (0.0 if len(seen) == 2 else 1.0)
+
+        monkeypatch.setattr(encoder, "encode_text", zero_second)
+        match = "own description embedding is the zero vector"
+    steps = []
+    monkeypatch.setattr(federation, "global_loss", lambda *args, **kwargs: steps.append(args))
+    with pytest.raises(DomainError, match=match):
+        run_protocol(stage_one, split, encoder, prompt_config, fed, toggles, 0)
+    assert steps == []
+
+
+def test_every_prepared_constant_is_read_only(monkeypatch):
+    stage_one, split, encoder, prompt_config, fed, toggles = _protocol_inputs()
+    constants = []
+
+    def spy(name):
+        loss = getattr(federation, name)
+
+        def traced(batch, *args, **kwargs):
+            if name == "global_loss":
+                constants.append(args[2].scaled)  # the class term
+            else:
+                _, slot, _, classes, anchors, _ = args
+                constants.extend([slot, classes.scaled, *anchors])
+            return loss(batch, *args, **kwargs)
+
+        return traced
+
+    for name in ("global_loss", "domain_loss"):
+        monkeypatch.setattr(federation, name, spy(name))
+    run_protocol(stage_one, split, encoder, prompt_config, fed, toggles, 0)
+    # per round: one global step, then one domain step with four constants
+    assert len(constants) == fed.rounds * 5
+    for constant in constants:
+        with pytest.raises(ValueError, match="read-only"):
+            constant[0] = 1.0

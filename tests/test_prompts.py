@@ -32,6 +32,7 @@ from fedstyle.prompts import (
     predict_unseen_batch,
 )
 from gradcheck import grad_check
+from references import per_call_domain_loss, per_call_global_loss
 from fedstyle.seeding import rng
 
 DIM = 8
@@ -71,6 +72,22 @@ def _batch(n=6, classes=3, dim=DIM, seed=11, domains=2):
 
 def _class_tokens(classes=3, dim=DIM, seed=12):
     return rng(seed, "prompt-test-tokens").normal(size=(classes, dim)) * 0.05
+
+
+def _classes(enc, ct, length=2):
+    # the class term as run_protocol prepares it: after both prompt slots
+    return enc.class_term(ct, 2 * length)
+
+
+def _domain_loss(batch, dp, gp, enc, ct, own, temperature, want_grad=True):
+    # domain_loss on a pass's constants prepared as run_protocol prepares
+    # them; own=None leaves the contrastive term out
+    slot = None if gp is None else enc.pool_prefix([gp])
+    anchors = None
+    if own is not None:
+        pooled = np.mean(gp, axis=-2)
+        anchors = (prompts.contrast_anchor(own, "own"), prompts.contrast_anchor(pooled, "pooled global prompt"))
+    return domain_loss(batch, dp, slot, enc, _classes(enc, ct, np.shape(dp)[-2]), anchors, temperature, want_grad)
 
 
 def _predict_one(x, gp, dps, clf, enc=None, ct=None):
@@ -243,7 +260,7 @@ def test_global_only_layout_matches_manual_tower():
     x = rng(5, "x").normal(size=DIM)
     probs = _predict_one(x, gp, None, None)
     # the domain slot is zeroed but still occupies its token positions
-    text = enc.encode_class_texts([gp, np.zeros_like(gp)], ct)[0]
+    text = enc.encode_class_texts([gp, np.zeros_like(gp)], _classes(enc, ct))[0]
     expected = _softmax(text @ (x / np.linalg.norm(x)), TAU)
     assert probs.shape == (3,)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -258,10 +275,10 @@ def test_one_prompt_stack_with_and_without_global():
     x = rng(6, "x").normal(size=DIM)
     xn = x / np.linalg.norm(x)
     both = _predict_one(x, gp, *_one_prompt(dp))
-    assert np.allclose(both, _softmax(enc.encode_class_texts([gp, dp], ct)[0] @ xn, TAU))
+    assert np.allclose(both, _softmax(enc.encode_class_texts([gp, dp], _classes(enc, ct))[0] @ xn, TAU))
     alone = _predict_one(x, None, *_one_prompt(dp))
     assert np.allclose(
-        alone, _softmax(enc.encode_class_texts([np.zeros_like(dp), dp], ct)[0] @ xn, TAU)
+        alone, _softmax(enc.encode_class_texts([np.zeros_like(dp), dp], _classes(enc, ct))[0] @ xn, TAU)
     )
 
 
@@ -396,7 +413,7 @@ def _global_oracle(batch, prompt, enc, ct, temperature):
     # same quantity rebuilt from the public scalar primitives
     total = 0.0
     for x, y in zip(batch.rows, batch.labels):
-        text = enc.encode_class_texts([prompt, np.zeros_like(prompt)], ct)[0]
+        text = enc.encode_class_texts([prompt, np.zeros_like(prompt)], _classes(enc, ct, len(prompt)))[0]
         probs = _softmax(text @ x, temperature)
         total += -math.log(max(probs[y], PROB_FLOOR))
     return total / len(batch)
@@ -407,7 +424,7 @@ def test_global_loss_matches_primitive_oracle():
     ct = _class_tokens()
     batch = _batch()
     prompt = init_prompt(PromptConfig(length=2, **_INIT), DIM, 1, "g")
-    value, grad = global_loss(batch, prompt, enc, ct, TAU)
+    value, grad = global_loss(batch, prompt, enc, _classes(enc, ct), TAU)
     assert value == pytest.approx(_global_oracle(batch, prompt, enc, ct, TAU), rel=1e-12)
     assert grad.shape == prompt.shape
 
@@ -419,7 +436,7 @@ def test_global_loss_gradient_matches_finite_differences():
     prompt = init_prompt(PromptConfig(length=2, **_INIT), DIM, 2, "g")
 
     def loss_fn(params):
-        value, grad = global_loss(batch, params["prompt"], enc, ct, TAU)
+        value, grad = global_loss(batch, params["prompt"], enc, _classes(enc, ct), TAU)
         return value, {"prompt": grad}
 
     report = grad_check(loss_fn, {"prompt": prompt})
@@ -428,7 +445,7 @@ def test_global_loss_gradient_matches_finite_differences():
 
 def test_global_loss_input_validation():
     enc = _encoder()
-    ct = _class_tokens()
+    ct = _classes(enc, _class_tokens())
     with pytest.raises(ParameterError):
         global_loss(_batch().select(np.s_[:0]), np.ones((2, DIM)), enc, ct, TAU)
     bad = _raw_batch()
@@ -439,10 +456,20 @@ def test_global_loss_input_validation():
         global_loss(UnitRows(bad.embeddings, bad.labels, bad.domains), np.ones((2, DIM)), enc, ct, TAU)
 
 
+def test_losses_reject_constants_prepared_for_another_layout():
+    enc, ct, batch, prompt = _encoder(), _class_tokens(), _batch(), np.ones((2, DIM))
+    with pytest.raises(ParameterError, match="position 6, not 4"):
+        global_loss(batch, prompt, enc, enc.class_term(ct, 6), TAU)
+    # a global slot pooled for a stack of three clients
+    slot = enc.pool_prefix([np.ones((3, 2, DIM))])
+    with pytest.raises(ParameterError, match="pooled global slot"):
+        domain_loss(batch, prompt, slot, enc, _classes(enc, ct), None, TAU)
+
+
 _OUT_OF_RANGE = {
     # class label 3 of 3 classes for the prompt losses, domain 2 of 2 for the head
-    "global": lambda b: global_loss(b, np.ones((2, DIM)), _encoder(), _class_tokens(), TAU),
-    "domain": lambda b: domain_loss(b, np.ones((2, DIM)), None, _encoder(), _class_tokens(), None, TAU, False),
+    "global": lambda b: global_loss(b, np.ones((2, DIM)), _encoder(), _classes(_encoder(), _class_tokens()), TAU),
+    "domain": lambda b: _domain_loss(b, np.ones((2, DIM)), None, _encoder(), _class_tokens(), None, TAU, False),
     "classifier": lambda b: classifier_loss(b, DomainClassifier.init(2, DIM)),
 }
 
@@ -471,7 +498,7 @@ def _domain_oracle(batch, dp, gp, enc, ct, own, temperature, use_contrastive):
     blocks = [gp if gp is not None else np.zeros_like(dp), dp]
     total = 0.0
     for x, y in zip(batch.rows, batch.labels):
-        text = enc.encode_class_texts(blocks, ct)[0]
+        text = enc.encode_class_texts(blocks, _classes(enc, ct, len(dp)))[0]
         probs = _softmax(text @ x, temperature)
         total += -math.log(max(probs[y], PROB_FLOOR))
     cla = total / len(batch)
@@ -494,9 +521,7 @@ def test_domain_loss_matches_primitive_oracle(use_contrastive):
     gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 3, "g")
     dp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 3, "d")
     own = rng(3, "own").normal(size=DIM)
-    value, grad, parts = domain_loss(
-        batch, dp, gp, enc, ct, own, TAU, use_contrastive=use_contrastive
-    )
+    value, grad, parts = _domain_loss(batch, dp, gp, enc, ct, own if use_contrastive else None, TAU)
     expected = _domain_oracle(batch, dp, gp, enc, ct, own, TAU, use_contrastive)
     assert value == pytest.approx(expected, rel=1e-12)
     assert grad.shape == dp.shape
@@ -510,9 +535,7 @@ def test_domain_loss_without_global_prompt():
     ct = _class_tokens()
     batch = _batch()
     dp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 4, "d")
-    value, grad, parts = domain_loss(
-        batch, dp, None, enc, ct, None, TAU, use_contrastive=False
-    )
+    value, grad, parts = _domain_loss(batch, dp, None, enc, ct, None, TAU)
     assert value == pytest.approx(_domain_oracle(batch, dp, None, enc, ct, None, TAU, False), rel=1e-12)
     assert set(parts) == {"classification"}
 
@@ -526,10 +549,7 @@ def test_domain_loss_gradient_matches_finite_differences(use_contrastive, with_g
     own = rng(5, "own").normal(size=DIM)
 
     def loss_fn(params):
-        value, grad, _ = domain_loss(
-            batch, params["prompt"], gp, enc, ct,
-            own if use_contrastive else None, TAU, use_contrastive=use_contrastive,
-        )
+        value, grad, _ = _domain_loss(batch, params["prompt"], gp, enc, ct, own if use_contrastive else None, TAU)
         return value, {"prompt": grad}
 
     report = grad_check(loss_fn, {"prompt": init_prompt(PromptConfig(length=2, **_INIT), DIM, 5, "d")})
@@ -549,22 +569,20 @@ def test_domain_loss_gradient_matches_finite_differences_above_the_norm_floor():
     assert np.linalg.norm(dp.mean(axis=0)) > 10 * CONTRAST_NORM_FLOOR
 
     def loss_fn(params):
-        value, grad, _ = domain_loss(batch, params["prompt"], gp, enc, ct, own, TAU)
+        value, grad, _ = _domain_loss(batch, params["prompt"], gp, enc, ct, own, TAU)
         return value, {"prompt": grad}
 
     report = grad_check(loss_fn, {"prompt": dp})
     assert report.passed, report.format()
 
 
-def test_domain_loss_contrastive_needs_anchor_and_description():
+def test_domain_loss_contrastive_needs_the_global_slot():
     enc = _encoder()
-    ct = _class_tokens()
     batch = _batch()
     dp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 6, "d")
+    unit = prompts.contrast_anchor(np.ones(DIM), "anchor")
     with pytest.raises(ConfigurationError):
-        domain_loss(batch, dp, None, enc, ct, np.ones(DIM), TAU, use_contrastive=True)
-    with pytest.raises(ConfigurationError):
-        domain_loss(batch, dp, np.ones((2, DIM)), enc, ct, None, TAU, use_contrastive=True)
+        domain_loss(batch, dp, None, enc, _classes(enc, _class_tokens()), (unit, unit), TAU)
 
 
 def test_contrastive_term_of_a_prompt_on_its_own_description():
@@ -572,7 +590,7 @@ def test_contrastive_term_of_a_prompt_on_its_own_description():
     # pooled global prompt: cosines (1, 0), so the term is log(1 + e^-1)
     dp = np.tile(np.eye(DIM)[0], (2, 1))
     gp = np.tile(np.eye(DIM)[1], (2, 1))
-    _, _, parts = domain_loss(_batch(), dp, gp, _encoder(), _class_tokens(), np.eye(DIM)[0], TAU)
+    _, _, parts = _domain_loss(_batch(), dp, gp, _encoder(), _class_tokens(), np.eye(DIM)[0], TAU)
     assert parts["contrastive"] == pytest.approx(math.log(1.0 + math.exp(-1.0)), rel=1e-12)
 
 
@@ -586,8 +604,8 @@ def test_contrastive_direction_continuous_at_floor():
     base = rng(9, "dir").normal(size=(2, DIM))
     base = base / np.linalg.norm(base.mean(axis=0))
     eps = 1e-9
-    lo, _, _ = domain_loss(batch, base * (CONTRAST_NORM_FLOOR - eps), gp, enc, ct, own, TAU, want_grad=False)
-    hi, _, _ = domain_loss(batch, base * (CONTRAST_NORM_FLOOR + eps), gp, enc, ct, own, TAU, want_grad=False)
+    lo, _, _ = _domain_loss(batch, base * (CONTRAST_NORM_FLOOR - eps), gp, enc, ct, own, TAU, want_grad=False)
+    hi, _, _ = _domain_loss(batch, base * (CONTRAST_NORM_FLOOR + eps), gp, enc, ct, own, TAU, want_grad=False)
     assert lo == pytest.approx(hi, abs=1e-6)
 
 
@@ -600,7 +618,7 @@ def test_contrastive_at_zero_prompt_gives_indifference_and_finite_pull():
     batch = _batch()
     gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 10, "g")
     own = rng(10, "own").normal(size=DIM)
-    value, grad, parts = domain_loss(batch, np.zeros((2, DIM)), gp, enc, ct, own, TAU)
+    value, grad, parts = _domain_loss(batch, np.zeros((2, DIM)), gp, enc, ct, own, TAU)
     assert parts["contrastive"] == pytest.approx(math.log(2.0))
     assert np.all(np.isfinite(grad))
 
@@ -617,7 +635,7 @@ def test_domain_prompt_norm_stays_bounded_from_zero_start():
     dp = np.zeros((2, DIM))
     rate = 1e-3
     for _ in range(50):
-        _, grad, _ = domain_loss(batch, dp, gp, enc, ct, own, TAU)
+        _, grad, _ = _domain_loss(batch, dp, gp, enc, ct, own, TAU)
         dp = dp - rate * grad
     assert np.linalg.norm(dp) < 1.0
 
@@ -686,9 +704,9 @@ def test_a_stacked_call_equals_one_call_per_client_bit_for_bit(loss):
         # j=None takes every client at once
         pick = (lambda a: a) if j is None else (lambda a: a[j])
         if loss == "global":
-            return global_loss(batch, pick(gp), enc, ct, TAU)
+            return global_loss(batch, pick(gp), enc, _classes(enc, ct), TAU)
         if loss == "domain":
-            return domain_loss(batch, pick(dp), pick(gp), enc, ct, pick(own), TAU)[:2]
+            return _domain_loss(batch, pick(dp), pick(gp), enc, ct, pick(own), TAU)[:2]
         return classifier_loss(batch, DomainClassifier(pick(heads.weight), pick(heads.bias)))
 
     for rows in (slice(0, 32), slice(32, 48)):
@@ -749,7 +767,7 @@ def _row_major_loss(loss, batch, params, enc, ct):
         return per_row.mean(axis=-1), {"weight": np.swapaxes(dlogits, -1, -2) @ xn, "bias": dlogits.sum(axis=-2)}
     gp, dp = params
     blocks, slot = ([gp, np.zeros_like(gp)], 0) if loss == "global" else ([gp, dp], 1)
-    text, state = enc.encode_class_texts(blocks, ct)
+    text, state = enc.encode_class_texts(blocks, _classes(enc, ct, np.shape(gp)[-2]))
     per_row, dlogits = _softmax_ce_rows((xn @ np.swapaxes(text, -1, -2)) / TAU, batch.labels)
     dtext = np.swapaxes(dlogits / (rows * TAU), -1, -2) @ xn
     return per_row.mean(axis=-1), enc.encode_class_texts_backward(state, dtext)[slot]
@@ -773,9 +791,9 @@ def test_each_loss_matches_the_row_major_formula_on_a_default_size_batch(loss):
 
     def call(batch):
         if loss == "global":
-            return global_loss(batch, gp, enc, ct, TAU)
+            return global_loss(batch, gp, enc, _classes(enc, ct, 4), TAU)
         if loss == "domain":
-            return domain_loss(batch, dp, gp, enc, ct, None, TAU, use_contrastive=False)[:2]
+            return _domain_loss(batch, dp, gp, enc, ct, None, TAU)[:2]
         return classifier_loss(batch, head)
 
     value, grad = call(batch)
@@ -788,3 +806,40 @@ def test_each_loss_matches_the_row_major_formula_on_a_default_size_batch(loss):
     pairs = [(grad[name], want_grad[name]) for name in grad] if loss == "classifier" else [(grad, want_grad)]
     for got, expected in pairs:
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("rows", [32, 2000])
+@pytest.mark.parametrize("layout", ["contrast", "no-contrast", "domain-only"])
+def test_prepared_losses_match_the_per_call_reference_bit_for_bit(rows, layout):
+    # 3 stacked clients at the default sizes (d = 64, L = 4, 10 classes):
+    # the losses on constants prepared once (the class term, the pooled
+    # global slot, the unit anchors) and with the zero slot skipped give
+    # the bits of the per-call formulation, with and without a column copy
+    k, dim, config = 3, 64, PromptConfig()
+    enc = FrozenEncoder(EncoderConfig(dim=dim, seed=3))
+    g = rng(41, "per-call", rows)
+    ct = g.normal(size=(10, dim)) * 0.05
+    stack = UnitRows(
+        _unit_rows(g, k * rows, dim).reshape(k, rows, dim), g.integers(0, 10, (k, rows)), g.integers(0, k, (k, rows))
+    )
+    gp = g.normal(size=(k, config.length, dim)) * 0.05
+    # pooled norms on the contrastive ramp for client 0, above it for the others
+    dp = g.normal(size=(k, config.length, dim)) * np.array([0.01, 0.3, 1.0])[:, None, None]
+    own = g.normal(size=(k, dim))
+    classes, tau = enc.class_term(ct, 2 * config.length), config.temperature
+    frozen = None if layout == "domain-only" else gp
+    slot = None if frozen is None else enc.pool_prefix([frozen])
+    anchors, own_raw = None, None
+    if layout == "contrast":
+        anchors = (prompts.contrast_anchor(own, "own"), prompts.contrast_anchor(gp.mean(axis=-2), "global"))
+        own_raw = own
+    for batch in (stack, stack.with_column_copy()):
+        pairs = [(
+            domain_loss(batch, dp, slot, enc, classes, anchors, tau)[:2],
+            per_call_domain_loss(batch, dp, frozen, enc, ct, own_raw, tau),
+        )]
+        if frozen is not None:
+            pairs.append((global_loss(batch, gp, enc, classes, tau), per_call_global_loss(batch, gp, enc, ct, tau)))
+        for got, want in pairs:
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
