@@ -2,8 +2,10 @@
 
 Stage one is entirely local: every client trains one style transform per
 other available domain description and pushes its own embeddings through
-them, producing an augmentation pool laid out as ``transform_jobs``
-states.  Nothing crosses the wire.
+them.  The train stack is allocated once training is done; the forward
+writes each client's copies straight into it after the client's local
+set, laid out as ``transform_jobs`` states, and each client's pool is
+normalized there once.  Nothing crosses the wire.
 
 Stage two runs ``rounds`` federated rounds.  In each round every client
 starts from the adopted broadcast, refines it locally (the global prompt on
@@ -338,12 +340,11 @@ def run_stage_one(
 
     The local sets must share one non-empty length (``ConfigurationError``
     before anything trains).  All transforms train in one stacked
-    ``train_transform`` call and move the local sets in one stacked forward;
-    with style transfer disabled there are none, and every pool is just the
-    local set.  No message is produced either way; stage one is upload-free
-    by construction.  Each local set and block of copies is normalized and
-    validated here, once, against the split's class and client counts,
-    straight into the stack, laid out as ``transform_jobs`` states.
+    ``train_transform`` call (none without style transfer), and only then
+    is the train stack allocated, laid out as ``transform_jobs`` states.
+    Each client's pool, its local set and the copies the forward writes
+    after it, is normalized and validated there once, in place.  No message
+    is produced; stage one is upload-free by construction.
     """
     lengths = sorted({len(local) for local in split.clients})
     if len(lengths) > 1:
@@ -353,24 +354,27 @@ def run_stage_one(
         raise ConfigurationError("client local sets are empty")
     classes = split.class_tokens.shape[0]
     transforms: dict[int, dict[int, TransformNetwork]] = {i: {} for i in range(k)}
-    jobs, copies = [], np.empty((0, n, dim))
+    jobs = []
     if toggles.use_style_transfer:
         jobs = transform_jobs(split, toggles.include_target_description)
         result = train_transform(jobs, encoder, split.class_tokens, transfer_config, temperature, seed)
         for net in result.networks():
             transforms[net.source][net.target] = net
-        copies = build_augmentation_bank(result)
     styled = len(jobs) // k
     train = _empty_stack(k, n * (1 + styled), dim)
+    # each client's (1 + S, n) blocks: its local set, then one copy per target
+    rows = train.rows.reshape(k, 1 + styled, n, dim)
+    labels, domains = (part.reshape(k, 1 + styled, n) for part in (train.labels, train.domains))
+    if jobs:
+        build_augmentation_bank(result, rows[:, 1:])
+    domains[:, 1:] = np.reshape([job.target for job in jobs], (k, styled, 1))
     # target-styled copies carry TARGET_KEY, outside the domain range
-    copy_domains = None if toggles.include_target_description else k
+    client_count = None if toggles.include_target_description else k
     for i, local in enumerate(split.clients):
-        own = slice(i * styled, (i + 1) * styled)
-        keys = np.repeat([job.target for job in jobs[own]], n)
-        block = LabeledEmbeddings(copies[own].reshape(-1, dim), np.tile(local.labels, styled), keys)
-        UnitRows.prepare(local, classes, k, out=train.select(np.s_[i, :n]))
-        UnitRows.prepare(block, classes, copy_domains, out=train.select(np.s_[i, n:]))
-        log.info("client %d: %d local, %d augmented toward %s", i, n, len(block), list(transforms[i]))
+        rows[i, 0], labels[i], domains[i, 0] = local.embeddings, local.labels, local.domains
+        pool = train.select(i)
+        UnitRows.prepare(LabeledEmbeddings(pool.rows, pool.labels, pool.domains), classes, client_count, out=pool)
+        log.info("client %d: %d local, %d augmented toward %s", i, n, n * styled, list(transforms[i]))
     head = train
     if toggles.include_target_description:
         # every client's TARGET_KEY block sits at the same rows
@@ -513,12 +517,13 @@ def run_protocol(
         ``batch_size`` at least n makes one batch of every row: each loss
         is a batch mean, so a shuffle would only reorder its sum, and the
         pass reads ``local_set``, the local set that leads every pool, with
-        the column copy made for it once per run.  Otherwise each client draws
-        a local-set-sized sample of its pool from its own ``<name>-shuffle``
-        stream into its row of ``drawn``, which carries no column copy:
-        transposing the gather would cost more than the scores save.  Each
-        stacked batch then takes
-        one ``step``, records its losses as ``<name>_loss`` and updates, in
+        the column copy made for it once per run.  Otherwise each client
+        draws a local-set-sized sample of its pool from its own
+        ``<name>-shuffle`` stream into its row of ``drawn``, which carries no
+        column copy: transposing the gather would cost more than the scores
+        save.  The n-row source is the one batch when ``batch_size`` is at
+        least n, else it is cut into slices.  Each stacked batch takes one
+        ``step``, records its losses as ``<name>_loss`` and updates, in
         ``params``, the arrays the step returned gradients for, at
         ``<name>_lr`` decayed by the round."""
         nonlocal drawn
@@ -543,8 +548,9 @@ def run_protocol(
                 flat = whole.reshape(k * width, *whole.shape[2:])
                 np.take(flat, order, axis=0, out=getattr(drawn, part), mode="clip")
             source = drawn
-        for start in range(0, n, fed_config.batch_size):
-            batch = source.select(np.s_[:, start : start + fed_config.batch_size])
+        size = fed_config.batch_size
+        batches = [source] if size >= n else [source.select(np.s_[:, s : s + size]) for s in range(0, n, size)]
+        for batch in batches:
             values, grads = step(batch, params)
             losses.add(f"{name}_loss", values, batch.labels.shape[-1])
             trained = {key: params[key] for key in grads}

@@ -287,7 +287,8 @@ class UnitRows:
     ``column_copy``, when present, is a read-only C-contiguous (..., d, n)
     copy of the rows, made once by ``with_column_copy`` for a set that is
     scored whole many times; ``columns`` hands it to the class-major score
-    products.
+    products.  A selection carries no copy, so such a set reaches a loss
+    only whole, as itself.
     """
 
     rows: Array     # (n, d) unit rows, or (clients, n, d)
@@ -307,8 +308,8 @@ class UnitRows:
         nonzero (``DomainError``), class labels in [0, num_classes) and
         domain labels in [0, num_domains) (``DataError``).  A count of None
         skips its range check.  With ``out``, a writeable UnitRows of the
-        pool's shapes such as a client's slice of a stack, the result is
-        written into it."""
+        pool's shapes such as a client's slice of a stack, which may hold the
+        pool's own arrays, the result is written into it."""
         checks = ((pool.labels, num_classes, "class label"), (pool.domains, num_domains, "domain index"))
         for values, count, what in checks:
             if count is not None and (np.any(values < 0) or np.any(values >= count)):
@@ -321,17 +322,9 @@ class UnitRows:
         return out
 
     def select(self, index) -> "UnitRows":
-        """The rows at ``index``: a view for a slice, a gathered copy for
-        an index array.  An index of slices and integers keeps the matching
-        view of the column copy; an index array drops the copy."""
-        columns = None
-        parts = index if isinstance(index, tuple) else (index,)
-        if self.column_copy is not None and all(isinstance(p, (slice, int, np.integer)) for p in parts):
-            if len(parts) == self.labels.ndim:
-                # the row axis of the copy is its last; d sits before it
-                parts = parts[:-1] + (slice(None),) + parts[-1:]
-            columns = self.column_copy[parts]
-        return UnitRows(self.rows[index], self.labels[index], self.domains[index], columns)
+        """The rows at ``index``, without a column copy: a view for a slice,
+        a gathered copy for an index array."""
+        return UnitRows(self.rows[index], self.labels[index], self.domains[index])
 
     def with_column_copy(self) -> "UnitRows":
         """These rows with a read-only C-contiguous (..., d, n) copy of them."""

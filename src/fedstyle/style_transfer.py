@@ -44,14 +44,13 @@ transform; the forward is ``_transform_forward``, and a finite-difference
 check in the tests pins the backward.
 
 ``build_augmentation_bank`` runs that forward once per client, broadcasting
-its local set against its block of transforms, and returns the (T, n, d)
-copies in job order, which lays out the pools as
-``federation.transform_jobs`` states.
+its local set against its block of transforms, and writes the copies
+straight into the caller's (K, S, n, d) view of the train stack, laid out
+as ``federation.transform_jobs`` states.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -474,21 +473,19 @@ def train_transform(
 # ---------------------------------------------------------------------------
 
 
-def build_augmentation_bank(result: TransformTrainingResult) -> Array:
-    """Every job's local set moved by its trained transform, Q(z), as
-    (T, n, d) rows in job order.  Each run of consecutive jobs on one local
-    set, a client's block of targets, takes one forward that broadcasts the
-    (n, d) set against the block's stacked parameters, so no job gets a
-    copy of its set.  Copy t keeps its local set's labels and takes
-    ``jobs[t].target`` as domain key (``federation.transform_jobs`` fixes
-    the layout).  Nothing here touches the network or the ledger; the pool
-    is a purely local product."""
-    moved = np.empty((len(result.jobs),) + result.jobs[0].dataset.embeddings.shape)
-    stop = 0
-    for _, run in itertools.groupby(result.jobs, key=lambda job: id(job.dataset)):
-        start, stop = stop, stop + len(list(run))
-        z = result.jobs[start].dataset.embeddings
-        block = {name: p[start:stop] for name, p in result.params.items()}
-        _transform_forward(block, z, out=(None, moved[start:stop]))
-        moved[start:stop] += z
-    return moved
+def build_augmentation_bank(result: TransformTrainingResult, out: Array) -> None:
+    """Write each job's local set moved by its trained transform, Q(z),
+    into ``out``, a (K, S, n, d) view of K clients' blocks of S copies: job
+    i * S + s goes to ``out[i, s]``.  A block's jobs share one local set, so
+    each block takes one forward that broadcasts the (n, d) set against its
+    stacked parameters.  Jobs that do not fill ``out`` that way are a
+    ``ParameterError``; ``federation.transform_jobs`` fixes the layout.
+    Nothing here touches the network or the ledger; the pool is a purely
+    local product."""
+    (k, s), jobs = out.shape[:2], result.jobs
+    if k * s != len(jobs) or any(job.dataset is not jobs[t - t % s].dataset for t, job in enumerate(jobs)):
+        raise ParameterError(f"{len(jobs)} jobs do not fill {k} blocks of {s} copies of one local set each")
+    for i in range(k):
+        block, z = slice(i * s, (i + 1) * s), jobs[i * s].dataset.embeddings
+        _transform_forward({name: p[block] for name, p in result.params.items()}, z, out=(None, out[i]))
+        out[i] += z

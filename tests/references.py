@@ -16,15 +16,25 @@ tokens, pool every block of [global slot, domain slot, class token]
 (a zero slot included), differentiate both slots and normalize both
 contrast anchors on each call.  The package prepares those constants once
 and skips the zero slot; the tests hold the two to the bit.
+
+``bank_then_prepare_pools`` assembles stage one's pools the way the
+package once did: a separate (T, n, d) bank of every job's copies, then
+one ``UnitRows.prepare`` per client for its local set and another for its
+block of copies.  ``run_stage_one`` writes the copies straight into the
+train stack and normalizes each client's pool in one call; the tests hold
+the two to the bit.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
+from fedstyle.data import TARGET_KEY, LabeledEmbeddings
 from fedstyle.errors import DomainError
 from fedstyle.numerics import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, as_f64, require_finite, softmax_ce_cols
-from fedstyle.prompts import CONTRAST_NORM_FLOOR, _dot
+from fedstyle.prompts import CONTRAST_NORM_FLOOR, UnitRows, _dot
 from fedstyle.style_transfer import _row_dots, _transform_forward
 
 
@@ -148,3 +158,31 @@ def per_call_domain_loss(batch, domain_prompt, global_prompt, encoder, class_tok
         exact, (ddirection - along) / np.where(exact, norm, 1.0), (1.0 / CONTRAST_NORM_FLOOR) * ddirection
     )
     return total + con[..., 0], dpooled[..., None, :] / np.shape(domain_prompt)[-2] + grad
+
+
+def bank_then_prepare_pools(split, result, include_target_description):
+    """(train, head) stacks of ``run_stage_one`` for the split's trained
+    transforms ``result``: the bank, then two preparations per client."""
+    k, (n, dim) = split.num_clients, split.clients[0].embeddings.shape
+    classes, jobs = split.class_tokens.shape[0], result.jobs
+    copies, stop = np.empty((len(jobs), n, dim)), 0
+    for _, run in itertools.groupby(jobs, key=lambda job: id(job.dataset)):
+        start, stop = stop, stop + len(list(run))
+        z = jobs[start].dataset.embeddings
+        block = {name: p[start:stop] for name, p in result.params.items()}
+        _transform_forward(block, z, out=(None, copies[start:stop]))
+        copies[start:stop] += z
+    styled = len(jobs) // k
+    labels = np.empty((k, n * (1 + styled)), dtype=np.int64)
+    train = UnitRows(np.empty((k, n * (1 + styled), dim)), labels, np.empty_like(labels))
+    copy_domains = None if include_target_description else k
+    for i, local in enumerate(split.clients):
+        own = slice(i * styled, (i + 1) * styled)
+        keys = np.repeat([job.target for job in jobs[own]], n)
+        block = LabeledEmbeddings(copies[own].reshape(-1, dim), np.tile(local.labels, styled), keys)
+        UnitRows.prepare(local, classes, k, out=train.select(np.s_[i, :n]))
+        UnitRows.prepare(block, classes, copy_domains, out=train.select(np.s_[i, n:]))
+    head = train
+    if include_target_description:
+        head = train.select(np.s_[:, np.flatnonzero(train.domains[0] != TARGET_KEY)])
+    return train, head

@@ -13,6 +13,7 @@ from fedstyle.config import (
     VARIANT_ORDER,
     _KEYS,
     build_config,
+    load_config,
     parse_config_text,
     serialize_config,
 )
@@ -84,6 +85,26 @@ def test_non_default_values_survive_the_round_trip():
     assert config.seeds == (3, 1, 4)
     assert config.variants == ("full", "global-only")
     assert config.holdout == 2
+
+
+def test_load_config_reads_back_a_serialized_config(tmp_path):
+    config = build_config(parse_config_text(NON_DEFAULT))
+    assert config != build_config()
+    path = tmp_path / "experiment.cfg"
+    path.write_text(serialize_config(config), encoding="utf-8")
+    assert load_config(path) == config
+
+
+@pytest.mark.parametrize("values, expected", [
+    ({}, (0, 1, 2, 3)),
+    ({"world.domains": "5"}, (0, 1, 2, 3, 4)),
+    ({"run.holdout": "0"}, (0,)),
+    ({"run.holdout": "2"}, (2,)),
+], ids=["every-domain", "every-domain-of-five", "fixed-0", "fixed-2"])
+def test_holdouts_are_every_domain_or_the_fixed_one(values, expected):
+    config = build_config(values)
+    assert config.holdout == int(values.get("run.holdout", -1))
+    assert config.holdouts() == expected
 
 
 def test_later_assignments_win():

@@ -36,6 +36,7 @@ from fedstyle.prompts import (
 from fedstyle.seeding import rng
 from fedstyle.style_transfer import TransferConfig, train_transform
 from fedstyle.wire import KIND_GLOBAL_UPLOAD, decode_message, encode_message, protocol_message
+from references import bank_then_prepare_pools
 
 # the round settings these tests were written for, pinned by keyword
 _ROUNDS = dict(
@@ -292,6 +293,56 @@ def test_stage_one_pool_sizes_and_targets(include_target):
         kept = train.domains != TARGET_KEY
         for part in ("rows", "labels", "domains"):
             assert np.array_equal(getattr(head, part), getattr(train, part)[kept]), part
+
+
+@pytest.mark.parametrize("include_target", [False, True])
+def test_stage_one_pools_equal_the_bank_then_prepare_reference(monkeypatch, include_target):
+    # the copies written into the train stack and each client's pool
+    # normalized whole give the bytes of a separate bank with the local set
+    # and the copies normalized apart
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(train_transform(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(federation, "train_transform", spy)
+    world, encoder = _world()
+    split = leave_one_out(world, 3)
+    toggles = MethodToggles(include_target_description=include_target)
+    stage_one = run_stage_one(split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, toggles, 0)
+    train, head = bank_then_prepare_pools(split, results[0], include_target)
+    local = train.select(np.s_[:, : len(split.clients[0])])
+    for name, reference in (("train_pool", train), ("head_pool", head), ("local_set", local)):
+        for part in ("rows", "labels", "domains"):
+            array, expected = getattr(getattr(stage_one, name), part), getattr(reference, part)
+            assert array.shape == expected.shape and array.tobytes() == expected.tobytes(), (name, part)
+
+
+@pytest.mark.parametrize("holdout", range(4))
+def test_stage_one_reads_the_held_out_domain_only_through_its_description(holdout):
+    # the transforms follow LADS: each is defined per (source, target
+    # description), so no job and no local block holds a held-out row, and
+    # a split without its test set and holdout gives the same pools
+    world, encoder = _world()
+    split = leave_one_out(world, holdout)
+    held_out = {row.tobytes() for row in split.test_set.embeddings}
+    for job in transform_jobs(split, include_target_description=True):
+        assert not held_out & {row.tobytes() for row in job.dataset.embeddings}, job.pair
+        assert not np.array_equal(job.source_token, split.target_domain_token), job.pair
+        assert np.array_equal(job.target_token, split.target_domain_token) == (job.target == TARGET_KEY), job.pair
+    toggles = MethodToggles(include_target_description=True)
+    blind = dataclasses.replace(split, holdout=None, test_set=None)
+    transfer = TransferConfig(epochs=1, batch_size=8)
+    runs = [run_stage_one(s, encoder, transfer, 0.05, toggles, 0) for s in (split, blind)]
+    for name in ("train_pool", "head_pool"):
+        for part in ("rows", "labels", "domains"):
+            seen, blind_seen = (getattr(getattr(run, name), part) for run in runs)
+            assert seen.tobytes() == blind_seen.tobytes(), (name, part)
+    local = {row.tobytes() for row in runs[1].local_set.rows.reshape(-1, 16)}
+    assert not local & {row.tobytes() for row in UnitRows.prepare(split.test_set, None).rows}
+    # the local blocks are exactly the sources' unit rows
+    assert local == {row.tobytes() for client in split.clients for row in UnitRows.prepare(client, None).rows}
 
 
 def _rejected_by_stage_one(split, encoder, match, monkeypatch):

@@ -13,7 +13,7 @@ from fedstyle.data import LabeledEmbeddings, WorldSpec, generate_world, leave_on
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
 from fedstyle import style_transfer
 from fedstyle.data import TARGET_KEY
-from fedstyle.errors import ConfigurationError, DomainError, NonFiniteLossError
+from fedstyle.errors import ConfigurationError, DomainError, NonFiniteLossError, ParameterError
 from fedstyle.federation import run_stage_one, transform_jobs
 from fedstyle.style_transfer import (
     TransferConfig,
@@ -442,28 +442,44 @@ def _bank_result(epochs):
     return train_transform(jobs, enc, split.class_tokens, TransferConfig(epochs=epochs, batch_size=8), 0.05, 0)
 
 
+def _bank(result, clients):
+    # the (K, S, n, d) blocks of copies, filled with NaN so a row the bank
+    # does not write shows
+    out = np.full((clients, len(result.jobs) // clients) + result.jobs[0].dataset.embeddings.shape, np.nan)
+    assert build_augmentation_bank(result, out) is None
+    return out
+
+
 def test_identity_transform_bank_equals_originals():
     result = _bank_result(epochs=0)
     result.params["w2"][...] = 0.0
     result.params["b2"][...] = 0.0
-    bank = build_augmentation_bank(result)
+    bank = _bank(result, 2).reshape(len(result.jobs), -1, 12)
     for copy, job in zip(bank, result.jobs, strict=True):
         assert copy.tobytes() == job.dataset.embeddings.tobytes()
 
 
 def test_bank_covers_every_target_or_rejects():
     result = _bank_result(epochs=1)
-    bank = build_augmentation_bank(result)
+    bank = _bank(result, 2)
     # each client gets one copy per other source and the held-out text, in
-    # ascending key order, so TARGET_KEY leads
+    # ascending key order, so TARGET_KEY leads; job i * S + s fills block
+    # [i, s]
     by_client = {}
     for job in result.jobs:
         by_client.setdefault(job.source, []).append(job.target)
     assert by_client == {i: [TARGET_KEY] + [j for j in (0, 1) if j != i] for i in (0, 1)}
-    for copy, job, net in zip(bank, result.jobs, result.networks(), strict=True):
+    copies = bank.reshape(len(result.jobs), -1, 12)
+    for copy, job, net in zip(copies, result.jobs, result.networks(), strict=True):
         assert (net.source, net.target) == (job.source, job.target)
         z = job.dataset.embeddings
         assert copy.tobytes() == (z + style_transfer._transform_forward(net.params, z)[1]).tobytes()
+    # blocks that do not hold the jobs, or one block over both clients'
+    # jobs, which move different local sets, are refused
+    n = len(result.jobs[0].dataset)
+    for shape in ((1, 2, n, 12), (2, 1, n, 12), (1, 4, n, 12)):
+        with pytest.raises(ParameterError, match="one local set each"):
+            build_augmentation_bank(result, np.empty(shape))
     # a network cannot be handed in apart from its job, so the one job list
     # that could not form a bank, local sets that do not stack, is refused
     world, enc = _tiny_world()
@@ -482,9 +498,8 @@ def test_bank_combined_sizes():
     jobs = transform_jobs(split, include_target_description=False)
     result = train_transform(jobs, enc, split.class_tokens, TransferConfig(epochs=0, batch_size=8), 0.05, 0)
     n = len(split.clients[0])
-    bank = build_augmentation_bank(result)
-    assert bank.shape == (len(jobs), n, 12)
+    bank = _bank(result, split.num_clients)
+    assert bank.shape == (2, 1, n, 12) and np.isfinite(bank).all()
     # without target text, two clients each move to the other alone, so a
     # client's train pool (local set, then its copies) is twice its local set
-    own = bank[[t for t, job in enumerate(jobs) if job.source == 0]]
-    assert len(split.clients[0]) + own.shape[0] * own.shape[1] == 2 * n
+    assert len(split.clients[0]) + bank.shape[1] * bank.shape[2] == 2 * n
