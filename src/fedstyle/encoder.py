@@ -5,27 +5,23 @@ deterministic, and differentiable with respect to prompt tokens:
 
 * both towers share one frozen projection matrix ``A`` of shape (d, d),
 * the image tower maps a raw d-vector to ``normalize(A @ raw)``,
-* the text tower reads the sequence [prompt blocks..., class token]: it
-  sums the tokens with frozen per-position scalings ``s``, squashes with
-  tanh, projects, and normalizes:
+* the text tower reads the sequence [prefix, prompt block, class token]:
+  it sums the tokens with frozen per-position scalings ``s``, squashes
+  with tanh, projects, and normalizes:
   ``normalize(A @ tanh(sum_m s_m * token_m))``.
 
 Every text embedding comes from one kernel, ``_text_tower``, which maps
 pooled token sums to embeddings; its vector-Jacobian product
 ``_text_tower_vjp`` reuses the forward's intermediates.
-``encode_class_texts`` pools the sequence for all classes at once and
-returns its saved state next to the embeddings, so
-``encode_class_texts_backward`` runs on that state without pooling or
-running the tower again.  A bare description or class name is the same
-sequence with a one-token block or no block at all.  ``encode_text``
-pools a single sequence.
-
-Constants are prepared once, read-only: ``class_term`` validates and
-scales the class tokens for their position, and ``pool_prefix`` pools a
-frozen leading part of the sequence, which ``encode_class_texts`` adds
-as its ``prefix`` without differentiating it.  A zero slot before the
-class token adds nothing, so it is neither pooled nor differentiated;
-no bit of the result changes.
+``encode_class_texts`` encodes the sequence for all classes at once from
+one trainable block, and ``encode_class_texts_backward`` gives that
+block's gradient from the forward's saved state.  The prefix is a frozen
+leading part of the sequence, pooled once by ``pool_prefix`` and not
+differentiated; the class tokens are validated and scaled for their
+position once by ``class_term``.  Positions left empty before the class
+token are a zero slot, which adds nothing and is not pooled.  A bare
+description or class name is the sequence with a one-token block or
+with none.  ``encode_text`` pools a single sequence.
 
 For token norms well inside tanh's linear regime the text tower is nearly
 additive in its tokens, which is what makes style directions in text space
@@ -126,17 +122,15 @@ class FrozenEncoder:
 
     # -- text tower ---------------------------------------------------------
 
-    def _pool(self, blocks: list[Array], start: int = 0, prefix: Array | None = None) -> Array:
+    def _pool(self, block: Array | None, start: int = 0, prefix: Array | None = None) -> Array:
         """``prefix`` (zero by default) plus the position-scaled token sum
-        of ``blocks`` placed in order from position ``start``.  A block may
-        carry a leading sample axis, (n, L_i, d), and the sum then does too.
+        of ``block`` placed from position ``start``.  The block may carry
+        a leading sample axis, (n, L, d), and the sum then does too.
         """
         shared = np.zeros(self.config.dim) if prefix is None else prefix
-        offset = start
-        for b in blocks:
-            shared = shared + self.position_scale[offset : offset + b.shape[-2]] @ b
-            offset += b.shape[-2]
-        return shared
+        if block is None:
+            return shared
+        return shared + self.position_scale[start : start + block.shape[-2]] @ block
 
     def _text_tower(self, pooled: Array) -> tuple[Array, tuple]:
         """normalize(A @ tanh(pooled)) over the last axis.
@@ -176,32 +170,33 @@ class FrozenEncoder:
             raise ParameterError(f"no token position {position} for the class token")
         return ClassTerm(position, _frozen(self.position_scale[position] * ct))
 
-    def pool_prefix(self, prompt_blocks: list[Array]) -> Array:
-        """The validated, read-only position-scaled sum of blocks at the
+    def pool_prefix(self, block: Array) -> Array:
+        """The validated, read-only position-scaled sum of ``block`` at the
         leading positions: the ``prefix`` of ``encode_class_texts``."""
-        return _frozen(self._pool([require_finite(as_f64(b), "prompt block") for b in prompt_blocks]))
+        return _frozen(self._pool(require_finite(as_f64(block), "prompt block")))
 
     def encode_class_texts(
-        self, prompt_blocks: list[Array], classes: ClassTerm, start: int = 0, prefix: Array | None = None
+        self, block: Array | None, classes: ClassTerm, start: int = 0, prefix: Array | None = None
     ) -> tuple[Array, tuple]:
-        """Encode [prefix, prompts..., class_c] for every class c at once.
+        """Encode [prefix, block, class_c] for every class c at once.
 
-        ``prompt_blocks`` is a list of (L_i, d) blocks placed in order from
-        position ``start``; ``prefix``, from ``pool_prefix``, is the pooled
+        ``block`` is an (L, d) prompt block placed from position ``start``,
+        or None for none; ``prefix``, from ``pool_prefix``, is the pooled
         sum of the positions before it (zero without one); ``classes``,
         from ``class_term``, holds one token per class at its position,
-        and the positions between the last block and it are a zero slot.
+        and the positions between the block and it are a zero slot.
         Returns the (C, d) embeddings and the forward's saved state, which
-        ``encode_class_texts_backward`` reads.  With no blocks this encodes
-        each bare class token; a block or prefix with a leading sample
-        axis gives one (C, d) set per sample.
+        ``encode_class_texts_backward`` reads.  Without a block or prefix
+        this encodes each bare class token; a block or prefix with a
+        leading sample axis gives one (C, d) set per sample.
         """
-        blocks = [require_finite(as_f64(b), "prompt block") for b in prompt_blocks]
-        lengths = tuple(b.shape[-2] for b in blocks)
-        if start + sum(lengths) > classes.position:
-            raise ParameterError("prompt blocks leave no room for the class token")
-        text, saved = self._text_tower(self._pool(blocks, start, prefix)[..., None, :] + classes.scaled)
-        return text, (saved, start, lengths)
+        if block is not None:
+            block = require_finite(as_f64(block), "prompt block")
+        rows = 0 if block is None else block.shape[-2]
+        if start + rows > classes.position:
+            raise ParameterError("the prompt block leaves no room for the class token")
+        text, saved = self._text_tower(self._pool(block, start, prefix)[..., None, :] + classes.scaled)
+        return text, (saved, start, rows)
 
     def encode_text(self, tokens: Array) -> Array:
         """Encode one sequence of (m, d) tokens, given in position order."""
@@ -210,21 +205,17 @@ class FrozenEncoder:
             raise ParameterError(f"need 1 to {self.config.max_tokens} tokens as (m, d), got {t.shape}")
         return self._text_tower(self.position_scale[: t.shape[0]] @ t)[0]
 
-    def encode_class_texts_backward(self, state: tuple, upstream: Array) -> list[Array]:
-        """VJP of ``encode_class_texts`` w.r.t. each of its prompt blocks;
-        a prefix or a zero slot is not differentiated.
+    def encode_class_texts_backward(self, state: tuple, upstream: Array) -> Array:
+        """VJP of ``encode_class_texts`` w.r.t. its prompt block; a prefix
+        or a zero slot is not differentiated.
 
         ``state`` is the saved state that forward returned; the backward
         reads its intermediates and recomputes nothing.  ``upstream`` has
-        the embeddings' shape, and each gradient has its block's shape.
+        the embeddings' shape, and the gradient has the block's shape.
         """
-        saved, offset, lengths = state
+        saved, start, rows = state
         g = require_finite(as_f64(upstream), "upstream")
         if g.shape != saved[0].shape:
             raise ParameterError("upstream gradient has the wrong shape")
         per_shared = self._text_tower_vjp(saved, g).sum(axis=-2)        # (..., d)
-        grads = []
-        for rows in lengths:
-            grads.append(self.position_scale[offset : offset + rows, None] * per_shared[..., None, :])
-            offset += rows
-        return grads
+        return self.position_scale[start : start + rows, None] * per_shared[..., None, :]

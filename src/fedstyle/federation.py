@@ -70,7 +70,7 @@ import numpy as np
 
 from .data import TARGET_KEY, EvaluationSplit, LabeledEmbeddings
 from .encoder import FrozenEncoder
-from .errors import ConfigurationError, NonFiniteLossError, ProtocolError
+from .errors import ConfigurationError, DataError, NonFiniteLossError, ProtocolError
 from .numerics import Array, require_finite_fields, sgd_step
 from .prompts import (
     DomainClassifier,
@@ -338,8 +338,9 @@ def run_stage_one(
 ) -> StageOneResult:
     """Train per-target transforms locally and assemble the client pools.
 
-    The local sets must share one non-empty length (``ConfigurationError``
-    before anything trains).  All transforms train in one stacked
+    The local sets must share one non-empty length (``ConfigurationError``)
+    and carry domain labels in [0, K) (``DataError``), both checked before
+    anything trains.  All transforms train in one stacked
     ``train_transform`` call (none without style transfer), and only then
     is the train stack allocated, laid out as ``transform_jobs`` states.
     Each client's pool, its local set and the copies the forward writes
@@ -352,6 +353,9 @@ def run_stage_one(
     n, k, dim = lengths[0], split.num_clients, encoder.config.dim
     if n == 0:
         raise ConfigurationError("client local sets are empty")
+    for local in split.clients:
+        if np.any(local.domains < 0) or np.any(local.domains >= k):
+            raise DataError(f"domain index outside [0, {k})")
     classes = split.class_tokens.shape[0]
     transforms: dict[int, dict[int, TransformNetwork]] = {i: {} for i in range(k)}
     jobs = []
@@ -368,12 +372,10 @@ def run_stage_one(
     if jobs:
         build_augmentation_bank(result, rows[:, 1:])
     domains[:, 1:] = np.reshape([job.target for job in jobs], (k, styled, 1))
-    # target-styled copies carry TARGET_KEY, outside the domain range
-    client_count = None if toggles.include_target_description else k
     for i, local in enumerate(split.clients):
         rows[i, 0], labels[i], domains[i, 0] = local.embeddings, local.labels, local.domains
         pool = train.select(i)
-        UnitRows.prepare(LabeledEmbeddings(pool.rows, pool.labels, pool.domains), classes, client_count, out=pool)
+        UnitRows.prepare(LabeledEmbeddings(pool.rows, pool.labels, pool.domains), classes, out=pool)
         log.info("client %d: %d local, %d augmented toward %s", i, n, n * styled, list(transforms[i]))
     head = train
     if toggles.include_target_description:
@@ -497,7 +499,7 @@ def run_protocol(
         return values, {"head_weight": grads["weight"], "head_bias": grads["bias"]}
 
     def domain_step(batch, params):
-        values, grad, _ = domain_loss(
+        values, grad = domain_loss(
             batch, params["domain_prompt"], global_slot, encoder, classes, anchors, temperature
         )
         return values, {"domain_prompt": grad}
@@ -590,7 +592,7 @@ def run_protocol(
             params = {"domain_prompt": domain}
             if toggles.use_global_prompt:
                 frozen = np.stack([shared["global_prompt"]] * k)
-                global_slot = encoder.pool_prefix([frozen])
+                global_slot = encoder.pool_prefix(frozen)
                 if own is not None:
                     anchors = (own, contrast_anchor(frozen.mean(axis=-2), "pooled global prompt"))
             # the local set is the train stack's leading n rows; a draw

@@ -9,13 +9,11 @@ Two groups of things live here:
   its forward pass,
 * SGD and Adam, both with decoupled weight decay (the parameter shrinks
   by ``1 - lr * decay`` outside the gradient term), which reject
-  non-finite gradients.  SGD returns fresh arrays; Adam updates its
-  moments and the parameters in place, with its bias corrections folded
+  non-finite gradients.  SGD steps a dict of arrays and returns fresh
+  ones; Adam steps one array in place, with its bias corrections folded
   into two scalars per step.  Both are elementwise, so one call steps a
-  whole stack of parameter sets, and a caller that holds its parameters
-  as views of one flat vector steps them all as the single entry
-  ``{"params": vector}``, with one pass per operation and one finiteness
-  check, to the same bits as stepping each view.
+  whole stack of parameter sets, or every view of one flat vector, to
+  the bits of stepping each on its own.
 
 The finite-difference gradient checker that pins every closed-form
 gradient lives with the tests.
@@ -27,7 +25,7 @@ non-finite value raises ``DomainError`` instead of propagating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from numbers import Real
 
 import numpy as np
@@ -109,15 +107,6 @@ def softmax_ce_cols(logits: Array, labels: Array) -> tuple[Array, Array]:
 # ---------------------------------------------------------------------------
 
 
-def _check_param_grads(params: dict[str, Array], grads: dict[str, Array]) -> None:
-    if set(params) != set(grads):
-        raise ParameterError(f"param/grad key mismatch: {sorted(params)} vs {sorted(grads)}")
-    for name in params:
-        if params[name].shape != grads[name].shape:
-            raise ParameterError(f"shape mismatch for {name}")
-        require_finite(grads[name], f"grad[{name}]")
-
-
 def sgd_step(
     params: dict[str, Array], grads: dict[str, Array], learning_rate: float, weight_decay: float
 ) -> dict[str, Array]:
@@ -125,7 +114,12 @@ def sgd_step(
     ``p * (1 - learning_rate * weight_decay) - learning_rate * g``; returns
     a fresh parameter dict.  Zero decay multiplies by exactly 1.0, so it
     leaves the plain step's bits."""
-    _check_param_grads(params, grads)
+    if set(params) != set(grads):
+        raise ParameterError(f"param/grad key mismatch: {sorted(params)} vs {sorted(grads)}")
+    for name in params:
+        if params[name].shape != grads[name].shape:
+            raise ParameterError(f"shape mismatch for {name}")
+        require_finite(grads[name], f"grad[{name}]")
     decay = 1.0 - learning_rate * weight_decay
     return {name: params[name] * decay - learning_rate * grads[name] for name in params}
 
@@ -140,20 +134,19 @@ class AdamState:
 
     The decay is applied multiplicatively to the parameter before the
     bias-corrected moment step, so it never enters the moment estimates.
-    ``adam_step`` allocates the moments on the first step and from then on
-    updates them in place.
+    The moments are None until ``adam_step`` allocates them on the first
+    step; from then on it updates them in place.
     """
 
     learning_rate: float
     weight_decay: float = 0.0
     step: int = 0
-    first_moment: dict[str, Array] = field(default_factory=dict)
-    second_moment: dict[str, Array] = field(default_factory=dict)
+    first_moment: Array | None = None
+    second_moment: Array | None = None
 
 
-def adam_step(state: AdamState, params: dict[str, Array], grads: dict[str, Array]) -> None:
-    """One Adam step, in place: advances ``state`` and overwrites every
-    array of ``params``.
+def adam_step(state: AdamState, param: Array, grad: Array) -> None:
+    """One Adam step, in place: advances ``state`` and overwrites ``param``.
 
     The update ``lr * m_hat / (sqrt(v_hat) + eps)``, with the bias-corrected
     moments ``m_hat = m / (1 - beta1^t)`` and ``v_hat = v / (1 - beta2^t)``,
@@ -165,33 +158,31 @@ def adam_step(state: AdamState, params: dict[str, Array], grads: dict[str, Array
 
     Every operation is elementwise, so a parameter that stacks T parameter
     sets along a leading axis steps each slice exactly as T separate
-    optimizers would.  Gradients are checked before anything is written.
+    optimizers would.  The gradient is checked before anything is written.
     """
-    _check_param_grads(params, grads)
+    if param.shape != grad.shape:
+        raise ParameterError(f"gradient shape {grad.shape} disagrees with parameter shape {param.shape}")
+    require_finite(grad, "grad")
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     root_correction = math.sqrt(1.0 - b2**state.step)
     step = state.learning_rate * root_correction / (1.0 - b1**state.step)
     epsilon = ADAM_EPSILON * root_correction
     decay = 1.0 - state.learning_rate * state.weight_decay
-    for name, g in grads.items():
-        if name not in state.first_moment:
-            state.first_moment[name] = np.zeros_like(g)
-            state.second_moment[name] = np.zeros_like(g)
-        m = state.first_moment[name]
-        v = state.second_moment[name]
-        tmp = np.empty_like(g)  # every temporary of the update, in turn
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=tmp)
-        m += tmp
-        v *= b2
-        np.multiply(g, 1.0 - b2, out=tmp)
-        tmp *= g
-        v += tmp
-        np.sqrt(v, out=tmp)
-        tmp += epsilon
-        np.divide(m, tmp, out=tmp)
-        tmp *= step
-        param = params[name]
-        param *= decay
-        param -= tmp
+    if state.first_moment is None:
+        state.first_moment, state.second_moment = np.zeros_like(grad), np.zeros_like(grad)
+    m, v = state.first_moment, state.second_moment
+    tmp = np.empty_like(grad)  # every temporary of the update, in turn
+    m *= b1
+    np.multiply(grad, 1.0 - b1, out=tmp)
+    m += tmp
+    v *= b2
+    np.multiply(grad, 1.0 - b2, out=tmp)
+    tmp *= grad
+    v += tmp
+    np.sqrt(v, out=tmp)
+    tmp += epsilon
+    np.divide(m, tmp, out=tmp)
+    tmp *= step
+    param *= decay
+    param -= tmp

@@ -8,11 +8,13 @@ Two kinds of learnable token blocks steer the text tower:
 
 Classification of an embedding x scores each class by the cosine between x
 and the text embedding of [global slot, domain slot, class token], softmaxed
-at temperature ``temperature``.  The slot layout is fixed: a disabled block
-is a zero block, which contributes nothing to the pooled token sum but
-keeps every token position stable.  Whatever combination of prompts is
-active, the class token always sits at the same position, so a prompt is
-consumed in exactly the geometry it was trained in.
+at temperature ``temperature``.  The slot layout is fixed: a disabled
+prompt leaves its slot zero, which adds nothing to the pooled token sum
+and is not pooled, but keeps every token position stable.  Whatever
+combination of prompts is active, the class token always sits at the same
+position, so a prompt is consumed in exactly the geometry it was trained
+in, and training and prediction encode it through the same one-block
+forward.
 
 For a sample from an unseen domain there is no matching domain prompt, so
 one is generated: the softmax of a frozen linear domain classifier gives
@@ -27,20 +29,16 @@ classifier), or domain only (no global prompt).  By the one-hot guarantee
 it scores a sample with one-hot weights exactly as it would with a
 one-prompt stack holding the selected prompt.  It scores rows in fixed
 blocks, so its per-row class-text arrays stay one block in size however
-large the test set, and it rejects a temperature that is not finite and
-positive.
+large the test set.
 
 The contrastive term keeps a domain prompt's pooled direction close to its
 own domain description and away from the pooled global prompt: a two-way
 softmax over the two cosines with the own-description slot as the target.
 
-The losses take their constants prepared once and read-only, and check
-per step only what a step changes: the class term
-(``FrozenEncoder.class_term`` at position 2L, after both slots), the
-frozen global slot pooled (``FrozenEncoder.pool_prefix``) and the
-contrast's unit anchors (``contrast_anchor``).  A zero slot, the domain
-slot of ``global_loss`` and the global slot of the domain-only layout, is
-neither pooled nor differentiated.
+Constants are prepared once and read-only where they become fixed: the
+class term (``FrozenEncoder.class_term`` at position 2L, after both
+slots), the frozen global slot pooled (``FrozenEncoder.pool_prefix``) and
+the contrast's unit anchors (``contrast_anchor``).
 
 All losses return means over their batch.  Each writes its gradient in
 closed form next to its forward pass: the cross-entropy kernel supplies
@@ -173,8 +171,9 @@ def contrast_anchor(x: Array, what: str) -> Array:
 # ---------------------------------------------------------------------------
 
 
-# Rows scored per block: evaluation encodes one (C, d) class-text set per
-# row, so a block bounds those (rows, C, d) arrays instead of the test set.
+# Rows scored per block: with domain prompts, evaluation encodes one (C, d)
+# class-text set per row, so a block bounds those (rows, C, d) arrays
+# instead of the test set.
 PREDICT_BLOCK_ROWS = 256
 
 
@@ -189,12 +188,14 @@ def predict_unseen_batch(
 ) -> Array:
     """Class probabilities (n, C) of embeddings (n, d); the one prediction path.
 
-    Row n is scored on [global slot, domain slot, class token].  The domain
-    slot holds a prompt generated for that row: the (K, L, d) stack of
-    ``domain_prompts`` blended with the softmax of the domain head's
-    logits.  An absent global prompt is a zero slot; with
-    ``domain_prompts=None`` and no classifier the domain slot is zero for
-    every row, which is the global-only layout.  Domain prompts without a
+    Row n is scored on [global slot, domain slot, class token], the layout
+    the losses train in.  The domain slot holds a prompt generated for that
+    row: the (K, L, d) stack of ``domain_prompts`` blended with the softmax
+    of the domain head's logits, encoded after the global prompt pooled
+    once per call (none in the domain-only layout).  With
+    ``domain_prompts=None`` and no classifier, the global-only layout, the
+    global prompt is encoded once and its one (C, d) class-text set scores
+    every row.  A zero slot is not pooled.  Domain prompts without a
     head, or a head without domain prompts, is half a blend
     (``ParameterError``), and so is a temperature that is not finite and
     positive, and so is a stack of heads with a client axis.  Rows are
@@ -226,48 +227,41 @@ def predict_unseen_batch(
                 f"need one (L, d) prompt per head domain: {domain_prompts.shape} vs {classifier.num_domains}"
             )
         slot_shape = domain_prompts.shape[1:]
-    if global_prompt is None:
-        global_prompt = np.zeros(slot_shape)
-    elif np.shape(global_prompt) != slot_shape:
+    if global_prompt is not None and np.shape(global_prompt) != slot_shape:
         raise ParameterError(f"prompt blocks disagree on shape: {np.shape(global_prompt)} vs {slot_shape}")
 
-    classes = encoder.class_term(class_tokens, 2 * slot_shape[-2])
+    length = slot_shape[-2]
+    classes = encoder.class_term(class_tokens, 2 * length)
+    prefix = None
+    if domain_prompts is None:
+        text = encoder.encode_class_texts(global_prompt, classes)[0]  # one (C, d) set for every row
+    elif global_prompt is not None:
+        prefix = encoder.pool_prefix(global_prompt)
     probs = np.empty((len(x), classes.scaled.shape[0]))
     for start in range(0, len(x), PREDICT_BLOCK_ROWS):
         rows = xn[start : start + PREDICT_BLOCK_ROWS]
-        probs[start : start + len(rows)] = _block_probabilities(
-            rows, global_prompt, domain_prompts, classifier, classes, encoder, temperature
-        )
+        if domain_prompts is not None:
+            generated = _generated_prompts(rows, domain_prompts, classifier)
+            text = encoder.encode_class_texts(generated, classes, length, prefix)[0]  # (n, C, d)
+        z = np.einsum("...cd,...d->...c", text, rows) / temperature
+        z -= z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        probs[start : start + len(rows)] = e / e.sum(axis=1, keepdims=True)
     return probs
 
 
-def _block_probabilities(
-    rows: Array,
-    global_prompt: Array,
-    blocks: Array | None,
-    classifier: DomainClassifier | None,
-    classes: ClassTerm,
-    encoder: FrozenEncoder,
-    temperature: float,
-) -> Array:
-    """``predict_unseen_batch`` on one block of validated unit rows; its
-    (rows, C, d) arrays are freed on return."""
-    if blocks is None:
-        generated = np.zeros(np.shape(global_prompt))
-    else:
-        logits = classifier.logits(rows.T)  # (K, n)
-        e = np.exp(logits - logits.max(axis=0))
-        weights = e / e.sum(axis=0)
-        # accumulated in ascending k from zero, so one-hot weights give the
-        # selected prompt bit for bit
-        generated = np.zeros((len(rows),) + blocks.shape[1:])
-        for k in range(blocks.shape[0]):
-            generated += weights[k][:, None, None] * blocks[k][None, :, :]
-    text, _ = encoder.encode_class_texts([global_prompt, generated], classes)  # (C, d) or (n, C, d)
-    z = np.einsum("...cd,...d->...c", text, rows) / temperature
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _generated_prompts(rows: Array, blocks: Array, classifier: DomainClassifier) -> Array:
+    """(n, L, d) prompts for unit rows (n, d): the (K, L, d) ``blocks``
+    blended with the softmax of the head's logits, accumulated in
+    ascending k from zero, so one-hot weights give the selected prompt bit
+    for bit."""
+    logits = classifier.logits(rows.T)  # (K, n)
+    e = np.exp(logits - logits.max(axis=0))
+    weights = e / e.sum(axis=0)
+    generated = np.zeros((len(rows),) + blocks.shape[1:])
+    for k in range(blocks.shape[0]):
+        generated += weights[k][:, None, None] * blocks[k][None, :, :]
+    return generated
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +375,7 @@ def _classification(
     after_slots = 2 * np.shape(block)[-2]
     if classes.position != after_slots:
         raise ParameterError(f"class tokens prepared for position {classes.position}, not {after_slots}")
-    text, state = encoder.encode_class_texts([block], classes, start, prefix)  # (..., C, d)
+    text, state = encoder.encode_class_texts(block, classes, start, prefix)  # (..., C, d)
     xn = batch.rows                                                  # (..., B, d)
     _require_client_axis(batch, text.shape[:-2])
     logits = text @ batch.columns()                                  # (..., C, B)
@@ -393,7 +387,7 @@ def _classification(
     dlogits *= 1.0 / xn.shape[-2]
     dlogits *= 1.0 / temperature
     dtext = dlogits @ xn
-    return loss, encoder.encode_class_texts_backward(state, dtext)[0]
+    return loss, encoder.encode_class_texts_backward(state, dtext)
 
 
 def global_loss(
@@ -448,7 +442,7 @@ def domain_loss(
     anchors: tuple[Array, Array] | None,
     temperature: float,
     want_grad: bool = True,
-) -> tuple[float | Array, Array | None, dict[str, float | Array]]:
+) -> tuple[float | Array, Array | None]:
     """Local domain-prompt objective: classification plus optional contrast.
 
     The global prompt is a frozen constant here, prepared once per pass:
@@ -457,11 +451,10 @@ def domain_loss(
     ``anchors``, the contrastive term's (own description, pooled global
     prompt) pair of ``contrast_anchor`` vectors, or None to leave the term
     out.  ``classes`` is the class term of ``global_loss``.  Gradients flow
-    only into the domain prompt.  Returns (total, grad, parts) where parts
-    reports the classification and contrastive means separately.  With a
-    leading client axis on the batch, on the (K, L, d) prompt, on the
-    (K, d) slot and on the (K, d) anchors, every value is per client: (K,)
-    losses and (K, L, d) gradients.
+    only into the domain prompt.  Returns (total, grad).  With a leading
+    client axis on the batch, on the (K, L, d) prompt, on the (K, d) slot
+    and on the (K, d) anchors, every value is per client: (K,) losses and
+    (K, L, d) gradients.
     """
     if len(batch) == 0:
         raise ParameterError("empty batch")
@@ -473,13 +466,11 @@ def domain_loss(
     total, grad = _classification(
         batch, domain_prompt, shape[-2], global_slot, encoder, classes, temperature, want_grad
     )
-    parts = {"classification": _per_client(total)}
     if anchors is not None:
         # two-way softmax cross-entropy with the own description as target
         own, anchor = anchors
         sims, (direction, norm, exact) = _contrast_forward(domain_prompt, own, anchor)
         con, dsims = softmax_ce_cols(sims[..., :, None], np.zeros(sims.shape[:-1] + (1,), dtype=np.int64))
-        parts["contrastive"] = _per_client(con[..., 0])
         total = total + con[..., 0]
         if want_grad:
             ddirection = dsims[..., 0:1, 0] * own + dsims[..., 1:2, 0] * anchor
@@ -490,7 +481,7 @@ def domain_loss(
                 (1.0 / CONTRAST_NORM_FLOOR) * ddirection,
             )
             grad = dpooled[..., None, :] / shape[-2] + grad
-    return _per_client(total), grad, parts
+    return _per_client(total), grad
 
 
 def classifier_loss(

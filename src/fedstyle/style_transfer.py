@@ -133,8 +133,8 @@ def text_delta_directions(
     (identical source and target descriptions, say) is a ``DomainError``.
     """
     classes = encoder.class_term(class_tokens, 1)
-    e_src, _ = encoder.encode_class_texts([as_f64(source_token)[None, :]], classes)
-    e_tgt, _ = encoder.encode_class_texts([as_f64(target_token)[None, :]], classes)
+    e_src, _ = encoder.encode_class_texts(as_f64(source_token)[None, :], classes)
+    e_tgt, _ = encoder.encode_class_texts(as_f64(target_token)[None, :], classes)
     delta = e_tgt - e_src
     norms = np.linalg.norm(delta, axis=1, keepdims=True)
     if np.any(norms < DEGENERATE_NORM):
@@ -145,7 +145,7 @@ def text_delta_directions(
 
 def class_text_embeddings(encoder: FrozenEncoder, class_tokens: Array) -> Array:
     """(C, d) unit embeddings of each bare class description."""
-    return encoder.encode_class_texts([], encoder.class_term(class_tokens, 0))[0]
+    return encoder.encode_class_texts(None, encoder.class_term(class_tokens, 0))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +338,7 @@ def transfer_loss(
     target_token: Array,
     class_tokens: Array,
     temperature: float,
-    alignment_weight: float = 0.5,
+    alignment_weight: float,
 ) -> float:
     """alignment_weight * mean alignment + (1 - alignment_weight) * consistency."""
     directions = text_delta_directions(encoder, source_token, target_token, class_tokens)
@@ -426,7 +426,6 @@ def train_transform(
     params, grads = _flat_views(theta, count, shapes), _flat_views(gradient, count, shapes)
     for name, view in params.items():
         np.stack([init[name] for init in inits], out=view)
-    flat_params, flat_grads = {"params": theta}, {"params": gradient}
     work = _workspaces(count, min(config.batch_size, n), config.hidden_dim(dim), dim)
     directions = np.stack(
         [text_delta_directions(encoder, job.source_token, job.target_token, class_tokens) for job in jobs]
@@ -457,7 +456,7 @@ def train_transform(
                 message = f"transfer loss diverged at epoch {epoch}"
                 raise _failure(NonFiniteLossError, pairs, _non_finite(loss), message)
             try:
-                adam_step(state, flat_params, flat_grads)
+                adam_step(state, theta, gradient)
             except DomainError:
                 _require_finite_stacks(grads, pairs, "grad[{}]")
                 raise

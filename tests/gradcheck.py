@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from fedstyle.errors import ParameterError
-from fedstyle.numerics import Array, _check_param_grads
+from fedstyle.numerics import Array, require_finite
 
 REL_ERR_FLOOR = 1e-3
 
@@ -68,7 +68,12 @@ def grad_check(
     if step <= 0:
         raise ParameterError("step must be positive")
     _, analytic = loss_fn(params)
-    _check_param_grads(params, analytic)
+    if set(params) != set(analytic):
+        raise ParameterError(f"param/grad key mismatch: {sorted(params)} vs {sorted(analytic)}")
+    for name in params:
+        if params[name].shape != analytic[name].shape:
+            raise ParameterError(f"shape mismatch for {name}")
+        require_finite(analytic[name], f"grad[{name}]")
     entries = []
     for name in sorted(params):
         base = params[name]

@@ -3,19 +3,23 @@
 ``normalized_objective`` is the transfer objective written on unit rows:
 it forms ``delta / |delta|`` and the normalized moved rows and
 backpropagates through each normalization.  ``textbook_adam_step`` is Adam
-with the bias-corrected moments formed explicitly.  The package computes
-both functions in another order (cosines on unnormalized rows, bias
-corrections folded into scalars); the tests hold the two to 1e-12
-relative.  Both take the package functions' arguments, so a test can
+on one array with the bias-corrected moments formed explicitly.  The
+package computes both functions in another order (cosines on unnormalized
+rows, bias corrections folded into scalars); the tests hold the two to
+1e-12 relative.  Both take the package functions' arguments, so a test can
 substitute them for ``style_transfer._stacked_objective`` and
 ``style_transfer.adam_step``.
 
-``per_call_global_loss`` and ``per_call_domain_loss`` are the stage-two
-losses as formulated per call: they validate and scale the raw class
-tokens, pool every block of [global slot, domain slot, class token]
-(a zero slot included), differentiate both slots and normalize both
-contrast anchors on each call.  The package prepares those constants once
-and skips the zero slot; the tests hold the two to the bit.
+``every_block_texts`` encodes [blocks..., class token] by pooling every
+block from position 0 on the call, a zero block included, and
+differentiates each block.  ``per_call_global_loss`` and
+``per_call_domain_loss`` are the stage-two losses formulated on it: they
+validate and scale the raw class tokens, pool both slots of [global slot,
+domain slot, class token] and normalize both contrast anchors on each
+call.  ``two_slot_probabilities`` is prediction formulated on it: every
+256-row block pools [global prompt or zero, generated prompt or zero].
+The package prepares those constants once, encodes one block after a
+pooled prefix and skips a zero slot; the tests hold the two to the bit.
 
 ``bank_then_prepare_pools`` assembles stage one's pools the way the
 package once did: a separate (T, n, d) bank of every job's copies, then
@@ -34,7 +38,7 @@ import numpy as np
 from fedstyle.data import TARGET_KEY, LabeledEmbeddings
 from fedstyle.errors import DomainError
 from fedstyle.numerics import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, as_f64, require_finite, softmax_ce_cols
-from fedstyle.prompts import CONTRAST_NORM_FLOOR, UnitRows, _dot
+from fedstyle.prompts import CONTRAST_NORM_FLOOR, UnitRows, _dot, _normalized_rows
 from fedstyle.style_transfer import _row_dots, _transform_forward
 
 
@@ -80,27 +84,28 @@ def normalized_objective(
     return total, align, cons, grads
 
 
-def textbook_adam_step(state, params, grads):
+def textbook_adam_step(state, param, grad):
     """``p * (1 - lr * wd) - lr * m_hat / (sqrt(v_hat) + eps)`` in place, with
     ``m_hat = m / (1 - beta1^t)`` and ``v_hat = v / (1 - beta2^t)``."""
     state.step += 1
     lr, b1, b2, t = state.learning_rate, ADAM_BETA1, ADAM_BETA2, state.step
-    for name, g in grads.items():
-        m = state.first_moment.setdefault(name, np.zeros_like(g))
-        v = state.second_moment.setdefault(name, np.zeros_like(g))
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        params[name] *= 1.0 - lr * state.weight_decay
-        params[name] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    if state.first_moment is None:
+        state.first_moment, state.second_moment = np.zeros_like(grad), np.zeros_like(grad)
+    m, v = state.first_moment, state.second_moment
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    param *= 1.0 - lr * state.weight_decay
+    param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
-def _per_call_classification(batch, blocks, slot, encoder, class_tokens, temperature):
-    """Mean cross-entropy over [blocks..., class token] and its gradient
-    with respect to ``blocks[slot]``, pooling every block on the call."""
+def every_block_texts(encoder, blocks, class_tokens):
+    """(text, backward) of [blocks..., class token], every block pooled in
+    order from position 0 on the call and the class token right after
+    them; ``backward(upstream)`` is the list of each block's gradient."""
     ct = require_finite(as_f64(class_tokens), "class_tokens")
     scale = encoder.position_scale
     shared, offset, offsets = np.zeros(encoder.config.dim), 0, []
@@ -109,14 +114,50 @@ def _per_call_classification(batch, blocks, slot, encoder, class_tokens, tempera
         shared = shared + scale[offset : offset + block.shape[-2]] @ block
         offset += block.shape[-2]
     text, saved = encoder._text_tower(shared[..., None, :] + scale[offset] * ct)
+
+    def backward(upstream):
+        per_shared = encoder._text_tower_vjp(saved, upstream).sum(axis=-2)
+        return [scale[o : o + b.shape[-2], None] * per_shared[..., None, :] for o, b in zip(offsets, blocks)]
+
+    return text, backward
+
+
+def _per_call_classification(batch, blocks, slot, encoder, class_tokens, temperature):
+    """Mean cross-entropy over [blocks..., class token] and its gradient
+    with respect to ``blocks[slot]``, pooling every block on the call."""
+    text, backward = every_block_texts(encoder, blocks, class_tokens)
     logits = text @ batch.columns()
     logits *= 1.0 / temperature
     per_row, dlogits = softmax_ce_cols(logits, batch.labels)
     dlogits *= 1.0 / batch.rows.shape[-2]
     dlogits *= 1.0 / temperature
-    per_shared = encoder._text_tower_vjp(saved, dlogits @ batch.rows).sum(axis=-2)
-    grads = [scale[o : o + b.shape[-2], None] * per_shared[..., None, :] for o, b in zip(offsets, blocks)]
-    return per_row.mean(axis=-1), grads[slot]
+    return per_row.mean(axis=-1), backward(dlogits @ batch.rows)[slot]
+
+
+def two_slot_probabilities(embeddings, global_prompt, domain_prompts, classifier, class_tokens, encoder, temperature):
+    """``predict_unseen_batch`` pooling both slots from position 0 for each
+    256-row block: the global prompt or a zero block, then the generated
+    prompts or a zero block; no input checks."""
+    xn = _normalized_rows(as_f64(embeddings))
+    shape = np.shape(global_prompt) if domain_prompts is None else np.shape(domain_prompts)[1:]
+    global_slot = np.zeros(shape) if global_prompt is None else global_prompt
+    probs = np.empty((len(xn), len(class_tokens)))
+    for start in range(0, len(xn), 256):
+        rows = xn[start : start + 256]
+        generated = np.zeros(shape)
+        if domain_prompts is not None:
+            logits = classifier.logits(rows.T)
+            e = np.exp(logits - logits.max(axis=0))
+            weights = e / e.sum(axis=0)
+            generated = np.zeros((len(rows),) + shape)
+            for k in range(len(domain_prompts)):
+                generated += weights[k][:, None, None] * domain_prompts[k][None, :, :]
+        text, _ = every_block_texts(encoder, [global_slot, generated], class_tokens)
+        z = np.einsum("...cd,...d->...c", text, rows) / temperature
+        z -= z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        probs[start : start + len(rows)] = e / e.sum(axis=1, keepdims=True)
+    return probs
 
 
 def _per_call_unit(x, what):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
 from fedstyle.errors import ConfigurationError, DomainError, ParameterError
+from references import every_block_texts
 
 CFG = EncoderConfig(dim=16, max_tokens=8, seed=3)
 ENC = FrozenEncoder(CFG)
@@ -21,29 +22,26 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
-def _texts(blocks, class_tokens, enc=ENC):
-    # encode_class_texts with the class token right after the blocks
-    position = sum(np.shape(b)[-2] for b in blocks)
-    return enc.encode_class_texts(blocks, enc.class_term(class_tokens, position))
+def _texts(block, class_tokens, enc=ENC):
+    # encode_class_texts with the class token right after the block
+    return enc.encode_class_texts(block, enc.class_term(class_tokens, np.shape(block)[-2]))
 
 
-def _check_backward(enc, blocks, classes, upstream, step=1):
+def _check_backward(enc, block, classes, upstream, step=1):
     # central differences of sum(upstream * encode_class_texts) per block entry
-    def value(bs):
-        return float(np.sum(upstream * _texts(bs, classes, enc)[0]))
+    def value(b):
+        return float(np.sum(upstream * _texts(b, classes, enc)[0]))
 
-    grads = enc.encode_class_texts_backward(_texts(blocks, classes, enc)[1], upstream)
+    grad = enc.encode_class_texts_backward(_texts(block, classes, enc)[1], upstream)
+    assert grad.shape == block.shape
     h = 1e-6
-    for b, block in enumerate(blocks):
-        assert grads[b].shape == block.shape
-        for i in range(block.shape[0]):
-            for j in range(0, block.shape[1], step):
-                plus = [x.copy() for x in blocks]
-                minus = [x.copy() for x in blocks]
-                plus[b][i, j] += h
-                minus[b][i, j] -= h
-                numeric = (value(plus) - value(minus)) / (2 * h)
-                assert abs(grads[b][i, j] - numeric) < 1e-7
+    for i in range(block.shape[0]):
+        for j in range(0, block.shape[1], step):
+            plus, minus = block.copy(), block.copy()
+            plus[i, j] += h
+            minus[i, j] -= h
+            numeric = (value(plus) - value(minus)) / (2 * h)
+            assert abs(grad[i, j] - numeric) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +140,11 @@ def test_token_sequence_overflow_rejected():
     with pytest.raises(ParameterError):
         ENC.encode_text(np.zeros((0, CFG.dim)))
     with pytest.raises(ParameterError):
-        # 4 + 4 prompt rows leave no position for the class token
-        _texts([np.ones((4, CFG.dim)), np.ones((4, CFG.dim))], np.ones((2, CFG.dim)))
+        # 8 prompt rows leave no position for the class token
+        _texts(np.ones((8, CFG.dim)), np.ones((2, CFG.dim)))
     with pytest.raises(ParameterError, match="no room"):
         # a block from position 2 runs into a class token prepared for 5
-        ENC.encode_class_texts([np.ones((4, CFG.dim))], ENC.class_term(np.ones((2, CFG.dim)), 5), 2)
+        ENC.encode_class_texts(np.ones((4, CFG.dim)), ENC.class_term(np.ones((2, CFG.dim)), 5), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +160,7 @@ def test_encode_text_matches_definition():
     pooled = s[0] * prompts[0] + s[1] * prompts[1] + s[2] * fixed[0]
     expected = _unit(ENC.projection @ np.tanh(pooled))
     assert np.allclose(ENC.encode_text(np.vstack([prompts, fixed])), expected, atol=1e-14)
-    assert np.allclose(_texts([prompts], fixed)[0][0], expected, atol=1e-14)
+    assert np.allclose(_texts(prompts, fixed)[0][0], expected, atol=1e-14)
 
 
 def test_padding_tokens_change_nothing():
@@ -188,12 +186,12 @@ def test_all_zero_tokens_is_domain_error():
     with pytest.raises(DomainError):
         ENC.encode_text(np.zeros((2, CFG.dim)))
     with pytest.raises(DomainError):
-        _texts([zero], zero)
+        _texts(zero, zero)
 
 
 def test_backward_rejects_an_upstream_of_the_wrong_shape():
     classes = np.full((2, CFG.dim), 0.01)
-    _, state = _texts([np.full((1, CFG.dim), 0.1)], classes)
+    _, state = _texts(np.full((1, CFG.dim), 0.1), classes)
     with pytest.raises(ParameterError):
         ENC.encode_class_texts_backward(state, np.ones((3, CFG.dim)))
 
@@ -210,14 +208,6 @@ def test_near_linear_additivity_at_small_norms():
     assert np.linalg.norm(ENC.encode_text(np.stack([a, b])) - linear) < 1e-3
 
 
-def test_encode_class_texts_backward_over_several_blocks_matches_finite_differences():
-    rng = np.random.default_rng(6)
-    prompts = rng.normal(size=(3, CFG.dim)) * 0.3
-    second = rng.normal(size=(2, CFG.dim)) * 0.3
-    fixed = rng.normal(size=(1, CFG.dim)) * 0.01
-    _check_backward(ENC, [prompts, second], fixed, rng.normal(size=(1, CFG.dim)), step=3)
-
-
 # ---------------------------------------------------------------------------
 # batched class-text helper
 # ---------------------------------------------------------------------------
@@ -225,32 +215,32 @@ def test_encode_class_texts_backward_over_several_blocks_matches_finite_differen
 
 def test_encode_class_texts_equals_per_class_loop():
     rng = np.random.default_rng(7)
-    block_a = rng.normal(size=(2, CFG.dim)) * 0.2
-    block_b = rng.normal(size=(2, CFG.dim)) * 0.2
+    block = rng.normal(size=(4, CFG.dim)) * 0.2
     classes = rng.normal(size=(5, CFG.dim)) * 0.01
-    batch, _ = _texts([block_a, block_b], classes)
+    batch, _ = _texts(block, classes)
     for c in range(5):
-        single = _texts([block_a, block_b], classes[c : c + 1])[0][0]
+        single = _texts(block, classes[c : c + 1])[0][0]
         assert np.allclose(batch[c], single, atol=1e-14)
-        assert np.allclose(batch[c], ENC.encode_text(np.vstack([block_a, block_b, classes[c]])), atol=1e-14)
+        assert np.allclose(batch[c], ENC.encode_text(np.vstack([block, classes[c]])), atol=1e-14)
 
 
 def test_encode_class_texts_with_a_sample_axis_equals_per_sample_calls():
     rng = np.random.default_rng(10)
     shared = rng.normal(size=(2, CFG.dim)) * 0.2
     per_sample = rng.normal(size=(4, 2, CFG.dim)) * 0.2
-    classes = rng.normal(size=(3, CFG.dim)) * 0.01
-    batch, _ = _texts([shared, per_sample], classes)
+    classes = ENC.class_term(rng.normal(size=(3, CFG.dim)) * 0.01, 4)
+    prefix = ENC.pool_prefix(shared)
+    batch, _ = ENC.encode_class_texts(per_sample, classes, 2, prefix)
     assert batch.shape == (4, 3, CFG.dim)
     for n in range(4):
-        assert np.allclose(batch[n], _texts([shared, per_sample[n]], classes)[0], atol=1e-14)
+        assert np.allclose(batch[n], ENC.encode_class_texts(per_sample[n], classes, 2, prefix)[0], atol=1e-14)
 
 
 def test_encode_class_texts_backward_matches_finite_differences():
     rng = np.random.default_rng(8)
     block = rng.normal(size=(2, CFG.dim)) * 0.2
     classes = rng.normal(size=(3, CFG.dim)) * 0.01
-    _check_backward(ENC, [block], classes, rng.normal(size=(3, CFG.dim)), step=2)
+    _check_backward(ENC, block, classes, rng.normal(size=(3, CFG.dim)), step=2)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32))
@@ -271,30 +261,31 @@ def test_text_embeddings_are_unit_norm(seed):
 
 def test_a_prefix_and_a_zero_slot_give_the_bits_of_pooling_every_block():
     # a frozen leading block pooled once, or a zero slot left out, changes
-    # no bit of the embeddings or of the other block's gradient
+    # no bit of the embeddings or of the trained block's gradient
     rng = np.random.default_rng(11)
     frozen, trained = rng.normal(size=(2, 3, 2, CFG.dim)) * 0.2
-    term = ENC.class_term(rng.normal(size=(4, CFG.dim)) * 0.01, 4)
+    class_tokens = rng.normal(size=(4, CFG.dim)) * 0.01
+    term = ENC.class_term(class_tokens, 4)
     upstream = rng.normal(size=(3, 4, CFG.dim))
-    pairs = [
-        ((([frozen, trained],), 1), (([trained], term, 2, ENC.pool_prefix([frozen])), 0)),
-        ((([frozen, np.zeros_like(frozen)],), 0), (([frozen], term), 0)),
-        ((([np.zeros_like(frozen), trained],), 1), (([trained], term, 2), 0)),
+    cases = [
+        ([frozen, trained], 1, (trained, term, 2, ENC.pool_prefix(frozen))),
+        ([frozen, np.zeros_like(frozen)], 0, (frozen, term)),
+        ([np.zeros_like(frozen), trained], 1, (trained, term, 2)),
     ]
-    for (full, slot), (prepared, index) in pairs:
-        text, state = ENC.encode_class_texts(*full, term)
-        got, got_state = ENC.encode_class_texts(*prepared)
+    for blocks, slot, prepared in cases:
+        text, backward = every_block_texts(ENC, blocks, class_tokens)
+        got, state = ENC.encode_class_texts(*prepared)
         assert got.tobytes() == text.tobytes()
-        want = ENC.encode_class_texts_backward(state, upstream)[slot]
-        grads = ENC.encode_class_texts_backward(got_state, upstream)
-        assert len(grads) == len(prepared[0]) and grads[index].tobytes() == want.tobytes()
+        assert ENC.encode_class_texts_backward(state, upstream).tobytes() == backward(upstream)[slot].tobytes()
+    bare = ENC.encode_class_texts(None, ENC.class_term(class_tokens, 0))[0]
+    assert bare.tobytes() == every_block_texts(ENC, [], class_tokens)[0].tobytes()
 
 
 def test_prepared_constants_are_validated_once_and_read_only():
     classes = np.full((2, CFG.dim), 0.01)
     term = ENC.class_term(classes, 3)
     assert np.array_equal(term.scaled, ENC.position_scale[3] * classes)
-    prefix = ENC.pool_prefix([np.full((2, CFG.dim), 0.1)])
+    prefix = ENC.pool_prefix(np.full((2, CFG.dim), 0.1))
     for constant in (term.scaled, prefix):
         with pytest.raises(ValueError):
             constant[0] = 1.0
@@ -303,7 +294,7 @@ def test_prepared_constants_are_validated_once_and_read_only():
     with pytest.raises(DomainError):
         ENC.class_term(bad, 3)
     with pytest.raises(DomainError):
-        ENC.pool_prefix([np.full((2, CFG.dim), np.inf)])
+        ENC.pool_prefix(np.full((2, CFG.dim), np.inf))
     for tokens, position in ((classes[0], 3), (classes, CFG.max_tokens), (classes, -1)):
         with pytest.raises(ParameterError):
             ENC.class_term(tokens, position)

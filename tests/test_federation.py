@@ -12,7 +12,7 @@ from fedstyle import federation
 from fedstyle.config import build_config, variant_toggles
 from fedstyle.data import TARGET_KEY, WorldSpec, generate_world, leave_one_out
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
-from fedstyle.errors import ConfigurationError, DomainError, NonFiniteLossError, ProtocolError
+from fedstyle.errors import ConfigurationError, DataError, DomainError, NonFiniteLossError, ProtocolError
 from fedstyle.federation import (
     FederationConfig,
     MethodToggles,
@@ -379,6 +379,27 @@ def test_empty_local_sets_are_rejected_before_any_message(monkeypatch):
     _rejected_by_stage_one(split, encoder, "empty", monkeypatch)
 
 
+@pytest.mark.parametrize("variant", ["full", "target-text", "dual-prompt"])
+def test_a_domain_label_out_of_range_is_rejected_before_stage_one_trains(monkeypatch, variant):
+    # a local-set domain label equal to K names no client, with or without
+    # target-styled copies (whose key lies outside [0, K) by design)
+    world, encoder = _world()
+    split = leave_one_out(world, 3)
+    bad = dataclasses.replace(split.clients[1], domains=split.clients[1].domains.copy())
+    bad.domains[5] = split.num_clients
+    split = dataclasses.replace(split, clients=[split.clients[0], bad, *split.clients[2:]])
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return train_transform(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "train_transform", counted)
+    with pytest.raises(DataError, match="domain index"):
+        run_stage_one(split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, variant_toggles(variant), 0)
+    assert calls == []
+
+
 @pytest.mark.parametrize("use_style_transfer", [False, True])
 def test_stage_one_pools_are_read_only_views_of_stacks(use_style_transfer):
     world, encoder = _world()
@@ -615,6 +636,24 @@ def test_trained_global_prompt_is_no_worse_than_zero_on_the_default_config():
         assert trained <= untrained
 
 
+def test_default_cell_correct_counts_on_holdout_zero():
+    # one world at the package defaults, seed 0, holdout 0: the correct
+    # counts out of 2,000 test rows that the pipeline reaches per variant
+    config = build_config()
+    encoder = FrozenEncoder(config.encoder_config(0))
+    split = leave_one_out(generate_world(config.world_spec(0), encoder), 0)
+    tau = config.prompt.temperature
+    counts = {}
+    for variant in ("global-only", "domain-only", "dual-prompt", "full"):
+        toggles = variant_toggles(variant)
+        stage_one = run_stage_one(split, encoder, config.transfer, tau, toggles, 0)
+        result = run_protocol(stage_one, split, encoder, config.prompt, config.rounds, toggles, 0)
+        accuracy = evaluate_accuracy(result, split, encoder, config.prompt, toggles)
+        counts[variant] = round(accuracy * len(split.test_set))
+    assert len(split.test_set) == 2000
+    assert counts == {"global-only": 1997, "domain-only": 1996, "dual-prompt": 1997, "full": 1980}
+
+
 # ---------------------------------------------------------------------------
 # lockstep clients
 # ---------------------------------------------------------------------------
@@ -676,8 +715,8 @@ def _reference_protocol(stage_one, split, encoder, prompt_config, fed, seed):
                 for batch in draws("domain-shuffle", client.local_set, r, i, epoch, len(client.local_set)):
                     frozen = shared["global_prompt"]
                     anchors = (contrast_anchor(own[i], "own"), contrast_anchor(frozen.mean(axis=0), "global"))
-                    value, grad, _ = domain_loss(
-                        batch, domain[i], encoder.pool_prefix([frozen]), encoder, ct, anchors, tau
+                    value, grad = domain_loss(
+                        batch, domain[i], encoder.pool_prefix(frozen), encoder, ct, anchors, tau
                     )
                     add("domain_loss", value, len(batch))
                     domain[i] = domain[i] * (1.0 - rates[2] * wd) - rates[2] * grad

@@ -161,10 +161,10 @@ def test_adam_first_step_matches_scalar_oracle():
     lr, wd, eps = 1e-3, 0.05, 1e-8
     p0, g0 = 0.7, -0.3
     state = AdamState(learning_rate=lr, weight_decay=wd)
-    params = {"p": np.array([p0])}
-    adam_step(state, params, {"p": np.array([g0])})
+    param = np.array([p0])
+    adam_step(state, param, np.array([g0]))
     expected = p0 * (1.0 - lr * wd) - lr * g0 / (abs(g0) + eps)
-    assert abs(float(params["p"][0]) - expected) < 1e-15
+    assert abs(float(param[0]) - expected) < 1e-15
     assert state.step == 1
 
 
@@ -179,21 +179,20 @@ def test_adam_second_step_reads_the_stored_moments():
         v = b2 * v + (1.0 - b2) * g * g
         p = p * (1.0 - lr * wd) - lr * (m / (1.0 - b1**t)) / (math.sqrt(v / (1.0 - b2**t)) + eps)
     state = AdamState(learning_rate=lr, weight_decay=wd)
-    params = {"p": np.array([0.7])}
+    param = np.array([0.7])
     for g in grads:
-        adam_step(state, params, {"p": np.array([g])})
+        adam_step(state, param, np.array([g]))
     assert state.step == 2
-    assert abs(float(params["p"][0]) - p) < 1e-15
+    assert abs(float(param[0]) - p) < 1e-15
 
 
 def test_adam_is_deterministic_bitwise():
     def run():
         state = AdamState(learning_rate=1e-3, weight_decay=0.05)
-        params = {"p": np.linspace(-1, 1, 8)}
+        param = np.linspace(-1, 1, 8)
         for i in range(5):
-            grads = {"p": np.sin(params["p"] + i)}
-            adam_step(state, params, grads)
-        return params["p"]
+            adam_step(state, param, np.sin(param + i))
+        return param
 
     a, b = run(), run()
     assert a.tobytes() == b.tobytes()
@@ -203,34 +202,35 @@ def test_adam_on_a_stack_equals_separate_runs_per_slice():
     # One optimizer over (T, ...) stacked parameters must step each slice
     # exactly as T optimizers over the slices alone, moments included.
     rng = np.random.default_rng(3)
-    stack = {"w": rng.normal(size=(4, 3, 5)), "b": rng.normal(size=(4, 5))}
-    slices = [{name: value[t].copy() for name, value in stack.items()} for t in range(4)]
+    stack = rng.normal(size=(4, 3, 5))
+    slices = [stack[t].copy() for t in range(4)]
     stack_state = AdamState(learning_rate=1e-2, weight_decay=0.05)
     slice_states = [AdamState(learning_rate=1e-2, weight_decay=0.05) for _ in range(4)]
     for step in range(5):
-        adam_step(stack_state, stack, {name: np.sin((step + 1) * value) for name, value in stack.items()})
-        for state, params in zip(slice_states, slices):
-            adam_step(state, params, {name: np.sin((step + 1) * value) for name, value in params.items()})
-    for t, (state, params) in enumerate(zip(slice_states, slices)):
-        for name in stack:
-            assert stack[name][t].tobytes() == params[name].tobytes()
-            assert stack_state.first_moment[name][t].tobytes() == state.first_moment[name].tobytes()
-            assert stack_state.second_moment[name][t].tobytes() == state.second_moment[name].tobytes()
+        adam_step(stack_state, stack, np.sin((step + 1) * stack))
+        for state, param in zip(slice_states, slices):
+            adam_step(state, param, np.sin((step + 1) * param))
+    for t, (state, param) in enumerate(zip(slice_states, slices)):
+        assert stack[t].tobytes() == param.tobytes()
+        assert stack_state.first_moment[t].tobytes() == state.first_moment.tobytes()
+        assert stack_state.second_moment[t].tobytes() == state.second_moment.tobytes()
 
 
 def test_adam_on_one_flat_vector_equals_stepping_its_views():
-    # Parameters held as views of one vector step as a single entry to the
-    # same bits as the views stepped as separate entries.
+    # Parameters held as views of one vector step as one array to the same
+    # bits as each view stepped on its own.
     rng = np.random.default_rng(5)
     flat = rng.normal(size=4 * 15 + 4 * 5)
     views = {"w": flat[:60].reshape(4, 3, 5), "b": flat[60:].reshape(4, 5)}
     separate = {name: value.copy() for name, value in views.items()}
     flat_state = AdamState(learning_rate=1e-2, weight_decay=0.05)
-    separate_state = AdamState(learning_rate=1e-2, weight_decay=0.05)
+    separate_states = {name: AdamState(learning_rate=1e-2, weight_decay=0.05) for name in views}
     for step in range(5):
         gradient = np.sin((step + 1) * flat)
-        adam_step(flat_state, {"params": flat}, {"params": gradient})
-        adam_step(separate_state, separate, {"w": gradient[:60].reshape(4, 3, 5), "b": gradient[60:].reshape(4, 5)})
+        adam_step(flat_state, flat, gradient)
+        grads = {"w": gradient[:60].reshape(4, 3, 5), "b": gradient[60:].reshape(4, 5)}
+        for name, value in separate.items():
+            adam_step(separate_states[name], value, grads[name])
     for name, value in separate.items():
         assert views[name].tobytes() == value.tobytes()
 
@@ -240,31 +240,27 @@ def test_adam_matches_the_textbook_formula_over_200_steps():
     # reference forms m_hat and v_hat.  Gradient scales from 1e-10 to 1
     # put some entries where epsilon dominates the denominator.
     rng = np.random.default_rng(31)
-    params = {"w": rng.normal(size=(6, 32, 64)), "b": rng.normal(size=(6, 64))}
-    expected = {name: value.copy() for name, value in params.items()}
+    param = rng.normal(size=(6, 32, 64))
+    expected = param.copy()
     state = AdamState(learning_rate=1e-3, weight_decay=0.05)
     reference = AdamState(learning_rate=1e-3, weight_decay=0.05)
     for _ in range(200):
-        grads = {
-            name: rng.normal(size=value.shape) * 10.0 ** rng.uniform(-10, 0, size=value.shape)
-            for name, value in params.items()
-        }
-        adam_step(state, params, grads)
-        textbook_adam_step(reference, expected, grads)
+        grad = rng.normal(size=param.shape) * 10.0 ** rng.uniform(-10, 0, size=param.shape)
+        adam_step(state, param, grad)
+        textbook_adam_step(reference, expected, grad)
     assert state.step == reference.step == 200
     moments = [(state.first_moment, reference.first_moment), (state.second_moment, reference.second_moment)]
-    for got, want in [(params, expected), *moments]:
-        for name in want:
-            assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * np.max(np.abs(want[name])), name
+    for got, want in [(param, expected), *moments]:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_adam_rejects_a_non_finite_gradient_before_writing():
     state = AdamState(learning_rate=1e-2)
-    params = {"a": np.ones(3), "b": np.ones(2)}
+    param = np.ones(3)
     with pytest.raises(DomainError):
-        adam_step(state, params, {"a": np.ones(3), "b": np.array([1.0, np.nan])})
-    assert state.step == 0 and state.first_moment == {}
-    assert np.array_equal(params["a"], np.ones(3)) and np.array_equal(params["b"], np.ones(2))
+        adam_step(state, param, np.array([1.0, np.nan, 1.0]))
+    assert state.step == 0 and state.first_moment is None
+    assert np.array_equal(param, np.ones(3))
 
 
 def test_optimizer_shape_mismatch_rejected():
@@ -272,6 +268,10 @@ def test_optimizer_shape_mismatch_rejected():
         sgd_step({"p": np.zeros(3)}, {"p": np.zeros(4)}, 0.1, 0.0)
     with pytest.raises(ParameterError):
         sgd_step({"p": np.zeros(3)}, {"q": np.zeros(3)}, 0.1, 0.0)
+    state = AdamState(learning_rate=0.1)
+    with pytest.raises(ParameterError):
+        adam_step(state, np.zeros(3), np.zeros(4))
+    assert state.step == 0
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from fedstyle.prompts import (
     predict_unseen_batch,
 )
 from gradcheck import grad_check
-from references import per_call_domain_loss, per_call_global_loss
+from references import every_block_texts, per_call_domain_loss, per_call_global_loss, two_slot_probabilities
 from fedstyle.seeding import rng
 
 DIM = 8
@@ -82,7 +82,7 @@ def _classes(enc, ct, length=2):
 def _domain_loss(batch, dp, gp, enc, ct, own, temperature, want_grad=True):
     # domain_loss on a pass's constants prepared as run_protocol prepares
     # them; own=None leaves the contrastive term out
-    slot = None if gp is None else enc.pool_prefix([gp])
+    slot = None if gp is None else enc.pool_prefix(gp)
     anchors = None
     if own is not None:
         pooled = np.mean(gp, axis=-2)
@@ -260,7 +260,7 @@ def test_global_only_layout_matches_manual_tower():
     x = rng(5, "x").normal(size=DIM)
     probs = _predict_one(x, gp, None, None)
     # the domain slot is zeroed but still occupies its token positions
-    text = enc.encode_class_texts([gp, np.zeros_like(gp)], _classes(enc, ct))[0]
+    text = every_block_texts(enc, [gp, np.zeros_like(gp)], ct)[0]
     expected = _softmax(text @ (x / np.linalg.norm(x)), TAU)
     assert probs.shape == (3,)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -275,11 +275,9 @@ def test_one_prompt_stack_with_and_without_global():
     x = rng(6, "x").normal(size=DIM)
     xn = x / np.linalg.norm(x)
     both = _predict_one(x, gp, *_one_prompt(dp))
-    assert np.allclose(both, _softmax(enc.encode_class_texts([gp, dp], _classes(enc, ct))[0] @ xn, TAU))
+    assert np.allclose(both, _softmax(every_block_texts(enc, [gp, dp], ct)[0] @ xn, TAU))
     alone = _predict_one(x, None, *_one_prompt(dp))
-    assert np.allclose(
-        alone, _softmax(enc.encode_class_texts([np.zeros_like(dp), dp], _classes(enc, ct))[0] @ xn, TAU)
-    )
+    assert np.allclose(alone, _softmax(every_block_texts(enc, [np.zeros_like(dp), dp], ct)[0] @ xn, TAU))
 
 
 def test_class_token_position_is_stable_across_slot_usage():
@@ -342,6 +340,24 @@ def test_predict_unseen_batch_matches_per_sample(with_global, monkeypatch):
         batch = predict_unseen_batch(xs, gp, None, None, ct, enc, TAU)
         for i in range(7):
             assert np.allclose(batch[i], _predict_one(xs[i], gp, None, None), rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("layout", ["global-only", "domain-only", "both"])
+def test_prediction_gives_the_bits_of_pooling_both_slots_per_block(layout):
+    # 2,000 rows at the default sizes (d = 64, L = 4, 10 classes, 3 head
+    # domains): the global prompt encoded or pooled once per call and a zero
+    # slot skipped give the bits of pooling both slots for every block
+    enc = FrozenEncoder(EncoderConfig(dim=64, seed=3))
+    g = rng(42, "two-slot")
+    ct = g.normal(size=(10, 64)) * 0.05
+    xs = g.normal(size=(2000, 64))
+    gp = None if layout == "domain-only" else g.normal(size=(4, 64)) * 0.05
+    dps = clf = None
+    if layout != "global-only":
+        dps = g.normal(size=(3, 4, 64)) * 0.05
+        clf = DomainClassifier(g.normal(size=(3, 64)), g.normal(size=3) * 0.1)
+    got = predict_unseen_batch(xs, gp, dps, clf, ct, enc, TAU)
+    assert got.tobytes() == two_slot_probabilities(xs, gp, dps, clf, ct, enc, TAU).tobytes()
 
 
 def test_predict_rejects_degenerate_and_overfull():
@@ -413,7 +429,7 @@ def _global_oracle(batch, prompt, enc, ct, temperature):
     # same quantity rebuilt from the public scalar primitives
     total = 0.0
     for x, y in zip(batch.rows, batch.labels):
-        text = enc.encode_class_texts([prompt, np.zeros_like(prompt)], _classes(enc, ct, len(prompt)))[0]
+        text = every_block_texts(enc, [prompt, np.zeros_like(prompt)], ct)[0]
         probs = _softmax(text @ x, temperature)
         total += -math.log(max(probs[y], PROB_FLOOR))
     return total / len(batch)
@@ -461,7 +477,7 @@ def test_losses_reject_constants_prepared_for_another_layout():
     with pytest.raises(ParameterError, match="position 6, not 4"):
         global_loss(batch, prompt, enc, enc.class_term(ct, 6), TAU)
     # a global slot pooled for a stack of three clients
-    slot = enc.pool_prefix([np.ones((3, 2, DIM))])
+    slot = enc.pool_prefix(np.ones((3, 2, DIM)))
     with pytest.raises(ParameterError, match="pooled global slot"):
         domain_loss(batch, prompt, slot, enc, _classes(enc, ct), None, TAU)
 
@@ -498,7 +514,7 @@ def _domain_oracle(batch, dp, gp, enc, ct, own, temperature, use_contrastive):
     blocks = [gp if gp is not None else np.zeros_like(dp), dp]
     total = 0.0
     for x, y in zip(batch.rows, batch.labels):
-        text = enc.encode_class_texts(blocks, _classes(enc, ct, len(dp)))[0]
+        text = every_block_texts(enc, blocks, ct)[0]
         probs = _softmax(text @ x, temperature)
         total += -math.log(max(probs[y], PROB_FLOOR))
     cla = total / len(batch)
@@ -521,12 +537,14 @@ def test_domain_loss_matches_primitive_oracle(use_contrastive):
     gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 3, "g")
     dp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 3, "d")
     own = rng(3, "own").normal(size=DIM)
-    value, grad, parts = _domain_loss(batch, dp, gp, enc, ct, own if use_contrastive else None, TAU)
+    value, grad = _domain_loss(batch, dp, gp, enc, ct, own if use_contrastive else None, TAU)
     expected = _domain_oracle(batch, dp, gp, enc, ct, own, TAU, use_contrastive)
     assert value == pytest.approx(expected, rel=1e-12)
     assert grad.shape == dp.shape
-    assert ("contrastive" in parts) == use_contrastive
-    assert value == pytest.approx(sum(parts.values()), rel=1e-12)
+    # the contrastive term is the loss with anchors minus the loss without
+    classification, _ = _domain_loss(batch, dp, gp, enc, ct, None, TAU)
+    assert classification == pytest.approx(_domain_oracle(batch, dp, gp, enc, ct, own, TAU, False), rel=1e-12)
+    assert (value - classification > 0.0) == use_contrastive
 
 
 def test_domain_loss_without_global_prompt():
@@ -535,9 +553,9 @@ def test_domain_loss_without_global_prompt():
     ct = _class_tokens()
     batch = _batch()
     dp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 4, "d")
-    value, grad, parts = _domain_loss(batch, dp, None, enc, ct, None, TAU)
+    value, grad = _domain_loss(batch, dp, None, enc, ct, None, TAU)
     assert value == pytest.approx(_domain_oracle(batch, dp, None, enc, ct, None, TAU, False), rel=1e-12)
-    assert set(parts) == {"classification"}
+    assert grad.shape == dp.shape
 
 
 @pytest.mark.parametrize("use_contrastive,with_global", [(True, True), (False, True), (False, False)])
@@ -549,7 +567,7 @@ def test_domain_loss_gradient_matches_finite_differences(use_contrastive, with_g
     own = rng(5, "own").normal(size=DIM)
 
     def loss_fn(params):
-        value, grad, _ = _domain_loss(batch, params["prompt"], gp, enc, ct, own if use_contrastive else None, TAU)
+        value, grad = _domain_loss(batch, params["prompt"], gp, enc, ct, own if use_contrastive else None, TAU)
         return value, {"prompt": grad}
 
     report = grad_check(loss_fn, {"prompt": init_prompt(PromptConfig(length=2, **_INIT), DIM, 5, "d")})
@@ -569,7 +587,7 @@ def test_domain_loss_gradient_matches_finite_differences_above_the_norm_floor():
     assert np.linalg.norm(dp.mean(axis=0)) > 10 * CONTRAST_NORM_FLOOR
 
     def loss_fn(params):
-        value, grad, _ = _domain_loss(batch, params["prompt"], gp, enc, ct, own, TAU)
+        value, grad = _domain_loss(batch, params["prompt"], gp, enc, ct, own, TAU)
         return value, {"prompt": grad}
 
     report = grad_check(loss_fn, {"prompt": dp})
@@ -590,8 +608,10 @@ def test_contrastive_term_of_a_prompt_on_its_own_description():
     # pooled global prompt: cosines (1, 0), so the term is log(1 + e^-1)
     dp = np.tile(np.eye(DIM)[0], (2, 1))
     gp = np.tile(np.eye(DIM)[1], (2, 1))
-    _, _, parts = _domain_loss(_batch(), dp, gp, _encoder(), _class_tokens(), np.eye(DIM)[0], TAU)
-    assert parts["contrastive"] == pytest.approx(math.log(1.0 + math.exp(-1.0)), rel=1e-12)
+    enc, ct, batch = _encoder(), _class_tokens(), _batch()
+    with_term, _ = _domain_loss(batch, dp, gp, enc, ct, np.eye(DIM)[0], TAU)
+    without, _ = _domain_loss(batch, dp, gp, enc, ct, None, TAU)
+    assert with_term - without == pytest.approx(math.log(1.0 + math.exp(-1.0)), rel=1e-12)
 
 
 def test_contrastive_direction_continuous_at_floor():
@@ -604,8 +624,8 @@ def test_contrastive_direction_continuous_at_floor():
     base = rng(9, "dir").normal(size=(2, DIM))
     base = base / np.linalg.norm(base.mean(axis=0))
     eps = 1e-9
-    lo, _, _ = _domain_loss(batch, base * (CONTRAST_NORM_FLOOR - eps), gp, enc, ct, own, TAU, want_grad=False)
-    hi, _, _ = _domain_loss(batch, base * (CONTRAST_NORM_FLOOR + eps), gp, enc, ct, own, TAU, want_grad=False)
+    lo, _ = _domain_loss(batch, base * (CONTRAST_NORM_FLOOR - eps), gp, enc, ct, own, TAU, want_grad=False)
+    hi, _ = _domain_loss(batch, base * (CONTRAST_NORM_FLOOR + eps), gp, enc, ct, own, TAU, want_grad=False)
     assert lo == pytest.approx(hi, abs=1e-6)
 
 
@@ -618,8 +638,9 @@ def test_contrastive_at_zero_prompt_gives_indifference_and_finite_pull():
     batch = _batch()
     gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 10, "g")
     own = rng(10, "own").normal(size=DIM)
-    value, grad, parts = _domain_loss(batch, np.zeros((2, DIM)), gp, enc, ct, own, TAU)
-    assert parts["contrastive"] == pytest.approx(math.log(2.0))
+    value, grad = _domain_loss(batch, np.zeros((2, DIM)), gp, enc, ct, own, TAU)
+    without, _ = _domain_loss(batch, np.zeros((2, DIM)), gp, enc, ct, None, TAU)
+    assert value - without == pytest.approx(math.log(2.0))
     assert np.all(np.isfinite(grad))
 
 
@@ -635,7 +656,7 @@ def test_domain_prompt_norm_stays_bounded_from_zero_start():
     dp = np.zeros((2, DIM))
     rate = 1e-3
     for _ in range(50):
-        _, grad, _ = _domain_loss(batch, dp, gp, enc, ct, own, TAU)
+        _, grad = _domain_loss(batch, dp, gp, enc, ct, own, TAU)
         dp = dp - rate * grad
     assert np.linalg.norm(dp) < 1.0
 
@@ -706,7 +727,7 @@ def test_a_stacked_call_equals_one_call_per_client_bit_for_bit(loss):
         if loss == "global":
             return global_loss(batch, pick(gp), enc, _classes(enc, ct), TAU)
         if loss == "domain":
-            return _domain_loss(batch, pick(dp), pick(gp), enc, ct, pick(own), TAU)[:2]
+            return _domain_loss(batch, pick(dp), pick(gp), enc, ct, pick(own), TAU)
         return classifier_loss(batch, DomainClassifier(pick(heads.weight), pick(heads.bias)))
 
     for rows in (slice(0, 32), slice(32, 48)):
@@ -764,10 +785,10 @@ def _row_major_loss(loss, batch, params, enc, ct):
         return per_row.mean(axis=-1), {"weight": np.swapaxes(dlogits, -1, -2) @ xn, "bias": dlogits.sum(axis=-2)}
     gp, dp = params
     blocks, slot = ([gp, np.zeros_like(gp)], 0) if loss == "global" else ([gp, dp], 1)
-    text, state = enc.encode_class_texts(blocks, _classes(enc, ct, np.shape(gp)[-2]))
+    text, backward = every_block_texts(enc, blocks, ct)
     per_row, dlogits = _softmax_ce_rows((xn @ np.swapaxes(text, -1, -2)) / TAU, batch.labels)
     dtext = np.swapaxes(dlogits / (rows * TAU), -1, -2) @ xn
-    return per_row.mean(axis=-1), enc.encode_class_texts_backward(state, dtext)[slot]
+    return per_row.mean(axis=-1), backward(dtext)[slot]
 
 
 @pytest.mark.parametrize("loss", ["global", "domain", "classifier"])
@@ -790,7 +811,7 @@ def test_each_loss_matches_the_row_major_formula_on_a_default_size_batch(loss):
         if loss == "global":
             return global_loss(batch, gp, enc, _classes(enc, ct, 4), TAU)
         if loss == "domain":
-            return _domain_loss(batch, dp, gp, enc, ct, None, TAU)[:2]
+            return _domain_loss(batch, dp, gp, enc, ct, None, TAU)
         return classifier_loss(batch, head)
 
     value, grad = call(batch)
@@ -825,14 +846,14 @@ def test_prepared_losses_match_the_per_call_reference_bit_for_bit(rows, layout):
     own = g.normal(size=(k, dim))
     classes, tau = enc.class_term(ct, 2 * config.length), config.temperature
     frozen = None if layout == "domain-only" else gp
-    slot = None if frozen is None else enc.pool_prefix([frozen])
+    slot = None if frozen is None else enc.pool_prefix(frozen)
     anchors, own_raw = None, None
     if layout == "contrast":
         anchors = (prompts.contrast_anchor(own, "own"), prompts.contrast_anchor(gp.mean(axis=-2), "global"))
         own_raw = own
     for batch in (stack, stack.with_column_copy()):
         pairs = [(
-            domain_loss(batch, dp, slot, enc, classes, anchors, tau)[:2],
+            domain_loss(batch, dp, slot, enc, classes, anchors, tau),
             per_call_domain_loss(batch, dp, frozen, enc, ct, own_raw, tau),
         )]
         if frozen is not None:
