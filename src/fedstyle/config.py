@@ -94,10 +94,10 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"holdout must be -1 or a domain index below {self.world.domains}"
             )
-        if self.max_tokens < 2 * self.prompt.length + 2:
+        if self.max_tokens < 2 * self.prompt.length + 1:
             raise ConfigurationError(
-                "encoder.max_tokens must fit two prompt blocks plus description "
-                f"and class tokens: need at least {2 * self.prompt.length + 2}"
+                "encoder.max_tokens must fit two prompt blocks and a class token: "
+                f"need at least {2 * self.prompt.length + 1}"
             )
 
     @property

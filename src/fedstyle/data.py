@@ -71,6 +71,13 @@ class WorldSpec:
             raise ConfigurationError("shift_scale and token_scale must be positive")
 
 
+def require_labels(values: Array, count: int, what: str) -> None:
+    """``DataError`` naming ``what`` if any of ``values`` lies outside
+    [0, count): the range rule of every class and domain label."""
+    if np.any(values < 0) or np.any(values >= count):
+        raise DataError(f"{what} outside [0, {count})")
+
+
 @dataclass
 class LabeledEmbeddings:
     """Batch of embeddings with class and domain labels."""

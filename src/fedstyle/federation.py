@@ -2,10 +2,11 @@
 
 Stage one is entirely local: every client trains one style transform per
 other available domain description and pushes its own embeddings through
-them.  The train stack is allocated once training is done; the forward
-writes each client's copies straight into it after the client's local
-set, laid out as ``transform_jobs`` states, and each client's pool is
-normalized there once.  Nothing crosses the wire.
+them.  Its entry refuses a local-set class label outside [0, C) or domain
+label outside [0, K) before anything trains.  The train stack is allocated once training
+is done; the forward writes each client's copies straight into it after
+the client's local set, laid out as ``transform_jobs`` states, and the
+whole stack is normalized there in one pass.  Nothing crosses the wire.
 
 Stage two runs ``rounds`` federated rounds.  In each round every client
 starts from the adopted broadcast, refines it locally (the global prompt on
@@ -24,8 +25,8 @@ No per-client object outlives a round; client state is held as stacks.
 The run keeps ``shared``, the adopted broadcast keyed by wire name
 (``global_prompt``, ``head_weight``, ``head_bias``), and the domain
 prompts, the only state a client keeps across rounds, as one (K, L, d)
-stack in client order.  A round's working copy of the shared state stacks
-it once per client.
+stack in client order.  Every local step is SGD with decoupled decay,
+taken in place on each stacked array its loss gives a gradient for.
 
 Wire traffic is float32; per round and client the upload totals
 ``prompt_length * dim`` prompt parameters plus ``dim * K + K`` head
@@ -46,9 +47,8 @@ gives, once per run, a column copy (``UnitRows.with_column_copy``) that
 the class-major score products read faster; the copy is made only when
 ``batch_size`` is at least n, the one case in which a pass reads the local
 set whole.  Every other pass draws each client's shuffle from its own
-per-(round, client, epoch) stream and gathers all clients' rows with one
-``take`` per array; a drawn batch carries no copy, since a transposed
-gather costs more than the products save.  A stacked step
+per-(round, client, epoch) stream; a drawn batch carries no copy, since a
+transposed gather costs more than the products save.  A stacked step
 gives every client the bits it would get alone.  It makes exactly one
 ``global_loss``, ``domain_loss`` or ``classifier_loss`` call, with the
 batch first: the benchmark counts train samples by summing the length of
@@ -68,14 +68,15 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .data import TARGET_KEY, EvaluationSplit, LabeledEmbeddings
+from .data import TARGET_KEY, EvaluationSplit, require_labels
 from .encoder import FrozenEncoder
-from .errors import ConfigurationError, DataError, NonFiniteLossError, ProtocolError
+from .errors import ConfigurationError, NonFiniteLossError, ProtocolError
 from .numerics import Array, require_finite_fields, sgd_step
 from .prompts import (
     DomainClassifier,
     PromptConfig,
     UnitRows,
+    _normalized_rows,
     classifier_loss,
     contrast_anchor,
     domain_loss,
@@ -339,13 +340,13 @@ def run_stage_one(
     """Train per-target transforms locally and assemble the client pools.
 
     The local sets must share one non-empty length (``ConfigurationError``)
-    and carry domain labels in [0, K) (``DataError``), both checked before
-    anything trains.  All transforms train in one stacked
-    ``train_transform`` call (none without style transfer), and only then
-    is the train stack allocated, laid out as ``transform_jobs`` states.
-    Each client's pool, its local set and the copies the forward writes
-    after it, is normalized and validated there once, in place.  No message
-    is produced; stage one is upload-free by construction.
+    and carry class labels in [0, C) and domain labels in [0, K)
+    (``DataError``), all checked before anything trains.  All transforms
+    train in one stacked ``train_transform`` call (none without style
+    transfer), and only then is the train stack allocated, laid out as
+    ``transform_jobs`` states.  Once the local sets and the copies are in
+    it, every row is normalized and validated in one pass, in place.  No
+    message is produced; stage one is upload-free by construction.
     """
     lengths = sorted({len(local) for local in split.clients})
     if len(lengths) > 1:
@@ -353,10 +354,9 @@ def run_stage_one(
     n, k, dim = lengths[0], split.num_clients, encoder.config.dim
     if n == 0:
         raise ConfigurationError("client local sets are empty")
-    for local in split.clients:
-        if np.any(local.domains < 0) or np.any(local.domains >= k):
-            raise DataError(f"domain index outside [0, {k})")
-    classes = split.class_tokens.shape[0]
+    for i, local in enumerate(split.clients):
+        require_labels(local.labels, split.class_tokens.shape[0], f"client {i}: class label")
+        require_labels(local.domains, k, f"client {i}: domain index")
     transforms: dict[int, dict[int, TransformNetwork]] = {i: {} for i in range(k)}
     jobs = []
     if toggles.use_style_transfer:
@@ -374,9 +374,9 @@ def run_stage_one(
     domains[:, 1:] = np.reshape([job.target for job in jobs], (k, styled, 1))
     for i, local in enumerate(split.clients):
         rows[i, 0], labels[i], domains[i, 0] = local.embeddings, local.labels, local.domains
-        pool = train.select(i)
-        UnitRows.prepare(LabeledEmbeddings(pool.rows, pool.labels, pool.domains), classes, out=pool)
         log.info("client %d: %d local, %d augmented toward %s", i, n, n * styled, list(transforms[i]))
+    flat = train.rows.reshape(-1, dim)
+    _normalized_rows(flat, out=flat)
     head = train
     if toggles.include_target_description:
         # every client's TARGET_KEY block sits at the same rows
@@ -525,9 +525,9 @@ def run_protocol(
         column copy: transposing the gather would cost more than the scores
         save.  The n-row source is the one batch when ``batch_size`` is at
         least n, else it is cut into slices.  Each stacked batch takes one
-        ``step``, records its losses as ``<name>_loss`` and updates, in
-        ``params``, the arrays the step returned gradients for, at
-        ``<name>_lr`` decayed by the round."""
+        ``step``, records its losses as ``<name>_loss`` and steps, in
+        place, each array of ``params`` that the step returned a gradient
+        for, at ``<name>_lr`` decayed by the round."""
         nonlocal drawn
         rate = getattr(fed_config, f"{name}_lr") * fed_config.lr_decay**losses.round_index
         width = stack.labels.shape[1]
@@ -555,8 +555,8 @@ def run_protocol(
         for batch in batches:
             values, grads = step(batch, params)
             losses.add(f"{name}_loss", values, batch.labels.shape[-1])
-            trained = {key: params[key] for key in grads}
-            params.update(sgd_step(trained, grads, rate, fed_config.weight_decay))
+            for key, grad in grads.items():
+                sgd_step(params[key], grad, rate, fed_config.weight_decay)
 
     round_metrics: list[dict[str, float]] = []
     for round_index in range(fed_config.rounds):
@@ -600,7 +600,6 @@ def run_protocol(
             # local-set view would copy it
             for epoch in range(fed_config.domain_epochs):
                 local_pass("domain", domain_step, params, stage_one.train_pool, epoch, losses, n)
-            domain = params["domain_prompt"]
 
         metrics = {"round": float(round_index), **losses.means()}
         round_metrics.append(metrics)

@@ -2,18 +2,16 @@
 
 Two groups of things live here:
 
-* ``softmax_ce_cols``, the softmax cross-entropy over class-major
-  (..., C, B) logits, clamped before the log, that returns its logit
-  gradient alongside the loss.  Every training loss in the package ends
-  in it and writes the rest of its backward pass in closed form next to
-  its forward pass,
+* ``softmax``, the one softmax of the package, and ``softmax_ce_cols``,
+  the softmax cross-entropy over class-major (..., C, B) logits, clamped
+  before the log, that returns its logit gradient alongside the loss.
+  Every training loss in the package ends in it and writes the rest of
+  its backward pass in closed form next to its forward pass,
 * SGD and Adam, both with decoupled weight decay (the parameter shrinks
   by ``1 - lr * decay`` outside the gradient term), which reject
-  non-finite gradients.  SGD steps a dict of arrays and returns fresh
-  ones; Adam steps one array in place, with its bias corrections folded
-  into two scalars per step.  Both are elementwise, so one call steps a
-  whole stack of parameter sets, or every view of one flat vector, to
-  the bits of stepping each on its own.
+  non-finite gradients.  Each steps one array in place.  Both are
+  elementwise, so one call steps a whole stack of parameter sets, or
+  every view of one flat vector, to the bits of stepping each on its own.
 
 The finite-difference gradient checker that pins every closed-form
 gradient lives with the tests.
@@ -62,6 +60,15 @@ def require_finite_fields(config) -> None:
 # ---------------------------------------------------------------------------
 
 
+def softmax(logits: Array, axis: int) -> Array:
+    """Softmax of ``logits`` along ``axis``, in a fresh array: the max is
+    subtracted before the exponential, and each entry divided by the sum."""
+    p = logits - logits.max(axis=axis, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=axis, keepdims=True)
+    return p
+
+
 def softmax_ce_cols(logits: Array, labels: Array) -> tuple[Array, Array]:
     """Cross-entropy of the column softmax of class-major (..., C, B) logits.
 
@@ -88,10 +95,7 @@ def softmax_ce_cols(logits: Array, labels: Array) -> tuple[Array, Array]:
         raise ParameterError("softmax_ce_cols: no rows")
     if labels.min() < 0 or labels.max() >= classes:
         raise ParameterError("softmax_ce_cols: label out of range")
-    logits = np.ascontiguousarray(logits)  # so that p's flat view below writes into p
-    p = logits - logits.max(axis=-2, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-2, keepdims=True)
+    p = softmax(np.ascontiguousarray(logits), -2)  # contiguous, so that its flat view writes into it
     # flat index of entry (..., label, b) of the contiguous p
     stacked = labels.reshape(-1, rows)
     picked = stacked * rows + np.arange(rows)
@@ -107,21 +111,16 @@ def softmax_ce_cols(logits: Array, labels: Array) -> tuple[Array, Array]:
 # ---------------------------------------------------------------------------
 
 
-def sgd_step(
-    params: dict[str, Array], grads: dict[str, Array], learning_rate: float, weight_decay: float
-) -> dict[str, Array]:
-    """One gradient step with decoupled weight decay,
-    ``p * (1 - learning_rate * weight_decay) - learning_rate * g``; returns
-    a fresh parameter dict.  Zero decay multiplies by exactly 1.0, so it
-    leaves the plain step's bits."""
-    if set(params) != set(grads):
-        raise ParameterError(f"param/grad key mismatch: {sorted(params)} vs {sorted(grads)}")
-    for name in params:
-        if params[name].shape != grads[name].shape:
-            raise ParameterError(f"shape mismatch for {name}")
-        require_finite(grads[name], f"grad[{name}]")
-    decay = 1.0 - learning_rate * weight_decay
-    return {name: params[name] * decay - learning_rate * grads[name] for name in params}
+def sgd_step(param: Array, grad: Array, learning_rate: float, weight_decay: float) -> None:
+    """One gradient step with decoupled weight decay, in place:
+    ``param * (1 - learning_rate * weight_decay) - learning_rate * grad``.
+    Zero decay multiplies by exactly 1.0, so it leaves the plain step's
+    bits.  The gradient is checked before anything is written."""
+    if param.shape != grad.shape:
+        raise ParameterError(f"gradient shape {grad.shape} disagrees with parameter shape {param.shape}")
+    require_finite(grad, "grad")
+    param *= 1.0 - learning_rate * weight_decay
+    param -= learning_rate * grad
 
 
 # Adam's moment decay rates and denominator offset

@@ -53,12 +53,12 @@ copy when it carries one, which BLAS reads faster and to the same bits
 as the transposed rows it falls back to.  Gradients take the row-major
 rows, ``dlogits @ rows``, already the fast layout for that product.
 
-Every loss takes its batch as ``UnitRows``: each pool is normalized and
-validated once by ``UnitRows.prepare``, and a batch is a selection of its
-rows.  Every loss also takes a leading client axis on the batch and on its
-parameters, written once with ``...`` broadcasting: one call then steps a
-stack of clients, returns one loss per client, and gives each client the
-bits of a call of its own.
+Every loss takes its batch as ``UnitRows``, a selection of a pool whose
+rows stage one normalizes, and whose labels it checks, once; the losses
+read both as given.  Every loss also takes a leading client axis on the
+batch and on its parameters, written once with ``...`` broadcasting: one
+call then steps a stack of clients, returns one loss per client, and
+gives each client the bits of a call of its own.
 """
 
 from __future__ import annotations
@@ -67,10 +67,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledEmbeddings
 from .encoder import ClassTerm, FrozenEncoder
-from .errors import ConfigurationError, DataError, DomainError, ParameterError
-from .numerics import Array, as_f64, require_finite, require_finite_fields, softmax_ce_cols
+from .errors import ConfigurationError, DomainError, ParameterError
+from .numerics import Array, as_f64, require_finite, require_finite_fields, softmax, softmax_ce_cols
 from .seeding import rng
 
 
@@ -243,10 +242,7 @@ def predict_unseen_batch(
         if domain_prompts is not None:
             generated = _generated_prompts(rows, domain_prompts, classifier)
             text = encoder.encode_class_texts(generated, classes, length, prefix)[0]  # (n, C, d)
-        z = np.einsum("...cd,...d->...c", text, rows) / temperature
-        z -= z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        probs[start : start + len(rows)] = e / e.sum(axis=1, keepdims=True)
+        probs[start : start + len(rows)] = softmax(np.einsum("...cd,...d->...c", text, rows) / temperature, 1)
     return probs
 
 
@@ -255,9 +251,7 @@ def _generated_prompts(rows: Array, blocks: Array, classifier: DomainClassifier)
     blended with the softmax of the head's logits, accumulated in
     ascending k from zero, so one-hot weights give the selected prompt bit
     for bit."""
-    logits = classifier.logits(rows.T)  # (K, n)
-    e = np.exp(logits - logits.max(axis=0))
-    weights = e / e.sum(axis=0)
+    weights = softmax(classifier.logits(rows.T), 0)  # (K, n)
     generated = np.zeros((len(rows),) + blocks.shape[1:])
     for k in range(blocks.shape[0]):
         generated += weights[k][:, None, None] * blocks[k][None, :, :]
@@ -273,9 +267,8 @@ def _generated_prompts(rows: Array, blocks: Array, classifier: DomainClassifier)
 class UnitRows:
     """Unit-norm embedding rows with their class and domain labels.
 
-    The losses' batch type.  ``prepare`` normalizes and validates a pool
-    once; the losses then read its rows as they are, and batches are
-    selections of a prepared pool.  A stack of equal-sized batches, one
+    The losses' batch type.  The losses read its rows as they are, and
+    batches are selections of a pool normalized once.  A stack of equal-sized batches, one
     per client, carries a leading client axis on every array.
 
     ``column_copy``, when present, is a read-only C-contiguous (..., d, n)
@@ -293,27 +286,6 @@ class UnitRows:
     def __len__(self) -> int:
         """Row count, summed over the client axis of a stack."""
         return self.labels.size
-
-    @classmethod
-    def prepare(
-        cls, pool: LabeledEmbeddings, num_classes: int | None, num_domains: int | None = None, out=None
-    ) -> "UnitRows":
-        """Normalize ``pool`` once and validate it: every row finite and
-        nonzero (``DomainError``), class labels in [0, num_classes) and
-        domain labels in [0, num_domains) (``DataError``).  A count of None
-        skips its range check.  With ``out``, a writeable UnitRows of the
-        pool's shapes such as a client's slice of a stack, which may hold the
-        pool's own arrays, the result is written into it."""
-        checks = ((pool.labels, num_classes, "class label"), (pool.domains, num_domains, "domain index"))
-        for values, count, what in checks:
-            if count is not None and (np.any(values < 0) or np.any(values >= count)):
-                raise DataError(f"{what} outside [0, {count})")
-        if out is None:
-            return cls(_normalized_rows(pool.embeddings), pool.labels, pool.domains)
-        _normalized_rows(pool.embeddings, out.rows)
-        np.copyto(out.labels, pool.labels)
-        np.copyto(out.domains, pool.domains)
-        return out
 
     def select(self, index) -> "UnitRows":
         """The rows at ``index``, without a column copy: a view for a slice,

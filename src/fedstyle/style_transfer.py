@@ -17,8 +17,10 @@ direction degenerate on the very first step, which the loss treats as an
 error by contract.
 
 Directions with norm below ``DEGENERATE_NORM`` raise ``DomainError``.
-Both terms are batch means, so gradient scale does not depend on batch
-size.
+A class label picks its row's direction, so ``train_transform`` and
+``transfer_loss`` refuse one outside [0, C) with ``DataError`` before
+anything is computed.  Both terms are batch means, so gradient scale
+does not depend on batch size.
 
 ``train_transform`` trains every transform of a job list in lockstep.
 The T parameter sets are stacked along a leading axis, (T, h, d) for
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledEmbeddings
+from .data import LabeledEmbeddings, require_labels
 from .encoder import FrozenEncoder
 from .errors import ConfigurationError, DomainError, NonFiniteLossError, ParameterError
 from .numerics import AdamState, Array, adam_step, as_f64, require_finite_fields, softmax_ce_cols
@@ -240,8 +242,9 @@ def _stacked_objective(
     written into ``out`` (arrays shaped like ``params``) when given.  The
     (T, B, .) intermediates go to the buffers of ``work`` (``_workspaces``)
     when given.  A part with zero weight is skipped and reads 0, so its
-    constants may be None.  The parameters are the caller's to check; a
-    failed check here names the transform by its entry in ``pairs``.
+    constants may be None.  The parameters and the labels are the caller's
+    to check; a failed check here names the transform by its entry in
+    ``pairs``.
     """
     count, rows, dim = z.shape
     if rows == 0:
@@ -277,11 +280,7 @@ def _stacked_objective(
             raise _failure(DomainError, pairs, zero, "a moved embedding is the zero vector")
         cosines = class_text @ np.swapaxes(moved, 1, 2)  # (T, C, B)
         cosines /= norms[:, None, :]
-        try:
-            per_row, dlogits = softmax_ce_cols((1.0 / temperature) * cosines, labels)
-        except ParameterError as exc:
-            out_of_range = ((labels < 0) | (labels >= len(class_text))).any(axis=1)
-            raise _failure(ParameterError, pairs, out_of_range, str(exc)) from exc
+        per_row, dlogits = softmax_ce_cols((1.0 / temperature) * cosines, labels)
         cons = per_row.sum(axis=1) / rows
         dlogits *= (1.0 / temperature) * ((1.0 - alignment_weight) / rows)
         radial = np.einsum("tcb,tcb->tb", dlogits, cosines) / (norms * norms)
@@ -340,7 +339,9 @@ def transfer_loss(
     temperature: float,
     alignment_weight: float,
 ) -> float:
-    """alignment_weight * mean alignment + (1 - alignment_weight) * consistency."""
+    """alignment_weight * mean alignment + (1 - alignment_weight) * consistency.
+    A class label outside [0, C) is a ``DataError``."""
+    require_labels(batch.labels, len(class_tokens), "class label")
     directions = text_delta_directions(encoder, source_token, target_token, class_tokens)
     class_text = class_text_embeddings(encoder, class_tokens)
     return _objective(net, batch, directions, class_text, temperature, alignment_weight)[0]
@@ -397,7 +398,8 @@ def train_transform(
 
     The jobs' local sets must share one non-empty length, so that every
     transform takes the same batch sizes (``ConfigurationError``
-    otherwise).  Per epoch, each transform's seeded permutation of its local
+    otherwise), and carry class labels in [0, C) (``DataError`` naming the
+    job's pair).  Per epoch, each transform's seeded permutation of its local
     set is gathered once; each step then takes the next batch of every
     transform, runs one stacked forward and backward and one Adam step.
     Zero epochs returns the initialized networks untouched.  A failed check
@@ -412,6 +414,8 @@ def train_transform(
     n = lengths[0]
     if n == 0:
         raise ConfigurationError("cannot train a transform on an empty dataset")
+    for job in jobs:
+        require_labels(job.dataset.labels, len(class_tokens), f"transform {job.pair}: class label")
     dim = encoder.config.dim
     count = len(jobs)
     pairs = [job.pair for job in jobs]

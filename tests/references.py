@@ -23,10 +23,10 @@ pooled prefix and skips a zero slot; the tests hold the two to the bit.
 
 ``bank_then_prepare_pools`` assembles stage one's pools the way the
 package once did: a separate (T, n, d) bank of every job's copies, then
-one ``UnitRows.prepare`` per client for its local set and another for its
-block of copies.  ``run_stage_one`` writes the copies straight into the
-train stack and normalizes each client's pool in one call; the tests hold
-the two to the bit.
+per client one normalization of its local set and another of its block
+of copies.  ``run_stage_one`` writes the copies straight into the train
+stack and normalizes the whole stack in one call; the tests hold the two
+to the bit.  ``unit_batch`` is a labeled batch as the losses take it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import itertools
 
 import numpy as np
 
-from fedstyle.data import TARGET_KEY, LabeledEmbeddings
+from fedstyle.data import TARGET_KEY
 from fedstyle.errors import DomainError
 from fedstyle.numerics import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, as_f64, require_finite, softmax_ce_cols
 from fedstyle.prompts import CONTRAST_NORM_FLOOR, UnitRows, _dot, _normalized_rows
@@ -201,11 +201,17 @@ def per_call_domain_loss(batch, domain_prompt, global_prompt, encoder, class_tok
     return total + con[..., 0], dpooled[..., None, :] / np.shape(domain_prompt)[-2] + grad
 
 
+def unit_batch(batch):
+    """``UnitRows`` of a ``LabeledEmbeddings``: its rows normalized, its
+    labels and domains as they are."""
+    return UnitRows(_normalized_rows(batch.embeddings), batch.labels, batch.domains)
+
+
 def bank_then_prepare_pools(split, result, include_target_description):
     """(train, head) stacks of ``run_stage_one`` for the split's trained
-    transforms ``result``: the bank, then two preparations per client."""
+    transforms ``result``: the bank, then two normalizations per client."""
     k, (n, dim) = split.num_clients, split.clients[0].embeddings.shape
-    classes, jobs = split.class_tokens.shape[0], result.jobs
+    jobs = result.jobs
     copies, stop = np.empty((len(jobs), n, dim)), 0
     for _, run in itertools.groupby(jobs, key=lambda job: id(job.dataset)):
         start, stop = stop, stop + len(list(run))
@@ -216,13 +222,13 @@ def bank_then_prepare_pools(split, result, include_target_description):
     styled = len(jobs) // k
     labels = np.empty((k, n * (1 + styled)), dtype=np.int64)
     train = UnitRows(np.empty((k, n * (1 + styled), dim)), labels, np.empty_like(labels))
-    copy_domains = None if include_target_description else k
     for i, local in enumerate(split.clients):
         own = slice(i * styled, (i + 1) * styled)
-        keys = np.repeat([job.target for job in jobs[own]], n)
-        block = LabeledEmbeddings(copies[own].reshape(-1, dim), np.tile(local.labels, styled), keys)
-        UnitRows.prepare(local, classes, k, out=train.select(np.s_[i, :n]))
-        UnitRows.prepare(block, classes, copy_domains, out=train.select(np.s_[i, n:]))
+        _normalized_rows(local.embeddings, out=train.rows[i, :n])
+        _normalized_rows(copies[own].reshape(-1, dim), out=train.rows[i, n:])
+        train.labels[i] = np.tile(local.labels, 1 + styled)
+        train.domains[i, :n] = local.domains
+        train.domains[i, n:] = np.repeat([job.target for job in jobs[own]], n)
     head = train
     if include_target_description:
         head = train.select(np.s_[:, np.flatnonzero(train.domains[0] != TARGET_KEY)])

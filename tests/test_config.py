@@ -151,6 +151,16 @@ def test_config_dataclass_rejects_a_non_finite_float(cls, name, value):
         cls(**{name: value})
 
 
+@pytest.mark.parametrize("length", [1, 4])
+def test_max_tokens_must_fit_two_prompt_blocks_and_a_class_token(length):
+    # [global block, domain block, class token] is the longest sequence a
+    # run encodes, so 2L + 1 tokens are enough
+    prompt = {"prompt.length": str(length)}
+    assert build_config({**prompt, "encoder.max_tokens": str(2 * length + 1)}).max_tokens == 2 * length + 1
+    with pytest.raises(ConfigurationError, match=f"need at least {2 * length + 1}"):
+        build_config({**prompt, "encoder.max_tokens": str(2 * length)})
+
+
 def test_unknown_key_in_values_is_a_configuration_error():
     with pytest.raises(ConfigurationError):
         build_config({"world.colour": "3"})

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fedstyle import federation
-from fedstyle.config import build_config, variant_toggles
+from fedstyle.config import VARIANT_ORDER, build_config, variant_toggles
 from fedstyle.data import TARGET_KEY, WorldSpec, generate_world, leave_one_out
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
 from fedstyle.errors import ConfigurationError, DataError, DomainError, NonFiniteLossError, ProtocolError
@@ -36,7 +36,7 @@ from fedstyle.prompts import (
 from fedstyle.seeding import rng
 from fedstyle.style_transfer import TransferConfig, train_transform
 from fedstyle.wire import KIND_GLOBAL_UPLOAD, decode_message, encode_message, protocol_message
-from references import bank_then_prepare_pools
+from references import bank_then_prepare_pools, unit_batch
 
 # the round settings these tests were written for, pinned by keyword
 _ROUNDS = dict(
@@ -340,9 +340,9 @@ def test_stage_one_reads_the_held_out_domain_only_through_its_description(holdou
             seen, blind_seen = (getattr(getattr(run, name), part) for run in runs)
             assert seen.tobytes() == blind_seen.tobytes(), (name, part)
     local = {row.tobytes() for row in runs[1].local_set.rows.reshape(-1, 16)}
-    assert not local & {row.tobytes() for row in UnitRows.prepare(split.test_set, None).rows}
+    assert not local & {row.tobytes() for row in unit_batch(split.test_set).rows}
     # the local blocks are exactly the sources' unit rows
-    assert local == {row.tobytes() for client in split.clients for row in UnitRows.prepare(client, None).rows}
+    assert local == {row.tobytes() for client in split.clients for row in unit_batch(client).rows}
 
 
 def _rejected_by_stage_one(split, encoder, match, monkeypatch):
@@ -379,15 +379,18 @@ def test_empty_local_sets_are_rejected_before_any_message(monkeypatch):
     _rejected_by_stage_one(split, encoder, "empty", monkeypatch)
 
 
-@pytest.mark.parametrize("variant", ["full", "target-text", "dual-prompt"])
-def test_a_domain_label_out_of_range_is_rejected_before_stage_one_trains(monkeypatch, variant):
-    # a local-set domain label equal to K names no client, with or without
-    # target-styled copies (whose key lies outside [0, K) by design)
+@pytest.mark.parametrize("bad", ["class=-1", "class=C", "domain=K"])
+@pytest.mark.parametrize("variant", VARIANT_ORDER)
+def test_a_label_out_of_range_is_rejected_before_stage_one_trains(monkeypatch, variant, bad):
+    # a class label of -1 would steer its row by the last class's text
+    # direction and C by none; a domain label of K names no client, with or
+    # without target-styled copies (whose key lies outside [0, K) by design)
     world, encoder = _world()
     split = leave_one_out(world, 3)
-    bad = dataclasses.replace(split.clients[1], domains=split.clients[1].domains.copy())
-    bad.domains[5] = split.num_clients
-    split = dataclasses.replace(split, clients=[split.clients[0], bad, *split.clients[2:]])
+    part, value = {"class=-1": ("labels", -1), "class=C": ("labels", 3), "domain=K": ("domains", 3)}[bad]
+    client = dataclasses.replace(split.clients[1], **{part: getattr(split.clients[1], part).copy()})
+    getattr(client, part)[5] = value
+    split = dataclasses.replace(split, clients=[split.clients[0], client, *split.clients[2:]])
     calls = []
 
     def counted(*args, **kwargs):
@@ -395,7 +398,7 @@ def test_a_domain_label_out_of_range_is_rejected_before_stage_one_trains(monkeyp
         return train_transform(*args, **kwargs)
 
     monkeypatch.setattr(federation, "train_transform", counted)
-    with pytest.raises(DataError, match="domain index"):
+    with pytest.raises(DataError, match=f"client 1: {'class label' if part == 'labels' else 'domain index'}"):
         run_stage_one(split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, variant_toggles(variant), 0)
     assert calls == []
 

@@ -144,15 +144,16 @@ def test_softmax_ce_cols_validates():
 
 
 def test_sgd_step_oracle():
-    params = {"p": np.array([1.0, -2.0])}
-    grads = {"p": np.array([0.5, 0.5])}
-    out = sgd_step(params, grads, 0.1, 0.0)
-    assert np.array_equal(out["p"], np.array([0.95, -2.05]))
+    grad = np.array([0.5, 0.5])
+    param = np.array([1.0, -2.0])
+    sgd_step(param, grad, 0.1, 0.0)
+    assert np.array_equal(param, np.array([0.95, -2.05]))
     # decoupled decay, by hand: p * (1 - lr * wd) - lr * g with lr 0.1, wd 0.5
-    decayed = sgd_step(params, grads, 0.1, 0.5)
-    assert decayed["p"] == pytest.approx([1.0 * 0.95 - 0.05, -2.0 * 0.95 - 0.05], rel=1e-15)
-    # inputs untouched
-    assert np.array_equal(params["p"], np.array([1.0, -2.0]))
+    decayed = np.array([1.0, -2.0])
+    sgd_step(decayed, grad, 0.1, 0.5)
+    assert decayed == pytest.approx([1.0 * 0.95 - 0.05, -2.0 * 0.95 - 0.05], rel=1e-15)
+    # the gradient untouched
+    assert np.array_equal(grad, np.array([0.5, 0.5]))
 
 
 def test_adam_first_step_matches_scalar_oracle():
@@ -265,9 +266,7 @@ def test_adam_rejects_a_non_finite_gradient_before_writing():
 
 def test_optimizer_shape_mismatch_rejected():
     with pytest.raises(ParameterError):
-        sgd_step({"p": np.zeros(3)}, {"p": np.zeros(4)}, 0.1, 0.0)
-    with pytest.raises(ParameterError):
-        sgd_step({"p": np.zeros(3)}, {"q": np.zeros(3)}, 0.1, 0.0)
+        sgd_step(np.zeros(3), np.zeros(4), 0.1, 0.0)
     state = AdamState(learning_rate=0.1)
     with pytest.raises(ParameterError):
         adam_step(state, np.zeros(3), np.zeros(4))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from fedstyle.data import LabeledEmbeddings
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
-from fedstyle.errors import ConfigurationError, DataError, DomainError, ParameterError
+from fedstyle.errors import ConfigurationError, DomainError, ParameterError
 from fedstyle import prompts
 from fedstyle.numerics import PROB_FLOOR
 from fedstyle.prompts import (
@@ -32,7 +32,13 @@ from fedstyle.prompts import (
     predict_unseen_batch,
 )
 from gradcheck import grad_check
-from references import every_block_texts, per_call_domain_loss, per_call_global_loss, two_slot_probabilities
+from references import (
+    every_block_texts,
+    per_call_domain_loss,
+    per_call_global_loss,
+    two_slot_probabilities,
+    unit_batch,
+)
 from fedstyle.seeding import rng
 
 DIM = 8
@@ -66,8 +72,8 @@ def _raw_batch(n=6, classes=3, dim=DIM, seed=11, domains=2):
 
 
 def _batch(n=6, classes=3, dim=DIM, seed=11, domains=2):
-    # the losses' batch type, prepared as stage one prepares its pools
-    return UnitRows.prepare(_raw_batch(n, classes, dim, seed, domains), classes, domains)
+    # the losses' batch type: unit rows, as stage one normalizes its pools
+    return unit_batch(_raw_batch(n, classes, dim, seed, domains))
 
 
 def _class_tokens(classes=3, dim=DIM, seed=12):
@@ -466,8 +472,6 @@ def test_global_loss_input_validation():
         global_loss(_batch().select(np.s_[:0]), np.ones((2, DIM)), enc, ct, TAU)
     bad = _raw_batch()
     bad.labels[0] = 7
-    with pytest.raises(DataError):
-        UnitRows.prepare(bad, 3)
     with pytest.raises(ParameterError):
         global_loss(UnitRows(bad.embeddings, bad.labels, bad.domains), np.ones((2, DIM)), enc, ct, TAU)
 
@@ -492,15 +496,13 @@ _OUT_OF_RANGE = {
 
 @pytest.mark.parametrize("loss", sorted(_OUT_OF_RANGE))
 def test_every_loss_rejects_an_out_of_range_label_as_bad_data(loss):
-    # preparing the pool rejects the label as bad data; a batch that skipped
-    # preparation still fails in the cross-entropy kernel
+    # stage one refuses the label as bad data on entry; a batch that never
+    # passed through it still fails in the cross-entropy kernel
     bad = _raw_batch(classes=3, domains=2)
     if loss == "classifier":
         bad.domains[0] = 2
     else:
         bad.labels[0] = 3
-    with pytest.raises(DataError):
-        UnitRows.prepare(bad, 3, 2)
     with pytest.raises(ParameterError, match="label out of range"):
         _OUT_OF_RANGE[loss](UnitRows(bad.embeddings, bad.labels, bad.domains))
 
@@ -692,8 +694,6 @@ def test_classifier_loss_gradient_matches_finite_differences():
 def test_classifier_loss_rejects_out_of_range_domains():
     batch = _raw_batch(domains=2)
     batch.domains[0] = -1  # style-target entries must be filtered out upstream
-    with pytest.raises(DataError):
-        UnitRows.prepare(batch, None, 2)
     with pytest.raises(ParameterError):
         classifier_loss(UnitRows(batch.embeddings, batch.labels, batch.domains), DomainClassifier.init(2, DIM))
 

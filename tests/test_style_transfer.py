@@ -13,7 +13,7 @@ from fedstyle.data import LabeledEmbeddings, WorldSpec, generate_world, leave_on
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
 from fedstyle import style_transfer
 from fedstyle.data import TARGET_KEY
-from fedstyle.errors import ConfigurationError, DomainError, NonFiniteLossError, ParameterError
+from fedstyle.errors import ConfigurationError, DataError, DomainError, NonFiniteLossError, ParameterError
 from fedstyle.federation import run_stage_one, transform_jobs
 from fedstyle.style_transfer import (
     TransferConfig,
@@ -337,6 +337,40 @@ def test_train_transform_rejects_mixed_local_set_lengths():
     )
     with pytest.raises(ConfigurationError, match="lengths"):
         train_transform([_job(split, 0, 1), short], enc, split.class_tokens, TransferConfig(epochs=1, batch_size=16), 0.05, 0)
+
+
+# -1 would steer its row by the last class's text direction, and C by none
+_BAD_LABELS = pytest.mark.parametrize("label", [-1, 3], ids=["class=-1", "class=C"])
+_WEIGHTS = pytest.mark.parametrize("weight", [0.0, 0.5, 1.0])
+
+
+@_WEIGHTS
+@_BAD_LABELS
+def test_train_transform_rejects_a_class_label_out_of_range_before_a_step(monkeypatch, label, weight):
+    world, enc = _tiny_world()
+    split = leave_one_out(world, 2)
+    good, job = _job(split, 0, 1), _job(split, 1, 0)
+    labels = job.dataset.labels.copy()
+    labels[4] = label
+    dataset = LabeledEmbeddings(job.dataset.embeddings, labels, job.dataset.domains)
+    bad = TransformJob(dataset, job.source, job.target, job.source_token, job.target_token)
+    steps = []
+    monkeypatch.setattr(style_transfer, "adam_step", lambda *args: steps.append(args))
+    config = TransferConfig(alignment_weight=weight, epochs=1, batch_size=16)
+    with pytest.raises(DataError, match=r"transform 1->0: class label outside \[0, 3\)"):
+        train_transform([good, bad], enc, split.class_tokens, config, 0.05, 0)
+    assert steps == []
+
+
+@_WEIGHTS
+@_BAD_LABELS
+def test_transfer_loss_rejects_a_class_label_out_of_range(label, weight):
+    enc = FrozenEncoder(EncoderConfig(dim=DIM, max_tokens=6, seed=4))
+    rng = np.random.default_rng(3)
+    class_tokens, src, tgt = rng.normal(size=(3, DIM)) * 0.01, rng.normal(size=DIM) * 0.01, rng.normal(size=DIM) * 0.01
+    batch = _batch(rng.normal(size=(4, DIM)), [0, label, 2, 1])
+    with pytest.raises(DataError, match=r"class label outside \[0, 3\)"):
+        transfer_loss(_net_with(rng.normal(size=DIM) * 0.2), batch, enc, src, tgt, class_tokens, 0.5, weight)
 
 
 def test_stacked_step_names_the_pair_whose_loss_diverges(monkeypatch):
