@@ -2,11 +2,12 @@
 
 Stage one is entirely local: every client trains one style transform per
 other available domain description and pushes its own embeddings through
-them.  Its entry refuses a local-set class label outside [0, C) or domain
-label outside [0, K) before anything trains.  The train stack is allocated once training
-is done; the forward writes each client's copies straight into it after
-the client's local set, laid out as ``transform_jobs`` states, and the
-whole stack is normalized there in one pass.  Nothing crosses the wire.
+them.  Its entry refuses a local-set class label outside [0, C) or
+domain label outside [0, K) before anything trains.  The train stack is
+allocated once training is done; the forward writes each client's copies
+straight into it after the client's local set, laid out as
+``transform_jobs`` states, and each client's pool is normalized there in
+place.  Nothing crosses the wire.
 
 Stage two runs ``rounds`` federated rounds.  In each round every client
 starts from the adopted broadcast, refines it locally (the global prompt on
@@ -347,8 +348,8 @@ def run_stage_one(
     train in one stacked ``train_transform`` call (none without style
     transfer), and only then is the train stack allocated, laid out as
     ``transform_jobs`` states.  Once the local sets and the copies are in
-    it, every row is normalized and validated in one pass, in place.  No
-    message is produced; stage one is upload-free by construction.
+    it, each client's pool is normalized and validated there, in place.
+    No message is produced; stage one is upload-free by construction.
     """
     lengths = sorted({len(local) for local in split.clients})
     if len(lengths) > 1:
@@ -376,9 +377,10 @@ def run_stage_one(
     domains[:, 1:] = np.reshape([job.target for job in jobs], (k, styled, 1))
     for i, local in enumerate(split.clients):
         rows[i, 0], labels[i], domains[i, 0] = local.embeddings, local.labels, local.domains
+        # one client's (N, d) pool at a time: the norm's temporaries are one
+        # pool in size, not the stack's
+        _normalized_rows(train.rows[i], out=train.rows[i])
         log.info("client %d: %d local, %d augmented toward %s", i, n, n * styled, list(transforms[i]))
-    flat = train.rows.reshape(-1, dim)
-    _normalized_rows(flat, out=flat)
     head = train
     if toggles.include_target_description:
         # every client's TARGET_KEY block sits at the same rows

@@ -268,8 +268,9 @@ class UnitRows:
     """Unit-norm embedding rows with their class and domain labels.
 
     The losses' batch type.  The losses read its rows as they are, and
-    batches are selections of a pool normalized once.  A stack of equal-sized batches, one
-    per client, carries a leading client axis on every array.
+    batches are selections of a pool normalized once.  A stack of
+    equal-sized batches, one per client, carries a leading client axis on
+    every array.
 
     ``column_copy``, when present, is a read-only C-contiguous (..., d, n)
     copy of the rows, made once by ``with_column_copy`` for a set that is

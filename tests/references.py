@@ -25,8 +25,8 @@ pooled prefix and skips a zero slot; the tests hold the two to the bit.
 package once did: a separate (T, n, d) bank of every job's copies, then
 per client one normalization of its local set and another of its block
 of copies.  ``run_stage_one`` writes the copies straight into the train
-stack and normalizes the whole stack in one call; the tests hold the two
-to the bit.  ``unit_batch`` is a labeled batch as the losses take it.
+stack and normalizes each client's pool there in one call; the tests hold
+the two to the bit.  ``unit_batch`` is a labeled batch as the losses take it.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from fedstyle import federation
 from fedstyle.config import VARIANT_ORDER, build_config, variant_toggles
 from fedstyle.data import TARGET_KEY, WorldSpec, generate_world, leave_one_out
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
-from fedstyle.numerics import PROB_FLOOR
 from fedstyle.errors import ConfigurationError, DataError, DomainError, NonFiniteLossError, ProtocolError
 from fedstyle.federation import (
     FederationConfig,
@@ -24,6 +23,7 @@ from fedstyle.federation import (
     run_stage_one,
     transform_jobs,
 )
+from fedstyle.numerics import PROB_FLOOR
 from fedstyle.prompts import (
     DomainClassifier,
     PromptConfig,
@@ -389,7 +389,8 @@ def test_a_label_out_of_range_is_rejected_before_stage_one_trains(monkeypatch, v
     # without target-styled copies (whose key lies outside [0, K) by design)
     world, encoder = _world()
     split = leave_one_out(world, 3)
-    part, value = {"class=-1": ("labels", -1), "class=C": ("labels", 3), "domain=K": ("domains", 3)}[bad]
+    c, k = split.class_tokens.shape[0], split.num_clients
+    part, value = {"class=-1": ("labels", -1), "class=C": ("labels", c), "domain=K": ("domains", k)}[bad]
     client = dataclasses.replace(split.clients[1], **{part: getattr(split.clients[1], part).copy()})
     getattr(client, part)[5] = value
     split = dataclasses.replace(split, clients=[split.clients[0], client, *split.clients[2:]])

@@ -264,6 +264,13 @@ def test_adam_rejects_a_non_finite_gradient_before_writing():
     assert np.array_equal(param, np.ones(3))
 
 
+def test_sgd_rejects_a_non_finite_gradient_before_writing():
+    param = np.ones(3)
+    with pytest.raises(DomainError):
+        sgd_step(param, np.array([1.0, np.inf, 1.0]), 0.1, 0.5)
+    assert np.array_equal(param, np.ones(3))
+
+
 def test_optimizer_shape_mismatch_rejected():
     with pytest.raises(ParameterError):
         sgd_step(np.zeros(3), np.zeros(4), 0.1, 0.0)
