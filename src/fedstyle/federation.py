@@ -27,8 +27,9 @@ The run keeps ``shared``, the adopted broadcast keyed by wire name
 (``global_prompt``, ``head_weight``, ``head_bias``), and the domain
 prompts, the only state a client keeps across rounds, as one (K, L, d)
 stack in client order.  Every local step is SGD with decoupled decay,
-taken in place on each stacked array its loss gives a gradient for; the
-global prompt's gradient term is scaled to token units.
+taken in place on each stacked array its loss gives a gradient for, under
+one rule: both prompts' gradient terms are scaled to token units and the
+head's by the class path's 1 / T^2.
 
 Wire traffic is float32; per round and client the upload totals
 ``prompt_length * dim`` prompt parameters plus ``dim * K + K`` head
@@ -470,11 +471,16 @@ def run_protocol(
     # the run's constants, validated once: the class tokens' term after
     # both prompt slots, and the unit own-description rows
     classes = encoder.class_term(split.class_tokens, 2 * prompt_config.length)
-    # the global prompt steps in token units: its gradient term is scaled
-    # by s^2, the class tokens' mean squared norm, the same as storing it as
-    # s * u and stepping u; its gradient grows as 1 / s, and an unscaled
-    # first step at the default rate carries it to about 78 token norms
+    # one step rule, the factor on each array's gradient term: a prompt
+    # steps in token units, scaled by s^2, the class tokens' mean squared
+    # norm, the same as storing it as s * u and stepping u (its gradient
+    # grows as 1 / s, and an unscaled first step at the default rate
+    # carries the global prompt to about 78 token norms); the head takes
+    # 1 / T^2, the same as giving its logits the class path's scale 1 / T
     token_unit = float(np.mean(np.sum(split.class_tokens * split.class_tokens, axis=-1)))
+    head_unit = 1.0 / temperature**2
+    step_units = {"global_prompt": token_unit, "domain_prompt": token_unit,
+                  "head_weight": head_unit, "head_bias": head_unit}
     own = None
     if toggles.use_contrastive:
         own = contrast_anchor(
@@ -501,7 +507,6 @@ def run_protocol(
     # benchmark counts train samples from the length of that argument
     def global_step(batch, params):
         values, grad = global_loss(batch, params["global_prompt"], encoder, classes, temperature)
-        grad *= token_unit
         return values, {"global_prompt": grad}
 
     def head_step(batch, params):
@@ -537,7 +542,8 @@ def run_protocol(
         least n, else it is cut into slices.  Each stacked batch takes one
         ``step``, records its losses as ``<name>_loss`` and steps, in
         place, each array of ``params`` that the step returned a gradient
-        for, at ``<name>_lr`` decayed by the round."""
+        for, at ``<name>_lr`` decayed by the round, its gradient scaled
+        by the array's factor in ``step_units``."""
         nonlocal drawn
         rate = getattr(fed_config, f"{name}_lr") * fed_config.lr_decay**losses.round_index
         width = stack.labels.shape[1]
@@ -566,6 +572,7 @@ def run_protocol(
             values, grads = step(batch, params)
             losses.add(f"{name}_loss", values, batch.labels.shape[-1])
             for key, grad in grads.items():
+                grad *= step_units[key]
                 sgd_step(params[key], grad, rate, fed_config.weight_decay)
 
     round_metrics: list[dict[str, float]] = []

@@ -3,6 +3,7 @@ brute-force mean, wire-level fixed points, message accounting,
 post-broadcast bit-identity, and whole-run determinism."""
 
 import dataclasses
+import functools
 from collections import Counter
 
 import numpy as np
@@ -23,7 +24,7 @@ from fedstyle.federation import (
     run_stage_one,
     transform_jobs,
 )
-from fedstyle.numerics import PROB_FLOOR
+from fedstyle.numerics import PROB_FLOOR, softmax
 from fedstyle.prompts import (
     DomainClassifier,
     PromptConfig,
@@ -649,9 +650,10 @@ def test_trained_global_prompt_is_no_worse_than_zero_on_the_default_config(round
     assert np.all(trained <= untrained), (trained, untrained)
 
 
-def _held_out_nll(split, encoder, config, prompt):
+def _held_out_nll(split, encoder, config, prompt, domain_prompts=None, head=None):
     probs = predict_unseen_batch(
-        split.test_set.embeddings, prompt, None, None, split.class_tokens, encoder, config.prompt.temperature
+        split.test_set.embeddings, prompt, domain_prompts, head, split.class_tokens, encoder,
+        config.prompt.temperature,
     )
     return -np.mean(np.log(np.maximum(probs[np.arange(len(probs)), split.test_set.labels], PROB_FLOOR)))
 
@@ -661,6 +663,57 @@ def test_trained_global_prompt_lowers_the_held_out_nll_on_the_default_config(hol
     config, encoder, split, _, result = _default_global_only(holdout)
     zero = np.zeros_like(result.global_prompt)
     assert _held_out_nll(split, encoder, config, result.global_prompt) < _held_out_nll(split, encoder, config, zero)
+
+
+@functools.cache
+def _default_dual_prompt(holdout):
+    # dual-prompt at the package defaults, seed 0, with its stage-one stacks;
+    # built once per holdout for the domain-path gates below
+    config = build_config()
+    encoder = FrozenEncoder(config.encoder_config(0))
+    split = leave_one_out(generate_world(config.world_spec(0), encoder), holdout)
+    toggles, tau = variant_toggles("dual-prompt"), config.prompt.temperature
+    stage_one = run_stage_one(split, encoder, config.transfer, tau, toggles, 0)
+    result = run_protocol(stage_one, split, encoder, config.prompt, config.rounds, toggles, 0)
+    return config, encoder, split, stage_one, result
+
+
+@pytest.mark.parametrize("holdout", range(4))
+def test_trained_domain_prompts_are_no_worse_than_zero_on_the_default_config(holdout):
+    # each client's domain loss on its local set, against the last round's
+    # broadcast global prompt, with its collected domain prompt and with a
+    # zero one
+    config, encoder, split, stage_one, result = _default_dual_prompt(holdout)
+    classes = encoder.class_term(split.class_tokens, 2 * config.prompt.length)
+    k = split.num_clients
+    slot = encoder.pool_prefix(np.stack([result.global_prompt] * k))
+
+    def losses(prompts):
+        return domain_loss(
+            stage_one.local_set, prompts, slot, encoder, classes, None, config.prompt.temperature, False
+        )[0]
+
+    trained, untrained = losses(result.domain_prompts), losses(np.zeros_like(result.domain_prompts))
+    assert np.all(trained <= untrained), (trained, untrained)
+
+
+@pytest.mark.parametrize("holdout", range(4))
+def test_trained_dual_prompts_lower_the_held_out_nll_on_the_default_config(holdout):
+    config, encoder, split, _, result = _default_dual_prompt(holdout)
+    trained = _held_out_nll(split, encoder, config, result.global_prompt, result.domain_prompts, result.classifier)
+    assert trained < _held_out_nll(split, encoder, config, np.zeros_like(result.global_prompt))
+
+
+def test_the_domain_head_routes_the_held_out_rows_on_the_default_config():
+    # the mean largest blend weight over the test rows, averaged over the
+    # four holdouts, is clearly above the uniform blend's 1 / K
+    largest = []
+    for holdout in range(4):
+        _, _, split, _, result = _default_dual_prompt(holdout)
+        x = split.test_set.embeddings
+        x = x / np.linalg.norm(x, axis=1, keepdims=True)
+        largest.append(softmax(result.classifier.logits(x.T), 0).max(axis=0).mean())
+    assert np.mean(largest) > 1.0 / split.num_clients + 0.1, largest
 
 
 def test_default_cell_correct_counts_on_holdout_zero():
@@ -678,8 +731,7 @@ def test_default_cell_correct_counts_on_holdout_zero():
         accuracy = evaluate_accuracy(result, split, encoder, config.prompt, toggles)
         counts[variant] = round(accuracy * len(split.test_set))
     assert len(split.test_set) == 2000
-    # before the global prompt stepped in token units: 1,997, 1,996, 1,997, 1,980
-    assert counts == {"global-only": 1972, "domain-only": 1996, "dual-prompt": 1985, "full": 1989}
+    assert counts == {"global-only": 1972, "domain-only": 1964, "dual-prompt": 1972, "full": 1967}
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +749,10 @@ def _reference_protocol(stage_one, split, encoder, prompt_config, fed, seed):
     k, dim = split.num_clients, encoder.config.dim
     ct = encoder.class_term(split.class_tokens, 2 * prompt_config.length)
     tau, wd = prompt_config.temperature, fed.weight_decay
-    # the global prompt's gradient term in token units
+    # the step rule: both prompts' gradient terms in token units, the head's
+    # times 1 / T^2
     s2 = np.mean(np.sum(split.class_tokens * split.class_tokens, axis=-1))
+    h2 = 1.0 / tau**2
     shared = {"global_prompt": init_prompt(prompt_config, dim, seed, "global-prompt-init"),
               "head_weight": np.zeros((k, dim)), "head_bias": np.zeros(k)}
     domain = [init_prompt(prompt_config, dim, seed, "domain-prompt-init", i) for i in range(k)]
@@ -730,8 +784,8 @@ def _reference_protocol(stage_one, split, encoder, prompt_config, fed, seed):
                 for batch in draws("head-shuffle", client.head_pool, r, i, epoch, n):
                     value, grads = classifier_loss(batch, DomainClassifier(w, b))
                     head_adds.append((value, len(batch)))
-                    w = w * (1.0 - rates[1] * wd) - rates[1] * grads["weight"]
-                    b = b * (1.0 - rates[1] * wd) - rates[1] * grads["bias"]
+                    w = w * (1.0 - rates[1] * wd) - rates[1] * (grads["weight"] * h2)
+                    b = b * (1.0 - rates[1] * wd) - rates[1] * (grads["bias"] * h2)
             for value, rows in global_adds:
                 add("global_loss", value, rows)
             for value, rows in head_adds:
@@ -749,7 +803,7 @@ def _reference_protocol(stage_one, split, encoder, prompt_config, fed, seed):
                         batch, domain[i], encoder.pool_prefix(frozen), encoder, ct, anchors, tau
                     )
                     add("domain_loss", value, len(batch))
-                    domain[i] = domain[i] * (1.0 - rates[2] * wd) - rates[2] * grad
+                    domain[i] = domain[i] * (1.0 - rates[2] * wd) - rates[2] * (grad * s2)
         metrics.append({"round": float(r), **{kind: total / count for kind, (total, count) in sums.items()}})
     return shared, _on_the_wire(np.stack(domain)), metrics
 
