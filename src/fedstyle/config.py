@@ -39,17 +39,15 @@ from .federation import FederationConfig, MethodToggles
 from .prompts import PromptConfig
 from .style_transfer import TransferConfig
 
-# Ablation variants: which parts of the method run.  Toggle order:
-# (global prompt, domain prompt, contrastive, prompt generator,
-#  style transfer, target description).
+# Ablation variants: which parts of the method run, each given by the
+# toggles in which it differs from the full method.
 VARIANTS: dict[str, MethodToggles] = {
-    "global-only": MethodToggles(True, False, False, False, False, False),
-    "domain-only": MethodToggles(False, True, False, True, False, False),
-    "global-style": MethodToggles(True, False, False, False, True, False),
-    "dual-prompt": MethodToggles(True, True, True, True, False, False),
-    "no-contrast": MethodToggles(True, True, False, True, True, False),
-    "target-text": MethodToggles(True, True, True, True, True, True),
-    "full": MethodToggles(True, True, True, True, True, False),
+    "global-only": MethodToggles(use_domain_prompt=False, use_prompt_generator=False, use_style_transfer=False),
+    "domain-only": MethodToggles(use_global_prompt=False, use_style_transfer=False),
+    "global-style": MethodToggles(use_domain_prompt=False, use_prompt_generator=False),
+    "dual-prompt": MethodToggles(use_style_transfer=False),
+    "target-text": MethodToggles(include_target_description=True),
+    "full": MethodToggles(),
 }
 
 # Canonical ordering for "variants = all" and for ablation output files.

@@ -21,7 +21,7 @@ differentiated; the class tokens are validated and scaled for their
 position once by ``class_term``.  Positions left empty before the class
 token are a zero slot, which adds nothing and is not pooled.  A bare
 description or class name is the sequence with a one-token block or
-with none.  ``encode_text`` pools a single sequence.
+with none.  ``encode_text`` pools a single sequence; no run calls it.
 
 For token norms well inside tanh's linear regime the text tower is nearly
 additive in its tokens, which is what makes style directions in text space
@@ -199,7 +199,12 @@ class FrozenEncoder:
         return text, (saved, start, rows)
 
     def encode_text(self, tokens: Array) -> Array:
-        """Encode one sequence of (m, d) tokens, given in position order."""
+        """Encode one sequence of (m, d) tokens, given in position order.
+
+        No run calls it.  It stays as the single-sequence definition that
+        the tests hold the batched forward to, and because fdgbench's
+        tracing names it as a span and its tests require every named span
+        to exist."""
         t = require_finite(as_f64(tokens), "tokens")
         if t.ndim != 2 or not 1 <= t.shape[0] <= self.config.max_tokens:
             raise ParameterError(f"need 1 to {self.config.max_tokens} tokens as (m, d), got {t.shape}")

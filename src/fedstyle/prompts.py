@@ -31,14 +31,9 @@ one-prompt stack holding the selected prompt.  It scores rows in fixed
 blocks, so its per-row class-text arrays stay one block in size however
 large the test set.
 
-The contrastive term keeps a domain prompt's pooled direction close to its
-own domain description and away from the pooled global prompt: a two-way
-softmax over the two cosines with the own-description slot as the target.
-
 Constants are prepared once and read-only where they become fixed: the
 class term (``FrozenEncoder.class_term`` at position 2L, after both
-slots), the frozen global slot pooled (``FrozenEncoder.pool_prefix``) and
-the contrast's unit anchors (``contrast_anchor``).
+slots) and the frozen global slot pooled (``FrozenEncoder.pool_prefix``).
 
 All losses return means over their batch.  Each writes its gradient in
 closed form next to its forward pass: the cross-entropy kernel supplies
@@ -139,30 +134,6 @@ class DomainClassifier:
         logits = self.weight @ columns
         logits += self.bias[..., :, None]
         return logits
-
-
-def _dot(a: Array, b: Array) -> Array:
-    """Dot products over the last axis, one per leading index.
-
-    Each is a vector-vector matmul, the same BLAS dot that ``a @ b`` and
-    ``np.linalg.norm`` use on 1-D vectors, so a stacked call gives every
-    client the bits it would get alone.
-    """
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def contrast_anchor(x: Array, what: str) -> Array:
-    """``x`` scaled to unit length over its last axis and made read-only:
-    an anchor of the contrastive term, normalized once where it becomes
-    fixed.  A zero or non-finite vector raises ``DomainError`` naming
-    ``what``."""
-    v = require_finite(as_f64(x), what)
-    n = np.sqrt(_dot(v, v))[..., None]
-    if np.any(n == 0.0):
-        raise DomainError(f"{what} is the zero vector")
-    unit = v / n
-    unit.flags.writeable = False
-    return unit
 
 
 # ---------------------------------------------------------------------------
@@ -385,76 +356,34 @@ def global_loss(
     return _per_client(loss), grad
 
 
-# Below this pooled-prompt norm the contrastive term reads the direction
-# through the linear ramp pooled / floor instead of exact normalization.
-# The two agree at the boundary, and the ramp bounds the term's gradient by
-# 1 / floor, so a prompt growing from zero feels a steady orienting pull
-# where exact normalization would give arbitrarily small prompts an
-# unbounded 1 / norm kick that no learning rate can contain.
-CONTRAST_NORM_FLOOR = 0.1
-
-
-def _contrast_forward(domain_prompt: Array, own: Array, anchor: Array) -> tuple[Array, tuple]:
-    """Similarities (..., 2) of the pooled domain-prompt direction to the
-    unit ``own`` description and to the unit pooled-global ``anchor``,
-    plus what the backward pass reads."""
-    pooled = as_f64(domain_prompt).mean(axis=-2)
-    norm = np.sqrt(_dot(pooled, pooled))[..., None]
-    exact = norm >= CONTRAST_NORM_FLOOR
-    direction = np.where(exact, pooled / np.where(exact, norm, 1.0), (1.0 / CONTRAST_NORM_FLOOR) * pooled)
-    sims = np.stack([_dot(direction, own), _dot(direction, anchor)], axis=-1)
-    return sims, (direction, norm, exact)
-
-
 def domain_loss(
     batch: UnitRows,
     domain_prompt: Array,
     global_slot: Array | None,
     encoder: FrozenEncoder,
     classes: ClassTerm,
-    anchors: tuple[Array, Array] | None,
     temperature: float,
     want_grad: bool = True,
 ) -> tuple[float | Array, Array | None]:
-    """Local domain-prompt objective: classification plus optional contrast.
+    """Mean cross-entropy of the domain-prompt path over a batch.
 
     The global prompt is a frozen constant here, prepared once per pass:
     ``global_slot`` is its slot pooled by ``encoder.pool_prefix`` (None in
-    the domain-only layout, whose zero global slot is not pooled), and
-    ``anchors``, the contrastive term's (own description, pooled global
-    prompt) pair of ``contrast_anchor`` vectors, or None to leave the term
-    out.  ``classes`` is the class term of ``global_loss``.  Gradients flow
-    only into the domain prompt.  Returns (total, grad).  With a leading
-    client axis on the batch, on the (K, L, d) prompt, on the (K, d) slot
-    and on the (K, d) anchors, every value is per client: (K,) losses and
-    (K, L, d) gradients.
+    the domain-only layout, whose zero global slot is not pooled).
+    ``classes`` is the class term of ``global_loss``.  Gradients flow only
+    into the domain prompt.  With a leading client axis on the batch, on
+    the (K, L, d) prompt and on the (K, d) slot, returns the (K,) losses
+    and the (K, L, d) gradients.
     """
     if len(batch) == 0:
         raise ParameterError("empty batch")
-    if anchors is not None and global_slot is None:
-        raise ConfigurationError("the contrastive term needs the global prompt")
     shape = np.shape(domain_prompt)
     if global_slot is not None and global_slot.shape != shape[:-2] + shape[-1:]:
         raise ParameterError(f"pooled global slot {global_slot.shape} disagrees with the domain prompt {shape}")
-    total, grad = _classification(
+    loss, grad = _classification(
         batch, domain_prompt, shape[-2], global_slot, encoder, classes, temperature, want_grad
     )
-    if anchors is not None:
-        # two-way softmax cross-entropy with the own description as target
-        own, anchor = anchors
-        sims, (direction, norm, exact) = _contrast_forward(domain_prompt, own, anchor)
-        con, dsims = softmax_ce_cols(sims[..., :, None], np.zeros(sims.shape[:-1] + (1,), dtype=np.int64))
-        total = total + con[..., 0]
-        if want_grad:
-            ddirection = dsims[..., 0:1, 0] * own + dsims[..., 1:2, 0] * anchor
-            along = direction * _dot(direction, ddirection)[..., None]
-            dpooled = np.where(
-                exact,
-                (ddirection - along) / np.where(exact, norm, 1.0),
-                (1.0 / CONTRAST_NORM_FLOOR) * ddirection,
-            )
-            grad = dpooled[..., None, :] / shape[-2] + grad
-    return _per_client(total), grad
+    return _per_client(loss), grad
 
 
 def classifier_loss(

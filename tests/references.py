@@ -14,10 +14,10 @@ substitute them for ``style_transfer._stacked_objective`` and
 block from position 0 on the call, a zero block included, and
 differentiates each block.  ``per_call_global_loss`` and
 ``per_call_domain_loss`` are the stage-two losses formulated on it: they
-validate and scale the raw class tokens, pool both slots of [global slot,
-domain slot, class token] and normalize both contrast anchors on each
-call.  ``two_slot_probabilities`` is prediction formulated on it: every
-256-row block pools [global prompt or zero, generated prompt or zero].
+validate and scale the raw class tokens and pool both slots of [global
+slot, domain slot, class token] on each call.  ``two_slot_probabilities``
+is prediction formulated on it: every 256-row block pools [global prompt
+or zero, generated prompt or zero].
 The package prepares those constants once, encodes one block after a
 pooled prefix and skips a zero slot; the tests hold the two to the bit.
 
@@ -36,9 +36,8 @@ import itertools
 import numpy as np
 
 from fedstyle.data import TARGET_KEY
-from fedstyle.errors import DomainError
 from fedstyle.numerics import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, as_f64, require_finite, softmax_ce_cols
-from fedstyle.prompts import CONTRAST_NORM_FLOOR, UnitRows, _dot, _normalized_rows
+from fedstyle.prompts import UnitRows, _normalized_rows
 from fedstyle.style_transfer import _row_dots, _transform_forward
 
 
@@ -160,14 +159,6 @@ def two_slot_probabilities(embeddings, global_prompt, domain_prompts, classifier
     return probs
 
 
-def _per_call_unit(x, what):
-    v = require_finite(as_f64(x), what)
-    n = np.sqrt(_dot(v, v))[..., None]
-    if np.any(n == 0.0):
-        raise DomainError(f"{what} is the zero vector")
-    return v / n
-
-
 def per_call_global_loss(batch, global_prompt, encoder, class_tokens, temperature):
     """(losses, grads) of ``global_loss`` with a pooled zero domain slot."""
     return _per_call_classification(
@@ -175,30 +166,11 @@ def per_call_global_loss(batch, global_prompt, encoder, class_tokens, temperatur
     )
 
 
-def per_call_domain_loss(batch, domain_prompt, global_prompt, encoder, class_tokens, own_description, temperature):
-    """(totals, grads) of ``domain_loss`` from the raw global prompt (None:
-    a pooled zero slot) and the raw own description (None: no contrastive
-    term), both anchors normalized on the call."""
+def per_call_domain_loss(batch, domain_prompt, global_prompt, encoder, class_tokens, temperature):
+    """(losses, grads) of ``domain_loss`` from the raw global prompt (None:
+    a pooled zero slot)."""
     global_slot = np.zeros(np.shape(domain_prompt)) if global_prompt is None else global_prompt
-    total, grad = _per_call_classification(
-        batch, [global_slot, domain_prompt], 1, encoder, class_tokens, temperature
-    )
-    if own_description is None:
-        return total, grad
-    pooled = as_f64(domain_prompt).mean(axis=-2)
-    norm = np.sqrt(_dot(pooled, pooled))[..., None]
-    exact = norm >= CONTRAST_NORM_FLOOR
-    direction = np.where(exact, pooled / np.where(exact, norm, 1.0), (1.0 / CONTRAST_NORM_FLOOR) * pooled)
-    own = _per_call_unit(own_description, "own description embedding")
-    anchor = _per_call_unit(as_f64(global_prompt).mean(axis=-2), "pooled global prompt")
-    sims = np.stack([_dot(direction, own), _dot(direction, anchor)], axis=-1)
-    con, dsims = softmax_ce_cols(sims[..., :, None], np.zeros(sims.shape[:-1] + (1,), dtype=np.int64))
-    ddirection = dsims[..., 0:1, 0] * own + dsims[..., 1:2, 0] * anchor
-    along = direction * _dot(direction, ddirection)[..., None]
-    dpooled = np.where(
-        exact, (ddirection - along) / np.where(exact, norm, 1.0), (1.0 / CONTRAST_NORM_FLOOR) * ddirection
-    )
-    return total + con[..., 0], dpooled[..., None, :] / np.shape(domain_prompt)[-2] + grad
+    return _per_call_classification(batch, [global_slot, domain_prompt], 1, encoder, class_tokens, temperature)
 
 
 def unit_batch(batch):

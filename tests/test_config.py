@@ -5,12 +5,15 @@ hyperparameters are the package defaults."""
 
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
+import fedstyle
 from fdgbench import workloads
 from fedstyle.config import (
     VARIANT_ORDER,
+    VARIANTS,
     _KEYS,
     build_config,
     load_config,
@@ -20,7 +23,7 @@ from fedstyle.config import (
 from fedstyle.data import WorldSpec
 from fedstyle.encoder import EncoderConfig
 from fedstyle.errors import ConfigurationError
-from fedstyle.federation import FederationConfig
+from fedstyle.federation import FederationConfig, MethodToggles
 from fedstyle.prompts import PromptConfig
 from fedstyle.style_transfer import TransferConfig
 
@@ -57,6 +60,20 @@ def test_empty_text_is_the_default_experiment():
     assert config == build_config()
     assert config.seeds == (0, 1, 2)
     assert config.variants == VARIANT_ORDER
+
+
+def test_no_two_variants_agree_on_every_toggle_the_package_reads():
+    # a toggle is read where some module of the package names it as an
+    # attribute; a deleted component leaves its toggle unread, and two
+    # variants that differed only there would run one method twice
+    sources = "".join(path.read_text() for path in Path(fedstyle.__file__).parent.glob("*.py"))
+    read = [f.name for f in dataclasses.fields(MethodToggles) if f".{f.name}" in sources]
+    assert {"use_global_prompt", "use_domain_prompt", "use_style_transfer"} <= set(read)
+    seen = {}
+    for name, toggles in VARIANTS.items():
+        key = tuple(getattr(toggles, field) for field in read)
+        assert key not in seen, f"{name} runs as {seen[key]}"
+        seen[key] = name
 
 
 def test_benchmark_pins_the_package_defaults():

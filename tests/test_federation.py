@@ -30,7 +30,6 @@ from fedstyle.prompts import (
     PromptConfig,
     UnitRows,
     classifier_loss,
-    contrast_anchor,
     domain_loss,
     global_loss,
     init_prompt,
@@ -182,19 +181,16 @@ def test_wire_level_fixed_point_round_trip():
 
 def test_toggle_validation():
     with pytest.raises(ConfigurationError):
-        MethodToggles(use_global_prompt=False, use_domain_prompt=False,
-                      use_contrastive=False, use_prompt_generator=False)
+        MethodToggles(use_global_prompt=False, use_domain_prompt=False, use_prompt_generator=False)
     with pytest.raises(ConfigurationError):
-        MethodToggles(use_domain_prompt=False, use_prompt_generator=True, use_contrastive=False)
+        MethodToggles(use_domain_prompt=False, use_prompt_generator=True)
     with pytest.raises(ConfigurationError):
-        MethodToggles(use_domain_prompt=True, use_prompt_generator=False, use_contrastive=False)
-    with pytest.raises(ConfigurationError):
-        MethodToggles(use_global_prompt=False, use_contrastive=True)
+        MethodToggles(use_domain_prompt=True, use_prompt_generator=False)
     with pytest.raises(ConfigurationError):
         MethodToggles(include_target_description=True, use_style_transfer=False)
     # the documented presets are representable
-    MethodToggles(use_domain_prompt=False, use_prompt_generator=False, use_contrastive=False)
-    MethodToggles(use_global_prompt=False, use_contrastive=False)
+    MethodToggles(use_domain_prompt=False, use_prompt_generator=False)
+    MethodToggles(use_global_prompt=False)
 
 
 def test_federation_config_validation():
@@ -553,10 +549,7 @@ def test_protocol_round_metrics_track_enabled_losses():
 
 
 def test_protocol_global_only_variant():
-    toggles = MethodToggles(
-        use_domain_prompt=False, use_prompt_generator=False, use_contrastive=False,
-        use_style_transfer=False,
-    )
+    toggles = MethodToggles(use_domain_prompt=False, use_prompt_generator=False, use_style_transfer=False)
     # noisy enough that the held-out accuracy sits between chance and one
     result, split, encoder = _small_run(toggles=toggles, noise=1.0)
     assert result.domain_prompts is None
@@ -573,9 +566,7 @@ def test_protocol_global_only_variant():
 
 
 def test_protocol_domain_only_variant():
-    toggles = MethodToggles(
-        use_global_prompt=False, use_contrastive=False, use_style_transfer=False,
-    )
+    toggles = MethodToggles(use_global_prompt=False, use_style_transfer=False)
     result, split, encoder = _small_run(toggles=toggles, noise=1.0)
     assert result.global_prompt is None
     assert result.classifier is not None
@@ -689,9 +680,7 @@ def test_trained_domain_prompts_are_no_worse_than_zero_on_the_default_config(hol
     slot = encoder.pool_prefix(np.stack([result.global_prompt] * k))
 
     def losses(prompts):
-        return domain_loss(
-            stage_one.local_set, prompts, slot, encoder, classes, None, config.prompt.temperature, False
-        )[0]
+        return domain_loss(stage_one.local_set, prompts, slot, encoder, classes, config.prompt.temperature, False)[0]
 
     trained, untrained = losses(result.domain_prompts), losses(np.zeros_like(result.domain_prompts))
     assert np.all(trained <= untrained), (trained, untrained)
@@ -756,7 +745,6 @@ def _reference_protocol(stage_one, split, encoder, prompt_config, fed, seed):
     shared = {"global_prompt": init_prompt(prompt_config, dim, seed, "global-prompt-init"),
               "head_weight": np.zeros((k, dim)), "head_bias": np.zeros(k)}
     domain = [init_prompt(prompt_config, dim, seed, "domain-prompt-init", i) for i in range(k)]
-    own = [encoder.encode_text(token[None, :]) for token in split.source_domain_tokens]
     metrics = []
 
     def draws(tag, pool, r, i, epoch, n):
@@ -797,11 +785,8 @@ def _reference_protocol(stage_one, split, encoder, prompt_config, fed, seed):
         for i, client in enumerate(stage_one.clients):
             for epoch in range(fed.domain_epochs):
                 for batch in draws("domain-shuffle", client.local_set, r, i, epoch, len(client.local_set)):
-                    frozen = shared["global_prompt"]
-                    anchors = (contrast_anchor(own[i], "own"), contrast_anchor(frozen.mean(axis=0), "global"))
-                    value, grad = domain_loss(
-                        batch, domain[i], encoder.pool_prefix(frozen), encoder, ct, anchors, tau
-                    )
+                    slot = encoder.pool_prefix(shared["global_prompt"])
+                    value, grad = domain_loss(batch, domain[i], slot, encoder, ct, tau)
                     add("domain_loss", value, len(batch))
                     domain[i] = domain[i] * (1.0 - rates[2] * wd) - rates[2] * (grad * s2)
         metrics.append({"round": float(r), **{kind: total / count for kind, (total, count) in sums.items()}})
@@ -890,27 +875,14 @@ def _protocol_inputs():
     return stage_one, split, encoder, prompt_config, FederationConfig(**dict(_ROUNDS, rounds=2)), toggles
 
 
-@pytest.mark.parametrize("bad", ["class token", "own description"])
-def test_a_bad_run_constant_fails_before_the_first_step(monkeypatch, bad):
+def test_a_bad_run_constant_fails_before_the_first_step(monkeypatch):
     stage_one, split, encoder, prompt_config, fed, toggles = _protocol_inputs()
-    if bad == "class token":
-        tokens = split.class_tokens.copy()
-        tokens[1, 2] = np.nan
-        split = dataclasses.replace(split, class_tokens=tokens)
-        match = "class_tokens contains a non-finite entry"
-    else:
-        # the second client's description embeds to the zero vector
-        encode, seen = encoder.encode_text, []
-
-        def zero_second(tokens):
-            seen.append(tokens)
-            return encode(tokens) * (0.0 if len(seen) == 2 else 1.0)
-
-        monkeypatch.setattr(encoder, "encode_text", zero_second)
-        match = "own description embedding is the zero vector"
+    tokens = split.class_tokens.copy()
+    tokens[1, 2] = np.nan
+    split = dataclasses.replace(split, class_tokens=tokens)
     steps = []
     monkeypatch.setattr(federation, "global_loss", lambda *args, **kwargs: steps.append(args))
-    with pytest.raises(DomainError, match=match):
+    with pytest.raises(DomainError, match="class_tokens contains a non-finite entry"):
         run_protocol(stage_one, split, encoder, prompt_config, fed, toggles, 0)
     assert steps == []
 
@@ -926,8 +898,8 @@ def test_every_prepared_constant_is_read_only(monkeypatch):
             if name == "global_loss":
                 constants.append(args[2].scaled)  # the class term
             else:
-                _, slot, _, classes, anchors, _ = args
-                constants.extend([slot, classes.scaled, *anchors])
+                _, slot, _, classes, _ = args
+                constants.extend([slot, classes.scaled])
             return loss(batch, *args, **kwargs)
 
         return traced
@@ -935,8 +907,8 @@ def test_every_prepared_constant_is_read_only(monkeypatch):
     for name in ("global_loss", "domain_loss"):
         monkeypatch.setattr(federation, name, spy(name))
     run_protocol(stage_one, split, encoder, prompt_config, fed, toggles, 0)
-    # per round: one global step, then one domain step with four constants
-    assert len(constants) == fed.rounds * 5
+    # per round: one global step, then one domain step with two constants
+    assert len(constants) == fed.rounds * 3
     for constant in constants:
         with pytest.raises(ValueError, match="read-only"):
             constant[0] = 1.0

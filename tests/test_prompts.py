@@ -21,7 +21,6 @@ from fedstyle.errors import ConfigurationError, DomainError, ParameterError
 from fedstyle import prompts
 from fedstyle.numerics import PROB_FLOOR
 from fedstyle.prompts import (
-    CONTRAST_NORM_FLOOR,
     DomainClassifier,
     PromptConfig,
     UnitRows,
@@ -85,15 +84,10 @@ def _classes(enc, ct, length=2):
     return enc.class_term(ct, 2 * length)
 
 
-def _domain_loss(batch, dp, gp, enc, ct, own, temperature, want_grad=True):
-    # domain_loss on a pass's constants prepared as run_protocol prepares
-    # them; own=None leaves the contrastive term out
+def _domain_loss(batch, dp, gp, enc, ct, temperature, want_grad=True):
+    # domain_loss on a pass's constants prepared as run_protocol prepares them
     slot = None if gp is None else enc.pool_prefix(gp)
-    anchors = None
-    if own is not None:
-        pooled = np.mean(gp, axis=-2)
-        anchors = (prompts.contrast_anchor(own, "own"), prompts.contrast_anchor(pooled, "pooled global prompt"))
-    return domain_loss(batch, dp, slot, enc, _classes(enc, ct, np.shape(dp)[-2]), anchors, temperature, want_grad)
+    return domain_loss(batch, dp, slot, enc, _classes(enc, ct, np.shape(dp)[-2]), temperature, want_grad)
 
 
 def _predict_one(x, gp, dps, clf, enc=None, ct=None):
@@ -483,13 +477,13 @@ def test_losses_reject_constants_prepared_for_another_layout():
     # a global slot pooled for a stack of three clients
     slot = enc.pool_prefix(np.ones((3, 2, DIM)))
     with pytest.raises(ParameterError, match="pooled global slot"):
-        domain_loss(batch, prompt, slot, enc, _classes(enc, ct), None, TAU)
+        domain_loss(batch, prompt, slot, enc, _classes(enc, ct), TAU)
 
 
 _OUT_OF_RANGE = {
     # class label 3 of 3 classes for the prompt losses, domain 2 of 2 for the head
     "global": lambda b: global_loss(b, np.ones((2, DIM)), _encoder(), _classes(_encoder(), _class_tokens()), TAU),
-    "domain": lambda b: _domain_loss(b, np.ones((2, DIM)), None, _encoder(), _class_tokens(), None, TAU, False),
+    "domain": lambda b: _domain_loss(b, np.ones((2, DIM)), None, _encoder(), _class_tokens(), TAU, False),
     "classifier": lambda b: classifier_loss(b, DomainClassifier.init(2, DIM)),
 }
 
@@ -512,155 +506,42 @@ def test_every_loss_rejects_an_out_of_range_label_as_bad_data(loss):
 # ---------------------------------------------------------------------------
 
 
-def _domain_oracle(batch, dp, gp, enc, ct, own, temperature, use_contrastive):
+def _domain_oracle(batch, dp, gp, enc, ct, temperature):
     blocks = [gp if gp is not None else np.zeros_like(dp), dp]
     total = 0.0
     for x, y in zip(batch.rows, batch.labels):
         text = every_block_texts(enc, blocks, ct)[0]
         probs = _softmax(text @ x, temperature)
         total += -math.log(max(probs[y], PROB_FLOOR))
-    cla = total / len(batch)
-    if not use_contrastive:
-        return cla
-    pooled = dp.mean(axis=0)
-    pooled = pooled / max(np.linalg.norm(pooled), CONTRAST_NORM_FLOOR)
-    own_u = own / np.linalg.norm(own)
-    anchor = gp.mean(axis=0)
-    anchor = anchor / np.linalg.norm(anchor)
-    sims = np.array([pooled @ own_u, pooled @ anchor])
-    return cla - math.log(max(_softmax(sims, 1.0)[0], PROB_FLOOR))
+    return total / len(batch)
 
 
-@pytest.mark.parametrize("use_contrastive", [True, False])
-def test_domain_loss_matches_primitive_oracle(use_contrastive):
+@pytest.mark.parametrize("with_global", [True, False])
+def test_domain_loss_matches_primitive_oracle(with_global):
+    # without a global prompt, the domain-only ablation trains this path
     enc = _encoder()
     ct = _class_tokens()
     batch = _batch()
-    gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 3, "g")
+    gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 3, "g") if with_global else None
     dp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 3, "d")
-    own = rng(3, "own").normal(size=DIM)
-    value, grad = _domain_loss(batch, dp, gp, enc, ct, own if use_contrastive else None, TAU)
-    expected = _domain_oracle(batch, dp, gp, enc, ct, own, TAU, use_contrastive)
-    assert value == pytest.approx(expected, rel=1e-12)
-    assert grad.shape == dp.shape
-    # the contrastive term is the loss with anchors minus the loss without
-    classification, _ = _domain_loss(batch, dp, gp, enc, ct, None, TAU)
-    assert classification == pytest.approx(_domain_oracle(batch, dp, gp, enc, ct, own, TAU, False), rel=1e-12)
-    assert (value - classification > 0.0) == use_contrastive
-
-
-def test_domain_loss_without_global_prompt():
-    # the domain-only ablation trains this path
-    enc = _encoder()
-    ct = _class_tokens()
-    batch = _batch()
-    dp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 4, "d")
-    value, grad = _domain_loss(batch, dp, None, enc, ct, None, TAU)
-    assert value == pytest.approx(_domain_oracle(batch, dp, None, enc, ct, None, TAU, False), rel=1e-12)
+    value, grad = _domain_loss(batch, dp, gp, enc, ct, TAU)
+    assert value == pytest.approx(_domain_oracle(batch, dp, gp, enc, ct, TAU), rel=1e-12)
     assert grad.shape == dp.shape
 
 
-@pytest.mark.parametrize("use_contrastive,with_global", [(True, True), (False, True), (False, False)])
-def test_domain_loss_gradient_matches_finite_differences(use_contrastive, with_global):
+@pytest.mark.parametrize("with_global", [True, False])
+def test_domain_loss_gradient_matches_finite_differences(with_global):
     enc = _encoder()
     ct = _class_tokens()
     batch = _batch()
     gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 5, "g") if with_global else None
-    own = rng(5, "own").normal(size=DIM)
 
     def loss_fn(params):
-        value, grad = _domain_loss(batch, params["prompt"], gp, enc, ct, own if use_contrastive else None, TAU)
+        value, grad = _domain_loss(batch, params["prompt"], gp, enc, ct, TAU)
         return value, {"prompt": grad}
 
     report = grad_check(loss_fn, {"prompt": init_prompt(PromptConfig(length=2, **_INIT), DIM, 5, "d")})
     assert report.passed, report.format()
-
-
-def test_domain_loss_gradient_matches_finite_differences_above_the_norm_floor():
-    # the contrastive term normalizes the pooled prompt exactly once its
-    # norm reaches CONTRAST_NORM_FLOOR; the test above stays on the ramp
-    enc = _encoder()
-    ct = _class_tokens()
-    batch = _batch()
-    gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 5, "g")
-    own = rng(5, "own").normal(size=DIM)
-    dp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 5, "d")
-    dp = dp * (1.4 / np.linalg.norm(dp.mean(axis=0)))
-    assert np.linalg.norm(dp.mean(axis=0)) > 10 * CONTRAST_NORM_FLOOR
-
-    def loss_fn(params):
-        value, grad = _domain_loss(batch, params["prompt"], gp, enc, ct, own, TAU)
-        return value, {"prompt": grad}
-
-    report = grad_check(loss_fn, {"prompt": dp})
-    assert report.passed, report.format()
-
-
-def test_domain_loss_contrastive_needs_the_global_slot():
-    enc = _encoder()
-    batch = _batch()
-    dp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 6, "d")
-    unit = prompts.contrast_anchor(np.ones(DIM), "anchor")
-    with pytest.raises(ConfigurationError):
-        domain_loss(batch, dp, None, enc, _classes(enc, _class_tokens()), (unit, unit), TAU)
-
-
-def test_contrastive_term_of_a_prompt_on_its_own_description():
-    # the pooled domain prompt is the own description and orthogonal to the
-    # pooled global prompt: cosines (1, 0), so the term is log(1 + e^-1)
-    dp = np.tile(np.eye(DIM)[0], (2, 1))
-    gp = np.tile(np.eye(DIM)[1], (2, 1))
-    enc, ct, batch = _encoder(), _class_tokens(), _batch()
-    with_term, _ = _domain_loss(batch, dp, gp, enc, ct, np.eye(DIM)[0], TAU)
-    without, _ = _domain_loss(batch, dp, gp, enc, ct, None, TAU)
-    assert with_term - without == pytest.approx(math.log(1.0 + math.exp(-1.0)), rel=1e-12)
-
-
-def test_contrastive_direction_continuous_at_floor():
-    # just under and just over the ramp boundary must agree to first order
-    enc = _encoder()
-    ct = _class_tokens()
-    batch = _batch()
-    gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 9, "g")
-    own = rng(9, "own").normal(size=DIM)
-    base = rng(9, "dir").normal(size=(2, DIM))
-    base = base / np.linalg.norm(base.mean(axis=0))
-    eps = 1e-9
-    lo, _ = _domain_loss(batch, base * (CONTRAST_NORM_FLOOR - eps), gp, enc, ct, own, TAU, want_grad=False)
-    hi, _ = _domain_loss(batch, base * (CONTRAST_NORM_FLOOR + eps), gp, enc, ct, own, TAU, want_grad=False)
-    assert lo == pytest.approx(hi, abs=1e-6)
-
-
-def test_contrastive_at_zero_prompt_gives_indifference_and_finite_pull():
-    # an exactly-zero prompt has no direction: both similarities read zero,
-    # the term sits at its two-way indifference value, and the ramp still
-    # hands back a bounded gradient that orients the first step
-    enc = _encoder()
-    ct = _class_tokens()
-    batch = _batch()
-    gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 10, "g")
-    own = rng(10, "own").normal(size=DIM)
-    value, grad = _domain_loss(batch, np.zeros((2, DIM)), gp, enc, ct, own, TAU)
-    without, _ = _domain_loss(batch, np.zeros((2, DIM)), gp, enc, ct, None, TAU)
-    assert value - without == pytest.approx(math.log(2.0))
-    assert np.all(np.isfinite(grad))
-
-
-def test_domain_prompt_norm_stays_bounded_from_zero_start():
-    # small steps from a zero start must not blow the prompt up: near the
-    # origin exact normalization would scale the contrastive gradient by
-    # 1 / norm, turning the first nonzero iterate into an unbounded kick
-    enc = _encoder()
-    ct = _class_tokens()
-    batch = _batch()
-    gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 11, "g")
-    own = rng(11, "own").normal(size=DIM)
-    dp = np.zeros((2, DIM))
-    rate = 1e-3
-    for _ in range(50):
-        _, grad = _domain_loss(batch, dp, gp, enc, ct, own, TAU)
-        dp = dp - rate * grad
-    assert np.linalg.norm(dp) < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -715,10 +596,7 @@ def test_a_stacked_call_equals_one_call_per_client_bit_for_bit(loss):
     enc, ct = _encoder(), _class_tokens()
     g = rng(21, "stacked-losses")
     gp = g.normal(size=(k, 2, DIM)) * 0.05
-    # pooled norms of about 0.06, 1.7 and 5.6: client 0 sits on the
-    # contrastive ramp, the others are normalized exactly
     dp = g.normal(size=(k, 2, DIM)) * np.array([0.01, 0.3, 1.0])[:, None, None]
-    own = g.normal(size=(k, DIM))
     heads = DomainClassifier(g.normal(size=(k, k, DIM)) * 0.1, g.normal(size=(k, k)) * 0.1)
 
     def call(batch, j):
@@ -727,7 +605,7 @@ def test_a_stacked_call_equals_one_call_per_client_bit_for_bit(loss):
         if loss == "global":
             return global_loss(batch, pick(gp), enc, _classes(enc, ct), TAU)
         if loss == "domain":
-            return _domain_loss(batch, pick(dp), pick(gp), enc, ct, pick(own), TAU)
+            return _domain_loss(batch, pick(dp), pick(gp), enc, ct, TAU)
         return classifier_loss(batch, DomainClassifier(pick(heads.weight), pick(heads.bias)))
 
     for rows in (slice(0, 32), slice(32, 48)):
@@ -811,7 +689,7 @@ def test_each_loss_matches_the_row_major_formula_on_a_default_size_batch(loss):
         if loss == "global":
             return global_loss(batch, gp, enc, _classes(enc, ct, 4), TAU)
         if loss == "domain":
-            return _domain_loss(batch, dp, gp, enc, ct, None, TAU)
+            return _domain_loss(batch, dp, gp, enc, ct, TAU)
         return classifier_loss(batch, head)
 
     value, grad = call(batch)
@@ -827,11 +705,11 @@ def test_each_loss_matches_the_row_major_formula_on_a_default_size_batch(loss):
 
 
 @pytest.mark.parametrize("rows", [32, 2000])
-@pytest.mark.parametrize("layout", ["contrast", "no-contrast", "domain-only"])
+@pytest.mark.parametrize("layout", ["dual-prompt", "domain-only"])
 def test_prepared_losses_match_the_per_call_reference_bit_for_bit(rows, layout):
     # 3 stacked clients at the default sizes (d = 64, L = 4, 10 classes):
     # the losses on constants prepared once (the class term, the pooled
-    # global slot, the unit anchors) and with the zero slot skipped give
+    # global slot) and with the zero slot skipped give
     # the bits of the per-call formulation, with and without a column copy
     k, dim, config = 3, 64, PromptConfig()
     enc = FrozenEncoder(EncoderConfig(dim=dim, seed=3))
@@ -841,20 +719,14 @@ def test_prepared_losses_match_the_per_call_reference_bit_for_bit(rows, layout):
         _unit_rows(g, k * rows, dim).reshape(k, rows, dim), g.integers(0, 10, (k, rows)), g.integers(0, k, (k, rows))
     )
     gp = g.normal(size=(k, config.length, dim)) * 0.05
-    # pooled norms on the contrastive ramp for client 0, above it for the others
     dp = g.normal(size=(k, config.length, dim)) * np.array([0.01, 0.3, 1.0])[:, None, None]
-    own = g.normal(size=(k, dim))
     classes, tau = enc.class_term(ct, 2 * config.length), config.temperature
     frozen = None if layout == "domain-only" else gp
     slot = None if frozen is None else enc.pool_prefix(frozen)
-    anchors, own_raw = None, None
-    if layout == "contrast":
-        anchors = (prompts.contrast_anchor(own, "own"), prompts.contrast_anchor(gp.mean(axis=-2), "global"))
-        own_raw = own
     for batch in (stack, stack.with_column_copy()):
         pairs = [(
-            domain_loss(batch, dp, slot, enc, classes, anchors, tau),
-            per_call_domain_loss(batch, dp, frozen, enc, ct, own_raw, tau),
+            domain_loss(batch, dp, slot, enc, classes, tau),
+            per_call_domain_loss(batch, dp, frozen, enc, ct, tau),
         )]
         if frozen is not None:
             pairs.append((global_loss(batch, gp, enc, classes, tau), per_call_global_loss(batch, gp, enc, ct, tau)))
