@@ -139,6 +139,7 @@ def test_later_assignments_win():
         "run.variants = full, mystery",  # unknown variant
         "run.variant = mystery",   # unknown variant
         "transfer.hidden = -3",    # negative hidden width
+        "run.variants = full, no-contrast",  # a deleted component's variant
     ],
 )
 def test_bad_input_is_a_configuration_error(text):

@@ -579,6 +579,26 @@ def test_protocol_domain_only_variant():
     assert accuracy == _reference_accuracy(result, split, encoder, 2)
 
 
+@pytest.mark.parametrize("variant", VARIANT_ORDER)
+def test_the_contrastive_toggle_changes_no_run(variant):
+    # use_contrastive is an unread field: either value gives every variant
+    # the same stage one, the same messages and the same trained state
+    runs = [
+        _small_run(toggles=dataclasses.replace(variant_toggles(variant), use_contrastive=flag))[0]
+        for flag in (True, False)
+    ]
+    on, off = runs
+    assert on.ledger.records == off.ledger.records
+    assert on.round_metrics == off.round_metrics
+    for name in ("global_prompt", "domain_prompts"):
+        a, b = getattr(on, name), getattr(off, name)
+        assert (a is None and b is None) or np.array_equal(a, b)
+    if on.classifier is not None:
+        assert np.array_equal(on.classifier.weight, off.classifier.weight)
+        assert np.array_equal(on.classifier.bias, off.classifier.bias)
+    assert (on.classifier is None) == (off.classifier is None)
+
+
 def test_protocol_rejects_client_count_mismatch():
     world, encoder = _world()
     split = leave_one_out(world, 3)

@@ -544,6 +544,23 @@ def test_domain_loss_gradient_matches_finite_differences(with_global):
     assert report.passed, report.format()
 
 
+def test_domain_prompt_norm_stays_bounded_from_zero_start():
+    # small steps from a zero start must not blow the prompt up: the
+    # gradient at and near the origin is finite, so the first nonzero
+    # iterate takes no unbounded kick
+    enc = _encoder()
+    ct = _class_tokens()
+    batch = _batch()
+    gp = init_prompt(PromptConfig(length=2, **_INIT), DIM, 11, "g")
+    dp = np.zeros((2, DIM))
+    rate = 1e-3
+    for _ in range(50):
+        _, grad = _domain_loss(batch, dp, gp, enc, ct, TAU)
+        assert np.all(np.isfinite(grad))
+        dp = dp - rate * grad
+    assert 0.0 < np.linalg.norm(dp) < 1.0
+
+
 # ---------------------------------------------------------------------------
 # domain classifier loss
 # ---------------------------------------------------------------------------
