@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, ParameterError
-from .numerics import Array, as_f64, require_finite
+from .numerics import Array, as_f64, require_finite, require_finite_fields
 from .seeding import rng
 
 _PROJECTION_TAG = "encoder-projection"
@@ -64,6 +64,7 @@ class EncoderConfig:
     normalize: bool = True  # the only value; fdgbench's workloads still pass it
 
     def __post_init__(self):
+        require_finite_fields(self)
         if self.dim < 2:
             raise ConfigurationError(f"dim must be at least 2, got {self.dim}")
         if self.max_tokens < 2:

@@ -7,20 +7,21 @@ domain label outside [0, K) before anything trains.  The train stack is
 allocated once training is done; the forward writes each client's copies
 straight into it after the client's local set, laid out as
 ``transform_jobs`` states, and each client's pool is normalized there in
-place.  Nothing crosses the wire.
+place.  Every stage-two pool is a view of its leading rows, and the copies
+styled toward the held-out description come last.  Nothing crosses the
+wire.
 
 Stage two runs ``rounds`` federated rounds.  In each round every client
 starts from the adopted broadcast, refines it locally (the global prompt on
-its augmented pool, the domain head on the pool without target-styled
-entries), uploads it, and the server broadcasts the anchored mean back,
-each upload weighted 1/K: the clients of a split hold local sets of one
-length, so this is FedAvg's sample-count-weighted mean, and no sample count
-crosses the wire.  The broadcast bytes
-are canonical: server and clients all adopt the value that crossed the
-wire, so their states match bit for bit.  After the
-final round each client uploads its locally trained domain prompt once and
-the server broadcasts the full stack, which is what unseen-domain
-inference blends.
+its augmented pool, the domain head on the rows of it that carry a
+source-domain label), uploads it, and the server broadcasts the anchored
+mean back, each upload weighted 1/K: the clients of a split hold local sets
+of one length, so this is FedAvg's sample-count-weighted mean, and no
+sample count crosses the wire.  The broadcast bytes are canonical: server
+and clients all adopt the value that crossed the wire, so their states
+match bit for bit.  After the final round each client uploads its locally
+trained domain prompt once and the server broadcasts the full stack, which
+is what unseen-domain inference blends.
 
 No per-client object outlives a round; client state is held as stacks.
 The run keeps ``shared``, the adopted broadcast keyed by wire name
@@ -41,17 +42,17 @@ that the local sets of a split all have the same length and hold rows
 (``ConfigurationError`` otherwise), so the K clients of a split step as one
 stack in both stages: stage one trains every transform in one
 ``train_transform`` call and always hands stage two its pools as read-only
-(K, N, d) stacks, and each stage-two pass takes one stacked step per batch
-for all clients.  A pass whose one batch is a whole local-set-sized pool
-reads the local set as it is: its losses are batch means, which a shuffle
-would only sum in another order.  Every pool leads with the local set, so
-such a pass reads the (K, n, d) local-set stack, which ``run_protocol``
-gives, once per run, a column copy (``UnitRows.with_column_copy``) that
-the class-major score products read faster; the copy is made only when
-``batch_size`` is at least n, the one case in which a pass reads the local
-set whole.  Every other pass draws each client's shuffle from its own
-per-(round, client, epoch) stream; a drawn batch carries no copy, since a
-transposed gather costs more than the products save.  A stacked step
+views of one (K, N, d) stack, and each stage-two pass takes one stacked
+step per batch for all clients.  A pass whose one batch is a whole
+local-set-sized pool reads the (K, n, d) local-set view as it is: its
+losses are batch means, which a shuffle would only sum in another order.
+``run_protocol`` gives that view, once per run, a column copy
+(``UnitRows.with_column_copy``) that the class-major score products read
+faster; the copy is made only when ``batch_size`` is at least n, the one
+case in which a pass reads the local set whole.  Every other pass draws
+each client's shuffle from its own per-(round, client, epoch) stream; a
+drawn batch carries no copy, since a transposed gather costs more than the
+products save.  A stacked step
 gives every client the bits it would get alone.  It makes exactly one
 ``global_loss``, ``domain_loss`` or ``classifier_loss`` call, with the
 batch first: the benchmark counts train samples by summing the length of
@@ -278,26 +279,26 @@ class StageOneResult:
 
     ``train_pool`` is each local set followed by its style-transferred
     copies, laid out as ``transform_jobs`` states; it trains the global
-    prompt.  ``local_set``, the original embeddings, is a view of its
-    leading n rows and trains the domain prompt.  ``head_pool`` trains the domain head: it is the train stack
-    itself unless some rows are styled toward the held-out domain, which
-    have no valid source-domain label; then it holds the other rows.
+    prompt.  The other two pools are views of its leading rows:
+    ``local_set``, the first n, trains the domain prompt, and
+    ``head_pool``, the first ``head_rows``, trains the domain head.
     ``clients[i]`` holds client i's views of the three stacks.
     """
 
     train_pool: UnitRows
-    head_pool: UnitRows
     n: InitVar[int]
+    head_rows: int
     transforms: dict[int, dict[int, TransformNetwork]]
     local_set: UnitRows = field(init=False)
+    head_pool: UnitRows = field(init=False)
     clients: list[ClientData] = field(init=False)
 
     def __post_init__(self, n: int):
-        for stack in (self.train_pool, self.head_pool):
-            for array in (stack.rows, stack.labels, stack.domains):
-                array.flags.writeable = False
+        for array in (self.train_pool.rows, self.train_pool.labels, self.train_pool.domains):
+            array.flags.writeable = False
         # after the flags: a view taken earlier would stay writeable
         self.local_set = self.train_pool.select(np.s_[:, :n])
+        self.head_pool = self.train_pool.select(np.s_[:, : self.head_rows])
         self.clients = [
             ClientData(i, self.local_set.select(i), self.train_pool.select(i), self.head_pool.select(i))
             for i in range(self.train_pool.labels.shape[0])
@@ -311,14 +312,14 @@ def _empty_stack(k: int, n: int, dim: int) -> UnitRows:
 
 def transform_jobs(split: EvaluationSplit, include_target_description: bool) -> list[TransformJob]:
     """Every (client, target) transform of stage one, in the order that lays
-    out the pools: client by client, each client's targets in ascending key
-    order, so ``TARGET_KEY`` (-1, the held-out description, when included)
-    leads.  Client i's train pool is its n local rows, then one n-row copy
+    out the pools: client by client, each client's source-domain targets in
+    ascending order, then ``TARGET_KEY`` (-1, the held-out description) when
+    included.  Client i's train pool is its n local rows, then one n-row copy
     per target in this order, with the local labels and the target's key as
-    domain; its head pool is the same without the ``TARGET_KEY`` block."""
+    domain; its head pool is the rows before the ``TARGET_KEY`` block."""
     targets = list(enumerate(split.source_domain_tokens))
     if include_target_description:
-        targets.insert(0, (TARGET_KEY, split.target_domain_token))
+        targets.append((TARGET_KEY, split.target_domain_token))
     return [
         TransformJob(local, i, key, split.source_domain_tokens[i], token)
         for i, local in enumerate(split.clients)
@@ -376,11 +377,9 @@ def run_stage_one(
         # pool in size, not the stack's
         _normalized_rows(train.rows[i], out=train.rows[i])
         log.info("client %d: %d local, %d augmented toward %s", i, n, n * styled, list(transforms[i]))
-    head = train
-    if toggles.include_target_description:
-        # every client's TARGET_KEY block sits at the same rows
-        head = train.select(np.s_[:, np.flatnonzero(train.domains[0] != TARGET_KEY)])
-    return StageOneResult(train, head, n, transforms)
+    # the TARGET_KEY block, the only rows without a source-domain label, is last
+    head_rows = n * (1 + styled - toggles.include_target_description)
+    return StageOneResult(train, n, head_rows, transforms)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +456,7 @@ def run_protocol(
     A stage-one result for other than the split's K clients raises
     ``ConfigurationError`` before any message is sent.
     """
-    k, n = stage_one.local_set.labels.shape
+    (k, n), width = stage_one.local_set.labels.shape, stage_one.train_pool.labels.shape[1]
     if k != split.num_clients:
         raise ConfigurationError(f"stage one covered {k} of {split.num_clients} clients")
     dim, temperature = encoder.config.dim, prompt_config.temperature
@@ -513,10 +512,10 @@ def run_protocol(
     # the local set with its column copy, read by every whole-set pass
     local_set = stage_one.local_set.with_column_copy() if fed_config.batch_size >= n else None
 
-    def local_pass(name, step, params, stack, epoch, losses, length=None):
+    def local_pass(name, step, params, length, epoch, losses):
         """One epoch of the ``name`` pass ("global", "head" or "domain").
-        Each client's pool is the leading ``length`` rows (all by default)
-        of its slice of ``stack``.  A pool of exactly n rows with
+        Each client's pool is the leading ``length`` rows of its slice of
+        the train stack.  A pool of exactly n rows with
         ``batch_size`` at least n makes one batch of every row: each loss
         is a batch mean, so a shuffle would only reorder its sum, and the
         pass reads ``local_set``, the local set that leads every pool, with
@@ -532,8 +531,6 @@ def run_protocol(
         by the array's factor in ``step_units``."""
         nonlocal drawn
         rate = getattr(fed_config, f"{name}_lr") * fed_config.lr_decay**losses.round_index
-        width = stack.labels.shape[1]
-        length = width if length is None else length
         if length == n and local_set is not None:
             source = local_set
         else:
@@ -548,7 +545,7 @@ def run_protocol(
             # buffered copy
             order += np.arange(0, k * width, width)[:, None]
             for part in ("rows", "labels", "domains"):
-                whole = getattr(stack, part)
+                whole = getattr(stage_one.train_pool, part)
                 flat = whole.reshape(k * width, *whole.shape[2:])
                 np.take(flat, order, axis=0, out=getattr(drawn, part), mode="clip")
             source = drawn
@@ -575,9 +572,9 @@ def run_protocol(
             # effect of the banks with the effect of extra optimization;
             # the head pass draws the same way for the same reason
             if toggles.use_global_prompt:
-                local_pass("global", global_step, params, stage_one.train_pool, epoch, losses)
+                local_pass("global", global_step, params, width, epoch, losses)
             if toggles.use_domain_prompt:
-                local_pass("head", head_step, params, stage_one.head_pool, epoch, losses)
+                local_pass("head", head_step, params, stage_one.head_rows, epoch, losses)
 
         # upload in client order, aggregate, and adopt the broadcast bytes
         uploads = {}
@@ -595,11 +592,8 @@ def run_protocol(
             params = {"domain_prompt": domain}
             if toggles.use_global_prompt:
                 global_slot = encoder.pool_prefix(np.stack([shared["global_prompt"]] * k))
-            # the local set is the train stack's leading n rows; a draw
-            # indexes that contiguous parent, since flattening the strided
-            # local-set view would copy it
             for epoch in range(fed_config.domain_epochs):
-                local_pass("domain", domain_step, params, stage_one.train_pool, epoch, losses, n)
+                local_pass("domain", domain_step, params, n, epoch, losses)
 
         metrics = {"round": float(round_index), **losses.means()}
         round_metrics.append(metrics)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -47,10 +47,12 @@ def require_finite(value: Array, name: str = "value") -> Array:
 
 
 def require_finite_fields(config) -> None:
-    """Reject a config dataclass with a NaN or infinite number in any
-    field, with ``ConfigurationError`` naming the field."""
+    """``ConfigurationError`` naming a config dataclass field that holds a
+    NaN or infinity, or a bool or non-integer in an ``int`` field."""
     for f in fields(config):
         value = getattr(config, f.name)
+        if f.type in ("int", int) and (isinstance(value, bool) or not isinstance(value, Integral)):
+            raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
         if isinstance(value, Real) and not math.isfinite(value):
             raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
 

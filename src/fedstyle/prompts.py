@@ -168,16 +168,17 @@ def predict_unseen_batch(
     every row.  A zero slot is not pooled.  Domain prompts without a
     head, or a head without domain prompts, is half a blend
     (``ParameterError``), and so is a temperature that is not finite and
-    positive, and so is a stack of heads with a client axis.  Rows are
+    positive, a stack of heads with a client axis, and embeddings, a
+    prompt block or a head whose width is not the encoder's.  Rows are
     normalized by ``_normalized_rows`` and the head's logits come from
     ``DomainClassifier.logits``, as in the losses.  Probabilities are a
     temperature softmax over the cosines between the row and each class
     text.  Rows are scored in blocks of ``PREDICT_BLOCK_ROWS``, so the
     (rows, C, d) class-text arrays do not grow with n.
     """
-    x = as_f64(embeddings)
-    if x.ndim != 2:
-        raise ParameterError("embeddings must be (n, d)")
+    x, dim = as_f64(embeddings), encoder.config.dim
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ParameterError(f"embeddings must be (n, {dim}), got {x.shape}")
     xn = _normalized_rows(x)
     if not 0.0 < temperature < np.inf:
         raise ParameterError(f"temperature must be finite and positive, got {temperature!r}")
@@ -189,8 +190,8 @@ def predict_unseen_batch(
             raise ParameterError("at least one prompt block is required")
         slot_shape = np.shape(global_prompt)
     else:
-        if classifier.weight.ndim != 2:
-            raise ParameterError(f"prediction takes one (K, d) head, not weight {classifier.weight.shape}")
+        if classifier.weight.ndim != 2 or classifier.weight.shape[1] != dim:
+            raise ParameterError(f"prediction takes one (K, {dim}) head, not weight {classifier.weight.shape}")
         domain_prompts = as_f64(domain_prompts)
         if domain_prompts.ndim != 3 or len(domain_prompts) != classifier.num_domains:
             raise ParameterError(
@@ -199,6 +200,8 @@ def predict_unseen_batch(
         slot_shape = domain_prompts.shape[1:]
     if global_prompt is not None and np.shape(global_prompt) != slot_shape:
         raise ParameterError(f"prompt blocks disagree on shape: {np.shape(global_prompt)} vs {slot_shape}")
+    if len(slot_shape) != 2 or slot_shape[1] != dim:
+        raise ParameterError(f"a prompt block must be (L, {dim}), got {slot_shape}")
 
     length = slot_shape[-2]
     classes = encoder.class_term(class_tokens, 2 * length)

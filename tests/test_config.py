@@ -169,6 +169,25 @@ def test_config_dataclass_rejects_a_non_finite_float(cls, name, value):
         cls(**{name: value})
 
 
+INT_FIELDS = [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in (WorldSpec, EncoderConfig, TransferConfig, PromptConfig, FederationConfig)
+    for f in dataclasses.fields(cls)
+    if type(f.default) is int
+]
+
+
+@pytest.mark.parametrize("kind", ["integral float", "fraction", "bool"])
+@pytest.mark.parametrize("cls, name", INT_FIELDS)
+def test_config_dataclass_rejects_a_non_integer_in_an_int_field(cls, name, kind):
+    # seed=2.0 would key every draw on "2.0" and build another world than
+    # seed=2; a fraction would fail late, inside a range or a shape
+    default = getattr(cls(), name)
+    value = {"integral float": float(default), "fraction": default + 0.5, "bool": True}[kind]
+    with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+        cls(**{name: value})
+
+
 @pytest.mark.parametrize("length", [1, 4])
 def test_max_tokens_must_fit_two_prompt_blocks_and_a_class_token(length):
     # [global block, domain block, class token] is the longest sequence a

@@ -252,8 +252,8 @@ def test_transform_jobs_keys_and_tokens(include_target):
     assert [job.source for job in jobs] == sorted(job.source for job in jobs)
     for i in range(k):
         own = [job for job in jobs if job.source == i]
-        # ascending keys, so the held-out description leads
-        expected = ([TARGET_KEY] if include_target else []) + [key for key in range(k) if key != i]
+        # the source domains in ascending order, then the held-out description
+        expected = [key for key in range(k) if key != i] + ([TARGET_KEY] if include_target else [])
         assert [job.target for job in own] == expected
         tokens = {TARGET_KEY: split.target_domain_token, **dict(enumerate(split.source_domain_tokens))}
         for job in own:
@@ -280,16 +280,18 @@ def test_stage_one_pool_sizes_and_targets(include_target):
         assert sorted(stage_one.transforms[i]) == sorted(
             [j for j in range(3) if j != i] + ([TARGET_KEY] if include_target else [])
         )
-        # the local set leads the pool, then one styled copy per target in
-        # ascending key order, so a target-styled copy comes first
-        targets = sorted(stage_one.transforms[i])
+        # the local set leads the pool, then one styled copy per source
+        # domain in ascending order, then the target-styled copy
+        targets = [j for j in range(3) if j != i] + ([TARGET_KEY] if include_target else [])
         train, head = client.train_pool, client.head_pool
         assert train.domains.tolist() == [key for key in [i, *targets] for _ in range(n)]
         assert np.array_equal(train.labels, np.tile(split.clients[i].labels, 1 + per_client_targets))
         assert np.array_equal(client.local_set.labels, split.clients[i].labels)
         assert np.all(client.local_set.domains == i)
-        # the head pool is the train pool without its target-styled block
+        # the head pool is the train pool without its target-styled block,
+        # which is last
         kept = train.domains != TARGET_KEY
+        assert np.all(kept[: 3 * n]) and not np.any(kept[3 * n :])
         for part in ("rows", "labels", "domains"):
             assert np.array_equal(getattr(head, part), getattr(train, part)[kept]), part
 
@@ -424,6 +426,11 @@ def test_stage_one_pools_are_read_only_views_of_stacks(use_style_transfer):
                     array[0] = 0
         assert np.shares_memory(client.local_set.rows, stage_one.train_pool.rows)
         assert np.array_equal(client.local_set.labels, split.clients[i].labels)
+    # every pool is a view of the one train stack
+    for name in ("head_pool", "local_set"):
+        for part in ("rows", "labels", "domains"):
+            pool, train = getattr(getattr(stage_one, name), part), getattr(stage_one.train_pool, part)
+            assert np.shares_memory(pool, train), (name, part)
 
 
 def _counted_rng_calls(monkeypatch, fed):
@@ -733,14 +740,14 @@ def test_default_cell_correct_counts_on_holdout_zero():
     split = leave_one_out(generate_world(config.world_spec(0), encoder), 0)
     tau = config.prompt.temperature
     counts = {}
-    for variant in ("global-only", "domain-only", "dual-prompt", "full"):
+    for variant in ("global-only", "domain-only", "dual-prompt", "target-text", "full"):
         toggles = variant_toggles(variant)
         stage_one = run_stage_one(split, encoder, config.transfer, tau, toggles, 0)
         result = run_protocol(stage_one, split, encoder, config.prompt, config.rounds, toggles, 0)
         accuracy = evaluate_accuracy(result, split, encoder, config.prompt, toggles)
         counts[variant] = round(accuracy * len(split.test_set))
     assert len(split.test_set) == 2000
-    assert counts == {"global-only": 1972, "domain-only": 1964, "dual-prompt": 1972, "full": 1967}
+    assert counts == {"global-only": 1972, "domain-only": 1964, "dual-prompt": 1972, "target-text": 1966, "full": 1967}
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,23 @@ def test_predict_rejects_a_bad_temperature(temperature):
         )
 
 
+@pytest.mark.parametrize("case, match", [
+    ("embeddings", "embeddings"), ("global prompt", "prompt block"), ("domain prompts", "prompt block"),
+    ("head", "head"),
+])
+def test_predict_rejects_a_width_other_than_the_encoders(case, match):
+    # a 32-wide batch, prompt block or head under a 64-wide encoder fails at
+    # the boundary, not inside a product
+    enc, ct = _encoder(dim=64), _class_tokens(dim=64)
+    width = {part: 32 if part == case else 64 for part in ("embeddings", "global prompt", "domain prompts", "head")}
+    if case in ("domain prompts", "head"):
+        blocks = (None, np.zeros((3, 4, width["domain prompts"])), DomainClassifier.init(3, width["head"]))
+    else:
+        blocks = (np.zeros((4, width["global prompt"])), None, None)
+    with pytest.raises(ParameterError, match=match):
+        predict_unseen_batch(np.ones((5, width["embeddings"])), *blocks, ct, enc, TAU)
+
+
 def test_prediction_memory_does_not_grow_with_the_rows():
     # the (rows, C, d) class-text arrays are built one block at a time
     enc = _encoder(dim=64, max_tokens=8)

@@ -496,13 +496,12 @@ def test_identity_transform_bank_equals_originals():
 def test_bank_covers_every_target_or_rejects():
     result = _bank_result(epochs=1)
     bank = _bank(result, 2)
-    # each client gets one copy per other source and the held-out text, in
-    # ascending key order, so TARGET_KEY leads; job i * S + s fills block
-    # [i, s]
+    # each client gets one copy per other source, then one toward the
+    # held-out text, so TARGET_KEY is last; job i * S + s fills block [i, s]
     by_client = {}
     for job in result.jobs:
         by_client.setdefault(job.source, []).append(job.target)
-    assert by_client == {i: [TARGET_KEY] + [j for j in (0, 1) if j != i] for i in (0, 1)}
+    assert by_client == {i: [j for j in (0, 1) if j != i] + [TARGET_KEY] for i in (0, 1)}
     copies = bank.reshape(len(result.jobs), -1, 12)
     for copy, job, net in zip(copies, result.jobs, result.networks(), strict=True):
         assert (net.source, net.target) == (job.source, job.target)
