@@ -36,6 +36,7 @@ from .data import WorldSpec
 from .encoder import EncoderConfig
 from .errors import ConfigurationError
 from .federation import FederationConfig, MethodToggles
+from .numerics import require_finite_fields, require_integer
 from .prompts import PromptConfig
 from .style_transfer import TransferConfig
 
@@ -79,6 +80,9 @@ class ExperimentConfig:
     holdout: int = -1  # -1: every domain in turn
 
     def __post_init__(self):
+        require_finite_fields(self)
+        for seed in self.seeds:
+            require_integer("seed", seed)
         if not self.seeds:
             raise ConfigurationError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):

@@ -49,11 +49,15 @@ losses are batch means, which a shuffle would only sum in another order.
 ``run_protocol`` gives that view, once per run, a column copy
 (``UnitRows.with_column_copy``) that the class-major score products read
 faster; the copy is made only when ``batch_size`` is at least n, the one
-case in which a pass reads the local set whole.  Every other pass draws
-each client's shuffle from its own per-(round, client, epoch) stream; a
-drawn batch carries no copy, since a transposed gather costs more than the
-products save.  A stacked step
-gives every client the bits it would get alone.  It makes exactly one
+case in which a pass reads the local set whole.  Every other pass reads
+one draw per (round, client, epoch) from the client's own stream: in a
+global epoch, one permutation of the client's train pool
+(``global-shuffle``) serves both passes, each reading the first n indices
+below its pool's length, so a head pass whose pool is the whole train pool
+reads the rows the global pass gathered; a domain epoch draws from
+``domain-shuffle``.  The gathered sample is read-only and carries no copy,
+since a transposed gather costs more than the products save.  A stacked
+step gives every client the bits it would get alone.  It makes exactly one
 ``global_loss``, ``domain_loss`` or ``classifier_loss`` call, with the
 batch first: the benchmark counts train samples by summing the length of
 that argument.  The losses' constants are prepared read-only where they
@@ -504,50 +508,62 @@ def run_protocol(
         values, grad = domain_loss(batch, params["domain_prompt"], global_slot, encoder, classes, temperature)
         return values, {"domain_prompt": grad}
 
-    # room for one (K, n, ...) draw, reused by every pass that draws: a
+    # room for one (K, n, ...) sample, reused by every pass that draws: a
     # fresh one per pass costs more in page faults than the gather; it is
     # made on the first draw, so a cell whose passes all read their whole
-    # pool makes none
-    drawn = None
+    # pool makes none; ``held`` is the (order, length) it was gathered from
+    drawn, held = None, (None, None)
     # the local set with its column copy, read by every whole-set pass
     local_set = stage_one.local_set.with_column_copy() if fed_config.batch_size >= n else None
 
-    def local_pass(name, step, params, length, epoch, losses):
+    def draw(stream, round_index, epoch, size):
+        """Each client's permutation of its leading ``size`` rows from its own
+        (``stream``, round, client, epoch) generator, as (K, size) indices;
+        None when every pass that would read it reads its whole local set."""
+        if size == n and local_set is not None:
+            return None
+        return np.stack([rng(seed, stream, round_index, i, epoch).permutation(size) for i in range(k)])
+
+    def local_pass(name, step, params, length, order, losses):
         """One epoch of the ``name`` pass ("global", "head" or "domain").
         Each client's pool is the leading ``length`` rows of its slice of
         the train stack.  A pool of exactly n rows with
         ``batch_size`` at least n makes one batch of every row: each loss
         is a batch mean, so a shuffle would only reorder its sum, and the
         pass reads ``local_set``, the local set that leads every pool, with
-        the column copy made for it once per run.  Otherwise each client
-        draws a local-set-sized sample of its pool from its own
-        ``<name>-shuffle`` stream into its row of ``drawn``, which carries no
-        column copy: transposing the gather would cost more than the scores
-        save.  The n-row source is the one batch when ``batch_size`` is at
-        least n, else it is cut into slices.  Each stacked batch takes one
-        ``step``, records its losses as ``<name>_loss`` and steps, in
-        place, each array of ``params`` that the step returned a gradient
-        for, at ``<name>_lr`` decayed by the round, its gradient scaled
-        by the array's factor in ``step_units``."""
-        nonlocal drawn
+        the column copy made for it once per run.  Otherwise the pass reads
+        ``drawn``, each client's first n indices of its row of ``order``
+        (see ``draw``) below ``length``: a uniform n-row sample of its
+        pool.  The sample is gathered unless ``drawn`` holds it already, as
+        it does for a head pass whose pool is the whole train pool, after
+        the global pass of the same epoch.  It carries no column copy:
+        transposing the gather would cost more than the scores save.  The
+        n-row source is the one batch when ``batch_size`` is at least n,
+        else it is cut into slices.  Each stacked batch takes one ``step``,
+        records its losses as ``<name>_loss`` and steps, in place, each
+        array of ``params`` that the step returned a gradient for, at
+        ``<name>_lr`` decayed by the round, its gradient scaled by the
+        array's factor in ``step_units``."""
+        nonlocal drawn, held
         rate = getattr(fed_config, f"{name}_lr") * fed_config.lr_decay**losses.round_index
         if length == n and local_set is not None:
             source = local_set
         else:
-            if drawn is None:
-                drawn = _empty_stack(k, n, dim)
-            order = np.stack([
-                rng(seed, f"{name}-shuffle", losses.round_index, i, epoch).permutation(length)[:n]
-                for i in range(k)
-            ])
-            # one gather per array from the contiguous stack seen as K * N
-            # rows; every index is in range, so "clip" only spares take a
-            # buffered copy
-            order += np.arange(0, k * width, width)[:, None]
-            for part in ("rows", "labels", "domains"):
-                whole = getattr(stage_one.train_pool, part)
-                flat = whole.reshape(k * width, *whole.shape[2:])
-                np.take(flat, order, axis=0, out=getattr(drawn, part), mode="clip")
+            if not (held[0] is order and held[1] == length):
+                if drawn is None:
+                    drawn = _empty_stack(k, n, dim)
+                # a permutation holds each index below ``length`` once
+                picked = order if length == order.shape[1] else order[order < length].reshape(k, length)
+                # one gather per array from the contiguous stack seen as
+                # K * N rows; every index is in range, so "clip" only
+                # spares take a buffered copy; passes read it read-only
+                flat = picked[:, :n] + np.arange(0, k * width, width)[:, None]
+                for part in ("rows", "labels", "domains"):
+                    whole, out = getattr(stage_one.train_pool, part), getattr(drawn, part)
+                    out.flags.writeable = True
+                    np.take(whole.reshape(k * width, *whole.shape[2:]), flat, axis=0, out=out, mode="clip")
+                    out.flags.writeable = False
+                held = order, length
             source = drawn
         size = fed_config.batch_size
         batches = [source] if size >= n else [source.select(np.s_[:, s : s + size]) for s in range(0, n, size)]
@@ -565,16 +581,17 @@ def run_protocol(
         # local refinement of the shared state, all clients in one stack
         params = {name: np.stack([value] * k) for name, value in shared.items()}
         for epoch in range(fed_config.global_epochs):
-            # an epoch is one pass over a local-set-sized draw from the
+            # an epoch is one pass over a local-set-sized sample of the
             # pool: augmentation banks triple the pool, and without the
             # cap a bank-holding client would take three times as many
             # steps per epoch, so variant comparisons would mix the
             # effect of the banks with the effect of extra optimization;
-            # the head pass draws the same way for the same reason
+            # the head pass samples its pool from the same one draw
+            order = draw("global-shuffle", round_index, epoch, width)
             if toggles.use_global_prompt:
-                local_pass("global", global_step, params, width, epoch, losses)
+                local_pass("global", global_step, params, width, order, losses)
             if toggles.use_domain_prompt:
-                local_pass("head", head_step, params, stage_one.head_rows, epoch, losses)
+                local_pass("head", head_step, params, stage_one.head_rows, order, losses)
 
         # upload in client order, aggregate, and adopt the broadcast bytes
         uploads = {}
@@ -593,7 +610,7 @@ def run_protocol(
             if toggles.use_global_prompt:
                 global_slot = encoder.pool_prefix(np.stack([shared["global_prompt"]] * k))
             for epoch in range(fed_config.domain_epochs):
-                local_pass("domain", domain_step, params, n, epoch, losses)
+                local_pass("domain", domain_step, params, n, draw("domain-shuffle", round_index, epoch, n), losses)
 
         metrics = {"round": float(round_index), **losses.means()}
         round_metrics.append(metrics)

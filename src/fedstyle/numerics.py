@@ -46,13 +46,20 @@ def require_finite(value: Array, name: str = "value") -> Array:
     return value
 
 
+def require_integer(name: str, value) -> None:
+    """``ConfigurationError`` naming ``name`` unless ``value`` is an
+    integer other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
 def require_finite_fields(config) -> None:
     """``ConfigurationError`` naming a config dataclass field that holds a
     NaN or infinity, or a bool or non-integer in an ``int`` field."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if f.type in ("int", int) and (isinstance(value, bool) or not isinstance(value, Integral)):
-            raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+        if f.type in ("int", int):
+            require_integer(f.name, value)
         if isinstance(value, Real) and not math.isfinite(value):
             raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
 

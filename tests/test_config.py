@@ -12,6 +12,7 @@ import pytest
 import fedstyle
 from fdgbench import workloads
 from fedstyle.config import (
+    ExperimentConfig,
     VARIANT_ORDER,
     VARIANTS,
     _KEYS,
@@ -186,6 +187,18 @@ def test_config_dataclass_rejects_a_non_integer_in_an_int_field(cls, name, kind)
     value = {"integral float": float(default), "fraction": default + 0.5, "bool": True}[kind]
     with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
         cls(**{name: value})
+
+
+@pytest.mark.parametrize("kind", ["integral float", "fraction", "bool"])
+@pytest.mark.parametrize("name", ["holdout", "max_tokens", "seeds"])
+def test_experiment_config_rejects_a_non_integer_holdout_max_tokens_or_seed(name, kind):
+    # holdout=1.0 would come back from holdouts() as (1.0,)
+    default = getattr(ExperimentConfig(), name)
+    first = default[0] if name == "seeds" else default
+    value = {"integral float": float(first), "fraction": first + 0.5, "bool": True}[kind]
+    field = "seed" if name == "seeds" else name
+    with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+        ExperimentConfig(**{name: (value,) if name == "seeds" else value})
 
 
 @pytest.mark.parametrize("length", [1, 4])

@@ -461,7 +461,84 @@ def test_minibatch_passes_draw_once_per_client_and_epoch(monkeypatch):
     fed = FederationConfig(**dict(_ROUNDS, rounds=2, global_epochs=3, domain_epochs=2, batch_size=8))
     calls, split = _counted_rng_calls(monkeypatch, fed)
     k = split.num_clients
-    assert len(calls) == fed.rounds * (2 * fed.global_epochs + fed.domain_epochs) * k
+    # the global and head passes of an epoch read one draw
+    assert len(calls) == fed.rounds * (fed.global_epochs + fed.domain_epochs) * k
+
+
+def _spied_passes(monkeypatch, toggles, batch_size):
+    # the stage-one pools and, per step in step order, the loss's name and
+    # its batch's rows, labels and domains; every np.take writing into a
+    # buffer counts as a gather
+    world, encoder = _world()
+    split = leave_one_out(world, 3)
+    stage_one = run_stage_one(split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, toggles, 0)
+    seen, gathers = [], []
+    for name in ("global_loss", "classifier_loss"):
+        def spy(batch, *args, _loss=getattr(federation, name), _name=name, **kwargs):
+            seen.append((_name, batch.rows.copy(), batch.labels.copy(), batch.domains.copy()))
+            return _loss(batch, *args, **kwargs)
+
+        monkeypatch.setattr(federation, name, spy)
+    take = np.take
+
+    def counted_take(*args, **kwargs):
+        if kwargs.get("out") is not None:
+            gathers.append(kwargs["out"].shape)
+        return take(*args, **kwargs)
+
+    monkeypatch.setattr(np, "take", counted_take)
+    fed = FederationConfig(**dict(_ROUNDS, rounds=2, global_epochs=3, batch_size=batch_size))
+    run_protocol(stage_one, split, encoder, PromptConfig(length=2, temperature=0.05, init_scale=1e-3), fed, toggles, 0)
+    return stage_one, fed, seen, gathers
+
+
+@pytest.mark.parametrize("batch_size", [32, 8])
+def test_the_head_pass_reads_the_global_batch_without_a_second_gather(monkeypatch, batch_size):
+    # the full layout: the head pool is the whole train pool, so each epoch's
+    # head batches are the global batches' rows, from one gather of three
+    # arrays (rows, labels, domains); in batches of 8 the domain pass
+    # gathers its own sample too
+    stage_one, fed, seen, gathers = _spied_passes(monkeypatch, MethodToggles(), batch_size)
+    assert stage_one.head_rows == stage_one.train_pool.labels.shape[1]
+    epochs = fed.rounds * fed.global_epochs
+    domain_passes = fed.rounds * fed.domain_epochs if batch_size < stage_one.local_set.labels.shape[1] else 0
+    assert len(gathers) == 3 * (epochs + domain_passes)
+    batches = len(seen) // (2 * epochs)
+    for e in range(epochs):
+        epoch = seen[2 * batches * e : 2 * batches * (e + 1)]
+        assert [name for name, *_ in epoch] == ["global_loss"] * batches + ["classifier_loss"] * batches
+        for (_, *global_batch), (_, *head_batch) in zip(epoch[:batches], epoch[batches:]):
+            assert all(np.array_equal(g, h) for g, h in zip(global_batch, head_batch))
+
+
+def test_with_target_text_the_head_batch_is_n_distinct_head_pool_rows(monkeypatch):
+    stage_one, fed, seen, _ = _spied_passes(monkeypatch, MethodToggles(include_target_description=True), 32)
+    (k, n), head_rows = stage_one.local_set.labels.shape, stage_one.head_rows
+    assert head_rows < stage_one.train_pool.labels.shape[1]
+    heads = [(rows, labels, domains) for name, rows, labels, domains in seen if name == "classifier_loss"]
+    assert len(heads) == fed.rounds * fed.global_epochs
+    for rows, labels, domains in heads:
+        assert rows.shape[:2] == (k, n) and not np.any(domains == TARGET_KEY)
+        for i in range(k):
+            pool = {row.tobytes(): j for j, row in enumerate(stage_one.clients[i].head_pool.rows)}
+            at = [pool[row.tobytes()] for row in rows[i]]
+            assert len(set(at)) == n
+            assert np.array_equal(labels[i], stage_one.clients[i].head_pool.labels[at])
+            assert np.array_equal(domains[i], stage_one.clients[i].head_pool.domains[at])
+
+
+def test_a_loss_cannot_write_into_the_drawn_sample(monkeypatch):
+    world, encoder = _world()
+    split = leave_one_out(world, 3)
+    stage_one = run_stage_one(split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, MethodToggles(), 0)
+
+    def writing(batch, *args, **kwargs):
+        batch.rows[0, 0, 0] = 0.0
+
+    monkeypatch.setattr(federation, "global_loss", writing)
+    fed = FederationConfig(**dict(_ROUNDS, rounds=1))
+    with pytest.raises(ValueError, match="read-only"):
+        run_protocol(stage_one, split, encoder, PromptConfig(length=2, temperature=0.05), fed, MethodToggles(), 0)
 
 
 @pytest.mark.parametrize("batch_size", [32, 8])
@@ -774,8 +851,10 @@ def _reference_protocol(stage_one, split, encoder, prompt_config, fed, seed):
     domain = [init_prompt(prompt_config, dim, seed, "domain-prompt-init", i) for i in range(k)]
     metrics = []
 
-    def draws(tag, pool, r, i, epoch, n):
-        order = rng(seed, tag, r, i, epoch).permutation(len(pool))[:n]
+    def draws(tag, pool, r, i, epoch, n, length=None):
+        # the first n indices of the pool's permutation below ``length``
+        order = rng(seed, tag, r, i, epoch).permutation(len(pool))
+        order = order[order < (len(pool) if length is None else length)][:n]
         return [pool.select(order[start : start + fed.batch_size]) for start in range(0, n, fed.batch_size)]
 
     for r in range(fed.rounds):
@@ -796,7 +875,7 @@ def _reference_protocol(stage_one, split, encoder, prompt_config, fed, seed):
                     value, grad = global_loss(batch, prompt, encoder, ct, tau)
                     global_adds.append((value, len(batch)))
                     prompt = prompt * (1.0 - rates[0] * wd) - rates[0] * (grad * s2)
-                for batch in draws("head-shuffle", client.head_pool, r, i, epoch, n):
+                for batch in draws("global-shuffle", client.train_pool, r, i, epoch, n, len(client.head_pool)):
                     value, grads = classifier_loss(batch, DomainClassifier(w, b))
                     head_adds.append((value, len(batch)))
                     w = w * (1.0 - rates[1] * wd) - rates[1] * (grads["weight"] * h2)
