@@ -29,6 +29,7 @@ contiguous client indices 0..K-1 and keeps the held-out data as a test set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -78,6 +79,21 @@ def require_labels(values: Array, count: int, what: str) -> None:
         raise DataError(f"{what} outside [0, {count})")
 
 
+def _as_index_array(values, name: str) -> Array:
+    """``values`` as int64, or ``DataError`` naming ``name`` for bools and
+    for anything that is not a finite whole number.  An integer array is
+    cast without a scan of its values; others are checked first, so a
+    whole-valued float array (or an empty one) converts."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind != "f":
+        raise DataError(f"{name} must be integers, got dtype {arr.dtype}")
+    if not (np.isfinite(arr).all() and (arr == np.trunc(arr)).all()):
+        raise DataError(f"{name} must be whole numbers")
+    return arr.astype(np.int64)
+
+
 @dataclass
 class LabeledEmbeddings:
     """Batch of embeddings with class and domain labels."""
@@ -88,8 +104,8 @@ class LabeledEmbeddings:
 
     def __post_init__(self):
         self.embeddings = require_finite(as_f64(self.embeddings), "embeddings")
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.domains = np.asarray(self.domains, dtype=np.int64)
+        self.labels = _as_index_array(self.labels, "labels")
+        self.domains = _as_index_array(self.domains, "domains")
         n = self.embeddings.shape[0]
         if self.embeddings.ndim != 2:
             raise ParameterError("embeddings must be 2-D")
@@ -237,6 +253,8 @@ def _domain_rows(world: SyntheticWorld, domain: int) -> LabeledEmbeddings:
 
 
 def leave_one_out(world: SyntheticWorld, holdout: int) -> EvaluationSplit:
+    if isinstance(holdout, bool) or not isinstance(holdout, Integral):
+        raise ParameterError(f"holdout must be an integer, got {holdout!r}")
     if not 0 <= holdout < world.spec.domains:
         raise ParameterError(f"holdout {holdout} out of range for {world.spec.domains} domains")
     source_ids = [k for k in range(world.spec.domains) if k != holdout]

@@ -16,7 +16,12 @@ Two groups of things live here:
 The finite-difference gradient checker that pins every closed-form
 gradient lives with the tests.
 
-Everything is float64.  Inputs are validated once at the boundary; a
+Everything is float64 but one thing: ``style_transfer.train_transform``
+holds its lockstep training state in float32 (``STATE_DTYPE``).  That
+step is most of stage one's time; in single precision, the precision
+network training normally runs in, it is faster and moves no held-out
+prediction.  The kernels here follow their inputs' dtype, so Adam steps
+that state in float32.  Inputs are validated once at the boundary; a
 non-finite value raises ``DomainError`` instead of propagating.
 """
 

@@ -24,7 +24,15 @@ does not depend on batch size.
 
 ``train_transform`` trains every transform of a job list in lockstep.
 The T parameter sets are stacked along a leading axis, (T, h, d) for
-``w1``, and all four stacks are named views of one flat float64 vector.
+``w1``, and all four stacks are named views of one flat vector.  That
+vector, its gradient, Adam's moments, the epoch's batches, the
+workspaces and the text constants are ``STATE_DTYPE``, float32: the one
+exception to the package's float64.  The lockstep step is most of stage
+one's time, and network training runs in single precision as a rule; at
+half the bytes per entry the step is faster, and the trained transforms
+move no held-out prediction of the default cells.  ``_objective`` and
+``transfer_loss`` cast what they receive to float64, and
+``build_augmentation_bank`` writes float64 copies.
 Each step checks that vector once for a non-finite entry, runs one
 stacked forward and closed-form backward, ``_stacked_objective``, and
 takes one in-place Adam step on the whole vector.  The backward writes
@@ -68,6 +76,8 @@ from .seeding import rng
 log = logging.getLogger(__name__)
 
 DEGENERATE_NORM = 1e-9
+# dtype of the lockstep training state of ``train_transform``
+STATE_DTYPE = np.float32
 _OUTPUT_BIAS_INIT = 1e-2
 
 
@@ -199,17 +209,18 @@ def _flat_views(vector: Array, count: int, shapes: dict[str, tuple[int, ...]]) -
 
 
 def _workspaces(count: int, rows: int, hidden: int, dim: int) -> dict[str, Array]:
-    """Flat buffers for the (T, B, .) intermediates of ``_stacked_objective``
-    on batches of up to ``rows`` rows."""
+    """Flat ``STATE_DTYPE`` buffers for the (T, B, .) intermediates of
+    ``_stacked_objective`` on batches of up to ``rows`` rows."""
     widths = {"hidden": hidden, "delta": dim, "moved": dim, "dmoved": dim, "dpre": hidden, "scaled": dim}
-    return {name: np.empty(count * rows * width) for name, width in widths.items()}
+    return {name: np.empty(count * rows * width, dtype=STATE_DTYPE) for name, width in widths.items()}
 
 
-def _buffer(work: dict[str, Array] | None, name: str, shape: tuple[int, int, int]) -> Array:
-    """A contiguous array of ``shape`` at the front of ``work[name]``, or a
-    fresh one without workspaces."""
+def _buffer(work: dict[str, Array] | None, name: str, shape: tuple[int, int, int]) -> Array | None:
+    """A contiguous array of ``shape`` at the front of ``work[name]``, or
+    None without workspaces, so that the operation allocates its result in
+    its inputs' dtype."""
     if work is None:
-        return np.empty(shape)
+        return None
     return work[name][: math.prod(shape)].reshape(shape)
 
 
@@ -252,7 +263,7 @@ def _stacked_objective(
     wide, narrow = (count, rows, dim), (count, rows, params["w1"].shape[1])
     out_forward = (_buffer(work, "hidden", narrow), _buffer(work, "delta", wide))
     hidden, delta = _transform_forward(params, z, out=out_forward)
-    align = cons = np.zeros(len(pairs))
+    align = cons = np.zeros(len(pairs), dtype=z.dtype)
 
     if alignment_weight > 0.0:
         # mean over rows of 1 - cos(delta, direction of the row's class); the
@@ -374,7 +385,7 @@ class TransformTrainingResult:
     order."""
 
     jobs: list[TransformJob]
-    params: dict[str, Array]  # (T, ...) per parameter
+    params: dict[str, Array]  # (T, ...) per parameter, in STATE_DTYPE
     epoch_losses: Array       # (T, epochs): each transform's mean loss per epoch
 
     def networks(self) -> list[TransformNetwork]:
@@ -402,9 +413,10 @@ def train_transform(
     job's pair).  Per epoch, each transform's seeded permutation of its local
     set is gathered once; each step then takes the next batch of every
     transform, runs one stacked forward and backward and one Adam step.
-    Zero epochs returns the initialized networks untouched.  A failed check
-    names the offending source->target pair; a non-finite loss raises
-    ``NonFiniteLossError``.
+    The training state is ``STATE_DTYPE``, and ``epoch_losses``
+    accumulates in float64.  Zero epochs returns the initialized networks
+    untouched, as float32 holds them.  A failed check names the offending
+    source->target pair; a non-finite loss raises ``NonFiniteLossError``.
     """
     if not jobs:
         raise ConfigurationError("no transforms to train")
@@ -425,20 +437,24 @@ def train_transform(
     # parameters and gradients are views of two flat vectors, so one check
     # and one Adam call per step cover all of them
     shapes = {name: value.shape for name, value in inits[0].items()}
-    theta = np.empty(count * sum(value.size for value in inits[0].values()))
+    theta = np.empty(count * sum(value.size for value in inits[0].values()), dtype=STATE_DTYPE)
     gradient = np.empty_like(theta)
     params, grads = _flat_views(theta, count, shapes), _flat_views(gradient, count, shapes)
     for name, view in params.items():
         np.stack([init[name] for init in inits], out=view)
     work = _workspaces(count, min(config.batch_size, n), config.hidden_dim(dim), dim)
     directions = np.stack(
-        [text_delta_directions(encoder, job.source_token, job.target_token, class_tokens) for job in jobs]
+        [text_delta_directions(encoder, job.source_token, job.target_token, class_tokens) for job in jobs],
+        dtype=STATE_DTYPE,
     )
-    class_text = class_text_embeddings(encoder, class_tokens)
+    class_text = class_text_embeddings(encoder, class_tokens).astype(STATE_DTYPE)
     state = AdamState(learning_rate=config.learning_rate, weight_decay=config.weight_decay)
-    z = np.empty((count, n, dim))
+    z = np.empty((count, n, dim), dtype=STATE_DTYPE)
     labels = np.empty((count, n), dtype=np.int64)
     stack = np.arange(count)[:, None]
+    # Python floats, which leave a float32 operand float32 where a numpy
+    # float64 scalar would promote it
+    temperature, weight = float(temperature), float(config.alignment_weight)
     history = np.empty((count, config.epochs))
     for epoch in range(config.epochs):
         for t, job in enumerate(jobs):
@@ -454,7 +470,7 @@ def train_transform(
                 _require_finite_stacks(params, pairs)
             loss = _stacked_objective(
                 params, rows, labels[:, batch], directions, class_text,
-                temperature, config.alignment_weight, pairs, stack, out=grads, work=work,
+                temperature, weight, pairs, stack, out=grads, work=work,
             )[0]
             if not np.isfinite(loss).all():
                 message = f"transfer loss diverged at epoch {epoch}"

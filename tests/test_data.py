@@ -16,7 +16,7 @@ from fedstyle.data import (
     leave_one_out,
 )
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
-from fedstyle.errors import ConfigurationError, ParameterError
+from fedstyle.errors import ConfigurationError, DataError, ParameterError
 
 
 def make_world(seed=0, **overrides):
@@ -181,6 +181,22 @@ def test_leave_one_out_rejects_bad_holdout():
         leave_one_out(world, holdout=-1)
 
 
+@pytest.mark.parametrize("holdout", [True, 1.0], ids=["bool", "float"])
+def test_leave_one_out_rejects_a_holdout_that_is_not_an_integer(holdout):
+    # True would give domain 1's split with holdout True; 1.0 used to fail
+    # with an untyped TypeError from a slice
+    world, _ = make_world()
+    with pytest.raises(ParameterError, match="holdout must be an integer"):
+        leave_one_out(world, holdout=holdout)
+
+
+def test_leave_one_out_takes_a_numpy_integer_holdout():
+    world, _ = make_world()
+    split = leave_one_out(world, holdout=np.int64(1))
+    assert split.holdout == 1 and split.source_domain_ids == [0, 2]
+    assert split.test_set.embeddings.tobytes() == leave_one_out(world, holdout=1).test_set.embeddings.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # container
 # ---------------------------------------------------------------------------
@@ -194,3 +210,29 @@ def test_labeled_embeddings_validation_and_concat():
     merged = LabeledEmbeddings.concat([a, b])
     assert len(merged) == 3
     assert merged.domains.tolist() == [0, 0, 1]
+
+
+_NOT_WHOLE = pytest.mark.parametrize(
+    "values",
+    [[0.5, 1.7], [np.nan, 0.0], [np.inf, 0.0], np.array([True, False]), np.array(["0", "1"])],
+    ids=["fraction", "nan", "inf", "bool", "str"],
+)
+
+
+@_NOT_WHOLE
+@pytest.mark.parametrize("field", ["labels", "domains"])
+def test_labeled_embeddings_rejects_labels_that_are_not_whole_numbers(field, values):
+    # before, [0.5, 1.7] trained as [0, 1], NaN became -2**63 and bools 1/0
+    parts = {"labels": [0, 1], "domains": [0, 0], field: values}
+    with pytest.raises(DataError, match=field):
+        LabeledEmbeddings(np.ones((2, 2)), parts["labels"], parts["domains"])
+
+
+def test_labeled_embeddings_converts_whole_floats_and_keeps_an_int64_array():
+    whole = LabeledEmbeddings(np.ones((2, 2)), np.array([0.0, 3.0]), np.zeros(2))
+    assert whole.labels.dtype == whole.domains.dtype == np.int64
+    assert whole.labels.tolist() == [0, 3] and whole.domains.tolist() == [0, 0]
+    empty = LabeledEmbeddings(np.zeros((0, 2)), [], np.zeros(0))
+    assert empty.labels.dtype == empty.domains.dtype == np.int64 and len(empty) == 0
+    labels = np.array([2, 1], dtype=np.int64)
+    assert LabeledEmbeddings(np.ones((2, 2)), labels, np.array([0, 1], dtype=np.int32)).labels is labels
