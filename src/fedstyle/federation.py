@@ -4,12 +4,12 @@ Stage one is entirely local: every client trains one style transform per
 other available domain description and pushes its own embeddings through
 them.  Its entry refuses a local-set class label outside [0, C) or
 domain label outside [0, K) before anything trains.  The train stack is
-allocated once training is done; the forward writes each client's copies
-straight into it after the client's local set, laid out as
-``transform_jobs`` states, and each client's pool is normalized there in
-place.  Every stage-two pool is a view of its leading rows, and the copies
-styled toward the held-out description come last.  Nothing crosses the
-wire.
+allocated once training is done, in ``numerics.TRAIN_DTYPE`` (float32);
+the forward writes each client's copies straight into it after the
+client's local set, laid out as ``transform_jobs`` states, and each
+client's pool is normalized there in place, in that dtype.  Every
+stage-two pool is a view of its leading rows, and the copies styled toward
+the held-out description come last.  Nothing crosses the wire.
 
 Stage two runs ``rounds`` federated rounds.  In each round every client
 starts from the adopted broadcast, refines it locally (the global prompt on
@@ -27,10 +27,13 @@ No per-client object outlives a round; client state is held as stacks.
 The run keeps ``shared``, the adopted broadcast keyed by wire name
 (``global_prompt``, ``head_weight``, ``head_bias``), and the domain
 prompts, the only state a client keeps across rounds, as one (K, L, d)
-stack in client order.  Every local step is SGD with decoupled decay,
-taken in place on each stacked array its loss gives a gradient for, under
-one rule: both prompts' gradient terms are scaled to token units and the
-head's by the class path's 1 / T^2.
+stack in client order.  That state is float64; the losses score the
+float32 rows of the train stack, so a head gradient is float32 and a
+prompt gradient, carried back through the float64 text tower, float64.
+Every local step is SGD with decoupled decay, taken in place on each
+stacked array its loss gives a gradient for, under one rule: both
+prompts' gradient terms are scaled to token units and the head's by the
+class path's 1 / T^2.
 
 Wire traffic is float32; per round and client the upload totals
 ``prompt_length * dim`` prompt parameters plus ``dim * K + K`` head
@@ -78,7 +81,7 @@ import numpy as np
 from .data import TARGET_KEY, EvaluationSplit, require_labels
 from .encoder import FrozenEncoder
 from .errors import ConfigurationError, NonFiniteLossError, ProtocolError
-from .numerics import Array, require_finite_fields, sgd_step
+from .numerics import TRAIN_DTYPE, Array, require_finite_fields, sgd_step
 from .prompts import (
     DomainClassifier,
     PromptConfig,
@@ -278,8 +281,8 @@ class ClientData:
 
 @dataclass
 class StageOneResult:
-    """Every client's pools as read-only stacks: (K, N, d) unit rows with
-    (K, N) labels and domains, normalized and validated once.
+    """Every client's pools as read-only stacks: (K, N, d) ``TRAIN_DTYPE``
+    unit rows with (K, N) labels and domains, normalized and validated once.
 
     ``train_pool`` is each local set followed by its style-transferred
     copies, laid out as ``transform_jobs`` states; it trains the global
@@ -311,7 +314,7 @@ class StageOneResult:
 
 def _empty_stack(k: int, n: int, dim: int) -> UnitRows:
     labels = np.empty((k, n), dtype=np.int64)
-    return UnitRows(np.empty((k, n, dim)), labels, np.empty_like(labels))
+    return UnitRows(np.empty((k, n, dim), dtype=TRAIN_DTYPE), labels, np.empty_like(labels))
 
 
 def transform_jobs(split: EvaluationSplit, include_target_description: bool) -> list[TransformJob]:
@@ -346,9 +349,10 @@ def run_stage_one(
     and carry class labels in [0, C) and domain labels in [0, K)
     (``DataError``), all checked before anything trains.  All transforms
     train in one stacked ``train_transform`` call (none without style
-    transfer), and only then is the train stack allocated, laid out as
-    ``transform_jobs`` states.  Once the local sets and the copies are in
-    it, each client's pool is normalized and validated there, in place.
+    transfer), and only then is the train stack allocated, in
+    ``TRAIN_DTYPE`` and laid out as ``transform_jobs`` states.  Once the
+    local sets and the copies are in it, each client's pool is normalized
+    and validated there, in place.
     No message is produced; stage one is upload-free by construction.
     """
     lengths = sorted({len(local) for local in split.clients})
@@ -649,11 +653,14 @@ def evaluate_accuracy(
     With domain prompts available each test embedding gets a generated
     prompt from the collected stack; otherwise the global path classifies
     alone.  Ties resolve to the lowest class index, so the number is a
-    pure function of the run state.
+    pure function of the run state.  An empty test set is a
+    ``ConfigurationError``, and a test label outside [0, C) a
+    ``DataError``, raised before anything is scored.
     """
     test = split.test_set
     if len(test) == 0:
         raise ConfigurationError("empty test set")
+    require_labels(test.labels, split.class_tokens.shape[0], "test set: class label")
     domain = toggles.use_domain_prompt
     probs = predict_unseen_batch(
         test.embeddings,

@@ -16,13 +16,20 @@ Two groups of things live here:
 The finite-difference gradient checker that pins every closed-form
 gradient lives with the tests.
 
-Everything is float64 but one thing: ``style_transfer.train_transform``
-holds its lockstep training state in float32 (``STATE_DTYPE``).  That
-step is most of stage one's time; in single precision, the precision
-network training normally runs in, it is faster and moves no held-out
-prediction.  The kernels here follow their inputs' dtype, so Adam steps
-that state in float32.  Inputs are validated once at the boundary; a
-non-finite value raises ``DomainError`` instead of propagating.
+Training runs in ``TRAIN_DTYPE``, float32, the precision network
+training normally runs in; everything else is float64.  It holds stage
+one's lockstep transform state (``style_transfer.train_transform``) and
+stage two's train stack (``federation.run_stage_one``), of which every
+stage-two pool, drawn sample and column copy is a view or a gather.  The
+score products over those rows are most of each stage's time; at half
+the bytes per entry they are faster, and they move no held-out
+prediction.  What outlives a step stays float64: the prompts, the domain
+head and the wire's aggregate, and so do the text tower and prediction.
+The kernels here follow their inputs' dtype: Adam steps float32 state in
+float32, and SGD steps a float64 parameter in place, so it stays float64
+whatever its gradient's dtype.  No option selects the dtype.  Inputs are
+validated once at the boundary; a non-finite value raises
+``DomainError`` instead of propagating.
 """
 
 from __future__ import annotations
@@ -39,6 +46,8 @@ Array = np.ndarray
 
 # Probabilities are clamped here before any log.
 PROB_FLOOR = 1e-12
+# dtype of the rows and state that training steps read (see above)
+TRAIN_DTYPE = np.float32
 
 
 def as_f64(value) -> Array:

@@ -47,6 +47,10 @@ operand of those products: the batch's C-contiguous (..., d, B) column
 copy when it carries one, which BLAS reads faster and to the same bits
 as the transposed rows it falls back to.  Gradients take the row-major
 rows, ``dlogits @ rows``, already the fast layout for that product.
+Scores follow the batch's dtype on one code path: the class text and the
+head's weight and bias are cast to it before their product, a no-op on
+float64 rows, so stage two's float32 pools give float32 logits and head
+gradients, while prediction, on float64 rows, stays float64.
 
 Every loss takes its batch as ``UnitRows``, a selection of a pool whose
 rows stage one normalizes, and whose labels it checks, once; the losses
@@ -130,9 +134,10 @@ class DomainClassifier:
 
     def logits(self, columns: Array) -> Array:
         """Class-major logits (..., K, B) of unit rows given as columns
-        (..., d, B): ``UnitRows.columns`` of a batch, or ``rows.T``."""
-        logits = self.weight @ columns
-        logits += self.bias[..., :, None]
+        (..., d, B): ``UnitRows.columns`` of a batch, or ``rows.T``.  They
+        take the columns' dtype: the weight and bias are cast to it."""
+        logits = self.weight.astype(columns.dtype, copy=False) @ columns
+        logits += self.bias.astype(columns.dtype, copy=False)[..., :, None]
         return logits
 
 
@@ -241,10 +246,11 @@ def _generated_prompts(rows: Array, blocks: Array, classifier: DomainClassifier)
 class UnitRows:
     """Unit-norm embedding rows with their class and domain labels.
 
-    The losses' batch type.  The losses read its rows as they are, and
-    batches are selections of a pool normalized once.  A stack of
-    equal-sized batches, one per client, carries a leading client axis on
-    every array.
+    The losses' batch type.  The losses read its rows as they are, in
+    their dtype, and batches are selections of a pool normalized once:
+    stage one's train stack, whose rows are float32 (``TRAIN_DTYPE``).  A
+    stack of equal-sized batches, one per client, carries a leading client
+    axis on every array.
 
     ``column_copy``, when present, is a read-only C-contiguous (..., d, n)
     copy of the rows, made once by ``with_column_copy`` for a set that is
@@ -314,10 +320,11 @@ def _classification(
     the one prompt block at position ``start`` after the pooled ``prefix``.
 
     Logits are the cosines between each row and each class text, divided
-    by ``temperature``.  Returns the loss, one per client of a stack, and
-    its gradient with respect to ``block`` (None without ``want_grad``);
-    the text gradient goes through the encoder's own VJP, which reads the
-    forward's saved state.  The class token must sit after both slots.
+    by ``temperature``, in the batch's dtype: the class text is cast to
+    it.  Returns the loss, one per client of a stack, and its gradient
+    with respect to ``block`` (None without ``want_grad``); the text
+    gradient goes through the encoder's own VJP, which reads the forward's
+    saved state.  The class token must sit after both slots.
     """
     after_slots = 2 * np.shape(block)[-2]
     if classes.position != after_slots:
@@ -325,7 +332,7 @@ def _classification(
     text, state = encoder.encode_class_texts(block, classes, start, prefix)  # (..., C, d)
     xn = batch.rows                                                  # (..., B, d)
     _require_client_axis(batch, text.shape[:-2])
-    logits = text @ batch.columns()                                  # (..., C, B)
+    logits = text.astype(xn.dtype, copy=False) @ batch.columns()     # (..., C, B)
     logits *= 1.0 / temperature
     per_row, dlogits = softmax_ce_cols(logits, batch.labels)
     loss = per_row.mean(axis=-1)

@@ -26,13 +26,13 @@ does not depend on batch size.
 The T parameter sets are stacked along a leading axis, (T, h, d) for
 ``w1``, and all four stacks are named views of one flat vector.  That
 vector, its gradient, Adam's moments, the epoch's batches, the
-workspaces and the text constants are ``STATE_DTYPE``, float32: the one
-exception to the package's float64.  The lockstep step is most of stage
-one's time, and network training runs in single precision as a rule; at
-half the bytes per entry the step is faster, and the trained transforms
-move no held-out prediction of the default cells.  ``_objective`` and
-``transfer_loss`` cast what they receive to float64, and
-``build_augmentation_bank`` writes float64 copies.
+workspaces and the text constants are ``numerics.TRAIN_DTYPE``, float32.
+The lockstep step is most of stage one's time, and network training runs
+in single precision as a rule; at half the bytes per entry the step is
+faster, and the trained transforms move no held-out prediction of the
+default cells.  ``_objective`` and ``transfer_loss`` cast what they
+receive to float64, and ``build_augmentation_bank`` writes its copies
+into the caller's stack in the stack's dtype.
 Each step checks that vector once for a non-finite entry, runs one
 stacked forward and closed-form backward, ``_stacked_objective``, and
 takes one in-place Adam step on the whole vector.  The backward writes
@@ -70,14 +70,12 @@ import numpy as np
 from .data import LabeledEmbeddings, require_labels
 from .encoder import FrozenEncoder
 from .errors import ConfigurationError, DomainError, NonFiniteLossError, ParameterError
-from .numerics import AdamState, Array, adam_step, as_f64, require_finite_fields, softmax_ce_cols
+from .numerics import TRAIN_DTYPE, AdamState, Array, adam_step, as_f64, require_finite_fields, softmax_ce_cols
 from .seeding import rng
 
 log = logging.getLogger(__name__)
 
 DEGENERATE_NORM = 1e-9
-# dtype of the lockstep training state of ``train_transform``
-STATE_DTYPE = np.float32
 _OUTPUT_BIAS_INIT = 1e-2
 
 
@@ -209,10 +207,10 @@ def _flat_views(vector: Array, count: int, shapes: dict[str, tuple[int, ...]]) -
 
 
 def _workspaces(count: int, rows: int, hidden: int, dim: int) -> dict[str, Array]:
-    """Flat ``STATE_DTYPE`` buffers for the (T, B, .) intermediates of
+    """Flat ``TRAIN_DTYPE`` buffers for the (T, B, .) intermediates of
     ``_stacked_objective`` on batches of up to ``rows`` rows."""
     widths = {"hidden": hidden, "delta": dim, "moved": dim, "dmoved": dim, "dpre": hidden, "scaled": dim}
-    return {name: np.empty(count * rows * width, dtype=STATE_DTYPE) for name, width in widths.items()}
+    return {name: np.empty(count * rows * width, dtype=TRAIN_DTYPE) for name, width in widths.items()}
 
 
 def _buffer(work: dict[str, Array] | None, name: str, shape: tuple[int, int, int]) -> Array | None:
@@ -385,7 +383,7 @@ class TransformTrainingResult:
     order."""
 
     jobs: list[TransformJob]
-    params: dict[str, Array]  # (T, ...) per parameter, in STATE_DTYPE
+    params: dict[str, Array]  # (T, ...) per parameter, in TRAIN_DTYPE
     epoch_losses: Array       # (T, epochs): each transform's mean loss per epoch
 
     def networks(self) -> list[TransformNetwork]:
@@ -413,7 +411,7 @@ def train_transform(
     job's pair).  Per epoch, each transform's seeded permutation of its local
     set is gathered once; each step then takes the next batch of every
     transform, runs one stacked forward and backward and one Adam step.
-    The training state is ``STATE_DTYPE``, and ``epoch_losses``
+    The training state is ``TRAIN_DTYPE``, and ``epoch_losses``
     accumulates in float64.  Zero epochs returns the initialized networks
     untouched, as float32 holds them.  A failed check names the offending
     source->target pair; a non-finite loss raises ``NonFiniteLossError``.
@@ -437,7 +435,7 @@ def train_transform(
     # parameters and gradients are views of two flat vectors, so one check
     # and one Adam call per step cover all of them
     shapes = {name: value.shape for name, value in inits[0].items()}
-    theta = np.empty(count * sum(value.size for value in inits[0].values()), dtype=STATE_DTYPE)
+    theta = np.empty(count * sum(value.size for value in inits[0].values()), dtype=TRAIN_DTYPE)
     gradient = np.empty_like(theta)
     params, grads = _flat_views(theta, count, shapes), _flat_views(gradient, count, shapes)
     for name, view in params.items():
@@ -445,11 +443,11 @@ def train_transform(
     work = _workspaces(count, min(config.batch_size, n), config.hidden_dim(dim), dim)
     directions = np.stack(
         [text_delta_directions(encoder, job.source_token, job.target_token, class_tokens) for job in jobs],
-        dtype=STATE_DTYPE,
+        dtype=TRAIN_DTYPE,
     )
-    class_text = class_text_embeddings(encoder, class_tokens).astype(STATE_DTYPE)
+    class_text = class_text_embeddings(encoder, class_tokens).astype(TRAIN_DTYPE)
     state = AdamState(learning_rate=config.learning_rate, weight_decay=config.weight_decay)
-    z = np.empty((count, n, dim), dtype=STATE_DTYPE)
+    z = np.empty((count, n, dim), dtype=TRAIN_DTYPE)
     labels = np.empty((count, n), dtype=np.int64)
     stack = np.arange(count)[:, None]
     # Python floats, which leave a float32 operand float32 where a numpy
@@ -497,8 +495,10 @@ def build_augmentation_bank(result: TransformTrainingResult, out: Array) -> None
     into ``out``, a (K, S, n, d) view of K clients' blocks of S copies: job
     i * S + s goes to ``out[i, s]``.  A block's jobs share one local set, so
     each block takes one forward that broadcasts the (n, d) set against its
-    stacked parameters.  Jobs that do not fill ``out`` that way are a
-    ``ParameterError``; ``federation.transform_jobs`` fixes the layout.
+    stacked parameters.  The copies take ``out``'s dtype: each correction
+    is rounded to it when written, then its local row is added.  Jobs that
+    do not fill ``out`` that way are a ``ParameterError``;
+    ``federation.transform_jobs`` fixes the layout.
     Nothing here touches the network or the ledger; the pool is a purely
     local product."""
     (k, s), jobs = out.shape[:2], result.jobs

@@ -26,15 +26,23 @@ package once did: a separate (T, n, d) bank of every job's copies, then
 per client one normalization of its local set and another of its block
 of copies.  ``run_stage_one`` writes the copies straight into the train
 stack and normalizes each client's pool there in one call; the tests hold
-the two to the bit.  ``unit_batch`` is a labeled batch as the losses take it.
+the two to the bit.  Both round to ``numerics.TRAIN_DTYPE`` in the same
+order: each copy's correction when it is written, the copy when its
+local row is added, each local row when it is written, and the
+normalization runs in that dtype.  ``unit_batch`` is a labeled batch as
+the losses take it, rounded to a given dtype and normalized in it.
+``train_in_float64`` sets ``TRAIN_DTYPE`` to float64 for one test, the
+path on which training ran in float64 throughout.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 
 import numpy as np
 
+from fedstyle import numerics
 from fedstyle.data import TARGET_KEY
 from fedstyle.numerics import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, as_f64, require_finite, softmax_ce_cols
 from fedstyle.prompts import UnitRows, _normalized_rows
@@ -173,18 +181,26 @@ def per_call_domain_loss(batch, domain_prompt, global_prompt, encoder, class_tok
     return _per_call_classification(batch, [global_slot, domain_prompt], 1, encoder, class_tokens, temperature)
 
 
-def unit_batch(batch):
-    """``UnitRows`` of a ``LabeledEmbeddings``: its rows normalized, its
-    labels and domains as they are."""
-    return UnitRows(_normalized_rows(batch.embeddings), batch.labels, batch.domains)
+def unit_batch(batch, dtype=np.float64):
+    """``UnitRows`` of a ``LabeledEmbeddings``: its rows rounded to
+    ``dtype`` and normalized in it, its labels and domains as they are."""
+    return UnitRows(_normalized_rows(batch.embeddings.astype(dtype)), batch.labels, batch.domains)
+
+
+def train_in_float64(monkeypatch):
+    """``TRAIN_DTYPE`` set to float64 in every package module that reads it."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fedstyle") and hasattr(module, "TRAIN_DTYPE"):
+            monkeypatch.setattr(module, "TRAIN_DTYPE", np.float64)
 
 
 def bank_then_prepare_pools(split, result, include_target_description):
     """(train, head) stacks of ``run_stage_one`` for the split's trained
-    transforms ``result``: the bank, then two normalizations per client."""
-    k, (n, dim) = split.num_clients, split.clients[0].embeddings.shape
+    transforms ``result``: the bank, then two normalizations per client,
+    all in ``numerics.TRAIN_DTYPE``."""
+    k, (n, dim), dtype = split.num_clients, split.clients[0].embeddings.shape, numerics.TRAIN_DTYPE
     jobs = result.jobs
-    copies, stop = np.empty((len(jobs), n, dim)), 0
+    copies, stop = np.empty((len(jobs), n, dim), dtype=dtype), 0
     for _, run in itertools.groupby(jobs, key=lambda job: id(job.dataset)):
         start, stop = stop, stop + len(list(run))
         z = jobs[start].dataset.embeddings
@@ -193,10 +209,11 @@ def bank_then_prepare_pools(split, result, include_target_description):
         copies[start:stop] += z
     styled = len(jobs) // k
     labels = np.empty((k, n * (1 + styled)), dtype=np.int64)
-    train = UnitRows(np.empty((k, n * (1 + styled), dim)), labels, np.empty_like(labels))
+    train = UnitRows(np.empty((k, n * (1 + styled), dim), dtype=dtype), labels, np.empty_like(labels))
     for i, local in enumerate(split.clients):
         own = slice(i * styled, (i + 1) * styled)
-        _normalized_rows(local.embeddings, out=train.rows[i, :n])
+        train.rows[i, :n] = local.embeddings
+        _normalized_rows(train.rows[i, :n], out=train.rows[i, :n])
         _normalized_rows(copies[own].reshape(-1, dim), out=train.rows[i, n:])
         train.labels[i] = np.tile(local.labels, 1 + styled)
         train.domains[i, :n] = local.domains

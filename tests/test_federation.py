@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fedstyle import federation
+from fedstyle import federation, prompts
 from fedstyle.config import VARIANT_ORDER, build_config, variant_toggles
 from fedstyle.data import TARGET_KEY, WorldSpec, generate_world, leave_one_out
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
@@ -24,7 +24,7 @@ from fedstyle.federation import (
     run_stage_one,
     transform_jobs,
 )
-from fedstyle.numerics import PROB_FLOOR, softmax
+from fedstyle.numerics import PROB_FLOOR, softmax, softmax_ce_cols
 from fedstyle.prompts import (
     DomainClassifier,
     PromptConfig,
@@ -37,8 +37,8 @@ from fedstyle.prompts import (
 )
 from fedstyle.seeding import rng
 from fedstyle.style_transfer import TransferConfig, train_transform
-from fedstyle.wire import KIND_GLOBAL_UPLOAD, decode_message, encode_message, protocol_message
-from references import bank_then_prepare_pools, unit_batch
+from fedstyle.wire import KIND_DOMAIN_UPLOAD, KIND_GLOBAL_UPLOAD, decode_message, encode_message, protocol_message
+from references import bank_then_prepare_pools, train_in_float64, unit_batch
 
 # the round settings these tests were written for, pinned by keyword
 _ROUNDS = dict(
@@ -340,10 +340,13 @@ def test_stage_one_reads_the_held_out_domain_only_through_its_description(holdou
         for part in ("rows", "labels", "domains"):
             seen, blind_seen = (getattr(getattr(run, name), part) for run in runs)
             assert seen.tobytes() == blind_seen.tobytes(), (name, part)
+    # both sets compare rows in the pool's dtype, so that a held-out row
+    # would show as its own unit row
+    dtype = runs[1].local_set.rows.dtype
     local = {row.tobytes() for row in runs[1].local_set.rows.reshape(-1, 16)}
-    assert not local & {row.tobytes() for row in unit_batch(split.test_set).rows}
+    assert not local & {row.tobytes() for row in unit_batch(split.test_set, dtype).rows}
     # the local blocks are exactly the sources' unit rows
-    assert local == {row.tobytes() for client in split.clients for row in unit_batch(client).rows}
+    assert local == {row.tobytes() for client in split.clients for row in unit_batch(client, dtype).rows}
 
 
 def _rejected_by_stage_one(split, encoder, match, monkeypatch):
@@ -663,6 +666,80 @@ def test_protocol_domain_only_variant():
     assert accuracy == _reference_accuracy(result, split, encoder, 2)
 
 
+@pytest.mark.parametrize("label", [7, -1])
+def test_evaluate_accuracy_rejects_a_test_label_out_of_range(label):
+    # three classes: a label past them or below zero is bad data, not a miss
+    toggles = MethodToggles(use_style_transfer=False)
+    result, split, encoder = _small_run(toggles=toggles)
+    test = dataclasses.replace(split.test_set, labels=np.full(len(split.test_set), label))
+    config = PromptConfig(length=2, temperature=0.05, init_scale=1e-3)
+    with pytest.raises(DataError, match=r"test set: class label outside \[0, 3\)"):
+        evaluate_accuracy(result, dataclasses.replace(split, test_set=test), encoder, config, toggles)
+
+
+@pytest.mark.parametrize("batch_size", [16, 32])
+def test_stage_two_scores_float32_rows_and_keeps_its_parameters_float64(monkeypatch, batch_size):
+    # Under numpy's promotion rules a float64 operand would upcast a score
+    # product without failing anything else.  24 rows per client: batches
+    # of 16 cut every drawn sample; batches of 32 read the local set whole,
+    # with its column copy, in the domain pass.  The target-styled block
+    # keeps the head pool apart from the train pool, so the head pass
+    # gathers a sample of its own.
+    seen, passes = [], []
+
+    def spying(name, loss):
+        def spy(batch, params, *args, **kwargs):
+            arrays = [params.weight, params.bias] if name == "head" else [params]
+            seen.extend((name, "parameter", array.dtype, np.float64) for array in arrays)
+            seen.extend((name, what, array.dtype, np.float32) for what, array in (
+                ("rows", batch.rows), ("columns", batch.columns()),
+            ))
+            passes.append(name)
+            return loss(batch, params, *args, **kwargs)
+
+        return spy
+
+    def logits_spy(logits, labels):
+        seen.append((passes[-1], "logits", logits.dtype, np.float32))
+        return softmax_ce_cols(logits, labels)
+
+    def payload_spy(kind, round_index, sender, arrays):
+        # a client uploads its float64 state; the frame rounds it to float32
+        if kind in (KIND_GLOBAL_UPLOAD, KIND_DOMAIN_UPLOAD):
+            seen.extend(("upload", "payload", array.dtype, np.float64) for array in arrays.values())
+        return protocol_message(kind, round_index, sender, arrays)
+
+    def prediction_spy(*args, **kwargs):
+        probs = predict_unseen_batch(*args, **kwargs)
+        seen.append(("evaluation", "probabilities", probs.dtype, np.float64))
+        return probs
+
+    for name, loss in (("global", global_loss), ("head", classifier_loss), ("domain", domain_loss)):
+        monkeypatch.setattr(federation, loss.__name__, spying(name, loss))
+    monkeypatch.setattr(prompts, "softmax_ce_cols", logits_spy)
+    monkeypatch.setattr(federation, "protocol_message", payload_spy)
+    monkeypatch.setattr(federation, "predict_unseen_batch", prediction_spy)
+    world, encoder = _world()
+    split = leave_one_out(world, 3)
+    toggles = MethodToggles(include_target_description=True)
+    stage_one = run_stage_one(split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, toggles, 0)
+    for name in ("train_pool", "head_pool", "local_set"):
+        assert getattr(stage_one, name).rows.dtype == np.float32, name
+    assert len(stage_one.head_pool.labels[0]) < len(stage_one.train_pool.labels[0]) == 4 * 24
+    config = PromptConfig(length=2, temperature=0.05, init_scale=1e-3)
+    fed = FederationConfig(**dict(_ROUNDS, rounds=2, global_epochs=2, batch_size=batch_size))
+    result = run_protocol(stage_one, split, encoder, config, fed, toggles, 0)
+    evaluate_accuracy(result, split, encoder, config, toggles)
+    assert set(passes) == {"global", "head", "domain"}
+    assert {(where, what) for where, what, _, _ in seen} >= {
+        (name, what) for name in passes for what in ("parameter", "rows", "columns", "logits")
+    } | {("upload", "payload"), ("evaluation", "probabilities")}
+    for where, what, dtype, expected in seen:
+        assert dtype == expected, (where, what, dtype)
+    for array in (result.global_prompt, result.classifier.weight, result.classifier.bias, result.domain_prompts):
+        assert array.dtype == np.float64
+
+
 @pytest.mark.parametrize("variant", VARIANT_ORDER)
 def test_the_contrastive_toggle_changes_no_run(variant):
     # use_contrastive is an unread field: either value gives every variant
@@ -927,8 +1004,7 @@ def _within_one_float32_ulp(a, b):
     return bool(np.all(np.abs(a - b) <= np.spacing(np.maximum(np.abs(a), np.abs(b)))))
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_whole_set_passes_match_the_per_client_reference_loop(seed):
+def _whole_set_runs(seed):
     # 24 rows per client in batches of 32: the lockstep run reads every
     # pool unshuffled, the reference loop permutes it, so only the order of
     # each loss's sum differs
@@ -941,12 +1017,38 @@ def test_whole_set_passes_match_the_per_client_reference_loop(seed):
         **dict(_ROUNDS, rounds=3, global_epochs=2, batch_size=32, weight_decay=0.5, lr_decay=0.7)
     )
     result = run_protocol(stage_one, split, encoder, prompt_config, fed, toggles, seed)
-    shared, stack, metrics = _reference_protocol(stage_one, split, encoder, prompt_config, fed, seed)
+    return result, _reference_protocol(stage_one, split, encoder, prompt_config, fed, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_whole_set_passes_match_the_per_client_reference_loop(monkeypatch, seed):
+    # in float64 a reordered sum moves a loss by ulps of float64 and a
+    # parameter by less than the wire's rounding
+    train_in_float64(monkeypatch)
+    result, (shared, stack, metrics) = _whole_set_runs(seed)
     assert result.round_metrics == [pytest.approx(m, rel=1e-12, abs=0.0) for m in metrics]
     assert _within_one_float32_ulp(result.global_prompt, shared["global_prompt"])
     assert _within_one_float32_ulp(result.classifier.weight, shared["head_weight"])
     assert _within_one_float32_ulp(result.classifier.bias, shared["head_bias"])
     assert _within_one_float32_ulp(result.domain_prompts, stack)
+
+
+def _within_of_largest(a, b, bound):
+    return bool(np.max(np.abs(a - b)) <= bound * np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_whole_set_passes_match_the_per_client_reference_loop_in_float32(seed):
+    # on float32 rows a reordered sum moves a loss and a head gradient by
+    # ulps of float32.  Measured over seeds 0-5: the losses within 1.7e-7
+    # relative, the prompts within one float32 ulp, the head's weight and
+    # bias within 1.3e-7 and 9.6e-7 of their largest entry
+    result, (shared, stack, metrics) = _whole_set_runs(seed)
+    assert result.round_metrics == [pytest.approx(m, rel=1e-6, abs=0.0) for m in metrics]
+    assert _within_one_float32_ulp(result.global_prompt, shared["global_prompt"])
+    assert _within_one_float32_ulp(result.domain_prompts, stack)
+    assert _within_of_largest(result.classifier.weight, shared["head_weight"], 5e-6)
+    assert _within_of_largest(result.classifier.bias, shared["head_bias"], 5e-6)
 
 
 def test_stacked_step_names_the_client_whose_loss_diverges(monkeypatch):

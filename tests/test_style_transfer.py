@@ -27,7 +27,7 @@ from fedstyle.style_transfer import (
     transfer_loss,
 )
 from gradcheck import grad_check
-from references import normalized_objective, textbook_adam_step
+from references import normalized_objective, textbook_adam_step, train_in_float64
 
 DIM = 8
 
@@ -342,18 +342,19 @@ def test_train_transform_stack_equals_one_pair_calls():
 
 def test_stage_one_pools_match_the_reference_formulas_on_the_default_config(monkeypatch):
     # Seed 0, holdout 1, variant full, at the package defaults: 6 transforms
-    # x 20 epochs x 63 steps.  With the training state in float64, the
-    # reference run trains with the normalized objective and textbook Adam;
-    # every pool row stays within 1e-12.  Each substitute counts its calls,
-    # so the reference run cannot bypass them.  The float32 state's pools
-    # stay within 5e-6 of the float64 run's (measured: 1.5e-6 on this cell,
-    # at most 2.0e-6 over seeds 0-2 x holdouts 0-3 x full and target-text).
+    # x 20 epochs x 63 steps.  With training in float64, state and pools,
+    # the reference run trains with the normalized objective and textbook
+    # Adam; every pool row stays within 1e-12.  Each substitute counts its
+    # calls, so the reference run cannot bypass them.  The float32 run's
+    # pools, float32 themselves, stay within 5e-6 of the float64 run's
+    # (measured: 1.4e-6 on this cell, at most 2.0e-6 over seeds 0-2 x
+    # holdouts 0-3 x full and target-text).
     config = build_config()
     encoder = FrozenEncoder(config.encoder_config(0))
     split = leave_one_out(generate_world(config.world_spec(0), encoder), 1)
     args = (split, encoder, config.transfer, config.prompt.temperature, variant_toggles("full"), 0)
     single = run_stage_one(*args)
-    monkeypatch.setattr(style_transfer, "STATE_DTYPE", np.float64)
+    train_in_float64(monkeypatch)
     got = run_stage_one(*args)
     calls = {"objective": 0, "adam_step": 0}
 
