@@ -1,7 +1,7 @@
 """Frozen synthetic two-tower encoder.
 
-A stand-in for a CLIP-style image/text encoder pair that is cheap, fully
-deterministic, and differentiable with respect to prompt tokens:
+A deterministic stand-in for a CLIP-style image/text encoder pair,
+differentiable with respect to prompt tokens:
 
 * both towers share one frozen projection matrix ``A`` of shape (d, d),
 * the image tower maps a raw d-vector to ``normalize(A @ raw)``,
@@ -10,33 +10,21 @@ deterministic, and differentiable with respect to prompt tokens:
   with tanh, projects, and normalizes:
   ``normalize(A @ tanh(sum_m s_m * token_m))``.
 
-Every text embedding comes from one kernel, ``_text_tower``, which maps
-pooled token sums to embeddings; its vector-Jacobian product
-``_text_tower_vjp`` reuses the forward's intermediates.
-``encode_class_texts`` encodes the sequence for all classes at once from
-one trainable block, and ``encode_class_texts_backward`` gives that
-block's gradient from the forward's saved state.  The prefix is a frozen
-leading part of the sequence, pooled once by ``pool_prefix`` and not
-differentiated; the class tokens are validated and scaled for their
-position once by ``class_term``.  Positions left empty before the class
-token are a zero slot, which adds nothing and is not pooled.  A bare
-description or class name is the sequence with a one-token block or
-with none.  ``encode_text`` pools a single sequence; no run calls it.
+Every text embedding comes from ``_text_tower``, which maps pooled token
+sums to embeddings; ``_text_tower_vjp`` is its vector-Jacobian product
+from the forward's intermediates.  ``encode_class_texts`` encodes the
+sequence for all classes at once from one trainable block, and
+``encode_class_texts_backward`` gives that block's gradient.  The prefix
+is a frozen leading part of the sequence, pooled once by ``pool_prefix``
+and not differentiated; ``class_term`` validates the class tokens and
+scales them for their position once.  Positions left empty before the
+class token are a zero slot, which adds nothing and is not pooled.
 
-For token norms well inside tanh's linear regime the text tower is nearly
-additive in its tokens, which is what makes style directions in text space
-meaningful; the tolerance for that approximation is asserted in the tests.
-
-Parameter generation is part of the external contract and is bit-exact:
-each tensor is drawn from a counter-based Philox generator keyed by
-SHA-256 of ``(seed, tensor tag)`` (see ``seeding``).  The projection is
-uniform on [-1/sqrt(d), 1/sqrt(d)].  The position scalings are uniform on
-[0.5, 1.5]: a scaling near zero would annihilate a token position outright
-and make text directions degenerate, so the range is kept away from zero.
-
-Nothing in this module is trainable.  Arrays are marked read-only and a
-digest of the parameters is exposed so tests can prove the encoder never
-changed during a run.
+Parameters are bit-exact functions of the seed: each tensor is drawn from
+a counter-based Philox generator keyed by SHA-256 of ``(seed, tensor
+tag)`` (see ``seeding``).  The projection is uniform on [-1/sqrt(d),
+1/sqrt(d)] and the position scalings on [0.5, 1.5].  Every parameter
+array is read-only, and ``parameter_digest`` hashes them.
 """
 
 from __future__ import annotations
@@ -97,6 +85,8 @@ class FrozenEncoder:
         bound = 1.0 / np.sqrt(d)
         self.projection = _frozen(rng(seed, _PROJECTION_TAG, 0).uniform(-bound, bound, size=(d, d)))
         self.position_scale = _frozen(rng(seed, _POSITION_TAG, 0).uniform(0.5, 1.5, size=m))
+        # A.T, C-contiguous: the right-hand operand of the text tower's product
+        self._projection_t = _frozen(np.ascontiguousarray(self.projection.T))
 
     # -- integrity ----------------------------------------------------------
 
@@ -128,35 +118,40 @@ class FrozenEncoder:
         of ``block`` placed from position ``start``.  The block may carry
         a leading sample axis, (n, L, d), and the sum then does too.
         """
-        shared = np.zeros(self.config.dim) if prefix is None else prefix
         if block is None:
-            return shared
-        return shared + self.position_scale[start : start + block.shape[-2]] @ block
+            return np.zeros(self.config.dim) if prefix is None else prefix
+        pooled = self.position_scale[start : start + block.shape[-2]] @ block
+        return pooled if prefix is None else prefix + pooled
 
     def _text_tower(self, pooled: Array) -> tuple[Array, tuple]:
-        """normalize(A @ tanh(pooled)) over the last axis.
-
-        Returns the embeddings and the intermediates ``_text_tower_vjp``
-        reads, so a backward pass never recomputes the forward.  ``pooled``
-        must be a fresh array: tanh and the normalization run in place,
-        since on a prediction batch each array here is (n, C, d).
+        """normalize(A @ tanh(pooled)) over the last axis, and the
+        intermediates ``_text_tower_vjp`` reads.  ``pooled`` must be a
+        fresh array: tanh and the normalization overwrite it.  A zero
+        embedding raises ``DomainError``.
         """
         squashed = np.tanh(pooled, out=pooled)
-        projected = squashed @ self.projection.T
-        norms = np.linalg.norm(projected, axis=-1, keepdims=True)
+        projected = squashed @ self._projection_t
+        norms = np.sqrt(np.add.reduce(projected * projected, axis=-1, keepdims=True))
         if np.any(norms == 0.0):
             raise DomainError("text embedding collapsed to the zero vector")
         projected /= norms
         return projected, (squashed, projected, norms)
 
     def _text_tower_vjp(self, saved: tuple, upstream: Array) -> Array:
-        """Gradient of ``sum(upstream * _text_tower(pooled))`` w.r.t. pooled:
-
-            diag(1 - tanh^2) @ A.T @ J_norm.T @ upstream
+        """Gradient of ``sum(upstream * _text_tower(pooled))`` w.r.t. pooled,
+        ``(1 - t^2) * (((u - e * sum(e * u)) / n) @ A)`` with t the squashed
+        sum, e the embedding and n its norm.  ``upstream`` must be a fresh
+        array: it is overwritten.
         """
         squashed, text, norms = saved
-        g = (upstream - text * np.sum(text * upstream, axis=-1, keepdims=True)) / norms
-        return (1.0 - squashed * squashed) * (g @ self.projection)
+        dots = np.add.reduce(text * upstream, axis=-1, keepdims=True)
+        upstream -= text * dots
+        upstream /= norms
+        grad = upstream @ self.projection
+        slope = squashed * squashed
+        np.subtract(1.0, slope, out=slope)
+        grad *= slope
+        return grad
 
     def class_term(self, class_tokens: Array, position: int) -> ClassTerm:
         """Validate (C, d) class tokens once and scale them for ``position``.
@@ -200,12 +195,7 @@ class FrozenEncoder:
         return text, (saved, start, rows)
 
     def encode_text(self, tokens: Array) -> Array:
-        """Encode one sequence of (m, d) tokens, given in position order.
-
-        No run calls it.  It stays as the single-sequence definition that
-        the tests hold the batched forward to, and because fdgbench's
-        tracing names it as a span and its tests require every named span
-        to exist."""
+        """Encode one sequence of (m, d) tokens, given in position order."""
         t = require_finite(as_f64(tokens), "tokens")
         if t.ndim != 2 or not 1 <= t.shape[0] <= self.config.max_tokens:
             raise ParameterError(f"need 1 to {self.config.max_tokens} tokens as (m, d), got {t.shape}")
@@ -215,12 +205,13 @@ class FrozenEncoder:
         """VJP of ``encode_class_texts`` w.r.t. its prompt block; a prefix
         or a zero slot is not differentiated.
 
-        ``state`` is the saved state that forward returned; the backward
-        reads its intermediates and recomputes nothing.  ``upstream`` has
-        the embeddings' shape, and the gradient has the block's shape.
+        ``state`` is the saved state that forward returned.  ``upstream``,
+        of any float dtype, has the embeddings' shape and is left as it
+        is; the float64 gradient has the block's shape.  A non-finite
+        upstream raises ``DomainError``, a wrong shape ``ParameterError``.
         """
         saved, start, rows = state
-        g = require_finite(as_f64(upstream), "upstream")
+        g = require_finite(np.array(upstream, dtype=np.float64), "upstream")
         if g.shape != saved[0].shape:
             raise ParameterError("upstream gradient has the wrong shape")
         per_shared = self._text_tower_vjp(saved, g).sum(axis=-2)        # (..., d)

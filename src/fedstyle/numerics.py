@@ -1,35 +1,20 @@
 """Numeric kernels shared by every training path.
 
-Two groups of things live here:
-
 * ``softmax``, the one softmax of the package, and ``softmax_ce_cols``,
   the softmax cross-entropy over class-major (..., C, B) logits, clamped
-  before the log, that returns its logit gradient alongside the loss.
-  Every training loss in the package ends in it and writes the rest of
-  its backward pass in closed form next to its forward pass,
+  before the log, that returns its logit gradient alongside the loss,
 * SGD and Adam, both with decoupled weight decay (the parameter shrinks
   by ``1 - lr * decay`` outside the gradient term), which reject
-  non-finite gradients.  Each steps one array in place.  Both are
-  elementwise, so one call steps a whole stack of parameter sets, or
-  every view of one flat vector, to the bits of stepping each on its own.
+  non-finite gradients.  Each steps one array in place and is
+  elementwise, so one call steps a whole stack of parameter sets to the
+  bits of stepping each on its own.
 
-The finite-difference gradient checker that pins every closed-form
-gradient lives with the tests.
-
-Training runs in ``TRAIN_DTYPE``, float32, the precision network
-training normally runs in; everything else is float64.  It holds stage
-one's lockstep transform state (``style_transfer.train_transform``) and
-stage two's train stack (``federation.run_stage_one``), of which every
-stage-two pool, drawn sample and column copy is a view or a gather.  The
-score products over those rows are most of each stage's time; at half
-the bytes per entry they are faster, and they move no held-out
-prediction.  What outlives a step stays float64: the prompts, the domain
-head and the wire's aggregate, and so do the text tower and prediction.
-The kernels here follow their inputs' dtype: Adam steps float32 state in
-float32, and SGD steps a float64 parameter in place, so it stays float64
-whatever its gradient's dtype.  No option selects the dtype.  Inputs are
-validated once at the boundary; a non-finite value raises
-``DomainError`` instead of propagating.
+Training reads its rows and state in ``TRAIN_DTYPE``, float32: stage
+one's lockstep transform state and stage two's train stack.  What outlives
+a step stays float64: the prompts, the domain head and the wire's
+aggregate, and so do the text tower and prediction.  The kernels follow
+their inputs' dtype; SGD steps a float64 parameter in place whatever its
+gradient's dtype.  A non-finite value raises ``DomainError``.
 """
 
 from __future__ import annotations
@@ -100,17 +85,19 @@ def softmax_ce_cols(logits: Array, labels: Array) -> tuple[Array, Array]:
     ``(loss, dlogits)``: the (..., B) losses, each picked probability
     clamped at ``PROB_FLOOR`` before the log, and the gradient of each
     column's loss with respect to its own logits, ``softmax - onehot``,
-    shaped like ``logits``.  Leading axes stack independent batches.  Every
-    loss in the package scales ``dlogits`` by its upstream weight.
+    shaped like ``logits``, unscaled.  Leading axes stack independent
+    batches.  The sum over classes accumulates sequentially in class
+    order.
 
-    The class axis is second to last so that the max and the sum over
-    classes are vector operations across all B rows at once; a trailing
-    class axis would be reduced one short row at a time.  The sum over
-    classes therefore accumulates sequentially in class order.
+    Labels of a dtype that is not an integer, bool included, or out of
+    range raise ``ParameterError``.
     """
     if logits.ndim < 2:
         raise ParameterError("softmax_ce_cols: expected a logit matrix")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ParameterError(f"softmax_ce_cols: labels must be integers, got dtype {labels.dtype}")
+    labels = labels.astype(np.int64, copy=False)
     classes, rows = logits.shape[-2:]
     if labels.shape != logits.shape[:-2] + (rows,):
         raise ParameterError("softmax_ce_cols: one label per column required")

@@ -8,56 +8,22 @@ Two kinds of learnable token blocks steer the text tower:
 
 Classification of an embedding x scores each class by the cosine between x
 and the text embedding of [global slot, domain slot, class token], softmaxed
-at temperature ``temperature``.  The slot layout is fixed: a disabled
-prompt leaves its slot zero, which adds nothing to the pooled token sum
-and is not pooled, but keeps every token position stable.  Whatever
-combination of prompts is active, the class token always sits at the same
-position, so a prompt is consumed in exactly the geometry it was trained
-in, and training and prediction encode it through the same one-block
-forward.
+at temperature ``temperature``.  The slot layout is fixed whatever prompts
+are active: a disabled prompt leaves its slot zero, which is not pooled, and
+the class token always sits at position 2L.
 
-For a sample from an unseen domain there is no matching domain prompt, so
-one is generated: the softmax of a frozen linear domain classifier gives
-membership weights over the source domains, and the domain prompts are
-blended with those weights.  The blend is an exact linear combination
-computed in ascending domain order, so weights that are exactly one-hot
-(a saturated head) recover the matching prompt bit for bit.
+For a sample from an unseen domain, the softmax of a frozen linear domain
+classifier gives membership weights over the source domains, and the domain
+prompts are blended with those weights, accumulated in ascending domain
+order, so one-hot weights recover the matching prompt bit for bit.
+``predict_unseen_batch`` is the only prediction path.
 
-``predict_unseen_batch`` is the only prediction path.  It scores a batch
-under every layout: both prompts, global only (no domain prompts and no
-classifier), or domain only (no global prompt).  By the one-hot guarantee
-it scores a sample with one-hot weights exactly as it would with a
-one-prompt stack holding the selected prompt.  It scores rows in fixed
-blocks, so its per-row class-text arrays stay one block in size however
-large the test set.
-
-Constants are prepared once and read-only where they become fixed: the
-class term (``FrozenEncoder.class_term`` at position 2L, after both
-slots) and the frozen global slot pooled (``FrozenEncoder.pool_prefix``).
-
-All losses return means over their batch.  Each writes its gradient in
-closed form next to its forward pass: the cross-entropy kernel supplies
-the logit gradient, the encoder's VJP carries it back to the prompt
-blocks from the forward's saved state, and the tests check every gradient
-against finite differences.  Logits are class-major, (..., C, B) with
-one column per row of the batch (``text @ batch.columns()``,
-``weight @ batch.columns()``), so the kernel's max and sum over classes
-run across all rows at once.  ``UnitRows.columns`` is the one right-hand
-operand of those products: the batch's C-contiguous (..., d, B) column
-copy when it carries one, which BLAS reads faster and to the same bits
-as the transposed rows it falls back to.  Gradients take the row-major
-rows, ``dlogits @ rows``, already the fast layout for that product.
-Scores follow the batch's dtype on one code path: the class text and the
-head's weight and bias are cast to it before their product, a no-op on
-float64 rows, so stage two's float32 pools give float32 logits and head
-gradients, while prediction, on float64 rows, stays float64.
-
-Every loss takes its batch as ``UnitRows``, a selection of a pool whose
-rows stage one normalizes, and whose labels it checks, once; the losses
-read both as given.  Every loss also takes a leading client axis on the
-batch and on its parameters, written once with ``...`` broadcasting: one
-call then steps a stack of clients, returns one loss per client, and
-gives each client the bits of a call of its own.
+Every loss takes its batch as ``UnitRows`` (unit rows with int labels and
+domains) and returns its mean over the batch with its closed-form
+gradient.  Logits are class-major, (..., C, B), one column per row, and
+follow the batch's dtype.  A leading client axis on the batch and on the
+parameters stacks clients: one call returns one loss per client, each with
+the bits of a call of its own.
 """
 
 from __future__ import annotations
@@ -94,13 +60,8 @@ class PromptConfig:
 
 
 def init_prompt(config: PromptConfig, dim: int, *tags) -> Array:
-    """Seeded normal block (length, d) scaled by ``init_scale``.
-
-    Zero scale gives an exact-zero start: every encoded sequence still
-    contains a fixed class or description token, so text embeddings stay
-    well defined, and the first update is then a pure function of the data
-    instead of the draw.
-    """
+    """Seeded normal block (length, d) scaled by ``init_scale``; exact
+    zeros at zero scale."""
     if config.init_scale == 0.0:
         return np.zeros((config.length, dim))
     return rng(*tags).normal(size=(config.length, dim)) * config.init_scale
@@ -161,25 +122,21 @@ def predict_unseen_batch(
     encoder: FrozenEncoder,
     temperature: float,
 ) -> Array:
-    """Class probabilities (n, C) of embeddings (n, d); the one prediction path.
+    """Class probabilities (n, C) of embeddings (n, d), float64.
 
-    Row n is scored on [global slot, domain slot, class token], the layout
-    the losses train in.  The domain slot holds a prompt generated for that
-    row: the (K, L, d) stack of ``domain_prompts`` blended with the softmax
-    of the domain head's logits, encoded after the global prompt pooled
-    once per call (none in the domain-only layout).  With
-    ``domain_prompts=None`` and no classifier, the global-only layout, the
-    global prompt is encoded once and its one (C, d) class-text set scores
-    every row.  A zero slot is not pooled.  Domain prompts without a
-    head, or a head without domain prompts, is half a blend
-    (``ParameterError``), and so is a temperature that is not finite and
-    positive, a stack of heads with a client axis, and embeddings, a
-    prompt block or a head whose width is not the encoder's.  Rows are
-    normalized by ``_normalized_rows`` and the head's logits come from
-    ``DomainClassifier.logits``, as in the losses.  Probabilities are a
-    temperature softmax over the cosines between the row and each class
-    text.  Rows are scored in blocks of ``PREDICT_BLOCK_ROWS``, so the
-    (rows, C, d) class-text arrays do not grow with n.
+    Row n is scored on [global slot, domain slot, class token].  The domain
+    slot holds the (K, L, d) ``domain_prompts`` blended with the softmax of
+    the head's logits for that row; with ``domain_prompts=None`` and no
+    classifier (the global-only layout) it is zero.  A ``global_prompt`` of
+    None leaves the global slot zero.  Probabilities are a temperature
+    softmax over the cosines between the row and each class text, scored
+    in blocks of ``PREDICT_BLOCK_ROWS`` rows.
+
+    Raises ``ParameterError`` for domain prompts without a head or a head
+    without domain prompts, no prompt at all, a temperature that is not
+    finite and positive, a head with a client axis, and embeddings, prompt
+    blocks or a head whose shapes disagree with each other or the encoder;
+    ``DomainError`` for a zero or non-finite embedding.
     """
     x, dim = as_f64(embeddings), encoder.config.dim
     if x.ndim != 2 or x.shape[1] != dim:
@@ -244,19 +201,14 @@ def _generated_prompts(rows: Array, blocks: Array, classifier: DomainClassifier)
 
 @dataclass(frozen=True)
 class UnitRows:
-    """Unit-norm embedding rows with their class and domain labels.
+    """Unit-norm embedding rows with their integer class and domain labels.
 
-    The losses' batch type.  The losses read its rows as they are, in
-    their dtype, and batches are selections of a pool normalized once:
-    stage one's train stack, whose rows are float32 (``TRAIN_DTYPE``).  A
-    stack of equal-sized batches, one per client, carries a leading client
-    axis on every array.
-
-    ``column_copy``, when present, is a read-only C-contiguous (..., d, n)
-    copy of the rows, made once by ``with_column_copy`` for a set that is
-    scored whole many times; ``columns`` hands it to the class-major score
-    products.  A selection carries no copy, so such a set reaches a loss
-    only whole, as itself.
+    The losses' batch type; the losses read the rows in their dtype and
+    check the labels' range and integer dtype, not the norms.  A stack of
+    equal-sized batches, one per client, carries a leading client axis on
+    every array.  ``column_copy``, when present, is a read-only
+    C-contiguous (..., d, n) copy of the rows from ``with_column_copy``;
+    a selection carries none.
     """
 
     rows: Array     # (n, d) unit rows, or (clients, n, d)
@@ -317,14 +269,15 @@ def _classification(
     want_grad: bool,
 ) -> tuple[Array, Array | None]:
     """Mean cross-entropy of the batch under the text tower, with ``block``
-    the one prompt block at position ``start`` after the pooled ``prefix``.
+    the one prompt block at position ``start`` after the pooled ``prefix``,
+    and its gradient with respect to ``block`` (None without
+    ``want_grad``).  The class token must sit after both slots
+    (``ParameterError``).
 
-    Logits are the cosines between each row and each class text, divided
-    by ``temperature``, in the batch's dtype: the class text is cast to
-    it.  Returns the loss, one per client of a stack, and its gradient
-    with respect to ``block`` (None without ``want_grad``); the text
-    gradient goes through the encoder's own VJP, which reads the forward's
-    saved state.  The class token must sit after both slots.
+    The scalars act on the (..., C, d) side: the class text is multiplied
+    by 1/T in float64, then cast to the batch's dtype for the logits
+    ``text @ batch.columns()``, and the text gradient ``dlogits @ rows``
+    is multiplied by 1/(B T) in the batch's dtype.
     """
     after_slots = 2 * np.shape(block)[-2]
     if classes.position != after_slots:
@@ -332,15 +285,14 @@ def _classification(
     text, state = encoder.encode_class_texts(block, classes, start, prefix)  # (..., C, d)
     xn = batch.rows                                                  # (..., B, d)
     _require_client_axis(batch, text.shape[:-2])
-    logits = text.astype(xn.dtype, copy=False) @ batch.columns()     # (..., C, B)
-    logits *= 1.0 / temperature
-    per_row, dlogits = softmax_ce_cols(logits, batch.labels)
-    loss = per_row.mean(axis=-1)
+    rows = xn.shape[-2]
+    scaled = (text * (1.0 / temperature)).astype(xn.dtype, copy=False)
+    per_row, dlogits = softmax_ce_cols(scaled @ batch.columns(), batch.labels)  # (..., C, B)
+    loss = np.add.reduce(per_row, axis=-1) / rows
     if not want_grad:
         return loss, None
-    dlogits *= 1.0 / xn.shape[-2]
-    dlogits *= 1.0 / temperature
     dtext = dlogits @ xn
+    dtext *= 1.0 / (rows * temperature)
     return loss, encoder.encode_class_texts_backward(state, dtext)
 
 
@@ -377,13 +329,12 @@ def domain_loss(
 ) -> tuple[float | Array, Array | None]:
     """Mean cross-entropy of the domain-prompt path over a batch.
 
-    The global prompt is a frozen constant here, prepared once per pass:
-    ``global_slot`` is its slot pooled by ``encoder.pool_prefix`` (None in
-    the domain-only layout, whose zero global slot is not pooled).
-    ``classes`` is the class term of ``global_loss``.  Gradients flow only
-    into the domain prompt.  With a leading client axis on the batch, on
-    the (K, L, d) prompt and on the (K, d) slot, returns the (K,) losses
-    and the (K, L, d) gradients.
+    The global prompt is a frozen constant here: ``global_slot`` is its
+    slot pooled by ``encoder.pool_prefix`` (None in the domain-only
+    layout).  ``classes`` is the class term of ``global_loss``.  Gradients
+    flow only into the domain prompt.  With a leading client axis on the
+    batch, on the (K, L, d) prompt and on the (K, d) slot, returns the (K,)
+    losses and the (K, L, d) gradients.
     """
     if len(batch) == 0:
         raise ParameterError("empty batch")
@@ -403,18 +354,21 @@ def classifier_loss(
 ) -> tuple[float | Array, dict[str, Array] | None]:
     """Mean cross-entropy of the linear domain head on normalized embeddings.
 
-    Batch domains are the labels; every entry must carry a valid source
-    domain index (a style-transferred copy carries its target's index).
-    With a leading client axis on the batch and on a stack of heads,
-    returns the (K,) losses and stacked gradients.
+    Batch domains are the labels; every entry must be a valid head index.
+    The weight and bias gradients are multiplied by 1/B after their
+    reductions.  With a leading client axis on the batch and on a stack of
+    heads, returns the (K,) losses and stacked gradients.
     """
     if len(batch) == 0:
         raise ParameterError("empty batch")
     xn = batch.rows
     _require_client_axis(batch, classifier.bias.shape[:-1])
+    rows = xn.shape[-2]
     per_row, dlogits = softmax_ce_cols(classifier.logits(batch.columns()), batch.domains)
-    loss = _per_client(per_row.mean(axis=-1))
+    loss = _per_client(np.add.reduce(per_row, axis=-1) / rows)
     if not want_grad:
         return loss, None
-    dlogits *= 1.0 / xn.shape[-2]
-    return loss, {"weight": dlogits @ xn, "bias": dlogits.sum(axis=-1)}
+    weight, bias = dlogits @ xn, np.add.reduce(dlogits, axis=-1)
+    weight *= 1.0 / rows
+    bias *= 1.0 / rows
+    return loss, {"weight": weight, "bias": bias}

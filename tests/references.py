@@ -15,7 +15,8 @@ block from position 0 on the call, a zero block included, and
 differentiates each block.  ``per_call_global_loss`` and
 ``per_call_domain_loss`` are the stage-two losses formulated on it: they
 validate and scale the raw class tokens and pool both slots of [global
-slot, domain slot, class token] on each call.  ``two_slot_probabilities``
+slot, domain slot, class token] on each call, with the package's scalar
+placement (1/T on the class text, 1/(B T) on the text gradient).  ``two_slot_probabilities``
 is prediction formulated on it: every 256-row block pools [global prompt
 or zero, generated prompt or zero].
 The package prepares those constants once, encodes one block after a
@@ -123,7 +124,7 @@ def every_block_texts(encoder, blocks, class_tokens):
     text, saved = encoder._text_tower(shared[..., None, :] + scale[offset] * ct)
 
     def backward(upstream):
-        per_shared = encoder._text_tower_vjp(saved, upstream).sum(axis=-2)
+        per_shared = encoder._text_tower_vjp(saved, np.array(upstream, dtype=np.float64)).sum(axis=-2)
         return [scale[o : o + b.shape[-2], None] * per_shared[..., None, :] for o, b in zip(offsets, blocks)]
 
     return text, backward
@@ -133,12 +134,12 @@ def _per_call_classification(batch, blocks, slot, encoder, class_tokens, tempera
     """Mean cross-entropy over [blocks..., class token] and its gradient
     with respect to ``blocks[slot]``, pooling every block on the call."""
     text, backward = every_block_texts(encoder, blocks, class_tokens)
-    logits = text @ batch.columns()
-    logits *= 1.0 / temperature
-    per_row, dlogits = softmax_ce_cols(logits, batch.labels)
-    dlogits *= 1.0 / batch.rows.shape[-2]
-    dlogits *= 1.0 / temperature
-    return per_row.mean(axis=-1), backward(dlogits @ batch.rows)[slot]
+    rows = batch.rows.shape[-2]
+    scaled = (text * (1.0 / temperature)).astype(batch.rows.dtype)
+    per_row, dlogits = softmax_ce_cols(scaled @ batch.columns(), batch.labels)
+    dtext = dlogits @ batch.rows
+    dtext *= 1.0 / (rows * temperature)
+    return per_row.sum(axis=-1) / rows, backward(dtext)[slot]
 
 
 def two_slot_probabilities(embeddings, global_prompt, domain_prompts, classifier, class_tokens, encoder, temperature):

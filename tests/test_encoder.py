@@ -267,6 +267,7 @@ def test_a_prefix_and_a_zero_slot_give_the_bits_of_pooling_every_block():
     class_tokens = rng.normal(size=(4, CFG.dim)) * 0.01
     term = ENC.class_term(class_tokens, 4)
     upstream = rng.normal(size=(3, 4, CFG.dim))
+    kept = upstream.copy()
     cases = [
         ([frozen, trained], 1, (trained, term, 2, ENC.pool_prefix(frozen))),
         ([frozen, np.zeros_like(frozen)], 0, (frozen, term)),
@@ -277,8 +278,28 @@ def test_a_prefix_and_a_zero_slot_give_the_bits_of_pooling_every_block():
         got, state = ENC.encode_class_texts(*prepared)
         assert got.tobytes() == text.tobytes()
         assert ENC.encode_class_texts_backward(state, upstream).tobytes() == backward(upstream)[slot].tobytes()
+    assert upstream.tobytes() == kept.tobytes()  # the backward leaves its upstream as given
     bare = ENC.encode_class_texts(None, ENC.class_term(class_tokens, 0))[0]
     assert bare.tobytes() == every_block_texts(ENC, [], class_tokens)[0].tobytes()
+
+
+@pytest.mark.parametrize("rows", [3, 256])
+def test_text_tower_norm_and_vjp_give_the_bits_of_their_formulas(rows):
+    # (rows, 10, 64): a stage-two stack of 3 clients and a prediction block;
+    # the norm is np.linalg.norm's and the VJP the plain formula
+    # (1 - t^2) * (((u - e * sum(e * u)) / n) @ A), bit for bit
+    enc = FrozenEncoder(EncoderConfig(dim=64, seed=3))
+    g = np.random.default_rng(rows)
+    pooled, upstream = g.normal(size=(2, rows, 10, 64)) * [[[[0.3]]], [[[1.0]]]]
+    text, saved = enc._text_tower(pooled.copy())
+    squashed, _, norms = saved
+    projected = np.tanh(pooled) @ np.ascontiguousarray(enc.projection.T)
+    want_norms = np.linalg.norm(projected, axis=-1, keepdims=True)
+    assert norms.tobytes() == want_norms.tobytes()
+    assert text.tobytes() == (projected / want_norms).tobytes()
+    g_text = (upstream - text * np.sum(text * upstream, axis=-1, keepdims=True)) / norms
+    want = (1.0 - squashed * squashed) * (g_text @ enc.projection)
+    assert enc._text_tower_vjp(saved, upstream.copy()).tobytes() == want.tobytes()
 
 
 def test_prepared_constants_are_validated_once_and_read_only():

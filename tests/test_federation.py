@@ -4,16 +4,17 @@ post-broadcast bit-identity, and whole-run determinism."""
 
 import dataclasses
 import functools
+import hashlib
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from fedstyle import federation, prompts
-from fedstyle.config import VARIANT_ORDER, build_config, variant_toggles
+from fedstyle.config import VARIANT_ORDER, variant_toggles
 from fedstyle.data import TARGET_KEY, WorldSpec, generate_world, leave_one_out
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
-from fedstyle.errors import ConfigurationError, DataError, DomainError, NonFiniteLossError, ProtocolError
+from fedstyle.errors import ConfigurationError, DataError, DomainError, NonFiniteLossError, ParameterError, ProtocolError
 from fedstyle.federation import (
     FederationConfig,
     MethodToggles,
@@ -792,62 +793,71 @@ def test_training_beats_chance_and_lowers_global_loss():
     assert result.round_metrics[-1]["global_loss"] < result.round_metrics[0]["global_loss"]
 
 
+# the package defaults: seed 0's world and encoder, and every section's
+# dataclass default
+PROMPT = PromptConfig()
+
+
+def _default_split(holdout):
+    encoder = FrozenEncoder(EncoderConfig(seed=0))
+    return encoder, leave_one_out(generate_world(WorldSpec(seed=0), encoder), holdout)
+
+
+def _default_run(split, encoder, variant, fed=FederationConfig()):
+    toggles = variant_toggles(variant)
+    stage_one = run_stage_one(split, encoder, TransferConfig(), PROMPT.temperature, toggles, 0)
+    return stage_one, run_protocol(stage_one, split, encoder, PROMPT, fed, toggles, 0)
+
+
 def _default_global_only(holdout, rounds=None):
     # global-only at the package defaults, seed 0, with its stage-one stacks
-    config = build_config()
-    encoder = FrozenEncoder(config.encoder_config(0))
-    split = leave_one_out(generate_world(config.world_spec(0), encoder), holdout)
-    toggles, tau = variant_toggles("global-only"), config.prompt.temperature
-    fed = config.rounds if rounds is None else dataclasses.replace(config.rounds, rounds=rounds)
-    stage_one = run_stage_one(split, encoder, config.transfer, tau, toggles, 0)
-    result = run_protocol(stage_one, split, encoder, config.prompt, fed, toggles, 0)
-    return config, encoder, split, stage_one, result
+    encoder, split = _default_split(holdout)
+    fed = FederationConfig() if rounds is None else FederationConfig(rounds=rounds)
+    return (encoder, split) + _default_run(split, encoder, "global-only", fed)
 
 
-def _pool_losses(config, encoder, split, stage_one, prompt):
+def _pool_losses(encoder, split, stage_one, prompt):
     # (K,) global losses of one prompt on every client's train pool
     pools = stage_one.train_pool
-    classes = encoder.class_term(split.class_tokens, 2 * config.prompt.length)
+    classes = encoder.class_term(split.class_tokens, 2 * PROMPT.length)
     stacked = np.stack([prompt] * pools.rows.shape[0])
-    return global_loss(pools, stacked, encoder, classes, config.prompt.temperature, want_grad=False)[0]
+    return global_loss(pools, stacked, encoder, classes, PROMPT.temperature, want_grad=False)[0]
 
 
 @pytest.mark.parametrize("rounds", [1, None], ids=["round-0", "every-round"])
 def test_trained_global_prompt_is_no_worse_than_zero_on_the_default_config(rounds):
     # on each client's train pool, the broadcast global prompt after round 0
     # and after the last round loses no more than the zero prompt
-    config, encoder, split, stage_one, result = _default_global_only(0, rounds)
-    trained = _pool_losses(config, encoder, split, stage_one, result.global_prompt)
-    untrained = _pool_losses(config, encoder, split, stage_one, np.zeros_like(result.global_prompt))
+    encoder, split, stage_one, result = _default_global_only(0, rounds)
+    trained = _pool_losses(encoder, split, stage_one, result.global_prompt)
+    untrained = _pool_losses(encoder, split, stage_one, np.zeros_like(result.global_prompt))
     assert np.all(trained <= untrained), (trained, untrained)
 
 
-def _held_out_nll(split, encoder, config, prompt, domain_prompts=None, head=None):
-    probs = predict_unseen_batch(
-        split.test_set.embeddings, prompt, domain_prompts, head, split.class_tokens, encoder,
-        config.prompt.temperature,
+def _held_out_probs(split, encoder, prompt, domain_prompts=None, head=None):
+    return predict_unseen_batch(
+        split.test_set.embeddings, prompt, domain_prompts, head, split.class_tokens, encoder, PROMPT.temperature
     )
+
+
+def _held_out_nll(split, encoder, prompt, domain_prompts=None, head=None):
+    probs = _held_out_probs(split, encoder, prompt, domain_prompts, head)
     return -np.mean(np.log(np.maximum(probs[np.arange(len(probs)), split.test_set.labels], PROB_FLOOR)))
 
 
 @pytest.mark.parametrize("holdout", range(4))
 def test_trained_global_prompt_lowers_the_held_out_nll_on_the_default_config(holdout):
-    config, encoder, split, _, result = _default_global_only(holdout)
+    encoder, split, _, result = _default_global_only(holdout)
     zero = np.zeros_like(result.global_prompt)
-    assert _held_out_nll(split, encoder, config, result.global_prompt) < _held_out_nll(split, encoder, config, zero)
+    assert _held_out_nll(split, encoder, result.global_prompt) < _held_out_nll(split, encoder, zero)
 
 
 @functools.cache
 def _default_dual_prompt(holdout):
     # dual-prompt at the package defaults, seed 0, with its stage-one stacks;
     # built once per holdout for the domain-path gates below
-    config = build_config()
-    encoder = FrozenEncoder(config.encoder_config(0))
-    split = leave_one_out(generate_world(config.world_spec(0), encoder), holdout)
-    toggles, tau = variant_toggles("dual-prompt"), config.prompt.temperature
-    stage_one = run_stage_one(split, encoder, config.transfer, tau, toggles, 0)
-    result = run_protocol(stage_one, split, encoder, config.prompt, config.rounds, toggles, 0)
-    return config, encoder, split, stage_one, result
+    encoder, split = _default_split(holdout)
+    return (encoder, split) + _default_run(split, encoder, "dual-prompt")
 
 
 @pytest.mark.parametrize("holdout", range(4))
@@ -855,13 +865,13 @@ def test_trained_domain_prompts_are_no_worse_than_zero_on_the_default_config(hol
     # each client's domain loss on its local set, against the last round's
     # broadcast global prompt, with its collected domain prompt and with a
     # zero one
-    config, encoder, split, stage_one, result = _default_dual_prompt(holdout)
-    classes = encoder.class_term(split.class_tokens, 2 * config.prompt.length)
+    encoder, split, stage_one, result = _default_dual_prompt(holdout)
+    classes = encoder.class_term(split.class_tokens, 2 * PROMPT.length)
     k = split.num_clients
     slot = encoder.pool_prefix(np.stack([result.global_prompt] * k))
 
     def losses(prompts):
-        return domain_loss(stage_one.local_set, prompts, slot, encoder, classes, config.prompt.temperature, False)[0]
+        return domain_loss(stage_one.local_set, prompts, slot, encoder, classes, PROMPT.temperature, False)[0]
 
     trained, untrained = losses(result.domain_prompts), losses(np.zeros_like(result.domain_prompts))
     assert np.all(trained <= untrained), (trained, untrained)
@@ -869,9 +879,9 @@ def test_trained_domain_prompts_are_no_worse_than_zero_on_the_default_config(hol
 
 @pytest.mark.parametrize("holdout", range(4))
 def test_trained_dual_prompts_lower_the_held_out_nll_on_the_default_config(holdout):
-    config, encoder, split, _, result = _default_dual_prompt(holdout)
-    trained = _held_out_nll(split, encoder, config, result.global_prompt, result.domain_prompts, result.classifier)
-    assert trained < _held_out_nll(split, encoder, config, np.zeros_like(result.global_prompt))
+    encoder, split, _, result = _default_dual_prompt(holdout)
+    trained = _held_out_nll(split, encoder, result.global_prompt, result.domain_prompts, result.classifier)
+    assert trained < _held_out_nll(split, encoder, np.zeros_like(result.global_prompt))
 
 
 def test_the_domain_head_routes_the_held_out_rows_on_the_default_config():
@@ -879,29 +889,71 @@ def test_the_domain_head_routes_the_held_out_rows_on_the_default_config():
     # four holdouts, is clearly above the uniform blend's 1 / K
     largest = []
     for holdout in range(4):
-        _, _, split, _, result = _default_dual_prompt(holdout)
+        _, split, _, result = _default_dual_prompt(holdout)
         x = split.test_set.embeddings
         x = x / np.linalg.norm(x, axis=1, keepdims=True)
         largest.append(softmax(result.classifier.logits(x.T), 0).max(axis=0).mean())
     assert np.mean(largest) > 1.0 / split.num_clients + 0.1, largest
 
 
+# per variant on the default cell at holdout 0: the correct count out of
+# 2,000 test rows, and the SHA-256 of the predicted labels as int64;
+# global-only and dual-prompt predict alike: at this holdout the domain
+# path moves no prediction
+DEFAULT_CELL_PREDICTIONS = {
+    "global-only": (1972, "bf283515690816192a1b044bfbe7bb54fd62fe9630f660f60eb9c0e505ab94e3"),
+    "domain-only": (1964, "60ab677c0a0acbcd635fa9086f6693df45ff9fb5d082a41abf2c7d8bd9697be4"),
+    "dual-prompt": (1972, "bf283515690816192a1b044bfbe7bb54fd62fe9630f660f60eb9c0e505ab94e3"),
+    "target-text": (1966, "adbb0f9da6006fdd66b992e34d60aaa4d9bc4c83f4cd3268ca2811713a22a472"),
+    "full": (1967, "47076627202a84053782934ea2b675cc0a1f01f8953e7b9f79501a4de88f0cd3"),
+}
+
+
 def test_default_cell_correct_counts_on_holdout_zero():
     # one world at the package defaults, seed 0, holdout 0: the correct
-    # counts out of 2,000 test rows that the pipeline reaches per variant
-    config = build_config()
-    encoder = FrozenEncoder(config.encoder_config(0))
-    split = leave_one_out(generate_world(config.world_spec(0), encoder), 0)
-    tau = config.prompt.temperature
-    counts = {}
-    for variant in ("global-only", "domain-only", "dual-prompt", "target-text", "full"):
-        toggles = variant_toggles(variant)
-        stage_one = run_stage_one(split, encoder, config.transfer, tau, toggles, 0)
-        result = run_protocol(stage_one, split, encoder, config.prompt, config.rounds, toggles, 0)
-        accuracy = evaluate_accuracy(result, split, encoder, config.prompt, toggles)
-        counts[variant] = round(accuracy * len(split.test_set))
+    # counts the pipeline reaches per variant, and which rows it predicts
+    # as what, so a change that swaps predictions without moving a count
+    # fails too
+    encoder, split = _default_split(0)
     assert len(split.test_set) == 2000
-    assert counts == {"global-only": 1972, "domain-only": 1964, "dual-prompt": 1972, "target-text": 1966, "full": 1967}
+    got = {}
+    for variant in DEFAULT_CELL_PREDICTIONS:
+        _, result = _default_run(split, encoder, variant)
+        toggles = variant_toggles(variant)
+        accuracy = evaluate_accuracy(result, split, encoder, PROMPT, toggles)
+        blend = (result.domain_prompts, result.classifier) if toggles.use_domain_prompt else (None, None)
+        predicted = _held_out_probs(split, encoder, result.global_prompt, *blend).argmax(axis=1)
+        digest = hashlib.sha256(predicted.astype(np.int64).tobytes()).hexdigest()
+        assert round(accuracy * 2000) == np.sum(predicted == split.test_set.labels)
+        got[variant] = (round(accuracy * 2000), digest)
+    assert got == DEFAULT_CELL_PREDICTIONS
+
+
+@pytest.mark.parametrize("length", [1, 4])
+def test_max_tokens_must_fit_two_prompt_blocks_and_a_class_token(length, monkeypatch):
+    # [global block, domain block, class token] is the longest sequence a
+    # run encodes: with 2L tokens the class term has no position and
+    # run_protocol raises before its first message; 2L + 1 are enough
+    sent = []
+    exchange = federation._exchange
+    monkeypatch.setattr(federation, "_exchange", lambda *a: sent.append(a[1]) or exchange(*a))
+    spec = WorldSpec(classes=3, domains=3, samples_per_cell=4, dim=8, seed=0)
+    toggles = variant_toggles("dual-prompt")
+    prompt = PromptConfig(length=length, temperature=0.1)
+    fed = FederationConfig(**dict(_ROUNDS, rounds=1))
+    for max_tokens in (2 * length, 2 * length + 1):
+        encoder = FrozenEncoder(EncoderConfig(dim=8, max_tokens=max_tokens, seed=0))
+        split = leave_one_out(generate_world(spec, encoder), 0)
+        stage_one = run_stage_one(split, encoder, TransferConfig(epochs=1), 0.1, toggles, 0)
+        if max_tokens == 2 * length:
+            with pytest.raises(ParameterError, match=f"no token position {2 * length}"):
+                run_protocol(stage_one, split, encoder, prompt, fed, toggles, 0)
+            assert sent == []
+        else:
+            result = run_protocol(stage_one, split, encoder, prompt, fed, toggles, 0)
+            # one round and the domain exchange: K uploads and one broadcast each
+            assert len(sent) == 2 * (split.num_clients + 1)
+            assert result.domain_prompts.shape == (split.num_clients, length, 8)
 
 
 # ---------------------------------------------------------------------------

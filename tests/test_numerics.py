@@ -93,6 +93,26 @@ def test_softmax_rejects_bad_inputs():
         softmax_ce_cols(np.zeros((2, 3, 4)), np.full((2, 4), 3))
 
 
+@pytest.mark.parametrize(
+    "labels", [[0.5, 1.7, 2.2, 0.9], [0.0, 1.0, 2.0, 0.0], [True, False, True, False]],
+    ids=["fractions", "integral-floats", "bools"],
+)
+def test_softmax_ce_cols_rejects_labels_that_are_not_integers(labels):
+    # a cast would score the fractions as classes [0, 1, 2, 0] and the
+    # bools as classes 1 and 0
+    with pytest.raises(ParameterError, match="labels must be integers"):
+        softmax_ce_cols(np.zeros((3, 4)), labels)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint64])
+def test_softmax_ce_cols_reads_any_integer_labels_as_int64(dtype):
+    logits = np.random.default_rng(5).normal(size=(2, 3, 40))
+    labels = np.random.default_rng(6).integers(0, 3, size=(2, 40))
+    want = softmax_ce_cols(logits, labels)
+    got = softmax_ce_cols(logits, labels.astype(dtype))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
 def test_softmax_ce_cols_matches_scalar_primitives():
     # oracle: each column through a plain-math softmax, -log of the clamped
     # label mass, gradient p - onehot; the logits are a transposed view, so

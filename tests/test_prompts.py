@@ -738,6 +738,24 @@ def test_each_loss_matches_the_row_major_formula_on_a_default_size_batch(loss):
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+@pytest.mark.parametrize("loss", ["global", "domain", "classifier"])
+def test_each_loss_rejects_labels_that_are_not_integers(loss, dtype):
+    # UnitRows checks nothing; the losses' kernel refuses the dtype
+    batch, enc, ct, prompt = _batch(), _encoder(), _class_tokens(), np.zeros((2, DIM))
+    if loss == "classifier":
+        bad = UnitRows(batch.rows, batch.labels, batch.domains.astype(dtype))
+    else:
+        bad = UnitRows(batch.rows, batch.labels.astype(dtype), batch.domains)
+    with pytest.raises(ParameterError, match="labels must be integers"):
+        if loss == "global":
+            global_loss(bad, prompt, enc, _classes(enc, ct), TAU)
+        elif loss == "domain":
+            _domain_loss(bad, prompt, None, enc, ct, TAU)
+        else:
+            classifier_loss(bad, DomainClassifier.init(2, DIM))
+
+
 @pytest.mark.parametrize("rows", [32, 2000])
 @pytest.mark.parametrize("layout", ["dual-prompt", "domain-only"])
 def test_prepared_losses_match_the_per_call_reference_bit_for_bit(rows, layout):

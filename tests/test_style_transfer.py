@@ -8,13 +8,14 @@ import re
 import numpy as np
 import pytest
 
-from fedstyle.config import build_config, variant_toggles
+from fedstyle.config import variant_toggles
 from fedstyle.data import LabeledEmbeddings, WorldSpec, generate_world, leave_one_out
 from fedstyle.encoder import EncoderConfig, FrozenEncoder
 from fedstyle import style_transfer
 from fedstyle.data import TARGET_KEY
 from fedstyle.errors import ConfigurationError, DataError, DomainError, NonFiniteLossError, ParameterError
 from fedstyle.federation import run_stage_one, transform_jobs
+from fedstyle.prompts import PromptConfig
 from fedstyle.style_transfer import (
     TransferConfig,
     TransformJob,
@@ -349,10 +350,9 @@ def test_stage_one_pools_match_the_reference_formulas_on_the_default_config(monk
     # pools, float32 themselves, stay within 5e-6 of the float64 run's
     # (measured: 1.4e-6 on this cell, at most 2.0e-6 over seeds 0-2 x
     # holdouts 0-3 x full and target-text).
-    config = build_config()
-    encoder = FrozenEncoder(config.encoder_config(0))
-    split = leave_one_out(generate_world(config.world_spec(0), encoder), 1)
-    args = (split, encoder, config.transfer, config.prompt.temperature, variant_toggles("full"), 0)
+    encoder, transfer = FrozenEncoder(EncoderConfig(seed=0)), TransferConfig()
+    split = leave_one_out(generate_world(WorldSpec(seed=0), encoder), 1)
+    args = (split, encoder, transfer, PromptConfig().temperature, variant_toggles("full"), 0)
     single = run_stage_one(*args)
     train_in_float64(monkeypatch)
     got = run_stage_one(*args)
@@ -369,7 +369,7 @@ def test_stage_one_pools_match_the_reference_formulas_on_the_default_config(monk
     monkeypatch.setattr(style_transfer, "_stacked_objective", objective)
     monkeypatch.setattr(style_transfer, "adam_step", adam)
     want = run_stage_one(*args)
-    steps = config.transfer.epochs * math.ceil(len(split.clients[0]) / config.transfer.batch_size)
+    steps = transfer.epochs * math.ceil(len(split.clients[0]) / transfer.batch_size)
     assert steps == 1260 and calls == {"objective": steps, "adam_step": steps}
     for pool in ("train_pool", "head_pool"):
         a, b, c = getattr(got, pool), getattr(want, pool), getattr(single, pool)
