@@ -94,3 +94,93 @@ def test_a_single_valued_field_rejects_any_other_value(cls, name, value):
     cls(**{name: getattr(cls(), name)})
     with pytest.raises(ConfigurationError, match=name):
         cls(**{name: value})
+
+
+# (cls, field, value, message) for a value one step outside each range check
+OUT_OF_RANGE = [
+    (WorldSpec, "classes", 1, "at least 2 classes"),
+    (WorldSpec, "domains", 2, "at least 3 domains"),
+    (WorldSpec, "samples_per_cell", 0, "one sample per"),
+    (WorldSpec, "noise", -1e-3, "noise must be non-negative"),
+    (WorldSpec, "shift_scale", 0.0, "must be positive"),
+    (WorldSpec, "shift_scale", -2.0, "must be positive"),
+    (WorldSpec, "token_scale", 0.0, "must be positive"),
+    (WorldSpec, "token_scale", -0.01, "must be positive"),
+    (EncoderConfig, "dim", 1, "dim must be at least 2"),
+    (EncoderConfig, "max_tokens", 1, "max_tokens must be at least 2"),
+    (PromptConfig, "length", 0, "length must be at least 1"),
+    (PromptConfig, "temperature", 0.0, "temperature must be positive"),
+    (PromptConfig, "temperature", -0.15, "temperature must be positive"),
+    (PromptConfig, "init_scale", -1e-3, "init_scale must be non-negative"),
+    (FederationConfig, "rounds", 0, "at least one round"),
+    (FederationConfig, "global_epochs", 0, "epoch counts"),
+    (FederationConfig, "domain_epochs", 0, "epoch counts"),
+    (FederationConfig, "global_lr", 0.0, "global_lr must be positive"),
+    (FederationConfig, "head_lr", 0.0, "head_lr must be positive"),
+    (FederationConfig, "domain_lr", 0.0, "domain_lr must be positive"),
+    (FederationConfig, "domain_lr", -1e-3, "domain_lr must be positive"),
+    (FederationConfig, "weight_decay", -1e-3, "weight_decay must be non-negative"),
+    (FederationConfig, "lr_decay", 0.0, r"lr_decay must be in \(0, 1\]"),
+    (FederationConfig, "lr_decay", -0.7, r"lr_decay must be in \(0, 1\]"),
+    (FederationConfig, "lr_decay", 1.001, r"lr_decay must be in \(0, 1\]"),
+    (FederationConfig, "batch_size", 0, "batch_size must be at least 1"),
+    (TransferConfig, "alignment_weight", -1e-3, r"alignment_weight must lie in \[0, 1\]"),
+    (TransferConfig, "alignment_weight", 1.001, r"alignment_weight must lie in \[0, 1\]"),
+    (TransferConfig, "learning_rate", 0.0, "optimizer"),
+    (TransferConfig, "learning_rate", -1e-3, "optimizer"),
+    (TransferConfig, "weight_decay", -1e-3, "optimizer"),
+    (TransferConfig, "epochs", -1, "schedule"),
+    (TransferConfig, "batch_size", 0, "schedule"),
+    (TransferConfig, "hidden", -1, "hidden must be non-negative"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name, value, message",
+    [pytest.param(*case, id=f"{case[0].__name__}.{case[1]}={case[2]}") for case in OUT_OF_RANGE],
+)
+def test_config_dataclass_rejects_a_value_outside_its_range(cls, name, value, message):
+    with pytest.raises(ConfigurationError, match=message):
+        cls(**{name: value})
+
+
+# (cls, field, value) at the edge of each range check, or as close as a
+# float gets to an open edge
+AT_THE_EDGE = [
+    (WorldSpec, "classes", 2),
+    (WorldSpec, "domains", 3),
+    (WorldSpec, "samples_per_cell", 1),
+    (WorldSpec, "noise", 0.0),
+    (WorldSpec, "shift_scale", 5e-324),
+    (WorldSpec, "token_scale", 5e-324),
+    (EncoderConfig, "dim", 2),
+    (EncoderConfig, "max_tokens", 2),
+    (PromptConfig, "length", 1),
+    (PromptConfig, "temperature", 5e-324),
+    (PromptConfig, "init_scale", 0.0),
+    (FederationConfig, "rounds", 1),
+    (FederationConfig, "global_epochs", 1),
+    (FederationConfig, "domain_epochs", 1),
+    (FederationConfig, "global_lr", 5e-324),
+    (FederationConfig, "head_lr", 5e-324),
+    (FederationConfig, "domain_lr", 5e-324),
+    (FederationConfig, "weight_decay", 0.0),
+    (FederationConfig, "lr_decay", 5e-324),
+    (FederationConfig, "lr_decay", 1.0),
+    (FederationConfig, "batch_size", 1),
+    (TransferConfig, "alignment_weight", 0.0),
+    (TransferConfig, "alignment_weight", 1.0),
+    (TransferConfig, "learning_rate", 5e-324),
+    (TransferConfig, "weight_decay", 0.0),
+    (TransferConfig, "epochs", 0),
+    (TransferConfig, "batch_size", 1),
+    (TransferConfig, "hidden", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name, value",
+    [pytest.param(*case, id=f"{case[0].__name__}.{case[1]}={case[2]}") for case in AT_THE_EDGE],
+)
+def test_config_dataclass_accepts_the_edge_of_its_range(cls, name, value):
+    assert getattr(cls(**{name: value}), name) == value

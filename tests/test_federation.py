@@ -5,6 +5,7 @@ post-broadcast bit-identity, and whole-run determinism."""
 import dataclasses
 import functools
 import hashlib
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -192,6 +193,29 @@ def test_toggle_validation():
     # the documented presets are representable
     MethodToggles(use_domain_prompt=False, use_prompt_generator=False)
     MethodToggles(use_global_prompt=False)
+
+
+_SWITCHES = ("use_global_prompt", "use_domain_prompt", "use_prompt_generator", "use_style_transfer", "include_target_description")
+
+
+@pytest.mark.parametrize(
+    "values",
+    [pytest.param(v, id="".join("1" if x else "0" for x in v)) for v in itertools.product((False, True), repeat=5)],
+)
+def test_toggles_are_accepted_exactly_when_every_rule_holds(values):
+    # ids spell the switches in _SWITCHES order
+    toggles = dict(zip(_SWITCHES, values))
+    valid = (
+        (toggles["use_global_prompt"] or toggles["use_domain_prompt"])
+        and toggles["use_domain_prompt"] == toggles["use_prompt_generator"]
+        and (toggles["use_style_transfer"] or not toggles["include_target_description"])
+    )
+    if valid:
+        built = MethodToggles(**toggles)
+        assert {name: getattr(built, name) for name in _SWITCHES} == toggles
+    else:
+        with pytest.raises(ConfigurationError):
+            MethodToggles(**toggles)
 
 
 def test_federation_config_validation():

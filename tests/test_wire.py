@@ -15,7 +15,9 @@ from fedstyle.wire import (
     KIND_GLOBAL_BROADCAST,
     KIND_GLOBAL_UPLOAD,
     KIND_NAMES,
+    MAGIC,
     SERVER_ID,
+    VERSION,
     FederatedMessage,
     decode_message,
     encode_message,
@@ -181,3 +183,53 @@ def test_dims_whose_product_overflows_int64_are_a_protocol_error(dims):
     body = blob[: -4 - 4 - 4 * len(dims)] + struct.pack(f"<{len(dims)}I", *dims)
     with pytest.raises(ProtocolError):
         decode_message(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _header(kind, round_index, client, array_count) -> bytes:
+    return struct.pack("<4sHBIIH", MAGIC, VERSION, kind, round_index, client, array_count)
+
+
+def _array_block(name: bytes) -> bytes:
+    return struct.pack("<H", len(name)) + name + struct.pack("<BI", 1, 1) + np.zeros(1, dtype="<f4").tobytes()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        pytest.param(
+            _header(9, 0, 0, 0), "unknown message kind 9", id="unknown-kind"
+        ),
+        pytest.param(
+            _header(KIND_GLOBAL_UPLOAD, 0, 0, 1) + _array_block(b"\xff\xfe"),
+            "not valid UTF-8", id="name-not-utf8",
+        ),
+        pytest.param(
+            _header(KIND_GLOBAL_UPLOAD, 0, 0, 2) + _array_block(b"p") * 2,
+            "duplicate array name 'p'", id="duplicate-name",
+        ),
+    ],
+)
+def test_a_frame_with_a_valid_crc_is_still_checked_field_by_field(body, message):
+    # the CRC matches, so only the named structural check can refuse the frame
+    with pytest.raises(ProtocolError, match=message):
+        decode_message(_with_crc(body))
+
+
+def test_the_hand_built_frame_layout_decodes():
+    # the layout the frames above corrupt one field of
+    body = _header(KIND_GLOBAL_UPLOAD, 4, 2, 1) + _array_block(b"p")
+    decoded = decode_message(_with_crc(body))
+    assert (decoded.kind, decoded.round_index, decoded.client) == (KIND_GLOBAL_UPLOAD, 4, 2)
+    assert decoded.arrays["p"].tobytes() == np.zeros(1, dtype=np.float32).tobytes()
+
+
+def test_an_array_name_longer_than_the_length_field_is_refused_on_encode():
+    with pytest.raises(ProtocolError, match="array name too long"):
+        encode_message(_message(arrays={"x" * 0x10000: np.zeros(1, dtype=np.float32)}))
+    # the longest name the 2-byte length field holds still encodes
+    longest = "x" * 0xFFFF
+    assert list(decode_message(encode_message(_message(arrays={longest: np.zeros(1, dtype=np.float32)}))).arrays) == [longest]
