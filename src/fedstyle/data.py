@@ -106,9 +106,9 @@ class LabeledEmbeddings:
         self.embeddings = require_finite(as_f64(self.embeddings), "embeddings")
         self.labels = _as_index_array(self.labels, "labels")
         self.domains = _as_index_array(self.domains, "domains")
-        n = self.embeddings.shape[0]
         if self.embeddings.ndim != 2:
             raise ParameterError("embeddings must be 2-D")
+        n = self.embeddings.shape[0]
         for name, arr in (("labels", self.labels), ("domains", self.domains)):
             if arr.shape != (n,):
                 raise ParameterError(f"{name} must have shape ({n},)")

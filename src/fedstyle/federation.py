@@ -2,72 +2,51 @@
 
 Stage one is entirely local: every client trains one style transform per
 other available domain description and pushes its own embeddings through
-them.  Its entry refuses a local-set class label outside [0, C) or
-domain label outside [0, K) before anything trains.  The train stack is
-allocated once training is done, in ``numerics.TRAIN_DTYPE`` (float32);
-the forward writes each client's copies straight into it after the
-client's local set, laid out as ``transform_jobs`` states, and each
-client's pool is normalized there in place, in that dtype.  Every
-stage-two pool is a view of its leading rows, and the copies styled toward
-the held-out description come last.  Nothing crosses the wire.
+them.  Its entry refuses local sets of mixed or zero length
+(``ConfigurationError``) and a class label outside [0, C) or domain label
+outside [0, K) (``DataError``) before anything trains.  The result is one
+read-only (K, N, d) train stack in ``numerics.TRAIN_DTYPE`` (float32),
+each client's local set followed by its copies as ``transform_jobs`` lays
+them out, normalized per client; every stage-two pool is a view of its
+leading rows, and the copies styled toward the held-out description come
+last.  Nothing crosses the wire.
 
 Stage two runs ``rounds`` federated rounds.  In each round every client
 starts from the adopted broadcast, refines it locally (the global prompt on
 its augmented pool, the domain head on the rows of it that carry a
 source-domain label), uploads it, and the server broadcasts the anchored
-mean back, each upload weighted 1/K: the clients of a split hold local sets
-of one length, so this is FedAvg's sample-count-weighted mean, and no
-sample count crosses the wire.  The broadcast bytes are canonical: server
-and clients all adopt the value that crossed the wire, so their states
-match bit for bit.  After the final round each client uploads its locally
-trained domain prompt once and the server broadcasts the full stack, which
-is what unseen-domain inference blends.
+mean back, each upload weighted 1/K.  Server and clients all adopt the
+value that crossed the wire.  After the final round each client uploads
+its locally trained domain prompt once and the server broadcasts the full
+stack, which is what unseen-domain inference blends.
 
-No per-client object outlives a round; client state is held as stacks.
 The run keeps ``shared``, the adopted broadcast keyed by wire name
 (``global_prompt``, ``head_weight``, ``head_bias``), and the domain
-prompts, the only state a client keeps across rounds, as one (K, L, d)
-stack in client order.  That state is float64; the losses score the
-float32 rows of the train stack, so a head gradient is float32 and a
-prompt gradient, carried back through the float64 text tower, float64.
-Every local step is SGD with decoupled decay, taken in place on each
-stacked array its loss gives a gradient for, under one rule: both
-prompts' gradient terms are scaled to token units and the head's by the
-class path's 1 / T^2.
-
-Wire traffic is float32; per round and client the upload totals
-``prompt_length * dim`` prompt parameters plus ``dim * K + K`` head
-parameters.  Every message is framed, CRC-checked, and recorded in a
+prompts as one (K, L, d) stack in client order, all float64; the losses
+score the float32 rows of the train stack.  Every local step is SGD with
+decoupled decay, taken in place on each stacked array its loss gives a
+gradient for; both prompts' gradient terms are scaled to token units and
+the head's by 1 / T^2.  Wire traffic is float32: per round and client
+the upload holds ``prompt_length * dim`` prompt and ``dim * K + K`` head
+parameters.  Every message is framed, CRC-checked and recorded in a
 ``CommunicationLedger``.
 
-Everything is seeded and runs in one thread.  Stage one checks on entry
-that the local sets of a split all have the same length and hold rows
-(``ConfigurationError`` otherwise), so the K clients of a split step as one
-stack in both stages: stage one trains every transform in one
-``train_transform`` call and always hands stage two its pools as read-only
-views of one (K, N, d) stack, and each stage-two pass takes one stacked
-step per batch for all clients.  A pass whose one batch is a whole
-local-set-sized pool reads the (K, n, d) local-set view as it is: its
-losses are batch means, which a shuffle would only sum in another order.
-``run_protocol`` gives that view, once per run, a column copy
-(``UnitRows.with_column_copy``) that the class-major score products read
-faster; the copy is made only when ``batch_size`` is at least n, the one
-case in which a pass reads the local set whole.  Every other pass reads
-one draw per (round, client, epoch) from the client's own stream: in a
-global epoch, one permutation of the client's train pool
-(``global-shuffle``) serves both passes, each reading the first n indices
-below its pool's length, so a head pass whose pool is the whole train pool
-reads the rows the global pass gathered; a domain epoch draws from
-``domain-shuffle``.  The gathered sample is read-only and carries no copy,
-since a transposed gather costs more than the products save.  A stacked
-step gives every client the bits it would get alone.  It makes exactly one
+Everything is seeded and runs in one thread, and each stage-two pass takes
+one stacked step per batch for all K clients.  A pass reads either the
+(K, n, d) local-set view whole, with a column copy made once per run
+(``UnitRows.with_column_copy``), when its pool is the local set and
+``batch_size`` is at least n, or a read-only n-row sample per (round,
+client, epoch) from the client's own stream: in a global epoch one
+permutation of the train pool (``global-shuffle``) serves both passes,
+each taking the first n indices below its pool's length; a domain epoch
+draws from ``domain-shuffle``.  A stacked step makes exactly one
 ``global_loss``, ``domain_loss`` or ``classifier_loss`` call, with the
-batch first: the benchmark counts train samples by summing the length of
-that argument.  The losses' constants are prepared read-only where they
-become fixed, so a bad one fails before the first step: once per run the
-class term, once per domain pass the pooled global slot.  Uploads, ledger
-records and each round's loss means follow ascending client order, so a
-run is a pure function of its inputs.
+batch first (the benchmark counts train samples from its length), and
+gives every client the bits it would get alone.  The losses' constants,
+the class term and each domain pass's pooled global slot, are prepared
+read-only once they are fixed, so a bad one fails before the first step.
+Uploads, ledger records and each round's loss means follow ascending
+client order, so a run is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -139,6 +118,7 @@ class MethodToggles:
     include_target_description: bool = False
 
     def __post_init__(self):
+        require_finite_fields(self)
         if not (self.use_global_prompt or self.use_domain_prompt):
             raise ConfigurationError("at least one prompt path must be enabled")
         if self.use_domain_prompt != self.use_prompt_generator:
@@ -160,16 +140,9 @@ class FederationConfig:
     head_lr: float = 0.01
     domain_lr: float = 1e-3
     # decoupled decay of every locally trained parameter, a factor of
-    # 1 - lr * weight_decay per step; it is close to inert: 0 instead moves
-    # 0-3 of 2,000 held-out predictions per holdout and held-out NLL by at
-    # most 5.2e-4 (global-only and dual-prompt, seeds 0-2)
+    # 1 - lr * weight_decay per step
     weight_decay: float = 0.5
-    # per-round multiplier on all three learning rates, so a run takes about
-    # 1 / (1 - 0.7) = 3.3 rounds of full-rate steps; 1.0 instead moves 0-19
-    # held-out predictions per holdout in global-only (seeds 0-2) and 3-35 in
-    # dual-prompt (seed 0), and ends the global prompt at a norm of 6-10e-4
-    # instead of 4-6e-4
-    lr_decay: float = 0.7
+    lr_decay: float = 0.7  # per-round multiplier on all three learning rates
     batch_size: int = 2000
     weighting: str = "uniform"  # the only value; fdgbench's workloads still pass it
 
@@ -312,11 +285,6 @@ class StageOneResult:
         ]
 
 
-def _empty_stack(k: int, n: int, dim: int) -> UnitRows:
-    labels = np.empty((k, n), dtype=np.int64)
-    return UnitRows(np.empty((k, n, dim), dtype=TRAIN_DTYPE), labels, np.empty_like(labels))
-
-
 def transform_jobs(split: EvaluationSplit, include_target_description: bool) -> list[TransformJob]:
     """Every (client, target) transform of stage one, in the order that lays
     out the pools: client by client, each client's source-domain targets in
@@ -372,7 +340,8 @@ def run_stage_one(
         for net in result.networks():
             transforms[net.source][net.target] = net
     styled = len(jobs) // k
-    train = _empty_stack(k, n * (1 + styled), dim)
+    labels = np.empty((k, n * (1 + styled)), dtype=np.int64)
+    train = UnitRows(np.empty((*labels.shape, dim), dtype=TRAIN_DTYPE), labels, np.empty_like(labels))
     # each client's (1 + S, n) blocks: its local set, then one copy per target
     rows = train.rows.reshape(k, 1 + styled, n, dim)
     labels, domains = (part.reshape(k, 1 + styled, n) for part in (train.labels, train.domains))
@@ -474,9 +443,7 @@ def run_protocol(
     classes = encoder.class_term(split.class_tokens, 2 * prompt_config.length)
     # one step rule, the factor on each array's gradient term: a prompt
     # steps in token units, scaled by s^2, the class tokens' mean squared
-    # norm, the same as storing it as s * u and stepping u (its gradient
-    # grows as 1 / s, and an unscaled first step at the default rate
-    # carries the global prompt to about 78 token norms); the head takes
+    # norm, the same as storing it as s * u and stepping u; the head takes
     # 1 / T^2, the same as giving its logits the class path's scale 1 / T
     token_unit = float(np.mean(np.sum(split.class_tokens * split.class_tokens, axis=-1)))
     head_unit = 1.0 / temperature**2
@@ -512,63 +479,49 @@ def run_protocol(
         values, grad = domain_loss(batch, params["domain_prompt"], global_slot, encoder, classes, temperature)
         return values, {"domain_prompt": grad}
 
-    # room for one (K, n, ...) sample, reused by every pass that draws: a
-    # fresh one per pass costs more in page faults than the gather; it is
-    # made on the first draw, so a cell whose passes all read their whole
-    # pool makes none; ``held`` is the (order, length) it was gathered from
-    drawn, held = None, (None, None)
     # the local set with its column copy, read by every whole-set pass
     local_set = stage_one.local_set.with_column_copy() if fed_config.batch_size >= n else None
+    # the (order, length) of the last gathered sample, and the sample
+    held = (None, None, None)
 
     def draw(stream, round_index, epoch, size):
         """Each client's permutation of its leading ``size`` rows from its own
         (``stream``, round, client, epoch) generator, as (K, size) indices;
-        None when every pass that would read it reads its whole local set."""
+        None for a pass that reads ``local_set`` whole instead."""
         if size == n and local_set is not None:
             return None
         return np.stack([rng(seed, stream, round_index, i, epoch).permutation(size) for i in range(k)])
 
     def local_pass(name, step, params, length, order, losses):
-        """One epoch of the ``name`` pass ("global", "head" or "domain").
-        Each client's pool is the leading ``length`` rows of its slice of
-        the train stack.  A pool of exactly n rows with
-        ``batch_size`` at least n makes one batch of every row: each loss
-        is a batch mean, so a shuffle would only reorder its sum, and the
-        pass reads ``local_set``, the local set that leads every pool, with
-        the column copy made for it once per run.  Otherwise the pass reads
-        ``drawn``, each client's first n indices of its row of ``order``
-        (see ``draw``) below ``length``: a uniform n-row sample of its
-        pool.  The sample is gathered unless ``drawn`` holds it already, as
-        it does for a head pass whose pool is the whole train pool, after
-        the global pass of the same epoch.  It carries no column copy:
-        transposing the gather would cost more than the scores save.  The
-        n-row source is the one batch when ``batch_size`` is at least n,
-        else it is cut into slices.  Each stacked batch takes one ``step``,
-        records its losses as ``<name>_loss`` and steps, in place, each
-        array of ``params`` that the step returned a gradient for, at
-        ``<name>_lr`` decayed by the round, its gradient scaled by the
-        array's factor in ``step_units``."""
-        nonlocal drawn, held
+        """One epoch of the ``name`` pass ("global", "head" or "domain")
+        over each client's pool, the leading ``length`` rows of its slice
+        of the train stack.  With ``order`` None the pass reads
+        ``local_set``; otherwise a read-only sample of each client's first
+        n indices of its row of ``order`` below ``length``, gathered unless
+        the last pass gathered it from the same ``order`` and ``length``.
+        The n-row source is the one batch when ``batch_size`` is at least
+        n, else it is cut into slices.  Each stacked batch takes one
+        ``step``, records its losses as ``<name>_loss`` and steps, in
+        place, each array of ``params`` that the step returned a gradient
+        for, at ``<name>_lr`` decayed by the round, its gradient scaled by
+        the array's factor in ``step_units``."""
+        nonlocal held
         rate = getattr(fed_config, f"{name}_lr") * fed_config.lr_decay**losses.round_index
-        if length == n and local_set is not None:
+        if order is None:
             source = local_set
+        elif held[0] is order and held[1] == length:
+            source = held[2]
         else:
-            if not (held[0] is order and held[1] == length):
-                if drawn is None:
-                    drawn = _empty_stack(k, n, dim)
-                # a permutation holds each index below ``length`` once
-                picked = order if length == order.shape[1] else order[order < length].reshape(k, length)
-                # one gather per array from the contiguous stack seen as
-                # K * N rows; every index is in range, so "clip" only
-                # spares take a buffered copy; passes read it read-only
-                flat = picked[:, :n] + np.arange(0, k * width, width)[:, None]
-                for part in ("rows", "labels", "domains"):
-                    whole, out = getattr(stage_one.train_pool, part), getattr(drawn, part)
-                    out.flags.writeable = True
-                    np.take(whole.reshape(k * width, *whole.shape[2:]), flat, axis=0, out=out, mode="clip")
-                    out.flags.writeable = False
-                held = order, length
-            source = drawn
+            # a permutation holds each index below ``length`` once
+            picked = order if length == order.shape[1] else order[order < length].reshape(k, length)
+            # one gather per array from the contiguous stack seen as K * N rows
+            flat = picked[:, :n] + np.arange(0, k * width, width)[:, None]
+            pool = stage_one.train_pool
+            source = UnitRows(*(np.take(a.reshape(k * width, *a.shape[2:]), flat, axis=0)
+                                for a in (pool.rows, pool.labels, pool.domains)))
+            for array in (source.rows, source.labels, source.domains):
+                array.flags.writeable = False
+            held = order, length, source
         size = fed_config.batch_size
         batches = [source] if size >= n else [source.select(np.s_[:, s : s + size]) for s in range(0, n, size)]
         for batch in batches:
@@ -586,11 +539,8 @@ def run_protocol(
         params = {name: np.stack([value] * k) for name, value in shared.items()}
         for epoch in range(fed_config.global_epochs):
             # an epoch is one pass over a local-set-sized sample of the
-            # pool: augmentation banks triple the pool, and without the
-            # cap a bank-holding client would take three times as many
-            # steps per epoch, so variant comparisons would mix the
-            # effect of the banks with the effect of extra optimization;
-            # the head pass samples its pool from the same one draw
+            # pool, whatever its length; the head pass samples its pool
+            # from the same one draw
             order = draw("global-shuffle", round_index, epoch, width)
             if toggles.use_global_prompt:
                 local_pass("global", global_step, params, width, order, losses)

@@ -53,14 +53,27 @@ def require_integer(name: str, value) -> None:
 
 
 def require_finite_fields(config) -> None:
-    """``ConfigurationError`` naming a config dataclass field that holds a
-    NaN or infinity, or a bool or non-integer in an ``int`` field."""
+    """``ConfigurationError`` naming a config dataclass field whose value
+    does not fit its annotation: a bool or non-integer in an ``int`` field,
+    a bool, a non-number or a NaN or infinity in a ``float`` field, or
+    anything but a bool in a ``bool`` field."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type in ("int", int):
             require_integer(f.name, value)
+        elif f.type in ("float", float) and (isinstance(value, bool) or not isinstance(value, Real)):
+            raise ConfigurationError(f"{f.name} must be a real number, got {value!r}")
+        elif f.type in ("bool", bool) and not isinstance(value, bool):
+            raise ConfigurationError(f"{f.name} must be a bool, got {value!r}")
         if isinstance(value, Real) and not math.isfinite(value):
             raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
+
+
+def require_temperature(temperature) -> None:
+    """``ParameterError`` unless the softmax ``temperature`` is a finite,
+    positive number other than a bool."""
+    if isinstance(temperature, bool) or not 0.0 < temperature < math.inf:
+        raise ParameterError(f"temperature must be finite and positive, got {temperature!r}")
 
 
 # ---------------------------------------------------------------------------

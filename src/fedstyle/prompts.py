@@ -34,7 +34,9 @@ import numpy as np
 
 from .encoder import ClassTerm, FrozenEncoder
 from .errors import ConfigurationError, DomainError, ParameterError
-from .numerics import Array, as_f64, require_finite, require_finite_fields, softmax, softmax_ce_cols
+from .numerics import (
+    Array, as_f64, require_finite, require_finite_fields, require_temperature, softmax, softmax_ce_cols,
+)
 from .seeding import rng
 
 
@@ -138,12 +140,11 @@ def predict_unseen_batch(
     blocks or a head whose shapes disagree with each other or the encoder;
     ``DomainError`` for a zero or non-finite embedding.
     """
+    require_temperature(temperature)
     x, dim = as_f64(embeddings), encoder.config.dim
     if x.ndim != 2 or x.shape[1] != dim:
         raise ParameterError(f"embeddings must be (n, {dim}), got {x.shape}")
     xn = _normalized_rows(x)
-    if not 0.0 < temperature < np.inf:
-        raise ParameterError(f"temperature must be finite and positive, got {temperature!r}")
 
     if (domain_prompts is None) != (classifier is None):
         raise ParameterError("domain prompts and the domain head are blended together; got only one")

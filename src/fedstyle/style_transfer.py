@@ -25,33 +25,25 @@ does not depend on batch size.
 ``train_transform`` trains every transform of a job list in lockstep.
 The T parameter sets are stacked along a leading axis, (T, h, d) for
 ``w1``, and all four stacks are named views of one flat vector.  That
-vector, its gradient, Adam's moments, the epoch's batches, the
-workspaces and the text constants are ``numerics.TRAIN_DTYPE``, float32.
-The lockstep step is most of stage one's time, and network training runs
-in single precision as a rule; at half the bytes per entry the step is
-faster, and the trained transforms move no held-out prediction of the
-default cells.  ``_objective`` and ``transfer_loss`` cast what they
-receive to float64, and ``build_augmentation_bank`` writes its copies
-into the caller's stack in the stack's dtype.
+vector, its gradient, Adam's moments, the epoch's batches, the text
+constants and every intermediate of a step are ``numerics.TRAIN_DTYPE``,
+float32.  ``_objective`` and ``transfer_loss`` cast what they receive to
+float64, and ``build_augmentation_bank`` writes its copies into the
+caller's stack in the stack's dtype.
 Each step checks that vector once for a non-finite entry, runs one
-stacked forward and closed-form backward, ``_stacked_objective``, and
-takes one in-place Adam step on the whole vector.  The backward writes
-the gradients into views of a second flat vector and its (T, B, .)
-intermediates into workspaces allocated once per call, so no gradient is
-copied.  A failed check is traced back through the views to the
-parameter and the source->target pair it names.  Transform t draws the
-same seeded batches in the same order as it would alone, and every
-stacked operation acts on each slice as the one-transform operation
-would, so its parameters and losses do not depend on the other
-transforms.
-Both terms are cosines, and the kernel computes them on the unnormalized
-rows ``Q(z) - z`` and ``Q(z)``: each row's norm divides its dot products
-and scales its gradient coefficients, so no unit copy of a row stack is
-formed.  The consistency logits are class-major, (T, C, B), for the shared
-cross-entropy kernel, and row norms and dot products over d are ``einsum``
-reductions, one per row.  ``_objective`` is the same kernel for one
-transform; the forward is ``_transform_forward``, and a finite-difference
-check in the tests pins the backward.
+stacked forward and closed-form backward, ``_stacked_objective``, which
+writes the gradients into views of a second flat vector, and takes one
+in-place Adam step on the whole vector.  A failed check is traced back
+through the views to the parameter and the source->target pair it names.
+Transform t draws the same seeded batches in the same order as it would
+alone, and every stacked operation acts on each slice as the
+one-transform operation would, so its parameters and losses do not
+depend on the other transforms.
+Both terms are cosines, computed on the unnormalized rows ``Q(z) - z``
+and ``Q(z)``, each divided by its row norm.  The consistency logits are
+class-major, (T, C, B), for the shared cross-entropy kernel.
+``_objective`` is the same kernel for one transform; the forward is
+``_transform_forward``.
 
 ``build_augmentation_bank`` runs that forward once per client, broadcasting
 its local set against its block of transforms, and writes the copies
@@ -70,7 +62,9 @@ import numpy as np
 from .data import LabeledEmbeddings, require_labels
 from .encoder import FrozenEncoder
 from .errors import ConfigurationError, DomainError, NonFiniteLossError, ParameterError
-from .numerics import TRAIN_DTYPE, AdamState, Array, adam_step, as_f64, require_finite_fields, softmax_ce_cols
+from .numerics import (
+    TRAIN_DTYPE, AdamState, Array, adam_step, as_f64, require_finite_fields, require_temperature, softmax_ce_cols,
+)
 from .seeding import rng
 
 log = logging.getLogger(__name__)
@@ -206,22 +200,6 @@ def _flat_views(vector: Array, count: int, shapes: dict[str, tuple[int, ...]]) -
     return views
 
 
-def _workspaces(count: int, rows: int, hidden: int, dim: int) -> dict[str, Array]:
-    """Flat ``TRAIN_DTYPE`` buffers for the (T, B, .) intermediates of
-    ``_stacked_objective`` on batches of up to ``rows`` rows."""
-    widths = {"hidden": hidden, "delta": dim, "moved": dim, "dmoved": dim, "dpre": hidden, "scaled": dim}
-    return {name: np.empty(count * rows * width, dtype=TRAIN_DTYPE) for name, width in widths.items()}
-
-
-def _buffer(work: dict[str, Array] | None, name: str, shape: tuple[int, int, int]) -> Array | None:
-    """A contiguous array of ``shape`` at the front of ``work[name]``, or
-    None without workspaces, so that the operation allocates its result in
-    its inputs' dtype."""
-    if work is None:
-        return None
-    return work[name][: math.prod(shape)].reshape(shape)
-
-
 def _row_dots(a: Array, b: Array) -> Array:
     """(T, B) dot products of matching rows of two (T, B, d) stacks."""
     return np.einsum("tbd,tbd->tb", a, b)
@@ -238,7 +216,6 @@ def _stacked_objective(
     pairs: list[str],
     stack: Array,
     out: dict[str, Array] | None = None,
-    work: dict[str, Array] | None = None,
 ):
     """Forward and closed-form backward of the transfer objective for T
     stacked transforms, each on its own batch.
@@ -248,19 +225,15 @@ def _stacked_objective(
     (T, C, d); ``stack`` is ``np.arange(T)[:, None]``, which picks each
     row's direction from its own transform's slice.  Returns (total,
     alignment mean, consistency mean) as (T,) arrays and the stacked grads,
-    written into ``out`` (arrays shaped like ``params``) when given.  The
-    (T, B, .) intermediates go to the buffers of ``work`` (``_workspaces``)
-    when given.  A part with zero weight is skipped and reads 0, so its
-    constants may be None.  The parameters and the labels are the caller's
-    to check; a failed check here names the transform by its entry in
-    ``pairs``.
+    written into ``out`` (arrays shaped like ``params``) when given.  A
+    part with zero weight is skipped and reads 0, so its constants may be
+    None.  The parameters and the labels are the caller's to check; a
+    failed check here names the transform by its entry in ``pairs``.
     """
-    count, rows, dim = z.shape
+    rows = z.shape[1]
     if rows == 0:
         raise ParameterError("empty batch")
-    wide, narrow = (count, rows, dim), (count, rows, params["w1"].shape[1])
-    out_forward = (_buffer(work, "hidden", narrow), _buffer(work, "delta", wide))
-    hidden, delta = _transform_forward(params, z, out=out_forward)
+    hidden, delta = _transform_forward(params, z)
     align = cons = np.zeros(len(pairs), dtype=z.dtype)
 
     if alignment_weight > 0.0:
@@ -275,40 +248,30 @@ def _stacked_objective(
         cos = _row_dots(delta, per_class) / norms
         align = (1.0 - cos).sum(axis=1) / rows
         scale = -(alignment_weight / rows) / norms
-        per_class *= scale[..., None]
-        ddelta = per_class
-        ddelta -= np.multiply(delta, ((scale * cos) / norms)[..., None], out=_buffer(work, "scaled", wide))
+        ddelta = per_class * scale[..., None] - delta * ((scale * cos) / norms)[..., None]
 
     if alignment_weight < 1.0:
         # mean cross-entropy of the moved row's cosines to the class texts;
         # dividing by |moved| adds -moved * sum_c dlogits * cos / |moved|^2
-        moved = np.add(z, delta, out=_buffer(work, "moved", wide))
+        moved = z + delta
         norms = np.sqrt(_row_dots(moved, moved))
         if (norms == 0.0).any():
             zero = (norms == 0.0).any(axis=1)
             raise _failure(DomainError, pairs, zero, "a moved embedding is the zero vector")
-        cosines = class_text @ np.swapaxes(moved, 1, 2)  # (T, C, B)
-        cosines /= norms[:, None, :]
+        cosines = (class_text @ np.swapaxes(moved, 1, 2)) / norms[:, None, :]  # (T, C, B)
         per_row, dlogits = softmax_ce_cols((1.0 / temperature) * cosines, labels)
         cons = per_row.sum(axis=1) / rows
         dlogits *= (1.0 / temperature) * ((1.0 - alignment_weight) / rows)
         radial = np.einsum("tcb,tcb->tb", dlogits, cosines) / (norms * norms)
         dlogits /= norms[:, None, :]
-        dmoved = np.matmul(np.swapaxes(dlogits, 1, 2), class_text, out=_buffer(work, "dmoved", wide))
-        dmoved -= np.multiply(moved, radial[..., None], out=_buffer(work, "scaled", wide))
-        if alignment_weight > 0.0:
-            dmoved += ddelta
-        ddelta = dmoved
+        dmoved = np.swapaxes(dlogits, 1, 2) @ class_text - moved * radial[..., None]
+        ddelta = dmoved + ddelta if alignment_weight > 0.0 else dmoved
 
     total = alignment_weight * align + (1.0 - alignment_weight) * cons
     grads = {name: np.empty_like(value) for name, value in params.items()} if out is None else out
     np.matmul(np.swapaxes(ddelta, 1, 2), hidden, out=grads["w2"])
     np.sum(ddelta, axis=1, out=grads["b2"])
-    # dpre = (1 - hidden^2) * (ddelta @ w2), with 1 - hidden^2 formed in hidden
-    dpre = np.matmul(ddelta, params["w2"], out=_buffer(work, "dpre", narrow))
-    np.multiply(hidden, hidden, out=hidden)
-    np.subtract(1.0, hidden, out=hidden)
-    dpre *= hidden
+    dpre = (ddelta @ params["w2"]) * (1.0 - hidden * hidden)
     np.matmul(np.swapaxes(dpre, 1, 2), z, out=grads["w1"])
     np.sum(dpre, axis=1, out=grads["b1"])
     return total, align, cons, grads
@@ -349,7 +312,9 @@ def transfer_loss(
     alignment_weight: float,
 ) -> float:
     """alignment_weight * mean alignment + (1 - alignment_weight) * consistency.
-    A class label outside [0, C) is a ``DataError``."""
+    A temperature that is not finite and positive is a ``ParameterError``,
+    a class label outside [0, C) a ``DataError``."""
+    require_temperature(temperature)
     require_labels(batch.labels, len(class_tokens), "class label")
     directions = text_delta_directions(encoder, source_token, target_token, class_tokens)
     class_text = class_text_embeddings(encoder, class_tokens)
@@ -415,7 +380,10 @@ def train_transform(
     accumulates in float64.  Zero epochs returns the initialized networks
     untouched, as float32 holds them.  A failed check names the offending
     source->target pair; a non-finite loss raises ``NonFiniteLossError``.
+    A temperature that is not finite and positive is a ``ParameterError``,
+    raised first.
     """
+    require_temperature(temperature)
     if not jobs:
         raise ConfigurationError("no transforms to train")
     lengths = sorted({len(job.dataset) for job in jobs})
@@ -440,7 +408,6 @@ def train_transform(
     params, grads = _flat_views(theta, count, shapes), _flat_views(gradient, count, shapes)
     for name, view in params.items():
         np.stack([init[name] for init in inits], out=view)
-    work = _workspaces(count, min(config.batch_size, n), config.hidden_dim(dim), dim)
     directions = np.stack(
         [text_delta_directions(encoder, job.source_token, job.target_token, class_tokens) for job in jobs],
         dtype=TRAIN_DTYPE,
@@ -468,7 +435,7 @@ def train_transform(
                 _require_finite_stacks(params, pairs)
             loss = _stacked_objective(
                 params, rows, labels[:, batch], directions, class_text,
-                temperature, weight, pairs, stack, out=grads, work=work,
+                temperature, weight, pairs, stack, out=grads,
             )[0]
             if not np.isfinite(loss).all():
                 message = f"transfer loss diverged at epoch {epoch}"

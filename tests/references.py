@@ -51,11 +51,11 @@ from fedstyle.style_transfer import _row_dots, _transform_forward
 
 
 def normalized_objective(
-    params, z, labels, directions, class_text, temperature, alignment_weight, pairs, stack, out=None, work=None
+    params, z, labels, directions, class_text, temperature, alignment_weight, pairs, stack, out=None
 ):
     """(total, alignment mean, consistency mean, grads) of T stacked
     transforms; no input checks.  The grads are copied into ``out`` when
-    given; ``work`` is accepted and unused."""
+    given."""
     rows = z.shape[1]
     hidden, delta = _transform_forward(params, z)
     ddelta = 0.0

@@ -56,7 +56,7 @@ FLOAT_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "0.1", None])
 @pytest.mark.parametrize("cls, name", FLOAT_FIELDS)
 def test_config_dataclass_rejects_a_non_finite_float(cls, name, value):
     with pytest.raises(ConfigurationError, match=name):
@@ -132,6 +132,12 @@ OUT_OF_RANGE = [
     (TransferConfig, "epochs", -1, "schedule"),
     (TransferConfig, "batch_size", 0, "schedule"),
     (TransferConfig, "hidden", -1, "hidden must be non-negative"),
+    # a value of the wrong type: True used to run as 1.0 and "no" as true,
+    # while a string or None in a float field failed with a bare TypeError
+    (FederationConfig, "global_lr", True, "global_lr must be a real number"),
+    (PromptConfig, "temperature", "0.1", "temperature must be a real number"),
+    (WorldSpec, "noise", None, "noise must be a real number"),
+    (MethodToggles, "use_global_prompt", "no", "use_global_prompt must be a bool"),
 ]
 
 

@@ -205,6 +205,9 @@ def test_leave_one_out_takes_a_numpy_integer_holdout():
 def test_labeled_embeddings_validation_and_concat():
     with pytest.raises(ParameterError):
         LabeledEmbeddings(np.zeros((3, 2)), np.zeros(2), np.zeros(3))
+    # a 0-d array used to fail reading its row count, with IndexError
+    with pytest.raises(ParameterError, match="embeddings must be 2-D"):
+        LabeledEmbeddings(np.float64(1.0), [0], [0])
     a = LabeledEmbeddings(np.ones((2, 2)), [0, 1], [0, 0])
     b = LabeledEmbeddings(2 * np.ones((1, 2)), [1], [1])
     merged = LabeledEmbeddings.concat([a, b])

@@ -495,8 +495,8 @@ def test_minibatch_passes_draw_once_per_client_and_epoch(monkeypatch):
 
 def _spied_passes(monkeypatch, toggles, batch_size):
     # the stage-one pools and, per step in step order, the loss's name and
-    # its batch's rows, labels and domains; every np.take writing into a
-    # buffer counts as a gather
+    # its batch's rows, labels and domains; every np.take call counts as a
+    # gather
     world, encoder = _world()
     split = leave_one_out(world, 3)
     stage_one = run_stage_one(split, encoder, TransferConfig(epochs=1, batch_size=8), 0.05, toggles, 0)
@@ -510,9 +510,9 @@ def _spied_passes(monkeypatch, toggles, batch_size):
     take = np.take
 
     def counted_take(*args, **kwargs):
-        if kwargs.get("out") is not None:
-            gathers.append(kwargs["out"].shape)
-        return take(*args, **kwargs)
+        gathered = take(*args, **kwargs)
+        gathers.append(gathered.shape)
+        return gathered
 
     monkeypatch.setattr(np, "take", counted_take)
     fed = FederationConfig(**dict(_ROUNDS, rounds=2, global_epochs=3, batch_size=batch_size))

@@ -381,7 +381,7 @@ def test_predict_rejects_degenerate_and_overfull():
         _predict_one(np.ones(DIM), np.zeros((3, DIM)), *_one_prompt(np.zeros((2, DIM))))
 
 
-@pytest.mark.parametrize("temperature", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("temperature", [-1.0, 0.0, math.nan, math.inf, True])
 def test_predict_rejects_a_bad_temperature(temperature):
     # a negative temperature would invert the ranking, zero gives NaN
     with pytest.raises(ParameterError):

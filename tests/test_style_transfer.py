@@ -273,22 +273,33 @@ def test_train_transform_deterministic_and_improves_alignment():
 
 
 def test_the_lockstep_state_stays_float32_and_transfer_loss_float64(monkeypatch):
-    # Under numpy 2's promotion rules a float64 scalar or buffer would upcast
+    # Under numpy 2's promotion rules a float64 scalar or array would upcast
     # the float32 state without failing anything else.  Numpy float64
-    # settings are passed on purpose: they must not promote it either.
+    # settings are passed on purpose: they must not promote it either.  The
+    # forward's results and the consistency logits are recorded where they
+    # are made, so one intermediate cast to float64 shows.
     world, enc = _tiny_world()
     split = leave_one_out(world, 2)
     jobs = [_job(split, 0, 1), _job(split, 1, 0)]
     objective, adam = style_transfer._stacked_objective, style_transfer.adam_step
-    seen = {"objective": [], "adam_step": []}
+    forward, cross_entropy = style_transfer._transform_forward, style_transfer.softmax_ce_cols
+    seen = {"objective": [], "adam_step": [], "intermediates": []}
 
-    def spy_objective(params, z, labels, directions, class_text, *rest, out=None, work=None):
-        total, align, cons, grads = objective(params, z, labels, directions, class_text, *rest, out=out, work=work)
+    def spy_objective(params, z, labels, directions, class_text, *rest, out=None):
+        total, align, cons, grads = objective(params, z, labels, directions, class_text, *rest, out=out)
         arrays = {**params, "z": z, "directions": directions, "class_text": class_text, "total": total}
         arrays.update({f"grad[{name}]": grad for name, grad in grads.items()})
-        arrays.update({f"work[{name}]": buffer for name, buffer in (work or {}).items()})
         seen["objective"].append({name: array.dtype for name, array in arrays.items()})
         return total, align, cons, grads
+
+    def spy_forward(params, z, out=(None, None)):
+        hidden, delta = forward(params, z, out=out)
+        seen["intermediates"].append({"hidden": hidden.dtype, "delta": delta.dtype})
+        return hidden, delta
+
+    def spy_cross_entropy(logits, labels):
+        seen["intermediates"].append({"logits": logits.dtype})
+        return cross_entropy(logits, labels)
 
     def spy_adam(state, param, grad):
         adam(state, param, grad)
@@ -296,21 +307,49 @@ def test_the_lockstep_state_stays_float32_and_transfer_loss_float64(monkeypatch)
         seen["adam_step"].append({name: array.dtype for name, array in moments.items()})
 
     monkeypatch.setattr(style_transfer, "_stacked_objective", spy_objective)
+    monkeypatch.setattr(style_transfer, "_transform_forward", spy_forward)
+    monkeypatch.setattr(style_transfer, "softmax_ce_cols", spy_cross_entropy)
     monkeypatch.setattr(style_transfer, "adam_step", spy_adam)
     config = TransferConfig(alignment_weight=np.float64(0.5), epochs=2, batch_size=8)
     result = train_transform(jobs, enc, split.class_tokens, config, np.float64(0.05), 7)
-    assert len(seen["adam_step"]) == len(seen["objective"]) == 2 * math.ceil(len(jobs[0].dataset) / 8)
-    for dtypes in seen["objective"] + seen["adam_step"]:
+    steps = 2 * math.ceil(len(jobs[0].dataset) / 8)
+    assert len(seen["adam_step"]) == len(seen["objective"]) == steps
+    assert len(seen["intermediates"]) == 2 * steps
+    for dtypes in seen["objective"] + seen["adam_step"] + seen["intermediates"]:
         assert set(dtypes.values()) == {np.dtype(np.float32)}, dtypes
     assert {p.dtype for p in result.params.values()} == {np.dtype(np.float32)}
     assert result.epoch_losses.dtype == np.float64
 
     seen["objective"].clear()
+    seen["intermediates"].clear()
     net = result.networks()[0]
     loss = transfer_loss(net, jobs[0].dataset, enc, jobs[0].source_token, jobs[0].target_token,
                          split.class_tokens, 0.05, 0.5)
-    assert np.isfinite(loss) and len(seen["objective"]) == 1
-    assert set(seen["objective"][0].values()) == {np.dtype(np.float64)}, seen["objective"][0]
+    assert np.isfinite(loss) and len(seen["objective"]) == 1 and len(seen["intermediates"]) == 2
+    for dtypes in seen["objective"] + seen["intermediates"]:
+        assert set(dtypes.values()) == {np.dtype(np.float64)}, dtypes
+
+
+@pytest.mark.parametrize("temperature", [0.0, -0.1, math.nan, math.inf, True])
+@pytest.mark.parametrize("entry", ["train_transform", "transfer_loss"])
+def test_stage_one_rejects_a_bad_temperature_before_any_work(monkeypatch, entry, temperature):
+    # 0 used to divide by zero, NaN to diverge at epoch 0, -0.1 to train on
+    # an inverted softmax and True at temperature 1
+    world, enc = _tiny_world()
+    split = leave_one_out(world, 2)
+    job = _job(split, 0, 1)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a text was encoded before the temperature was checked")
+
+    monkeypatch.setattr(style_transfer, "text_delta_directions", no_work)
+    with pytest.raises(ParameterError, match="temperature must be finite and positive"):
+        if entry == "train_transform":
+            train_transform([job], enc, split.class_tokens, TransferConfig(epochs=1, batch_size=8), temperature, 0)
+        else:
+            net = TransformNetwork.init(12, 6, job.source, job.target, seed=0)
+            transfer_loss(net, job.dataset, enc, job.source_token, job.target_token, split.class_tokens,
+                          temperature, 0.5)
 
 
 def test_train_transform_empty_dataset_rejected():
