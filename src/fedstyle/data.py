@@ -117,7 +117,18 @@ class LabeledEmbeddings:
         return self.embeddings.shape[0]
 
     def subset(self, indices) -> "LabeledEmbeddings":
+        """The rows at ``indices``, in their order.  An index that is not an
+        integer or lies outside [0, n) raises ``ParameterError``; an empty
+        index gives an empty batch."""
         idx = np.asarray(indices)
+        # the range takes one reduction: seen as uint64, a negative index is
+        # at least 2^63
+        if idx.size == 0:
+            idx = idx.astype(np.int64)
+        elif idx.dtype.kind not in "iu":
+            raise ParameterError(f"subset indices must be integers, got dtype {idx.dtype}")
+        elif idx.astype(np.int64, copy=False).view(np.uint64).max() >= len(self):
+            raise ParameterError(f"subset index outside [0, {len(self)})")
         return LabeledEmbeddings(
             embeddings=self.embeddings[idx],
             labels=self.labels[idx],

@@ -39,12 +39,15 @@ one stacked step per batch for all K clients.  A pass reads either the
 client, epoch) from the client's own stream: in a global epoch one
 permutation of the train pool (``global-shuffle``) serves both passes,
 each taking the first n indices below its pool's length; a domain epoch
-draws from ``domain-shuffle``.  A stacked step makes exactly one
-``global_loss``, ``domain_loss`` or ``classifier_loss`` call, with the
-batch first (the benchmark counts train samples from its length), and
-gives every client the bits it would get alone.  The losses' constants,
-the class term and each domain pass's pooled global slot, are prepared
-read-only once they are fixed, so a bad one fails before the first step.
+draws from ``domain-shuffle``.  Scoring follows the layout rule of
+``prompts``: only the whole-set passes carry a column copy and read it;
+a drawn sample and its slices carry none and are scored rows-left.  A
+stacked step makes exactly one ``global_loss``, ``domain_loss`` or
+``classifier_loss`` call, with the batch first (the benchmark counts
+train samples from its length), and gives every client the bits it would
+get alone.  The losses' constants, the class term and each domain pass's
+pooled global slot, are prepared read-only once they are fixed, so a bad
+one fails before the first step.
 Uploads, ledger records and each round's loss means follow ascending
 client order, so a run is a pure function of its inputs.
 """
@@ -140,7 +143,7 @@ class FederationConfig:
     head_lr: float = 0.01
     domain_lr: float = 1e-3
     # decoupled decay of every locally trained parameter, a factor of
-    # 1 - lr * weight_decay per step
+    # 1 - lr * weight_decay per step, kept positive for each rate
     weight_decay: float = 0.5
     lr_decay: float = 0.7  # per-round multiplier on all three learning rates
     batch_size: int = 2000
@@ -157,6 +160,10 @@ class FederationConfig:
                 raise ConfigurationError(f"{name} must be positive")
         if self.weight_decay < 0:
             raise ConfigurationError("weight_decay must be non-negative")
+        # the per-round decay only lowers the rates
+        for name in ("global_lr", "head_lr", "domain_lr"):
+            if getattr(self, name) * self.weight_decay >= 1:
+                raise ConfigurationError(f"{name} * weight_decay must be below 1 to keep the decay factor positive")
         if not 0 < self.lr_decay <= 1:
             raise ConfigurationError("lr_decay must be in (0, 1]")
         if self.batch_size < 1:

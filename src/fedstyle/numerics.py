@@ -19,6 +19,7 @@ gradient's dtype.  A non-finite value raises ``DomainError``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
@@ -90,6 +91,15 @@ def softmax(logits: Array, axis: int) -> Array:
     return p
 
 
+@functools.lru_cache
+def _pick_offsets(blocks: int, classes: int, rows: int) -> Array:
+    """Read-only (blocks, rows) flat offsets of entry (block, 0, b) of a
+    contiguous (blocks, classes, rows) array, built once per shape."""
+    offsets = np.arange(rows) + np.arange(0, blocks * classes * rows, classes * rows)[:, None]
+    offsets.flags.writeable = False
+    return offsets
+
+
 def softmax_ce_cols(logits: Array, labels: Array) -> tuple[Array, Array]:
     """Cross-entropy of the column softmax of class-major (..., C, B) logits.
 
@@ -116,13 +126,13 @@ def softmax_ce_cols(logits: Array, labels: Array) -> tuple[Array, Array]:
         raise ParameterError("softmax_ce_cols: one label per column required")
     if labels.size == 0:
         raise ParameterError("softmax_ce_cols: no rows")
-    if labels.min() < 0 or labels.max() >= classes:
+    # one reduction: seen as uint64, a negative label is at least 2^63
+    if labels.view(np.uint64).max() >= classes:
         raise ParameterError("softmax_ce_cols: label out of range")
     p = softmax(np.ascontiguousarray(logits), -2)  # contiguous, so that its flat view writes into it
     # flat index of entry (..., label, b) of the contiguous p
-    stacked = labels.reshape(-1, rows)
-    picked = stacked * rows + np.arange(rows)
-    picked += np.arange(0, p.size, classes * rows)[:, None]
+    picked = labels.reshape(-1, rows) * rows
+    picked += _pick_offsets(picked.shape[0], classes, rows)
     flat = p.reshape(-1)
     loss = -np.log(np.maximum(flat[picked], PROB_FLOOR))
     flat[picked] -= 1.0

@@ -24,6 +24,12 @@ gradient.  Logits are class-major, (..., C, B), one column per row, and
 follow the batch's dtype.  A leading client axis on the batch and on the
 parameters stacks clients: one call returns one loss per client, each with
 the bits of a call of its own.
+
+Layout rule: ``UnitRows.scores`` is the only place that decides how a
+batch is scored.  A batch with a column copy is scored as
+``weights @ column_copy``; every other batch as ``rows @ weightsᵀ``,
+returned as its transposed (..., C, B) view, which holds the bits of
+``weights @ rowsᵀ``.
 """
 
 from __future__ import annotations
@@ -95,12 +101,13 @@ class DomainClassifier:
     def num_domains(self) -> int:
         return self.weight.shape[-2]
 
-    def logits(self, columns: Array) -> Array:
-        """Class-major logits (..., K, B) of unit rows given as columns
-        (..., d, B): ``UnitRows.columns`` of a batch, or ``rows.T``.  They
-        take the columns' dtype: the weight and bias are cast to it."""
-        logits = self.weight.astype(columns.dtype, copy=False) @ columns
-        logits += self.bias.astype(columns.dtype, copy=False)[..., :, None]
+    def logits(self, batch: "UnitRows") -> Array:
+        """Class-major logits (..., K, B) of the batch's unit rows, scored
+        by ``UnitRows.scores``.  They take the rows' dtype: the weight and
+        bias are cast to it."""
+        dtype = batch.rows.dtype
+        logits = batch.scores(self.weight.astype(dtype, copy=False))
+        logits += self.bias.astype(dtype, copy=False)[..., :, None]
         return logits
 
 
@@ -188,7 +195,7 @@ def _generated_prompts(rows: Array, blocks: Array, classifier: DomainClassifier)
     blended with the softmax of the head's logits, accumulated in
     ascending k from zero, so one-hot weights give the selected prompt bit
     for bit."""
-    weights = softmax(classifier.logits(rows.T), 0)  # (K, n)
+    weights = softmax(classifier.logits(UnitRows(rows, None, None)), 0)  # (K, n)
     generated = np.zeros((len(rows),) + blocks.shape[1:])
     for k in range(blocks.shape[0]):
         generated += weights[k][:, None, None] * blocks[k][None, :, :]
@@ -209,7 +216,9 @@ class UnitRows:
     equal-sized batches, one per client, carries a leading client axis on
     every array.  ``column_copy``, when present, is a read-only
     C-contiguous (..., d, n) copy of the rows from ``with_column_copy``;
-    a selection carries none.
+    a selection carries none.  ``scores`` is the batch's one score
+    product, under the module's layout rule.  Prediction scores rows that
+    carry no labels (None).
     """
 
     rows: Array     # (n, d) unit rows, or (clients, n, d)
@@ -232,10 +241,14 @@ class UnitRows:
         columns.flags.writeable = False
         return UnitRows(self.rows, self.labels, self.domains, columns)
 
-    def columns(self) -> Array:
-        """The rows as the (..., d, B) right-hand operand of a class-major
-        score product: the column copy, or else a transposed view."""
-        return np.swapaxes(self.rows, -1, -2) if self.column_copy is None else self.column_copy
+    def scores(self, weights: Array) -> Array:
+        """Class-major scores (..., C, B) of the rows against ``weights``
+        (..., C, d): ``weights @ column_copy`` with a column copy, else
+        the transposed view of the C-contiguous (..., B, C) product
+        ``rows @ weightsᵀ``, which holds the bits of ``weights @ rowsᵀ``."""
+        if self.column_copy is not None:
+            return weights @ self.column_copy
+        return np.swapaxes(self.rows @ np.swapaxes(weights, -1, -2), -1, -2)
 
 
 def _normalized_rows(embeddings: Array, out: Array | None = None) -> Array:
@@ -277,8 +290,8 @@ def _classification(
 
     The scalars act on the (..., C, d) side: the class text is multiplied
     by 1/T in float64, then cast to the batch's dtype for the logits
-    ``text @ batch.columns()``, and the text gradient ``dlogits @ rows``
-    is multiplied by 1/(B T) in the batch's dtype.
+    ``batch.scores(text)``, and the text gradient ``dlogits @ rows`` is
+    multiplied by 1/(B T) in the batch's dtype.
     """
     after_slots = 2 * np.shape(block)[-2]
     if classes.position != after_slots:
@@ -288,7 +301,7 @@ def _classification(
     _require_client_axis(batch, text.shape[:-2])
     rows = xn.shape[-2]
     scaled = (text * (1.0 / temperature)).astype(xn.dtype, copy=False)
-    per_row, dlogits = softmax_ce_cols(scaled @ batch.columns(), batch.labels)  # (..., C, B)
+    per_row, dlogits = softmax_ce_cols(batch.scores(scaled), batch.labels)  # (..., C, B)
     loss = np.add.reduce(per_row, axis=-1) / rows
     if not want_grad:
         return loss, None
@@ -365,7 +378,7 @@ def classifier_loss(
     xn = batch.rows
     _require_client_axis(batch, classifier.bias.shape[:-1])
     rows = xn.shape[-2]
-    per_row, dlogits = softmax_ce_cols(classifier.logits(batch.columns()), batch.domains)
+    per_row, dlogits = softmax_ce_cols(classifier.logits(batch), batch.domains)
     loss = _per_client(np.add.reduce(per_row, axis=-1) / rows)
     if not want_grad:
         return loss, None

@@ -90,6 +90,8 @@ class TransferConfig:
             raise ConfigurationError("alignment_weight must lie in [0, 1]")
         if self.learning_rate <= 0 or self.weight_decay < 0:
             raise ConfigurationError("bad optimizer settings")
+        if self.learning_rate * self.weight_decay >= 1:
+            raise ConfigurationError("learning_rate * weight_decay must be below 1 to keep the decay factor positive")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigurationError("bad schedule settings")
         if self.hidden < 0:

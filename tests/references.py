@@ -18,9 +18,12 @@ validate and scale the raw class tokens and pool both slots of [global
 slot, domain slot, class token] on each call, with the package's scalar
 placement (1/T on the class text, 1/(B T) on the text gradient).  ``two_slot_probabilities``
 is prediction formulated on it: every 256-row block pools [global prompt
-or zero, generated prompt or zero].
-The package prepares those constants once, encodes one block after a
-pooled prefix and skips a zero slot; the tests hold the two to the bit.
+or zero, generated prompt or zero].  All of them, and
+``class_major_classifier_loss``, score class-major, with the rows as the
+right operand (``class_major_scores``: a batch's column copy, or else its
+transposed rows).  The package prepares those constants once, encodes one
+block after a pooled prefix, skips a zero slot and scores a batch without
+a column copy as ``rows @ weightsᵀ``; the tests hold the two to the bit.
 
 ``bank_then_prepare_pools`` assembles stage one's pools the way the
 package once did: a separate (T, n, d) bank of every job's copies, then
@@ -130,13 +133,35 @@ def every_block_texts(encoder, blocks, class_tokens):
     return text, backward
 
 
+def class_major_scores(batch, weights):
+    """(..., C, B) scores ``weights @`` the batch's column copy, or else
+    ``weights @`` its transposed rows: the class-major product with the
+    rows as its right operand."""
+    columns = np.swapaxes(batch.rows, -1, -2) if batch.column_copy is None else batch.column_copy
+    return weights @ columns
+
+
+def class_major_classifier_loss(batch, classifier):
+    """(loss, grads) of ``classifier_loss`` on ``class_major_scores``: the
+    logits plus the bias, the weight gradient ``dlogits @ rows`` and the
+    bias gradient each multiplied by 1/B after its reduction."""
+    dtype, rows = batch.rows.dtype, batch.rows.shape[-2]
+    logits = class_major_scores(batch, classifier.weight.astype(dtype))
+    logits += classifier.bias.astype(dtype)[..., :, None]
+    per_row, dlogits = softmax_ce_cols(logits, batch.domains)
+    weight, bias = dlogits @ batch.rows, np.add.reduce(dlogits, axis=-1)
+    weight *= 1.0 / rows
+    bias *= 1.0 / rows
+    return np.add.reduce(per_row, axis=-1) / rows, {"weight": weight, "bias": bias}
+
+
 def _per_call_classification(batch, blocks, slot, encoder, class_tokens, temperature):
     """Mean cross-entropy over [blocks..., class token] and its gradient
     with respect to ``blocks[slot]``, pooling every block on the call."""
     text, backward = every_block_texts(encoder, blocks, class_tokens)
     rows = batch.rows.shape[-2]
     scaled = (text * (1.0 / temperature)).astype(batch.rows.dtype)
-    per_row, dlogits = softmax_ce_cols(scaled @ batch.columns(), batch.labels)
+    per_row, dlogits = softmax_ce_cols(class_major_scores(batch, scaled), batch.labels)
     dtext = dlogits @ batch.rows
     dtext *= 1.0 / (rows * temperature)
     return per_row.sum(axis=-1) / rows, backward(dtext)[slot]
@@ -154,7 +179,7 @@ def two_slot_probabilities(embeddings, global_prompt, domain_prompts, classifier
         rows = xn[start : start + 256]
         generated = np.zeros(shape)
         if domain_prompts is not None:
-            logits = classifier.logits(rows.T)
+            logits = classifier.weight @ rows.T + classifier.bias[:, None]
             e = np.exp(logits - logits.max(axis=0))
             weights = e / e.sum(axis=0)
             generated = np.zeros((len(rows),) + shape)

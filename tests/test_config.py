@@ -124,11 +124,18 @@ OUT_OF_RANGE = [
     (FederationConfig, "lr_decay", -0.7, r"lr_decay must be in \(0, 1\]"),
     (FederationConfig, "lr_decay", 1.001, r"lr_decay must be in \(0, 1\]"),
     (FederationConfig, "batch_size", 0, "batch_size must be at least 1"),
+    # at the default weight_decay of 0.5 a rate of 2 makes the decay factor 0
+    (FederationConfig, "global_lr", 2.0, r"global_lr \* weight_decay must be below 1"),
+    (FederationConfig, "head_lr", 2.0, r"head_lr \* weight_decay must be below 1"),
+    (FederationConfig, "domain_lr", 2.0, r"domain_lr \* weight_decay must be below 1"),
+    (FederationConfig, "weight_decay", 1000.0, r"global_lr \* weight_decay must be below 1"),
     (TransferConfig, "alignment_weight", -1e-3, r"alignment_weight must lie in \[0, 1\]"),
     (TransferConfig, "alignment_weight", 1.001, r"alignment_weight must lie in \[0, 1\]"),
     (TransferConfig, "learning_rate", 0.0, "optimizer"),
     (TransferConfig, "learning_rate", -1e-3, "optimizer"),
     (TransferConfig, "weight_decay", -1e-3, "optimizer"),
+    # at the default learning_rate of 1e-3 the decay factor is 0
+    (TransferConfig, "weight_decay", 1000.0, r"learning_rate \* weight_decay must be below 1"),
     (TransferConfig, "epochs", -1, "schedule"),
     (TransferConfig, "batch_size", 0, "schedule"),
     (TransferConfig, "hidden", -1, "hidden must be non-negative"),
@@ -174,10 +181,15 @@ AT_THE_EDGE = [
     (FederationConfig, "lr_decay", 5e-324),
     (FederationConfig, "lr_decay", 1.0),
     (FederationConfig, "batch_size", 1),
+    # the largest rates whose decay factor at weight_decay 0.5 stays above 0
+    (FederationConfig, "global_lr", 1.9999999999999998),
+    (FederationConfig, "head_lr", 1.9999999999999998),
+    (FederationConfig, "domain_lr", 1.9999999999999998),
     (TransferConfig, "alignment_weight", 0.0),
     (TransferConfig, "alignment_weight", 1.0),
     (TransferConfig, "learning_rate", 5e-324),
     (TransferConfig, "weight_decay", 0.0),
+    (TransferConfig, "weight_decay", 999.0),  # a decay factor of 0.001
     (TransferConfig, "epochs", 0),
     (TransferConfig, "batch_size", 1),
     (TransferConfig, "hidden", 0),

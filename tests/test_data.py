@@ -215,6 +215,36 @@ def test_labeled_embeddings_validation_and_concat():
     assert merged.domains.tolist() == [0, 0, 1]
 
 
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ([-1], "outside"),
+        ([3], "outside"),
+        ([0, 5], "outside"),
+        (np.array([2**64 - 1], dtype=np.uint64), "outside"),
+        ([0.5], "integers"),
+        ([0.0, 1.0], "integers"),
+        (np.array([True, False, True]), "integers"),
+    ],
+    ids=["minus-one", "n", "past-n", "uint64-max", "fraction", "whole-float", "mask"],
+)
+def test_subset_rejects_an_index_that_is_not_a_row(indices, message):
+    # -1 used to return the last row, and 5 or 0.5 raised a bare IndexError
+    batch = LabeledEmbeddings(np.arange(6.0).reshape(3, 2), [0, 1, 2], [0, 0, 1])
+    with pytest.raises(ParameterError, match=message):
+        batch.subset(indices)
+
+
+def test_subset_takes_rows_in_index_order_and_an_empty_index():
+    batch = LabeledEmbeddings(np.arange(6.0).reshape(3, 2), [0, 1, 2], [0, 0, 1])
+    picked = batch.subset(np.array([2, 0, 2], dtype=np.uint8))
+    assert picked.embeddings.tolist() == [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]]
+    assert picked.labels.tolist() == [2, 0, 2] and picked.domains.tolist() == [1, 0, 1]
+    for empty in ([], np.arange(0)):
+        part = batch.subset(empty)
+        assert len(part) == 0 and part.embeddings.shape == (0, 2)
+
+
 _NOT_WHOLE = pytest.mark.parametrize(
     "values",
     [[0.5, 1.7], [np.nan, 0.0], [np.inf, 0.0], np.array([True, False]), np.array(["0", "1"])],

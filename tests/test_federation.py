@@ -710,19 +710,34 @@ def test_stage_two_scores_float32_rows_and_keeps_its_parameters_float64(monkeypa
     # with its column copy, in the domain pass.  The target-styled block
     # keeps the head pool apart from the train pool, so the head pass
     # gathers a sample of its own.
-    seen, passes = [], []
+    seen, passes, active = [], [], [None]
+    score = UnitRows.scores
 
     def spying(name, loss):
         def spy(batch, params, *args, **kwargs):
             arrays = [params.weight, params.bias] if name == "head" else [params]
             seen.extend((name, "parameter", array.dtype, np.float64) for array in arrays)
-            seen.extend((name, what, array.dtype, np.float32) for what, array in (
-                ("rows", batch.rows), ("columns", batch.columns()),
-            ))
+            seen.append((name, "rows", batch.rows.dtype, np.float32))
+            if batch.column_copy is not None:
+                seen.append((name, "column copy", batch.column_copy.dtype, np.float32))
             passes.append(name)
-            return loss(batch, params, *args, **kwargs)
+            active[0] = name
+            try:
+                return loss(batch, params, *args, **kwargs)
+            finally:
+                active[0] = None
 
         return spy
+
+    def scores_spy(batch, weights):
+        # the score product's operand and result, in the rows' dtype:
+        # float32 in a pass, float64 in prediction's domain head
+        scores = score(batch, weights)
+        where, dtype = ("evaluation", np.float64) if active[0] is None else (active[0], np.float32)
+        seen.extend((where, what, array.dtype, dtype) for what, array in (
+            ("score weights", weights), ("scores", scores),
+        ))
+        return scores
 
     def logits_spy(logits, labels):
         seen.append((passes[-1], "logits", logits.dtype, np.float32))
@@ -742,6 +757,7 @@ def test_stage_two_scores_float32_rows_and_keeps_its_parameters_float64(monkeypa
     for name, loss in (("global", global_loss), ("head", classifier_loss), ("domain", domain_loss)):
         monkeypatch.setattr(federation, loss.__name__, spying(name, loss))
     monkeypatch.setattr(prompts, "softmax_ce_cols", logits_spy)
+    monkeypatch.setattr(UnitRows, "scores", scores_spy)
     monkeypatch.setattr(federation, "protocol_message", payload_spy)
     monkeypatch.setattr(federation, "predict_unseen_batch", prediction_spy)
     world, encoder = _world()
@@ -757,8 +773,10 @@ def test_stage_two_scores_float32_rows_and_keeps_its_parameters_float64(monkeypa
     evaluate_accuracy(result, split, encoder, config, toggles)
     assert set(passes) == {"global", "head", "domain"}
     assert {(where, what) for where, what, _, _ in seen} >= {
-        (name, what) for name in passes for what in ("parameter", "rows", "columns", "logits")
-    } | {("upload", "payload"), ("evaluation", "probabilities")}
+        (name, what) for name in passes for what in ("parameter", "rows", "score weights", "scores", "logits")
+    } | {("upload", "payload"), ("evaluation", "probabilities"), ("evaluation", "scores")}
+    if batch_size == 32:
+        assert ("domain", "column copy") in {(where, what) for where, what, _, _ in seen}
     for where, what, dtype, expected in seen:
         assert dtype == expected, (where, what, dtype)
     for array in (result.global_prompt, result.classifier.weight, result.classifier.bias, result.domain_prompts):
@@ -916,7 +934,7 @@ def test_the_domain_head_routes_the_held_out_rows_on_the_default_config():
         _, split, _, result = _default_dual_prompt(holdout)
         x = split.test_set.embeddings
         x = x / np.linalg.norm(x, axis=1, keepdims=True)
-        largest.append(softmax(result.classifier.logits(x.T), 0).max(axis=0).mean())
+        largest.append(softmax(result.classifier.logits(UnitRows(x, None, None)), 0).max(axis=0).mean())
     assert np.mean(largest) > 1.0 / split.num_clients + 0.1, largest
 
 

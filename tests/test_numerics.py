@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedstyle import numerics
 from fedstyle.errors import DomainError, ParameterError
 from fedstyle.numerics import (
     PROB_FLOOR,
@@ -111,6 +112,23 @@ def test_softmax_ce_cols_reads_any_integer_labels_as_int64(dtype):
     want = softmax_ce_cols(logits, labels)
     got = softmax_ce_cols(logits, labels.astype(dtype))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_softmax_ce_cols_builds_read_only_pick_offsets_once_per_shape():
+    # the flat offset of entry (block, 0, b) of a contiguous (2, 3, 4) array
+    offsets = numerics._pick_offsets(2, 3, 4)
+    assert offsets.tolist() == [[0, 1, 2, 3], [12, 13, 14, 15]]
+    assert not offsets.flags.writeable
+    with pytest.raises(ValueError):
+        offsets[0, 0] = 7
+    assert numerics._pick_offsets(2, 3, 4) is offsets
+    # a cached array serves every later call of its shape unchanged
+    logits = np.random.default_rng(7).normal(size=(2, 3, 4))
+    labels = np.array([[0, 1, 2, 0], [2, 2, 1, 0]])
+    first = softmax_ce_cols(logits, labels)
+    again = softmax_ce_cols(logits, labels)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+    assert offsets.tolist() == [[0, 1, 2, 3], [12, 13, 14, 15]]
 
 
 def test_softmax_ce_cols_matches_scalar_primitives():

@@ -32,6 +32,7 @@ from fedstyle.prompts import (
 )
 from gradcheck import grad_check
 from references import (
+    class_major_classifier_loss,
     every_block_texts,
     per_call_domain_loss,
     per_call_global_loss,
@@ -505,17 +506,19 @@ _OUT_OF_RANGE = {
 }
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
+@pytest.mark.parametrize("label", ["-1", "C"])
 @pytest.mark.parametrize("loss", sorted(_OUT_OF_RANGE))
-def test_every_loss_rejects_an_out_of_range_label_as_bad_data(loss):
+def test_every_loss_rejects_an_out_of_range_label_as_bad_data(loss, label, dtype):
     # stage one refuses the label as bad data on entry; a batch that never
-    # passed through it still fails in the cross-entropy kernel
+    # passed through it still fails in the cross-entropy kernel.  C is the
+    # class count (3) or the head's domain count (2); -1 as uint64 is 2^64 - 1
     bad = _raw_batch(classes=3, domains=2)
-    if loss == "classifier":
-        bad.domains[0] = 2
-    else:
-        bad.labels[0] = 3
+    labels, domains = bad.labels.astype(dtype), bad.domains.astype(dtype)
+    target, count = (domains, 2) if loss == "classifier" else (labels, 3)
+    target[0] = np.array(-1 if label == "-1" else count).astype(dtype)
     with pytest.raises(ParameterError, match="label out of range"):
-        _OUT_OF_RANGE[loss](UnitRows(bad.embeddings, bad.labels, bad.domains))
+        _OUT_OF_RANGE[loss](UnitRows(bad.embeddings, labels, domains))
 
 
 # ---------------------------------------------------------------------------
@@ -657,18 +660,23 @@ def test_a_stacked_call_equals_one_call_per_client_bit_for_bit(loss):
 def test_column_copy_is_read_only_and_select_carries_none():
     pools = [_batch(n=10, seed=30 + j) for j in range(3)]
     stack = _stacked(pools, slice(None))
+    weights = rng(31, "weights").normal(size=(3, 4, DIM))
     assert stack.column_copy is None
-    assert stack.columns().tobytes() == np.swapaxes(stack.rows, -1, -2).tobytes()
+    # without a copy: the transposed view of the rows-left product
+    scores = stack.scores(weights)
+    assert np.swapaxes(scores, -1, -2).flags.c_contiguous
+    assert scores.tobytes() == (weights @ np.swapaxes(stack.rows, -1, -2)).tobytes()
     copied = stack.with_column_copy()
     columns = copied.column_copy
     assert columns.flags.c_contiguous and not columns.flags.writeable
     assert np.array_equal(columns, np.swapaxes(stack.rows, -1, -2))
-    assert copied.columns() is columns
-    # a selection, a view or a gather, falls back to its transposed rows
+    assert copied.scores(weights).tobytes() == (weights @ columns).tobytes()
+    # a selection, a view or a gather, is scored from its rows
     for index in (np.s_[:, 2:7], 1, np.s_[1, 2:7], np.s_[:2], np.s_[:], np.s_[:, [0, 3, 5]], np.array([2, 0])):
         part = copied.select(index)
         assert part.column_copy is None
-        assert part.columns().tobytes() == np.swapaxes(stack.rows[index], -1, -2).tobytes()
+        w = weights[: len(part.rows)] if part.rows.ndim == 3 else weights[0]
+        assert part.scores(w).tobytes() == (w @ np.swapaxes(stack.rows[index], -1, -2)).tobytes()
 
 
 def test_stacked_batch_length_counts_every_row():
@@ -756,13 +764,14 @@ def test_each_loss_rejects_labels_that_are_not_integers(loss, dtype):
             classifier_loss(bad, DomainClassifier.init(2, DIM))
 
 
-@pytest.mark.parametrize("rows", [32, 2000])
+@pytest.mark.parametrize("rows", [16, 32, 2000])
 @pytest.mark.parametrize("layout", ["dual-prompt", "domain-only"])
 def test_prepared_losses_match_the_per_call_reference_bit_for_bit(rows, layout):
     # 3 stacked clients at the default sizes (d = 64, L = 4, 10 classes):
     # the losses on constants prepared once (the class term, the pooled
-    # global slot) and with the zero slot skipped give
-    # the bits of the per-call formulation, with and without a column copy
+    # global slot) and with the zero slot skipped, scoring a batch without
+    # a column copy rows-left, give the bits of the per-call formulation,
+    # which scores class-major, with and without a column copy
     k, dim, config = 3, 64, PromptConfig()
     enc = FrozenEncoder(EncoderConfig(dim=dim, seed=3))
     g = rng(41, "per-call", rows)
@@ -785,3 +794,30 @@ def test_prepared_losses_match_the_per_call_reference_bit_for_bit(rows, layout):
         for got, want in pairs:
             for a, b in zip(got, want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("rows", [16, 32, 2000])
+@pytest.mark.parametrize("stacked", [True, False], ids=["stack", "one-client"])
+def test_classifier_loss_matches_the_class_major_formula_bit_for_bit(rows, stacked):
+    # 3 head domains, d = 64, in the training dtype: the loss scoring a
+    # batch without a column copy rows-left gives the bits of the logits
+    # taken class-major, with and without a column copy
+    k, dim = 3, 64
+    g = rng(42, "class-major", rows)
+    stack = UnitRows(
+        _unit_rows(g, k * rows, dim).reshape(k, rows, dim).astype(np.float32),
+        g.integers(0, 10, (k, rows)), g.integers(0, k, (k, rows)),
+    )
+    head = DomainClassifier(g.normal(size=(k, k, dim)), g.normal(size=(k, k)) * 0.1)
+    if not stacked:
+        stack, head = stack.select(1), DomainClassifier(head.weight[1], head.bias[1])
+    for batch in (stack, stack.with_column_copy()):
+        value, grads = classifier_loss(batch, head)
+        want, want_grads = class_major_classifier_loss(batch, head)
+        if stacked:
+            assert value.tobytes() == want.tobytes()
+        else:
+            assert isinstance(value, float) and value == float(want)
+        assert set(grads) == set(want_grads)
+        for name, grad in grads.items():
+            assert grad.dtype == np.float32 and grad.tobytes() == want_grads[name].tobytes()

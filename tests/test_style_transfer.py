@@ -277,16 +277,39 @@ def test_the_lockstep_state_stays_float32_and_transfer_loss_float64(monkeypatch)
     # the float32 state without failing anything else.  Numpy float64
     # settings are passed on purpose: they must not promote it either.  The
     # forward's results and the consistency logits are recorded where they
-    # are made, so one intermediate cast to float64 shows.
+    # are made, so one intermediate cast to float64 shows.  The backward
+    # writes each gradient into a float32 view with ``out=``, which casts a
+    # float64 result silently, so the operands of those writes, ``ddelta``
+    # and ``dpre``, are recorded as well.
     world, enc = _tiny_world()
     split = leave_one_out(world, 2)
     jobs = [_job(split, 0, 1), _job(split, 1, 0)]
     objective, adam = style_transfer._stacked_objective, style_transfer.adam_step
     forward, cross_entropy = style_transfer._transform_forward, style_transfer.softmax_ce_cols
-    seen = {"objective": [], "adam_step": [], "intermediates": []}
+    seen = {"objective": [], "adam_step": [], "intermediates": [], "backward": []}
+    writes = []
+
+    class RecordingNumpy:
+        # numpy, except that a matmul or sum into ``out=`` records the dtype
+        # of its first operand
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def matmul(self, a, b, out=None):
+            if out is not None:
+                writes.append(a.dtype)
+            return np.matmul(a, b, out=out)
+
+        def sum(self, a, axis=None, out=None):
+            if out is not None:
+                writes.append(a.dtype)
+            return np.sum(a, axis=axis, out=out)
 
     def spy_objective(params, z, labels, directions, class_text, *rest, out=None):
+        writes.clear()
         total, align, cons, grads = objective(params, z, labels, directions, class_text, *rest, out=out)
+        assert len(writes) == 4, writes
+        seen["backward"].append(dict(zip(("ddelta -> w2", "ddelta -> b2", "dpre -> w1", "dpre -> b1"), writes)))
         arrays = {**params, "z": z, "directions": directions, "class_text": class_text, "total": total}
         arrays.update({f"grad[{name}]": grad for name, grad in grads.items()})
         seen["objective"].append({name: array.dtype for name, array in arrays.items()})
@@ -310,23 +333,25 @@ def test_the_lockstep_state_stays_float32_and_transfer_loss_float64(monkeypatch)
     monkeypatch.setattr(style_transfer, "_transform_forward", spy_forward)
     monkeypatch.setattr(style_transfer, "softmax_ce_cols", spy_cross_entropy)
     monkeypatch.setattr(style_transfer, "adam_step", spy_adam)
+    monkeypatch.setattr(style_transfer, "np", RecordingNumpy())
     config = TransferConfig(alignment_weight=np.float64(0.5), epochs=2, batch_size=8)
     result = train_transform(jobs, enc, split.class_tokens, config, np.float64(0.05), 7)
     steps = 2 * math.ceil(len(jobs[0].dataset) / 8)
-    assert len(seen["adam_step"]) == len(seen["objective"]) == steps
+    assert len(seen["adam_step"]) == len(seen["objective"]) == len(seen["backward"]) == steps
     assert len(seen["intermediates"]) == 2 * steps
-    for dtypes in seen["objective"] + seen["adam_step"] + seen["intermediates"]:
+    for dtypes in seen["objective"] + seen["adam_step"] + seen["intermediates"] + seen["backward"]:
         assert set(dtypes.values()) == {np.dtype(np.float32)}, dtypes
     assert {p.dtype for p in result.params.values()} == {np.dtype(np.float32)}
     assert result.epoch_losses.dtype == np.float64
 
-    seen["objective"].clear()
-    seen["intermediates"].clear()
+    for records in seen.values():
+        records.clear()
     net = result.networks()[0]
     loss = transfer_loss(net, jobs[0].dataset, enc, jobs[0].source_token, jobs[0].target_token,
                          split.class_tokens, 0.05, 0.5)
-    assert np.isfinite(loss) and len(seen["objective"]) == 1 and len(seen["intermediates"]) == 2
-    for dtypes in seen["objective"] + seen["intermediates"]:
+    assert np.isfinite(loss) and len(seen["objective"]) == len(seen["backward"]) == 1
+    assert len(seen["intermediates"]) == 2
+    for dtypes in seen["objective"] + seen["intermediates"] + seen["backward"]:
         assert set(dtypes.values()) == {np.dtype(np.float64)}, dtypes
 
 
